@@ -14,7 +14,7 @@
 //	curl -sN localhost:8080/sims/s-1/stream | jq .step
 //	curl -s localhost:8080/stats | jq .runner
 //
-// With -store DIR the daemon is crash-safe (DESIGN.md §14): live
+// With -store DIR the daemon is crash-safe (DESIGN.md §12.6): live
 // sessions are auto-checkpointed into a durable on-disk store every
 // -ckpt-every steps and/or -ckpt-interval of wall clock, and a restart
 // pointed at the same store re-admits every recoverable session at its

@@ -1,13 +1,15 @@
 // Package arena provides page-aligned, mmap-backed memory arenas for
 // the simulation's hot flat arrays, plus the versioned checkpoint
-// format that serializes a paused simulation (DESIGN.md §13).
+// container that serializes a paused simulation (DESIGN.md §12.2): one
+// stream writer (WriteCheckpoint), one validating reader
+// (ReadCheckpoint), and WriteFileCheckpoint, which streams the writer
+// into a file published atomically through internal/durable.
 //
-// An Arena is a bump allocator over one mmap'd region — anonymous
-// (private, zero-filled) or file-backed (shared, so msync persists it).
-// Memory handed out by an Arena is invisible to the Go garbage
-// collector: it is never scanned and never collected, which is exactly
-// what the steady-state-zero-alloc native step wants, and exactly why
-// only pointer-free element types are allowed (a Go pointer stored in
+// An Arena is a bump allocator over one anonymous (private, zero-filled)
+// mmap'd region. Memory handed out by an Arena is invisible to the Go
+// garbage collector: it is never scanned and never collected, which is
+// exactly what the steady-state-zero-alloc native step wants, and exactly
+// why only pointer-free element types are allowed (a Go pointer stored in
 // arena memory would be invisible to the GC and dangle after a
 // collection; MakeSlice enforces this with a one-time type check).
 //
@@ -30,10 +32,8 @@ import (
 // concurrent Alloc; the simulation allocates from per-structure arenas
 // on a single thread (growth happens inside thread-0 build phases).
 type Arena struct {
-	mem  []byte
-	off  int
-	file *os.File // non-nil when file-backed (msync target)
-	path string
+	mem []byte
+	off int
 }
 
 // pageSize is the mmap granularity; sizes are rounded up to it.
@@ -54,28 +54,6 @@ func New(size int) (*Arena, error) {
 	return &Arena{mem: mem}, nil
 }
 
-// Create maps a file-backed shared region of at least size bytes at
-// path (created or truncated). Writes land in the page cache and are
-// persisted by Sync — the msync-based checkpoint path.
-func Create(path string, size int) (*Arena, error) {
-	size = roundUp(size, pageSize)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("arena: create %s: %w", path, err)
-	}
-	if err := f.Truncate(int64(size)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("arena: truncate %s to %d bytes: %w", path, size, err)
-	}
-	mem, err := syscall.Mmap(int(f.Fd()), 0, size,
-		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("arena: mmap %s: %w", path, err)
-	}
-	return &Arena{mem: mem, file: f, path: path}, nil
-}
-
 // Size returns the mapped capacity in bytes; Used the bytes bumped so
 // far.
 func (a *Arena) Size() int { return len(a.mem) }
@@ -87,9 +65,9 @@ func (a *Arena) Bytes() []byte { return a.mem }
 
 // alloc bumps n bytes at the given alignment, or returns nil when the
 // arena is exhausted (callers fall back to the heap). The returned
-// memory is zeroed: fresh mappings are kernel-zeroed, but a reused
-// file-backed mapping or interleaved grow/shrink patterns must not leak
-// stale bytes into what make() would have zeroed.
+// memory is zeroed: fresh mappings are kernel-zeroed, but interleaved
+// grow/shrink patterns must not leak stale bytes into what make() would
+// have zeroed.
 func (a *Arena) alloc(n, align int) []byte {
 	if a == nil || n < 0 {
 		return nil
@@ -104,35 +82,14 @@ func (a *Arena) alloc(n, align int) []byte {
 	return b
 }
 
-// Sync flushes the mapped region to its backing file (msync). A no-op
-// for anonymous arenas.
-func (a *Arena) Sync() error {
-	if a == nil || a.file == nil || len(a.mem) == 0 {
-		return nil
-	}
-	_, _, errno := syscall.Syscall(syscall.SYS_MSYNC,
-		uintptr(unsafe.Pointer(&a.mem[0])), uintptr(len(a.mem)), syscall.MS_SYNC)
-	if errno != 0 {
-		return fmt.Errorf("arena: msync %s: %w", a.path, errno)
-	}
-	return nil
-}
-
-// Close unmaps the region (and closes the backing file). Any slice
-// previously returned from this arena becomes invalid. Safe on nil and
-// idempotent.
+// Close unmaps the region. Any slice previously returned from this
+// arena becomes invalid. Safe on nil and idempotent.
 func (a *Arena) Close() error {
 	if a == nil || a.mem == nil {
 		return nil
 	}
 	err := syscall.Munmap(a.mem)
 	a.mem, a.off = nil, 0
-	if a.file != nil {
-		if cerr := a.file.Close(); err == nil {
-			err = cerr
-		}
-		a.file = nil
-	}
 	return err
 }
 

@@ -1,9 +1,6 @@
 package arena
 
 import (
-	"encoding/binary"
-	"os"
-	"path/filepath"
 	"testing"
 	"unsafe"
 )
@@ -118,30 +115,6 @@ func TestAlignment(t *testing.T) {
 	}
 }
 
-func TestFileBackedSync(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "arena.bin")
-	a, err := Create(path, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := MakeSlice[uint32](a, 4, 4)
-	copy(s, []uint32{0xdeadbeef, 1, 2, 3})
-	if err := a.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The msync'd pages must be durable in the file after unmap.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint32(data); got != 0xdeadbeef {
-		t.Fatalf("file-backed write not persisted: first word %#x", got)
-	}
-}
-
 func TestCloseIdempotent(t *testing.T) {
 	a, err := New(4096)
 	if err != nil {
@@ -156,8 +129,5 @@ func TestCloseIdempotent(t *testing.T) {
 	var nilA *Arena
 	if err := nilA.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if nilA.Sync() != nil {
-		t.Fatal("nil Sync should be a no-op")
 	}
 }

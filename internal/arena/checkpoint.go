@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
+
+	"upcbh/internal/durable"
 )
 
-// Checkpoint file format (DESIGN.md §13):
+// Checkpoint file format (DESIGN.md §12.2):
 //
 //	offset 0   magic    "UPCBHCKP" (8 bytes)
 //	offset 8   version  uint32 LE
@@ -26,9 +26,8 @@ import (
 // zero padding between them. Header.CRC is CRC-32C (Castagnoli) over
 // the entire payload including padding.
 //
-// The same bytes come out of the streaming writer (WriteCheckpoint)
-// and the mmap/msync writer (WriteFileCheckpoint); a test pins the two
-// byte-identical.
+// WriteCheckpoint is the only writer; WriteFileCheckpoint streams it
+// into an atomically published file.
 
 // Magic identifies a checkpoint file.
 const Magic = "UPCBHCKP"
@@ -130,8 +129,8 @@ func writePayload(w io.Writer, layout []Region, regions []NamedRegion) {
 	}
 }
 
-// WriteCheckpoint serializes a checkpoint to w (the streaming path:
-// heap-backed state, HTTP responses, pipes).
+// WriteCheckpoint serializes a checkpoint to w: memory buffers, HTTP
+// responses, pipes, and (through WriteFileCheckpoint) files.
 func WriteCheckpoint(w io.Writer, key string, step int, env json.RawMessage, regions []NamedRegion) error {
 	h, hdr, err := buildHeader(key, step, env, regions)
 	if err != nil {
@@ -173,98 +172,19 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteFileCheckpoint writes the identical bytes through a file-backed
-// mmap: map the file, copy the preamble/header/regions into the
-// mapping, msync, and trim the page-rounded tail so the file matches
-// the streaming writer byte for byte. This is the zero-copy path a
-// file-backed simulation arena would take (the pages are already
-// resident; msync makes them durable).
-//
-// Durability contract: the container is assembled at a temporary name
-// next to path and published by rename only after its data (msync +
-// fsync, covering the post-trim file length) is on stable storage,
-// followed by an fsync of the directory. When WriteFileCheckpoint
-// returns nil, the complete container is durable at path; if the
-// writer crashes (or the disk fails) at any earlier point, path either
-// does not exist or still holds its previous complete contents — a
-// truncated or torn container can never appear at path. The temporary
-// file (path + ".tmp") may survive a crash; it is dead weight, not a
-// hazard, and a rerun replaces it.
+// WriteFileCheckpoint streams the same container into a file at path
+// through durable.Publish (temp file path+".tmp", fsync, rename,
+// directory fsync): when it returns nil the complete container is durable
+// at path, and a crash or disk failure at any earlier point leaves path
+// absent or holding its previous complete contents.
 func WriteFileCheckpoint(path, key string, step int, env json.RawMessage, regions []NamedRegion) error {
-	h, hdr, err := buildHeader(key, step, env, regions)
+	err := durable.Publish(durable.OSFS, path+".tmp", path, func(w io.Writer) error {
+		return WriteCheckpoint(w, key, step, env, regions)
+	})
 	if err != nil {
-		return err
-	}
-	payloadStart := roundUp(preambleLen+len(hdr), 8)
-	total := payloadStart + int(h.PayloadLen)
-	tmp := path + ".tmp"
-	a, err := Create(tmp, total)
-	if err != nil {
-		return err
-	}
-	mem := a.Bytes()
-	copy(mem, Magic)
-	binary.LittleEndian.PutUint32(mem[8:], Version)
-	binary.LittleEndian.PutUint32(mem[12:], uint32(len(hdr)))
-	copy(mem[preambleLen:], hdr)
-	for i, r := range regions {
-		copy(mem[payloadStart+int(h.Regions[i].Off):], r.Data)
-	}
-	if err := a.Sync(); err != nil {
-		a.Close()
-		return abortTmp(tmp, err)
-	}
-	if err := a.Close(); err != nil {
-		return abortTmp(tmp, fmt.Errorf("arena: unmap checkpoint %s: %w", tmp, err))
-	}
-	if err := os.Truncate(tmp, int64(total)); err != nil {
-		return abortTmp(tmp, fmt.Errorf("arena: trim checkpoint %s: %w", tmp, err))
-	}
-	// msync flushed the mapped pages, but the trim changed the inode's
-	// length after the unmap: fsync the file so the final geometry (and
-	// any page the kernel had not yet written back) is durable before
-	// the rename makes it visible.
-	if err := fsyncFile(tmp); err != nil {
-		return abortTmp(tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return abortTmp(tmp, fmt.Errorf("arena: publish checkpoint %s: %w", path, err))
-	}
-	return fsyncDir(filepath.Dir(path))
-}
-
-func abortTmp(tmp string, err error) error {
-	os.Remove(tmp)
-	return err
-}
-
-func fsyncFile(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return fmt.Errorf("arena: reopen checkpoint %s for fsync: %w", path, err)
-	}
-	serr := f.Sync()
-	cerr := f.Close()
-	if serr != nil {
-		return fmt.Errorf("arena: fsync checkpoint %s: %w", path, serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("arena: close checkpoint %s: %w", path, cerr)
+		return fmt.Errorf("arena: checkpoint %s: %w", path, err)
 	}
 	return nil
-}
-
-func fsyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("arena: open checkpoint directory %s: %w", dir, err)
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("arena: fsync checkpoint directory %s: %w", dir, serr)
-	}
-	return cerr
 }
 
 // readHeader parses and validates the preamble plus JSON header from

@@ -53,8 +53,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFileCheckpointByteIdentical pins the tentpole contract: the
-// streaming writer and the mmap/msync writer produce the same bytes.
+// TestFileCheckpointByteIdentical: the published file holds exactly the
+// stream writer's bytes — complete, unpadded, readable.
 func TestFileCheckpointByteIdentical(t *testing.T) {
 	env := json.RawMessage(`{"goos":"linux"}`)
 	var buf bytes.Buffer
@@ -70,7 +70,7 @@ func TestFileCheckpointByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), fileBytes) {
-		t.Fatalf("stream (%d bytes) and mmap (%d bytes) checkpoints differ", buf.Len(), len(fileBytes))
+		t.Fatalf("stream (%d bytes) and file (%d bytes) checkpoints differ", buf.Len(), len(fileBytes))
 	}
 	if _, err := ReadCheckpoint(bytes.NewReader(fileBytes)); err != nil {
 		t.Fatal(err)

@@ -99,23 +99,61 @@ func NewRunner(workers int) *Runner {
 	return &Runner{
 		sem:   make(chan struct{}, workers),
 		cache: make(map[string]*cacheEntry),
-		exec:  execRun,
+		exec:  func(opts core.Options) (*core.Result, error) { return runStepped(opts, opts.Steps, nil) },
 	}
 }
 
-// execRun is the real execution path: build the simulation and run it.
-// Run drops the final body state before the result enters the cache
-// unless KeepBodies is set.
-func execRun(opts core.Options) (*core.Result, error) {
+// runStepped is the one execution body: build the simulation, advance it
+// `every` steps at a time (the last interval truncated to the schedule),
+// and Finish. A non-nil observe first receives the step-0 Snapshot — the
+// distributed initial conditions, before any stepping, exactly as a
+// bhrun -stream consumer sees them — then one Snapshot per interval; an
+// error from it aborts the run. The Result copies all state out of the
+// Sim, so the heap storage goes back to the recycling pools on return.
+func runStepped(opts core.Options, every int, observe func(*core.Snapshot) error) (*core.Result, error) {
 	sim, err := core.New(opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.Run()
-	// The Result copies all state out of the Sim, so the heap storage
-	// can go back to the recycling pools for the next configuration.
-	sim.Release()
-	return res, err
+	defer sim.Release()
+	for done := 0; ; {
+		if observe != nil {
+			snap, err := sim.Snapshot()
+			if err != nil {
+				return nil, err
+			}
+			if err := observe(snap); err != nil {
+				return nil, fmt.Errorf("bench: stepped run aborted by observer at step %d: %w", done, err)
+			}
+		}
+		if done >= opts.Steps {
+			return sim.Finish()
+		}
+		k := min(every, opts.Steps-done)
+		if err := sim.Step(k); err != nil {
+			return nil, err
+		}
+		done += k
+	}
+}
+
+// pooled runs fn under the worker-pool discipline: a native run takes the
+// pool exclusively — it waits out all in-flight simulations and admits no
+// new ones, so the measured wall-clock phases see an otherwise idle host —
+// while simulate runs share it, one pool slot each.
+func (r *Runner) pooled(opts core.Options, what string, fn func() (*core.Result, error)) (*core.Result, error) {
+	if opts.ExecMode == core.ModeNative {
+		r.excl.Lock()
+		defer r.excl.Unlock()
+		r.logf("%s (native, exclusive): %s", what, describe(opts))
+		return fn()
+	}
+	r.excl.RLock()
+	defer r.excl.RUnlock()
+	r.sem <- struct{}{}
+	defer func() { <-r.sem }()
+	r.logf("%s: %s", what, describe(opts))
+	return fn()
 }
 
 // Workers returns the worker-pool width.
@@ -169,21 +207,7 @@ func (r *Runner) Run(opts core.Options) (res *core.Result, hit bool, err error) 
 	}
 	r.mu.Unlock()
 
-	if opts.ExecMode == core.ModeNative {
-		// Exclusive: wait out all in-flight simulations, admit no new ones,
-		// so the measured wall-clock phases see an otherwise idle host.
-		r.excl.Lock()
-		r.logf("run (native, exclusive): %s", describe(opts))
-		e.res, e.err = r.exec(opts)
-		r.excl.Unlock()
-	} else {
-		r.excl.RLock()
-		r.sem <- struct{}{}
-		r.logf("run: %s", describe(opts))
-		e.res, e.err = r.exec(opts)
-		<-r.sem
-		r.excl.RUnlock()
-	}
+	e.res, e.err = r.pooled(opts, "run", func() (*core.Result, error) { return r.exec(opts) })
 	if e.res != nil && !r.KeepBodies {
 		e.res.Bodies = nil
 	}
@@ -280,61 +304,7 @@ func (r *Runner) RunStepwise(opts core.Options, every int, observe func(*core.Sn
 	}
 	r.mu.Unlock()
 
-	run := func() (*core.Result, error) {
-		sim, err := core.New(opts)
-		if err != nil {
-			return nil, err
-		}
-		defer sim.Release()
-		if observe != nil {
-			// Step-0 snapshot first: the observer sees the distributed
-			// initial conditions before any stepping, exactly as a
-			// bhrun -stream consumer does.
-			snap, err := sim.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			if err := observe(snap); err != nil {
-				return nil, fmt.Errorf("bench: stepped run aborted by observer at step 0: %w", err)
-			}
-		}
-		for done := 0; done < opts.Steps; {
-			k := every
-			if rem := opts.Steps - done; k > rem {
-				k = rem
-			}
-			if err := sim.Step(k); err != nil {
-				return nil, err
-			}
-			done += k
-			if observe != nil {
-				snap, err := sim.Snapshot()
-				if err != nil {
-					return nil, err
-				}
-				if err := observe(snap); err != nil {
-					return nil, fmt.Errorf("bench: stepped run aborted by observer at step %d: %w", done, err)
-				}
-			}
-		}
-		return sim.Finish()
-	}
-
-	var res *core.Result
-	var err error
-	if opts.ExecMode == core.ModeNative {
-		r.excl.Lock()
-		r.logf("stepped run (native, exclusive): %s", describe(opts))
-		res, err = run()
-		r.excl.Unlock()
-	} else {
-		r.excl.RLock()
-		r.sem <- struct{}{}
-		r.logf("stepped run: %s", describe(opts))
-		res, err = run()
-		<-r.sem
-		r.excl.RUnlock()
-	}
+	res, err := r.pooled(opts, "stepped run", func() (*core.Result, error) { return runStepped(opts, every, observe) })
 	if err != nil {
 		return nil, err
 	}

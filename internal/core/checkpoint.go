@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"unsafe"
@@ -11,7 +12,7 @@ import (
 	"upcbh/internal/upc"
 )
 
-// Checkpoint/restore of a paused simulation (DESIGN.md §13).
+// Checkpoint/restore of a paused simulation (DESIGN.md §12.3).
 //
 // The state captured here is exactly what persists across a completed
 // step gate: the scheduler parks every live thread in its step state
@@ -117,9 +118,8 @@ func (s *Sim) Checkpoint(w io.Writer) error {
 	return arena.WriteCheckpoint(w, s.o.Key(), s.stepsDone, captureEnv(), regions)
 }
 
-// CheckpointFile writes the checkpoint through a file-backed mmap
-// (arena.WriteFileCheckpoint): the msync-based zero-copy path,
-// byte-identical to what Checkpoint streams.
+// CheckpointFile writes the bytes Checkpoint streams into a file at
+// path, published atomically and durably (arena.WriteFileCheckpoint).
 func (s *Sim) CheckpointFile(path string) error {
 	regions, err := s.checkpointRegions()
 	if err != nil {
@@ -245,10 +245,9 @@ func Restore(r io.Reader) (*Sim, error) {
 		return nil, badCheckpoint(fmt.Errorf("core: checkpoint has no %q region", regRefs))
 	}
 	s, err := New(cs.Options)
-	if err != nil {
-		if verr := cs.Options.validate(); verr != nil {
-			return nil, badCheckpoint(fmt.Errorf("core: checkpoint options rejected: %w", verr))
-		}
+	if errors.Is(err, ErrInvalidOptions) {
+		return nil, badCheckpoint(fmt.Errorf("core: checkpoint options rejected: %w", err))
+	} else if err != nil {
 		return nil, fmt.Errorf("core: construct restore target: %w", err)
 	}
 	if err := s.restoreState(&cs, heap, refs); err != nil {
@@ -276,12 +275,7 @@ func PeekCheckpointHeader(data []byte) (key string, step int, err error) {
 // that restore on behalf of someone else (bhserve's POST /sims/restore)
 // separate uploader mistakes from server-side construction failures
 // with errors.Is(err, ErrBadCheckpoint).
-func badCheckpoint(err error) error { return &badCheckpointError{err} }
-
-type badCheckpointError struct{ err error }
-
-func (e *badCheckpointError) Error() string   { return e.err.Error() }
-func (e *badCheckpointError) Unwrap() []error { return []error{ErrBadCheckpoint, e.err} }
+func badCheckpoint(err error) error { return &marked{ErrBadCheckpoint, err} }
 
 // restoreState overwrites the freshly constructed Sim's state with the
 // captured snapshot. The fresh session has run setup and parked before

@@ -143,8 +143,8 @@ func TestCheckpointSnapshotAgrees(t *testing.T) {
 	}
 }
 
-// TestCheckpointFileByteIdentical: the streaming and mmap/msync
-// checkpoint writers emit the same bytes for a real simulation.
+// TestCheckpointFileByteIdentical: CheckpointFile publishes exactly the
+// bytes Checkpoint streams for a real simulation.
 func TestCheckpointFileByteIdentical(t *testing.T) {
 	opts := DefaultOptions(256, 2, LevelMergedBuild)
 	opts.Steps, opts.Warmup = 3, 1

@@ -3,8 +3,8 @@
 // model is known-good (e.g. before an intentional model change) and paste
 // the output into the golden maps:
 //
-//	go run ./internal/core/goldengen            # 1-thread (exact goldens)
-//	go run ./internal/core/goldengen -threads 4 # 4-thread (tolerance goldens)
+//	go run ./internal/core/goldengen            # 1-thread goldens
+//	go run ./internal/core/goldengen -threads 4 # 4-thread goldens (equally exact: the scheduler is deterministic)
 package main
 
 import (

@@ -34,7 +34,17 @@ var (
 	// the uploader's fault (HTTP 400), as opposed to a server-side
 	// construction failure while rebuilding the simulation (500).
 	ErrBadCheckpoint = errors.New("invalid checkpoint")
+	// ErrInvalidOptions: New rejected the configuration itself — the
+	// requester's fault (HTTP 400), not a construction failure.
+	ErrInvalidOptions = errors.New("invalid options")
 )
+
+// marked tags err with a sentinel for errors.Is without altering its
+// text: the message stays the specific validation failure.
+type marked struct{ sentinel, err error }
+
+func (e *marked) Error() string   { return e.err.Error() }
+func (e *marked) Unwrap() []error { return []error{e.sentinel, e.err} }
 
 // rootGeom is the root-cell geometry (SPLASH2's rsize plus center); at
 // LevelBaseline it lives in a UPC shared scalar on thread 0 and is read
@@ -205,7 +215,7 @@ type tstate struct {
 // heaps, locks and shared scalars.
 func New(opts Options) (*Sim, error) {
 	if err := opts.validate(); err != nil {
-		return nil, err
+		return nil, &marked{ErrInvalidOptions, err}
 	}
 	init, err := nbody.GenerateScenario(opts.Scenario, opts.Bodies, opts.Seed)
 	if err != nil {

@@ -3,14 +3,14 @@ package serve
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"syscall"
 	"time"
 
 	"upcbh/internal/core"
+	"upcbh/internal/store"
 )
 
-// Crash safety (DESIGN.md §14): periodic auto-checkpoints of live
+// Crash safety (DESIGN.md §12.6): periodic auto-checkpoints of live
 // sessions into the durable store, and startup recovery from it.
 //
 // The split that keeps stepping off the disk: *capture* runs on the
@@ -27,13 +27,6 @@ import (
 // backoff; ENOSPC — retrying onto a full disk is noise — and exhausted
 // retries mark the store degraded (visible in /stats and /healthz) and
 // drop the capture. The next successful Put heals the store.
-
-// ckptJob is one captured checkpoint container awaiting persistence.
-type ckptJob struct {
-	key  string
-	step int
-	data []byte
-}
 
 // CkptStats counts the auto-checkpoint pipeline (GET /stats).
 type CkptStats struct {
@@ -56,14 +49,14 @@ type CkptStats struct {
 // enough that a dead disk cannot accumulate unbounded snapshots.
 const persistQueueDepth = 16
 
+// persistRetries bounds the persister's retries after a transient write
+// failure (ENOSPC never retries).
+const persistRetries = 3
+
 // maybeAutoCheckpointLocked captures the session's paused state when a
 // checkpoint is due — every CkptEvery steps and/or every CkptInterval
-// of wall clock, whichever fires first (the interval is evaluated at
-// step boundaries: a session nobody is stepping isn't changing, so
-// there is nothing new to capture). Must run on the session's shard
-// loop with the session live and unfinished. The capture lands in a
-// memory buffer and is handed to the persister; this function never
-// touches the disk.
+// of wall clock, whichever fires first. Must run on the session's shard
+// loop with the session live and unfinished.
 func (s *Server) maybeAutoCheckpointLocked(sess *session) {
 	if s.cfg.Store == nil || sess.sim == nil || sess.finished || sess.released {
 		return
@@ -85,10 +78,10 @@ func (s *Server) maybeAutoCheckpointLocked(sess *session) {
 	sess.lastCkptTime = time.Now()
 	var buf bytes.Buffer
 	if err := sess.sim.Checkpoint(&buf); err != nil {
-		s.logf("session %s: auto-checkpoint capture at step %d: %v", sess.id, done, err)
+		s.cfg.Logf("session %s: auto-checkpoint capture at step %d: %v", sess.id, done, err)
 		return
 	}
-	s.enqueueCkptLocked(ckptJob{key: sess.key, step: done, data: buf.Bytes()})
+	s.enqueueCkptLocked(store.Entry{Key: sess.key, Step: done, Data: buf.Bytes()})
 }
 
 // enqueueCkptLocked hands a captured container to the persister without
@@ -97,17 +90,13 @@ func (s *Server) maybeAutoCheckpointLocked(sess *session) {
 // on a shard loop — Shutdown closes the queue only after every shard
 // loop has exited, so a send from a shard task can never hit a closed
 // channel.
-func (s *Server) enqueueCkptLocked(j ckptJob) {
-	s.mu.Lock()
-	s.ckpt.Captured++
-	s.mu.Unlock()
+func (s *Server) enqueueCkptLocked(j store.Entry) {
+	s.count(&s.ckpt.Captured)
 	select {
 	case s.persistCh <- j:
 	default:
-		s.mu.Lock()
-		s.ckpt.Dropped++
-		s.mu.Unlock()
-		s.logf("checkpoint persister backlogged: dropped step-%d capture of %s", j.step, j.key)
+		s.count(&s.ckpt.Dropped)
+		s.cfg.Logf("checkpoint persister backlogged: dropped step-%d capture of %s", j.Step, j.Key)
 	}
 }
 
@@ -123,87 +112,64 @@ func (s *Server) persister() {
 // persistOne writes one container with the transient/persistent retry
 // policy. Only this goroutine runs it, so backoff sleeps stall at most
 // the checkpoint pipeline — never a session.
-func (s *Server) persistOne(j ckptJob) {
+func (s *Server) persistOne(j store.Entry) {
 	backoff := s.cfg.CkptBackoff
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = s.cfg.Store.Put(j.key, j.step, j.data)
+		err = s.cfg.Store.Put(j.Key, j.Step, j.Data)
 		if err == nil {
-			s.mu.Lock()
-			s.ckpt.Persisted++
-			s.mu.Unlock()
+			s.count(&s.ckpt.Persisted)
 			return
 		}
-		if errors.Is(err, syscall.ENOSPC) || attempt >= s.cfg.CkptRetries {
+		if errors.Is(err, syscall.ENOSPC) || attempt >= persistRetries {
 			break
 		}
-		s.mu.Lock()
-		s.ckpt.Retries++
-		s.mu.Unlock()
+		s.count(&s.ckpt.Retries)
 		time.Sleep(backoff)
 		backoff *= 2
 	}
-	s.mu.Lock()
-	s.ckpt.Failed++
-	s.mu.Unlock()
+	s.count(&s.ckpt.Failed)
 	s.cfg.Store.SetDegraded(err)
-	s.logf("checkpoint persist for %s step %d failed permanently: %v (store degraded; sessions continue in-memory)",
-		j.key, j.step, err)
+	s.cfg.Logf("checkpoint persist for %s step %d failed permanently: %v (store degraded; sessions continue in-memory)",
+		j.Key, j.Step, err)
 }
 
 // recoverSessions re-admits every recoverable session from the store at
 // boot: each key's newest valid container is restored into a live,
 // paused session ready to step/stream/finish exactly where the crashed
-// process left it. A container that passes the store's format
-// validation but fails core.Restore's deeper checks is quarantined and
-// the key's next-newest entry tried — recovery never aborts on one bad
-// entry. Runs from New before the listener exists, so no task races.
+// process left it. Runs from New before the listener exists and admits
+// one session at a time, so no shard queue holds more than one task and
+// backpressure cannot reject a recovery.
 func (s *Server) recoverSessions() {
-	st := s.cfg.Store
-	for _, e := range st.NewestAll() {
-		for {
-			sim, err := core.Restore(bytes.NewReader(e.Data))
-			if err == nil {
-				s.admitRecovered(e.Key, sim)
-				break
-			}
-			s.logf("recovery: restore %q step %d: %v (quarantining)", e.Key, e.Step, err)
-			st.Quarantine(e.Key, e.Step)
-			data, step, nerr := st.Newest(e.Key)
-			if nerr != nil {
-				break
-			}
-			e.Data, e.Step = data, step
+	for _, e := range s.cfg.Store.NewestAll() {
+		if _, _, err := s.admit(s.buildRecovered(e)); err != nil {
+			s.cfg.Logf("recovery: %q not recovered: %v", e.Key, err)
 		}
 	}
 }
 
-// admitRecovered registers one boot-recovered session. The session's
-// shard-owned fields are initialized before it is published in the
-// registry (registration under mu is the happens-before edge to every
-// later shard task).
-func (s *Server) admitRecovered(key string, sim *core.Sim) {
-	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("s-%d", s.nextID)
-	s.mu.Unlock()
-	sess := &session{
-		id:        id,
-		key:       key,
-		shard:     s.shards[shardFor(id, len(s.shards))],
-		hub:       newHub(),
-		opts:      sim.Options(),
-		created:   time.Now(),
-		recovered: true,
-		sim:       sim,
+// buildRecovered restores one stored entry. A container that passes the
+// store's format validation but fails core.Restore's deeper checks is
+// quarantined and the key's next-newest entry tried — recovery never
+// aborts on one bad entry.
+func (s *Server) buildRecovered(e store.Entry) func(*session) error {
+	return func(sess *session) error {
+		for {
+			sim, err := core.Restore(bytes.NewReader(e.Data))
+			if err == nil {
+				sess.adopt(sim)
+				sess.recovered = true
+				s.cfg.Logf("session %s: recovered from store at step %d of %d (%s)",
+					sess.id, sim.StepsDone(), sess.opts.Steps, sess.key)
+				return nil
+			}
+			s.cfg.Logf("recovery: restore %q step %d: %v (quarantining)", e.Key, e.Step, err)
+			s.cfg.Store.Quarantine(e.Key, e.Step)
+			data, step, nerr := s.cfg.Store.Newest(e.Key)
+			if nerr != nil {
+				return err
+			}
+			e.Data, e.Step = data, step
+		}
 	}
-	sess.lastCkptStep = sim.StepsDone()
-	sess.lastCkptTime = time.Now()
-	s.mu.Lock()
-	s.sessions[id] = sess
-	s.created++
-	s.recovered++
-	s.mu.Unlock()
-	s.logf("session %s: recovered from store at step %d of %d (%s)",
-		id, sim.StepsDone(), sess.opts.Steps, key)
 }

@@ -14,10 +14,11 @@ import (
 	"time"
 
 	"upcbh/internal/core"
+	"upcbh/internal/durable"
 	"upcbh/internal/store"
 )
 
-func openTestStore(t *testing.T, dir string, fs store.FS) *store.Store {
+func openTestStore(t *testing.T, dir string, fs durable.FS) *store.Store {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{FS: fs, Logf: t.Logf})
 	if err != nil {
@@ -30,11 +31,7 @@ func openTestStore(t *testing.T, dir string, fs store.FS) *store.Store {
 func stepOne(t *testing.T, s *Server, sess *session) {
 	t.Helper()
 	var stepErr error
-	tk, err := s.submit(sess.shard, func() { _, stepErr = s.stepLocked(sess, 1, false) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-tk.done
+	onLoop(t, s, sess, func() { _, stepErr = s.stepLocked(sess, 1, false) })
 	if stepErr != nil {
 		t.Fatal(stepErr)
 	}
@@ -77,7 +74,7 @@ func TestAutoCheckpointEveryK(t *testing.T) {
 	st := openTestStore(t, dir, nil)
 	s := newTestServer(t, Config{Shards: 2, Store: st, CkptEvery: 2})
 	opts := testOpts(6)
-	sess, _, err := s.createSession(opts)
+	sess, _, err := s.admit(s.buildCreate(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +118,7 @@ func TestAutoCheckpointInterval(t *testing.T) {
 	st := openTestStore(t, dir, nil)
 	s := newTestServer(t, Config{Shards: 1, Store: st, CkptInterval: time.Millisecond})
 	opts := testOpts(4)
-	sess, _, err := s.createSession(opts)
+	sess, _, err := s.admit(s.buildCreate(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,17 +131,17 @@ func TestAutoCheckpointInterval(t *testing.T) {
 // fault. Only the persister goroutine ever touches it, so a stalled
 // store must not stall stepping.
 type blockFS struct {
-	store.FS
+	durable.FS
 	gate    chan struct{}
 	release sync.Once
 }
 
 func newBlockFS() *blockFS {
-	return &blockFS{FS: store.OSFS, gate: make(chan struct{})}
+	return &blockFS{FS: durable.OSFS, gate: make(chan struct{})}
 }
 
 func (b *blockFS) open() { b.release.Do(func() { close(b.gate) }) }
-func (b *blockFS) Create(path string) (store.File, error) {
+func (b *blockFS) Create(path string) (durable.File, error) {
 	<-b.gate
 	return b.FS.Create(path)
 }
@@ -162,7 +159,7 @@ func TestAutoCheckpointNeverBlocksStepper(t *testing.T) {
 	t.Cleanup(bfs.open)
 
 	opts := testOpts(30)
-	sess, _, err := s.createSession(opts)
+	sess, _, err := s.admit(s.buildCreate(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +186,7 @@ func TestAutoCheckpointNeverBlocksStepper(t *testing.T) {
 
 // enospcFS fails every file write with ENOSPC while full is set.
 type enospcFS struct {
-	store.FS
+	durable.FS
 	mu   sync.Mutex
 	full bool
 }
@@ -200,7 +197,7 @@ func (e *enospcFS) setFull(v bool) {
 	e.mu.Unlock()
 }
 
-func (e *enospcFS) Create(path string) (store.File, error) {
+func (e *enospcFS) Create(path string) (durable.File, error) {
 	e.mu.Lock()
 	full := e.full
 	e.mu.Unlock()
@@ -214,7 +211,7 @@ func (e *enospcFS) Create(path string) (store.File, error) {
 // sessions keep stepping, /healthz and /stats surface it — and the
 // first successful persist after space frees heals it.
 func TestAutoCheckpointDegradedENOSPC(t *testing.T) {
-	efs := &enospcFS{FS: store.OSFS}
+	efs := &enospcFS{FS: durable.OSFS}
 	st := openTestStore(t, t.TempDir(), efs)
 	s := newTestServer(t, Config{
 		Shards: 1, Store: st, CkptEvery: 1,
@@ -225,7 +222,7 @@ func TestAutoCheckpointDegradedENOSPC(t *testing.T) {
 
 	efs.setFull(true)
 	opts := testOpts(40)
-	sess, _, err := s.createSession(opts)
+	sess, _, err := s.admit(s.buildCreate(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +286,7 @@ func TestAutoCheckpointLifecycleRaces(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		opts := testOpts(12)
 		opts.Warmup = 1 + i%2 // distinct keys so sessions don't cache-hit
-		sess, _, err := s.createSession(opts)
+		sess, _, err := s.admit(s.buildCreate(opts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,11 +296,13 @@ func TestAutoCheckpointLifecycleRaces(t *testing.T) {
 		go func(sess *session) {
 			defer wg.Done()
 			for j := 0; j < 12; j++ {
-				tk, err := s.submit(sess.shard, func() { _, _ = s.stepLocked(sess, 1, false) })
+				err := s.onShard(sess, func() error {
+					_, _ = s.stepLocked(sess, 1, false)
+					return nil
+				})
 				if err != nil {
 					return
 				}
-				<-tk.done
 			}
 		}(sess)
 		// Releaser: tear the session down mid-flight; ticks after this
@@ -311,17 +310,18 @@ func TestAutoCheckpointLifecycleRaces(t *testing.T) {
 		go func(sess *session, delay time.Duration) {
 			defer wg.Done()
 			time.Sleep(delay)
-			tk, err := s.submit(sess.shard, func() { s.releaseLocked(sess) })
+			err := s.onShard(sess, func() error {
+				s.releaseLocked(sess)
+				return nil
+			})
 			if err != nil {
 				return
 			}
-			<-tk.done
 			// A tick on the released session is a clean no-op.
-			tk, err = s.submit(sess.shard, func() { s.maybeAutoCheckpointLocked(sess) })
-			if err != nil {
-				return
-			}
-			<-tk.done
+			_ = s.onShard(sess, func() error {
+				s.maybeAutoCheckpointLocked(sess)
+				return nil
+			})
 		}(sess, time.Duration(i)*2*time.Millisecond)
 	}
 	wg.Wait()
@@ -341,7 +341,7 @@ func TestStartupRecovery(t *testing.T) {
 
 	st1 := openTestStore(t, dir, nil)
 	s1 := New(Config{Shards: 2, Store: st1, CkptEvery: 2, Logf: t.Logf})
-	sess, _, err := s1.createSession(opts)
+	sess, _, err := s1.admit(s1.buildCreate(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +380,7 @@ func TestStartupRecovery(t *testing.T) {
 		stepOne(t, s2, rec)
 	}
 	var res *core.Result
-	tk, err := s2.submit(rec.shard, func() { res = rec.result })
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-tk.done
+	onLoop(t, s2, rec, func() { res = rec.result })
 	if res == nil {
 		t.Fatal("recovered session did not finalize")
 	}
@@ -414,7 +410,7 @@ func TestRecoverySkipsCorruptNewest(t *testing.T) {
 
 	st1 := openTestStore(t, dir, nil)
 	s1 := New(Config{Shards: 1, Store: st1, CkptEvery: 2, Logf: t.Logf})
-	sess, _, err := s1.createSession(opts)
+	sess, _, err := s1.admit(s1.buildCreate(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +472,7 @@ func TestRestoreAnswersFromStore(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	opts := testOpts(8)
-	sess, _, err := s.createSession(opts)
+	sess, _, err := s.admit(s.buildCreate(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +571,7 @@ func TestListSessions(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		opts := testOpts(4 + i) // distinct keys
-		if _, _, err := s.createSession(opts); err != nil {
+		if _, _, err := s.admit(s.buildCreate(opts)); err != nil {
 			t.Fatal(err)
 		}
 	}

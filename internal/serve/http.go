@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 
 	"upcbh/internal/core"
 	"upcbh/internal/machine"
@@ -43,57 +42,86 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// Handler returns the service's HTTP mux:
-//
-//	POST   /sims            create a session (cache-aware)
-//	POST   /sims/restore    create a session from a checkpoint container
-//	GET    /sims            list sessions (recovery discovery)
-//	GET    /sims/{id}       session status
-//	POST   /sims/{id}/step  advance ?k= steps (default 1), return the snapshot
-//	POST   /sims/{id}/checkpoint  serialize the paused state (octet-stream)
-//	GET    /sims/{id}/snapshot  current state (?bodies=1 to include bodies)
-//	GET    /sims/{id}/stream    NDJSON snapshot stream (?every=, ?bodies=1)
-//	GET    /sims/{id}/result    final Result (finishing the session if paused)
-//	DELETE /sims/{id}       finish and release
-//	GET    /stats           service observability snapshot
-//	GET    /healthz         liveness (503 while draining)
+// Handler returns the service's HTTP mux (README.md tabulates the API).
+// Each route names the status its JSON answer carries (0: the handler
+// writes its own response); every failure goes through respond.
 func (s *Server) Handler() http.Handler {
+	const ok, created = http.StatusOK, http.StatusCreated
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /sims", s.handleCreate)
-	mux.HandleFunc("POST /sims/restore", s.handleRestore)
-	mux.HandleFunc("GET /sims", s.handleList)
-	mux.HandleFunc("GET /sims/{id}", s.handleStatus)
-	mux.HandleFunc("POST /sims/{id}/step", s.handleStep)
-	mux.HandleFunc("POST /sims/{id}/checkpoint", s.handleCheckpoint)
-	mux.HandleFunc("GET /sims/{id}/snapshot", s.handleSnapshot)
-	mux.HandleFunc("GET /sims/{id}/stream", s.handleStream)
-	mux.HandleFunc("GET /sims/{id}/result", s.handleResult)
-	mux.HandleFunc("DELETE /sims/{id}", s.handleDelete)
+	mux.HandleFunc("POST /sims", route(created, s.handleCreate))
+	mux.HandleFunc("POST /sims/restore", route(created, s.handleRestore))
+	mux.HandleFunc("GET /sims", route(ok, s.handleList))
+	mux.HandleFunc("GET /sims/{id}", s.sessionRoute(ok, s.handleStatus))
+	mux.HandleFunc("POST /sims/{id}/step", s.sessionRoute(ok, s.handleStep))
+	mux.HandleFunc("POST /sims/{id}/checkpoint", s.sessionRoute(0, s.handleCheckpoint))
+	mux.HandleFunc("GET /sims/{id}/snapshot", s.sessionRoute(ok, s.handleSnapshot))
+	mux.HandleFunc("GET /sims/{id}/stream", s.sessionRoute(0, s.handleStream))
+	mux.HandleFunc("GET /sims/{id}/result", s.sessionRoute(ok, s.handleResult))
+	mux.HandleFunc("DELETE /sims/{id}", s.sessionRoute(0, s.handleDelete))
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
 }
 
-// httpStatus maps service and lifecycle errors onto statuses: the
-// session state machine's sentinels become conflict codes, the
-// backpressure sentinels become retryable server codes, anything else is
-// the client's fault at creation time or ours at run time.
-func httpStatus(err error) int {
-	switch {
-	case errors.Is(err, errBusy):
-		return http.StatusTooManyRequests // 429: bounded queue full, retry
-	case errors.Is(err, errDraining):
-		return http.StatusServiceUnavailable // 503: shutting down
-	case errors.Is(err, core.ErrReleased):
-		return http.StatusGone // 410: session torn down
-	case errors.Is(err, core.ErrFinished), errors.Is(err, core.ErrSchedule):
-		return http.StatusConflict // 409: lifecycle forbids the transition
-	default:
-		return http.StatusInternalServerError
+// route adapts a handler that returns its JSON answer, or an error for
+// respond to map. A handler that wrote its own response (a checkpoint
+// container, an NDJSON stream, a bare 204) returns nil, nil.
+func route(code int, h func(http.ResponseWriter, *http.Request) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		switch body, err := h(w, r); {
+		case err != nil:
+			respond(w, err)
+		case body != nil:
+			writeJSON(w, code, body)
+		}
 	}
 }
 
-func writeErr(w http.ResponseWriter, err error) {
+// badRequest is a malformed request — body, options document, query
+// parameter. Its text is the whole message.
+type badRequest string
+
+func (e badRequest) Error() string { return string(e) }
+
+var errNotFound = errors.New("no such session")
+
+func is(target error) func(error) bool {
+	return func(err error) bool { return errors.Is(err, target) }
+}
+
+func as[T error](err error) bool {
+	var target T
+	return errors.As(err, &target)
+}
+
+// statusTable is the one place an error becomes an HTTP status: the
+// first matching row wins and an error no row claims is ours (500).
+var statusTable = []struct {
+	match func(error) bool
+	code  int
+}{
+	{as[badRequest], http.StatusBadRequest},
+	{is(core.ErrInvalidOptions), http.StatusBadRequest},         // core.New rejected the configuration
+	{is(core.ErrBadCheckpoint), http.StatusBadRequest},          // corrupt or crafted container: the uploader's fault
+	{as[*http.MaxBytesError], http.StatusRequestEntityTooLarge}, // body over its cap
+	{is(errNotFound), http.StatusNotFound},
+	{is(errBusy), http.StatusTooManyRequests},        // bounded queue full, retry
+	{is(errDraining), http.StatusServiceUnavailable}, // shutting down
+	{is(core.ErrReleased), http.StatusGone},          // session torn down
+	{is(core.ErrFinished), http.StatusConflict},      // lifecycle forbids the transition
+	{is(core.ErrSchedule), http.StatusConflict},
+}
+
+func httpStatus(err error) int {
+	for _, row := range statusTable {
+		if row.match(err) {
+			return row.code
+		}
+	}
+	return http.StatusInternalServerError
+}
+
+func respond(w http.ResponseWriter, err error) {
 	code := httpStatus(err)
 	if code == http.StatusTooManyRequests {
 		// The queue is bounded and the work is short; a prompt retry is
@@ -112,30 +140,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // info snapshots a session's status on its shard loop.
-func (s *Server) info(sess *session) (sessionInfo, error) {
-	var si sessionInfo
-	t, err := s.submit(sess.shard, func() {
-		si = sessionInfo{
-			ID:        sess.id,
-			Key:       sess.key,
-			Shard:     sess.shard.id,
-			Steps:     sess.opts.Steps,
-			Finished:  sess.finished,
-			CacheHit:  sess.cacheHit,
-			Recovered: sess.recovered,
-			FromStore: sess.fromStore,
-		}
-		if sess.finished {
-			si.Done = sess.opts.Steps
-		} else if sess.sim != nil {
-			si.Done = sess.sim.StepsDone()
-		}
-	})
-	if err != nil {
-		return si, err
-	}
-	<-t.done
-	return si, nil
+func (s *Server) info(sess *session) (si sessionInfo, err error) {
+	err = s.onShard(sess, func() error { si = sess.info(); return nil })
+	return si, err
 }
 
 // handleList enumerates the registry: how a client discovers sessions
@@ -143,58 +150,51 @@ func (s *Server) info(sess *session) (sessionInfo, error) {
 // recovery after a crash (flagged recovered). Each status is captured
 // on its session's shard loop; a session whose shard rejects the probe
 // (backpressure) is skipped rather than failing the listing.
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) (any, error) {
+	sessions := s.liveSessions()
+	sort.Slice(sessions, func(i, j int) bool { return sessions[i].n < sessions[j].n })
 	infos := make([]sessionInfo, 0, len(sessions))
 	for _, sess := range sessions {
-		si, err := s.info(sess)
-		if err != nil {
-			continue
+		if si, err := s.info(sess); err == nil {
+			infos = append(infos, si)
 		}
-		infos = append(infos, si)
 	}
-	sort.Slice(infos, func(i, j int) bool {
-		return sessionOrd(infos[i].ID) < sessionOrd(infos[j].ID)
-	})
-	writeJSON(w, http.StatusOK, map[string][]sessionInfo{"sessions": infos})
+	return map[string][]sessionInfo{"sessions": infos}, nil
 }
 
-// sessionOrd orders "s-<n>" IDs by admission number.
-func sessionOrd(id string) int {
-	n, _ := strconv.Atoi(strings.TrimPrefix(id, "s-"))
-	return n
+// maxCreateBytes caps the POST /sims body: an options document is under
+// 1 KiB, so 1 MiB is generous and still keeps a hostile body from
+// exhausting memory.
+const maxCreateBytes = 1 << 20
+
+// readBody reads a request body of at most limit bytes. An oversized one
+// is a *http.MaxBytesError (413) whose message names the cap.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return nil, fmt.Errorf("request body exceeds the %d-byte cap: %w", tooBig.Limit, err)
+	} else if err != nil {
+		return nil, badRequest("bad request body: " + err.Error())
+	}
+	return data, nil
 }
 
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) (any, error) {
+	data, err := readBody(w, r, maxCreateBytes)
+	if err != nil {
+		return nil, err
+	}
 	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		return
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+		return nil, badRequest("bad request body: " + err.Error())
 	}
 	opts, err := buildOptions(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
+		return nil, err
 	}
-	// createSession captures the sessionInfo inside its one shard task:
-	// no follow-up submission that backpressure could reject after the
-	// session is already registered.
-	_, si, err := s.createSession(opts)
-	if err != nil {
-		if errors.Is(err, errBusy) || errors.Is(err, errDraining) {
-			writeErr(w, err)
-		} else {
-			// core.New rejected the configuration.
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		}
-		return
-	}
-	writeJSON(w, http.StatusCreated, si)
+	_, si, err := s.admit(s.buildCreate(opts))
+	return si, err
 }
 
 // buildOptions merges a createRequest onto the CLI defaults: the same
@@ -208,7 +208,7 @@ func buildOptions(req createRequest) (core.Options, error) {
 	opts := core.DefaultOptions(4096, threads, core.LevelSubspace)
 	if len(req.Options) > 0 {
 		if err := json.Unmarshal(req.Options, &opts); err != nil {
-			return opts, fmt.Errorf("bad options: %w", err)
+			return opts, badRequest("bad options: " + err.Error())
 		}
 	}
 	if req.Threads > 0 || req.PerNode > 0 || req.Pthreads {
@@ -218,77 +218,78 @@ func buildOptions(req createRequest) (core.Options, error) {
 		}
 		m, err := machine.New(opts.Machine.Threads, perNode, req.Pthreads, machine.Power5())
 		if err != nil {
-			return opts, err
+			return opts, badRequest(err.Error())
 		}
 		opts.Machine = m
 	}
 	return opts, nil
 }
 
-// session resolves {id} or writes 404.
-func (s *Server) session(w http.ResponseWriter, r *http.Request) (*session, bool) {
-	id := r.PathValue("id")
-	sess, ok := s.lookup(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such session: " + id})
-	}
-	return sess, ok
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	si, err := s.info(sess)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, si)
-}
-
-func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	k := 1
-	if v := r.URL.Query().Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "k must be a positive integer"})
-			return
+// sessionRoute is route for the {id} routes: it resolves the session.
+func (s *Server) sessionRoute(code int, h func(http.ResponseWriter, *http.Request, *session) (any, error)) http.HandlerFunc {
+	return route(code, func(w http.ResponseWriter, r *http.Request) (any, error) {
+		id := r.PathValue("id")
+		s.mu.Lock()
+		sess, ok := s.sessions[id]
+		s.mu.Unlock()
+		if !ok {
+			return nil, fmt.Errorf("%w: %s", errNotFound, id)
 		}
-		k = n
+		return h(w, r, sess)
+	})
+}
+
+// positiveQuery parses an optional positive-integer query parameter.
+func positiveQuery(r *http.Request, name string, def int) (int, error) {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n <= 0 {
+		return 0, badRequest(name + " must be a positive integer")
+	}
+	return n, nil
+}
+
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, sess *session) (any, error) {
+	si, err := s.info(sess)
+	return si, err
+}
+
+// handleStep advances the session ?k= steps (default 1) and answers the
+// resulting snapshot, with bodies only under ?bodies=1.
+func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, sess *session) (any, error) {
+	k, err := positiveQuery(r, "k", 1)
+	if err != nil {
+		return nil, err
 	}
 	wantBodies := r.URL.Query().Get("bodies") != ""
-	var (
-		snap    *core.Snapshot
-		stepErr error
-	)
-	t, err := s.submit(sess.shard, func() {
-		snap, stepErr = s.stepLocked(sess, k, wantBodies)
+	var snap *core.Snapshot
+	err = s.onShard(sess, func() (err error) {
+		snap, err = s.stepLocked(sess, k, wantBodies)
+		return err
 	})
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	<-t.done
-	if stepErr != nil {
-		writeErr(w, stepErr)
-		return
+	if !wantBodies {
+		snap = withoutBodies(snap)
 	}
-	// snap was published to the session's hub: stream subscribers may be
-	// encoding it concurrently, so strip bodies on a copy, never in place.
-	// (A subscriber-free step took the bodies-less SnapshotMeta path and
-	// has nothing to strip.)
-	if !wantBodies && snap.Bodies != nil {
-		c := *snap
-		c.Bodies = nil
-		snap = &c
+	return snap, nil
+}
+
+// withoutBodies returns snap stripped of its bodies — on a copy, never in
+// place: a snapshot published to the session's hub may be being encoded
+// by stream subscribers concurrently. (A bodies-less SnapshotMeta frame
+// has nothing to strip.)
+func withoutBodies(snap *core.Snapshot) *core.Snapshot {
+	if snap.Bodies == nil {
+		return snap
 	}
-	writeJSON(w, http.StatusOK, snap)
+	c := *snap
+	c.Bodies = nil
+	return &c
 }
 
 // handleCheckpoint serializes a live session's paused state as one
@@ -297,172 +298,88 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 // so the state is quiescent — into a memory buffer, so a slow client
 // never holds the shard. Cache-hit and finished sessions have no live
 // paused simulation to capture and answer 409.
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess *session) (any, error) {
 	var (
-		buf     bytes.Buffer
-		step    int
-		ckptErr error
+		buf  bytes.Buffer
+		step int
 	)
-	t, err := s.submit(sess.shard, func() {
+	err := s.onShard(sess, func() error {
 		switch {
 		case sess.released:
-			ckptErr = core.ErrReleased
+			return core.ErrReleased
 		case sess.sim == nil:
-			ckptErr = fmt.Errorf("session %s was served from cache and has no live simulation: %w",
+			return fmt.Errorf("session %s was served from cache and has no live simulation: %w",
 				sess.id, core.ErrFinished)
-		default:
-			step = sess.sim.StepsDone()
-			ckptErr = sess.sim.Checkpoint(&buf)
 		}
+		step = sess.sim.StepsDone()
+		return sess.sim.Checkpoint(&buf)
 	})
 	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	<-t.done
-	if ckptErr != nil {
-		writeErr(w, ckptErr)
-		return
+		return nil, err
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Checkpoint-Step", strconv.Itoa(step))
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	_, _ = w.Write(buf.Bytes())
+	return nil, nil
 }
 
 // handleRestore creates a session from a checkpoint container uploaded
-// as the request body: the restored simulation resumes at its captured
-// step and then behaves like any live session (step, stream, result,
-// checkpoint again). A malformed, corrupted, or mismatched container is
-// the client's fault — core.Restore marks those core.ErrBadCheckpoint
-// and they answer 400 — while a server-side failure constructing the
-// restore target stays a 500.
-//
-// The body is capped at Config.MaxRestoreBytes (-max-restore-bytes;
+// as the request body (buildRestore). The body is capped at Config.MaxRestoreBytes (-max-restore-bytes;
 // default 1 GiB — a checkpoint is dominated by the body heap at ~200 B
 // per body, so the default admits far larger simulations than the
 // service would ever step while keeping a hostile upload from
 // exhausting memory). An oversized upload answers 413.
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRestoreBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
-				Error: fmt.Sprintf("checkpoint exceeds the %d-byte upload cap", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad checkpoint body: " + err.Error()})
-		return
-	}
-	_, si, err := s.restoreSession(data)
-	if err != nil {
-		if errors.Is(err, core.ErrBadCheckpoint) {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		} else {
-			writeErr(w, err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusCreated, si)
-}
-
-// snapshotOf captures a session's current state on its shard loop,
-// synthesizing the terminal snapshot for completed sessions (which may
-// have no live simulation to ask).
-func (s *Server) snapshotOf(sess *session) (*core.Snapshot, error) {
-	var (
-		snap    *core.Snapshot
-		snapErr error
-	)
-	t, err := s.submit(sess.shard, func() {
-		switch {
-		case sess.released:
-			snapErr = core.ErrReleased
-		case sess.sim != nil:
-			snap, snapErr = sess.sim.Snapshot()
-		case sess.result != nil:
-			snap = synthSnapshot(sess.opts, sess.result)
-		default:
-			snapErr = core.ErrReleased
-		}
-	})
+func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) (any, error) {
+	data, err := readBody(w, r, s.cfg.MaxRestoreBytes)
 	if err != nil {
 		return nil, err
 	}
-	<-t.done
-	return snap, snapErr
+	_, si, err := s.admit(s.buildRestore(data))
+	return si, err
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
+// handleSnapshot answers the current state without stepping, with bodies
+// only under ?bodies=1.
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *session) (any, error) {
+	var snap *core.Snapshot
+	err := s.onShard(sess, func() (err error) {
+		snap, err = sess.snapshot()
+		return err
+	})
+	if err == nil && r.URL.Query().Get("bodies") == "" {
+		snap.Bodies = nil // snap is this request's own copy
 	}
-	snap, err := s.snapshotOf(sess)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if r.URL.Query().Get("bodies") == "" {
-		snap.Bodies = nil
-	}
-	writeJSON(w, http.StatusOK, snap)
+	return snap, err
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	var (
-		res    *core.Result
-		runErr error
-	)
-	t, err := s.submit(sess.shard, func() {
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, sess *session) (any, error) {
+	var res *core.Result
+	err := s.onShard(sess, func() error {
 		if sess.released {
-			runErr = core.ErrReleased
-			return
+			return core.ErrReleased
 		}
-		if !sess.finished {
-			// Finish collects the result of whatever has run so far; a
-			// partial schedule is a legitimate result but is not memoized.
-			if runErr = s.finalizeLocked(sess); runErr != nil {
-				return
-			}
+		// Finish collects the result of whatever has run so far; a partial
+		// schedule is a legitimate result but is not memoized. (A no-op on
+		// a session that already finished.)
+		if err := s.finalizeLocked(sess); err != nil {
+			return err
 		}
 		res = sess.result
+		return nil
 	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	<-t.done
-	if runErr != nil {
-		writeErr(w, runErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	return res, err
 }
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	t, err := s.submit(sess.shard, func() {
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, sess *session) (any, error) {
+	err := s.onShard(sess, func() error {
 		s.releaseLocked(sess)
+		return nil
 	})
-	if err != nil {
-		writeErr(w, err)
-		return
+	if err == nil {
+		w.WriteHeader(http.StatusNoContent)
 	}
-	<-t.done
-	w.WriteHeader(http.StatusNoContent)
+	return nil, err
 }
 
 // handleStream serves the NDJSON snapshot stream: subscribe to the
@@ -470,20 +387,13 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // session yet, then relay snapshots until the hub closes (session
 // finished or released) or the client goes away. The first frame is the
 // session's current state, so a subscriber always sees where it joined —
-// a fresh session streams from step 0, matching bhrun -stream.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	every := s.cfg.StreamEvery
-	if v := r.URL.Query().Get("every"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "every must be a positive integer"})
-			return
-		}
-		every = n
+// a fresh session streams from step 0, matching bhrun -stream. ?every=
+// sets the steps between frames (default Config.StreamEvery); ?bodies=1
+// includes bodies.
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *session) (any, error) {
+	every, err := positiveQuery(r, "every", s.cfg.StreamEvery)
+	if err != nil {
+		return nil, err
 	}
 	withBodies := r.URL.Query().Get("bodies") != ""
 
@@ -491,37 +401,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// task, so no published snapshot can fall between the current state
 	// and the subscription.
 	var (
-		first   *core.Snapshot
-		sub     *subscriber
-		snapErr error
+		first *core.Snapshot
+		sub   *subscriber
 	)
-	t, err := s.submit(sess.shard, func() {
-		switch {
-		case sess.released:
-			snapErr = core.ErrReleased
-			return
-		case sess.sim != nil:
-			first, snapErr = sess.sim.Snapshot()
-		case sess.result != nil:
-			first = synthSnapshot(sess.opts, sess.result)
-		default:
-			snapErr = core.ErrReleased
-			return
-		}
-		if snapErr != nil {
-			return
+	err = s.onShard(sess, func() (err error) {
+		if first, err = sess.snapshot(); err != nil {
+			return err
 		}
 		sub = sess.hub.subscribe(s.cfg.SubBuffer) // nil if already finished: stream is just the terminal frame
 		s.ensureStepperLocked(sess, every)
+		return nil
 	})
 	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	<-t.done
-	if snapErr != nil {
-		writeErr(w, snapErr)
-		return
+		return nil, err
 	}
 	if sub != nil {
 		defer sess.hub.unsubscribe(sub)
@@ -533,9 +425,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	emit := func(snap *core.Snapshot) bool {
 		if !withBodies {
-			c := *snap
-			c.Bodies = nil
-			snap = &c
+			snap = withoutBodies(snap)
 		}
 		if err := enc.Encode(snap); err != nil {
 			return false // client went away; unsubscribe via defer
@@ -545,28 +435,27 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	}
-	if !emit(first) {
-		return
-	}
-	if sub == nil {
-		return
+	// Past the first byte a failure cannot change the status: the stream
+	// just ends (client gone, hub closed).
+	if !emit(first) || sub == nil {
+		return nil, nil
 	}
 	last := first.Step
 	for {
 		select {
 		case snap, ok := <-sub.ch:
 			if !ok {
-				return // hub closed: session finished or released
+				return nil, nil // hub closed: session finished or released
 			}
 			if snap.Step <= last {
 				continue // stale relative to the first frame we chose
 			}
 			last = snap.Step
 			if !emit(snap) {
-				return
+				return nil, nil
 			}
 		case <-r.Context().Done():
-			return
+			return nil, nil
 		}
 	}
 }
@@ -584,18 +473,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
-	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
+	code, body := http.StatusOK, map[string]string{"status": "ok"}
+	switch st := s.cfg.Store; {
+	case draining:
+		code, body["status"] = http.StatusServiceUnavailable, "draining"
+	case st != nil && st.Degraded():
+		body["status"], body["store"] = "degraded", "degraded"
+	case st != nil:
+		body["store"] = "ok"
 	}
-	body := map[string]string{"status": "ok"}
-	if st := s.cfg.Store; st != nil {
-		if st.Degraded() {
-			body["status"] = "degraded"
-			body["store"] = "degraded"
-		} else {
-			body["store"] = "ok"
-		}
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, code, body)
 }

@@ -3,14 +3,18 @@
 // / stream / finish) over HTTP, multiplexing many concurrent sessions
 // onto a fixed set of worker shards.
 //
-// Architecture (DESIGN.md §12):
+// Architecture (DESIGN.md §12.6):
 //
 //   - Sessions are hashed by ID onto shards. Each shard is one
 //     goroutine-owned loop with a bounded request queue; every operation
 //     on a session executes on its shard's loop, so session state is
 //     single-writer and lock-free.
-//   - A full shard queue rejects immediately (HTTP 429 with Retry-After)
+//   - Every request reaches session state through one call, onShard; a
+//     full shard queue rejects immediately (HTTP 429 with Retry-After)
 //     instead of blocking the handler: explicit backpressure.
+//   - Every session — created, restored from an upload, or recovered
+//     from the store at boot — enters the registry through one path,
+//     admit, and every error becomes a status in one table (http.go).
 //   - Each session has a fan-out hub: one stepper drives the simulation,
 //     N subscribers each consume a private buffered snapshot channel with
 //     a drop-oldest policy for slow consumers.
@@ -24,6 +28,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -58,7 +63,7 @@ type Config struct {
 	// nil silences them.
 	Logf func(format string, args ...any)
 
-	// Store is the durable checkpoint store (DESIGN.md §14). Nil disables
+	// Store is the durable checkpoint store (DESIGN.md §12.5). Nil disables
 	// durability: no auto-checkpoints, no startup recovery, and restores
 	// never consult disk.
 	Store *store.Store
@@ -70,9 +75,6 @@ type Config struct {
 	// boundaries — an idle session's state isn't changing, so there is
 	// nothing new to capture (0 = disabled).
 	CkptInterval time.Duration
-	// CkptRetries bounds the persister's retries after a transient write
-	// failure (default 3; ENOSPC never retries).
-	CkptRetries int
 	// CkptBackoff is the persister's initial retry backoff, doubling per
 	// attempt (default 50ms).
 	CkptBackoff time.Duration
@@ -97,8 +99,8 @@ func (c *Config) fillDefaults() {
 	if c.Runner == nil {
 		c.Runner = bench.NewRunner(0)
 	}
-	if c.CkptRetries <= 0 {
-		c.CkptRetries = 3
+	if c.Logf == nil {
+		c.Logf = func(string, ...any) {}
 	}
 	if c.CkptBackoff <= 0 {
 		c.CkptBackoff = 50 * time.Millisecond
@@ -112,13 +114,13 @@ func (c *Config) fillDefaults() {
 // fields below the hub are owned by the shard loop: they are only read
 // or written from tasks executing on session.shard.
 type session struct {
-	id    string
+	id    string // "s-<n>"
+	n     uint64 // admission number: orders listings
 	key   string
 	shard *shard
 	hub   *hub
 
 	opts      core.Options
-	created   time.Time
 	cacheHit  bool // born completed from the Options.Key() cache
 	recovered bool // re-admitted from the store at boot
 	fromStore bool // restore answered from the store, not the upload
@@ -135,11 +137,54 @@ type session struct {
 	lastCkptTime time.Time
 }
 
+// adopt installs a restored simulation as the session's live state.
+func (sess *session) adopt(sim *core.Sim) {
+	sess.sim = sim
+	sess.opts = sim.Options()
+	sess.key = sess.opts.Key()
+}
+
+// info is the session's status document. Must run on the shard loop.
+func (sess *session) info() sessionInfo {
+	si := sessionInfo{
+		ID:        sess.id,
+		Key:       sess.key,
+		Shard:     sess.shard.id,
+		Steps:     sess.opts.Steps,
+		Finished:  sess.finished,
+		CacheHit:  sess.cacheHit,
+		Recovered: sess.recovered,
+		FromStore: sess.fromStore,
+	}
+	if sess.finished {
+		si.Done = sess.opts.Steps
+	} else if sess.sim != nil {
+		si.Done = sess.sim.StepsDone()
+	}
+	return si
+}
+
+// snapshot is the session's current state: the live simulation's, or —
+// for a session born finished from the cache, which has no simulation to
+// ask — the terminal snapshot synthesized from its Result. Must run on
+// the shard loop.
+func (sess *session) snapshot() (*core.Snapshot, error) {
+	switch {
+	case sess.released:
+		return nil, core.ErrReleased
+	case sess.sim != nil:
+		return sess.sim.Snapshot()
+	case sess.result != nil:
+		return synthSnapshot(sess.opts, sess.result), nil
+	default:
+		return nil, core.ErrReleased
+	}
+}
+
 // Server is the session service. Create with New, expose via Handler,
 // stop with Shutdown.
 type Server struct {
 	cfg    Config
-	runner *bench.Runner
 	shards []*shard
 
 	mu       sync.Mutex
@@ -151,15 +196,12 @@ type Server struct {
 	steppers sync.WaitGroup
 
 	// Checkpoint persistence pipeline (nil when cfg.Store is nil).
-	persistCh   chan ckptJob
+	persistCh   chan store.Entry
 	persistDone chan struct{}
 
-	// Counters (mu-guarded; small and cold).
-	created     uint64
-	cacheHits   uint64
-	released    uint64
-	rejected    uint64
-	recovered   uint64
+	// Counters (mu-guarded; small and cold). stats.Live is filled in by
+	// Stats.
+	stats       SessionStats
 	snapDropped uint64 // fan-out drops of released sessions: keeps SnapshotsDropped monotone
 	ckpt        CkptStats
 }
@@ -169,7 +211,6 @@ func New(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{
 		cfg:      cfg,
-		runner:   cfg.Runner,
 		sessions: make(map[string]*session),
 		drainCh:  make(chan struct{}),
 	}
@@ -179,7 +220,7 @@ func New(cfg Config) *Server {
 		go sh.run(cfg.Logf)
 	}
 	if cfg.Store != nil {
-		s.persistCh = make(chan ckptJob, persistQueueDepth)
+		s.persistCh = make(chan store.Entry, persistQueueDepth)
 		s.persistDone = make(chan struct{})
 		go s.persister()
 		// Startup recovery: re-admit every recoverable session before the
@@ -189,230 +230,153 @@ func New(cfg Config) *Server {
 	return s
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
-// submit routes fn to sh with admission control: draining beats busy,
-// and a full queue is an immediate rejection. The caller waits on the
-// returned task's done channel before reading fn's outputs.
-func (s *Server) submit(sh *shard, fn func()) (*task, error) {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, errDraining
-	}
-	s.mu.Unlock()
-	t, err := sh.trySubmit(fn)
-	if err != nil {
-		s.mu.Lock()
-		s.rejected++
-		s.mu.Unlock()
-	}
-	return t, err
-}
-
-// lookup finds a session by ID.
-func (s *Server) lookup(id string) (*session, bool) {
+// liveSessions copies the registry out from under mu.
+func (s *Server) liveSessions() []*session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sess, ok := s.sessions[id]
-	return sess, ok
+	sessions := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		sessions = append(sessions, sess)
+	}
+	return sessions
 }
 
-// createSession admits one new session: assigns an ID, hashes it onto a
-// shard, and — on that shard's loop — either serves it from the
-// Options.Key() cache (no simulation is built) or constructs the live
-// core.Sim. The sessionInfo is captured on the shard loop in the same
-// task, so creation is a single submission and the response payload
-// cannot be lost to a later backpressure rejection. The returned session
-// is registered; err reports admission (backpressure/draining) or
-// construction (invalid options) failures.
-func (s *Server) createSession(opts core.Options) (*session, sessionInfo, error) {
-	var si sessionInfo
+// count bumps one of the mu-guarded counters.
+func (s *Server) count(c *uint64) {
+	s.mu.Lock()
+	*c++
+	s.mu.Unlock()
+}
+
+// admit is the one way a session enters the registry: it allocates the
+// ID, hashes it onto a shard, and runs build on that shard's loop to give
+// the session its state (a cache hit, a fresh core.Sim, a restored one).
+// The sessionInfo is captured in the same shard task, so admission is a
+// single submission and the response payload cannot be lost to a later
+// backpressure rejection. err reports admission (backpressure, draining)
+// or build (invalid options, bad checkpoint) failures.
+func (s *Server) admit(build func(*session) error) (*session, sessionInfo, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, si, errDraining
+		return nil, sessionInfo{}, errDraining
 	}
 	s.nextID++
-	id := fmt.Sprintf("s-%d", s.nextID)
+	n, id := s.nextID, fmt.Sprintf("s-%d", s.nextID)
 	s.mu.Unlock()
 
-	sess := &session{
-		id:      id,
-		key:     opts.Key(),
-		shard:   s.shards[shardFor(id, len(s.shards))],
-		hub:     newHub(),
-		opts:    opts,
-		created: time.Now(),
-	}
-	// Interval cadence counts from admission, not the zero time.
-	sess.lastCkptTime = sess.created
-	var buildErr error
-	t, err := s.submit(sess.shard, func() {
-		// Content-addressed reuse: an identical completed run serves
-		// this session without building (or stepping) a simulation.
-		if res, ok := s.runner.Lookup(opts); ok {
-			sess.cacheHit = true
-			sess.result = res
-			sess.finished = true
-			sess.hub.close()
-			s.logf("session %s: cache hit for %s", id, sess.key)
-		} else {
-			sim, err := core.New(opts)
-			if err != nil {
-				buildErr = err
-				return
-			}
-			sess.sim = sim
+	sess := &session{id: id, n: n, shard: s.shards[shardFor(id, len(s.shards))], hub: newHub()}
+	var si sessionInfo
+	err := s.onShard(sess, func() error {
+		if err := build(sess); err != nil {
+			return err
 		}
-		si = sessionInfo{
-			ID:       sess.id,
-			Key:      sess.key,
-			Shard:    sess.shard.id,
-			Steps:    opts.Steps,
-			Finished: sess.finished,
-			CacheHit: sess.cacheHit,
+		// The checkpoint cadence counts from admission — at the restored
+		// step, if any — not from the zero time or step 0.
+		sess.lastCkptTime = time.Now()
+		if sess.sim != nil {
+			sess.lastCkptStep = sess.sim.StepsDone()
 		}
-		if sess.finished {
-			si.Done = opts.Steps
-		}
+		si = sess.info()
+		return nil
 	})
-	if err != nil {
-		return nil, si, err
-	}
-	<-t.done
-	if buildErr != nil {
-		return nil, si, buildErr
-	}
-
-	// Register atomically with the draining check: Shutdown flips
-	// draining under mu before sweeping, so either this session lands in
-	// the registry in time for the sweep, or we observe draining here and
-	// tear it down ourselves — unregistered and unreturned, this
-	// goroutine is its only owner, so no shard task is needed.
-	s.mu.Lock()
-	if s.draining {
+	if err == nil {
+		// Register atomically with the draining check: Shutdown flips
+		// draining under mu before sweeping, so either this session lands
+		// in the registry in time for the sweep, or we observe draining
+		// here and tear it down below.
+		s.mu.Lock()
+		if s.draining {
+			err = errDraining
+		} else {
+			s.sessions[id] = sess
+			s.stats.Created++
+			if sess.cacheHit {
+				s.stats.CacheHits++
+			}
+			if sess.recovered {
+				s.stats.Recovered++
+			}
+		}
 		s.mu.Unlock()
+	}
+	if err != nil {
+		// Unregistered and unreturned, this goroutine is the session's
+		// only owner, so the teardown needs no shard task.
 		if sess.sim != nil {
 			sess.sim.Release()
 		}
 		sess.hub.close()
-		return nil, si, errDraining
+		return nil, si, err
 	}
-	s.sessions[id] = sess
-	s.created++
-	if sess.cacheHit {
-		s.cacheHits++
-	}
-	s.mu.Unlock()
 	return sess, si, nil
 }
 
-// restoreSession admits a session rebuilt from a checkpoint container
-// (POST /sims/restore): core.Restore reconstructs the paused core.Sim at
-// its captured step on the shard loop, and the session resumes exactly
-// where the checkpointed run paused — stepping, streaming, and the final
-// Result are byte-identical to the uninterrupted run. Restores never
-// consult the result cache: the point of restoring is the live,
-// resumable simulation (its completed Result still feeds the cache
-// through the ordinary finalize path).
+// buildCreate is POST /sims: serve the session from the Options.Key()
+// cache when an identical run already completed — no simulation is built
+// or stepped — and construct the live core.Sim otherwise.
+func (s *Server) buildCreate(opts core.Options) func(*session) error {
+	key := opts.Key()
+	return func(sess *session) error {
+		sess.opts, sess.key = opts, key
+		if res, ok := s.cfg.Runner.Lookup(opts); ok {
+			sess.cacheHit, sess.finished, sess.result = true, true, res
+			sess.hub.close()
+			s.cfg.Logf("session %s: cache hit for %s", sess.id, key)
+			return nil
+		}
+		sim, err := core.New(opts)
+		sess.sim = sim
+		return err
+	}
+}
+
+// buildRestore is POST /sims/restore: core.Restore reconstructs the paused
+// core.Sim at its captured step, and the session resumes exactly where
+// the checkpointed run paused — stepping, streaming, and the final Result
+// are byte-identical to the uninterrupted run. Restores never consult the
+// result cache: the point of restoring is the live, resumable simulation
+// (its completed Result still feeds the cache through the ordinary
+// finalize path).
 //
 // With a store configured the restore is durability-aware in both
 // directions: an upload whose (key, step) is already stored is answered
-// from the store's validated copy (from_store in the response), and a
-// novel valid upload is persisted asynchronously so a crash right after
-// the restore can still recover the session.
-func (s *Server) restoreSession(upload []byte) (*session, sessionInfo, error) {
-	var si sessionInfo
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, si, errDraining
-	}
-	s.nextID++
-	id := fmt.Sprintf("s-%d", s.nextID)
-	s.mu.Unlock()
-
-	data := upload
-	fromStore := false
-	var peekKey string
-	var peekStep int
-	if st := s.cfg.Store; st != nil {
-		if k, step, err := core.PeekCheckpointHeader(upload); err == nil {
-			peekKey, peekStep = k, step
-			if stored, serr := st.Get(k, step); serr == nil {
-				data = stored
-				fromStore = true
+// from the store's validated copy (from_store in the response) — looked
+// up here, on the caller's goroutine, so the shard loop never reads the
+// disk — and a novel valid upload is persisted asynchronously so a crash
+// right after the restore can still recover the session.
+func (s *Server) buildRestore(upload []byte) func(*session) error {
+	st, data, fromStore := s.cfg.Store, upload, false
+	var key string
+	var step int
+	if st != nil {
+		if k, n, err := core.PeekCheckpointHeader(upload); err == nil {
+			if stored, err := st.Get(k, n); err == nil {
+				data, key, step, fromStore = stored, k, n, true
 			}
 		}
 	}
-
-	sess := &session{
-		id:      id,
-		shard:   s.shards[shardFor(id, len(s.shards))],
-		hub:     newHub(),
-		created: time.Now(),
-	}
-	var buildErr error
-	t, err := s.submit(sess.shard, func() {
+	return func(sess *session) error {
+		sess.fromStore = fromStore
 		sim, err := core.Restore(bytes.NewReader(data))
-		if err != nil && fromStore {
+		if err != nil && sess.fromStore {
 			// The store's copy passed format validation but failed the
 			// deeper restore checks: quarantine it and fall back to the
 			// client's own upload.
-			s.cfg.Store.Quarantine(peekKey, peekStep)
-			fromStore = false
+			st.Quarantine(key, step)
+			sess.fromStore = false
 			sim, err = core.Restore(bytes.NewReader(upload))
 		}
 		if err != nil {
-			buildErr = err
-			return
+			return err
 		}
-		sess.sim = sim
-		sess.fromStore = fromStore
-		sess.opts = sim.Options()
-		sess.key = sess.opts.Key()
-		sess.lastCkptStep = sim.StepsDone()
-		sess.lastCkptTime = time.Now()
-		if s.cfg.Store != nil && !fromStore {
-			s.enqueueCkptLocked(ckptJob{key: sess.key, step: sim.StepsDone(), data: upload})
+		sess.adopt(sim)
+		if st != nil && !sess.fromStore {
+			s.enqueueCkptLocked(store.Entry{Key: sess.key, Step: sim.StepsDone(), Data: upload})
 		}
-		s.logf("session %s: restored at step %d (%s)", id, sim.StepsDone(), sess.key)
-		si = sessionInfo{
-			ID:        sess.id,
-			Key:       sess.key,
-			Shard:     sess.shard.id,
-			Steps:     sess.opts.Steps,
-			Done:      sim.StepsDone(),
-			FromStore: fromStore,
-		}
-	})
-	if err != nil {
-		return nil, si, err
+		s.cfg.Logf("session %s: restored at step %d (%s)", sess.id, sim.StepsDone(), sess.key)
+		return nil
 	}
-	<-t.done
-	if buildErr != nil {
-		return nil, si, buildErr
-	}
-
-	// Same registration race as createSession: either the session lands
-	// in the registry before Shutdown's sweep, or we observe draining and
-	// tear down the unregistered Sim ourselves.
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		sess.sim.Release()
-		sess.hub.close()
-		return nil, si, errDraining
-	}
-	s.sessions[id] = sess
-	s.created++
-	s.mu.Unlock()
-	return sess, si, nil
 }
 
 // finalizeLocked completes a session whose schedule has run out (or a
@@ -433,7 +397,7 @@ func (s *Server) finalizeLocked(sess *session) error {
 	sess.result = res
 	sess.finished = true
 	if full {
-		s.runner.Memoize(sess.opts, res)
+		s.cfg.Runner.Memoize(sess.opts, res)
 	}
 	sess.hub.close()
 	return nil
@@ -458,15 +422,11 @@ func (s *Server) stepLocked(sess *session, k int, wantBodies bool) (*core.Snapsh
 	if err := sess.sim.Step(k); err != nil {
 		return nil, err
 	}
-	var (
-		snap *core.Snapshot
-		err  error
-	)
+	snapshot := sess.sim.SnapshotMeta
 	if wantBodies || sess.hub.subscriberCount() > 0 {
-		snap, err = sess.sim.Snapshot()
-	} else {
-		snap, err = sess.sim.SnapshotMeta()
+		snapshot = sess.sim.Snapshot
 	}
+	snap, err := snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -485,10 +445,8 @@ func (s *Server) stepLocked(sess *session, k int, wantBodies bool) (*core.Snapsh
 }
 
 // ensureStepperLocked starts the session's stream stepper if none is
-// driving it yet: one goroutine that repeatedly submits "advance every
-// steps and publish" tasks to the session's shard until the schedule
-// completes or the server drains. One stepper per session, however many
-// stream subscribers attach. Must run on the session's shard loop.
+// driving it yet. One stepper per session, however many stream
+// subscribers attach. Must run on the session's shard loop.
 func (s *Server) ensureStepperLocked(sess *session, every int) {
 	if sess.stepping || sess.finished || sess.released {
 		return
@@ -499,66 +457,45 @@ func (s *Server) ensureStepperLocked(sess *session, every int) {
 }
 
 // stepperLoop drives one session to completion from a dedicated
-// goroutine. The loop blocks on the shard queue (internal work yields to
-// external requests only through queue order) but aborts promptly when
-// the server starts draining — Shutdown finishes the session instead.
+// goroutine, one "advance every steps and publish" shard task at a time.
+// It stops when the schedule completes, the session is released, a step
+// fails, or the server starts draining — Shutdown finishes the session
+// instead. The task that observes the end clears sess.stepping on the
+// shard loop, so a later stream request can start a fresh stepper (after
+// a drain abort the flag no longer matters: the session is released).
 func (s *Server) stepperLoop(sess *session, every int) {
 	defer s.steppers.Done()
-	for {
-		select {
-		case <-s.drainCh:
-			return
-		default:
-		}
-		var done bool
-		t := &task{done: make(chan struct{})}
-		t.fn = func() {
+	for more := true; more; {
+		err := sess.shard.internal(s.drainCh, func() error {
+			more, sess.stepping = false, false
 			if sess.released || sess.finished {
-				done = true
-				return
+				return nil
 			}
-			k := every
-			if rem := sess.opts.Steps - sess.sim.StepsDone(); k > rem {
-				k = rem
-			}
+			k := min(every, sess.opts.Steps-sess.sim.StepsDone())
 			if _, err := s.stepLocked(sess, k, false); err != nil {
-				s.logf("session %s: stepper stopped: %v", sess.id, err)
-				done = true
-				return
+				return err
 			}
-			done = sess.finished
-		}
-		select {
-		case sess.shard.tasks <- t:
-		case <-s.drainCh:
-			s.clearStepping(sess)
-			return
-		}
-		<-t.done
-		if done {
-			s.clearStepping(sess)
+			more = !sess.finished
+			sess.stepping = more
+			return nil
+		})
+		if err != nil {
+			if !errors.Is(err, errDraining) {
+				s.cfg.Logf("session %s: stepper stopped: %v", sess.id, err)
+			}
 			return
 		}
 	}
 }
 
-// clearStepping marks the session as no longer driven, on its shard loop
-// if it is still accepting work (post-drain the flag no longer matters).
-func (s *Server) clearStepping(sess *session) {
-	t, err := sess.shard.trySubmit(func() { sess.stepping = false })
-	if err == nil {
-		<-t.done
-	}
-}
-
-// release tears one session down on its shard loop: Finish (collecting
-// whatever steps ran; feeding the cache only on a complete schedule),
-// Release, hub close, deregistration. remove is idempotent per session.
+// releaseLocked tears one session down on its shard loop: Finish
+// (collecting whatever steps ran; feeding the cache only on a complete
+// schedule), Release, hub close, deregistration. Idempotent per session.
 func (s *Server) releaseLocked(sess *session) {
 	if !sess.released {
 		if sess.sim != nil {
 			if err := s.finalizeLocked(sess); err != nil {
-				s.logf("session %s: finish on release: %v", sess.id, err)
+				s.cfg.Logf("session %s: finish on release: %v", sess.id, err)
 			}
 			sess.sim.Release()
 		}
@@ -568,7 +505,7 @@ func (s *Server) releaseLocked(sess *session) {
 	s.mu.Lock()
 	if _, ok := s.sessions[sess.id]; ok {
 		delete(s.sessions, sess.id)
-		s.released++
+		s.stats.Released++
 		// The hub is closed above, so its drop count is final: fold it
 		// into the service-wide counter so Stats stays monotone after
 		// the session leaves the registry.
@@ -597,25 +534,20 @@ func (s *Server) Shutdown() {
 	s.steppers.Wait()
 
 	// Per shard: behind everything already queued, tear down the shard's
-	// sessions. Blocking send is safe — admissions are closed, so the
-	// queue can only drain.
+	// sessions. Admissions are closed, so the registry can only shrink and
+	// the queue can only drain.
 	for _, sh := range s.shards {
-		s.mu.Lock()
-		var mine []*session
-		for _, sess := range s.sessions {
-			if sess.shard == sh {
-				mine = append(mine, sess)
+		err := sh.internal(nil, func() error {
+			for _, sess := range s.liveSessions() {
+				if sess.shard == sh {
+					s.releaseLocked(sess)
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			s.cfg.Logf("drain of shard %d: %v", sh.id, err)
 		}
-		s.mu.Unlock()
-		t := &task{done: make(chan struct{})}
-		t.fn = func() {
-			for _, sess := range mine {
-				s.releaseLocked(sess)
-			}
-		}
-		sh.tasks <- t
-		<-t.done
 	}
 	for _, sh := range s.shards {
 		close(sh.stop)
@@ -631,7 +563,7 @@ func (s *Server) Shutdown() {
 		close(s.persistCh)
 		<-s.persistDone
 	}
-	s.logf("drained: %d sessions released", s.Stats().Sessions.Released)
+	s.cfg.Logf("drained: %d sessions released", s.Stats().Sessions.Released)
 }
 
 // SessionStats summarizes the session registry.
@@ -667,21 +599,9 @@ type Stats struct {
 // it must answer even when every queue is full.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
-	st := Stats{
-		Sessions: SessionStats{
-			Live:      len(s.sessions),
-			Created:   s.created,
-			CacheHits: s.cacheHits,
-			Released:  s.released,
-			Rejected:  s.rejected,
-			Recovered: s.recovered,
-		},
-		Draining: s.draining,
-	}
-	if s.cfg.Store != nil {
-		ck := s.ckpt
-		st.Checkpoints = &ck
-	}
+	st := Stats{Sessions: s.stats, Draining: s.draining}
+	st.Sessions.Live = len(s.sessions)
+	ck := s.ckpt
 	perShard := make(map[*shard]int)
 	dropped := s.snapDropped // drops of already-released sessions
 	for _, sess := range s.sessions {
@@ -698,10 +618,10 @@ func (s *Server) Stats() Stats {
 		})
 	}
 	st.SnapshotsDropped = dropped
-	st.Runner = s.runner.Stats()
+	st.Runner = s.cfg.Runner.Stats()
 	if s.cfg.Store != nil {
 		ss := s.cfg.Store.Stats()
-		st.Store = &ss
+		st.Store, st.Checkpoints = &ss, &ck
 	}
 	return st
 }

@@ -25,6 +25,18 @@ func testOpts(steps int) core.Options {
 	return opts
 }
 
+// onLoop runs fn on sess's shard loop.
+func onLoop(t *testing.T, s *Server, sess *session, fn func()) {
+	t.Helper()
+	err := s.onShard(sess, func() error {
+		fn()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.Logf == nil {
@@ -64,18 +76,14 @@ func TestShardAssignmentStable(t *testing.T) {
 // lifecycle sentinels surfacing on post-finish steps.
 func TestSessionLifecycle(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 2})
-	sess, _, err := s.createSession(testOpts(3))
+	sess, _, err := s.admit(s.buildCreate(testOpts(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
 		var snap *core.Snapshot
 		var stepErr error
-		tk, err := s.submit(sess.shard, func() { snap, stepErr = s.stepLocked(sess, 1, false) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-tk.done
+		onLoop(t, s, sess, func() { snap, stepErr = s.stepLocked(sess, 1, false) })
 		if stepErr != nil {
 			t.Fatal(stepErr)
 		}
@@ -86,11 +94,7 @@ func TestSessionLifecycle(t *testing.T) {
 	// Schedule complete: the session auto-finalized and further steps
 	// are lifecycle conflicts.
 	var stepErr error
-	tk, err := s.submit(sess.shard, func() { _, stepErr = s.stepLocked(sess, 1, false) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-tk.done
+	onLoop(t, s, sess, func() { _, stepErr = s.stepLocked(sess, 1, false) })
 	if stepErr == nil || httpStatus(stepErr) != http.StatusConflict {
 		t.Fatalf("step after completion: err=%v status=%d, want 409", stepErr, httpStatus(stepErr))
 	}
@@ -106,21 +110,17 @@ func TestCreateCacheHit(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 2})
 	opts := testOpts(3)
 
-	first, _, err := s.createSession(opts)
+	first, _, err := s.admit(s.buildCreate(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := s.submit(first.shard, func() {
+	onLoop(t, s, first, func() {
 		if _, err := s.stepLocked(first, 3, false); err != nil {
 			t.Errorf("run to completion: %v", err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-tk.done
 
-	second, _, err := s.createSession(opts)
+	second, _, err := s.admit(s.buildCreate(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,8 @@ func TestCreateCacheHit(t *testing.T) {
 	if second.sim != nil {
 		t.Fatal("cache-hit session built a simulation")
 	}
-	snap, err := s.snapshotOf(second)
+	var snap *core.Snapshot
+	onLoop(t, s, second, func() { snap, err = second.snapshot() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,21 +146,17 @@ func TestCreateCacheHit(t *testing.T) {
 	// session and re-create — the key promises the full schedule.
 	partialOpts := testOpts(4)
 	partialOpts.Seed = 999 // distinct key from the runs above
-	p1, _, err := s.createSession(partialOpts)
+	p1, _, err := s.admit(s.buildCreate(partialOpts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err = s.submit(p1.shard, func() {
+	onLoop(t, s, p1, func() {
 		if _, err := s.stepLocked(p1, 2, false); err != nil {
 			t.Errorf("partial step: %v", err)
 		}
 		s.releaseLocked(p1) // finishes at step 2 of 4: partial result
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-tk.done
-	p2, _, err := s.createSession(partialOpts)
+	p2, _, err := s.admit(s.buildCreate(partialOpts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,16 +174,19 @@ func TestBackpressureQueueFull(t *testing.T) {
 	// Occupy the loop, then fill the single queue slot.
 	block := make(chan struct{})
 	running := make(chan struct{})
-	if _, err := sh.trySubmit(func() { close(running); <-block }); err != nil {
+	nop := func() error { return nil }
+	err := sh.submit(&task{done: make(chan struct{}), fn: func() error { close(running); <-block; return nil }})
+	if err != nil {
 		t.Fatal(err)
 	}
 	<-running
-	if _, err := sh.trySubmit(func() {}); err != nil {
+	if err := sh.submit(&task{done: make(chan struct{}), fn: nop}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Queue full: submissions shed load instead of blocking.
-	_, err := s.submit(sh, func() {})
+	probe := &session{shard: sh}
+	err = s.onShard(probe, nop)
 	if err == nil {
 		t.Fatal("full queue accepted a task")
 	}
@@ -201,9 +201,7 @@ func TestBackpressureQueueFull(t *testing.T) {
 	// The queue drains; submissions succeed again.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		tk, err := s.submit(sh, func() {})
-		if err == nil {
-			<-tk.done
+		if s.onShard(probe, nop) == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -220,14 +218,14 @@ func TestBackpressureQueueFull(t *testing.T) {
 func TestFanOutSubscribers(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 2, SubBuffer: 2})
 	steps := 6
-	sess, _, err := s.createSession(testOpts(steps))
+	sess, _, err := s.admit(s.buildCreate(testOpts(steps)))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const nSubs = 4 // subscriber 0 is deliberately slow
 	subs := make([]*subscriber, nSubs)
-	tk, err := s.submit(sess.shard, func() {
+	onLoop(t, s, sess, func() {
 		for i := range subs {
 			buf := s.cfg.SubBuffer
 			if i == 0 {
@@ -237,10 +235,6 @@ func TestFanOutSubscribers(t *testing.T) {
 		}
 		s.ensureStepperLocked(sess, 1)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-tk.done
 
 	var wg sync.WaitGroup
 	got := make([][]int, nSubs)
@@ -283,7 +277,7 @@ func TestGracefulDrain(t *testing.T) {
 	s := New(Config{Shards: 2, Logf: t.Logf})
 	var sessions []*session
 	for i := 0; i < 6; i++ {
-		sess, _, err := s.createSession(testOpts(50)) // long schedule: drain cuts it short
+		sess, _, err := s.admit(s.buildCreate(testOpts(50))) // long schedule: drain cuts it short
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,11 +285,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	// Put steppers on half of them so drain has live drivers to park.
 	for _, sess := range sessions[:3] {
-		tk, err := s.submit(sess.shard, func() { s.ensureStepperLocked(sess, 1) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-tk.done
+		onLoop(t, s, sess, func() { s.ensureStepperLocked(sess, 1) })
 	}
 
 	s.Shutdown()
@@ -312,7 +302,7 @@ func TestGracefulDrain(t *testing.T) {
 			t.Fatalf("session %s not released by drain", sess.id)
 		}
 	}
-	if _, _, err := s.createSession(testOpts(3)); err == nil || httpStatus(err) != http.StatusServiceUnavailable {
+	if _, _, err := s.admit(s.buildCreate(testOpts(3))); err == nil || httpStatus(err) != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain create: err=%v, want 503 mapping", err)
 	}
 	s.Shutdown() // idempotent
@@ -505,16 +495,12 @@ func TestStepDoesNotMutateStreamedSnapshot(t *testing.T) {
 
 	opts := core.DefaultOptions(1024, 2, core.LevelMergedBuild)
 	opts.Steps, opts.Warmup = 20, 1
-	sess, _, err := s.createSession(opts)
+	sess, _, err := s.admit(s.buildCreate(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sub *subscriber
-	tk, err := s.submit(sess.shard, func() { sub = sess.hub.subscribe(s.cfg.SubBuffer) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-tk.done
+	onLoop(t, s, sess, func() { sub = sess.hub.subscribe(s.cfg.SubBuffer) })
 
 	done := make(chan struct{})
 	go func() {
@@ -557,13 +543,13 @@ func TestStepDoesNotMutateStreamedSnapshot(t *testing.T) {
 // sessions' drops fold into a server accumulator.
 func TestSnapshotsDroppedMonotone(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 1})
-	sess, _, err := s.createSession(testOpts(4))
+	sess, _, err := s.admit(s.buildCreate(testOpts(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A subscriber with a one-deep buffer that never drains: every
 	// publish past the first evicts its oldest frame.
-	tk, err := s.submit(sess.shard, func() {
+	onLoop(t, s, sess, func() {
 		sess.hub.subscribe(1)
 		if _, err := s.stepLocked(sess, 1, false); err != nil {
 			t.Errorf("step: %v", err)
@@ -573,33 +559,26 @@ func TestSnapshotsDroppedMonotone(t *testing.T) {
 			t.Errorf("step: %v", err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-tk.done
 	before := s.Stats().SnapshotsDropped
 	if before == 0 {
 		t.Fatal("slow subscriber produced no drops")
 	}
-	tk, err = s.submit(sess.shard, func() { s.releaseLocked(sess) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-tk.done
+	onLoop(t, s, sess, func() { s.releaseLocked(sess) })
 	if after := s.Stats().SnapshotsDropped; after < before {
 		t.Fatalf("SnapshotsDropped shrank on release: %d -> %d", before, after)
 	}
 }
 
 // TestTrySubmitAfterShutdown: once the shard loops have exited, a
-// straggling trySubmit must be rejected with errDraining rather than
+// straggling submit must be rejected with errDraining rather than
 // enqueueing a task nobody will run (which would hang the caller on
 // <-t.done forever).
 func TestTrySubmitAfterShutdown(t *testing.T) {
 	s := New(Config{Shards: 1, Logf: t.Logf})
 	s.Shutdown()
-	if _, err := s.shards[0].trySubmit(func() {}); !errors.Is(err, errDraining) {
-		t.Fatalf("trySubmit on a stopped shard: err=%v, want errDraining", err)
+	err := s.shards[0].submit(&task{done: make(chan struct{}), fn: func() error { return nil }})
+	if !errors.Is(err, errDraining) {
+		t.Fatalf("submit on a stopped shard: err=%v, want errDraining", err)
 	}
 }
 
@@ -611,19 +590,15 @@ func TestStreamFromFinishedSession(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	opts := testOpts(2)
-	sess, _, err := s.createSession(opts)
+	sess, _, err := s.admit(s.buildCreate(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := s.submit(sess.shard, func() {
+	onLoop(t, s, sess, func() {
 		if _, err := s.stepLocked(sess, 2, false); err != nil {
 			t.Errorf("run: %v", err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-tk.done
 
 	resp, err := http.Get(ts.URL + "/sims/" + sess.id + "/stream")
 	if err != nil {

@@ -2,15 +2,14 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"sync"
 )
 
-// Backpressure sentinels: the HTTP layer maps errBusy to 429 (the
-// shard's bounded queue is full — retry) and errDraining to 503 (the
-// server is shutting down — go elsewhere). Explicit rejection instead of
-// blocking is the whole point of the bounded queues: a burst against one
-// shard sheds load instead of tying up handler goroutines.
+// Backpressure sentinels. Explicit rejection instead of blocking is the
+// whole point of the bounded queues: a burst against one shard sheds
+// load instead of tying up handler goroutines.
 var (
 	errBusy     = errors.New("serve: shard queue full")
 	errDraining = errors.New("serve: server draining")
@@ -18,29 +17,31 @@ var (
 
 // task is one unit of work executed on a shard loop. fn runs on the
 // shard's goroutine with exclusive access to every session owned by the
-// shard; done closes when it has run. Results travel through variables
-// the closure captures — the submitter reads them only after <-done.
+// shard; done closes when it has run, after which err holds what it
+// returned. Other results travel through variables the closure captures —
+// the caller reads them only after the shard call returns. Tasks are
+// built and awaited only in this file (onShard, internal).
 type task struct {
-	fn   func()
+	fn   func() error
+	err  error
 	done chan struct{}
 }
 
 // shard is one worker: a goroutine-owned loop draining a bounded task
 // queue. Sessions are hashed onto shards by ID and every operation on a
 // session executes on its shard's loop, so session state needs no locks —
-// the shard loop is the session's single writer (the same ownership
-// discipline the orchestrate/buffer pipelines in slog-agent use).
+// the shard loop is the session's single writer.
 type shard struct {
 	id     int
 	tasks  chan *task
 	stop   chan struct{} // closed by Shutdown after the last submission
 	exited chan struct{} // closed by the loop on exit
 
-	// mu orders trySubmit's enqueue against the loop's exit: the loop
-	// sets closed under mu before its final queue drain, so every
-	// trySubmit either lands its task before that drain or is rejected —
-	// no task can slip into the channel after the loop stops reading it
-	// (which would strand the submitter on <-t.done forever).
+	// mu orders submit's enqueue against the loop's exit: the loop sets
+	// closed under mu before its final queue drain, so every submit
+	// either lands its task before that drain or is rejected — no task
+	// can slip into the channel after the loop stops reading it (which
+	// would strand the caller on <-t.done forever).
 	mu     sync.Mutex
 	closed bool
 }
@@ -60,21 +61,23 @@ func (sh *shard) run(logf func(string, ...any)) {
 	runOne := func(t *task) {
 		defer close(t.done)
 		defer func() {
-			if r := recover(); r != nil && logf != nil {
+			if r := recover(); r != nil {
 				// A panicking task (a poisoned simulation session) must
 				// not take the shard loop down with it: every other
-				// session on the shard would hang.
-				logf("shard %d: task panic: %v", sh.id, r)
+				// session on the shard would hang. Its caller gets the
+				// panic as an error (HTTP 500).
+				t.err = fmt.Errorf("serve: shard %d: task panic: %v", sh.id, r)
+				logf("%v", t.err)
 			}
 		}()
-		t.fn()
+		t.err = t.fn()
 	}
 	for {
 		select {
 		case t := <-sh.tasks:
 			runOne(t)
 		case <-sh.stop:
-			// Refuse further trySubmits before the final drain: any
+			// Refuse further submits before the final drain: any
 			// enqueue serialized before this flag flipped is already in
 			// the buffered channel, so the drain below runs it; any
 			// after sees closed and gets errDraining.
@@ -94,24 +97,66 @@ func (sh *shard) run(logf func(string, ...any)) {
 	}
 }
 
-// trySubmit enqueues fn without blocking; a full queue is an immediate
-// errBusy, never a wait — the caller turns it into a backpressure status.
-// Once the shard loop has stopped it returns errDraining: holding mu
-// across the enqueue guarantees the loop's final drain sees every task
-// accepted here.
-func (sh *shard) trySubmit(fn func()) (*task, error) {
-	t := &task{fn: fn, done: make(chan struct{})}
+// submit enqueues t without blocking; a full queue is an immediate
+// errBusy, never a wait. Once the shard loop has stopped it returns
+// errDraining: holding mu across the enqueue guarantees the loop's final
+// drain sees every task accepted here.
+func (sh *shard) submit(t *task) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed {
-		return nil, errDraining
+		return errDraining
 	}
 	select {
 	case sh.tasks <- t:
-		return t, nil
+		return nil
 	default:
-		return nil, errBusy
+		return errBusy
 	}
+}
+
+// onShard is the one way a request reaches session state: it runs fn on
+// sess's shard loop and returns fn's error. Admission control comes
+// first — draining beats busy, and a full queue is an immediate errBusy
+// (counted in Stats) that the HTTP layer turns into a backpressure
+// status rather than a blocked handler.
+func (s *Server) onShard(sess *session, fn func() error) error {
+	s.mu.Lock()
+	draining := s.draining
+	s.mu.Unlock()
+	if draining {
+		return errDraining
+	}
+	t := &task{fn: fn, done: make(chan struct{})}
+	if err := sess.shard.submit(t); err != nil {
+		s.count(&s.stats.Rejected)
+		return err
+	}
+	<-t.done
+	return t.err
+}
+
+// internal runs the service's own work (the stream stepper, Shutdown's
+// sweep) on the shard loop. Unlike onShard it waits for queue room instead
+// of shedding — internal work yields to external requests only through
+// queue order — and gives up with errDraining once abort closes (nil:
+// never). Every caller finishes before Shutdown stops the loops (steppers
+// are waited for; the sweep is Shutdown itself), so the send cannot
+// outlive the reader.
+func (sh *shard) internal(abort <-chan struct{}, fn func() error) error {
+	select {
+	case <-abort:
+		return errDraining
+	default:
+	}
+	t := &task{fn: fn, done: make(chan struct{})}
+	select {
+	case sh.tasks <- t:
+	case <-abort:
+		return errDraining
+	}
+	<-t.done
+	return t.err
 }
 
 // shardFor hashes a session ID onto one of n shards (FNV-1a): the

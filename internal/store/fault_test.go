@@ -3,17 +3,19 @@ package store
 import (
 	"bytes"
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
+
+	"upcbh/internal/durable"
 )
 
-// faultFS wraps OSFS with deterministic, programmable failures: the
-// fault-injection seam the ISSUE's acceptance criteria name. Every
-// fault mode models a real storage failure:
+// faultFS wraps durable.OSFS with deterministic, programmable failures.
+// Every fault mode models a real storage failure:
 //
 //   - writeErr: Write returns it (EIO: failing device; ENOSPC: full disk)
 //   - tornAfter: Write persists only the first tornAfter bytes, then
@@ -44,19 +46,21 @@ func (f *faultFS) set(mut func(*faultFS)) {
 	mut(f)
 }
 
-func (f *faultFS) MkdirAll(dir string, perm os.FileMode) error { return OSFS.MkdirAll(dir, perm) }
-func (f *faultFS) ReadFile(path string) ([]byte, error)        { return OSFS.ReadFile(path) }
-func (f *faultFS) Remove(path string) error                    { return OSFS.Remove(path) }
-func (f *faultFS) ReadDir(dir string) ([]fs.DirEntry, error)   { return OSFS.ReadDir(dir) }
+func (f *faultFS) MkdirAll(dir string, perm os.FileMode) error {
+	return durable.OSFS.MkdirAll(dir, perm)
+}
+func (f *faultFS) ReadFile(path string) ([]byte, error)      { return durable.OSFS.ReadFile(path) }
+func (f *faultFS) Remove(path string) error                  { return durable.OSFS.Remove(path) }
+func (f *faultFS) ReadDir(dir string) ([]fs.DirEntry, error) { return durable.OSFS.ReadDir(dir) }
 
-func (f *faultFS) Create(path string) (File, error) {
+func (f *faultFS) Create(path string) (durable.File, error) {
 	f.mu.Lock()
 	err := f.failCreate
 	f.mu.Unlock()
 	if err != nil {
 		return nil, &os.PathError{Op: "create", Path: path, Err: err}
 	}
-	real, ferr := OSFS.Create(path)
+	real, ferr := durable.OSFS.Create(path)
 	if ferr != nil {
 		return nil, ferr
 	}
@@ -77,7 +81,7 @@ func (f *faultFS) Rename(oldpath, newpath string) error {
 	if err != nil {
 		return &os.LinkError{Op: "rename", Old: oldpath, New: newpath, Err: err}
 	}
-	return OSFS.Rename(oldpath, newpath)
+	return durable.OSFS.Rename(oldpath, newpath)
 }
 
 func (f *faultFS) SyncDir(dir string) error {
@@ -87,12 +91,12 @@ func (f *faultFS) SyncDir(dir string) error {
 	if err != nil {
 		return &os.PathError{Op: "syncdir", Path: dir, Err: err}
 	}
-	return OSFS.SyncDir(dir)
+	return durable.OSFS.SyncDir(dir)
 }
 
 type faultFile struct {
 	fs   *faultFS
-	f    File
+	f    durable.File
 	path string
 }
 
@@ -315,5 +319,51 @@ func TestCreateFailure(t *testing.T) {
 	ffs.set(func(f *faultFS) { f.failCreate = syscall.EACCES })
 	if err := s.Put("k", 1, container(t, "k", 1)); !errors.Is(err, syscall.EACCES) {
 		t.Fatalf("Put = %v", err)
+	}
+}
+
+// TestPublishFaults runs the fault matrix against durable.Publish itself,
+// with the container stream writer as the payload — exactly what
+// arena.WriteFileCheckpoint (bhrun -checkpoint) does on durable.OSFS. Under
+// every fault the previously published file survives intact and the
+// failed attempt's temp file is removed.
+func TestPublishFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault func(*faultFS)
+		want  error
+	}{
+		{name: "EIO", fault: func(f *faultFS) { f.writeErr = syscall.EIO }, want: syscall.EIO},
+		{name: "ENOSPC", fault: func(f *faultFS) { f.writeErr = syscall.ENOSPC }, want: syscall.ENOSPC},
+		{name: "torn write", fault: func(f *faultFS) { f.tornAfter = 16 }, want: syscall.EIO},
+		{name: "crash before rename", fault: func(f *faultFS) { f.crashBeforeRename = true }, want: errCrashed},
+		{name: "rename", fault: func(f *faultFS) { f.failRename = syscall.EIO }, want: syscall.EIO},
+		{name: "create", fault: func(f *faultFS) { f.failCreate = syscall.EACCES }, want: syscall.EACCES},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			final, tmp := dir+"/run.ckpt", dir+"/run.ckpt.tmp"
+			ffs := newFaultFS()
+			publish := func(step int) error {
+				return durable.Publish(ffs, tmp, final, func(w io.Writer) error {
+					_, err := w.Write(container(t, "publish-key", step))
+					return err
+				})
+			}
+			if err := publish(1); err != nil {
+				t.Fatal(err)
+			}
+			ffs.set(tc.fault)
+			if err := publish(2); !errors.Is(err, tc.want) {
+				t.Fatalf("Publish = %v, want %v in the chain", err, tc.want)
+			}
+			got, err := os.ReadFile(final)
+			if err != nil || !bytes.Equal(got, container(t, "publish-key", 1)) {
+				t.Fatalf("fault perturbed the published file (read err %v)", err)
+			}
+			if _, err := os.Stat(tmp); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("failed Publish left its temp file behind (stat err %v)", err)
+			}
+		})
 	}
 }

@@ -1,16 +1,16 @@
 // Package store is the durable, content-addressed checkpoint store
-// behind bhserve's crash safety (DESIGN.md §14). Entries are checkpoint
+// behind bhserve's crash safety (DESIGN.md §12.5). Entries are checkpoint
 // containers (internal/arena format) keyed by the simulation's
 // canonical Options.Key() plus the step they capture; the newest valid
 // entry per key is what startup recovery restores.
 //
 // Durability argument, in order:
 //
-//  1. Put writes the container to a hidden temp name in the store
-//     directory, fsyncs the file, then renames it to its final name and
-//     fsyncs the directory. A crash at any point leaves either the
-//     previous state or the complete new entry — never a torn container
-//     at a final name reachable by lookup.
+//  1. Put publishes through durable.Publish: the container goes to a
+//     hidden temp name in the store directory, is fsynced, renamed to
+//     its final name, and the directory is fsynced. A crash at any point
+//     leaves either the previous state or the complete new entry — never
+//     a torn container at a final name reachable by lookup.
 //  2. Temp files left by a crash mid-write are swept (deleted) when the
 //     store is next opened; they were never visible to lookups.
 //  3. Lookups validate every candidate with arena.ReadCheckpoint
@@ -35,6 +35,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -42,6 +43,7 @@ import (
 	"sync"
 
 	"upcbh/internal/arena"
+	"upcbh/internal/durable"
 )
 
 // ErrNotFound reports that no valid entry exists for the requested key
@@ -57,8 +59,9 @@ const (
 
 // Options configures a Store. Zero values mean defaults.
 type Options struct {
-	// FS is the filesystem seam (default OSFS). Tests inject faults here.
-	FS FS
+	// FS is the filesystem seam (default durable.OSFS). Tests inject
+	// faults here.
+	FS durable.FS
 	// Keep is how many newest entries are retained per key (default 2):
 	// the newest is what recovery wants, one older survives as a fallback
 	// should the newest be quarantined.
@@ -70,7 +73,7 @@ type Options struct {
 // Store is a durable checkpoint store rooted at one directory.
 type Store struct {
 	dir  string
-	fs   FS
+	fs   durable.FS
 	keep int
 	logf func(string, ...any)
 
@@ -115,7 +118,7 @@ type Stats struct {
 // entries present.
 func Open(dir string, o Options) (*Store, error) {
 	if o.FS == nil {
-		o.FS = OSFS
+		o.FS = durable.OSFS
 	}
 	if o.Keep <= 0 {
 		o.Keep = 2
@@ -206,18 +209,12 @@ func (s *Store) Put(key string, step int, data []byte) error {
 	kh := keyHash(key)
 	s.seq++
 	tmp := filepath.Join(s.dir, fmt.Sprintf("%s%s-%010d-%d", tmpPrefix, kh, step, s.seq))
-	if err := s.writeTmp(tmp, data); err != nil {
-		return s.failLocked(err)
-	}
-	final := filepath.Join(s.dir, entryName(kh, step))
-	if err := s.fs.Rename(tmp, final); err != nil {
-		_ = s.fs.Remove(tmp)
-		return s.failLocked(fmt.Errorf("store: publish %s: %w", final, err))
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		// The entry is visible but its directory entry may not survive a
-		// power loss; the write is not durable, so report it as failed.
-		return s.failLocked(fmt.Errorf("store: sync dir after publishing %s: %w", final, err))
+	err := durable.Publish(s.fs, tmp, filepath.Join(s.dir, entryName(kh, step)), func(w io.Writer) error {
+		_, err := bytes.NewReader(data).WriteTo(w) // a short write is io.ErrShortWrite
+		return err
+	})
+	if err != nil {
+		return s.failLocked(fmt.Errorf("store: %w", err))
 	}
 	steps := s.index[kh]
 	if i := sort.SearchInts(steps, step); i == len(steps) || steps[i] != step {
@@ -230,30 +227,6 @@ func (s *Store) Put(key string, step int, data []byte) error {
 	s.degraded = false
 	s.lastErr = ""
 	s.gcLocked(kh)
-	return nil
-}
-
-func (s *Store) writeTmp(tmp string, data []byte) error {
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: create temp %s: %w", tmp, err)
-	}
-	n, werr := f.Write(data)
-	if werr == nil && n < len(data) {
-		werr = fmt.Errorf("short write (%d of %d bytes)", n, len(data))
-	}
-	serr := f.Sync()
-	cerr := f.Close()
-	if werr == nil {
-		werr = serr
-	}
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		_ = s.fs.Remove(tmp)
-		return fmt.Errorf("store: write temp %s: %w", tmp, werr)
-	}
 	return nil
 }
 

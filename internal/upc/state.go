@@ -13,7 +13,7 @@ import (
 // hold state, run queues — is provably quiescent at a completed pause
 // (all live threads parked in sStep, no arrivals counted, no locks
 // held), so a restored runtime reproduces it by construction and only
-// the state below needs to travel (DESIGN.md §13).
+// the state below needs to travel (DESIGN.md §12.3).
 
 // ThreadState is one thread's persistent clock and operation counters.
 type ThreadState struct {
