@@ -4,7 +4,6 @@
 //
 //	bhbench -list
 //	bhbench -exp table5
-//	bhbench -exp layout                       # pointer vs flat octree, per phase
 //	bhbench -exp all -scale 0.5 -out results/ -json
 //
 // Experiments run through a shared memoized Runner: configurations that
@@ -22,8 +21,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"upcbh/internal/bench"
@@ -43,7 +40,6 @@ func main() {
 		warmup   = flag.Int("warmup", 0, "override warmup steps (default: paper's 2)")
 		modeS    = flag.String("mode", "simulate", "execution backend: simulate | native (cost-model experiments — table9, fig12, ext-cache, ext-mpi — always run simulated; ext-native always runs both)")
 		scenS    = flag.String("scenario", "", "workload scenario for every experiment: plummer|two-plummer|uniform|clustered|disk (default plummer; the imbalance experiment sweeps all of them)")
-		threadsS = flag.String("threads", "", "comma-separated native thread counts for the scaling experiment (default: doubling counts up to this host's CPUs; counts beyond NumCPU are rejected)")
 		verbose  = flag.Bool("v", false, "print per-experiment timing and per-run progress")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile covering all experiment execution to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (taken after all experiments) to this file")
@@ -111,19 +107,10 @@ func main() {
 		os.Exit(2)
 	}
 	// Only pin the scenario when the user asked for one: an empty
-	// Params.Scenario falls back to the default per experiment, which
-	// lets multi-scenario experiments (scaling) run their full default
-	// set instead of being narrowed to plummer.
+	// Params.Scenario is the paper's default workload and stays out of
+	// the report's params stamp.
 	if *scenS != "" {
 		p.Scenario = scenario.Name()
-	}
-	if *threadsS != "" {
-		counts, err := parseThreads(*threadsS)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		p.NativeThreads = counts
 	}
 
 	var exps []bench.Experiment
@@ -201,48 +188,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d reports, %d configs)\n", path, len(reports), totalConfigs(reports))
-
-		// The scaling wall additionally lands in its own artifact file:
-		// the permanent machine-stamped record CI uploads per run.
-		for _, rep := range reports {
-			if rep.ID != "scaling" {
-				continue
-			}
-			raw, err := rep.JSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			spath := filepath.Join(dir, "BENCH_scaling.json")
-			if err := os.WriteFile(spath, append(raw, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", spath)
-		}
 	}
-}
-
-// parseThreads parses the -threads list and rejects counts this host
-// cannot genuinely run in parallel: a point with more threads than CPUs
-// measures Go-scheduler timesharing, not scaling.
-func parseThreads(s string) ([]int, error) {
-	ncpu := runtime.NumCPU()
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bhbench: bad -threads entry %q: %v", part, err)
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("bhbench: -threads entry %d: thread counts must be >= 1", v)
-		}
-		if v > ncpu {
-			return nil, fmt.Errorf("bhbench: -threads entry %d exceeds this machine's %d CPUs — an oversubscribed run measures timesharing, not scaling (omit -threads for the default sweep)", v, ncpu)
-		}
-		counts = append(counts, v)
-	}
-	return counts, nil
 }
 
 func totalConfigs(reports []*bench.Report) int {

@@ -33,7 +33,10 @@ import (
 const Magic = "UPCBHCKP"
 
 // Version is the current layout version; readers reject anything else.
-const Version = 1
+// Version 2 has version 1's byte layout: the bump marks a change to
+// core.Options.Key() (one component removed), which no version-1
+// container's key can match.
+const Version = 2
 
 // maxHeaderLen / maxPayloadLen bound what a reader will accept while
 // parsing, so a corrupt length field cannot OOM the process. The

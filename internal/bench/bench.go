@@ -41,10 +41,6 @@ type Params struct {
 	// ("" = the paper's Plummer sphere). The imbalance experiment
 	// sweeps all scenarios itself and ignores this.
 	Scenario string `json:"scenario,omitempty"`
-	// NativeThreads overrides the scaling experiment's thread-count
-	// sweep (default: doubling counts up to the host's CPUs). The CLI
-	// rejects counts beyond runtime.NumCPU before it gets here.
-	NativeThreads []int `json:"native_threads,omitempty"`
 }
 
 // DefaultParams is the full harness configuration.
@@ -83,7 +79,6 @@ func (e Experiment) Run(r *Runner, p Params) (*Report, error) {
 		Params:  p,
 		Env:     CaptureEnv(),
 		Configs: x.configs,
-		Data:    x.data,
 		Text:    text,
 		Elapsed: time.Since(start).Seconds(),
 	}, nil

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -27,8 +28,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"table2", "table3", "table4", "table5", "table6", "table7", "table8", "table9",
 		"fig5", "fig6", "fig7", "fig8", "fig10", "fig11", "fig12", "fig13",
-		"ext-cache", "ext-mpi", "ext-native", "imbalance", "layout", "sched",
-		"scaling",
+		"ext-cache", "ext-mpi", "ext-native", "imbalance",
 	}
 	got := map[string]bool{}
 	for _, e := range All() {
@@ -44,6 +44,46 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("registry has %d experiments, want %d", len(got), len(want))
+	}
+}
+
+// TestDesignIndexMatchesRegistry keeps DESIGN.md §4's experiment table
+// honest: the ids in its first column are exactly the registry's, so an
+// experiment cannot be added, renamed or removed without the index
+// following.
+func TestDesignIndexMatchesRegistry(t *testing.T) {
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(raw), "\n## §4 ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §4 heading")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	indexed := map[string]bool{}
+	for _, line := range strings.Split(sec, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 {
+			continue // not a table row
+		}
+		id := strings.TrimSpace(cells[1])
+		if id == "id" || strings.HasPrefix(id, "---") {
+			continue // header and separator rows
+		}
+		if indexed[id] {
+			t.Errorf("DESIGN.md §4 lists %q twice", id)
+		}
+		indexed[id] = true
+	}
+	for _, e := range All() {
+		if !indexed[e.ID] {
+			t.Errorf("experiment %q is registered but missing from DESIGN.md §4", e.ID)
+		}
+		delete(indexed, e.ID)
+	}
+	for id := range indexed {
+		t.Errorf("DESIGN.md §4 lists %q, which is not a registered experiment", id)
 	}
 }
 
@@ -142,59 +182,6 @@ func TestModeComparisonExperiment(t *testing.T) {
 	for _, want := range []string{"sim t(s)", "wall t(s)", "Force Comp.", "Total"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestLayoutExperiment runs the flat-vs-pointer layout comparison at a
-// tiny scale and checks both halves of its report: structured kernel
-// points with coherent speedups, and the two native configs (flat on and
-// off) with positive wall-clock phase times.
-func TestLayoutExperiment(t *testing.T) {
-	e, err := ByID("layout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run(NewRunner(1), tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lr, ok := rep.Data.(*LayoutReport)
-	if !ok {
-		t.Fatalf("report data is %T, want *LayoutReport", rep.Data)
-	}
-	if len(lr.Points) == 0 {
-		t.Fatal("no layout points measured")
-	}
-	for _, pt := range lr.Points {
-		if pt.Pointer.ForceSec <= 0 || pt.Flat.ForceSec <= 0 ||
-			pt.Pointer.BuildSec <= 0 || pt.Flat.BuildSec <= 0 {
-			t.Errorf("n=%d: non-positive phase time: %+v", pt.Bodies, pt)
-		}
-		if pt.ForceSpeedup <= 0 || pt.BuildSpeedup <= 0 {
-			t.Errorf("n=%d: non-positive speedup: %+v", pt.Bodies, pt)
-		}
-	}
-	if len(rep.Configs) != 2 {
-		t.Fatalf("expected 2 native configs, got %d", len(rep.Configs))
-	}
-	var sawFlat, sawPtr bool
-	for _, c := range rep.Configs {
-		if c.Options.DisableFlat {
-			sawPtr = true
-		} else {
-			sawFlat = true
-		}
-		if c.Total <= 0 {
-			t.Errorf("config %s has non-positive wall total", c.Key)
-		}
-	}
-	if !sawFlat || !sawPtr {
-		t.Errorf("expected one flat and one pointer native config")
-	}
-	for _, want := range []string{"flat build", "force x", "native force-phase speedup"} {
-		if !strings.Contains(rep.Text, want) {
-			t.Errorf("layout text missing %q:\n%s", want, rep.Text)
 		}
 	}
 }

@@ -30,9 +30,6 @@ func extensionExperiments() []Experiment {
 			run:   runModeComparison,
 		},
 		imbalanceExperiment(),
-		layoutExperiment(),
-		schedExperiment(),
-		scalingExperiment(),
 	}
 }
 

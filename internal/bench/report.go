@@ -70,11 +70,7 @@ type Report struct {
 	Params  Params      `json:"params"`
 	Env     Env         `json:"env"`
 	Configs []ConfigRun `json:"configs,omitempty"`
-	// Data carries experiment-specific structured results that do not
-	// come from core.Sim runs (e.g. the layout experiment's kernel
-	// measurements); its concrete type is owned by the experiment.
-	Data any    `json:"data,omitempty"`
-	Text string `json:"text"`
+	Text    string      `json:"text"`
 	// Elapsed is the harness wall-clock time for the experiment in
 	// seconds (not simulated time; cache hits make this shrink).
 	Elapsed float64 `json:"elapsed_seconds"`
@@ -108,14 +104,6 @@ type Exec struct {
 
 	mu      sync.Mutex
 	configs []ConfigRun
-	data    any
-}
-
-// SetData attaches experiment-specific structured results to the Report.
-func (x *Exec) SetData(v any) {
-	x.mu.Lock()
-	x.data = v
-	x.mu.Unlock()
 }
 
 // runOne executes a single configuration through the shared Runner and

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // §5.5: "results are not very sensitive to that choice, and performance
 // is good even with n1 = n2 = n3 = 1."
@@ -67,12 +70,17 @@ func TestOptionsValidation(t *testing.T) {
 		func(o *Options) { o.Steps = 1; o.Warmup = 1 },
 		func(o *Options) { o.Level = NumLevels },
 		func(o *Options) { o.Theta = 0 },
+		// These three used to pass validate() and panic later (divide by
+		// zero in New / at the first barrier, a bogus step count at Finish).
+		func(o *Options) { o.Machine.Threads = 0 },
+		func(o *Options) { o.Machine.ThreadsPerNode = -1 },
+		func(o *Options) { o.Warmup = -3 },
 	}
 	for i, mut := range bad {
 		opts := DefaultOptions(256, 2, LevelSubspace)
 		mut(&opts)
-		if _, err := New(opts); err == nil {
-			t.Errorf("bad options %d accepted", i)
+		if _, err := New(opts); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("bad options %d: New returned %v, want ErrInvalidOptions", i, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -306,7 +307,9 @@ func TestRestoreRejects(t *testing.T) {
 		heap, _ := c.Region(regHeap)
 		refs, _ := c.Region(regRefs)
 		var buf bytes.Buffer
-		err = arena.WriteCheckpoint(&buf, c.Header.Key, c.Header.Step, nil, []arena.NamedRegion{
+		// Re-keyed from the (possibly mutated) options, so an options
+		// mutation reaches New instead of stopping at the key check.
+		err = arena.WriteCheckpoint(&buf, cs.Options.Key(), c.Header.Step, nil, []arena.NamedRegion{
 			{Name: regState, Data: enc},
 			{Name: regHeap, Data: heap},
 			{Name: regRefs, Data: refs},
@@ -331,6 +334,38 @@ func TestRestoreRejects(t *testing.T) {
 		mutated(func(cs *ckptState) { cs.Threads[0].NOwned = 1 << 60 }), "refs region truncated")
 	expectErr("buffer ref negative index",
 		mutated(func(cs *ckptState) { cs.Threads[0].Buf[cs.Threads[0].Cur].Idx = -1 }), "current buffer")
+
+	// Options that New would have panicked on (divide by zero, negative
+	// slice length) rather than rejected.
+	expectErr("zero-thread machine",
+		mutated(func(cs *ckptState) { cs.Options.Machine.Threads = 0 }), "options rejected")
+	expectErr("zero threads per node",
+		mutated(func(cs *ckptState) { cs.Options.Machine.ThreadsPerNode = 0 }), "options rejected")
+	expectErr("negative warmup",
+		mutated(func(cs *ckptState) { cs.Options.Warmup = -1 }), "options rejected")
+}
+
+// TestRestoreRejectsVersion1 pins the format bump: a container whose
+// preamble says version 1 (written under the old Options.Key() format) is
+// refused by version, from both the full parse and the header peek, and
+// not by a key mismatch further in.
+func TestRestoreRejectsVersion1(t *testing.T) {
+	opts := DefaultOptions(256, 2, LevelMergedBuild)
+	opts.Steps, opts.Warmup = 2, 1
+	ckpt, src := checkpointAt(t, opts, 1)
+	src.Release()
+	binary.LittleEndian.PutUint32(ckpt[8:], 1)
+
+	check := func(name string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), "unsupported checkpoint version 1") {
+			t.Errorf("%s of a version-1 container: %v, want ErrBadCheckpoint naming the version", name, err)
+		}
+	}
+	_, err := Restore(bytes.NewReader(ckpt))
+	check("Restore", err)
+	_, _, err = PeekCheckpointHeader(ckpt)
+	check("PeekCheckpointHeader", err)
 }
 
 // TestCheckpointRestoreFreshProcess re-executes the test binary so the

@@ -23,7 +23,7 @@ import (
 //     pointer (no barrier), and every thread walks it with the batched
 //     explicit-stack kernel (forceFlat) — the logical conclusion of the
 //     paper's §5.3 local-tree caching on a real shared-memory host. See
-//     DESIGN.md §10 for the happens-before argument.
+//     DESIGN.md §8.3 for the happens-before argument.
 //
 // The simulate backend never takes these paths, so its charged phase
 // tables stay byte-identical (pinned by the goldens). Physics is
@@ -32,12 +32,14 @@ import (
 // the snapshot kernel interacts with the same nodes in the same DFS
 // order as the pointer walk of forceCached, including its self-skip
 // semantics (a body whose tree leaf was re-owned and re-gathered this
-// step interacts with its stale copy in both paths). Options.DisableFlat
-// switches the paths off for differential testing.
+// step interacts with its stale copy in both paths). The simulate
+// backend's pointer paths are the reference the flat ones are tested
+// against (flatnative_test.go, internal/verify).
 
-// nativeFlat reports whether the flat-tree fast paths are active.
+// nativeFlat reports whether the flat-tree fast paths are active: always
+// under ModeNative, never under ModeSimulate.
 func (s *Sim) nativeFlat() bool {
-	return s.o.ExecMode == ModeNative && !s.o.DisableFlat
+	return s.o.ExecMode == ModeNative
 }
 
 // flatSnap is one published flat snapshot of the global tree plus the

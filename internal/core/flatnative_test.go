@@ -10,14 +10,14 @@ import (
 	"upcbh/internal/upc"
 )
 
-// runNativeFlat runs one native-mode configuration with the flat paths
-// on or off.
-func runNativeFlat(t *testing.T, n, threads int, level Level, disableFlat bool) *Result {
+// runFlatVsPointer runs one configuration under the given backend:
+// ModeNative takes the flat paths, ModeSimulate is the pointer/NodeRef
+// reference (the charged paper-reproduction paths).
+func runFlatVsPointer(t *testing.T, n, threads int, level Level, mode ExecMode) *Result {
 	t.Helper()
 	opts := DefaultOptions(n, threads, level)
 	opts.Steps, opts.Warmup = 2, 1
-	opts.ExecMode = ModeNative
-	opts.DisableFlat = disableFlat
+	opts.ExecMode = mode
 	opts.Verify = true // structural gate on every step's global tree
 	sim, err := New(opts)
 	if err != nil {
@@ -33,18 +33,19 @@ func runNativeFlat(t *testing.T, n, threads int, level Level, disableFlat bool) 
 // TestNativeFlatExactSingleThread pins the strongest equivalence claim:
 // at one thread (no merge races), the flat local build emits exactly the
 // tree the pointer insertion builds, and the flat snapshot kernel
-// interacts in exactly forceCached's DFS order — so the entire
-// trajectory is bit-identical with the flat paths on or off. This holds
+// interacts in exactly forceCached's DFS order — so the entire native
+// trajectory is bit-identical to the simulate backend's. This holds
 // for the levels whose pointer force path is the plain DFS walk
-// (LevelCacheTree, LevelMergedBuild); LevelAsync/LevelSubspace fall back
-// to forceAsync, whose frontier scheduling reorders the same interaction
-// set, and are covered by the tolerance test below.
+// (LevelCacheTree, LevelMergedBuild); at LevelAsync/LevelSubspace the
+// pointer path is forceAsync, whose frontier scheduling reorders the
+// same interaction set, and those are covered by the tolerance test
+// below.
 func TestNativeFlatExactSingleThread(t *testing.T) {
 	for _, level := range []Level{LevelCacheTree, LevelMergedBuild} {
 		level := level
 		t.Run(level.String(), func(t *testing.T) {
-			flat := runNativeFlat(t, 1024, 1, level, false)
-			ptr := runNativeFlat(t, 1024, 1, level, true)
+			flat := runFlatVsPointer(t, 1024, 1, level, ModeNative)
+			ptr := runFlatVsPointer(t, 1024, 1, level, ModeSimulate)
 			if flat.Interactions != ptr.Interactions {
 				t.Errorf("interaction counts differ: flat %d pointer %d", flat.Interactions, ptr.Interactions)
 			}
@@ -60,14 +61,14 @@ func TestNativeFlatExactSingleThread(t *testing.T) {
 
 // TestNativeFlatMatchesPointerThreads checks the multi-thread case,
 // where concurrent merges may reorder commutative center-of-mass
-// updates in both variants: physics agrees within FP-reordering
-// tolerance.
+// updates: native physics agrees with the simulate backend's pointer
+// paths within FP-reordering tolerance.
 func TestNativeFlatMatchesPointerThreads(t *testing.T) {
 	for _, level := range []Level{LevelCacheTree, LevelMergedBuild, LevelAsync, LevelSubspace} {
 		level := level
 		t.Run(level.String(), func(t *testing.T) {
-			flat := runNativeFlat(t, 2048, 4, level, false)
-			ptr := runNativeFlat(t, 2048, 4, level, true)
+			flat := runFlatVsPointer(t, 2048, 4, level, ModeNative)
+			ptr := runFlatVsPointer(t, 2048, 4, level, ModeSimulate)
 			worstPos, worstVel := comparePhysics(t, flat, ptr)
 			if worstPos > 1e-9 || worstVel > 1e-9 {
 				t.Errorf("flat physics diverges from pointer: pos %g vel %g", worstPos, worstVel)
@@ -282,17 +283,16 @@ func TestNativeFlatSkipForLeafIdx(t *testing.T) {
 // multiple threads, migration-heavy scenario. Run under -race this is
 // the regression gate for the RCU snapshot publication; in any mode it
 // cross-checks the relaxed schedule's physics against the fully
-// barriered pointer path.
+// barriered pointer path of the simulate backend.
 func TestNativeFlatRelaxedSyncStress(t *testing.T) {
 	for _, level := range []Level{LevelCacheTree, LevelMergedBuild} {
 		level := level
 		t.Run(level.String(), func(t *testing.T) {
-			mk := func(disableFlat bool) *Result {
+			mk := func(mode ExecMode) *Result {
 				opts := DefaultOptions(2048, 4, level)
 				opts.Steps, opts.Warmup = 5, 1
-				opts.ExecMode = ModeNative
+				opts.ExecMode = mode
 				opts.Scenario = "clustered"
-				opts.DisableFlat = disableFlat
 				sim, err := New(opts)
 				if err != nil {
 					t.Fatal(err)
@@ -303,8 +303,8 @@ func TestNativeFlatRelaxedSyncStress(t *testing.T) {
 				}
 				return res
 			}
-			flat := mk(false)
-			ptr := mk(true)
+			flat := mk(ModeNative)
+			ptr := mk(ModeSimulate)
 			worstPos, worstVel := comparePhysics(t, flat, ptr)
 			if worstPos > 1e-9 || worstVel > 1e-9 {
 				t.Errorf("relaxed-sync physics diverges from barriered pointer path: pos %g vel %g", worstPos, worstVel)

@@ -36,8 +36,8 @@ func (o Options) Key() string {
 	}
 	return fmt.Sprintf(
 		"n=%d;steps=%d;warm=%d;theta=%.17g;eps=%.17g;dt=%.17g;seed=%d;scn=%s;mode=%s;level=%s;"+
-			"alias=%t;vec=%t;async=%d/%d/%d;alpha=%.17g;verify=%t;tcache=%t;noflat=%t;tbuf=%d;%s",
+			"alias=%t;vec=%t;async=%d/%d/%d;alpha=%.17g;verify=%t;tcache=%t;tbuf=%d;%s",
 		o.Bodies, o.Steps, o.Warmup, o.Theta, o.Eps, o.Dt, o.Seed, scn, o.ExecMode, o.Level,
 		o.AliasLocalCells, o.VectorReduce, n1, n2, n3, alpha, o.Verify, o.TransparentCache,
-		o.DisableFlat, o.testBufferCap, o.Machine.Key())
+		o.testBufferCap, o.Machine.Key())
 }

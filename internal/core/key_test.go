@@ -33,7 +33,6 @@ func TestOptionsKeyDiscriminates(t *testing.T) {
 		"vec":      func(o *Options) { o.VectorReduce = false },
 		"n1":       func(o *Options) { o.N1 = 8 },
 		"verify":   func(o *Options) { o.Verify = true },
-		"noflat":   func(o *Options) { o.DisableFlat = true },
 		"tcache":   func(o *Options) { o.TransparentCache = true },
 		"machine":  func(o *Options) { o.Machine = machine.MustNew(4, 4, true, machine.Power5()) },
 		"parcost":  func(o *Options) { m := *o.Machine; m.Par.Latency *= 2; o.Machine = &m },

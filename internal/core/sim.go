@@ -110,15 +110,15 @@ type Sim struct {
 	rootS *upc.Scalar[NodeRef]
 
 	// flat is the shared native-backend snapshot state (see
-	// flatnative.go); nil under ModeSimulate or DisableFlat.
+	// flatnative.go); nil under ModeSimulate.
 	flat *flatState
 
 	// mem backs the global flat snapshots' hot arrays with off-heap
 	// (mmap) memory; tmem[i] backs thread i's local flat tree. Arenas
 	// are single-owner bump allocators, so the global one is touched
 	// only by thread 0 (the snapshot builder) and each tmem[i] only by
-	// its thread. All nil under ModeSimulate/DisableFlat or when mmap
-	// is unavailable — growth then falls back to the Go heap.
+	// its thread. All nil under ModeSimulate or when mmap is
+	// unavailable — growth then falls back to the Go heap.
 	mem  *arena.Arena
 	tmem []*arena.Arena
 

@@ -206,13 +206,6 @@ type Options struct {
 	// experiment compares it against the paper's manual caching.
 	TransparentCache bool `json:"transparent_cache,omitempty"`
 
-	// DisableFlat turns off the native backend's flat-octree fast paths
-	// (the arena local build and the flat-snapshot force kernel), forcing
-	// the pointer/NodeRef walks the Simulate backend models. It exists
-	// for differential testing — flat-vs-pointer physics must agree — and
-	// has no effect under ModeSimulate, which never takes the flat paths.
-	DisableFlat bool `json:"disable_flat,omitempty"`
-
 	// testBufferCap overrides the §5.2 double-buffer capacity; tests use
 	// it to exercise the compaction path deterministically.
 	testBufferCap int
@@ -254,6 +247,15 @@ func (o *Options) validate() error {
 	}
 	if o.Machine == nil {
 		return fmt.Errorf("core: Options.Machine is required")
+	}
+	// Options arrive from HTTP bodies and checkpoint containers without
+	// passing machine.New, so the machine's shape is checked here too.
+	if o.Machine.Threads < 1 || o.Machine.ThreadsPerNode < 1 {
+		return fmt.Errorf("core: machine needs Threads >= 1 and ThreadsPerNode >= 1, got %d and %d",
+			o.Machine.Threads, o.Machine.ThreadsPerNode)
+	}
+	if o.Warmup < 0 {
+		return fmt.Errorf("core: Warmup must be non-negative, got %d", o.Warmup)
 	}
 	if o.Steps <= o.Warmup {
 		return fmt.Errorf("core: Steps (%d) must exceed Warmup (%d)", o.Steps, o.Warmup)

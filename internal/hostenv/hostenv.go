@@ -27,8 +27,8 @@ type Env struct {
 }
 
 // Capture samples the current process environment. GOMAXPROCS and
-// NumCPU are read live (the scaling experiment re-pins GOMAXPROCS
-// between captures); the /proc/cpuinfo parse — immutable for the
+// NumCPU are read live (a process may re-pin GOMAXPROCS between
+// captures); the /proc/cpuinfo parse — immutable for the
 // process lifetime — runs once.
 func Capture() Env {
 	return Env{

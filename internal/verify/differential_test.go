@@ -121,10 +121,10 @@ func TestDifferentialMatrix(t *testing.T) {
 // TestFlatVsPointerPerScenario adds the flat-vs-pointer axis to the
 // differential matrix: for each scenario, the native backend's flat
 // paths (arena local build + flat-snapshot force kernel) must produce
-// the same physics as the pointer/NodeRef paths (DisableFlat) within
-// FP-reordering tolerance, at both a merged-build and the fully
-// optimized subspace level, and both variants must satisfy the direct-
-// sum oracle.
+// the same physics as the pointer/NodeRef paths — which the simulate
+// backend runs, charged — within FP-reordering tolerance, at both a
+// merged-build and the fully optimized subspace level, and both must
+// satisfy the direct-sum oracle.
 func TestFlatVsPointerPerScenario(t *testing.T) {
 	runner := newVerifyRunner()
 	for _, scenario := range matrixScenarios(t) {
@@ -132,13 +132,11 @@ func TestFlatVsPointerPerScenario(t *testing.T) {
 			scenario, level := scenario, level
 			t.Run(fmt.Sprintf("%s/%s", scenario, level), func(t *testing.T) {
 				flatOpts := matrixOptions(scenario, level, core.ModeNative)
-				ptrOpts := flatOpts
-				ptrOpts.DisableFlat = true
 				flat, _, err := runner.Run(flatOpts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ptr, _, err := runner.Run(ptrOpts)
+				ptr, _, err := runner.Run(matrixOptions(scenario, level, core.ModeSimulate))
 				if err != nil {
 					t.Fatal(err)
 				}
