@@ -65,9 +65,10 @@ func (a *Arena) Bytes() []byte { return a.mem }
 
 // alloc bumps n bytes at the given alignment, or returns nil when the
 // arena is exhausted (callers fall back to the heap). The returned
-// memory is zeroed: fresh mappings are kernel-zeroed, but interleaved
-// grow/shrink patterns must not leak stale bytes into what make() would
-// have zeroed.
+// memory is zero as make() would leave it, and without being written:
+// the mapping is kernel-zeroed and the bump offset only ever advances, so
+// no byte is handed out twice — and a page the caller never writes is
+// never resident, which is what lets callers reserve more than they use.
 func (a *Arena) alloc(n, align int) []byte {
 	if a == nil || n < 0 {
 		return nil
@@ -77,9 +78,7 @@ func (a *Arena) alloc(n, align int) []byte {
 		return nil
 	}
 	a.off = start + n
-	b := a.mem[start : start+n : start+n]
-	clear(b)
-	return b
+	return a.mem[start : start+n : start+n]
 }
 
 // Close unmaps the region. Any slice previously returned from this

@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"upcbh/internal/arena"
+	"upcbh/internal/hostenv"
+	"upcbh/internal/octree"
 )
 
 // checkpointAt runs opts for k steps, checkpoints, and returns the
@@ -366,6 +368,56 @@ func TestRestoreRejectsVersion1(t *testing.T) {
 	check("Restore", err)
 	_, _, err = PeekCheckpointHeader(ckpt)
 	check("PeekCheckpointHeader", err)
+}
+
+// TestRestoreAcrossForceKernels: the header's env stamp records which
+// force kernel wrote the container (hostenv.Env.ForceKernel) but is
+// opaque to Restore, so a container written on an AVX2 host restores on
+// a portable-kernel host and vice versa — and, the kernels being
+// bit-identical, completes exactly like the uninterrupted run.
+func TestRestoreAcrossForceKernels(t *testing.T) {
+	opts := DefaultOptions(512, 1, LevelMergedBuild)
+	opts.Steps, opts.Warmup = 4, 1
+	opts.ExecMode = ModeNative
+	ref := runOnce(t, opts)
+
+	ckpt, src := checkpointAt(t, opts, 2)
+	defer src.Release()
+	h, err := arena.PeekHeader(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env hostenv.Env
+	if err := json.Unmarshal(h.Env, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.ForceKernel != octree.Kernel() {
+		t.Fatalf("header env force_kernel = %q, want this process's %q", env.ForceKernel, octree.Kernel())
+	}
+
+	env.ForceKernel = map[string]string{"avx2": "portable", "portable": "avx2"}[env.ForceKernel]
+	foreign, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions, err := src.checkpointRegions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := arena.WriteCheckpoint(&buf, opts.Key(), src.StepsDone(), foreign, regions); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(&buf)
+	if err != nil {
+		t.Fatalf("container stamped force_kernel=%q refused under %q: %v", env.ForceKernel, octree.Kernel(), err)
+	}
+	defer restored.Release()
+	got, err := restored.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBodies(t, got.Bodies, ref.Bodies)
 }
 
 // TestCheckpointRestoreFreshProcess re-executes the test binary so the

@@ -96,15 +96,19 @@ func TestNativeSteadyStateZeroAlloc(t *testing.T) {
 	opts := DefaultOptions(2048, 1, LevelMergedBuild)
 	opts.Steps, opts.Warmup = steps, warm
 	opts.ExecMode = ModeNative
+	var bodyBuf unsafe.Pointer // the thread's first §5.2 body buffer
 	opts.testStepHook = func(th *upc.Thread, step int) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		mallocs = append(mallocs, ms.Mallocs)
+		bodyBuf = unsafe.Pointer(currentSim.bodies.Local(th, currentSim.ts[0].buf[0]))
 	}
 	sim, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	currentSim = sim
+	defer func() { currentSim = nil }()
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +144,7 @@ func TestNativeSteadyStateZeroAlloc(t *testing.T) {
 	hi := lo + uintptr(len(mem))
 	inArena := func(name string, p unsafe.Pointer) {
 		if a := uintptr(p); a < lo || a >= hi {
-			t.Errorf("snapshot array %s at %#x is outside the arena [%#x,%#x)", name, a, lo, hi)
+			t.Errorf("%s at %#x is outside the arena [%#x,%#x)", name, a, lo, hi)
 		}
 	}
 	inArena("Nodes", unsafe.Pointer(&sn.ft.Nodes[0]))
@@ -149,6 +153,13 @@ func TestNativeSteadyStateZeroAlloc(t *testing.T) {
 	inArena("PM", unsafe.Pointer(&sn.ft.PM[0]))
 	inArena("Bodies.Pos", unsafe.Pointer(&sn.ft.Bodies.Pos[0]))
 	inArena("Bodies.Mass", unsafe.Pointer(&sn.ft.Bodies.Mass[0]))
+
+	// The thread's body chunk lives in its own arena, so the unwritten
+	// slack of the 4x-sized double buffers is never resident.
+	mem = sim.tmem[0].Bytes()
+	lo = uintptr(unsafe.Pointer(&mem[0]))
+	hi = lo + uintptr(len(mem))
+	inArena("body buffer", bodyBuf)
 }
 
 // TestNativeFlatSnapshotCoversTree cross-checks the snapshot against the

@@ -114,11 +114,11 @@ type Sim struct {
 	flat *flatState
 
 	// mem backs the global flat snapshots' hot arrays with off-heap
-	// (mmap) memory; tmem[i] backs thread i's local flat tree. Arenas
-	// are single-owner bump allocators, so the global one is touched
-	// only by thread 0 (the snapshot builder) and each tmem[i] only by
-	// its thread. All nil under ModeSimulate or when mmap is
-	// unavailable — growth then falls back to the Go heap.
+	// (mmap) memory; tmem[i] backs thread i's local flat tree and its
+	// body-heap chunk. Arenas are single-owner bump allocators, so the
+	// global one is touched only by thread 0 (the snapshot builder) and
+	// each tmem[i] only by its thread. All nil under ModeSimulate or
+	// when mmap is unavailable — growth then falls back to the Go heap.
 	mem  *arena.Arena
 	tmem []*arena.Arena
 
@@ -242,8 +242,8 @@ func New(opts Options) (*Sim, error) {
 	// are whole-struct assigned at creation, bodies copied/gathered in),
 	// so they can recycle chunk storage across simulations — the harness
 	// builds one Sim per configuration, and per-Sim chunk zeroing was a
-	// top allocation cost. See Release.
-	s.bodies.SetRecycle()
+	// top allocation cost. See Release. (The native flat path below takes
+	// its body chunks from the per-thread arenas instead.)
 	s.cells.SetRecycle()
 	s.geomS = upc.NewScalar(rt, rootGeom{})
 	s.tolS = upc.NewScalar(rt, opts.Theta)
@@ -263,13 +263,23 @@ func New(opts Options) (*Sim, error) {
 			s.flat.bufs[0].ft.SetArena(a)
 			s.flat.bufs[1].ft.SetArena(a)
 		}
+		// Each thread's arena also holds its body chunk. The §5.2 double
+		// buffers in it are sized for the worst redistribution and mostly
+		// never written; in a fresh mapping the unwritten pages are never
+		// resident, where a Go-heap chunk is zeroed through — all of it
+		// touched — whenever it happens to land on recycled address space.
 		s.tmem = make([]*arena.Arena, p)
 		for i := range s.ts {
-			if a, err := arena.New(1024*(opts.Bodies/p+1) + 1<<20); err == nil {
+			if a, err := arena.New(1024*(opts.Bodies/p+1) + 1<<20 + s.bodies.ChunkBytes()); err == nil {
 				s.tmem[i] = a
 				s.ts[i].lflat.SetArena(a)
 			}
 		}
+		s.bodies.SetChunkSource(func(thr, n int) []nbody.Body {
+			return arena.MakeSlice[nbody.Body](s.tmem[thr], n, n)
+		})
+	} else {
+		s.bodies.SetRecycle()
 	}
 	return s, nil
 }

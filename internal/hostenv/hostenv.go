@@ -12,6 +12,8 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+
+	"upcbh/internal/octree"
 )
 
 // Env is the machine stamp.
@@ -24,6 +26,9 @@ type Env struct {
 	// CPUModel is the "model name" line of /proc/cpuinfo, best-effort:
 	// empty on hosts without procfs.
 	CPUModel string `json:"cpu_model,omitempty"`
+	// ForceKernel is octree.Kernel(): which leaf kernels ("avx2" or
+	// "portable") the native force phase ran on this host and build.
+	ForceKernel string `json:"force_kernel"`
 }
 
 // Capture samples the current process environment. GOMAXPROCS and
@@ -32,12 +37,13 @@ type Env struct {
 // process lifetime — runs once.
 func Capture() Env {
 	return Env{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GoVersion:  runtime.Version(),
-		CPUModel:   cpuModel(),
+		NumCPU:      runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		GOOS:        runtime.GOOS,
+		GOARCH:      runtime.GOARCH,
+		GoVersion:   runtime.Version(),
+		CPUModel:    cpuModel(),
+		ForceKernel: octree.Kernel(),
 	}
 }
 

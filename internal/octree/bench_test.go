@@ -88,6 +88,27 @@ func benchmarkForceOnFlatBatch(b *testing.B, n int) {
 func BenchmarkForceOnFlatBatch(b *testing.B)    { benchmarkForceOnFlatBatch(b, 16384) }
 func BenchmarkForceOnFlatBatch32k(b *testing.B) { benchmarkForceOnFlatBatch(b, 32768) }
 
+// BenchmarkForceBatchKernels times one full force sweep (n = 16384,
+// theta = 1, Morton-order batches) per leaf-kernel implementation and
+// reports ns/interaction, so the portable fallback's cost on hosts
+// without AVX2 is a logged number next to the SIMD kernel's.
+func BenchmarkForceBatchKernels(b *testing.B) {
+	bodies := nbody.Plummer(16384, 1)
+	ft := BuildFlat(bodies)
+	for _, k := range testKernels() {
+		b.Run(k.name, func(b *testing.B) {
+			inter := 0
+			for i := 0; i < b.N; i++ {
+				inter = 0
+				for _, r := range solveWith(ft, k, 1.0, 0.05) {
+					inter += r.inter
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(inter), "ns/interaction")
+		})
+	}
+}
+
 // BenchmarkSolve/BenchmarkSolveFlat time a full build+force sweep in each
 // layout (the steady-state per-timestep work of the native hot path).
 func BenchmarkSolve(b *testing.B) {

@@ -3,7 +3,6 @@ package octree
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/nbody"
@@ -394,17 +393,20 @@ func radixSortByKey(keys []uint64, perm []int32, keyTmp []uint64, permTmp []int3
 // in the batched force kernel. Morton-adjacent bodies have almost
 // identical walks, so one descent amortizes the node loads, kid scans
 // and stack traffic across the lanes while each lane keeps its exact
-// solo interaction sequence.
+// solo interaction sequence. The batch's lanes are also the SIMD lanes
+// of the two leaf kernels in lanes.go (two 4-wide float64 halves).
 const FlatBatchWidth = 8
 
 // FlatWalker is the per-walker scratch of the force kernel: the
-// traversal stack and the gathered per-lane interaction lists. Many
-// walkers (one per thread) can traverse one read-only FlatTree
-// concurrently, each with its own FlatWalker; all buffers are retained,
-// so steady-state walks perform zero allocations.
+// traversal stack, the batch's shared masked interaction list and the
+// lane-transposed positions and accumulators. Many walkers (one per
+// thread) can traverse one read-only FlatTree concurrently, each with
+// its own FlatWalker; all buffers are retained, so steady-state walks
+// perform zero allocations.
 type FlatWalker struct {
 	stack []kidRange
-	list  [FlatBatchWidth][]PosMass
+	list  []laneEntry
+	lanes laneState
 }
 
 // kidRange is one suspended DFS frame: the kid entries [k, e) still to
@@ -454,53 +456,65 @@ func (w *FlatWalker) Force(ft *FlatTree, pos vec.V3, skip int32, theta, eps floa
 	return b.Acc[0], b.Phi[0], b.Inter[0]
 }
 
-// ForceBatch is the two-phase, batched force kernel.
+// ForceBatch is the two-phase, batched force kernel, run with the leaf
+// kernels this process selected at init (see Kernel).
 //
 // Phase 1 walks the tree once for all lanes with an explicit stack of
-// (kid range, active-lane mask) frames, gathering each lane's accepted
-// (position, mass) interaction records. A lane that accepts a cell is
-// masked out of that cell's subtree only, so every lane's record list is
-// exactly — in content and order — what its solo recursive walk would
-// interact with; Morton-adjacent lanes share almost their whole descent,
-// so node loads, kid scans and stack traffic amortize across the batch.
+// (kid range, active-lane mask) frames. A visited cell's opening test is
+// evaluated for all lanes at once; when any active lane accepts, ONE
+// {position, mass, lane mask} entry goes onto the batch's shared list
+// (a leaf's mask is the frame mask minus the lanes it is the self-skip
+// of). A lane that accepts a cell is masked out of that cell's subtree
+// only, so the subsequence of entries carrying a lane's bit is exactly —
+// in content and order — what its solo recursive walk would interact
+// with; Morton-adjacent lanes share almost their whole descent, so the
+// list is several times shorter than the lanes' interactions.
 //
-// Phase 2 streams each lane's contiguous list through the shared
-// Interact kernel. Splitting the phases takes the sqrt/divide chain out
-// of the shadow of the walk's data-dependent branches; because the list
-// preserves the visit order, the accumulated result is bit-identical to
-// the recursive pointer walk's.
+// Phase 2 streams the list once per 4-lane half through the interaction
+// kernel, every lane accumulating its own masked entries in list order,
+// so the result is bit-identical to the recursive pointer walk's.
 func (w *FlatWalker) ForceBatch(ft *FlatTree, b *FlatBatch, theta, eps float64) {
+	w.forceBatch(ft, b, theta, eps, kernel)
+}
+
+func (w *FlatWalker) forceBatch(ft *FlatTree, b *FlatBatch, theta, eps float64, k *laneKernel) {
 	thetaSq := theta * theta
 	nodes := ft.Nodes
 	kids := ft.Kids
 	pm := ft.PM
 	n := b.N
-	for lane := 0; lane < n; lane++ {
-		b.Acc[lane] = vec.V3{}
-		b.Phi[lane] = 0
-		b.Inter[lane] = 0
-	}
 	if len(nodes) == 0 || len(kids) == 0 || n == 0 {
-		return // empty tree or batch: nothing to do
+		// Empty tree or batch: no interactions.
+		for lane := 0; lane < n; lane++ {
+			b.Acc[lane], b.Phi[lane], b.Inter[lane] = vec.V3{}, 0, 0
+		}
+		return
 	}
-	epsSq := eps * eps
-	pos := b.Pos // stack copy: keeps the per-node mask loop off &b
-	for lane := 0; lane < n; lane++ {
-		w.list[lane] = w.list[lane][:0]
+
+	// Transpose the lane positions. Lanes past N never get a mask bit, so
+	// they contribute nothing; they are parked on lane 0's position only
+	// so the SIMD halves never chew on stale values.
+	st := &w.lanes
+	skipLo, skipHi := b.Skip[0], b.Skip[0]
+	for lane := 0; lane < FlatBatchWidth; lane++ {
+		p := b.Pos[0]
+		if lane < n {
+			p = b.Pos[lane]
+			skipLo, skipHi = min(skipLo, b.Skip[lane]), max(skipHi, b.Skip[lane])
+		}
+		st.X[lane], st.Y[lane], st.Z[lane] = p.X, p.Y, p.Z
 	}
+	list := w.list[:0]
 
 	// The root gets the same acceptance test the recursive walk applies
 	// to it; descents below run range-at-a-time.
 	root := &nodes[0]
-	rem := uint32(0)
-	for lane := 0; lane < n; lane++ {
-		if d2 := pos[lane].Dist2(root.CofM); root.LSq < thetaSq*d2 {
-			w.list[lane] = append(w.list[lane], PosMass{Pos: root.CofM, Mass: root.Mass})
-		} else {
-			rem |= 1 << uint(lane)
-		}
+	full := uint32(1)<<uint(n) - 1
+	acc := k.accept(st, root, thetaSq, full)
+	if acc != 0 {
+		list = append(list, laneEntry{PosMass{root.CofM, root.Mass}, uint64(acc)})
 	}
-	if rem != 0 {
+	if rem := full &^ acc; rem != 0 {
 		stack := w.stack[:0]
 		cur := kidRange{root.First, root.First + root.Count, rem}
 		for {
@@ -516,30 +530,29 @@ func (w *FlatWalker) ForceBatch(ft *FlatTree, b *FlatBatch, theta, eps float64) 
 			cur.k++
 			if c < 0 {
 				bi := FlatLeafBody(c)
-				p := pm[bi]
-				for m := cur.mask; m != 0; m &= m - 1 {
-					lane := bits.TrailingZeros32(m)
-					if bi == b.Skip[lane] {
+				m := cur.mask
+				if bi >= skipLo && bi <= skipHi {
+					for lane := 0; lane < n; lane++ {
+						if b.Skip[lane] == bi {
+							m &^= 1 << uint(lane)
+						}
+					}
+					if m == 0 {
 						continue
 					}
-					w.list[lane] = append(w.list[lane], p)
 				}
+				list = append(list, laneEntry{pm[bi], uint64(m)})
 				continue
 			}
 			nd := &nodes[c]
-			// Inlined Accept per lane: l*l < theta^2 * d^2, in squared
-			// form, with l*l precomputed as LSq. Accepting masks the lane
-			// out of this subtree only — siblings keep the frame's mask.
-			open := uint32(0)
-			for m := cur.mask; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				d2 := pos[lane].Dist2(nd.CofM)
-				if nd.LSq < thetaSq*d2 {
-					w.list[lane] = append(w.list[lane], PosMass{Pos: nd.CofM, Mass: nd.Mass})
-				} else {
-					open |= 1 << uint(lane)
-				}
+			// Accept (l*l < theta^2 * d^2, with l*l precomputed as LSq)
+			// for every active lane. Accepting masks the lane out of this
+			// subtree only — siblings keep the frame's mask.
+			acc := k.accept(st, nd, thetaSq, cur.mask)
+			if acc != 0 {
+				list = append(list, laneEntry{PosMass{nd.CofM, nd.Mass}, uint64(acc)})
 			}
+			open := cur.mask &^ acc
 			if open == 0 {
 				continue
 			}
@@ -552,69 +565,13 @@ func (w *FlatWalker) ForceBatch(ft *FlatTree, b *FlatBatch, theta, eps float64) 
 		}
 		w.stack = stack[:0]
 	}
+	w.list = list
 
-	// Phase 2: stream each lane's contiguous list through the interaction
-	// kernel. Phase 1 already hoisted every data-dependent branch (accept
-	// tests, self-skip) out of this loop, so the body is straight-line
-	// float code over packed 32-byte PosMass records: unrolled four wide
-	// with scalar component accumulators, the four sqrt/divide chains per
-	// iteration are independent and overlap in the hardware pipelines,
-	// and nothing here needs the branch predictor. Each accumulator is
-	// updated strictly in list order with the exact operation shapes of
-	// nbody.InteractAccum (dx*dx+dy*dy+dz*dz+epsSq; 1/sqrt; m*inv³), so
-	// the sums stay bit-identical to the recursive pointer walk's —
-	// unrolling only reorders operations across *independent* chains,
-	// never within an accumulator's dependency chain.
+	k.interact(list, st, eps*eps)
 	for lane := 0; lane < n; lane++ {
-		list := w.list[lane]
-		p := pos[lane]
-		px, py, pz := p.X, p.Y, p.Z
-		var accX, accY, accZ, phi float64
-		i := 0
-		for ; i+4 <= len(list); i += 4 {
-			q0, q1, q2, q3 := &list[i], &list[i+1], &list[i+2], &list[i+3]
-			dx0, dy0, dz0 := q0.Pos.X-px, q0.Pos.Y-py, q0.Pos.Z-pz
-			dx1, dy1, dz1 := q1.Pos.X-px, q1.Pos.Y-py, q1.Pos.Z-pz
-			dx2, dy2, dz2 := q2.Pos.X-px, q2.Pos.Y-py, q2.Pos.Z-pz
-			dx3, dy3, dz3 := q3.Pos.X-px, q3.Pos.Y-py, q3.Pos.Z-pz
-			inv0 := 1 / math.Sqrt(dx0*dx0+dy0*dy0+dz0*dz0+epsSq)
-			inv1 := 1 / math.Sqrt(dx1*dx1+dy1*dy1+dz1*dz1+epsSq)
-			inv2 := 1 / math.Sqrt(dx2*dx2+dy2*dy2+dz2*dz2+epsSq)
-			inv3 := 1 / math.Sqrt(dx3*dx3+dy3*dy3+dz3*dz3+epsSq)
-			s0 := q0.Mass * inv0 * inv0 * inv0
-			s1 := q1.Mass * inv1 * inv1 * inv1
-			s2 := q2.Mass * inv2 * inv2 * inv2
-			s3 := q3.Mass * inv3 * inv3 * inv3
-			accX += dx0 * s0
-			accY += dy0 * s0
-			accZ += dz0 * s0
-			phi += -q0.Mass * inv0
-			accX += dx1 * s1
-			accY += dy1 * s1
-			accZ += dz1 * s1
-			phi += -q1.Mass * inv1
-			accX += dx2 * s2
-			accY += dy2 * s2
-			accZ += dz2 * s2
-			phi += -q2.Mass * inv2
-			accX += dx3 * s3
-			accY += dy3 * s3
-			accZ += dz3 * s3
-			phi += -q3.Mass * inv3
-		}
-		for ; i < len(list); i++ {
-			q := &list[i]
-			dx, dy, dz := q.Pos.X-px, q.Pos.Y-py, q.Pos.Z-pz
-			inv := 1 / math.Sqrt(dx*dx+dy*dy+dz*dz+epsSq)
-			s := q.Mass * inv * inv * inv
-			accX += dx * s
-			accY += dy * s
-			accZ += dz * s
-			phi += -q.Mass * inv
-		}
-		b.Acc[lane] = vec.V3{X: accX, Y: accY, Z: accZ}
-		b.Phi[lane] = phi
-		b.Inter[lane] = len(list)
+		b.Acc[lane] = vec.V3{X: st.AccX[lane], Y: st.AccY[lane], Z: st.AccZ[lane]}
+		b.Phi[lane] = st.Phi[lane]
+		b.Inter[lane] = int(st.Inter[lane])
 	}
 }
 

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -281,68 +282,196 @@ func FuzzFlatEquivalence(f *testing.F) {
 		ft := BuildFlat(bodies)
 		assertFlatMatchesPointer(t, ft, pt, bodies)
 
-		// Spot-check forces on a few bodies.
-		for j := 0; j < ft.Bodies.Len(); j += 17 {
-			orig := ft.Bodies.ID[j]
-			pacc, pphi, pinter := pt.ForceOn(&bodies[orig], 0.8, 0.05)
-			facc, fphi, finter := ft.ForceOn(int32(j), 0.8, 0.05)
-			if finter != pinter || !vecClose(facc, pacc, ulpTol) || !relClose(fphi, pphi, ulpTol) {
-				t.Fatalf("body %d: flat force {%v %g %d} != pointer {%v %g %d}",
-					orig, facc, fphi, finter, pacc, pphi, pinter)
+		// Every body, through every leaf-kernel implementation this host
+		// can run, in full batches (so all eight lanes are exercised).
+		for _, k := range testKernels() {
+			got := solveWith(ft, k, 0.8, 0.05)
+			for j := 0; j < ft.Bodies.Len(); j++ {
+				orig := ft.Bodies.ID[j]
+				pacc, pphi, pinter := pt.ForceOn(&bodies[orig], 0.8, 0.05)
+				g := got[j]
+				if g.inter != pinter || !vecClose(g.acc, pacc, ulpTol) || !relClose(g.phi, pphi, ulpTol) {
+					t.Fatalf("%s body %d: flat force {%v %g %d} != pointer {%v %g %d}",
+						k.name, orig, g.acc, g.phi, g.inter, pacc, pphi, pinter)
+				}
 			}
 		}
 	})
 }
 
-// TestForceBatchUnrollReferenceStream pins the widened phase-2 loop
-// against the canonical interaction kernel: after a batch walk,
-// re-streaming each lane's gathered interaction list through
-// nbody.InteractAccum in list order must reproduce Acc/Phi to within
-// ulpTol. The body counts and thetas sweep list lengths across the
-// 4-wide unroll boundary, so every remainder 0..3 is exercised.
-//
-// The comparison uses ulpTol rather than exact == for the reason the
-// file header documents: a reference loop compiled here is a separate
-// inlined copy of the same expressions, and copies can differ by an ulp
-// even though the kernel itself is deterministic. The hard bit-identity
-// contract of the unroll — that it reproduces the recursive pointer
-// walk exactly — is enforced by TestFlatVsPointerPerScenario and
-// FuzzFlatEquivalence, which compare package-compiled code paths.
-func TestForceBatchUnrollReferenceStream(t *testing.T) {
-	const eps = 0.05
-	epsSq := eps * eps
-	for _, n := range []int{2, 3, 4, 5, 6, 7, 9, 16, 33, 257} {
-		bodies := nbody.Plummer(n, uint64(n))
+// testKernels lists the leaf-kernel implementations this host can run:
+// the portable one always, the SIMD one when the CPU has it.
+func testKernels() []*laneKernel {
+	ks := []*laneKernel{&portableKernel}
+	if k := simdKernel(); k != nil {
+		ks = append(ks, k)
+	}
+	return ks
+}
+
+type laneResult struct {
+	acc   vec.V3
+	phi   float64
+	inter int
+}
+
+// solveWith is SolveInto with an explicit leaf kernel: the force on every
+// body (self skipped), indexed by SoA slot, walked in Morton order in
+// batches of FlatBatchWidth.
+func solveWith(ft *FlatTree, k *laneKernel, theta, eps float64) []laneResult {
+	var w FlatWalker
+	var fb FlatBatch
+	n := ft.Bodies.Len()
+	out := make([]laneResult, n)
+	for j := 0; j < n; j += FlatBatchWidth {
+		fb.N = min(FlatBatchWidth, n-j)
+		for lane := 0; lane < fb.N; lane++ {
+			fb.Pos[lane] = ft.Bodies.Pos[j+lane]
+			fb.Skip[lane] = int32(j + lane)
+		}
+		w.forceBatch(ft, &fb, theta, eps, k)
+		for lane := 0; lane < fb.N; lane++ {
+			out[j+lane] = laneResult{fb.Acc[lane], fb.Phi[lane], fb.Inter[lane]}
+		}
+	}
+	return out
+}
+
+// TestKernelAVX2MatchesPortable is the assembly's contract: on every
+// body of every scenario, across opening angles and with and without
+// softening, the AVX2 leaf kernels produce exactly (==) the portable
+// kernels' accelerations, potentials and interaction counts.
+func TestKernelAVX2MatchesPortable(t *testing.T) {
+	simd := simdKernel()
+	if simd == nil {
+		t.Skipf("no SIMD leaf kernel on this host/build (Kernel() = %q): nothing to compare", Kernel())
+	}
+	n := 1501 // not a multiple of FlatBatchWidth: the last batch has a 5-lane tail
+	if testing.Short() {
+		n = 301
+	}
+	for _, scn := range nbody.ScenarioNames() {
+		bodies, err := nbody.GenerateScenario(scn, n, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ft := BuildFlat(bodies)
-		var w FlatWalker
-		var b FlatBatch
-		for _, theta := range []float64{0.5, 1.0, 1.8} {
-			for base := 0; base < ft.Bodies.Len(); base += FlatBatchWidth {
-				wd := FlatBatchWidth
-				if ft.Bodies.Len()-base < wd {
-					wd = ft.Bodies.Len() - base
-				}
-				b.N = wd
-				for lane := 0; lane < wd; lane++ {
-					b.Pos[lane] = ft.Bodies.Pos[base+lane]
-					b.Skip[lane] = int32(base + lane)
-				}
-				w.ForceBatch(ft, &b, theta, eps)
-				// The walker retains each lane's gathered list after the
-				// call; the unrolled loop must have consumed it exactly as
-				// the straight-line reference stream would.
-				for lane := 0; lane < wd; lane++ {
-					var acc vec.V3
-					var phi float64
-					for _, q := range w.list[lane] {
-						nbody.InteractAccum(&acc, &phi, b.Pos[lane], q.Pos, q.Mass, epsSq)
-					}
-					if !vecClose(b.Acc[lane], acc, ulpTol) || !relClose(b.Phi[lane], phi, ulpTol) {
-						t.Fatalf("n=%d theta=%g lane %d (list len %d): batch {%v %g} != reference {%v %g}",
-							n, theta, lane, len(w.list[lane]), b.Acc[lane], b.Phi[lane], acc, phi)
+		for _, theta := range []float64{0.3, 0.5, 1.0, 1.8} {
+			for _, eps := range []float64{0, 0.05} {
+				want := solveWith(ft, &portableKernel, theta, eps)
+				got := solveWith(ft, simd, theta, eps)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%s theta=%g eps=%g slot %d: %s %+v != portable %+v",
+							scn, theta, eps, j, simd.name, got[j], want[j])
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestForceBatchUnrollReferenceStream pins phase 2 against the canonical
+// interaction kernel: after a batch walk, re-streaming each lane's masked
+// entries of the shared list through nbody.InteractAccum in list order
+// must reproduce Acc/Phi to within ulpTol and Inter exactly, for every
+// leaf-kernel implementation the host can run. The sweep covers what the
+// lane layout makes interesting: batch tails of 1..7 lanes (unused lanes
+// contribute nothing), entries whose low or high 4-lane half is entirely
+// masked out, eps = 0 (the self-skip lane computes 0*Inf; a leaked mask
+// shows up as NaN), Skip = -1 and a Skip slot outside the batch (core's
+// skipFor produces both).
+//
+// The comparison uses ulpTol rather than exact == for the reason the
+// file header documents: a reference loop compiled here is a separate
+// inlined copy of the same expressions, and copies can differ by an ulp
+// on architectures that fuse. The hard bit-identity contracts — AVX2 ==
+// portable, flat == recursive pointer walk — are enforced by
+// TestKernelAVX2MatchesPortable, TestFlatVsPointerPerScenario and
+// core's TestNativeFlatExactSingleThread.
+func TestForceBatchUnrollReferenceStream(t *testing.T) {
+	const (
+		skipSelf  = iota // the lane's own slot: the hot path
+		skipNone         // -1
+		skipOther        // another body's slot, outside the batch once the tree has >= 16 bodies
+	)
+	var lowEmpty, highEmpty int // entries seen with an all-masked half
+	for _, k := range testKernels() {
+		for _, n := range []int{2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 33, 257} {
+			ft := BuildFlat(nbody.Plummer(n, uint64(n)))
+			nb := ft.Bodies.Len()
+			var w FlatWalker
+			var b FlatBatch
+			for _, theta := range []float64{0.5, 1.0, 1.8} {
+				for _, eps := range []float64{0, 0.05} {
+					for mode := skipSelf; mode <= skipOther; mode++ {
+						for base := 0; base < nb; base += FlatBatchWidth {
+							b.N = min(FlatBatchWidth, nb-base)
+							for lane := 0; lane < b.N; lane++ {
+								b.Pos[lane] = ft.Bodies.Pos[base+lane]
+								switch mode {
+								case skipSelf:
+									b.Skip[lane] = int32(base + lane)
+								case skipNone:
+									b.Skip[lane] = -1
+								case skipOther:
+									b.Skip[lane] = int32((base + FlatBatchWidth + lane) % nb)
+								}
+								if mode != skipSelf {
+									// Off every body, so nothing coincides
+									// with an interaction partner at eps = 0.
+									b.Pos[lane].X += 1e-3
+								}
+							}
+							w.forceBatch(ft, &b, theta, eps, k)
+							for _, q := range w.list {
+								if q.Mask&0x0f == 0 {
+									lowEmpty++
+								}
+								if q.Mask&0xf0 == 0 {
+									highEmpty++
+								}
+							}
+							if err := checkReferenceStream(&w, &b, eps); err != nil {
+								t.Fatalf("%s n=%d theta=%g eps=%g mode %d base %d: %v", k.name, n, theta, eps, mode, base, err)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if lowEmpty == 0 || highEmpty == 0 {
+		t.Errorf("sweep saw %d entries with the low half masked out and %d with the high half: want both > 0", lowEmpty, highEmpty)
+	}
+}
+
+// checkReferenceStream re-streams the shared list the walker retains
+// after a forceBatch call: every entry's mask must name only lanes of
+// the batch, and each lane's masked subsequence, fed through
+// nbody.InteractAccum in list order, must reproduce what the kernel
+// wrote for that lane.
+func checkReferenceStream(w *FlatWalker, b *FlatBatch, eps float64) error {
+	for _, q := range w.list {
+		if q.Mask == 0 || q.Mask>>uint(b.N) != 0 {
+			return fmt.Errorf("entry mask %#x for a %d-lane batch", q.Mask, b.N)
+		}
+	}
+	for lane := 0; lane < b.N; lane++ {
+		var acc vec.V3
+		var phi float64
+		inter := 0
+		for _, q := range w.list {
+			if q.Mask>>uint(lane)&1 == 0 {
+				continue
+			}
+			nbody.InteractAccum(&acc, &phi, b.Pos[lane], q.Pos, q.Mass, eps*eps)
+			inter++
+		}
+		if !vecClose(b.Acc[lane], acc, ulpTol) || !relClose(b.Phi[lane], phi, ulpTol) || b.Inter[lane] != inter {
+			return fmt.Errorf("lane %d: batch {%v %g %d} != reference {%v %g %d}",
+				lane, b.Acc[lane], b.Phi[lane], b.Inter[lane], acc, phi, inter)
+		}
+	}
+	return nil
 }

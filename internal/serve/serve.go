@@ -36,6 +36,7 @@ import (
 
 	"upcbh/internal/bench"
 	"upcbh/internal/core"
+	"upcbh/internal/hostenv"
 	"upcbh/internal/store"
 )
 
@@ -593,13 +594,14 @@ type Stats struct {
 	Draining         bool              `json:"draining"`
 	Store            *store.Stats      `json:"store,omitempty"`       // nil without -store
 	Checkpoints      *CkptStats        `json:"checkpoints,omitempty"` // nil without -store
+	Env              hostenv.Env       `json:"env"`                   // the host stamp reports and checkpoints carry
 }
 
 // Stats assembles the observability snapshot. It takes no shard tasks —
 // it must answer even when every queue is full.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
-	st := Stats{Sessions: s.stats, Draining: s.draining}
+	st := Stats{Sessions: s.stats, Draining: s.draining, Env: hostenv.Capture()}
 	st.Sessions.Live = len(s.sessions)
 	ck := s.ckpt
 	perShard := make(map[*shard]int)

@@ -16,6 +16,7 @@ import (
 
 	"upcbh/internal/arena"
 	"upcbh/internal/core"
+	"upcbh/internal/hostenv"
 )
 
 // testOpts is a fast session configuration: small body count, few steps.
@@ -489,6 +490,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	if len(st.Shards) != 2 {
 		t.Fatalf("stats shards: %+v", st.Shards)
+	}
+	// ... and say which host and force kernel served it.
+	if want := hostenv.Capture(); st.Env != want || st.Env.ForceKernel == "" {
+		t.Fatalf("stats env = %+v, want %+v with a force_kernel", st.Env, want)
 	}
 }
 

@@ -172,7 +172,7 @@ func (h *Heap[T]) GrowShard(thr int, n int32) error {
 				continue
 			}
 		}
-		c := make([]T, cs)
+		c := h.newBacking(thr, 1)
 		sh.table[j].Store(&c)
 	}
 	sh.n = n
