@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"math/bits"
 	"testing"
 
 	"upcbh/internal/nbody"
@@ -89,7 +90,7 @@ func BenchmarkForceOnFlatBatch(b *testing.B)    { benchmarkForceOnFlatBatch(b, 1
 func BenchmarkForceOnFlatBatch32k(b *testing.B) { benchmarkForceOnFlatBatch(b, 32768) }
 
 // BenchmarkForceBatchKernels times one full force sweep (n = 16384,
-// theta = 1, Morton-order batches) per leaf-kernel implementation and
+// theta = 1, Morton-order batches) per force-kernel implementation and
 // reports ns/interaction, so the portable fallback's cost on hosts
 // without AVX2 is a logged number next to the SIMD kernel's.
 func BenchmarkForceBatchKernels(b *testing.B) {
@@ -108,6 +109,45 @@ func BenchmarkForceBatchKernels(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAcceptChain is why the AVX2 kernel is one fused pass (DESIGN.md
+// §8.4): the same opening tests over the same cells cost several times
+// more when each test's cell depends on the previous test's answer — as
+// in a tree walk, where the answer decides between descending and moving
+// on — than when the cells are known in advance. The walk is bound by
+// that latency chain, not by arithmetic throughput, which leaves the
+// core free to run interactions underneath it. Portable accept, so the
+// pair runs on every GOARCH, with one active lane: one short
+// subtract-square-sum-compare chain per test, the shape of the SIMD
+// test of all eight.
+func BenchmarkAcceptChain(b *testing.B) {
+	ft := BuildFlat(nbody.Plummer(16384, 1))
+	var st laneState
+	for lane := 0; lane < FlatBatchWidth; lane++ {
+		p := ft.Bodies.Pos[lane]
+		st.X[lane], st.Y[lane], st.Z[lane] = p.X, p.Y, p.Z
+	}
+	nodes := ft.Nodes[:1<<(bits.Len(uint(len(ft.Nodes)))-1)] // a power of two: the index wraps with a mask
+	wrap := len(nodes) - 1
+	b.Run("independent", func(b *testing.B) {
+		sink := uint32(0)
+		for i := 0; i < b.N; i++ {
+			sink += acceptLanesGo(&st, &nodes[i*7&wrap], 1.0, 0x01)
+		}
+		acceptSink = sink
+	})
+	b.Run("dependent", func(b *testing.B) {
+		sink, at := uint32(0), 0
+		for i := 0; i < b.N; i++ {
+			acc := acceptLanesGo(&st, &nodes[at], 1.0, 0x01)
+			at = (at + 7 + int(acc&1)) & wrap
+			sink += acc
+		}
+		acceptSink = sink
+	})
+}
+
+var acceptSink uint32
 
 // BenchmarkSolve/BenchmarkSolveFlat time a full build+force sweep in each
 // layout (the steady-state per-timestep work of the native hot path).

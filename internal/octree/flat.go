@@ -27,9 +27,10 @@ import (
 // order as ComputeCofM, so CofM/Mass agree bit for bit. The fuzz and
 // property tests in flat_test.go pin this equivalence.
 
-// flatMaxDepth bounds the flat build's recursion; exceeding it means
-// (near-)coincident bodies the octree cannot separate, matching the
-// pointer builder's panic.
+// flatMaxDepth bounds the depth of a flat tree (the root is depth 0);
+// exceeding it means (near-)coincident bodies the octree cannot separate,
+// matching the pointer builder's panic. The force walk's fixed frame
+// stack is sized by it.
 const flatMaxDepth = 64
 
 // FlatNode is the hot record of one cell: exactly the fields the force
@@ -394,28 +395,22 @@ func radixSortByKey(keys []uint64, perm []int32, keyTmp []uint64, permTmp []int3
 // identical walks, so one descent amortizes the node loads, kid scans
 // and stack traffic across the lanes while each lane keeps its exact
 // solo interaction sequence. The batch's lanes are also the SIMD lanes
-// of the two leaf kernels in lanes.go (two 4-wide float64 halves).
+// of the force kernel in lanes.go (two 4-wide float64 halves).
 const FlatBatchWidth = 8
 
 // FlatWalker is the per-walker scratch of the force kernel: the
-// traversal stack, the batch's shared masked interaction list and the
-// lane-transposed positions and accumulators. Many walkers (one per
-// thread) can traverse one read-only FlatTree concurrently, each with
-// its own FlatWalker; all buffers are retained, so steady-state walks
-// perform zero allocations.
+// lane-transposed positions and accumulators, the traversal's frame stack
+// and the portable kernel's shared masked interaction list. Many walkers
+// (one per thread) can traverse one read-only FlatTree concurrently, each
+// with its own FlatWalker; all buffers are retained, so steady-state
+// walks perform zero allocations.
 type FlatWalker struct {
-	stack []kidRange
 	list  []laneEntry
 	lanes laneState
-}
-
-// kidRange is one suspended DFS frame: the kid entries [k, e) still to
-// visit in some cell, and the mask of batch lanes active there. Opening
-// a cell pushes the remainder of the current frame and continues into
-// the child's range — one push per opened cell instead of one per child.
-type kidRange struct {
-	k, e int32
-	mask uint32
+	// frames is fixed-size because the assembly kernel writes it without
+	// the runtime's help; flatMaxDepth+1 suffice (see forceLanesGo). It is
+	// the last field so a test can put guard words right behind it.
+	frames [flatMaxDepth + 1]kidRange
 }
 
 // FlatBatch carries up to FlatBatchWidth force queries through one
@@ -456,34 +451,18 @@ func (w *FlatWalker) Force(ft *FlatTree, pos vec.V3, skip int32, theta, eps floa
 	return b.Acc[0], b.Phi[0], b.Inter[0]
 }
 
-// ForceBatch is the two-phase, batched force kernel, run with the leaf
-// kernels this process selected at init (see Kernel).
-//
-// Phase 1 walks the tree once for all lanes with an explicit stack of
-// (kid range, active-lane mask) frames. A visited cell's opening test is
-// evaluated for all lanes at once; when any active lane accepts, ONE
-// {position, mass, lane mask} entry goes onto the batch's shared list
-// (a leaf's mask is the frame mask minus the lanes it is the self-skip
-// of). A lane that accepts a cell is masked out of that cell's subtree
-// only, so the subsequence of entries carrying a lane's bit is exactly —
-// in content and order — what its solo recursive walk would interact
-// with; Morton-adjacent lanes share almost their whole descent, so the
-// list is several times shorter than the lanes' interactions.
-//
-// Phase 2 streams the list once per 4-lane half through the interaction
-// kernel, every lane accumulating its own masked entries in list order,
-// so the result is bit-identical to the recursive pointer walk's.
+// ForceBatch is the batched force kernel, run with the implementation
+// this process selected at init (see Kernel): one tree traversal for all
+// lanes, each lane accumulating exactly the interactions of its solo
+// recursive walk in DFS order, so the result is bit-identical to the
+// pointer walk's whichever implementation runs.
 func (w *FlatWalker) ForceBatch(ft *FlatTree, b *FlatBatch, theta, eps float64) {
 	w.forceBatch(ft, b, theta, eps, kernel)
 }
 
 func (w *FlatWalker) forceBatch(ft *FlatTree, b *FlatBatch, theta, eps float64, k *laneKernel) {
-	thetaSq := theta * theta
-	nodes := ft.Nodes
-	kids := ft.Kids
-	pm := ft.PM
 	n := b.N
-	if len(nodes) == 0 || len(kids) == 0 || n == 0 {
+	if len(ft.Nodes) == 0 || len(ft.Kids) == 0 || n == 0 {
 		// Empty tree or batch: no interactions.
 		for lane := 0; lane < n; lane++ {
 			b.Acc[lane], b.Phi[lane], b.Inter[lane] = vec.V3{}, 0, 0
@@ -495,79 +474,15 @@ func (w *FlatWalker) forceBatch(ft *FlatTree, b *FlatBatch, theta, eps float64, 
 	// they contribute nothing; they are parked on lane 0's position only
 	// so the SIMD halves never chew on stale values.
 	st := &w.lanes
-	skipLo, skipHi := b.Skip[0], b.Skip[0]
 	for lane := 0; lane < FlatBatchWidth; lane++ {
 		p := b.Pos[0]
 		if lane < n {
 			p = b.Pos[lane]
-			skipLo, skipHi = min(skipLo, b.Skip[lane]), max(skipHi, b.Skip[lane])
 		}
 		st.X[lane], st.Y[lane], st.Z[lane] = p.X, p.Y, p.Z
 	}
-	list := w.list[:0]
-
-	// The root gets the same acceptance test the recursive walk applies
-	// to it; descents below run range-at-a-time.
-	root := &nodes[0]
-	full := uint32(1)<<uint(n) - 1
-	acc := k.accept(st, root, thetaSq, full)
-	if acc != 0 {
-		list = append(list, laneEntry{PosMass{root.CofM, root.Mass}, uint64(acc)})
-	}
-	if rem := full &^ acc; rem != 0 {
-		stack := w.stack[:0]
-		cur := kidRange{root.First, root.First + root.Count, rem}
-		for {
-			if cur.k >= cur.e {
-				if len(stack) == 0 {
-					break
-				}
-				cur = stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			c := kids[cur.k]
-			cur.k++
-			if c < 0 {
-				bi := FlatLeafBody(c)
-				m := cur.mask
-				if bi >= skipLo && bi <= skipHi {
-					for lane := 0; lane < n; lane++ {
-						if b.Skip[lane] == bi {
-							m &^= 1 << uint(lane)
-						}
-					}
-					if m == 0 {
-						continue
-					}
-				}
-				list = append(list, laneEntry{pm[bi], uint64(m)})
-				continue
-			}
-			nd := &nodes[c]
-			// Accept (l*l < theta^2 * d^2, with l*l precomputed as LSq)
-			// for every active lane. Accepting masks the lane out of this
-			// subtree only — siblings keep the frame's mask.
-			acc := k.accept(st, nd, thetaSq, cur.mask)
-			if acc != 0 {
-				list = append(list, laneEntry{PosMass{nd.CofM, nd.Mass}, uint64(acc)})
-			}
-			open := cur.mask &^ acc
-			if open == 0 {
-				continue
-			}
-			// Open the cell: suspend the rest of this frame, continue in
-			// the child's kid range — exactly the recursive DFS order.
-			if cur.k < cur.e {
-				stack = append(stack, cur)
-			}
-			cur = kidRange{nd.First, nd.First + nd.Count, open}
-		}
-		w.stack = stack[:0]
-	}
-	w.list = list
-
-	k.interact(list, st, eps*eps)
+	st.Skip = b.Skip
+	k.force(w, ft, n, theta, eps)
 	for lane := 0; lane < n; lane++ {
 		b.Acc[lane] = vec.V3{X: st.AccX[lane], Y: st.AccY[lane], Z: st.AccZ[lane]}
 		b.Phi[lane] = st.Phi[lane]
@@ -628,18 +543,22 @@ func FlatFromTree(t *Tree) *FlatTree {
 	return ft
 }
 
-// FromTree rebuilds ft from a pointer tree, reusing arenas.
+// FromTree rebuilds ft from a pointer tree, reusing arenas. Like the flat
+// build, it panics on a tree deeper than flatMaxDepth.
 func (ft *FlatTree) FromTree(t *Tree) {
 	ft.Center, ft.Half = t.Root.Center, t.Root.Half
 	ft.Nodes = ft.Nodes[:0]
 	ft.Meta = ft.Meta[:0]
 	ft.Kids = ft.Kids[:0]
 	ft.Bodies.Resize(0)
-	ft.convCell(t.Root)
+	ft.convCell(t.Root, 0)
 	ft.PackPM()
 }
 
-func (ft *FlatTree) convCell(n *Node) int32 {
+func (ft *FlatTree) convCell(n *Node, depth int) int32 {
+	if depth > flatMaxDepth {
+		panic("octree: flat tree depth limit exceeded (coincident bodies?)")
+	}
 	idx := ft.newNode(n.Center, n.Half)
 	first := int32(len(ft.Kids))
 	nkids := int32(0)
@@ -665,7 +584,7 @@ func (ft *FlatTree) convCell(n *Node) int32 {
 			ft.Bodies.Set(bi, b.Pos, b.Mass, b.Cost, b.ID)
 			ft.Kids[ki] = FlatLeaf(int32(bi))
 		} else {
-			ft.Kids[ki] = ft.convCell(ch)
+			ft.Kids[ki] = ft.convCell(ch, depth+1)
 		}
 		ki++
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"upcbh/internal/nbody"
 	"upcbh/internal/rng"
@@ -209,7 +210,7 @@ func TestFlatRebuildReusesArenas(t *testing.T) {
 func TestFlatForceOnZeroAlloc(t *testing.T) {
 	bodies := nbody.Plummer(4096, 1)
 	ft := BuildFlat(bodies)
-	ft.ForceOn(0, 1.0, 0.05) // warm the walk stack
+	ft.ForceOn(0, 1.0, 0.05) // warm the walker's buffers
 	j := int32(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		ft.ForceOn(j%int32(ft.Bodies.Len()), 1.0, 0.05)
@@ -282,7 +283,7 @@ func FuzzFlatEquivalence(f *testing.F) {
 		ft := BuildFlat(bodies)
 		assertFlatMatchesPointer(t, ft, pt, bodies)
 
-		// Every body, through every leaf-kernel implementation this host
+		// Every body, through every force-kernel implementation this host
 		// can run, in full batches (so all eight lanes are exercised).
 		for _, k := range testKernels() {
 			got := solveWith(ft, k, 0.8, 0.05)
@@ -299,7 +300,7 @@ func FuzzFlatEquivalence(f *testing.F) {
 	})
 }
 
-// testKernels lists the leaf-kernel implementations this host can run:
+// testKernels lists the force-kernel implementations this host can run:
 // the portable one always, the SIMD one when the CPU has it.
 func testKernels() []*laneKernel {
 	ks := []*laneKernel{&portableKernel}
@@ -315,11 +316,16 @@ type laneResult struct {
 	inter int
 }
 
-// solveWith is SolveInto with an explicit leaf kernel: the force on every
+// solveWith is SolveInto with an explicit kernel: the force on every
 // body (self skipped), indexed by SoA slot, walked in Morton order in
 // batches of FlatBatchWidth.
 func solveWith(ft *FlatTree, k *laneKernel, theta, eps float64) []laneResult {
 	var w FlatWalker
+	return solveOn(&w, ft, k, theta, eps)
+}
+
+// solveOn is solveWith on the caller's walker.
+func solveOn(w *FlatWalker, ft *FlatTree, k *laneKernel, theta, eps float64) []laneResult {
 	var fb FlatBatch
 	n := ft.Bodies.Len()
 	out := make([]laneResult, n)
@@ -339,12 +345,12 @@ func solveWith(ft *FlatTree, k *laneKernel, theta, eps float64) []laneResult {
 
 // TestKernelAVX2MatchesPortable is the assembly's contract: on every
 // body of every scenario, across opening angles and with and without
-// softening, the AVX2 leaf kernels produce exactly (==) the portable
-// kernels' accelerations, potentials and interaction counts.
+// softening, the fused AVX2 kernel produces exactly (==) the portable
+// kernel's accelerations, potentials and interaction counts.
 func TestKernelAVX2MatchesPortable(t *testing.T) {
 	simd := simdKernel()
 	if simd == nil {
-		t.Skipf("no SIMD leaf kernel on this host/build (Kernel() = %q): nothing to compare", Kernel())
+		t.Skipf("no SIMD force kernel on this host/build (Kernel() = %q): nothing to compare", Kernel())
 	}
 	n := 1501 // not a multiple of FlatBatchWidth: the last batch has a 5-lane tail
 	if testing.Short() {
@@ -371,23 +377,48 @@ func TestKernelAVX2MatchesPortable(t *testing.T) {
 	}
 }
 
-// TestForceBatchUnrollReferenceStream pins phase 2 against the canonical
-// interaction kernel: after a batch walk, re-streaming each lane's masked
-// entries of the shared list through nbody.InteractAccum in list order
-// must reproduce Acc/Phi to within ulpTol and Inter exactly, for every
-// leaf-kernel implementation the host can run. The sweep covers what the
-// lane layout makes interesting: batch tails of 1..7 lanes (unused lanes
-// contribute nothing), entries whose low or high 4-lane half is entirely
-// masked out, eps = 0 (the self-skip lane computes 0*Inf; a leaked mask
-// shows up as NaN), Skip = -1 and a Skip slot outside the batch (core's
-// skipFor produces both).
+// batchOracle runs b through the portable kernel, checks its shared list
+// against the canonical interaction kernel (checkReferenceStream), then
+// runs every other kernel the host has on the same batch and requires
+// its Acc/Phi/Inter to be == the portable ones. It returns the portable
+// list (valid until w's next walk) with the portable results left in b.
+func batchOracle(w *FlatWalker, ft *FlatTree, b *FlatBatch, theta, eps float64) ([]laneEntry, error) {
+	w.forceBatch(ft, b, theta, eps, &portableKernel)
+	if err := checkReferenceStream(w, b, eps); err != nil {
+		return nil, fmt.Errorf("portable: %v", err)
+	}
+	for _, k := range testKernels()[1:] {
+		var w2 FlatWalker
+		got := *b
+		w2.forceBatch(ft, &got, theta, eps, k)
+		for lane := 0; lane < b.N; lane++ {
+			if got.Acc[lane] != b.Acc[lane] || got.Phi[lane] != b.Phi[lane] || got.Inter[lane] != b.Inter[lane] {
+				return nil, fmt.Errorf("lane %d: %s {%v %g %d} != portable {%v %g %d}", lane, k.name,
+					got.Acc[lane], got.Phi[lane], got.Inter[lane], b.Acc[lane], b.Phi[lane], b.Inter[lane])
+			}
+		}
+	}
+	return w.list, nil
+}
+
+// TestForceBatchUnrollReferenceStream pins the kernels against the
+// canonical interaction kernel: after a portable batch walk,
+// re-streaming each lane's masked entries of the shared list through
+// nbody.InteractAccum in list order must reproduce Acc/Phi to within
+// ulpTol and Inter exactly, and the fused kernel (when the host has it),
+// which keeps no list, must produce == the portable results for the same
+// batch. The sweep covers what the lane layout makes interesting: batch
+// tails of 1..7 lanes (unused lanes contribute nothing), entries whose
+// low or high 4-lane half is entirely masked out, eps = 0 (the self-skip
+// lane computes 0*Inf; a leaked mask shows up as NaN), Skip = -1 and a
+// Skip slot outside the batch (core's skipFor produces both).
 //
-// The comparison uses ulpTol rather than exact == for the reason the
-// file header documents: a reference loop compiled here is a separate
-// inlined copy of the same expressions, and copies can differ by an ulp
-// on architectures that fuse. The hard bit-identity contracts — AVX2 ==
-// portable, flat == recursive pointer walk — are enforced by
-// TestKernelAVX2MatchesPortable, TestFlatVsPointerPerScenario and
+// The reference comparison uses ulpTol rather than exact == for the
+// reason the file header documents: a reference loop compiled here is a
+// separate inlined copy of the same expressions, and copies can differ
+// by an ulp on architectures that fuse. The hard bit-identity contracts —
+// AVX2 == portable, flat == recursive pointer walk — are enforced here
+// and by TestKernelAVX2MatchesPortable, TestFlatVsPointerPerScenario and
 // core's TestNativeFlatExactSingleThread.
 func TestForceBatchUnrollReferenceStream(t *testing.T) {
 	const (
@@ -395,45 +426,45 @@ func TestForceBatchUnrollReferenceStream(t *testing.T) {
 		skipNone         // -1
 		skipOther        // another body's slot, outside the batch once the tree has >= 16 bodies
 	)
-	var lowEmpty, highEmpty int // entries seen with an all-masked half
-	for _, k := range testKernels() {
-		for _, n := range []int{2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 33, 257} {
-			ft := BuildFlat(nbody.Plummer(n, uint64(n)))
-			nb := ft.Bodies.Len()
-			var w FlatWalker
-			var b FlatBatch
-			for _, theta := range []float64{0.5, 1.0, 1.8} {
-				for _, eps := range []float64{0, 0.05} {
-					for mode := skipSelf; mode <= skipOther; mode++ {
-						for base := 0; base < nb; base += FlatBatchWidth {
-							b.N = min(FlatBatchWidth, nb-base)
-							for lane := 0; lane < b.N; lane++ {
-								b.Pos[lane] = ft.Bodies.Pos[base+lane]
-								switch mode {
-								case skipSelf:
-									b.Skip[lane] = int32(base + lane)
-								case skipNone:
-									b.Skip[lane] = -1
-								case skipOther:
-									b.Skip[lane] = int32((base + FlatBatchWidth + lane) % nb)
-								}
-								if mode != skipSelf {
-									// Off every body, so nothing coincides
-									// with an interaction partner at eps = 0.
-									b.Pos[lane].X += 1e-3
-								}
+	var lowEmpty, highEmpty int        // entries seen with an all-masked half
+	var tails [FlatBatchWidth + 1]bool // batch widths seen
+	for _, n := range []int{2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 33, 257} {
+		ft := BuildFlat(nbody.Plummer(n, uint64(n)))
+		nb := ft.Bodies.Len()
+		var w FlatWalker
+		var b FlatBatch
+		for _, theta := range []float64{0.5, 1.0, 1.8} {
+			for _, eps := range []float64{0, 0.05} {
+				for mode := skipSelf; mode <= skipOther; mode++ {
+					for base := 0; base < nb; base += FlatBatchWidth {
+						b.N = min(FlatBatchWidth, nb-base)
+						tails[b.N] = true
+						for lane := 0; lane < b.N; lane++ {
+							b.Pos[lane] = ft.Bodies.Pos[base+lane]
+							switch mode {
+							case skipSelf:
+								b.Skip[lane] = int32(base + lane)
+							case skipNone:
+								b.Skip[lane] = -1
+							case skipOther:
+								b.Skip[lane] = int32((base + FlatBatchWidth + lane) % nb)
 							}
-							w.forceBatch(ft, &b, theta, eps, k)
-							for _, q := range w.list {
-								if q.Mask&0x0f == 0 {
-									lowEmpty++
-								}
-								if q.Mask&0xf0 == 0 {
-									highEmpty++
-								}
+							if mode != skipSelf {
+								// Off every body, so nothing coincides
+								// with an interaction partner at eps = 0.
+								b.Pos[lane].X += 1e-3
 							}
-							if err := checkReferenceStream(&w, &b, eps); err != nil {
-								t.Fatalf("%s n=%d theta=%g eps=%g mode %d base %d: %v", k.name, n, theta, eps, mode, base, err)
+						}
+						list, err := batchOracle(&w, ft, &b, theta, eps)
+						if err != nil {
+							t.Fatalf("n=%d theta=%g eps=%g mode %d base %d: %v", n, theta, eps, mode, base, err)
+						}
+						for _, q := range list {
+							if q.Mask&0x0f == 0 {
+								lowEmpty++
+							}
+							if q.Mask&0xf0 == 0 {
+								highEmpty++
 							}
 						}
 					}
@@ -444,11 +475,16 @@ func TestForceBatchUnrollReferenceStream(t *testing.T) {
 	if lowEmpty == 0 || highEmpty == 0 {
 		t.Errorf("sweep saw %d entries with the low half masked out and %d with the high half: want both > 0", lowEmpty, highEmpty)
 	}
+	for width := 1; width <= FlatBatchWidth; width++ {
+		if !tails[width] {
+			t.Errorf("sweep never ran a %d-lane batch", width)
+		}
+	}
 }
 
 // checkReferenceStream re-streams the shared list the walker retains
-// after a forceBatch call: every entry's mask must name only lanes of
-// the batch, and each lane's masked subsequence, fed through
+// after a portable forceBatch call: every entry's mask must name only
+// lanes of the batch, and each lane's masked subsequence, fed through
 // nbody.InteractAccum in list order, must reproduce what the kernel
 // wrote for that lane.
 func checkReferenceStream(w *FlatWalker, b *FlatBatch, eps float64) error {
@@ -474,4 +510,241 @@ func checkReferenceStream(w *FlatWalker, b *FlatBatch, eps float64) error {
 		}
 	}
 	return nil
+}
+
+// TestForceBatchRootCell covers the first cell the walk visits: the root
+// gets the opening test like any other cell, and every lane of the batch
+// may accept it (one interaction each, nothing opened), only some (the
+// rest descend under a partial mask from the very first frame), or none.
+func TestForceBatchRootCell(t *testing.T) {
+	ft := BuildFlat(nbody.Plummer(300, 4))
+	far := func(lane int) vec.V3 { // well outside the root cube: theta = 1 accepts it
+		return ft.Center.Add(vec.V3{X: 40 * ft.Half, Y: float64(lane) * ft.Half})
+	}
+	for _, tc := range []struct {
+		name string
+		far  uint32 // lanes placed far away
+	}{
+		{"all", 0xff}, {"none", 0}, {"low-half", 0x0f}, {"high-half", 0xf0}, {"mixed", 0xa5}, {"one", 0x40},
+	} {
+		for _, n := range []int{FlatBatchWidth, 5, 1} {
+			var w FlatWalker
+			var b FlatBatch
+			b.N = n
+			for lane := 0; lane < n; lane++ {
+				b.Skip[lane] = int32(lane)
+				b.Pos[lane] = ft.Bodies.Pos[lane]
+				if tc.far>>uint(lane)&1 != 0 {
+					b.Skip[lane] = -1
+					b.Pos[lane] = far(lane)
+				}
+			}
+			list, err := batchOracle(&w, ft, &b, 1.0, 0.05)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", tc.name, n, err)
+			}
+			wantRoot := tc.far & (1<<uint(n) - 1)
+			gotRoot := uint32(0)
+			if root := (PosMass{ft.Nodes[0].CofM, ft.Nodes[0].Mass}); list[0].PosMass == root {
+				gotRoot = list[0].Mask
+			}
+			if gotRoot != wantRoot {
+				t.Fatalf("%s n=%d: root accepted by lanes %#x, want %#x", tc.name, n, gotRoot, wantRoot)
+			}
+			for lane := 0; lane < n; lane++ {
+				if isFar := wantRoot>>uint(lane)&1 != 0; isFar != (b.Inter[lane] == 1) {
+					t.Fatalf("%s n=%d lane %d: %d interactions, far=%v", tc.name, n, lane, b.Inter[lane], isFar)
+				}
+			}
+		}
+	}
+}
+
+// TestForceAtBodyPositionSkipsBySlot pins that self-skip is by SoA slot,
+// never by position: a query at a body's exact position with Skip = -1
+// interacts with that body (zero force, -m/eps potential, one more
+// interaction than the same query skipping the slot), in every kernel.
+func TestForceAtBodyPositionSkipsBySlot(t *testing.T) {
+	ft := BuildFlat(nbody.Plummer(200, 6))
+	const theta, eps = 0.7, 0.05
+	var w FlatWalker
+	var with, without FlatBatch
+	for base := 0; base+FlatBatchWidth <= ft.Bodies.Len(); base += FlatBatchWidth {
+		with.N, without.N = FlatBatchWidth, FlatBatchWidth
+		for lane := 0; lane < FlatBatchWidth; lane++ {
+			with.Pos[lane], without.Pos[lane] = ft.Bodies.Pos[base+lane], ft.Bodies.Pos[base+lane]
+			with.Skip[lane], without.Skip[lane] = -1, int32(base+lane)
+		}
+		if _, err := batchOracle(&w, ft, &without, theta, eps); err != nil {
+			t.Fatalf("base %d, skipping the slot: %v", base, err)
+		}
+		if _, err := batchOracle(&w, ft, &with, theta, eps); err != nil {
+			t.Fatalf("base %d, Skip = -1: %v", base, err)
+		}
+		for lane := 0; lane < FlatBatchWidth; lane++ {
+			if with.Inter[lane] != without.Inter[lane]+1 {
+				t.Fatalf("slot %d: %d interactions with Skip=-1, %d skipping the slot: want one more",
+					base+lane, with.Inter[lane], without.Inter[lane])
+			}
+			self := -ft.Bodies.Mass[base+lane] / eps
+			if d := with.Phi[lane] - without.Phi[lane]; !relClose(d, self, 1e-9) {
+				t.Fatalf("slot %d: potential differs by %g, want the body's own -m/eps = %g", base+lane, d, self)
+			}
+		}
+	}
+}
+
+// guardedWalker is a FlatWalker with guard words directly behind its
+// frame stack, which the assembly kernel writes without bounds checks of
+// the runtime's.
+type guardedWalker struct {
+	w     FlatWalker
+	guard [4]uint64
+}
+
+const guardWord = 0xfeedfacecafebeef
+
+func newGuardedWalker(t *testing.T) *guardedWalker {
+	g := &guardedWalker{}
+	if end := unsafe.Offsetof(g.w.frames) + unsafe.Sizeof(g.w.frames); end != unsafe.Offsetof(g.guard) {
+		t.Fatalf("frames ends at byte %d of the walker but the guard words start at %d: frames must stay FlatWalker's last field", end, unsafe.Offsetof(g.guard))
+	}
+	for i := range g.guard {
+		g.guard[i] = guardWord
+	}
+	return g
+}
+
+func (g *guardedWalker) check(t *testing.T) {
+	t.Helper()
+	for i, v := range g.guard {
+		if v != guardWord {
+			t.Fatalf("guard word %d behind the frame stack overwritten: %#x", i, v)
+		}
+	}
+}
+
+// framesUsed counts the frames a walker has ever suspended (a suspended
+// frame has a non-zero mask, and nothing clears the array).
+func (g *guardedWalker) framesUsed() int {
+	used := 0
+	for _, f := range g.w.frames {
+		if f.mask != 0 {
+			used++
+		}
+	}
+	return used
+}
+
+// TestForceBatchDeepTree pins the fixed frame stack on a tree more than
+// 40 levels deep: a Plummer set holding two bodies 2^-40 apart and a
+// geometric ladder of bodies closing in on the root's centre from inside
+// its last octant, so that every level on the way down holds the next
+// cell first and a sibling to come back to, and the walk of the innermost
+// bodies suspends a frame per level. Every kernel must agree (==) with
+// the portable one on every body, use at least 40 frames and leave the
+// words behind the stack alone.
+func TestForceBatchDeepTree(t *testing.T) {
+	bodies := nbody.Plummer(256, 12)
+	at := func(p vec.V3) {
+		bodies = append(bodies, nbody.Body{Pos: p, Mass: 1.0 / 256, ID: int32(len(bodies))})
+	}
+	at(bodies[17].Pos.Add(vec.V3{X: math.Ldexp(1, -40)}))
+	lo, hi := nbody.BoundingBox(bodies)
+	center, half := nbody.RootCell(lo, hi)
+	for i := 1; i <= 44; i++ {
+		d := math.Ldexp(half, -i) // inside the root cube, if not the bounding box
+		at(center.Add(vec.V3{X: d, Y: d, Z: d}))
+	}
+	ft := &FlatTree{}
+	ft.RebuildWithRoot(bodies, center, half)
+	ft.PackPM()
+	if err := ft.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	depth := 0
+	for _, m := range ft.Meta {
+		depth = max(depth, int(math.Round(math.Log2(ft.Half/m.Half))))
+	}
+	if depth < 40 || depth > flatMaxDepth {
+		t.Fatalf("tree is %d levels deep, want 40..%d", depth, flatMaxDepth)
+	}
+	for _, theta := range []float64{0.5, 1.0} {
+		want := solveWith(ft, &portableKernel, theta, 0.05)
+		for _, k := range testKernels() {
+			g := newGuardedWalker(t)
+			for j, got := range solveOn(&g.w, ft, k, theta, 0.05) {
+				if got != want[j] {
+					t.Fatalf("%s theta=%g slot %d: %+v != portable %+v", k.name, theta, j, got, want[j])
+				}
+			}
+			g.check(t)
+			if used := g.framesUsed(); used < 40 {
+				t.Errorf("%s theta=%g: walk suspended %d frames on a %d-level tree, want >= 40", k.name, theta, used, depth)
+			}
+		}
+	}
+}
+
+// TestForceBatchFrameStackOverflow hands the kernels a hand-made tree
+// deeper than any builder produces (every builder stops at flatMaxDepth):
+// a chain of cells that no lane ever accepts, each with a leaf sibling to
+// come back to. Every kernel must panic rather than write behind the
+// frame stack.
+func TestForceBatchFrameStackOverflow(t *testing.T) {
+	const levels = flatMaxDepth + 6
+	ft := &FlatTree{}
+	for i := 0; i < levels; i++ {
+		// Kids: the next cell first, then this level's leaf; the last
+		// cell holds two leaves.
+		ft.Nodes = append(ft.Nodes, FlatNode{Mass: 1, LSq: math.Inf(1), First: int32(2 * i), Count: 2})
+		next := int32(i + 1)
+		if i == levels-1 {
+			next = FlatLeaf(int32(levels))
+		}
+		ft.Kids = append(ft.Kids, next, FlatLeaf(int32(i)))
+	}
+	for i := 0; i <= levels; i++ {
+		ft.PM = append(ft.PM, PosMass{Pos: vec.V3{X: float64(i + 1)}, Mass: 1})
+	}
+	for _, k := range testKernels() {
+		g := newGuardedWalker(t)
+		var b FlatBatch
+		b.N = FlatBatchWidth
+		for lane := range b.Skip {
+			b.Skip[lane] = -1
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: walked a %d-level tree on a %d-frame stack without panicking", k.name, levels, len(g.w.frames))
+				}
+			}()
+			g.w.forceBatch(ft, &b, 1.0, 0.05, k)
+		}()
+		g.check(t)
+		if used := g.framesUsed(); used != len(g.w.frames) {
+			t.Errorf("%s: panicked after %d frames, want all %d used first", k.name, used, len(g.w.frames))
+		}
+	}
+}
+
+// TestFromTreeDepthLimit: the pointer builder has no depth limit of its
+// own, the flat tree does (flatMaxDepth, which sizes the walk's frame
+// stack), so converting a deeper pointer tree must panic like the flat
+// build does.
+func TestFromTreeDepthLimit(t *testing.T) {
+	d := math.Ldexp(1, -(flatMaxDepth + 6))
+	bodies := []nbody.Body{
+		{Pos: vec.V3{X: 1, Y: 1, Z: 1}, Mass: 1},
+		{Pos: vec.V3{X: d, Y: d, Z: d}, Mass: 1, ID: 1},
+		{Pos: vec.V3{X: d / 2, Y: d / 2, Z: d / 2}, Mass: 1, ID: 2},
+	}
+	pt := Build(bodies)
+	defer func() {
+		if recover() == nil {
+			t.Error("FlatFromTree accepted a pointer tree deeper than flatMaxDepth")
+		}
+	}()
+	FlatFromTree(pt)
 }

@@ -2,9 +2,11 @@
 
 package octree
 
-var avx2Kernel = laneKernel{"avx2", acceptLanesAVX2, interactLanesAVX2}
+import "unsafe"
 
-// simdKernel returns the AVX2 leaf kernels when the CPU has AVX2 and the
+var avx2Kernel = laneKernel{"avx2", (*FlatWalker).forceAVX2}
+
+// simdKernel returns the fused AVX2 kernel when the CPU has AVX2 and the
 // OS saves the YMM state across context switches, nil otherwise.
 func simdKernel() *laneKernel {
 	if !hasAVX2() {
@@ -41,8 +43,20 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 // OSXSAVE.
 func xgetbv0() uint32
 
+// forceLanesAVX2 is the fused batch walk: see lanes_amd64.s.
+//
 //go:noescape
-func acceptLanesAVX2(st *laneState, nd *FlatNode, thetaSq float64, active uint32) uint32
+func forceLanesAVX2(st *laneState, frames []kidRange, nodes *FlatNode, kids *int32, pm *PosMass, full uint32) bool
 
-//go:noescape
-func interactLanesAVX2(list []laneEntry, st *laneState, epsSq float64)
+// forceAVX2 fills the scalar operands the assembly reads from memory and
+// runs it.
+func (w *FlatWalker) forceAVX2(ft *FlatTree, n int, theta, eps float64) {
+	st := &w.lanes
+	for i := range st.One {
+		st.ThetaSq[i], st.EpsSq[i], st.One[i] = theta*theta, eps*eps, 1
+	}
+	full := uint32(1)<<uint(n) - 1
+	if !forceLanesAVX2(st, w.frames[:], unsafe.SliceData(ft.Nodes), unsafe.SliceData(ft.Kids), unsafe.SliceData(ft.PM), full) {
+		panic("octree: flat tree deeper than flatMaxDepth")
+	}
+}

@@ -2,8 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2 twins of acceptLanesGo and interactLanesGo (lanes.go). Rules that
-// keep them bit-identical to the Go code at the default GOAMD64=v1:
+// The fused AVX2 force kernel: the whole batch walk of forceLanesGo
+// (lanes.go) in one function, interacting each accepted entry at once
+// instead of listing it for a second pass. Rules that keep it
+// bit-identical to the Go code at the default GOAMD64=v1:
 //   - every float operation is the same IEEE operation in the same order
 //     as the portable kernel; VSQRTPD and VDIVPD are correctly rounded,
 //     like math.Sqrt and /;
@@ -15,9 +17,14 @@
 //
 // Offsets, from lanes.go and flat.go:
 //   laneState: X 0, Y 64, Z 128, AccX 192, AccY 256, AccZ 320, Phi 384,
-//              Inter 448 (eight 8-byte lanes each; the high half is +32)
-//   laneEntry: Pos.X 0, Pos.Y 8, Pos.Z 16, Mass 24, Mask 32; size 40
-//   FlatNode:  CofM.X 0, CofM.Y 8, CofM.Z 16, Mass 24, LSq 32
+//              Inter 448 (eight 8-byte lanes each; the high half is +32),
+//              ThetaSq 512, EpsSq 544, One 576 (four lanes each), Skip 608
+//              (eight int32)
+//   FlatNode:  CofM.X 0, CofM.Y 8, CofM.Z 16, Mass 24, LSq 32, First 40,
+//              Count 44; size 48
+//   PosMass:   Pos.X 0, Pos.Y 8, Pos.Z 16, Mass 24; size 32 (a FlatNode
+//              starts with the same four fields)
+//   kidRange:  k 0, e 4, mask 8; size 16
 
 // One bit per lane, as 64-bit elements: lanes 0-3, then lanes 4-7.
 DATA lanebits<>+0(SB)/8, $1
@@ -29,9 +36,6 @@ DATA lanebits<>+40(SB)/8, $32
 DATA lanebits<>+48(SB)/8, $64
 DATA lanebits<>+56(SB)/8, $128
 GLOBL lanebits<>(SB), RODATA|NOPTR, $64
-
-DATA one<>(SB)/8, $1.0
-GLOBL one<>(SB), RODATA|NOPTR, $8
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -52,128 +56,212 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	RET
 
 // ACCEPT4 leaves in `bits` the 4-bit mask of the lanes of one half
-// (positions at off(DI)) with LSq < thetaSq*((dx*dx+dy*dy)+dz*dz),
-// d = pos - CofM. Y0-Y2 hold CofM, Y3 LSq, Y4 thetaSq, all broadcast.
-// The compare is LT_OQ (0x11): false when the product is NaN, like Go's <.
+// (positions at off(DI)) with LSq < thetaSq*((dx*dx+dy*dy)+dz*dz). Y10-Y12
+// hold CofM and Y15 LSq, broadcast; Y13-Y14 are scratch. The differences
+// are taken as CofM - pos, the subtraction a memory operand allows: IEEE
+// subtraction is antisymmetric, so they are exactly the negated pos - CofM
+// of the Go code and their squares are the same bits. The compare is
+// LT_OQ (0x11): false when the product is NaN, like Go's <.
 #define ACCEPT4(off, bits) \
-	VMOVUPD (0+off)(DI), Y5    \
-	VMOVUPD (64+off)(DI), Y6   \
-	VMOVUPD (128+off)(DI), Y7  \
-	VSUBPD  Y0, Y5, Y5         \
-	VSUBPD  Y1, Y6, Y6         \
-	VSUBPD  Y2, Y7, Y7         \
-	VMULPD  Y5, Y5, Y5         \
-	VMULPD  Y6, Y6, Y6         \
-	VADDPD  Y6, Y5, Y5         \
-	VMULPD  Y7, Y7, Y7         \
-	VADDPD  Y7, Y5, Y5         \
-	VMULPD  Y5, Y4, Y5         \
-	VCMPPD  $0x11, Y5, Y3, Y5  \
-	VMOVMSKPD Y5, bits
+	VSUBPD  (0+off)(DI), Y10, Y13   \
+	VSUBPD  (64+off)(DI), Y11, Y14  \
+	VMULPD  Y13, Y13, Y13           \
+	VMULPD  Y14, Y14, Y14           \
+	VADDPD  Y14, Y13, Y13           \
+	VSUBPD  (128+off)(DI), Y12, Y14 \
+	VMULPD  Y14, Y14, Y14           \
+	VADDPD  Y14, Y13, Y13           \
+	VMULPD  512(DI), Y13, Y13       \
+	VCMPPD  $0x11, Y13, Y15, Y13    \
+	VMOVMSKPD Y13, bits
 
-// func acceptLanesAVX2(st *laneState, nd *FlatNode, thetaSq float64, active uint32) uint32
-TEXT ·acceptLanesAVX2(SB), NOSPLIT, $0-36
+// INTERACT4 adds the record at SI ({x, y, z, mass}) to the accumulators
+// of the lanes of one half that are in the mask AX. A lane that is not
+// in the mask still computes the term (even 0*Inf = NaN for a self-skip
+// at eps = 0); AND-ing the products with the lane's all-ones/all-zeros
+// mask turns them into +0 before the add, and an accumulator that starts
+// at +0 is never -0 under round-to-nearest, so acc + (+0) == acc bit for
+// bit. Y10-Y15 are scratch.
+#define INTERACT4(off, accx, accy, accz, phi, inter) \
+	VBROADCASTSD 0(SI), Y10         \
+	VBROADCASTSD 8(SI), Y11         \
+	VBROADCASTSD 16(SI), Y12        \
+	VSUBPD  (0+off)(DI), Y10, Y10   \ // dx = q.x - p.x
+	VSUBPD  (64+off)(DI), Y11, Y11  \
+	VSUBPD  (128+off)(DI), Y12, Y12 \
+	VMULPD  Y10, Y10, Y13           \
+	VMULPD  Y11, Y11, Y14           \
+	VADDPD  Y14, Y13, Y13           \ // dx*dx + dy*dy
+	VMULPD  Y12, Y12, Y14           \
+	VADDPD  Y14, Y13, Y13           \ // + dz*dz
+	VADDPD  544(DI), Y13, Y13       \ // + epsSq
+	VSQRTPD Y13, Y13                \
+	VMOVUPD 576(DI), Y14            \
+	VDIVPD  Y13, Y14, Y13           \ // inv = 1/r
+	VBROADCASTSD 24(SI), Y14        \
+	VMULPD  Y13, Y14, Y14           \ // m*inv
+	VMULPD  Y13, Y14, Y15           \
+	VMULPD  Y13, Y15, Y15           \ // s = m*inv*inv*inv
+	VMOVQ   AX, X13                 \
+	VPBROADCASTQ X13, Y13           \
+	VPAND    lanebits<>+off(SB), Y13, Y13 \
+	VPCMPEQQ lanebits<>+off(SB), Y13, Y13 \ // all-ones in the lanes of the mask
+	VMULPD  Y15, Y10, Y10           \
+	VMULPD  Y15, Y11, Y11           \
+	VMULPD  Y15, Y12, Y12           \
+	VANDPD  Y13, Y10, Y10           \
+	VANDPD  Y13, Y11, Y11           \
+	VANDPD  Y13, Y12, Y12           \
+	VANDPD  Y13, Y14, Y14           \
+	VADDPD  Y10, accx, accx         \ // acc += dx*s
+	VADDPD  Y11, accy, accy         \
+	VADDPD  Y12, accz, accz         \
+	VSUBPD  Y14, phi, phi           \ // phi += -m*inv (x + -y is x - y in IEEE 754)
+	VPSUBQ  Y13, inter, inter          // inter -= -1
+
+// func forceLanesAVX2(st *laneState, frames []kidRange, nodes *FlatNode, kids *int32, pm *PosMass, full uint32) bool
+//
+// Register plan:
+//   Y0-Y9   AccX, AccY, AccZ, Phi, Inter (int64 lanes) as low/high half
+//           pairs, for the whole batch
+//   Y10-Y15 scratch of the opening test and the interaction
+//   DI st   R8 nodes   R9 kids   R10 pm   R11 next free frame   R12 frames' end
+//   CX, DX, BX  the current frame: next kid, end of kids, active-lane mask
+//   SI      the record being tested / interacted with
+//   AX, R13 scratch; AX carries the lane mask into the interaction
+// R14, R15 and BP are the runtime's. Everything else the kernel needs —
+// lane positions, thetaSq, epsSq, 1.0, the Skip vector — is a memory
+// operand in st.
+//
+// The opening test's result steers the walk, so consecutive tests form a
+// latency chain; an interaction's square root and divide occupy the
+// divider and nothing waits for them but an accumulator. Issuing the
+// interaction where the entry is accepted lets the out-of-order core run
+// it underneath the following opening tests. Each lane's accumulators are
+// still updated in DFS order, which is all bit-identity needs.
+//
+// Returns false, having written nothing outside frames, if the tree is
+// deeper than frames can hold.
+TEXT ·forceLanesAVX2(SB), NOSPLIT, $0-65
 	MOVQ st+0(FP), DI
-	MOVQ nd+8(FP), SI
-	VBROADCASTSD 0(SI), Y0
-	VBROADCASTSD 8(SI), Y1
-	VBROADCASTSD 16(SI), Y2
-	VBROADCASTSD 32(SI), Y3
-	VBROADCASTSD thetaSq+16(FP), Y4
+	MOVQ frames_base+8(FP), R11
+	MOVQ frames_len+16(FP), R12
+	SHLQ $4, R12
+	ADDQ R11, R12
+	MOVQ nodes+32(FP), R8
+	MOVQ kids+40(FP), R9
+	MOVQ pm+48(FP), R10
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VPXOR  Y8, Y8, Y8
+	VPXOR  Y9, Y9, Y9
+	// The root is the first cell visited, from an empty frame (it has no
+	// siblings) with every lane of the batch active.
+	XORL CX, CX
+	XORL DX, DX
+	MOVL full+56(FP), BX
+	MOVQ R8, SI
+	JMP  cell
+
+next:
+	CMPL CX, DX
+	JGE  pop
+kid:
+	MOVL (R9)(CX*4), AX
+	INCL CX
+	TESTL AX, AX
+	JMI  leaf                  // a body: -(slot+1)
+	LEAQ (AX)(AX*2), AX
+	SHLQ $4, AX
+	LEAQ (R8)(AX*1), SI        // &nodes[c]
+
+cell:
+	VBROADCASTSD 0(SI), Y10
+	VBROADCASTSD 8(SI), Y11
+	VBROADCASTSD 16(SI), Y12
+	VBROADCASTSD 32(SI), Y15
 	ACCEPT4(0, AX)
-	ACCEPT4(32, BX)
+	ACCEPT4(32, R13)
+	SHLL $4, R13
+	ORL  R13, AX
+	ANDL BX, AX                // the active lanes that accept
+	MOVL BX, R13
+	XORL AX, R13               // the active lanes that open
+	JZ   accepted
+	// Open the cell: suspend the rest of this frame if it has kids left,
+	// and continue in the cell's kid range.
+	CMPL CX, DX
+	JGE  descend
+	CMPQ R11, R12
+	JAE  overflow
+	MOVL CX, 0(R11)
+	MOVL DX, 4(R11)
+	MOVL BX, 8(R11)
+	ADDQ $16, R11
+descend:
+	MOVL 40(SI), CX
+	MOVL 44(SI), DX
+	ADDL CX, DX
+	MOVL R13, BX
+accepted:
+	TESTL AX, AX
+	JZ   next
+
+interact:
+	TESTL $0x0f, AX            // no lane of this half interacts: skip the
+	JZ    high                 // sqrt/divide altogether
+	INTERACT4(0, Y0, Y2, Y4, Y6, Y8)
+high:
+	TESTL $0xf0, AX
+	JZ    next
+	INTERACT4(32, Y1, Y3, Y5, Y7, Y9)
+	JMP   next
+
+leaf:
+	NOTL AX                    // the body's slot
+	VMOVD AX, X10
+	VPBROADCASTD X10, Y10
+	VPCMPEQD 608(DI), Y10, Y10
+	VMOVMSKPS Y10, R13         // the lanes this body is the self-skip of
+	SHLQ $5, AX
+	LEAQ (R10)(AX*1), SI       // &pm[slot]
+	NOTL R13
+	MOVL BX, AX
+	ANDL R13, AX
+	JNZ  interact
+	JMP  next
+
+pop:
+	CMPQ R11, frames_base+8(FP)
+	JEQ  done
+	SUBQ $16, R11
+	MOVL 0(R11), CX
+	MOVL 4(R11), DX
+	MOVL 8(R11), BX
+	JMP  kid                   // a suspended frame always has kids left
+
+done:
+	VMOVUPD Y0, 192(DI)
+	VMOVUPD Y1, 224(DI)
+	VMOVUPD Y2, 256(DI)
+	VMOVUPD Y3, 288(DI)
+	VMOVUPD Y4, 320(DI)
+	VMOVUPD Y5, 352(DI)
+	VMOVUPD Y6, 384(DI)
+	VMOVUPD Y7, 416(DI)
+	VMOVDQU Y8, 448(DI)
+	VMOVDQU Y9, 480(DI)
 	VZEROUPPER
-	SHLL $4, BX
-	ORL  BX, AX
-	ANDL active+24(FP), AX
-	MOVL AX, ret+32(FP)
+	MOVB $1, ret+64(FP)
 	RET
 
-// func interactLanesAVX2(list []laneEntry, st *laneState, epsSq float64)
-//
-// One pass over the list per 4-lane half. Register plan:
-//   Y0-Y2  lane positions      Y3-Y5 AccX/AccY/AccZ   Y6 Phi
-//   Y7     Inter (int64 lanes) Y8    epsSq            Y9 1.0
-//   Y10-Y12 dx, dy, dz         Y13-Y15 temporaries
-// A lane that is not in an entry's mask still computes the term (even
-// 0*Inf = NaN for a self-skip at eps = 0); AND-ing the products with the
-// lane's all-ones/all-zeros mask turns them into +0 before the add, and
-// an accumulator that starts at +0 is never -0 under round-to-nearest,
-// so acc + (+0) == acc bit for bit.
-TEXT ·interactLanesAVX2(SB), NOSPLIT, $0-40
-	MOVQ list_base+0(FP), SI
-	MOVQ list_len+8(FP), CX
-	MOVQ st+24(FP), DI
-	VBROADCASTSD epsSq+32(FP), Y8
-	VBROADCASTSD one<>(SB), Y9
-	LEAQ lanebits<>(SB), R8
-	MOVQ $0x0f, R9             // this half's bits of Mask
-	XORQ DX, DX                // this half's byte offset: 0, then 32
-
-half:
-	VMOVUPD 0(DI)(DX*1), Y0
-	VMOVUPD 64(DI)(DX*1), Y1
-	VMOVUPD 128(DI)(DX*1), Y2
-	VXORPD  Y3, Y3, Y3
-	VXORPD  Y4, Y4, Y4
-	VXORPD  Y5, Y5, Y5
-	VXORPD  Y6, Y6, Y6
-	VPXOR   Y7, Y7, Y7
-	MOVQ    SI, AX
-	MOVQ    CX, BX
-	TESTQ   BX, BX
-	JZ      store
-
-entry:
-	TESTQ R9, 32(AX)           // no lane of this half interacts: skip the
-	JZ    next                 // sqrt/divide altogether
-	VBROADCASTSD 0(AX), Y10
-	VBROADCASTSD 8(AX), Y11
-	VBROADCASTSD 16(AX), Y12
-	VSUBPD  Y0, Y10, Y10       // dx = q.x - p.x
-	VSUBPD  Y1, Y11, Y11
-	VSUBPD  Y2, Y12, Y12
-	VMULPD  Y10, Y10, Y13
-	VMULPD  Y11, Y11, Y14
-	VADDPD  Y14, Y13, Y13      // dx*dx + dy*dy
-	VMULPD  Y12, Y12, Y14
-	VADDPD  Y14, Y13, Y13      // + dz*dz
-	VADDPD  Y8, Y13, Y13       // + epsSq
-	VSQRTPD Y13, Y13
-	VDIVPD  Y13, Y9, Y13       // inv = 1/r
-	VBROADCASTSD 24(AX), Y14
-	VMULPD  Y13, Y14, Y14      // m*inv
-	VMULPD  Y13, Y14, Y15
-	VMULPD  Y13, Y15, Y15      // s = m*inv*inv*inv
-	VPBROADCASTQ 32(AX), Y13
-	VPAND    (R8)(DX*1), Y13, Y13
-	VPCMPEQQ (R8)(DX*1), Y13, Y13 // all-ones in the lanes of Mask
-	VMULPD  Y15, Y10, Y10
-	VMULPD  Y15, Y11, Y11
-	VMULPD  Y15, Y12, Y12
-	VANDPD  Y13, Y10, Y10
-	VANDPD  Y13, Y11, Y11
-	VANDPD  Y13, Y12, Y12
-	VANDPD  Y13, Y14, Y14
-	VADDPD  Y10, Y3, Y3        // acc += dx*s
-	VADDPD  Y11, Y4, Y4
-	VADDPD  Y12, Y5, Y5
-	VSUBPD  Y14, Y6, Y6        // phi += -m*inv (x + -y is x - y in IEEE 754)
-	VPSUBQ  Y13, Y7, Y7        // inter -= -1
-next:
-	ADDQ $40, AX
-	DECQ BX
-	JNZ  entry
-
-store:
-	VMOVUPD Y3, 192(DI)(DX*1)
-	VMOVUPD Y4, 256(DI)(DX*1)
-	VMOVUPD Y5, 320(DI)(DX*1)
-	VMOVUPD Y6, 384(DI)(DX*1)
-	VMOVDQU Y7, 448(DI)(DX*1)
-	SHLQ $4, R9
-	ADDQ $32, DX
-	CMPQ DX, $64
-	JNE  half
+overflow:
 	VZEROUPPER
+	MOVB $0, ret+64(FP)
 	RET

@@ -2,6 +2,6 @@
 
 package octree
 
-// simdKernel reports no SIMD leaf kernels: this build runs the portable
-// ones.
+// simdKernel reports no SIMD force kernel: this build runs the portable
+// one.
 func simdKernel() *laneKernel { return nil }

@@ -124,6 +124,29 @@ func TestNativeLockMutualExclusion(t *testing.T) {
 	}
 }
 
+// TestNewLockArrayAllocs pins what a session's lock array costs to
+// create: the locks are one slab, and only the native backend, whose
+// Acquire takes a token from it, makes each lock's channel.
+func TestNewLockArrayAllocs(t *testing.T) {
+	const n = 256
+	for _, tc := range []struct {
+		mode ExecMode
+		want float64
+	}{
+		{ModeSimulate, 2},   // the LockArray and the slab
+		{ModeNative, 2 + n}, // plus one channel per lock
+	} {
+		rt := NewRuntimeMode(machine.Default(4), tc.mode)
+		var la *LockArray
+		if got := testing.AllocsPerRun(10, func() { la = rt.NewLockArray(n) }); got != tc.want {
+			t.Errorf("%v: NewLockArray(%d) made %.0f allocations, want %.0f", tc.mode, n, got, tc.want)
+		}
+		if la.Len() != n || la.ForRef(Ref{Thr: 1, Idx: 2}).home >= 4 {
+			t.Errorf("%v: malformed lock array", tc.mode)
+		}
+	}
+}
+
 // TestNativeCollectives: reductions and broadcasts must still combine
 // real values under the native backend.
 func TestNativeCollectives(t *testing.T) {

@@ -9,7 +9,7 @@ package upc
 type Lock struct {
 	rt      *Runtime
 	home    int
-	ch      chan struct{} // ModeNative: holds one token when the lock is free
+	ch      chan struct{} // ModeNative only: holds one token when the lock is free
 	availAt float64       // simulated time the lock frees up; guarded by holding the lock
 
 	// Cooperative-scheduler state (ModeSimulate): only the baton holder
@@ -22,9 +22,20 @@ type Lock struct {
 // NewLock allocates a lock homed on thread `home` (upc_global_lock_alloc
 // distributes homes; the Barnes-Hut code uses arrays of locks).
 func (rt *Runtime) NewLock(home int) *Lock {
-	l := &Lock{rt: rt, home: home % rt.n, ch: make(chan struct{}, 1)}
-	l.ch <- struct{}{}
+	l := new(Lock)
+	rt.initLock(l, home)
 	return l
+}
+
+// initLock makes *l a free lock homed on thread `home`. The token channel
+// exists only where Acquire uses it: under the cooperative scheduler
+// ownership is the held flag.
+func (rt *Runtime) initLock(l *Lock, home int) {
+	*l = Lock{rt: rt, home: home % rt.n}
+	if rt.coop == nil {
+		l.ch = make(chan struct{}, 1)
+		l.ch <- struct{}{}
+	}
 }
 
 // Acquire takes the lock (upc_lock). Mutual exclusion is real in every
@@ -64,14 +75,15 @@ func (l *Lock) Release(t *Thread) {
 // LockArray is the hashed array of locks SPLASH2 uses to protect octree
 // cells without one lock per cell.
 type LockArray struct {
-	locks []*Lock
+	locks []Lock
 }
 
-// NewLockArray creates n locks with homes spread round-robin over threads.
+// NewLockArray creates n locks, in one slab, with homes spread
+// round-robin over threads.
 func (rt *Runtime) NewLockArray(n int) *LockArray {
-	la := &LockArray{locks: make([]*Lock, n)}
+	la := &LockArray{locks: make([]Lock, n)}
 	for i := range la.locks {
-		la.locks[i] = rt.NewLock(i % rt.n)
+		rt.initLock(&la.locks[i], i)
 	}
 	return la
 }
@@ -79,5 +91,5 @@ func (rt *Runtime) NewLockArray(n int) *LockArray {
 // ForRef returns the lock guarding the cell addressed by r.
 func (la *LockArray) ForRef(r Ref) *Lock {
 	h := uint64(uint32(r.Thr))*0x9e3779b1 + uint64(uint32(r.Idx))*0x85ebca6b
-	return la.locks[h%uint64(len(la.locks))]
+	return &la.locks[h%uint64(len(la.locks))]
 }

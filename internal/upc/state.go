@@ -185,8 +185,8 @@ func (h *Heap[T]) GrowShard(thr int, n int32) error {
 // horizon feeds the next acquisition's clock).
 func (la *LockArray) CaptureAvail() []float64 {
 	out := make([]float64, len(la.locks))
-	for i, l := range la.locks {
-		out[i] = l.availAt
+	for i := range la.locks {
+		out[i] = la.locks[i].availAt
 	}
 	return out
 }
@@ -196,8 +196,8 @@ func (la *LockArray) RestoreAvail(avail []float64) error {
 	if len(avail) != len(la.locks) {
 		return fmt.Errorf("upc: restore of %d lock states into %d locks", len(avail), len(la.locks))
 	}
-	for i, l := range la.locks {
-		l.availAt = avail[i]
+	for i := range la.locks {
+		la.locks[i].availAt = avail[i]
 	}
 	return nil
 }
