@@ -10,8 +10,9 @@ import (
 // runModeComparison runs the same configuration under both execution
 // backends and prints simulated vs measured wall-clock per-phase times
 // side by side: the Simulate column is the paper's modelled Power5
-// cluster, the Native column is this machine running the identical
-// algorithm at hardware speed.
+// cluster, the Native column is this machine computing the same physics
+// at hardware speed (at this level on the native engine's one flat-tree
+// path, DESIGN.md §8).
 func runModeComparison(x *Exec) (string, error) {
 	p := x.P
 	n := p.bodies(strongBodies)
@@ -55,6 +56,9 @@ func runModeComparison(x *Exec) (string, error) {
 		}
 		fmt.Fprintf(&b, "  %-16s %12.6f %12.6f %10s\n\n", "Total", simT, wallT, ratio)
 	}
-	b.WriteString("(physics is identical between the columns; only the timing policy differs)\n")
+	b.WriteString("(physics is identical between the columns; only the timing policy differs.\n" +
+		" The Native column is the same at every level from cache to subspace: there it builds one\n" +
+		" flat octree directly and in parallel — no merge, exchange or hook phases to time — so its\n" +
+		" Tree-building row is that build and its Redistribution row the indexed gather; DESIGN.md §8)\n")
 	return b.String(), nil
 }

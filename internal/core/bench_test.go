@@ -1,0 +1,44 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+)
+
+// BenchmarkNativeTreePhase reports what the tree plumbing around the
+// force kernel costs a native step at the benchmark's size: the parallel
+// flat build (PhaseTree) and the flat partition (PhasePartition), each
+// the maximum over threads, averaged over b.N whole steps. The ns/op
+// column is the whole step, force included; the two custom columns are
+// the subject. (Host wall-clock comparisons are benchmark/'s job —
+// DESIGN.md §10; this is logged by CI next to the octree kernel
+// benchmarks so the code cannot rot.)
+func BenchmarkNativeTreePhase(b *testing.B) {
+	for _, threads := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("T=%d", threads), func(b *testing.B) {
+			const warm = 4
+			opts := DefaultOptions(16384, threads, LevelMergedBuild)
+			opts.ExecMode = ModeNative
+			opts.Steps, opts.Warmup = warm+b.N, warm
+			sim, err := New(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sim.Release()
+			if err := sim.Step(warm); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			if err := sim.Step(b.N); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			meta, err := sim.SnapshotMeta()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(meta.Phases[PhaseTree]*1e3/float64(b.N), "tree-ms/step")
+			b.ReportMetric(meta.Phases[PhasePartition]*1e3/float64(b.N), "partition-ms/step")
+		})
+	}
+}

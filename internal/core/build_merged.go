@@ -9,7 +9,8 @@ import (
 )
 
 // buildMerged is the §5.4 tree construction (LevelMergedBuild and
-// LevelAsync): each thread builds a lock-free local octree over its own
+// LevelAsync under the simulate backend; native builds the flat tree
+// directly, see flatnative.go): each thread builds a lock-free local octree over its own
 // bodies (computing local centers of mass), then merges it into the
 // shared global tree. Center-of-mass updates during the merge are
 // commutative weighted averages performed under the cell lock, so no
@@ -18,22 +19,14 @@ import (
 func (s *Sim) buildMerged(t *upc.Thread, st *tstate, measured bool) {
 	g := s.boundingBox(t, st)
 
-	// Sub-phase 1: local tree (sequential, no locks, local pointers). The
-	// native backend builds it in the flat Morton-sorted arena and emits
-	// the cells in one DFS pass (same tree, same aggregates, contiguous
-	// shard layout); the simulate backend keeps the charged insertion.
+	// Sub-phase 1: local tree (sequential, no locks, local pointers).
 	t0 := t.Now()
-	var lroot upc.Ref
-	if s.nativeFlat() {
-		lroot = s.buildLocalFlat(t, st, g)
-	} else {
-		lroot = s.newCell(t, st, g.Center, g.Half)
-		for _, br := range st.myBodies {
-			pos := s.bodyPos(t, st, br)
-			s.insertLocalTree(t, st, lroot, br, pos)
-		}
-		s.cofmLocalTree(t, lroot)
+	lroot := s.newCell(t, st, g.Center, g.Half)
+	for _, br := range st.myBodies {
+		pos := s.bodyPos(t, st, br)
+		s.insertLocalTree(t, st, lroot, br, pos)
 	}
+	s.cofmLocalTree(t, lroot)
 	if measured {
 		st.treeLocalT += t.Now() - t0
 	}

@@ -66,10 +66,6 @@ type ckptThread struct {
 	Geom rootGeom `json:"geom"`
 	Root NodeRef  `json:"root"`
 
-	// FlatEpoch is the native snapshot epoch this thread expects next
-	// (flatnative.go); restoring it keeps the epoch assertions sound.
-	FlatEpoch uint64 `json:"flat_epoch,omitempty"`
-
 	// Accumulated counters (measured steps).
 	Inter        uint64  `json:"inter"`
 	Migrated     int     `json:"migrated"`
@@ -175,7 +171,6 @@ func (s *Sim) checkpointRegions() ([]arena.NamedRegion, error) {
 			Eps:          st.eps,
 			Geom:         st.geom,
 			Root:         st.root,
-			FlatEpoch:    st.flatEpoch,
 			Inter:        st.inter,
 			Migrated:     st.migrated,
 			OwnedTot:     st.ownedTot,
@@ -294,8 +289,12 @@ func (s *Sim) restoreState(cs *ckptState, heap, refs []byte) error {
 	if err := s.rt.RestoreState(cs.Runtime); err != nil {
 		return err
 	}
-	if err := s.locks.RestoreAvail(cs.Locks); err != nil {
-		return err
+	if s.flat == nil {
+		// (The flat-tree path has no locks; containers it wrote before it
+		// stopped allocating them carry 2048 idle ones, ignored here.)
+		if err := s.locks.RestoreAvail(cs.Locks); err != nil {
+			return err
+		}
 	}
 	s.tolS.Poke(cs.TolS)
 	s.epsS.Poke(cs.EpsS)
@@ -376,7 +375,6 @@ func (s *Sim) restoreState(cs *ckptState, heap, refs []byte) error {
 		st.eps = tc.Eps
 		st.geom = tc.Geom
 		st.root = tc.Root
-		st.flatEpoch = tc.FlatEpoch
 		st.inter = tc.Inter
 		st.migrated = tc.Migrated
 		st.ownedTot = tc.OwnedTot

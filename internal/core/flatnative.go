@@ -1,229 +1,188 @@
 package core
 
 import (
-	"runtime"
-	"sync/atomic"
+	"fmt"
+	"math"
 
 	"upcbh/internal/arena"
+	"upcbh/internal/nbody"
 	"upcbh/internal/octree"
 	"upcbh/internal/upc"
+	"upcbh/internal/vec"
 )
 
-// This file is the native-backend fast path: under ModeNative the
-// emulated PGAS heaps are ordinary host memory, so the hot phases can
-// run on the flat, arena-backed octree representation (internal/octree
-// FlatTree) instead of chasing NodeRef slots cell by cell:
+// This file is the native-backend fast path. Under ModeNative the
+// emulated PGAS heaps are ordinary host memory, so at LevelCacheTree and
+// above a step never touches the pointer tree: the threads build the
+// step's flat octree (internal/octree FlatTree) directly and in parallel
+// (octree.ParBuild: bin, per-thread subtree build, stitch — no cells
+// heap, no locks, no merge, no flatten), partition it by a prefix over
+// its cost array, and walk it with the batched kernel. The four levels
+// L3-L6 share this one path: what distinguishes them in the paper (how
+// remote cells are cached, merged, fetched, hooked) is communication
+// that native execution does not have. See DESIGN.md §8.2-§8.5.
 //
-//   - tree build (merged levels): each thread Morton-sorts its owned
-//     bodies and builds its local tree in a flat arena, then emits the
-//     cells into its heap shard in one DFS pass (buildLocalFlat);
-//   - force computation (LevelCacheTree and above): thread 0 snapshots
-//     the fully built global tree into a double-buffered flat arena once
-//     per step and publishes it RCU-style through an epoch-tagged atomic
-//     pointer (no barrier), and every thread walks it with the batched
-//     explicit-stack kernel (forceFlat) — the logical conclusion of the
-//     paper's §5.3 local-tree caching on a real shared-memory host. See
-//     DESIGN.md §8.3 for the happens-before argument.
-//
-// The simulate backend never takes these paths, so its charged phase
-// tables stay byte-identical (pinned by the goldens). Physics is
-// preserved exactly: the flat local trees are node-for-node and
-// bit-for-bit the trees insertLocalTree+cofmLocalTree would build, and
-// the snapshot kernel interacts with the same nodes in the same DFS
-// order as the pointer walk of forceCached, including its self-skip
-// semantics (a body whose tree leaf was re-owned and re-gathered this
-// step interacts with its stale copy in both paths). The simulate
-// backend's pointer paths are the reference the flat ones are tested
-// against (flatnative_test.go, internal/verify).
+// The tree is the canonical octree of the body set with one fixed
+// floating-point association, whoever built which part, so native
+// results are a pure function of the bodies — the same at every thread
+// count and bit-identical to the simulate backend at one thread, whose
+// pointer paths remain the reference (flatnative_test.go,
+// internal/verify). The simulate backend never takes these paths, so its
+// charged phase tables stay byte-identical (pinned by the goldens).
 
-// nativeFlat reports whether the flat-tree fast paths are active: always
-// under ModeNative, never under ModeSimulate.
+// nativeFlat reports whether the native backend is active.
 func (s *Sim) nativeFlat() bool {
 	return s.o.ExecMode == ModeNative
 }
 
-// flatSnap is one published flat snapshot of the global tree plus the
-// ref->leaf index used to reproduce the pointer walk's self-skip. Two of
-// these live in flatState; their arenas are retained across steps and
-// each is rebuilt in place every other step.
-type flatSnap struct {
-	// epoch tags which forceFlat entry built this snapshot. Written by
-	// thread 0 strictly before the release-store that publishes the
-	// snapshot, so a reader that observes its expected epoch through
-	// flatState.cur also observes every arena write of the build.
-	epoch uint64
-
-	ft octree.FlatTree
-	// leafIdx maps a bodies-heap ref (shard, index) to 1+its SoA slot in
-	// ft; 0 means the ref is not a leaf of the snapshot. Cleared and
-	// refilled per step (zeroing is a memclr, hence the +1 encoding).
-	leafIdx [][]int32
+// flatTree is the shared state of the direct tree path: the parallel
+// builder, whose Tree every thread walks from the tree barrier to the
+// force barrier, and the heap ref of the body in each of the builder's
+// staging slots (Tree.Bodies.ID maps a tree slot to its staging slot).
+// Built before the partition and read until the force barrier of the
+// same step, so one buffer suffices.
+type flatTree struct {
+	octree.ParBuild
+	refs []upc.Ref
 }
 
-// skipFor returns the snapshot SoA slot holding ref, or -1 — exactly the
-// nodes the pointer walk would skip by bodyRef equality. Refs past the
-// end of a shard's index (bodies gathered into fresh slots after the
-// snapshot was taken) are never snapshot leaves, hence -1.
-func (sn *flatSnap) skipFor(r upc.Ref) int32 {
-	shard := sn.leafIdx[r.Thr]
-	if int(r.Idx) >= len(shard) {
-		return -1
+// initFlatTree sizes the builder once the body count is final, on the
+// goroutine that starts the session (the arenas are single-owner, and no
+// thread runs yet).
+func (s *Sim) initFlatTree() {
+	n, p := s.o.Bodies, s.rt.Threads()
+	depth := octree.CrownDepth(n, p)
+	if s.o.testCrownDepth > 0 {
+		depth = s.o.testCrownDepth
 	}
-	return shard[r.Idx] - 1
+	s.flat.Init(n, p, depth, s.mem, s.tmem)
+	s.flat.refs = arena.MakeSlice[upc.Ref](s.mem, n, n)
 }
 
-// flatState is the per-Sim RCU publication point of the flat snapshot.
-// Thread 0 builds each step's snapshot into the parity buffer
-// bufs[epoch&1] and publishes it with a single atomic pointer swap; the
-// other threads acquire it by epoch instead of rendezvousing at a
-// barrier. Double buffering makes publication of step k+1 independent of
-// any reader of step k: the builder only ever reuses the arena whose
-// readers are two force barriers in the past.
-type flatState struct {
-	cur  atomic.Pointer[flatSnap]
-	bufs [2]flatSnap
+// stepFlat is the native arm of stepOnce up to the force phase: build,
+// partition, redistribute. Only the build ends at a barrier. Once the
+// tree is complete nothing downstream reads what another thread writes
+// before the force barrier: the partition reads the tree alone,
+// redistribute gathers slots their old owner no longer touches
+// (DESIGN.md §8.5), and the force phase takes positions from the tree.
+func (s *Sim) stepFlat(t *upc.Thread, st *tstate, ph *PhaseTimes, measured bool) {
+	t0, s0 := s.beginPhase(t)
+	s.buildFlat(t, st, measured)
+	s.endPhase(t, st, ph, PhaseTree, t0, s0, measured)
+	if s.o.Verify {
+		if t.ID() == 0 {
+			s.verifyFlat()
+		}
+		t.Barrier()
+	}
+	t0, s0 = s.beginPhase(t)
+	s.costzonesFlat(t, st)
+	s.endPhaseFlow(t, st, ph, PhasePartition, t0, s0, measured)
+	t0, s0 = s.beginPhase(t)
+	s.redistribute(t, st, measured)
+	s.endPhaseFlow(t, st, ph, PhaseRedist, t0, s0, measured)
 }
 
-// acquire spins (yielding) until the snapshot for the given epoch is
-// published and returns it. The force phase still ends at a barrier, so
-// publication can never lap a reader by a full cycle; an epoch from the
-// future means phase structure diverged across threads, which is a bug
-// worth crashing on.
-func (fs *flatState) acquire(epoch uint64) *flatSnap {
-	for {
-		sn := fs.cur.Load()
-		if sn != nil {
-			if sn.epoch == epoch {
-				return sn
-			}
-			if sn.epoch > epoch {
-				panic("core: flat snapshot epoch overrun (reader lapped by publisher)")
-			}
-		}
-		runtime.Gosched()
+// buildFlat drives this thread through the stages of octree.ParBuild,
+// with a barrier after each; the caller's phase barrier closes the last.
+// The root cube is reduced through the threads' private boxes rather than
+// a collective: min and max are exact, so the cube is boundingBox's, and
+// the step stays allocation-free at any thread count.
+func (s *Sim) buildFlat(t *upc.Thread, st *tstate, measured bool) {
+	t0 := t.Now()
+	lo := vec.V3{X: math.Inf(1), Y: math.Inf(1), Z: math.Inf(1)}
+	hi := lo.Scale(-1)
+	for _, br := range st.myBodies {
+		pos := s.bodies.Local(t, br).Pos
+		lo, hi = lo.Min(pos), hi.Max(pos)
 	}
-}
-
-// flattenGlobal rebuilds one snapshot buffer from the global tree: DFS
-// preorder over the cells heap (uncharged Raw access — the build phase
-// is complete and ordered before the force phase by the partition
-// barrier and the acquire of the published pointer), children in octant
-// order, aggregate values copied verbatim. Bodies are packed into the
-// SoA/PM views in DFS leaf order with their heap refs indexed for
-// self-skip. The tree leaves reference body slots as of build time;
-// a concurrent redistribute on another thread only writes slots beyond
-// its shard's snapshot range (gather appends) or in its idle alternate
-// buffer (compaction), so every slot this pass reads is frozen.
-func (s *Sim) flattenGlobal(t *upc.Thread, st *tstate, sn *flatSnap) {
-	ft := &sn.ft
-	ft.Nodes = ft.Nodes[:0]
-	ft.Meta = ft.Meta[:0]
-	ft.Kids = ft.Kids[:0]
-	ft.Bodies.Resize(0)
-	ft.PM = ft.PM[:0]
-
-	if sn.leafIdx == nil {
-		sn.leafIdx = make([][]int32, t.P())
+	st.bbLo, st.bbHi = [3]float64{lo.X, lo.Y, lo.Z}, [3]float64{hi.X, hi.Y, hi.Z}
+	t.Barrier()
+	for _, o := range s.ts {
+		lo = lo.Min(vec.V3{X: o.bbLo[0], Y: o.bbLo[1], Z: o.bbLo[2]})
+		hi = hi.Max(vec.V3{X: o.bbHi[0], Y: o.bbHi[1], Z: o.bbHi[2]})
 	}
-	for thr := range sn.leafIdx {
-		n := s.bodies.Len(thr)
-		if cap(sn.leafIdx[thr]) < n {
-			sn.leafIdx[thr] = arena.MakeSlice[int32](s.mem, n, n)
-		}
-		shard := sn.leafIdx[thr][:n]
-		for i := range shard {
-			shard[i] = 0
-		}
-		sn.leafIdx[thr] = shard
+	center, half := nbody.RootCell(lo, hi)
+	st.geom = rootGeom{Center: center, Half: half}
+
+	w := s.flat.Worker(t.ID())
+	w.Begin(center, half, len(st.myBodies))
+	for i, br := range st.myBodies {
+		w.Count(i, s.bodies.Local(t, br).Pos)
 	}
-
-	root := s.readRoot(t, st)
-	ft.Center = s.cells.Raw(root.Ref()).Center
-	ft.Half = s.cells.Raw(root.Ref()).Half
-	s.flattenCell(sn, root.Ref())
-}
-
-func (s *Sim) flattenCell(sn *flatSnap, r upc.Ref) int32 {
-	ft := &sn.ft
-	c := s.cells.Raw(r)
-	idx := int32(len(ft.Nodes))
-	l := 2 * c.Half
-	// Growth goes through the Sim's snapshot arena (thread 0 is the
-	// only builder); at steady state these appends stay in place.
-	ft.Nodes = arena.Append(s.mem, ft.Nodes, octree.FlatNode{CofM: c.CofM, Mass: c.Mass, LSq: l * l})
-	ft.Meta = arena.Append(s.mem, ft.Meta, octree.FlatMeta{Center: c.Center, Half: c.Half, Cost: c.Cost, N: c.NSub})
-
-	first := int32(len(ft.Kids))
-	nkids := int32(0)
-	for oct := range c.Sub {
-		if !c.Sub[oct].IsNil() {
-			nkids++
+	t.Barrier()
+	w.Offsets()
+	for i, br := range st.myBodies {
+		b := s.bodies.Local(t, br)
+		c := b.Cost
+		if c <= 0 {
+			c = 1
 		}
+		s.flat.refs[w.Put(i, b.Pos, b.Mass, c)] = br
 	}
-	for k := int32(0); k < nkids; k++ {
-		ft.Kids = arena.Append(s.mem, ft.Kids, 0)
-	}
-	ft.Nodes[idx].First = first
-	ft.Nodes[idx].Count = nkids
-
-	ki := first
-	for oct := range c.Sub {
-		slot := c.Sub[oct]
-		if slot.IsNil() {
-			continue
-		}
-		if slot.IsBody() {
-			br := slot.Ref()
-			b := s.bodies.Raw(br)
-			bi := int32(ft.Bodies.Len())
-			ft.Bodies.Resize(int(bi) + 1)
-			ft.Bodies.Set(int(bi), b.Pos, b.Mass, b.Cost, b.ID)
-			ft.PM = arena.Append(s.mem, ft.PM, octree.PosMass{Pos: b.Pos, Mass: b.Mass})
-			sn.leafIdx[br.Thr][br.Idx] = bi + 1
-			ft.Kids[ki] = octree.FlatLeaf(bi)
-		} else {
-			ft.Kids[ki] = s.flattenCell(sn, slot.Ref())
-		}
-		ki++
-	}
-	return idx
-}
-
-// forceFlat is the native force phase for LevelCacheTree and above:
-// thread 0 snapshots the tree into the current parity buffer and
-// publishes it with an atomic pointer swap; every thread (thread 0
-// included) acquires the snapshot by epoch and walks batches of
-// FlatBatchWidth owned bodies through the shared flat kernel. There is
-// no entry barrier: a thread that reaches the force phase early spins
-// only until publication, not until the slowest thread's redistribute,
-// and thread 0 starts flattening without waiting for anyone. Zero
-// allocations in steady state — both snapshot buffers' arenas, the leaf
-// indexes, and each thread's walker scratch are all retained across
-// steps.
-func (s *Sim) forceFlat(t *upc.Thread, st *tstate, measured bool) {
-	st.flatEpoch++
+	t.Barrier()
+	w.Build()
+	t1 := t.Now()
+	t.Barrier()
 	if t.ID() == 0 {
-		sn := &s.flat.bufs[st.flatEpoch&1]
-		s.flattenGlobal(t, st, sn)
-		sn.epoch = st.flatEpoch
-		s.flat.cur.Store(sn)
+		s.flat.Crown()
 	}
-	sn := s.flat.acquire(st.flatEpoch)
+	t.Barrier()
+	w.Stitch()
+	if measured {
+		st.treeLocalT += t1 - t0
+		st.treeMergeT += t.Now() - t1
+	}
+}
 
-	ft := &sn.ft
+// costzonesFlat is costzones on the flat tree: bodies are in tree order
+// in the cost array, so the DFS cost prefix is a running sum over it, and
+// the claim rule is costzones' — a body belongs to the thread whose
+// [lo, hi) share of the total its prefix starts in. Costs are
+// integer-valued, so the sums are exact and this is the partition the
+// pointer walk produces. The claimed slots are one contiguous interval,
+// kept in slotLo for the force phase.
+func (s *Sim) costzonesFlat(t *upc.Thread, st *tstate) {
+	ft := &s.flat.Tree
+	total := ft.Meta[0].Cost
+	lo := total * float64(t.ID()) / float64(t.P())
+	hi := total * float64(t.ID()+1) / float64(t.P())
+	st.myBodies = st.myBodies[:0]
+	st.slotLo = 0
+	prefix := 0.0
+	for j, c := range ft.Bodies.Cost {
+		if prefix >= hi {
+			break
+		}
+		if prefix >= lo {
+			if len(st.myBodies) == 0 {
+				st.slotLo = j
+			}
+			st.myBodies = append(st.myBodies, s.flat.refs[ft.Bodies.ID[j]])
+		}
+		prefix += c
+	}
+}
+
+// forceFlat is the native force phase for LevelCacheTree and above: this
+// thread's bodies are tree slots slotLo, slotLo+1, … in myBodies order
+// (costzonesFlat claimed them so, redistribute keeps the order), so each
+// batch of FlatBatchWidth takes its lane positions from the tree and
+// skips itself by slot. Unlike the pointer walks, a body that migrated
+// this step therefore does not interact with its own build-time copy.
+// Zero allocations in steady state.
+func (s *Sim) forceFlat(t *upc.Thread, st *tstate, measured bool) {
+	ft := &s.flat.Tree
 	tol, eps := st.tol, st.eps // replicated at LevelScalars and above
 	var fb octree.FlatBatch
 	mb := st.myBodies
 	for base := 0; base < len(mb); base += octree.FlatBatchWidth {
-		w := octree.FlatBatchWidth
-		if len(mb)-base < w {
-			w = len(mb) - base
-		}
+		w := min(octree.FlatBatchWidth, len(mb)-base)
 		fb.N = w
 		for lane := 0; lane < w; lane++ {
-			br := mb[base+lane]
-			fb.Pos[lane] = s.bodies.Local(t, br).Pos
-			fb.Skip[lane] = sn.skipFor(br)
+			slot := st.slotLo + base + lane
+			fb.Pos[lane] = ft.Bodies.Pos[slot]
+			fb.Skip[lane] = int32(slot)
 		}
 		st.fwalker.ForceBatch(ft, &fb, tol, eps)
 		for lane := 0; lane < w; lane++ {
@@ -238,52 +197,47 @@ func (s *Sim) forceFlat(t *upc.Thread, st *tstate, measured bool) {
 	}
 }
 
-// buildLocalFlat is the native local-tree construction of the merged
-// build (§5.4): gather the owned bodies into a scratch slice (costs
-// clamped exactly as cofmLocalTree clamps them), Morton-sort and build
-// the flat arena tree, then emit the cells into this thread's heap shard
-// in one DFS pass — contiguous, cache-ordered, and bit-identical in
-// structure and aggregates to what insertLocalTree+cofmLocalTree
-// produce. Returns the local root's heap ref for the merge.
-func (s *Sim) buildLocalFlat(t *upc.Thread, st *tstate, g rootGeom) upc.Ref {
-	bs := st.lbodies[:0]
-	for _, br := range st.myBodies {
-		b := *s.bodies.Local(t, br)
-		if b.Cost <= 0 {
-			b.Cost = 1
-		}
-		bs = append(bs, b)
+// verifyFlat is verifyTree for the direct tree path (Options.Verify, on
+// thread 0 after the tree barrier): the flat tree's own structural
+// invariants — DFS layout, kids in octant order, bodies inside their
+// cells, N and mass additive — plus the two the partition relies on:
+// every cell's Cost is EXACTLY the sum of its kids' (see verifyTree), and
+// the slots hold every body exactly once, as it is in the heap.
+func (s *Sim) verifyFlat() {
+	ft := &s.flat.Tree
+	if err := ft.Verify(); err != nil {
+		panic(fmt.Sprintf("core verify: %v", err))
 	}
-	st.lbodies = bs
-
-	ft := &st.lflat
-	ft.RebuildWithRoot(bs, g.Center, g.Half)
-
-	me := int32(t.ID())
-	base := s.cells.Alloc(t, len(ft.Nodes))
 	for i := range ft.Nodes {
 		nd := &ft.Nodes[i]
-		mt := &ft.Meta[i]
-		ref := upc.Ref{Thr: me, Idx: base.Idx + int32(i)}
-		cp := s.cells.Raw(ref)
-		*cp = Cell{
-			CofM: nd.CofM, Mass: nd.Mass, Half: mt.Half,
-			Cost: mt.Cost, NSub: mt.N, Done: 1,
-			Center: mt.Center,
-		}
-		for k := nd.First; k < nd.First+nd.Count; k++ {
-			c := ft.Kids[k]
-			oct := ft.KidOctant(int32(i), c)
+		var cost float64
+		for _, c := range ft.Kids[nd.First : nd.First+nd.Count] {
 			if c < 0 {
-				// ft.Bodies.ID indexes st.lbodies, which parallels
-				// st.myBodies.
-				br := st.myBodies[ft.Bodies.ID[octree.FlatLeafBody(c)]]
-				cp.Sub[oct] = BodyRef(br)
+				cost += ft.Bodies.Cost[octree.FlatLeafBody(c)]
 			} else {
-				cp.Sub[oct] = CellRef(upc.Ref{Thr: me, Idx: base.Idx + c})
+				cost += ft.Meta[c].Cost
 			}
 		}
-		st.myCells = append(st.myCells, ref)
+		if ft.Meta[i].Cost != cost {
+			panic(fmt.Sprintf("core verify: flat cell %d cost %v != exact kid-cost sum %v (level %v)", i, ft.Meta[i].Cost, cost, s.o.Level))
+		}
 	}
-	return base
+	if ft.Bodies.Len() != s.o.Bodies {
+		panic(fmt.Sprintf("core verify: flat tree holds %d bodies, want %d", ft.Bodies.Len(), s.o.Bodies))
+	}
+	seen := make([]bool, s.o.Bodies)
+	for j, src := range ft.Bodies.ID {
+		b := s.bodies.Raw(s.flat.refs[src])
+		if b.ID < 0 || int(b.ID) >= len(seen) || seen[b.ID] {
+			panic(fmt.Sprintf("core verify: body %d appears twice in the flat tree", b.ID))
+		}
+		seen[b.ID] = true
+		cost := b.Cost
+		if cost <= 0 {
+			cost = 1
+		}
+		if b.Pos != ft.Bodies.Pos[j] || b.Mass != ft.Bodies.Mass[j] || cost != ft.Bodies.Cost[j] {
+			panic(fmt.Sprintf("core verify: flat slot %d is not body %d as the heap holds it", j, b.ID))
+		}
+	}
 }

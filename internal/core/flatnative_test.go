@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"upcbh/internal/arena"
 	"upcbh/internal/upc"
 )
 
@@ -81,23 +83,35 @@ func TestNativeFlatMatchesPointerThreads(t *testing.T) {
 }
 
 // TestNativeSteadyStateZeroAlloc is the allocation-regression gate for
-// steady-state timestep advance: a single-thread native run at the
-// merged level (flat local build + flat snapshot force — the full flat
-// hot path) must stop allocating once its arenas have warmed up. The
-// per-step malloc counts are sampled inside the SPMD thread via the
-// step hook, with the GC disabled so background collection cannot
-// perturb the counters.
+// steady-state timestep advance: a native run at the merged level (the
+// parallel flat build, flat partition and flat force — the full flat hot
+// path) must stop allocating once its arenas have warmed up, with one
+// thread (no crown: the tree is built in place) and with two (crown,
+// per-thread segments, stitch). The per-step malloc counts are sampled
+// inside the SPMD thread via the step hook, with the GC disabled so
+// background collection cannot perturb the counters.
 func TestNativeSteadyStateZeroAlloc(t *testing.T) {
+	for _, threads := range []int{1, 2} {
+		t.Run(fmt.Sprintf("p%d", threads), func(t *testing.T) { testSteadyStateZeroAlloc(t, threads) })
+	}
+}
+
+func testSteadyStateZeroAlloc(t *testing.T, threads int) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
 
-	const steps, warm = 8, 1
+	const steps, warm = 30, 1
 	mallocs := make([]uint64, 0, steps)
-	opts := DefaultOptions(2048, 1, LevelMergedBuild)
+	opts := DefaultOptions(2048, threads, LevelMergedBuild)
 	opts.Steps, opts.Warmup = steps, warm
 	opts.ExecMode = ModeNative
-	var bodyBuf unsafe.Pointer // the thread's first §5.2 body buffer
+	var bodyBuf unsafe.Pointer // thread 0's first §5.2 body buffer
 	opts.testStepHook = func(th *upc.Thread, step int) {
+		if th.ID() != 0 {
+			return
+		}
+		// Every thread is past the step's last barrier; a peer may be in
+		// its own hook or parking, neither of which allocates.
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		mallocs = append(mallocs, ms.Mallocs)
@@ -115,74 +129,78 @@ func TestNativeSteadyStateZeroAlloc(t *testing.T) {
 	if len(mallocs) != steps {
 		t.Fatalf("hook ran %d times, want %d", len(mallocs), steps)
 	}
-	// The first steps may allocate (arena growth, stepPh warmup). The
-	// final steps are the steady state the tentpole promises: 0 allocs.
-	for i := steps - 3; i < steps; i++ {
+	// The first steps may allocate (arena growth, stepPh warmup, and at
+	// two threads the migration worklists the first time bodies change
+	// owner). The final steps are the steady state the tentpole promises:
+	// 0 allocs.
+	for i := steps - 8; i < steps; i++ {
 		if d := mallocs[i] - mallocs[i-1]; d != 0 {
 			t.Errorf("step %d allocated %d objects in steady state, want 0", i, d)
 		}
 	}
 
 	// Off-heap claim: the flat arenas exist, were consumed, and the hot
-	// arrays of the published snapshot live inside the mmap region —
-	// GC-invisible — rather than on the Go heap.
+	// arrays of the step's tree, the builder's staging view and each
+	// thread's segment live inside the mmap regions — GC-invisible —
+	// rather than on the Go heap.
 	if sim.mem == nil {
 		t.Fatal("native sim has no flat arena")
 	}
-	if sim.mem.Used() == 0 {
-		t.Error("global flat arena unused")
-	}
-	if sim.tmem[0] == nil || sim.tmem[0].Used() == 0 {
-		t.Error("thread-local flat arena unused")
-	}
-	sn := sim.flat.cur.Load()
-	if sn == nil {
-		t.Fatal("no published flat snapshot after the run")
-	}
-	mem := sim.mem.Bytes()
-	lo := uintptr(unsafe.Pointer(&mem[0]))
-	hi := lo + uintptr(len(mem))
-	inArena := func(name string, p unsafe.Pointer) {
-		if a := uintptr(p); a < lo || a >= hi {
-			t.Errorf("%s at %#x is outside the arena [%#x,%#x)", name, a, lo, hi)
+	inArena := func(a *arena.Arena, name string, p unsafe.Pointer) {
+		t.Helper()
+		if a == nil || a.Used() == 0 {
+			t.Fatalf("%s: arena missing or unused", name)
+		}
+		mem := a.Bytes()
+		lo := uintptr(unsafe.Pointer(&mem[0]))
+		if addr := uintptr(p); addr < lo || addr >= lo+uintptr(len(mem)) {
+			t.Errorf("%s at %#x is outside its arena [%#x,%#x)", name, addr, lo, lo+uintptr(len(mem)))
 		}
 	}
-	inArena("Nodes", unsafe.Pointer(&sn.ft.Nodes[0]))
-	inArena("Meta", unsafe.Pointer(&sn.ft.Meta[0]))
-	inArena("Kids", unsafe.Pointer(&sn.ft.Kids[0]))
-	inArena("PM", unsafe.Pointer(&sn.ft.PM[0]))
-	inArena("Bodies.Pos", unsafe.Pointer(&sn.ft.Bodies.Pos[0]))
-	inArena("Bodies.Mass", unsafe.Pointer(&sn.ft.Bodies.Mass[0]))
+	ft := &sim.flat.Tree
+	inArena(sim.mem, "Nodes", unsafe.Pointer(&ft.Nodes[0]))
+	inArena(sim.mem, "Meta", unsafe.Pointer(&ft.Meta[0]))
+	inArena(sim.mem, "Kids", unsafe.Pointer(&ft.Kids[0]))
+	inArena(sim.mem, "PM", unsafe.Pointer(&ft.PM[0]))
+	inArena(sim.mem, "Bodies.Pos", unsafe.Pointer(&ft.Bodies.Pos[0]))
+	inArena(sim.mem, "Bodies.Mass", unsafe.Pointer(&ft.Bodies.Mass[0]))
+	inArena(sim.mem, "Src.Pos", unsafe.Pointer(&sim.flat.Src.Pos[0]))
+	inArena(sim.mem, "refs", unsafe.Pointer(&sim.flat.refs[0]))
+	if threads > 1 {
+		// A thread's arena holds its body chunk and, beyond it, its
+		// builder segment and sort scratch — which, allocation-free as the
+		// steps above were, is the only place they can be.
+		for i, a := range sim.tmem {
+			if a == nil || a.Used() <= sim.bodies.ChunkBytes() {
+				t.Errorf("thread %d: builder segment is not in the thread's arena", i)
+			}
+		}
+	}
 
 	// The thread's body chunk lives in its own arena, so the unwritten
 	// slack of the 4x-sized double buffers is never resident.
-	mem = sim.tmem[0].Bytes()
-	lo = uintptr(unsafe.Pointer(&mem[0]))
-	hi = lo + uintptr(len(mem))
-	inArena("body buffer", bodyBuf)
+	inArena(sim.tmem[0], "body buffer", bodyBuf)
 }
 
-// TestNativeFlatSnapshotCoversTree cross-checks the snapshot against the
-// global tree it was taken from: every body appears exactly once and the
-// root aggregates carry the full mass, for a configuration with
-// migration (multi-thread, clustered scenario).
+// TestNativeFlatSnapshotCoversTree cross-checks the step's flat tree
+// against the body set it was built from: verifyFlat on every step (every
+// body exactly once, exact costs, additive masses), and the slot and
+// cell counts seen from outside, for a configuration with migration
+// (multi-thread, clustered scenario).
 func TestNativeFlatSnapshotCoversTree(t *testing.T) {
 	opts := DefaultOptions(1024, 4, LevelMergedBuild)
 	opts.Steps, opts.Warmup = 2, 1
 	opts.ExecMode = ModeNative
 	opts.Scenario = "clustered"
+	opts.Verify = true
 	var snapBodies, snapCells []int
 	opts.testStepHook = func(th *upc.Thread, step int) {
 		if th.ID() != 0 {
 			return
 		}
-		sn := currentSim.flat.cur.Load()
-		if sn == nil {
-			t.Error("no snapshot published by end of step")
-			return
-		}
-		snapBodies = append(snapBodies, sn.ft.Bodies.Len())
-		snapCells = append(snapCells, len(sn.ft.Nodes))
+		ft := &currentSim.flat.Tree
+		snapBodies = append(snapBodies, ft.Bodies.Len())
+		snapCells = append(snapCells, len(ft.Nodes))
 	}
 	sim, err := New(opts)
 	if err != nil {
@@ -203,76 +221,41 @@ func TestNativeFlatSnapshotCoversTree(t *testing.T) {
 	}
 }
 
-// TestNativeFlatSkipForLeafIdx is the direct unit test of the snapshot's
-// self-skip index, in a configuration with real migration (multi-thread,
-// clustered): for every owned body, skipFor either names the snapshot
-// slot holding exactly that body's stale copy (leaf present at build
-// time) or returns -1 (the body migrated this step into a fresh slot the
-// snapshot has never seen), and the -1 count per thread is exactly that
-// thread's migration count. The >0 leafIdx entries must be a bijection
-// onto the snapshot's body slots.
+// TestNativeFlatSkipForLeafIdx is the direct unit test of the force
+// phase's slot table, in a configuration with real migration
+// (multi-thread, clustered): a thread's owned bodies are exactly the tree
+// slots slotLo, slotLo+1, … in myBodies order — so the slot is the
+// self-skip — and the owned bodies whose build-time copy (the ref the
+// tree recorded for the slot) is not the ref the thread now holds are
+// exactly this step's migrations.
 func TestNativeFlatSkipForLeafIdx(t *testing.T) {
 	opts := DefaultOptions(1024, 4, LevelMergedBuild)
 	opts.Steps, opts.Warmup = 3, 1
 	opts.ExecMode = ModeNative
 	opts.Scenario = "clustered"
 	var mu sync.Mutex
-	checked := 0
+	checked, migratedTotal := 0, 0
 	opts.testStepHook = func(th *upc.Thread, step int) {
 		s := currentSim
 		st := s.ts[th.ID()]
-		sn := s.flat.cur.Load()
-		if sn == nil {
-			t.Error("no snapshot published")
-			return
-		}
-		if th.ID() == 0 {
-			// Bijection: the nonzero index entries cover each snapshot
-			// slot exactly once.
-			seen := make([]bool, sn.ft.Bodies.Len())
-			nz := 0
-			for _, shard := range sn.leafIdx {
-				for _, v := range shard {
-					if v == 0 {
-						continue
-					}
-					slot := int(v - 1)
-					if slot < 0 || slot >= len(seen) || seen[slot] {
-						t.Errorf("step %d: leafIdx entry %d out of range or duplicated", step, v)
-						continue
-					}
-					seen[slot] = true
-					nz++
-				}
-			}
-			if nz != sn.ft.Bodies.Len() {
-				t.Errorf("step %d: %d leafIdx entries for %d snapshot slots", step, nz, sn.ft.Bodies.Len())
-			}
-			// Refs past the shard's indexed range are never leaves.
-			if got := sn.skipFor(upc.Ref{Thr: 0, Idx: 1 << 30}); got != -1 {
-				t.Errorf("out-of-range ref: skipFor = %d, want -1", got)
-			}
-		}
-		// Per-thread: every owned body resolves to its own stale copy or
-		// to -1, and the -1s are exactly this step's migrations.
+		ft := &s.flat.Tree
 		fresh := 0
-		for _, br := range st.myBodies {
-			slot := sn.skipFor(br)
-			if slot < 0 {
-				fresh++
-				continue
+		for i, br := range st.myBodies {
+			slot := st.slotLo + i
+			if want := s.bodies.Raw(br).ID; s.bodies.Raw(s.flat.refs[ft.Bodies.ID[slot]]).ID != want {
+				t.Errorf("step %d thread %d: slot %d does not hold owned body %d", step, th.ID(), slot, want)
 			}
-			if want := s.bodies.Raw(br).ID; sn.ft.Bodies.ID[slot] != want {
-				t.Errorf("step %d thread %d: skipFor slot %d holds body %d, want %d",
-					step, th.ID(), slot, sn.ft.Bodies.ID[slot], want)
+			if s.flat.refs[ft.Bodies.ID[slot]] != br {
+				fresh++
 			}
 		}
 		if migrated := len(st.remote[st.stepParity].refs); fresh != migrated {
-			t.Errorf("step %d thread %d: %d bodies without snapshot leaf, but %d migrated",
+			t.Errorf("step %d thread %d: %d bodies moved off their build-time slot, but %d migrated",
 				step, th.ID(), fresh, migrated)
 		}
 		mu.Lock()
 		checked++
+		migratedTotal += fresh
 		mu.Unlock()
 	}
 	sim, err := New(opts)
@@ -287,14 +270,18 @@ func TestNativeFlatSkipForLeafIdx(t *testing.T) {
 	if want := opts.Steps * 4; checked != want {
 		t.Fatalf("hook checked %d thread-steps, want %d", checked, want)
 	}
+	if migratedTotal == 0 {
+		t.Fatal("no body migrated: the configuration does not exercise the slot table")
+	}
 }
 
-// TestNativeFlatRelaxedSyncStress exercises the barrier-free
-// redistribute→force boundary hard: no Verify barrier, several steps,
-// multiple threads, migration-heavy scenario. Run under -race this is
-// the regression gate for the RCU snapshot publication; in any mode it
-// cross-checks the relaxed schedule's physics against the fully
-// barriered pointer path of the simulate backend.
+// TestNativeFlatRelaxedSyncStress exercises the barrier-free stretch
+// from the tree barrier to the force barrier hard: no Verify barrier,
+// several steps, multiple threads, migration-heavy scenario. Run under
+// -race this is the regression gate for partition, redistribute and
+// force overlapping across threads; in any mode it cross-checks the
+// relaxed schedule's physics against the fully barriered pointer path of
+// the simulate backend.
 func TestNativeFlatRelaxedSyncStress(t *testing.T) {
 	for _, level := range []Level{LevelCacheTree, LevelMergedBuild} {
 		level := level

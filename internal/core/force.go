@@ -9,14 +9,14 @@ import (
 
 // force dispatches the force-computation phase by optimization level.
 // Under the native backend, every level that walks a private/cached view
-// of the tree (LevelCacheTree and above) runs the flat-snapshot kernel
+// of the tree (LevelCacheTree and above) runs the flat-tree kernel
 // instead — the communication-hiding machinery of forceCached/forceAsync
 // only exists to model remote access, which native execution does not
 // have. The naive levels (L0-L2) keep the shared-pointer walk: their
 // point is the fine-grained access pattern itself.
 func (s *Sim) force(t *upc.Thread, st *tstate, measured bool) {
 	switch {
-	case s.nativeFlat() && s.o.Level >= LevelCacheTree:
+	case s.flat != nil:
 		s.forceFlat(t, st, measured)
 	case s.o.Level >= LevelAsync:
 		s.forceAsync(t, st, measured)

@@ -97,19 +97,10 @@ func TestStepEquivalenceNative(t *testing.T) {
 			opts.ExecMode = ModeNative
 			ref := runOnce(t, opts)
 			got := runStepped(t, opts, []int{1, 2, 1})
-			if c.threads == 1 {
-				// Single-thread native has a deterministic FP order:
-				// stepped and straight runs agree exactly.
-				sameBodies(t, got.Bodies, ref.Bodies)
-				return
-			}
-			// Concurrent tree merges reorder commutative FP sums, so
-			// multi-thread native runs agree only to tolerance — the
-			// same bound mode_test.go uses for native-vs-simulate.
-			worstPos, worstVel := comparePhysics(t, got, ref)
-			if worstPos > 1e-6 || worstVel > 1e-6 {
-				t.Fatalf("stepped native run drifted beyond FP tolerance: pos %g vel %g", worstPos, worstVel)
-			}
+			// The native tree has one fixed FP association at any thread
+			// count (TestNativeThreadCountInvariant): stepped and straight
+			// runs agree exactly.
+			sameBodies(t, got.Bodies, ref.Bodies)
 		})
 	}
 }

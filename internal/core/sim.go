@@ -109,16 +109,17 @@ type Sim struct {
 	epsS  *upc.Scalar[float64]
 	rootS *upc.Scalar[NodeRef]
 
-	// flat is the shared native-backend snapshot state (see
-	// flatnative.go); nil under ModeSimulate.
-	flat *flatState
+	// flat is the step's flat octree and its parallel builder (see
+	// flatnative.go): non-nil under ModeNative at LevelCacheTree and
+	// above, where it replaces the cells heap, the lock array and rootS.
+	flat *flatTree
 
-	// mem backs the global flat snapshots' hot arrays with off-heap
-	// (mmap) memory; tmem[i] backs thread i's local flat tree and its
-	// body-heap chunk. Arenas are single-owner bump allocators, so the
-	// global one is touched only by thread 0 (the snapshot builder) and
-	// each tmem[i] only by its thread. All nil under ModeSimulate or
-	// when mmap is unavailable — growth then falls back to the Go heap.
+	// mem backs the flat tree's shared arrays with off-heap (mmap)
+	// memory; tmem[i] backs thread i's builder segment and its body-heap
+	// chunk. Arenas are single-owner bump allocators, so the shared one
+	// is touched only by thread 0 (and by start, before any thread runs)
+	// and each tmem[i] only by its thread. Nil under ModeSimulate or when
+	// mmap is unavailable — growth then falls back to the Go heap.
 	mem  *arena.Arena
 	tmem []*arena.Arena
 
@@ -165,23 +166,18 @@ type tstate struct {
 	// Subspace scratch (§6).
 	sub *subspaceState
 
-	// Native flat-path scratch (flatnative.go), retained across steps:
-	// the per-thread walker, the local-tree arena of the merged build,
-	// the gathered owned-body slice it sorts, and the count of forceFlat
-	// entries (the snapshot epoch this thread expects to acquire —
-	// per-thread counters agree because every thread runs the same phase
-	// sequence).
-	fwalker   octree.FlatWalker
-	lflat     octree.FlatTree
-	lbodies   []nbody.Body
-	flatEpoch uint64
+	// Native flat-path state (flatnative.go): the per-thread walker, and
+	// the flat-tree slot of myBodies[0] — this step's owned bodies are
+	// slots slotLo, slotLo+1, … in myBodies order.
+	fwalker octree.FlatWalker
+	slotLo  int
 
 	// Iterative-walk and redistribution scratch, retained across steps
 	// so steady-state stepping allocates nothing. The migration scratch
-	// is parity-indexed by step (stepParity): with the redistribute
-	// barrier relaxed under the native flat path, step k's gather list
-	// stays intact for the whole step it describes (and for test hooks
-	// inspecting it) instead of being clobbered in place by step k+1.
+	// is parity-indexed by step (stepParity): the native flat path has no
+	// barrier after redistribute, and step k's gather list stays intact
+	// for the whole step it describes (and for test hooks inspecting it)
+	// instead of being clobbered in place by step k+1.
 	czstack    []NodeRef
 	remote     [2]remoteScratch
 	stepParity int
@@ -234,9 +230,17 @@ func New(opts Options) (*Sim, error) {
 		par:    opts.Machine.Par,
 		bodies: upc.NewHeap[nbody.Body](rt, bodyChunk),
 		cells:  upc.NewHeap[Cell](rt, 1<<14),
-		locks:  rt.NewLockArray(2048),
 		init:   init,
 		ts:     make([]*tstate, p),
+	}
+	if s.nativeFlat() && opts.Level >= LevelCacheTree {
+		// The direct flat-tree path (flatnative.go) inserts nothing into a
+		// shared tree: no cell locks — under native each is a channel, and
+		// 2048 of them were two thirds of this function's time.
+		s.flat = &flatTree{}
+		s.locks = rt.NewLockArray(0)
+	} else {
+		s.locks = rt.NewLockArray(2048)
 	}
 	// Both heaps fully initialize every element before first read (cells
 	// are whole-struct assigned at creation, bodies copied/gathered in),
@@ -253,15 +257,14 @@ func New(opts Options) (*Sim, error) {
 		s.ts[i] = &tstate{id: i}
 	}
 	if s.nativeFlat() {
-		s.flat = &flatState{}
 		// Arenas are sized from the body count with room for the
 		// doubling-growth dead space; anonymous mappings commit pages
 		// lazily, so over-reserving virtual space costs nothing. A
 		// failed mmap leaves the arenas nil and growth on the Go heap.
-		if a, err := arena.New(2048*opts.Bodies + 8<<20); err == nil {
-			s.mem = a
-			s.flat.bufs[0].ft.SetArena(a)
-			s.flat.bufs[1].ft.SetArena(a)
+		if s.flat != nil {
+			if a, err := arena.New(2048*opts.Bodies + 8<<20); err == nil {
+				s.mem = a
+			}
 		}
 		// Each thread's arena also holds its body chunk. The §5.2 double
 		// buffers in it are sized for the worst redistribution and mostly
@@ -272,7 +275,6 @@ func New(opts Options) (*Sim, error) {
 		for i := range s.ts {
 			if a, err := arena.New(1024*(opts.Bodies/p+1) + 1<<20 + s.bodies.ChunkBytes()); err == nil {
 				s.tmem[i] = a
-				s.ts[i].lflat.SetArena(a)
 			}
 		}
 		s.bodies.SetChunkSource(func(thr, n int) []nbody.Body {
@@ -314,6 +316,9 @@ func (s *Sim) Options() Options { return s.o }
 // its first step boundary. A setup-time thread panic propagates, as it
 // did under the old run-to-completion Run.
 func (s *Sim) start() {
+	if s.flat != nil {
+		s.initFlatTree()
+	}
 	s.sess = s.rt.Start(s.threadMain)
 	s.state = simPaused
 }
@@ -406,7 +411,7 @@ func (s *Sim) Release() {
 	s.bodies.Release()
 	s.cells.Release()
 	// Unmap the flat-tree arenas after the threads have exited; any
-	// slice into them (snapshot buffers, local trees) is dead now.
+	// slice into them (the flat tree, builder segments) is dead now.
 	s.mem.Close()
 	for _, a := range s.tmem {
 		a.Close()
@@ -433,38 +438,13 @@ func (s *Sim) endPhase(t *upc.Thread, st *tstate, ph *PhaseTimes, p Phase, t0 fl
 
 // endPhaseFlow is endPhase without the closing barrier: the phase's time
 // and operation delta are recorded, but the thread flows straight into
-// the next phase. Used at phase boundaries whose ordering is enforced by
-// something cheaper than a full rendezvous — under the native flat path,
-// the redistribute→force boundary is ordered by the RCU snapshot
-// acquisition instead (see relaxedSync).
+// the next phase. Used by the native flat path (stepFlat), where nothing
+// after the tree barrier reads another thread's writes until the force
+// barrier.
 func (s *Sim) endPhaseFlow(t *upc.Thread, st *tstate, ph *PhaseTimes, p Phase, t0 float64, s0 upc.Stats, measured bool) {
 	ph[p] += t.Now() - t0
 	if measured {
 		st.phaseComm[p].Add(t.Stats().Delta(s0))
-	}
-}
-
-// relaxedSync reports whether the redistribute phase may end without a
-// barrier. This requires the native flat force path: forceFlat's
-// epoch-acquired snapshot (built by thread 0 from tree state that the
-// kept partition barrier already ordered) replaces the rendezvous.
-// Redistribute's writes land only in slots the snapshot never
-// references — gather destinations beyond each shard's build-time
-// length and the idle compaction buffer — so the flatten pass and early
-// force walkers race with nothing. The simulate backend never takes
-// this path: its charged phase tables (pinned by the goldens) keep the
-// barrier.
-func (s *Sim) relaxedSync() bool {
-	return s.nativeFlat() && s.o.Level >= LevelCacheTree
-}
-
-// endPhaseRedist closes the redistribute phase with or without its
-// barrier, per relaxedSync.
-func (s *Sim) endPhaseRedist(t *upc.Thread, st *tstate, ph *PhaseTimes, t0 float64, s0 upc.Stats, measured bool) {
-	if s.relaxedSync() {
-		s.endPhaseFlow(t, st, ph, PhaseRedist, t0, s0, measured)
-	} else {
-		s.endPhase(t, st, ph, PhaseRedist, t0, s0, measured)
 	}
 }
 
@@ -489,48 +469,11 @@ func (s *Sim) threadMain(t *upc.Thread) {
 func (s *Sim) stepOnce(t *upc.Thread, st *tstate, step int) {
 	measured := step >= s.o.Warmup
 	var ph PhaseTimes
-
-	// Per-step reset of the shared tree storage.
-	s.cells.Reset(t)
-	st.myCells = st.myCells[:0]
 	st.stepParity = step & 1
-	t.Barrier()
-
-	switch {
-	case s.o.Level >= LevelSubspace:
-		s.stepSubspace(t, st, &ph, measured)
-	case s.o.Level >= LevelMergedBuild:
-		t0, s0 := s.beginPhase(t)
-		s.buildMerged(t, st, measured)
-		s.endPhase(t, st, &ph, PhaseTree, t0, s0, measured)
-		t0, s0 = s.beginPhase(t)
-		s.costzones(t, st)
-		s.endPhase(t, st, &ph, PhasePartition, t0, s0, measured)
-		t0, s0 = s.beginPhase(t)
-		s.redistribute(t, st, measured)
-		s.endPhaseRedist(t, st, &ph, t0, s0, measured)
-	default:
-		t0, s0 := s.beginPhase(t)
-		s.buildGlobal(t, st)
-		s.endPhase(t, st, &ph, PhaseTree, t0, s0, measured)
-		t0, s0 = s.beginPhase(t)
-		s.cofmGlobal(t, st)
-		s.endPhase(t, st, &ph, PhaseCofM, t0, s0, measured)
-		t0, s0 = s.beginPhase(t)
-		s.costzones(t, st)
-		s.endPhase(t, st, &ph, PhasePartition, t0, s0, measured)
-		if s.o.Level >= LevelRedistribute {
-			t0, s0 = s.beginPhase(t)
-			s.redistribute(t, st, measured)
-			s.endPhaseRedist(t, st, &ph, t0, s0, measured)
-		}
-	}
-
-	if s.o.Verify {
-		if t.ID() == 0 {
-			s.verifyTree(t, st)
-		}
-		t.Barrier()
+	if s.flat != nil {
+		s.stepFlat(t, st, &ph, measured)
+	} else {
+		s.stepPointer(t, st, &ph, measured)
 	}
 
 	t0, s0 := s.beginPhase(t)
@@ -546,6 +489,53 @@ func (s *Sim) stepOnce(t *upc.Thread, st *tstate, step int) {
 	}
 	if s.o.testStepHook != nil {
 		s.o.testStepHook(t, step)
+	}
+}
+
+// stepPointer is the shared-pointer-tree arm of stepOnce up to the force
+// phase (every simulate level, and native L0-L2): build, c-of-m,
+// partition and redistribute as the level prescribes.
+func (s *Sim) stepPointer(t *upc.Thread, st *tstate, ph *PhaseTimes, measured bool) {
+	// Per-step reset of the shared tree storage.
+	s.cells.Reset(t)
+	st.myCells = st.myCells[:0]
+	t.Barrier()
+
+	switch {
+	case s.o.Level >= LevelSubspace:
+		s.stepSubspace(t, st, ph, measured)
+	case s.o.Level >= LevelMergedBuild:
+		t0, s0 := s.beginPhase(t)
+		s.buildMerged(t, st, measured)
+		s.endPhase(t, st, ph, PhaseTree, t0, s0, measured)
+		t0, s0 = s.beginPhase(t)
+		s.costzones(t, st)
+		s.endPhase(t, st, ph, PhasePartition, t0, s0, measured)
+		t0, s0 = s.beginPhase(t)
+		s.redistribute(t, st, measured)
+		s.endPhase(t, st, ph, PhaseRedist, t0, s0, measured)
+	default:
+		t0, s0 := s.beginPhase(t)
+		s.buildGlobal(t, st)
+		s.endPhase(t, st, ph, PhaseTree, t0, s0, measured)
+		t0, s0 = s.beginPhase(t)
+		s.cofmGlobal(t, st)
+		s.endPhase(t, st, ph, PhaseCofM, t0, s0, measured)
+		t0, s0 = s.beginPhase(t)
+		s.costzones(t, st)
+		s.endPhase(t, st, ph, PhasePartition, t0, s0, measured)
+		if s.o.Level >= LevelRedistribute {
+			t0, s0 = s.beginPhase(t)
+			s.redistribute(t, st, measured)
+			s.endPhase(t, st, ph, PhaseRedist, t0, s0, measured)
+		}
+	}
+
+	if s.o.Verify {
+		if t.ID() == 0 {
+			s.verifyTree(t, st)
+		}
+		t.Barrier()
 	}
 }
 

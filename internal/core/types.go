@@ -20,7 +20,7 @@ type Phase int
 // The phases, in execution order.
 const (
 	PhaseTree Phase = iota // tree building (incl. bounding box; incl. merge/cofm at L4+)
-	PhaseCofM              // center-of-mass computation (separate phase at L0-L3 only)
+	PhaseCofM              // center-of-mass computation (separate phase at L0-L3 only; native: L0-L2)
 	PhasePartition
 	PhaseRedist // body redistribution (L2+)
 	PhaseForce
@@ -47,9 +47,9 @@ type PhaseTimes [NumPhases]float64
 
 // ExecMode selects the execution backend: ModeSimulate charges every UPC
 // operation against the LogGP machine model and reports simulated times
-// (the paper reproduction); ModeNative runs the same algorithm with real
-// goroutine parallelism, real locks and barriers, and reports measured
-// wall-clock phase times.
+// (the paper reproduction); ModeNative runs the same time-step with real
+// goroutine parallelism (from LevelCacheTree up on the flat tree of
+// flatnative.go) and reports measured wall-clock phase times.
 type ExecMode = upc.ExecMode
 
 // Execution backends.
@@ -209,6 +209,11 @@ type Options struct {
 	// testBufferCap overrides the §5.2 double-buffer capacity; tests use
 	// it to exercise the compaction path deterministically.
 	testBufferCap int
+
+	// testCrownDepth, when positive, overrides the parallel flat build's
+	// crown depth (octree.CrownDepth), so tests reach bins emptier or
+	// fuller than the automatic choice allows.
+	testCrownDepth int
 
 	// testStepHook, when set, runs on every thread at the end of each
 	// time-step (after the advance barrier); the allocation-regression

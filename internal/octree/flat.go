@@ -159,9 +159,8 @@ func (ft *FlatTree) Rebuild(bodies []nbody.Body) {
 // yields a lone empty root cell.
 //
 // It does NOT refresh the packed PM records — callers that will run
-// force walks must call PackPM() afterwards (Rebuild does); builders
-// that only read the structure (e.g. the native merged build, which
-// emits heap cells and discards the arena view) skip that pass.
+// force walks must call PackPM() afterwards (Rebuild does); callers
+// that only read the structure skip that pass.
 func (ft *FlatTree) RebuildWithRoot(bodies []nbody.Body, center vec.V3, half float64) {
 	n := len(bodies)
 	ft.Center, ft.Half = center, half
@@ -189,6 +188,31 @@ func (ft *FlatTree) RebuildWithRoot(bodies []nbody.Body, center vec.V3, half flo
 	ft.buildRange(root, 0, int32(n), 0)
 }
 
+// AppendSubtree is the append-mode entry point of the parallel builder
+// (parbuild.go): it Morton-sorts the bodies in slots [lo, hi) of src
+// within the cube (center, half), gathers them into the SAME slots of
+// ft.Bodies (Bodies.ID records the src slot each came from), and appends
+// the cell covering that cube at tree depth `depth`, with its whole
+// subtree, to Nodes/Meta/Kids — leaving everything already in ft alone.
+// The subtree is what RebuildWithRoot builds under that cube: the same
+// sort, the same buildRange. It returns the new cell's index; the caller
+// sizes ft.Bodies and packs PM.
+func (ft *FlatTree) AppendSubtree(src *nbody.SoA, lo, hi int32, center vec.V3, half float64, depth int) int32 {
+	n := int(hi - lo)
+	ft.ensureScratch(n)
+	for i := 0; i < n; i++ {
+		ft.keys[i] = Morton(src.Pos[int(lo)+i], center, half)
+		ft.perm[i] = lo + int32(i)
+	}
+	radixSortByKey(ft.keys, ft.perm, ft.keyTmp, ft.permTmp)
+	for j, i := range ft.perm {
+		ft.Bodies.Set(int(lo)+j, src.Pos[i], src.Mass[i], src.Cost[i], i)
+	}
+	ci := ft.newNode(center, half)
+	ft.buildRange(ci, lo, hi, depth)
+	return ci
+}
+
 // PackPM derives the packed PM interaction records from the (final) SoA
 // order; the force kernels read PM, so it must run after any rebuild or
 // conversion and before the first walk.
@@ -205,10 +229,13 @@ func (ft *FlatTree) PackPM() {
 
 func (ft *FlatTree) ensureScratch(n int) {
 	if cap(ft.keys) < n {
-		ft.keys = arena.MakeSlice[uint64](ft.mem, n, n)
-		ft.keyTmp = arena.MakeSlice[uint64](ft.mem, n, n)
-		ft.perm = arena.MakeSlice[int32](ft.mem, n, n)
-		ft.permTmp = arena.MakeSlice[int32](ft.mem, n, n)
+		// Doubling, so a builder fed ranges of varying size (AppendSubtree)
+		// settles instead of leaving a dead arena block per new maximum.
+		c := max(n, 2*cap(ft.keys))
+		ft.keys = arena.MakeSlice[uint64](ft.mem, n, c)
+		ft.keyTmp = arena.MakeSlice[uint64](ft.mem, n, c)
+		ft.perm = arena.MakeSlice[int32](ft.mem, n, c)
+		ft.permTmp = arena.MakeSlice[int32](ft.mem, n, c)
 	}
 	ft.keys = ft.keys[:n]
 	ft.keyTmp = ft.keyTmp[:n]

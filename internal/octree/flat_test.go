@@ -411,7 +411,7 @@ func batchOracle(w *FlatWalker, ft *FlatTree, b *FlatBatch, theta, eps float64) 
 // tails of 1..7 lanes (unused lanes contribute nothing), entries whose
 // low or high 4-lane half is entirely masked out, eps = 0 (the self-skip
 // lane computes 0*Inf; a leaked mask shows up as NaN), Skip = -1 and a
-// Skip slot outside the batch (core's skipFor produces both).
+// Skip slot outside the batch.
 //
 // The reference comparison uses ulpTol rather than exact == for the
 // reason the file header documents: a reference loop compiled here is a

@@ -410,8 +410,8 @@ func (h *Heap[T]) TouchPut(t *Thread, r Ref, bytes int) { h.chargePut(t, r, byte
 // dst[i]. Elements with the same source thread travel in one aggregated
 // message. dst must be at least as long as refs.
 func (h *Heap[T]) Gather(t *Thread, refs []Ref, dst []T) {
-	hd := h.GatherAsync(t, refs, dst)
-	t.WaitSync(hd)
+	hd := h.gather(t, refs, dst, h.elemSize) // by value: a blocking gather allocates nothing
+	t.WaitSync(&hd)
 }
 
 // Handle is an outstanding non-blocking communication, as returned by
@@ -435,6 +435,11 @@ func (h *Heap[T]) GatherAsync(t *Thread, refs []Ref, dst []T) *Handle {
 // GatherAsyncBytes is GatherAsync fetching only the leading bytesPer
 // bytes of each element (see GetBytes for the prefix semantics).
 func (h *Heap[T]) GatherAsyncBytes(t *Thread, refs []Ref, dst []T, bytesPer int) *Handle {
+	hd := h.gather(t, refs, dst, bytesPer)
+	return &hd
+}
+
+func (h *Heap[T]) gather(t *Thread, refs []Ref, dst []T, bytesPer int) Handle {
 	if len(dst) < len(refs) {
 		panic("upc: GatherAsync destination shorter than reference list")
 	}
@@ -494,7 +499,7 @@ func (h *Heap[T]) GatherAsyncBytes(t *Thread, refs []Ref, dst []T, bytesPer int)
 		hist = len(t.stats.GatherSrcHist) - 1
 	}
 	t.stats.GatherSrcHist[hist]++
-	return &Handle{CompleteAt: complete, Refs: len(refs), Sources: nsrc}
+	return Handle{CompleteAt: complete, Refs: len(refs), Sources: nsrc}
 }
 
 // WaitSync is bupc_waitsync: block until the handle completes. (The data

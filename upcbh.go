@@ -18,9 +18,10 @@
 // Two execution backends are available (Options.ExecMode). ModeSimulate
 // (the default, shown above) charges every UPC operation against the
 // LogGP machine model and reports simulated cluster times. ModeNative
-// runs the identical algorithm as a real parallel Go program — goroutine
-// per UPC thread, real locks and barriers, no cost accounting — and
-// reports measured wall-clock phase times instead:
+// runs the same time-step as a real parallel Go program — goroutine per
+// UPC thread, real barriers, no cost accounting, and from the cached
+// levels up one flat octree built in parallel in place of the shared
+// pointer tree — and reports measured wall-clock phase times instead:
 //
 //	opts.ExecMode = upcbh.ModeNative
 //	sim, err := upcbh.New(opts)
