@@ -2,13 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"upcbh/internal/arena"
-	"upcbh/internal/nbody"
 	"upcbh/internal/octree"
 	"upcbh/internal/upc"
-	"upcbh/internal/vec"
 )
 
 // This file is the native-backend fast path. Under ModeNative the
@@ -44,6 +41,7 @@ func (s *Sim) nativeFlat() bool {
 type flatTree struct {
 	octree.ParBuild
 	refs []upc.Ref
+	seen []bool // verifyFlat's scratch, by body id; nil unless Options.Verify
 }
 
 // initFlatTree sizes the builder once the body count is final, on the
@@ -51,11 +49,7 @@ type flatTree struct {
 // thread runs yet).
 func (s *Sim) initFlatTree() {
 	n, p := s.o.Bodies, s.rt.Threads()
-	depth := octree.CrownDepth(n, p)
-	if s.o.testCrownDepth > 0 {
-		depth = s.o.testCrownDepth
-	}
-	s.flat.Init(n, p, depth, s.mem, s.tmem)
+	s.flat.Init(n, p, octree.CrownDepth(n, p), s.mem, s.tmem)
 	s.flat.refs = arena.MakeSlice[upc.Ref](s.mem, n, n)
 }
 
@@ -85,28 +79,11 @@ func (s *Sim) stepFlat(t *upc.Thread, st *tstate, ph *PhaseTimes, measured bool)
 
 // buildFlat drives this thread through the stages of octree.ParBuild,
 // with a barrier after each; the caller's phase barrier closes the last.
-// The root cube is reduced through the threads' private boxes rather than
-// a collective: min and max are exact, so the cube is boundingBox's, and
-// the step stays allocation-free at any thread count.
 func (s *Sim) buildFlat(t *upc.Thread, st *tstate, measured bool) {
 	t0 := t.Now()
-	lo := vec.V3{X: math.Inf(1), Y: math.Inf(1), Z: math.Inf(1)}
-	hi := lo.Scale(-1)
-	for _, br := range st.myBodies {
-		pos := s.bodies.Local(t, br).Pos
-		lo, hi = lo.Min(pos), hi.Max(pos)
-	}
-	st.bbLo, st.bbHi = [3]float64{lo.X, lo.Y, lo.Z}, [3]float64{hi.X, hi.Y, hi.Z}
-	t.Barrier()
-	for _, o := range s.ts {
-		lo = lo.Min(vec.V3{X: o.bbLo[0], Y: o.bbLo[1], Z: o.bbLo[2]})
-		hi = hi.Max(vec.V3{X: o.bbHi[0], Y: o.bbHi[1], Z: o.bbHi[2]})
-	}
-	center, half := nbody.RootCell(lo, hi)
-	st.geom = rootGeom{Center: center, Half: half}
-
+	g := s.boundingBox(t, st)
 	w := s.flat.Worker(t.ID())
-	w.Begin(center, half, len(st.myBodies))
+	w.Begin(g.Center, g.Half, len(st.myBodies))
 	for i, br := range st.myBodies {
 		w.Count(i, s.bodies.Local(t, br).Pos)
 	}
@@ -225,10 +202,17 @@ func (s *Sim) verifyFlat() {
 	if ft.Bodies.Len() != s.o.Bodies {
 		panic(fmt.Sprintf("core verify: flat tree holds %d bodies, want %d", ft.Bodies.Len(), s.o.Bodies))
 	}
-	seen := make([]bool, s.o.Bodies)
+	if s.flat.seen == nil {
+		s.flat.seen = make([]bool, s.o.Bodies)
+	}
+	seen := s.flat.seen
+	clear(seen)
 	for j, src := range ft.Bodies.ID {
 		b := s.bodies.Raw(s.flat.refs[src])
-		if b.ID < 0 || int(b.ID) >= len(seen) || seen[b.ID] {
+		if b.ID < 0 || int(b.ID) >= len(seen) {
+			panic(fmt.Sprintf("core verify: flat slot %d resolves to a record with body id %d, outside [0, %d)", j, b.ID, len(seen)))
+		}
+		if seen[b.ID] {
 			panic(fmt.Sprintf("core verify: body %d appears twice in the flat tree", b.ID))
 		}
 		seen[b.ID] = true

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"upcbh/internal/nbody"
+	"upcbh/internal/upc"
 	"upcbh/internal/vec"
 )
 
@@ -18,6 +20,8 @@ func runNative(t *testing.T, opts Options, bodies []nbody.Body) *Result {
 		t.Fatal(err)
 	}
 	defer sim.Release()
+	currentSim = sim
+	defer func() { currentSim = nil }()
 	if bodies != nil {
 		sim.SetBodies(bodies)
 	}
@@ -73,11 +77,16 @@ func TestNativeThreadCountInvariant(t *testing.T) {
 		})
 	}
 
-	// The corners of the parallel build, reached with hand-placed bodies
-	// and a forced crown depth: fewer bodies than bins, threads that own
-	// nothing (more threads than bodies — at set-up and after every
-	// partition), and a crown whose bodies all but two sit in one bin.
-	init, err := nbody.GenerateScenario("plummer", 300, 9)
+	// The corners of the parallel build a session can reach (n >= 512, so
+	// the crown is real; fewer bodies than bins is not reachable through
+	// CrownDepth and stays with octree.TestParallelBuildCorners): a crown
+	// whose bodies all but two sit in one bin, and threads that own
+	// nothing — a few bodies arrive with a cost that dwarfs the rest, so
+	// the first partition leaves the threads whose share falls inside one
+	// of them empty-handed for a force phase and the next build (few
+	// enough heavy bodies to idle a thread, enough to keep every other
+	// thread's share inside its body buffer).
+	init, err := nbody.GenerateScenario("plummer", 600, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,33 +95,86 @@ func TestNativeThreadCountInvariant(t *testing.T) {
 		oneBin[2+i].Pos = oneBin[2+i].Pos.Scale(1.0 / 512).Add(vec.V3{X: 3, Y: 3, Z: 3})
 	}
 	oneBin[0].Pos, oneBin[1].Pos = vec.V3{X: -8, Y: -8, Z: -8}, vec.V3{X: 8, Y: 8, Z: 8}
+	heavy := func(ids ...int) []nbody.Body {
+		bodies := append([]nbody.Body(nil), init...)
+		for _, i := range ids {
+			bodies[i].Cost = 1 << 30
+		}
+		return bodies
+	}
 	for _, c := range []struct {
-		name    string
-		bodies  []nbody.Body
-		threads []int
-		depth   int
+		name     string
+		bodies   []nbody.Body
+		threads  []int
+		wantIdle bool
 	}{
-		{"fewer-bodies-than-bins", init[:40], []int{2, 4}, 2},
-		{"idle-threads", init[:5], []int{3, 7}, 1},
-		{"one-bin", oneBin, []int{2, 3, 4}, 3},
+		{"one-bin", oneBin, []int{2, 3, 4}, false},
+		{"idle-threads-p3", heavy(300), []int{3}, true},
+		{"idle-threads-p7", heavy(100, 200, 300, 400), []int{7}, true},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
+			var idle atomic.Int32
 			mk := func(threads int) Options {
 				opts := DefaultOptions(len(c.bodies), threads, LevelMergedBuild)
 				opts.Steps, opts.Warmup = 4, 1
 				opts.Verify = true
-				if threads > 1 {
-					opts.testCrownDepth = c.depth
+				opts.testStepHook = func(th *upc.Thread, step int) {
+					if step == 0 && len(currentSim.ts[th.ID()].myBodies) == 0 {
+						idle.Add(1)
+					}
 				}
 				return opts
 			}
 			want := runNative(t, mk(1), c.bodies)
 			for _, threads := range c.threads {
+				idle.Store(0)
 				got := runNative(t, mk(threads), c.bodies)
+				if c.wantIdle && idle.Load() == 0 {
+					t.Errorf("p%d: every thread owned bodies after the first partition", threads)
+				}
 				t.Run(fmt.Sprintf("p%d", threads), func(t *testing.T) { sameResult(t, got, want) })
 			}
 		})
+	}
+}
+
+// TestNativeRootCubeMatchesAllReduce: boundingBox reduces the threads'
+// boxes by a barrier and a peer fold on the direct tree path and by two
+// all-reduces everywhere else; both must yield the same root cube. Native
+// positions at three threads are simulate's at one, bit for bit, so step
+// for step the two reductions see the same bodies.
+func TestNativeRootCubeMatchesAllReduce(t *testing.T) {
+	cubes := func(mode ExecMode, threads int) []rootGeom {
+		var out []rootGeom
+		opts := DefaultOptions(640, threads, LevelMergedBuild)
+		opts.Steps, opts.Warmup = 4, 1
+		opts.ExecMode = mode
+		opts.testStepHook = func(th *upc.Thread, step int) {
+			if th.ID() == 0 {
+				out = append(out, currentSim.ts[0].geom)
+			}
+		}
+		sim, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Release()
+		currentSim = sim
+		defer func() { currentSim = nil }()
+		if _, err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want, got := cubes(ModeSimulate, 1), cubes(ModeNative, 3)
+	if len(got) != 4 || len(want) != 4 {
+		t.Fatalf("recorded %d and %d cubes, want 4", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("step %d: flat path root cube %+v, all-reduce %+v", i, got[i], want[i])
+		}
 	}
 }
 

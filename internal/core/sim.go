@@ -706,8 +706,12 @@ func (s *Sim) newCell(t *upc.Thread, st *tstate, center vec.V3, half float64) up
 }
 
 // boundingBox computes the new root geometry: a local pass over owned
-// bodies and two vector reductions. At LevelBaseline thread 0 publishes
-// it to the shared scalar; above, every thread keeps the replicated copy.
+// bodies and a min/max reduction of the threads' boxes — two vector
+// all-reduces, or on the native flat path (whose step must not allocate)
+// a barrier after which every thread folds its peers' boxes itself; min
+// and max are exact, so both give the same cube. At LevelBaseline thread
+// 0 publishes it to the shared scalar; above, every thread keeps the
+// replicated copy.
 func (s *Sim) boundingBox(t *upc.Thread, st *tstate) rootGeom {
 	lo := vec.V3{X: math.Inf(1), Y: math.Inf(1), Z: math.Inf(1)}
 	hi := lo.Scale(-1)
@@ -719,11 +723,19 @@ func (s *Sim) boundingBox(t *upc.Thread, st *tstate) rootGeom {
 	}
 	st.bbLo = [3]float64{lo.X, lo.Y, lo.Z}
 	st.bbHi = [3]float64{hi.X, hi.Y, hi.Z}
-	mins := upc.AllReduceVecF64(t, st.bbLo[:], upc.OpMin)
-	maxs := upc.AllReduceVecF64(t, st.bbHi[:], upc.OpMax)
-	center, half := nbody.RootCell(
-		vec.V3{X: mins[0], Y: mins[1], Z: mins[2]},
-		vec.V3{X: maxs[0], Y: maxs[1], Z: maxs[2]})
+	if s.flat != nil {
+		t.Barrier()
+		for _, o := range s.ts {
+			lo = lo.Min(vec.V3{X: o.bbLo[0], Y: o.bbLo[1], Z: o.bbLo[2]})
+			hi = hi.Max(vec.V3{X: o.bbHi[0], Y: o.bbHi[1], Z: o.bbHi[2]})
+		}
+	} else {
+		mins := upc.AllReduceVecF64(t, st.bbLo[:], upc.OpMin)
+		maxs := upc.AllReduceVecF64(t, st.bbHi[:], upc.OpMax)
+		lo = vec.V3{X: mins[0], Y: mins[1], Z: mins[2]}
+		hi = vec.V3{X: maxs[0], Y: maxs[1], Z: maxs[2]}
+	}
+	center, half := nbody.RootCell(lo, hi)
 	g := rootGeom{Center: center, Half: half}
 	st.geom = g
 	if !s.replicated() {

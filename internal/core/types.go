@@ -210,11 +210,6 @@ type Options struct {
 	// it to exercise the compaction path deterministically.
 	testBufferCap int
 
-	// testCrownDepth, when positive, overrides the parallel flat build's
-	// crown depth (octree.CrownDepth), so tests reach bins emptier or
-	// fuller than the automatic choice allows.
-	testCrownDepth int
-
 	// testStepHook, when set, runs on every thread at the end of each
 	// time-step (after the advance barrier); the allocation-regression
 	// tests use it to sample per-step memory statistics in place.

@@ -27,7 +27,6 @@ package upc
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -376,15 +375,13 @@ func (t *Thread) remoteRoundTrip(target, bytes int) {
 }
 
 // barrier is a reusable generation barrier that also computes the maximum
-// simulated clock of the participants. (Only the native backend waits
-// here; the cooperative scheduler has its own rendezvous.)
+// simulated clock of the participants.
 type barrier struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	n    int
 
-	// gen is written under mu and read without it by spinning waiters.
-	gen      atomic.Uint64
+	gen      uint64
 	count    int
 	maxClock float64
 	resolved float64
@@ -396,19 +393,11 @@ func newBarrier(n int) *barrier {
 	return b
 }
 
-// barrierSpins bounds how long an early arriver polls for the release
-// before it parks. Parking costs the waiter a futex wake-up — ~200 µs on
-// the 2-vCPU reference host, paid once per barrier on the step's critical
-// path because the thread woken late is the next barrier's straggler —
-// where the phases of a native step leave threads tens of µs apart. Each
-// poll yields (Gosched), so with more threads than cores the spinner
-// gives its core to a thread that has yet to arrive.
-const barrierSpins = 2000
-
 // wait blocks until all n threads arrive; returns the aligned clock.
 // It aborts (panics with a secondary marker) if the runtime is poisoned.
 func (b *barrier) wait(rt *Runtime, clock, cost float64) float64 {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	rt.checkPoison()
 	if clock > b.maxClock {
 		b.maxClock = clock
@@ -418,28 +407,14 @@ func (b *barrier) wait(rt *Runtime, clock, cost float64) float64 {
 		b.resolved = b.maxClock + cost
 		b.count = 0
 		b.maxClock = 0
-		b.gen.Add(1)
+		b.gen++
 		b.cond.Broadcast()
-		r := b.resolved
-		b.mu.Unlock()
-		return r
+		return b.resolved
 	}
-	gen := b.gen.Load()
-	b.mu.Unlock()
-	// The next generation cannot complete before this thread arrives
-	// again, so resolved is stable once gen has moved.
-	for i := 0; i < barrierSpins && rt.poisoned.Load() == nil; i++ {
-		if b.gen.Load() != gen {
-			return b.resolved
-		}
-		runtime.Gosched()
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	// poison broadcasts under mu after setting the flag: checking it with
-	// mu held, before every Wait, cannot miss that wake-up.
-	for rt.checkPoison(); gen == b.gen.Load(); rt.checkPoison() {
+	gen := b.gen
+	for gen == b.gen {
 		b.cond.Wait()
+		rt.checkPoison()
 	}
 	return b.resolved
 }

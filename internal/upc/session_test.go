@@ -2,9 +2,11 @@ package upc
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"upcbh/internal/machine"
 )
@@ -161,6 +163,43 @@ func testSessionPanicPropagates(t *testing.T, mode ExecMode) {
 
 func TestSessionPanicPropagatesSimulate(t *testing.T) { testSessionPanicPropagates(t, ModeSimulate) }
 func TestSessionPanicPropagatesNative(t *testing.T)   { testSessionPanicPropagates(t, ModeNative) }
+
+// TestSessionPanicLateArriverNative: a native thread that reaches a
+// barrier strictly AFTER a peer has poisoned the runtime must abort
+// without holding the barrier mutex — poison takes that mutex to wake the
+// parked waiters, on the panicking thread and again on every aborting
+// one, so a waiter that panicked with it held would hang Resume instead
+// of letting it re-raise. One thread is already parked in the barrier,
+// one panics, one arrives late.
+func TestSessionPanicLateArriverNative(t *testing.T) {
+	rt := NewRuntimeMode(machine.Default(3), ModeNative)
+	sess := rt.Start(func(th *Thread) {
+		for th.NextStep() {
+			switch th.ID() {
+			case 1:
+				panic("late boom")
+			case 2:
+				for rt.poisoned.Load() == nil {
+					runtime.Gosched()
+				}
+			}
+			th.Barrier()
+		}
+	})
+	raised := make(chan any, 1)
+	go func() {
+		defer func() { raised <- recover() }()
+		sess.Resume(1)
+	}()
+	select {
+	case r := <-raised:
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "late boom") {
+			t.Fatalf("Resume raised %v, want the thread's panic", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Resume hangs: a thread arriving at the barrier after the poison never aborted")
+	}
+}
 
 // TestSessionBodyWithoutGate: a session whose body never calls NextStep
 // degenerates to a plain SPMD region — Start returns once every thread
