@@ -24,7 +24,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -295,7 +294,7 @@ func downstreamClosed(err error) bool {
 // next step boundary.
 func runStream(w io.Writer, sim *upcbh.Sim, steps, every int, withBodies bool, sig <-chan os.Signal) error {
 	defer sim.Release()
-	enc := json.NewEncoder(w)
+	var line []byte // one buffer for every snapshot's line
 	emit := func() error {
 		snap, err := sim.Snapshot()
 		if err != nil {
@@ -304,7 +303,12 @@ func runStream(w io.Writer, sim *upcbh.Sim, steps, every int, withBodies bool, s
 		if !withBodies {
 			snap.Bodies = nil
 		}
-		return enc.Encode(snap)
+		if line, err = snap.AppendJSON(line[:0]); err != nil {
+			return err
+		}
+		line = append(line, '\n')
+		_, err = w.Write(line)
+		return err
 	}
 	if err := emit(); err != nil {
 		return err

@@ -56,6 +56,48 @@ func TestRunStreamEmitsMonotoneSnapshots(t *testing.T) {
 	}
 }
 
+// TestRunStreamBytesAreEncodingJSONs: -stream writes through
+// Snapshot.AppendJSON, and the stream is the contract — a whole
+// -snap-bodies run (and a bodies-less one) is byte for byte what the
+// json.Encoder this writer replaced emits for the same deterministic run,
+// here over a method-less twin of the type.
+func TestRunStreamBytesAreEncodingJSONs(t *testing.T) {
+	type plainSnapshot upcbh.Snapshot
+	for _, withBodies := range []bool{true, false} {
+		var got, want bytes.Buffer
+		if err := runStream(&got, streamSim(t), 4, 1, withBodies, nil); err != nil {
+			t.Fatal(err)
+		}
+		sim := streamSim(t)
+		defer sim.Release()
+		enc := json.NewEncoder(&want)
+		for step := 0; ; step++ {
+			snap, err := sim.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !withBodies {
+				snap.Bodies = nil
+			}
+			if err := enc.Encode((*plainSnapshot)(snap)); err != nil {
+				t.Fatal(err)
+			}
+			if step == 4 {
+				break
+			}
+			if err := sim.Step(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("bodies=%v: the %d-byte stream differs from json.Encoder's %d bytes", withBodies, got.Len(), want.Len())
+		}
+		if n := bytes.Count(got.Bytes(), []byte("\n")); n != 5 {
+			t.Fatalf("bodies=%v: %d lines, want 5", withBodies, n)
+		}
+	}
+}
+
 // brokenPipe fails every write after the first n with EPIPE, emulating
 // `bhrun -stream | head -1` where the downstream consumer has exited.
 type brokenPipe struct {

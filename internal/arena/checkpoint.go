@@ -139,18 +139,20 @@ func WriteCheckpoint(w io.Writer, key string, step int, env json.RawMessage, reg
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], Version)
-	buf.Write(u32[:])
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(hdr)))
-	buf.Write(u32[:])
-	buf.Write(hdr)
-	if pad := roundUp(buf.Len(), 8) - buf.Len(); pad > 0 {
-		buf.Write(make([]byte, pad))
+	// The container's length is known before its first byte is written. A
+	// sink that can reserve room (a bytes.Buffer: every in-memory capture)
+	// does so once, instead of doubling its way there and leaving the
+	// smaller buffers behind as garbage.
+	payloadOff := roundUp(preambleLen+len(hdr), 8)
+	if g, ok := w.(interface{ Grow(n int) }); ok {
+		g.Grow(payloadOff + int(h.PayloadLen))
 	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	pre := make([]byte, payloadOff)
+	copy(pre, Magic)
+	binary.LittleEndian.PutUint32(pre[8:], Version)
+	binary.LittleEndian.PutUint32(pre[12:], uint32(len(hdr)))
+	copy(pre[preambleLen:], hdr)
+	if _, err := w.Write(pre); err != nil {
 		return fmt.Errorf("arena: write checkpoint: %w", err)
 	}
 	cw := &countingWriter{w: w}

@@ -275,3 +275,62 @@ func TestPeekHeader(t *testing.T) {
 		t.Fatal("bad magic accepted")
 	}
 }
+
+// growSink is an in-memory sink that can reserve room: it records every
+// Grow and every write that had to reallocate.
+type growSink struct {
+	b        []byte
+	grows    []int
+	reallocs int
+}
+
+func (g *growSink) Grow(n int) {
+	g.grows = append(g.grows, n)
+	g.b = append(make([]byte, 0, len(g.b)+n), g.b...)
+}
+
+func (g *growSink) Write(p []byte) (int, error) {
+	if len(g.b)+len(p) > cap(g.b) {
+		g.reallocs++
+	}
+	g.b = append(g.b, p...)
+	return len(p), nil
+}
+
+// plainSink hides every method of a buffer but Write.
+type plainSink struct{ w *bytes.Buffer }
+
+func (p plainSink) Write(b []byte) (int, error) { return p.w.Write(b) }
+
+// TestWriteCheckpointGrowsOnce: a sink with Grow is grown once, before the
+// first byte, to exactly the container's length — no write after it
+// reallocates — and a sink without Grow receives the same bytes.
+func TestWriteCheckpointGrowsOnce(t *testing.T) {
+	env := json.RawMessage(`{"goos":"linux"}`)
+	for _, key := range []string{"key=abc", "key=abcd", "k"} { // header lengths with and without padding
+		var sink growSink
+		if err := WriteCheckpoint(&sink, key, 3, env, sampleRegions()); err != nil {
+			t.Fatal(err)
+		}
+		if len(sink.grows) != 1 || sink.grows[0] != len(sink.b) {
+			t.Fatalf("key %q: Grow calls %v, want one of exactly the %d bytes written", key, sink.grows, len(sink.b))
+		}
+		if sink.reallocs != 0 || cap(sink.b) != len(sink.b) {
+			t.Fatalf("key %q: %d writes reallocated and cap is %d for %d bytes: the reservation was not exact",
+				key, sink.reallocs, cap(sink.b), len(sink.b))
+		}
+		var plain, buffer bytes.Buffer
+		if err := WriteCheckpoint(plainSink{&plain}, key, 3, env, sampleRegions()); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteCheckpoint(&buffer, key, 3, env, sampleRegions()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plain.Bytes(), sink.b) || !bytes.Equal(buffer.Bytes(), sink.b) {
+			t.Fatalf("key %q: the container depends on whether its sink can Grow", key)
+		}
+		if _, err := ReadCheckpoint(bytes.NewReader(sink.b)); err != nil {
+			t.Fatalf("key %q: %v", key, err)
+		}
+	}
+}

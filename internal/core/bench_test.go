@@ -42,3 +42,29 @@ func BenchmarkNativeTreePhase(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGatherBodies is the body copy-out every Snapshot with bodies
+// and every Finish pays: each owned body placed at its ID's slot, after
+// two steps of redistribution have shuffled the ownership lists.
+func BenchmarkGatherBodies(b *testing.B) {
+	for _, n := range []int{2048, 16384} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			opts := DefaultOptions(n, 2, LevelMergedBuild)
+			opts.ExecMode = ModeNative
+			sim, err := New(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sim.Release()
+			if err := sim.Step(2); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := sim.gatherBodies(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

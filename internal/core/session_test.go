@@ -460,3 +460,105 @@ func TestRunCompletesSteppedSim(t *testing.T) {
 		t.Fatalf("Step(1)+Run diverged from plain Run:\n%.300s\nvs\n%.300s", fp, refFp)
 	}
 }
+
+// TestGatherBodiesRejects: the ID-indexed gather keeps its three
+// rejections distinct — a body owned twice, a body whose ID is outside
+// [0, n), and an ownership that misses a body — and each reaches the
+// caller from Snapshot and from Finish (collect) alike.
+func TestGatherBodiesRejects(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(s *Sim)
+	}{
+		{"owned-twice", "owned by two threads", func(s *Sim) {
+			s.ts[1].myBodies = append(s.ts[1].myBodies, s.ts[0].myBodies[0])
+		}},
+		{"id-too-large", "outside [0, 64)", func(s *Sim) {
+			s.bodies.Raw(s.ts[0].myBodies[0]).ID = 64
+		}},
+		{"id-negative", "outside [0, 64)", func(s *Sim) {
+			s.bodies.Raw(s.ts[1].myBodies[0]).ID = -1
+		}},
+		{"short-coverage", "ownership covers 63 bodies, want 64", func(s *Sim) {
+			s.ts[1].myBodies = s.ts[1].myBodies[1:]
+		}},
+	} {
+		for _, mode := range []ExecMode{ModeSimulate, ModeNative} {
+			t.Run(fmt.Sprintf("%s/%v", c.name, mode), func(t *testing.T) {
+				opts := DefaultOptions(64, 2, LevelMergedBuild)
+				opts.ExecMode = mode
+				sim, err := New(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sim.Release()
+				if err := sim.Step(2); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sim.Snapshot(); err != nil {
+					t.Fatalf("Snapshot of the intact session: %v", err)
+				}
+				c.corrupt(sim) // the session is paused: its state is ours to break
+				if _, err := sim.Snapshot(); err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("Snapshot: err = %v, want one containing %q", err, c.want)
+				}
+				if _, err := sim.Finish(); err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("Finish: err = %v, want one containing %q", err, c.want)
+				}
+			})
+		}
+	}
+}
+
+// TestSnapshotBodiesInIDOrder: after redistribution has moved bodies
+// between threads, Snapshot and Result still hold body i at index i, and
+// it is the very body its owner's heap holds.
+func TestSnapshotBodiesInIDOrder(t *testing.T) {
+	for _, threads := range []int{1, 3} {
+		for _, mode := range []ExecMode{ModeSimulate, ModeNative} {
+			t.Run(fmt.Sprintf("T=%d/%v", threads, mode), func(t *testing.T) {
+				opts := DefaultOptions(700, threads, LevelMergedBuild)
+				opts.ExecMode = mode
+				sim, err := New(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sim.Release()
+				if err := sim.Step(opts.Steps); err != nil {
+					t.Fatal(err)
+				}
+				snap, err := sim.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				migrated := 0
+				for thr, st := range sim.ts {
+					for _, ref := range st.myBodies {
+						b := *sim.bodies.Raw(ref)
+						if snap.Bodies[b.ID] != b {
+							t.Fatalf("snapshot slot %d does not hold thread %d's body %d", b.ID, thr, b.ID)
+						}
+						if lo, hi := thr*opts.Bodies/threads, (thr+1)*opts.Bodies/threads; int(b.ID) < lo || int(b.ID) >= hi {
+							migrated++
+						}
+					}
+				}
+				if threads > 1 && migrated == 0 {
+					t.Fatal("no body left its initial block: the test exercised no migration")
+				}
+				res, err := sim.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(snap.Bodies) != opts.Bodies || len(res.Bodies) != opts.Bodies {
+					t.Fatalf("%d snapshot and %d result bodies, want %d", len(snap.Bodies), len(res.Bodies), opts.Bodies)
+				}
+				for i := range snap.Bodies {
+					if snap.Bodies[i].ID != int32(i) || res.Bodies[i] != snap.Bodies[i] {
+						t.Fatalf("index %d holds snapshot body %d, result body %d", i, snap.Bodies[i].ID, res.Bodies[i].ID)
+					}
+				}
+			})
+		}
+	}
+}

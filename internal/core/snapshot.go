@@ -11,7 +11,8 @@ import (
 // tables accumulated over the measured steps so far. Everything is
 // copied out — a Snapshot stays valid after further Steps, Finish, and
 // Release, and marshals cleanly to JSON (bhrun -stream emits exactly
-// this type, one object per line).
+// this type, one object per line). Writers on a hot path use AppendJSON
+// (snapjson.go): the same bytes without the reflection.
 type Snapshot struct {
 	// Step is the number of completed time-steps (0 for a snapshot
 	// taken before the first Step); Steps is the configured total.
@@ -72,8 +73,8 @@ func (s *Sim) Snapshot() (*Snapshot, error) {
 
 // SnapshotMeta is Snapshot without the body state: step counters,
 // clocks, and the accumulated phase tables, with Bodies left nil. The
-// full-body gather is the O(n log n) bulk of a Snapshot (copy every
-// body, sort by ID); callers that only report progress — the session
+// full-body gather is the bulk of a Snapshot (copy every body to its
+// ID's slot); callers that only report progress — the session
 // service's step responses, metadata-only stream frames — use this
 // path, which allocates only the fixed-size metadata.
 func (s *Sim) SnapshotMeta() (*Snapshot, error) {

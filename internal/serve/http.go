@@ -131,9 +131,20 @@ func respond(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
+// writeJSON answers v as one JSON document and a newline. A snapshot
+// goes through its own appender (core.Snapshot.AppendJSON: encoding/json's
+// bytes without the reflection); everything else is small and reflected.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	if snap, ok := v.(*core.Snapshot); ok {
+		// As with the encoder below, a snapshot json refuses (a NaN)
+		// leaves the body empty: no part of it is sent.
+		if b, err := snap.AppendJSON(nil); err == nil {
+			_, _ = w.Write(append(b, '\n'))
+		}
+		return
+	}
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
@@ -280,9 +291,9 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, sess *sessio
 }
 
 // withoutBodies returns snap stripped of its bodies — on a copy, never in
-// place: a snapshot published to the session's hub may be being encoded
-// by stream subscribers concurrently. (A bodies-less SnapshotMeta frame
-// has nothing to strip.)
+// place: a snapshot published to the session's hub is shared with every
+// holder of its frame, one of which may be encoding it right now. (A
+// bodies-less SnapshotMeta snapshot has nothing to strip.)
 func withoutBodies(snap *core.Snapshot) *core.Snapshot {
 	if snap.Bodies == nil {
 		return snap
@@ -384,12 +395,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, sess *sess
 
 // handleStream serves the NDJSON snapshot stream: subscribe to the
 // session's hub, start the (single) stepper if nobody is driving the
-// session yet, then relay snapshots until the hub closes (session
+// session yet, then relay frames until the hub closes (session
 // finished or released) or the client goes away. The first frame is the
 // session's current state, so a subscriber always sees where it joined —
 // a fresh session streams from step 0, matching bhrun -stream. ?every=
 // sets the steps between frames (default Config.StreamEvery); ?bodies=1
-// includes bodies.
+// includes bodies. A frame's line is encoded by the first subscriber to
+// reach it, here on the handler's goroutine, and shared by the rest
+// (frame.go); each writer only copies it to its connection.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *session) (any, error) {
 	every, err := positiveQuery(r, "every", s.cfg.StreamEvery)
 	if err != nil {
@@ -422,12 +435,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *sess
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(snap *core.Snapshot) bool {
-		if !withBodies {
-			snap = withoutBodies(snap)
+	// emit writes f's line and lets go of f.
+	emit := func(f *frame) bool {
+		defer f.release()
+		line, err := f.line(withBodies)
+		if err != nil {
+			s.cfg.Logf("session %s: stream frame at step %d: %v", sess.id, f.snap.Step, err)
+			return false
 		}
-		if err := enc.Encode(snap); err != nil {
+		if _, err := w.Write(line); err != nil {
 			return false // client went away; unsubscribe via defer
 		}
 		if flusher != nil {
@@ -437,21 +453,22 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *sess
 	}
 	// Past the first byte a failure cannot change the status: the stream
 	// just ends (client gone, hub closed).
-	if !emit(first) || sub == nil {
+	last := first.Step
+	if !emit(sess.hub.frames.newFrame(first)) || sub == nil {
 		return nil, nil
 	}
-	last := first.Step
 	for {
 		select {
-		case snap, ok := <-sub.ch:
+		case f, ok := <-sub.ch:
 			if !ok {
 				return nil, nil // hub closed: session finished or released
 			}
-			if snap.Step <= last {
-				continue // stale relative to the first frame we chose
+			if f.snap.Step <= last {
+				f.release() // stale relative to the first frame we chose
+				continue
 			}
-			last = snap.Step
-			if !emit(snap) {
+			last = f.snap.Step
+			if !emit(f) {
 				return nil, nil
 			}
 		case <-r.Context().Done():

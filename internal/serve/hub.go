@@ -7,26 +7,33 @@ import (
 )
 
 // hub fans one session's snapshot stream out to many subscribers: one
-// stepper publishes, N subscribers each drain a private buffered channel.
+// stepper publishes, N subscribers each drain a private buffered channel
+// of frames (frame.go) — every subscriber's queue holds the same frame by
+// reference, so a frame is encoded once however many read it.
 // A slow consumer never blocks the stepper (which would stall every
 // session on the shard): when a subscriber's buffer is full, publish
-// drops that subscriber's oldest queued snapshot and enqueues the new
+// drops that subscriber's oldest queued frame and enqueues the new
 // one. The consumer lags to the freshest frames — step indices it
 // observes stay strictly monotone, it always eventually sees the
 // terminal snapshot, and the drop is counted.
 type hub struct {
-	// mu guards everything below. publish and close run on the shard
-	// loop; subscribe/unsubscribe run on HTTP handler goroutines.
+	// mu guards everything below but frames. publish and close run on the
+	// shard loop; subscribe/unsubscribe run on HTTP handler goroutines.
 	mu      sync.Mutex
 	subs    map[*subscriber]struct{}
 	closed  bool
 	dropped uint64
+
+	// frames supplies and takes back the line buffers of every frame of
+	// this session, published or not (a stream's first frame).
+	frames framePool
 }
 
-// subscriber is one stream consumer's view of a hub.
+// subscriber is one stream consumer's view of a hub. Receiving a frame
+// from ch makes the receiver its holder: release it after use.
 type subscriber struct {
-	ch      chan *core.Snapshot
-	dropped uint64 // snapshots this subscriber lost to the drop policy (guarded by hub.mu)
+	ch      chan *frame
+	dropped uint64 // frames this subscriber lost to the drop policy (guarded by hub.mu)
 }
 
 func newHub() *hub {
@@ -45,40 +52,51 @@ func (h *hub) subscribe(buf int) *subscriber {
 	if h.closed {
 		return nil
 	}
-	sub := &subscriber{ch: make(chan *core.Snapshot, buf)}
+	sub := &subscriber{ch: make(chan *frame, buf)}
 	h.subs[sub] = struct{}{}
 	return sub
 }
 
-// unsubscribe detaches a consumer (idempotent; safe after close).
+// unsubscribe detaches a consumer (idempotent; safe after close) and
+// releases the frames it leaves unread. Only the consumer itself calls it,
+// so nothing else is receiving from its channel.
 func (h *hub) unsubscribe(sub *subscriber) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	if _, ok := h.subs[sub]; ok {
 		delete(h.subs, sub)
 		close(sub.ch)
 	}
+	h.mu.Unlock()
+	// Off the hub's set the channel is closed, by the lines above or by
+	// close, and nothing sends on it anymore.
+	for f := range sub.ch {
+		f.release()
+	}
 }
 
-// publish delivers snap to every subscriber, applying the
-// drop-oldest-when-full policy per subscriber. Never blocks on a
-// consumer.
+// publish delivers snap, as one shared frame, to every subscriber,
+// applying the drop-oldest-when-full policy per subscriber. Never blocks
+// on a consumer, and encodes nothing: this is the shard loop.
 func (h *hub) publish(snap *core.Snapshot) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
+	if h.closed || len(h.subs) == 0 {
 		return
 	}
+	f := h.frames.newFrame(snap)
+	defer f.release() // publish's own hold, while it hands out the others
 	for sub := range h.subs {
+		f.retain() // the queue slot's
 		for {
 			select {
-			case sub.ch <- snap:
+			case sub.ch <- f:
 			default:
 				// Buffer full: evict the subscriber's oldest queued
-				// snapshot and retry. The inner default covers the race
+				// frame and retry. The inner default covers the race
 				// where the consumer drained between our two selects.
 				select {
-				case <-sub.ch:
+				case old := <-sub.ch:
+					old.release()
 					sub.dropped++
 					h.dropped++
 				default:
@@ -91,7 +109,7 @@ func (h *hub) publish(snap *core.Snapshot) {
 }
 
 // close ends the stream: every subscriber's channel closes after the
-// snapshots already buffered, and later subscribe calls return nil.
+// frames already buffered, and later subscribe calls return nil.
 func (h *hub) close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -99,6 +117,7 @@ func (h *hub) close() {
 		return
 	}
 	h.closed = true
+	h.frames.close()
 	for sub := range h.subs {
 		delete(h.subs, sub)
 		close(sub.ch)

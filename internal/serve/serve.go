@@ -16,8 +16,10 @@
 //     from the store at boot — enters the registry through one path,
 //     admit, and every error becomes a status in one table (http.go).
 //   - Each session has a fan-out hub: one stepper drives the simulation,
-//     N subscribers each consume a private buffered snapshot channel with
-//     a drop-oldest policy for slow consumers.
+//     N subscribers each consume a private buffered channel of shared,
+//     holder-counted frames with a drop-oldest policy for slow consumers;
+//     a frame is encoded at most once per kind, by the first subscriber
+//     to need it and never on the shard loop.
 //   - Completed runs land in a shared bench.Runner cache keyed by
 //     Options.Key(): an identical later create is served from cache
 //     without re-simulating (the create response carries cache_hit).
@@ -408,7 +410,7 @@ func (s *Server) finalizeLocked(sess *session) error {
 // snapshot to its hub; when the schedule completes it finalizes the
 // session (feeding the cache). Must run on the session's shard loop.
 // The snapshot's cost tracks demand: the full body gather is the
-// O(n log n) bulk of a Snapshot, so it runs only when this caller asked
+// bulk of a Snapshot, so it runs only when this caller asked
 // for bodies or a stream subscriber is listening (subscriptions are
 // taken on this shard loop, so the count cannot change under us);
 // otherwise the bodies-free SnapshotMeta path serves both the step

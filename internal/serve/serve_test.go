@@ -243,11 +243,12 @@ func TestFanOutSubscribers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for snap := range sub.ch {
+			for f := range sub.ch {
 				if i == 0 {
 					time.Sleep(5 * time.Millisecond) // lag behind the stepper
 				}
-				got[i] = append(got[i], snap.Step)
+				got[i] = append(got[i], f.snap.Step)
+				f.release()
 			}
 		}()
 	}
@@ -520,14 +521,16 @@ func TestStepDoesNotMutateStreamedSnapshot(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for snap := range sub.ch {
-			b, err := json.Marshal(snap) // shares the published pointer with the /step handler
+		for f := range sub.ch {
+			b, err := f.line(true) // encodes the published snapshot the /step handler also holds
 			if err != nil {
 				t.Errorf("encode frame: %v", err)
 				return
 			}
 			var sn core.Snapshot
-			if err := json.Unmarshal(b, &sn); err != nil {
+			err = json.Unmarshal(b, &sn)
+			f.release()
+			if err != nil {
 				t.Errorf("decode frame: %v", err)
 				return
 			}
