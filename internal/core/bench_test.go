@@ -68,3 +68,34 @@ func BenchmarkGatherBodies(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSimulateStep is one Step(1) of a long-lived simulate-mode
+// session in the configuration of the benchmark's simulate-levels
+// workload (n = 2048, 16 emulated threads, seed 1, two warm-up steps),
+// per level it sweeps. Host time of the reproduction backend itself:
+// charged accesses, the pointer walks, the cooperative scheduler.
+func BenchmarkSimulateStep(b *testing.B) {
+	for _, level := range []Level{LevelBaseline, LevelCacheTree, LevelAsync, LevelSubspace} {
+		b.Run(level.String(), func(b *testing.B) {
+			const warm = 2
+			opts := DefaultOptions(2048, 16, level)
+			opts.Seed = 1
+			opts.Steps, opts.Warmup = warm+b.N, warm
+			sim, err := New(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sim.Release()
+			if err := sim.Step(warm); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sim.Step(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -223,7 +223,7 @@ func (s *Sim) costzones(t *upc.Thread, st *tstate) {
 	st.myBodies = st.myBodies[:0]
 
 	prefix := 0.0
-	stack := append(st.czstack[:0], rootNR)
+	stack := append(st.nodeStack[:0], rootNR)
 	for len(stack) > 0 {
 		nr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -254,7 +254,7 @@ func (s *Sim) costzones(t *upc.Thread, st *tstate) {
 			}
 		}
 	}
-	st.czstack = stack[:0]
+	st.nodeStack = stack[:0]
 }
 
 // redistribute implements §5.2: pull remotely stored owned bodies into

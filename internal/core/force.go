@@ -46,7 +46,7 @@ func (s *Sim) writeForce(t *upc.Thread, st *tstate, br upc.Ref, acc vec.V3, phi 
 // scalars at every acceptance test and interaction.
 func (s *Sim) forceNaive(t *upc.Thread, st *tstate, measured bool) {
 	rootNR := s.readRoot(t, st)
-	stack := make([]NodeRef, 0, 128)
+	stack := st.nodeStack
 	for _, br := range st.myBodies {
 		pos := s.bodyPos(t, st, br)
 		var acc vec.V3
@@ -57,52 +57,54 @@ func (s *Sim) forceNaive(t *upc.Thread, st *tstate, measured bool) {
 		for len(stack) > 0 {
 			nr := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			var d vec.V3 // node - body, shared by the opening test and the interaction
+			var d2, mass float64
 			if nr.IsBody() {
 				if nr.Ref() == br {
 					continue // skip self
 				}
-				var obPos vec.V3
-				var obMass float64
+				var ob *nbody.Body
 				if st.bodyCache != nil {
-					ob := st.bodyCache.GetBytes(nr.Ref(), bytesBodyMass)
-					obPos, obMass = ob.Pos, ob.Mass
+					cv := st.bodyCache.GetBytes(nr.Ref(), bytesBodyMass)
+					ob = &cv
 				} else {
-					ob := s.bodies.ReadView(t, nr.Ref(), bytesBodyMass)
-					obPos, obMass = ob.Pos, ob.Mass
+					ob = s.bodies.ReadView(t, nr.Ref(), bytesBodyMass)
 				}
-				eps := s.readEps(t, st)
-				nbody.InteractAccum(&acc, &phi, pos, obPos, obMass, eps*eps)
-				inter++
-				t.Charge(s.par.InteractionCost)
-				continue
-			}
-			var cell *Cell
-			if st.cellCache != nil {
-				// Runtime cache: the whole element is the cache line, so
-				// one (possibly hit) access serves geometry, aggregates
-				// and the child pointers alike.
-				cv := st.cellCache.GetBytes(nr.Ref(), cellBytes)
-				cell = &cv
+				d, mass = ob.Pos.Sub(pos), ob.Mass
+				d2 = d.Len2()
 			} else {
-				cell = s.cells.ReadView(t, nr.Ref(), bytesCellAccept)
-			}
-			tol := s.readTol(t, st)
-			if octree.Accept(pos, cell.CofM, cell.Half, tol) {
-				eps := s.readEps(t, st)
-				nbody.InteractAccum(&acc, &phi, pos, cell.CofM, cell.Mass, eps*eps)
-				inter++
-				t.Charge(s.par.InteractionCost)
-				continue
-			}
-			if st.cellCache == nil {
-				// Opening the cell: fetch the child pointers too.
-				cell = s.cells.ReadView(t, nr.Ref(), cellBytes)
-			}
-			for oct := range cell.Sub {
-				if slot := cell.Sub[oct]; !slot.IsNil() {
-					stack = append(stack, slot)
+				var cell *Cell
+				if st.cellCache != nil {
+					// Runtime cache: the whole element is the cache line, so
+					// one (possibly hit) access serves geometry, aggregates
+					// and the child pointers alike.
+					cv := st.cellCache.GetBytes(nr.Ref(), cellBytes)
+					cell = &cv
+				} else {
+					cell = s.cells.ReadView(t, nr.Ref(), bytesCellAccept)
+				}
+				tol := s.readTol(t, st)
+				d, mass = cell.CofM.Sub(pos), cell.Mass
+				d2 = d.Len2()
+				if !octree.AcceptDist2(d2, cell.Half, tol) {
+					if st.cellCache == nil {
+						// Opening the cell: fetch the child pointers too.
+						cell = s.cells.ReadView(t, nr.Ref(), cellBytes)
+					}
+					for oct := range cell.Sub {
+						if slot := cell.Sub[oct]; !slot.IsNil() {
+							stack = append(stack, slot)
+						}
+					}
+					continue
 				}
 			}
+			eps := s.readEps(t, st)
+			sc, mr := nbody.PairKernel(d2, mass, eps*eps)
+			acc = acc.AddScaled(d, sc)
+			phi -= mr
+			inter++
+			t.Charge(s.par.InteractionCost)
 		}
 
 		s.writeForce(t, st, br, acc, phi, inter)
@@ -110,6 +112,7 @@ func (s *Sim) forceNaive(t *upc.Thread, st *tstate, measured bool) {
 			st.inter += uint64(inter)
 		}
 	}
+	st.nodeStack = stack[:0]
 }
 
 // lnode is a node of the per-thread cached local tree (§5.3): either a
@@ -120,10 +123,9 @@ type lnode struct {
 	isBody  bool
 	bodyRef upc.Ref // leaf identity, for self-skip
 
-	center vec.V3
-	half   float64
-	cofm   vec.V3
-	mass   float64
+	half float64
+	cofm vec.V3
+	mass float64
 
 	sub       [8]NodeRef // original global children (for fetching)
 	child     [8]*lnode
@@ -160,11 +162,7 @@ func (a *lnodeArena) alloc() *lnode {
 // newCellLnode copies a fetched cell into a fresh arena lnode.
 func (st *tstate) newCellLnode(c *Cell) *lnode {
 	ln := st.lna.alloc()
-	*ln = lnode{
-		center: c.Center, half: c.Half,
-		cofm: c.CofM, mass: c.Mass,
-		sub: c.Sub,
-	}
+	*ln = lnode{half: c.Half, cofm: c.CofM, mass: c.Mass, sub: c.Sub}
 	return ln
 }
 
@@ -223,7 +221,7 @@ func (s *Sim) forceCached(t *upc.Thread, st *tstate, measured bool) {
 	tol := s.readTol(t, st)
 	epsSq := eps * eps
 
-	stack := make([]*lnode, 0, 128)
+	stack := st.lnodeStack
 	for _, br := range st.myBodies {
 		pos := s.bodyPos(t, st, br)
 		var acc vec.V3
@@ -234,28 +232,28 @@ func (s *Sim) forceCached(t *upc.Thread, st *tstate, measured bool) {
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			d := n.cofm.Sub(pos) // shared by the opening test and the interaction
+			d2 := d.Len2()
 			if n.isBody {
 				if n.bodyRef == br {
 					continue
 				}
-				nbody.InteractAccum(&acc, &phi, pos, n.cofm, n.mass, epsSq)
-				inter++
-				t.Charge(s.par.InteractionCost)
-				continue
-			}
-			if nbody.AcceptInteract(&acc, &phi, pos, n.cofm, n.mass, n.half, tol, epsSq) {
-				inter++
-				t.Charge(s.par.InteractionCost)
-				continue
-			}
-			if !n.localized {
-				s.localizeChildren(t, st, n)
-			}
-			for oct := 7; oct >= 0; oct-- {
-				if ch := n.child[oct]; ch != nil {
-					stack = append(stack, ch)
+			} else if !octree.AcceptDist2(d2, n.half, tol) {
+				if !n.localized {
+					s.localizeChildren(t, st, n)
 				}
+				for oct := 7; oct >= 0; oct-- {
+					if ch := n.child[oct]; ch != nil {
+						stack = append(stack, ch)
+					}
+				}
+				continue
 			}
+			sc, mr := nbody.PairKernel(d2, n.mass, epsSq)
+			acc = acc.AddScaled(d, sc)
+			phi -= mr
+			inter++
+			t.Charge(s.par.InteractionCost)
 		}
 
 		s.writeForce(t, st, br, acc, phi, inter)
@@ -263,4 +261,5 @@ func (s *Sim) forceCached(t *upc.Thread, st *tstate, measured bool) {
 			st.inter += uint64(inter)
 		}
 	}
+	st.lnodeStack = stack[:0]
 }

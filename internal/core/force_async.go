@@ -2,6 +2,7 @@ package core
 
 import (
 	"upcbh/internal/nbody"
+	"upcbh/internal/octree"
 	"upcbh/internal/upc"
 	"upcbh/internal/vec"
 )
@@ -105,7 +106,7 @@ func (s *Sim) forceAsync(t *upc.Thread, st *tstate, measured bool) {
 
 	queue := st.myBodies
 	next := 0
-	working := make([]*wbody, 0, n1)
+	working := st.working[:0]
 	pending := st.getRequest()
 	var outstanding []*request
 
@@ -184,36 +185,40 @@ func (s *Sim) forceAsync(t *upc.Thread, st *tstate, measured bool) {
 	}
 
 	processBody := func(wb *wbody) {
+		// The sums live in locals for the whole call and are stored back
+		// once; the frontier outlives the call, so it stays on wb.
+		acc, phi, inter := wb.acc, wb.phi, wb.inter
 		for len(wb.active) > 0 {
 			n := wb.active[len(wb.active)-1]
 			wb.active = wb.active[:len(wb.active)-1]
+			d := n.cofm.Sub(wb.pos) // shared by the opening test and the interaction
+			d2 := d.Len2()
 			if n.isBody {
 				if n.bodyRef == wb.br {
 					continue
 				}
-				nbody.InteractAccum(&wb.acc, &wb.phi, wb.pos, n.cofm, n.mass, epsSq)
-				wb.inter++
-				t.Charge(s.par.InteractionCost)
-				continue
-			}
-			if nbody.AcceptInteract(&wb.acc, &wb.phi, wb.pos, n.cofm, n.mass, n.half, tol, epsSq) {
-				wb.inter++
-				t.Charge(s.par.InteractionCost)
-				continue
-			}
-			if n.localized {
-				for oct := 7; oct >= 0; oct-- {
-					if ch := n.child[oct]; ch != nil {
-						wb.active = append(wb.active, ch)
+			} else if !octree.AcceptDist2(d2, n.half, tol) {
+				if n.localized {
+					for oct := 7; oct >= 0; oct-- {
+						if ch := n.child[oct]; ch != nil {
+							wb.active = append(wb.active, ch)
+						}
 					}
+					continue
 				}
+				if !n.requested {
+					enqueueChildren(n)
+				}
+				wb.blocked = append(wb.blocked, n)
 				continue
 			}
-			if !n.requested {
-				enqueueChildren(n)
-			}
-			wb.blocked = append(wb.blocked, n)
+			sc, mr := nbody.PairKernel(d2, n.mass, epsSq)
+			acc = acc.AddScaled(d, sc)
+			phi -= mr
+			inter++
+			t.Charge(s.par.InteractionCost)
 		}
+		wb.acc, wb.phi, wb.inter = acc, phi, inter
 	}
 
 	for {
@@ -284,4 +289,5 @@ func (s *Sim) forceAsync(t *upc.Thread, st *tstate, measured bool) {
 		}
 	}
 	st.putRequest(pending)
+	st.working = working[:0]
 }

@@ -177,7 +177,7 @@ type tstate struct {
 	// barrier after redistribute, and step k's gather list stays intact
 	// for the whole step it describes (and for test hooks inspecting it)
 	// instead of being clobbered in place by step k+1.
-	czstack    []NodeRef
+	nodeStack  []NodeRef
 	remote     [2]remoteScratch
 	stepParity int
 	bbLo, bbHi [3]float64
@@ -186,9 +186,11 @@ type tstate struct {
 	// force_async.go), retained across steps: the §5.3+ local tree is
 	// rebuilt every step, and per-lnode/per-request heap allocation
 	// dominated the harness's GC load.
-	lna     lnodeArena
-	wbFree  []*wbody
-	reqFree []*request
+	lna        lnodeArena
+	lnodeStack []*lnode
+	working    []*wbody
+	wbFree     []*wbody
+	reqFree    []*request
 
 	// Counters (accumulated over measured steps).
 	inter        uint64

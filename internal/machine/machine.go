@@ -242,28 +242,10 @@ type MsgCost struct {
 	TargetBusy float64 // NIC occupancy at the target (serializes hot-spots)
 }
 
-// NetOnly reports whether every distinct thread pair communicates over
-// the network path (one thread per node) — the configuration of most
-// paper experiments. Hot per-message paths use it to take NetMessage,
-// which is small enough to inline.
-func (m *Machine) NetOnly() bool { return m.ThreadsPerNode == 1 }
-
-// NetMessage is Message for a known network path — Message's PathNetwork
-// arm delegates here, so the hot fast path in the simulate runtime and
-// the general classifier cannot diverge.
-func (m *Machine) NetMessage(bytes int) MsgCost {
-	if bytes < 0 {
-		bytes = 0
-	}
-	fb := float64(bytes)
-	return MsgCost{
-		SenderBusy: m.Par.SendOverhead,
-		Transit:    m.Par.Latency + fb*m.Par.GapPerByte,
-		TargetBusy: m.Par.GapPerMsg + fb*m.Par.GapPerByte,
-	}
-}
-
 // Message returns the cost of sending `bytes` from thread a to thread b.
+// The simulate runtime tabulates it per path class and small byte count
+// (internal/upc/msgcost.go), so it runs at construction and for large
+// aggregated messages, not once per modelled access.
 func (m *Machine) Message(a, b, bytes int) MsgCost {
 	if bytes < 0 {
 		bytes = 0
@@ -286,7 +268,11 @@ func (m *Machine) Message(a, b, bytes int) MsgCost {
 			TargetBusy: m.Par.LoopbackOverhead + fb*m.Par.LoopbackPerByte,
 		}
 	default: // PathNetwork
-		return m.NetMessage(bytes)
+		return MsgCost{
+			SenderBusy: m.Par.SendOverhead,
+			Transit:    m.Par.Latency + fb*m.Par.GapPerByte,
+			TargetBusy: m.Par.GapPerMsg + fb*m.Par.GapPerByte,
+		}
 	}
 }
 

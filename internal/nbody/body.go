@@ -75,32 +75,26 @@ func InteractAccum(acc *vec.V3, phi *float64, pos, at vec.V3, m, epsSq float64) 
 	*phi += -m * inv
 }
 
-// AcceptInteract fuses the SPLASH2 opening test (octree.Accept) with the
-// interaction: both need the body→cell displacement, so the walk was
-// computing it twice per accepted cell. It reports whether the cell was
-// far enough (l/d < theta, squared form); when it is, the interaction is
-// accumulated; when it is not, nothing is touched and the caller opens
-// the cell. Bit-identical to octree.Accept followed by InteractAccum:
-// the squared distance uses the same component order, and the negated
-// displacement Accept effectively uses squares to the same values.
-func AcceptInteract(acc *vec.V3, phi *float64, pos, cofm vec.V3, m, half, theta, epsSq float64) bool {
-	dx := cofm.X - pos.X
-	dy := cofm.Y - pos.Y
-	dz := cofm.Z - pos.Z
-	d2 := dx*dx + dy*dy + dz*dz
-	l := 2 * half
-	if l*l >= theta*theta*d2 {
-		return false
-	}
+// PairKernel is the part of InteractAccum that does not depend on the
+// direction: given the squared distance d2 = dx*dx + dy*dy + dz*dz it
+// returns s = m/r^3 and mr = m/r for the softened r^2 = d2 + epsSq. A
+// caller that keeps its sums in locals and applies
+//
+//	ax += dx * s; ay += dy * s; az += dz * s; phi -= mr
+//
+// performs InteractAccum's float operations, in its order, on the same
+// values (FuzzPairKernel holds the two equal bit for bit; phi - m*inv is
+// phi + (-m)*inv). It exists because it fits the compiler's inlining
+// budget where InteractAccum does not (CI greps the build for its "can
+// inline" line): the charged pointer walks of internal/core run it once
+// per modelled interaction and, with it inlined, keep a body's
+// accumulators in registers instead of loading, adding and storing each
+// component through a pointer.
+func PairKernel(d2, m, epsSq float64) (s, mr float64) {
 	r2 := d2 + epsSq
 	r := math.Sqrt(r2)
 	inv := 1 / r
-	s := m * inv * inv * inv
-	acc.X += dx * s
-	acc.Y += dy * s
-	acc.Z += dz * s
-	*phi += -m * inv
-	return true
+	return m * inv * inv * inv, m * inv
 }
 
 // AdvanceHalfKick applies the opening half-kick of leapfrog integration.

@@ -57,7 +57,13 @@ func ChildBounds(center vec.V3, half float64, oct int) (vec.V3, float64) {
 // single point mass: l/d < theta, compared in squared form as SPLASH2's
 // subdivp does.
 func Accept(pos, cofm vec.V3, half, theta float64) bool {
-	d2 := pos.Dist2(cofm)
+	return AcceptDist2(pos.Dist2(cofm), half, theta)
+}
+
+// AcceptDist2 is Accept for a caller that already holds the squared
+// body-to-cofm distance — the charged force walks, which need the same
+// displacement for the interaction that follows an accepted cell.
+func AcceptDist2(d2, half, theta float64) bool {
 	l := 2 * half
 	return l*l < theta*theta*d2
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"upcbh/internal/nbody"
+	"upcbh/internal/rng"
 	"upcbh/internal/vec"
 )
 
@@ -66,6 +67,38 @@ func TestAccept(t *testing.T) {
 	}
 	if Accept(pos, cofm, 10, 1.0) {
 		t.Error("huge nearby cell accepted at theta=1.0")
+	}
+}
+
+// TestAcceptDist2SharedDisplacement: the charged force walks open a cell
+// on AcceptDist2 of the node-minus-body displacement they also feed the
+// interaction; Accept squares body-minus-node. The two must agree on
+// both sides of l^2 = theta^2 * d^2 and on the boundary itself (equality
+// opens the cell), and over random geometry.
+func TestAcceptDist2SharedDisplacement(t *testing.T) {
+	check := func(pos, cofm vec.V3, half, theta float64) {
+		t.Helper()
+		if got, want := AcceptDist2(cofm.Sub(pos).Len2(), half, theta), Accept(pos, cofm, half, theta); got != want {
+			t.Errorf("pos %v cofm %v half %.17g theta %g: AcceptDist2 %v, Accept %v", pos, cofm, half, theta, got, want)
+		}
+	}
+	// d = 5 exactly, theta = 1: the boundary is half = 2.5.
+	pos, cofm := vec.V3{X: 1, Y: -2, Z: 0.5}, vec.V3{X: 4, Y: 2, Z: 0.5}
+	for _, half := range []float64{math.Nextafter(2.5, 0), 2.5, math.Nextafter(2.5, 3)} {
+		check(pos, cofm, half, 1)
+		if got, want := AcceptDist2(cofm.Sub(pos).Len2(), half, 1), half < 2.5; got != want {
+			t.Errorf("half %.17g at the boundary 2.5: accepted %v, want %v", half, got, want)
+		}
+	}
+	check(pos, pos, 1, 1) // coincident: d2 = 0 never accepts
+	r := rng.New(11)
+	for i := 0; i < 20000; i++ {
+		p := vec.V3{X: r.Range(-8, 8), Y: r.Range(-8, 8), Z: r.Range(-8, 8)}
+		c := vec.V3{X: r.Range(-8, 8), Y: r.Range(-8, 8), Z: r.Range(-8, 8)}
+		half := math.Ldexp(1, r.Intn(8)-5)
+		check(p, c, half, []float64{0.5, 0.8, 1}[i%3])
+		// On the boundary for this pair, to rounding: half = theta*d/2.
+		check(p, c, p.Dist(c)/2, 1)
 	}
 }
 

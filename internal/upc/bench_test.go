@@ -136,7 +136,58 @@ func BenchmarkRuntimeOps(b *testing.B) {
 			})
 		})
 	}
+
+	// One charged access, at the benchmark workload's thread count and
+	// with the force walks' access shapes: a view of an 8-byte slot, of
+	// the 40-byte acceptance prefix and of a whole 152-byte cell, from a
+	// rotating remote owner, and the §5.1 scalar read from thread 0.
+	const p = 16
+	type cell [19]float64
+	for _, sz := range []struct {
+		name  string
+		bytes int
+	}{{"8B", 8}, {"40B", 40}, {"cellB", 152}} {
+		b.Run(fmt.Sprintf("memget-%s/p=%d", sz.name, p), func(b *testing.B) {
+			rt := NewRuntime(machine.Default(p))
+			h := NewHeap[cell](rt, 4096)
+			rt.Run(func(t *Thread) {
+				h.Alloc(t, 1)
+				t.Barrier()
+				if t.ID() != 0 {
+					return
+				}
+				var sink float64
+				owner := int32(1)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sink += h.ReadView(t, Ref{Thr: owner, Idx: 0}, sz.bytes)[0]
+					if owner++; owner == p {
+						owner = 1
+					}
+				}
+				benchSink = sink
+			})
+		})
+	}
+	b.Run(fmt.Sprintf("scalar-read/p=%d", p), func(b *testing.B) {
+		rt := NewRuntime(machine.Default(p))
+		sc := NewScalar(rt, 1.0)
+		rt.Run(func(t *Thread) {
+			t.Barrier()
+			if t.ID() != 1 {
+				return
+			}
+			var sink float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink += sc.Read(t)
+			}
+			benchSink = sink
+		})
+	})
 }
+
+var benchSink float64
 
 func BenchmarkCacheHit(b *testing.B) {
 	rt := NewRuntime(machine.Default(2))

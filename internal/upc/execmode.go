@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
-
-	"upcbh/internal/machine"
 )
 
 // ExecMode selects the execution backend of a Runtime: how operations are
@@ -69,14 +67,21 @@ func (m *ExecMode) UnmarshalJSON(b []byte) error {
 }
 
 // costModel is the seam between the runtime's mechanisms and its timing
-// policy: every clock read, NIC reservation, and synchronization time
-// alignment with non-trivial policy goes through it. Stats counting and
+// policy, for the operations whose policy differs per mode and that run
+// off the hot path: reading the time (now), the time part of a barrier,
+// the charge of a collective, polling a handle (trySync), the lock
+// acquire/release pair, and restarting time (reset). Stats counting and
 // the real synchronization primitives (channel locks, generation
 // barriers, collective rendezvous) stay in the mechanism layer because
-// they are mode-independent; the trivial per-operation clock ops
-// (Thread.Charge/ChargeRaw/AdvanceTo) are implemented directly on
-// Thread behind the Runtime.native flag, because they run millions of
-// times per phase and must stay inlinable.
+// they are mode-independent.
+//
+// Everything that runs per charged access is NOT here: the clock ops
+// (Thread.Charge/ChargeRaw/AdvanceTo) and the message accounting
+// (Thread.remoteRoundTrip/SendEvent/gatherFrom) are implemented directly
+// on Thread behind the Runtime.native flag. They run millions of times
+// per phase, so simulate pays a static call and a msgCosts table load,
+// native one predictable branch; an interface dispatch per access was a
+// third of a baseline-level step.
 type costModel interface {
 	mode() ExecMode
 
@@ -91,15 +96,6 @@ type costModel interface {
 	// `bytes` per hop; the rendezvous itself is handled by collSite.
 	collectiveCost(t *Thread, bytes int) float64
 
-	// remoteRoundTrip accounts a blocking one-sided transfer of `bytes`
-	// between t and thread `target` (data copy happens in the caller).
-	remoteRoundTrip(t *Thread, target, bytes int)
-	// sendEvent accounts the sender side of a one-way message and returns
-	// the time the data is fully received at `to`.
-	sendEvent(t *Thread, to, bytes int) float64
-	// gatherGroup accounts one per-source-thread message of an aggregated
-	// gather and returns its completion time.
-	gatherGroup(t *Thread, target, bytes int) float64
 	// trySync polls an outstanding handle (one poll charge applies).
 	trySync(t *Thread, h *Handle) bool
 
@@ -130,46 +126,6 @@ func (simCost) collectiveCost(t *Thread, bytes int) float64 {
 	return t.rt.mach.CollectiveCost(bytes)
 }
 
-// message dispatches the per-message cost: the inlinable network-only
-// fast path (one thread per node, a != b — the hot configuration) or
-// the general path classifier. Identical results by construction.
-func message(m *machine.Machine, a, b, bytes int) machine.MsgCost {
-	if a != b && m.NetOnly() {
-		return m.NetMessage(bytes)
-	}
-	return m.Message(a, b, bytes)
-}
-
-func (simCost) remoteRoundTrip(t *Thread, target, bytes int) {
-	mc := message(t.rt.mach, t.id, target, bytes)
-	// Request reaches the target, queues at its NIC, then the reply
-	// transits back.
-	arrive := t.clock + mc.SenderBusy + mc.Transit
-	start := t.rt.nicReserve(target, arrive, mc.TargetBusy)
-	t.clock = start + mc.Transit
-}
-
-func (simCost) sendEvent(t *Thread, to, bytes int) float64 {
-	c := message(t.rt.mach, t.id, to, bytes)
-	t.clock += c.SenderBusy
-	arrive := t.clock + c.Transit
-	start := t.rt.nicReserve(to, arrive, c.TargetBusy)
-	return start + c.TargetBusy
-}
-
-func (simCost) gatherGroup(t *Thread, target, bytes int) float64 {
-	m := t.rt.mach
-	if target == t.id {
-		t.clock += float64(bytes) * m.Par.ByteCopyCost
-		return t.clock
-	}
-	c := message(m, t.id, target, bytes)
-	t.clock += c.SenderBusy
-	arrive := t.clock + c.Transit
-	start := t.rt.nicReserve(target, arrive, c.TargetBusy)
-	return start + c.Transit
-}
-
 func (simCost) trySync(t *Thread, h *Handle) bool {
 	t.clock += t.rt.mach.Par.LocalDerefCost * 50
 	return t.clock >= h.CompleteAt
@@ -177,7 +133,7 @@ func (simCost) trySync(t *Thread, h *Handle) bool {
 
 func (simCost) lockAcquired(t *Thread, l *Lock) {
 	m := t.rt.mach
-	c := m.Message(t.id, l.home, lockMsgBytes)
+	c := t.msgCost(l.home, lockMsgBytes)
 	// Request is serviced at the home no earlier than the lock frees up.
 	req := t.clock + c.SenderBusy + c.Transit
 	if l.availAt > req {
@@ -188,7 +144,7 @@ func (simCost) lockAcquired(t *Thread, l *Lock) {
 
 func (simCost) lockReleasing(t *Thread, l *Lock) {
 	m := t.rt.mach
-	c := m.Message(t.id, l.home, lockMsgBytes)
+	c := t.msgCost(l.home, lockMsgBytes)
 	l.availAt = t.clock + c.SenderBusy + c.Transit + m.Par.LockOverhead
 	t.clock += c.SenderBusy
 }
@@ -221,12 +177,6 @@ func (*nativeCost) barrier(t *Thread) {
 }
 
 func (*nativeCost) collectiveCost(t *Thread, bytes int) float64 { return 0 }
-
-func (*nativeCost) remoteRoundTrip(t *Thread, target, bytes int) {}
-
-func (n *nativeCost) sendEvent(t *Thread, to, bytes int) float64 { return n.now(t) }
-
-func (n *nativeCost) gatherGroup(t *Thread, target, bytes int) float64 { return 0 }
 
 func (*nativeCost) trySync(t *Thread, h *Handle) bool { return true }
 

@@ -476,7 +476,7 @@ func (h *Heap[T]) gather(t *Thread, refs []Ref, dst []T, bytesPer int) Handle {
 	// at issue); skip the clock reads in the async-force hot path.
 	complete := 0.0
 	if !t.rt.native {
-		complete = t.rt.cost.now(t)
+		complete = t.clock
 	}
 	nsrc := 0
 	for _, g := range groups {
@@ -489,7 +489,7 @@ func (h *Heap[T]) gather(t *Thread, refs []Ref, dst []T, bytesPer int) Handle {
 		if t.rt.native {
 			continue
 		}
-		if done := t.rt.cost.gatherGroup(t, int(g.thr), bytes); done > complete {
+		if done := t.gatherFrom(int(g.thr), bytes); done > complete {
 			complete = done
 		}
 	}

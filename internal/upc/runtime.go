@@ -53,6 +53,9 @@ type Runtime struct {
 	// Charge is a single fused multiply-add.
 	native    bool
 	cpuFactor float64
+	// msgCosts is the LogGP message cost of every small wire size, per
+	// path class of this machine (msgcost.go); nil in ModeNative.
+	msgCosts [machine.PathNetwork + 1][]machine.MsgCost
 
 	bar  *barrier
 	coll *collSite
@@ -114,6 +117,7 @@ func NewRuntimeMode(mach *machine.Machine, mode ExecMode) *Runtime {
 	}
 	if mode != ModeNative {
 		rt.coop = newSched(rt)
+		rt.fillMsgCosts()
 	}
 	return rt
 }
@@ -351,28 +355,9 @@ func (t *Thread) Barrier() {
 	t.rt.cost.barrier(t)
 }
 
-// SendEvent charges the sender side of a one-way message of `bytes` to
-// thread `to` and returns the time the data is fully received (after
-// queueing at the target NIC). It is the primitive the MPI emulation
-// layers its two-sided Send/Recv on.
-func (t *Thread) SendEvent(to, bytes int) float64 {
-	t.stats.Msgs++
-	t.stats.Bytes += uint64(bytes)
-	return t.rt.cost.sendEvent(t, to, bytes)
-}
-
 // Aborted returns a channel closed when a peer thread has failed; use it
 // to abort real blocking waits (e.g. a two-sided receive).
 func (rt *Runtime) Aborted() <-chan struct{} { return rt.poisonCh }
-
-// remoteRoundTrip records a blocking one-sided transfer of `bytes`
-// between t and thread `target`: the stats are counted in every mode,
-// the time accounting is the cost model's.
-func (t *Thread) remoteRoundTrip(target, bytes int) {
-	t.stats.Msgs++
-	t.stats.Bytes += uint64(bytes)
-	t.rt.cost.remoteRoundTrip(t, target, bytes)
-}
 
 // barrier is a reusable generation barrier that also computes the maximum
 // simulated clock of the participants.
