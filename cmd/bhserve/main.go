@@ -44,6 +44,26 @@ import (
 	"upcbh/internal/store"
 )
 
+// newHTTPServer builds the daemon's listener-facing server. A client
+// gets readHeaderTimeout to deliver its request headers and an idle
+// keep-alive connection is dropped after idleTimeout, so a peer that
+// opens connections and says nothing cannot hold them forever. There is
+// deliberately no WriteTimeout: /stream responses live as long as their
+// session, and a per-write deadline for them is separate work.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
@@ -103,7 +123,7 @@ func main() {
 		CkptInterval:    *ckptInterval,
 		MaxRestoreBytes: *maxRestore,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	errCh := make(chan error, 1)
 	go func() {
