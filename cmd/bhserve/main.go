@@ -44,6 +44,11 @@ import (
 	"upcbh/internal/store"
 )
 
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // newHTTPServer builds the daemon's listener-facing server. A client
 // gets readHeaderTimeout to deliver its request headers and an idle
 // keep-alive connection is dropped after idleTimeout, so a peer that
@@ -58,11 +63,6 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 		IdleTimeout:       idleTimeout,
 	}
 }
-
-const (
-	readHeaderTimeout = 10 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
 
 func main() {
 	var (

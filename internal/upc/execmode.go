@@ -80,8 +80,7 @@ func (m *ExecMode) UnmarshalJSON(b []byte) error {
 // (Thread.remoteRoundTrip/SendEvent/gatherFrom) are implemented directly
 // on Thread behind the Runtime.native flag. They run millions of times
 // per phase, so simulate pays a static call and a msgCosts table load,
-// native one predictable branch; an interface dispatch per access was a
-// third of a baseline-level step.
+// native one predictable branch, and neither an interface dispatch.
 type costModel interface {
 	mode() ExecMode
 

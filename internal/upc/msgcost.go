@@ -23,14 +23,18 @@ func (rt *Runtime) fillMsgCosts() {
 	// Thread 0's peers: itself, its first same-node neighbour (thread 1
 	// is off-node when nodes hold one thread), the first off-node thread.
 	for _, b := range []int{0, 1, m.ThreadsPerNode} {
-		if b >= rt.n || rt.msgCosts[m.Path(0, b)] != nil {
+		if b >= rt.n {
+			continue
+		}
+		class := m.Path(0, b)
+		if rt.msgCosts[class] != nil {
 			continue
 		}
 		tab := make([]machine.MsgCost, msgTableBytes)
 		for bytes := range tab {
 			tab[bytes] = m.Message(0, b, bytes)
 		}
-		rt.msgCosts[m.Path(0, b)] = tab
+		rt.msgCosts[class] = tab
 	}
 }
 
