@@ -33,6 +33,7 @@ import (
 	"syscall"
 
 	"upcbh"
+	"upcbh/internal/core"
 )
 
 // usageErr reports a flag-validation failure and exits with the
@@ -53,7 +54,7 @@ func main() {
 		n        = flag.Int("n", 16384, "number of bodies")
 		threads  = flag.Int("threads", 8, "emulated UPC threads")
 		levelS   = flag.String("level", "subspace", "optimization level: baseline|scalars|redistribute|cache|merged|async|subspace")
-		modeS    = flag.String("mode", "simulate", "execution backend: simulate (modelled cluster time) | native (real parallel run, wall-clock time)")
+		modeS    = flag.String("mode", "simulate", "execution backend: simulate (modelled cluster time) | native (real parallel run, wall-clock time; -level cache and above)")
 		scenS    = flag.String("scenario", "plummer", "workload scenario: plummer|two-plummer|uniform|clustered|disk")
 		steps    = flag.Int("steps", 4, "time-steps to run")
 		warmup   = flag.Int("warmup", 2, "warmup steps excluded from timing")
@@ -181,7 +182,11 @@ func main() {
 	} else {
 		var err error
 		sim, err = upcbh.New(opts)
-		if err != nil {
+		if errors.Is(err, core.ErrInvalidOptions) {
+			// Rejected before anything was built (e.g. -mode native below
+			// -level cache): the invocation's mistake, not a run failure.
+			usageErr("%v", err)
+		} else if err != nil {
 			fatal(err)
 		}
 	}

@@ -295,3 +295,31 @@ func TestCheckpointFileKilledMidWrite(t *testing.T) {
 		sim.Release()
 	}
 }
+
+// TestNativeBelowCacheIsUsageError: -mode native starts at -level cache.
+// A lower level is refused as a usage error (exit 2, the floor named)
+// before anything is built — the child re-executes this test binary as
+// bhrun, the same way TestCheckpointFileKilledMidWrite gets its child.
+func TestNativeBelowCacheIsUsageError(t *testing.T) {
+	if args := os.Getenv("UPCBH_BHRUN_ARGS"); args != "" {
+		os.Args = append([]string{"bhrun"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []string{"baseline", "scalars", "redistribute"} {
+		cmd := exec.Command(exe, "-test.run", "^TestNativeBelowCacheIsUsageError$")
+		cmd.Env = append(os.Environ(), "UPCBH_BHRUN_ARGS=-n 64 -mode native -level "+level)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-mode native -level %s: %v, want exit status 2\n%s", level, err, out)
+		}
+		if !strings.Contains(string(out), "starts at level cache") || strings.Contains(string(out), "times are") {
+			t.Errorf("-mode native -level %s: output does not name the floor, or a run started:\n%s", level, out)
+		}
+	}
+}

@@ -30,13 +30,6 @@ type Params struct {
 	// Steps/Warmup override the paper's 4/2 when positive.
 	Steps  int `json:"steps,omitempty"`
 	Warmup int `json:"warmup,omitempty"`
-	// Mode selects the execution backend for every experiment run
-	// (default ModeSimulate — the paper's tables are simulated-time
-	// tables). Experiments whose results only exist in the cost model
-	// stay simulated regardless: ext-native always runs both backends,
-	// ext-cache/ext-mpi compare simulated costs, and any run with a
-	// custom machine (table9, fig12, ...) is pinned by options().
-	Mode core.ExecMode `json:"mode"`
 	// Scenario selects the workload scenario every experiment runs on
 	// ("" = the paper's Plummer sphere). The imbalance experiment
 	// sweeps all scenarios itself and ignores this.
@@ -126,19 +119,14 @@ func (p Params) steps() (int, int) {
 	return 4, 2
 }
 
-// options builds the standard options for an experiment configuration.
+// options builds the standard options for an experiment configuration:
+// simulated time on the given machine (nil = one thread per node), which
+// is what the paper's tables are. ext-native sets its own modes.
 func options(p Params, n, threads int, level core.Level, m *machine.Machine) core.Options {
 	opts := core.DefaultOptions(n, threads, level)
 	opts.Steps, opts.Warmup = p.steps()
-	opts.ExecMode = p.Mode
 	opts.Scenario = p.Scenario
 	if m != nil {
-		// A custom machine means the experiment's point is the cost model
-		// (node packing, pthreads factor, loopback path) — which the
-		// native backend ignores entirely. Pin those runs to simulation so
-		// `-mode native` cannot turn their labelled series into identical
-		// wall-clock noise.
-		opts.ExecMode = core.ModeSimulate
 		opts.Machine = m
 	}
 	return opts

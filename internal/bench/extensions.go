@@ -52,9 +52,6 @@ func runExtCache(x *Exec) (string, error) {
 	for _, cfg := range configs {
 		for _, th := range threads {
 			o := options(p, n, th, core.LevelRedistribute, nil)
-			// The transparent cache's effect is entirely simulated-cost
-			// savings, so this ablation is simulate-only (as is ext-mpi).
-			o.ExecMode = core.ModeSimulate
 			cfg.mut(&o)
 			opts = append(opts, o)
 		}
@@ -84,12 +81,7 @@ func runExtMPI(x *Exec) (string, error) {
 	steps, warmup := p.steps()
 	opts := make([]core.Options, len(threads))
 	for i, th := range threads {
-		o := options(p, n, th, core.LevelSubspace, nil)
-		// The MPI emulation is simulate-only, so pin the UPC side to the
-		// same backend regardless of Params.Mode — mixing wall-clock and
-		// simulated columns would be meaningless.
-		o.ExecMode = core.ModeSimulate
-		opts[i] = o
+		opts[i] = options(p, n, th, core.LevelSubspace, nil)
 	}
 	results, err := x.runAll(opts)
 	if err != nil {

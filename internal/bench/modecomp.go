@@ -26,9 +26,7 @@ func runModeComparison(x *Exec) (string, error) {
 		// The pairs run sequentially on purpose: the Runner serializes
 		// each native run exclusively anyway, so batching would only
 		// reorder the simulate halves.
-		simOpts := options(p, n, th, level, nil)
-		simOpts.ExecMode = core.ModeSimulate
-		simRes, err := x.runOne(simOpts)
+		simRes, err := x.runOne(options(p, n, th, level, nil))
 		if err != nil {
 			return "", fmt.Errorf("simulate at %d threads: %w", th, err)
 		}

@@ -62,10 +62,10 @@ type RunnerStats struct {
 	NativeRuns int `json:"native_runs"` // subset of Runs executed exclusively in ModeNative
 	Evictions  int `json:"evictions"`   // error results evicted so the key can re-execute
 
-	// Memoize outcomes: externally produced results (stepwise runs, the
-	// session service) offered to the cache. Memoized counts those that
-	// landed; MemoizeDropped those that found the key already occupied —
-	// racing stepwise runs of one configuration, or a run the cache
+	// Memoize outcomes: externally produced results (the session
+	// service's completed runs) offered to the cache. Memoized counts
+	// those that landed; MemoizeDropped those that found the key already
+	// occupied — racing sessions of one configuration, or a run the cache
 	// already completed. A dropped feed is normal, but the split makes
 	// the cache's provenance auditable instead of silently discarded.
 	Memoized       int `json:"memoized"`
@@ -99,61 +99,40 @@ func NewRunner(workers int) *Runner {
 	return &Runner{
 		sem:   make(chan struct{}, workers),
 		cache: make(map[string]*cacheEntry),
-		exec:  func(opts core.Options) (*core.Result, error) { return runStepped(opts, opts.Steps, nil) },
+		exec:  runToCompletion,
 	}
 }
 
-// runStepped is the one execution body: build the simulation, advance it
-// `every` steps at a time (the last interval truncated to the schedule),
-// and Finish. A non-nil observe first receives the step-0 Snapshot — the
-// distributed initial conditions, before any stepping, exactly as a
-// bhrun -stream consumer sees them — then one Snapshot per interval; an
-// error from it aborts the run. The Result copies all state out of the
-// Sim, so the heap storage goes back to the recycling pools on return.
-func runStepped(opts core.Options, every int, observe func(*core.Snapshot) error) (*core.Result, error) {
+// runToCompletion is the one execution body: build the simulation, run
+// the whole schedule, collect the Result. The Result copies all state out
+// of the Sim, so the heap storage goes back to the recycling pools on
+// return.
+func runToCompletion(opts core.Options) (*core.Result, error) {
 	sim, err := core.New(opts)
 	if err != nil {
 		return nil, err
 	}
 	defer sim.Release()
-	for done := 0; ; {
-		if observe != nil {
-			snap, err := sim.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			if err := observe(snap); err != nil {
-				return nil, fmt.Errorf("bench: stepped run aborted by observer at step %d: %w", done, err)
-			}
-		}
-		if done >= opts.Steps {
-			return sim.Finish()
-		}
-		k := min(every, opts.Steps-done)
-		if err := sim.Step(k); err != nil {
-			return nil, err
-		}
-		done += k
-	}
+	return sim.Run()
 }
 
-// pooled runs fn under the worker-pool discipline: a native run takes the
-// pool exclusively — it waits out all in-flight simulations and admits no
-// new ones, so the measured wall-clock phases see an otherwise idle host —
-// while simulate runs share it, one pool slot each.
-func (r *Runner) pooled(opts core.Options, what string, fn func() (*core.Result, error)) (*core.Result, error) {
+// pooled executes opts under the worker-pool discipline: a native run
+// takes the pool exclusively — it waits out all in-flight simulations and
+// admits no new ones, so the measured wall-clock phases see an otherwise
+// idle host — while simulate runs share it, one pool slot each.
+func (r *Runner) pooled(opts core.Options) (*core.Result, error) {
 	if opts.ExecMode == core.ModeNative {
 		r.excl.Lock()
 		defer r.excl.Unlock()
-		r.logf("%s (native, exclusive): %s", what, describe(opts))
-		return fn()
+		r.logf("run (native, exclusive): %s", describe(opts))
+		return r.exec(opts)
 	}
 	r.excl.RLock()
 	defer r.excl.RUnlock()
 	r.sem <- struct{}{}
 	defer func() { <-r.sem }()
-	r.logf("%s: %s", what, describe(opts))
-	return fn()
+	r.logf("run: %s", describe(opts))
+	return r.exec(opts)
 }
 
 // Workers returns the worker-pool width.
@@ -207,7 +186,7 @@ func (r *Runner) Run(opts core.Options) (res *core.Result, hit bool, err error) 
 	}
 	r.mu.Unlock()
 
-	e.res, e.err = r.pooled(opts, "run", func() (*core.Result, error) { return r.exec(opts) })
+	e.res, e.err = r.pooled(opts)
 	if e.res != nil && !r.KeepBodies {
 		e.res.Bodies = nil
 	}
@@ -259,9 +238,9 @@ func (r *Runner) Lookup(opts core.Options) (*core.Result, bool) {
 // Run/Lookup calls for the configuration hit without executing. Sessions
 // driven outside the Runner (the bhserve service steps its own Sims) use
 // it to land their completed runs in the shared cache. An entry that
-// already exists — completed or in flight — is left untouched, mirroring
-// RunStepwise's feed semantics; the stored copy follows the KeepBodies
-// policy. Reports whether the result was stored.
+// already exists — completed or in flight — is left untouched; the
+// stored copy follows the KeepBodies policy. Reports whether the result
+// was stored.
 func (r *Runner) Memoize(opts core.Options, res *core.Result) bool {
 	cached := *res
 	if !r.KeepBodies {
@@ -279,44 +258,6 @@ func (r *Runner) Memoize(opts core.Options, res *core.Result) bool {
 	r.cache[key] = e
 	r.stats.Memoized++
 	return true
-}
-
-// RunStepwise executes one configuration through the steppable session
-// engine: the observer first receives the step-0 Snapshot (the initial
-// conditions as distributed — the same stream contract bhrun -stream
-// honours), then one Snapshot every `every` steps (the last interval is
-// truncated to the schedule). It always performs a live execution —
-// snapshots must be observed as the run unfolds, so a cached Result
-// cannot serve a stepwise request — but it respects the Runner's pool
-// discipline (native runs still take the pool exclusively) and it feeds
-// the memoization cache: on success the Result is stored under
-// Options.Key if no entry exists yet, so later Run calls hit; an entry
-// that already exists is left untouched. A non-nil error from observe
-// aborts the run after releasing the simulation.
-func (r *Runner) RunStepwise(opts core.Options, every int, observe func(*core.Snapshot) error) (*core.Result, error) {
-	if every <= 0 {
-		return nil, fmt.Errorf("bench: RunStepwise needs every > 0, got %d", every)
-	}
-	r.mu.Lock()
-	r.stats.Runs++
-	if opts.ExecMode == core.ModeNative {
-		r.stats.NativeRuns++
-	}
-	r.mu.Unlock()
-
-	res, err := r.pooled(opts, "stepped run", func() (*core.Result, error) { return runStepped(opts, every, observe) })
-	if err != nil {
-		return nil, err
-	}
-
-	// Feed the cache without disturbing existing entries. The cached copy
-	// follows the KeepBodies policy; the caller's Result keeps its bodies
-	// either way. The outcome lands in RunnerStats (Memoized vs
-	// MemoizeDropped) so a feed lost to a racing run is visible.
-	if r.Memoize(opts, res) {
-		r.logf("stepped run memoized: %s", describe(opts))
-	}
-	return res, nil
 }
 
 // RunAll executes a batch of independent configurations concurrently

@@ -306,157 +306,6 @@ func TestRunnerKeepBodies(t *testing.T) {
 	}
 }
 
-// stepwiseOpts is a configuration small enough for real (non-stubbed)
-// stepped executions in tests.
-func stepwiseOpts() core.Options {
-	opts := core.DefaultOptions(256, 2, core.LevelMergedBuild)
-	opts.Steps, opts.Warmup = 4, 1
-	return opts
-}
-
-// TestRunStepwiseMatchesRun: the stepped execution path must produce the
-// same Result as the plain cached path — under simulate, byte-identical —
-// while delivering one snapshot per interval, monotone in step index.
-func TestRunStepwiseMatchesRun(t *testing.T) {
-	opts := stepwiseOpts()
-	ref, _, err := NewRunner(2).Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRaw, _ := json.Marshal(ref)
-
-	r := NewRunner(2)
-	var steps []int
-	res, err := r.RunStepwise(opts, 3, func(s *core.Snapshot) error {
-		steps = append(steps, s.Step)
-		if len(s.Bodies) != opts.Bodies {
-			t.Errorf("snapshot at step %d carries %d bodies, want %d", s.Step, len(s.Bodies), opts.Bodies)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Step-0 snapshot first, then every=3 over 4 steps: boundaries at 3
-	// and 4 (truncated tail).
-	if len(steps) != 3 || steps[0] != 0 || steps[1] != 3 || steps[2] != 4 {
-		t.Fatalf("observed boundaries %v, want [0 3 4]", steps)
-	}
-	gotRaw, _ := json.Marshal(res)
-	if string(gotRaw) != string(refRaw) {
-		t.Fatalf("stepped result diverged from Run:\n%.300s\nvs\n%.300s", gotRaw, refRaw)
-	}
-}
-
-// TestRunStepwisePopulatesCache: a stepped run feeds the memoization
-// cache, so a later Run of the same configuration hits.
-func TestRunStepwisePopulatesCache(t *testing.T) {
-	r := NewRunner(2)
-	opts := stepwiseOpts()
-	res, err := r.RunStepwise(opts, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Bodies == nil {
-		t.Error("stepped run dropped the caller's bodies; only the cached copy should")
-	}
-	cached, hit, err := r.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
-		t.Fatal("Run after RunStepwise missed the cache")
-	}
-	if cached.Bodies != nil {
-		t.Error("cached result kept bodies despite KeepBodies=false")
-	}
-	s := r.Stats()
-	if s.Runs != 1 || s.Hits != 1 {
-		t.Errorf("stats = %+v, want 1 run and 1 hit", s)
-	}
-}
-
-// TestRunStepwiseLeavesExistingEntry: a cache entry that predates the
-// stepped run is left untouched — later Runs keep returning it.
-func TestRunStepwiseLeavesExistingEntry(t *testing.T) {
-	r := NewRunner(2)
-	stubExec(r) // Run goes through the stub; RunStepwise executes for real
-	opts := stepwiseOpts()
-	orig, _, err := r.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RunStepwise(opts, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	again, hit, err := r.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit || again != orig {
-		t.Fatalf("stepped run disturbed the existing cache entry (hit=%v, same=%v)", hit, again == orig)
-	}
-}
-
-// TestRunStepwiseObserverAbort: an observer error aborts the run,
-// surfaces wrapped, and leaves the cache unpopulated for the key.
-func TestRunStepwiseObserverAbort(t *testing.T) {
-	r := NewRunner(2)
-	opts := stepwiseOpts()
-	sentinel := errors.New("enough")
-	_, err := r.RunStepwise(opts, 1, func(s *core.Snapshot) error {
-		if s.Step >= 2 {
-			return sentinel
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "enough") {
-		t.Fatalf("observer error not surfaced: %v", err)
-	}
-	stubExec(r)
-	if _, hit, err := r.Run(opts); err != nil || hit {
-		t.Fatalf("aborted stepped run left a cache entry (hit=%v, err=%v)", hit, err)
-	}
-}
-
-// TestRunStepwiseBadEvery: interval validation.
-func TestRunStepwiseBadEvery(t *testing.T) {
-	r := NewRunner(2)
-	if _, err := r.RunStepwise(stepwiseOpts(), 0, nil); err == nil {
-		t.Fatal("every=0 did not fail")
-	}
-}
-
-// TestRunStepwiseInitialSnapshot pins the stream contract both stepped
-// entry points share: the observer's first snapshot is step 0 (the
-// distributed initial conditions), before any stepping.
-func TestRunStepwiseInitialSnapshot(t *testing.T) {
-	r := NewRunner(2)
-	opts := stepwiseOpts()
-	var first *core.Snapshot
-	_, err := r.RunStepwise(opts, 2, func(s *core.Snapshot) error {
-		if first == nil {
-			first = s
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first == nil {
-		t.Fatal("observer never called")
-	}
-	if first.Step != 0 {
-		t.Fatalf("first observed snapshot at step %d, want 0", first.Step)
-	}
-	if len(first.Bodies) != opts.Bodies {
-		t.Fatalf("step-0 snapshot carries %d bodies, want %d", len(first.Bodies), opts.Bodies)
-	}
-	if first.Time != 0 {
-		t.Fatalf("step-0 snapshot at simulated time %v, want 0", first.Time)
-	}
-}
-
 // TestRunnerEvictsErrorEntry: the cache-poisoning regression. A config
 // whose execution fails transiently must not have the failure memoized —
 // the next request for the same key re-executes and can succeed.
@@ -545,65 +394,6 @@ func TestRunnerErrorCoalescedWaiters(t *testing.T) {
 	}
 }
 
-// TestRunnerConcurrentRunAndStepwise races Run against RunStepwise on
-// the same key: whatever interleaving wins, the cache must end with
-// exactly one coherent (successful, completed) entry and every request
-// must return an equivalent Result.
-func TestRunnerConcurrentRunAndStepwise(t *testing.T) {
-	opts := stepwiseOpts()
-	ref, _, err := NewRunner(2).Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRaw, _ := json.Marshal(ref)
-
-	r := NewRunner(4)
-	const each = 4
-	var wg sync.WaitGroup
-	results := make([]*core.Result, 2*each)
-	errs := make([]error, 2*each)
-	for i := 0; i < each; i++ {
-		wg.Add(2)
-		go func(i int) {
-			defer wg.Done()
-			results[i], _, errs[i] = r.Run(opts)
-		}(i)
-		go func(i int) {
-			defer wg.Done()
-			results[each+i], errs[each+i] = r.RunStepwise(opts, 2, nil)
-		}(i)
-	}
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			t.Fatalf("request %d failed: %v", i, errs[i])
-		}
-		raw, _ := json.Marshal(results[i])
-		if string(raw) != string(refRaw) {
-			t.Fatalf("request %d diverged from the reference result", i)
-		}
-	}
-
-	// Exactly one coherent cache entry for the key.
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.cache) != 1 {
-		t.Fatalf("cache holds %d entries, want 1", len(r.cache))
-	}
-	e, ok := r.cache[opts.Key()]
-	if !ok {
-		t.Fatal("cache entry is under the wrong key")
-	}
-	select {
-	case <-e.done:
-	default:
-		t.Fatal("cache entry still marked in-flight")
-	}
-	if e.err != nil || e.res == nil {
-		t.Fatalf("cache entry incoherent: res=%v err=%v", e.res, e.err)
-	}
-}
-
 // TestRunnerLookupAndMemoize: the serve-layer cache seam. Lookup peeks
 // without blocking or executing; Memoize lands an externally produced
 // result, dropping bodies per KeepBodies, and never clobbers an
@@ -666,9 +456,8 @@ func TestRunnerLookupAndMemoize(t *testing.T) {
 
 // TestMemoizeOutcomeStats pins the cache-provenance accounting: every
 // Memoize outcome is visible in RunnerStats, so a cache that silently
-// dropped an externally produced result (the old RunStepwise behaviour —
-// the return value was ignored) can no longer hide. Concurrent Memoize
-// calls for one key land exactly one entry and drop the rest.
+// dropped an externally produced result can no longer hide. Concurrent
+// Memoize calls for one key land exactly one entry and drop the rest.
 func TestMemoizeOutcomeStats(t *testing.T) {
 	r := NewRunner(4)
 	opts := core.DefaultOptions(2048, 2, core.LevelCacheTree)
@@ -697,27 +486,23 @@ func TestMemoizeOutcomeStats(t *testing.T) {
 		t.Fatal("no entry survived the concurrent Memoize storm")
 	}
 
-	// The stepped path reports through the same counters: a stepped run
-	// over a key that is already cached drops its feed (the entry is left
-	// untouched), and one over a fresh key lands it.
-	if _, err := r.RunStepwise(opts, 2, nil); err != nil {
-		t.Fatal(err)
+	// Every later outcome lands in the same two counters: a feed for the
+	// key that is already cached is dropped (the entry is left untouched),
+	// one for a fresh key lands, and Run then hits it without executing.
+	if r.Memoize(opts, &core.Result{Level: opts.Level, Threads: 2}) {
+		t.Fatal("Memoize overwrote the cached entry")
 	}
-	s = r.Stats()
-	if s.Memoized != 1 || s.MemoizeDropped != callers {
-		t.Fatalf("after stepped run on cached key: Memoized=%d MemoizeDropped=%d, want 1 and %d",
-			s.Memoized, s.MemoizeDropped, callers)
-	}
-	fresh := stepwiseOpts()
-	if _, err := r.RunStepwise(fresh, 2, nil); err != nil {
-		t.Fatal(err)
+	fresh := core.DefaultOptions(256, 2, core.LevelMergedBuild)
+	if !r.Memoize(fresh, &core.Result{Level: fresh.Level, Threads: 2}) {
+		t.Fatal("Memoize refused a fresh key")
 	}
 	s = r.Stats()
 	if s.Memoized != 2 || s.MemoizeDropped != callers {
-		t.Fatalf("after stepped run on fresh key: Memoized=%d MemoizeDropped=%d, want 2 and %d",
+		t.Fatalf("after one dropped and one landed feed: Memoized=%d MemoizeDropped=%d, want 2 and %d",
 			s.Memoized, s.MemoizeDropped, callers)
 	}
-	if _, hit, err := r.Run(fresh); err != nil || !hit {
-		t.Fatalf("Run after stepped feed: hit=%v err=%v, want a cache hit", hit, err)
+	execs := stubExec(r)
+	if _, hit, err := r.Run(fresh); err != nil || !hit || execs.Load() != 0 {
+		t.Fatalf("Run after Memoize: hit=%v err=%v execs=%d, want a cache hit and no execution", hit, err, execs.Load())
 	}
 }

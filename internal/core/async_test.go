@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -81,6 +82,25 @@ func TestOptionsValidation(t *testing.T) {
 		mut(&opts)
 		if _, err := New(opts); !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("bad options %d: New returned %v, want ErrInvalidOptions", i, err)
+		}
+	}
+	// The mode x level grid: simulate runs every level, native starts at
+	// LevelCacheTree and says so.
+	for _, mode := range []ExecMode{ModeSimulate, ModeNative} {
+		for level := LevelBaseline; level < NumLevels; level++ {
+			opts := DefaultOptions(256, 2, level)
+			opts.ExecMode = mode
+			sim, err := New(opts)
+			if mode == ModeNative && level < LevelCacheTree {
+				if !errors.Is(err, ErrInvalidOptions) || !strings.Contains(err.Error(), "starts at level cache") {
+					t.Errorf("%v x %v: New returned %v, want ErrInvalidOptions naming cache as the floor", mode, level, err)
+				}
+			} else if err != nil {
+				t.Errorf("%v x %v: %v", mode, level, err)
+			}
+			if sim != nil {
+				sim.Release()
+			}
 		}
 	}
 }

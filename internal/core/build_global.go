@@ -15,7 +15,7 @@ import (
 const maxDepth = 48
 
 // buildGlobal is the SPLASH2/baseline tree construction (§4, and §5.1-5.3
-// levels): every thread inserts its bodies into one shared octree,
+// levels; simulate only): every thread inserts its bodies into one shared octree,
 // protecting mutations with the hashed lock array. At LevelBaseline the
 // root geometry and root pointer are shared scalars read per insertion.
 func (s *Sim) buildGlobal(t *upc.Thread, st *tstate) {
@@ -139,9 +139,10 @@ func (s *Sim) buildChain(t *upc.Thread, st *tstate, center vec.V3, half float64,
 	}
 }
 
-// cofmGlobal is the SPLASH2 center-of-mass phase (L0-L3): each thread
-// processes the cells it created in reverse creation order (bottom-up)
-// and spin-waits on children owned by other threads via the Done flag.
+// cofmGlobal is the SPLASH2 center-of-mass phase (L0-L3, simulate only):
+// each thread processes the cells it created in reverse creation order
+// (bottom-up) and spin-waits on children owned by other threads via the
+// Done flag.
 func (s *Sim) cofmGlobal(t *upc.Thread, st *tstate) {
 	for i := len(st.myCells) - 1; i >= 0; i-- {
 		cr := st.myCells[i]
@@ -173,8 +174,7 @@ func (s *Sim) cofmGlobal(t *upc.Thread, st *tstate) {
 					}
 					polls++
 					s.cells.Touch(t, chR, 4)
-					// Offer the baton to lower-clock peers (cooperative
-					// simulate) or the OS scheduler (native): each failed
+					// Offer the baton to lower-clock peers: each failed
 					// poll is charged, so the spin converges in virtual
 					// time and the poll count is deterministic.
 					t.SpinYield()
@@ -204,7 +204,8 @@ func (s *Sim) cofmGlobal(t *upc.Thread, st *tstate) {
 	}
 }
 
-// costzones is the SPLASH2 partitioner (used through LevelAsync): walk
+// costzones is the SPLASH2 partitioner (used through LevelAsync under
+// simulate; native partitions with costzonesFlat): walk
 // the shared tree depth-first accumulating body costs; each thread claims
 // the bodies whose cost prefix falls in its equal share of the total.
 // Pruning disjoint subtrees keeps the walk near O(own zone). The walk is

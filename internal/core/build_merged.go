@@ -9,9 +9,9 @@ import (
 )
 
 // buildMerged is the §5.4 tree construction (LevelMergedBuild and
-// LevelAsync under the simulate backend; native builds the flat tree
-// directly, see flatnative.go): each thread builds a lock-free local octree over its own
-// bodies (computing local centers of mass), then merges it into the
+// LevelAsync, simulate only; native builds the flat tree directly, see
+// flatnative.go): each thread builds a lock-free local octree over its
+// own bodies (computing local centers of mass), then merges it into the
 // shared global tree. Center-of-mass updates during the merge are
 // commutative weighted averages performed under the cell lock, so no
 // separate c-of-m phase is needed. The local/merge time split per thread

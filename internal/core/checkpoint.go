@@ -31,7 +31,8 @@ import (
 // Checkpoint layout: three regions in the arena checkpoint container.
 //
 //	"state"  JSON (ckptState): Options, step counts, runtime clocks and
-//	         scheduler counters, lock horizon, shared scalars, and every
+//	         scheduler counters, lock horizon, shared scalars (both the
+//	         pointer tree's: empty in a native container), and every
 //	         thread's persistent private state.
 //	"heap"   the bodies heap: each shard's allocated bytes [0, n),
 //	         concatenated in thread order.
@@ -147,13 +148,17 @@ func (s *Sim) checkpointRegions() ([]arena.NamedRegion, error) {
 		Options:   s.o,
 		StepsDone: s.stepsDone,
 		Runtime:   s.rt.CaptureState(),
-		Locks:     s.locks.CaptureAvail(),
-		TolS:      s.tolS.Peek(),
-		EpsS:      s.epsS.Peek(),
-		GeomS:     s.geomS.Peek(),
-		RootS:     s.rootS.Peek(),
 		HeapLens:  make([]int32, p),
 		Threads:   make([]ckptThread, p),
+	}
+	if s.flat != nil {
+		cs.Locks = []float64{} // "locks":[] and zero scalars: native has neither
+	} else {
+		cs.Locks = s.locks.CaptureAvail()
+		cs.TolS = s.tolS.Peek()
+		cs.EpsS = s.epsS.Peek()
+		cs.GeomS = s.geomS.Peek()
+		cs.RootS = s.rootS.Peek()
 	}
 	var heap, refs []byte
 	for i, st := range s.ts {
@@ -290,16 +295,17 @@ func (s *Sim) restoreState(cs *ckptState, heap, refs []byte) error {
 		return err
 	}
 	if s.flat == nil {
-		// (The flat-tree path has no locks; containers it wrote before it
-		// stopped allocating them carry 2048 idle ones, ignored here.)
+		// (The flat-tree path has neither locks nor shared scalars;
+		// containers it wrote while it still allocated them carry 2048
+		// idle locks and four values nothing read, ignored here.)
 		if err := s.locks.RestoreAvail(cs.Locks); err != nil {
 			return err
 		}
+		s.tolS.Poke(cs.TolS)
+		s.epsS.Poke(cs.EpsS)
+		s.geomS.Poke(cs.GeomS)
+		s.rootS.Poke(cs.RootS)
 	}
-	s.tolS.Poke(cs.TolS)
-	s.epsS.Poke(cs.EpsS)
-	s.geomS.Poke(cs.GeomS)
-	s.rootS.Poke(cs.RootS)
 
 	elem := s.bodies.ElemSize()
 	var heapOff, refsOff int

@@ -341,6 +341,9 @@ func TestRestoreRejects(t *testing.T) {
 		mutated(func(cs *ckptState) { cs.Options.Machine.ThreadsPerNode = 0 }), "options rejected")
 	expectErr("negative warmup",
 		mutated(func(cs *ckptState) { cs.Options.Warmup = -1 }), "options rejected")
+	// A configuration older builds ran and this one does not.
+	expectErr("native below the cache level",
+		mutated(func(cs *ckptState) { cs.Options.ExecMode, cs.Options.Level = ModeNative, LevelRedistribute }), "starts at level cache")
 }
 
 // TestRestoreRejectsVersion1 pins the format bump: a container whose

@@ -8,10 +8,10 @@ import (
 	"upcbh/internal/upc"
 )
 
-// This file is the native-backend fast path. Under ModeNative the
-// emulated PGAS heaps are ordinary host memory, so at LevelCacheTree and
-// above a step never touches the pointer tree: the threads build the
-// step's flat octree (internal/octree FlatTree) directly and in parallel
+// This file is the native backend's step. Under ModeNative the emulated
+// PGAS heaps are ordinary host memory and there is no pointer tree (New
+// builds none; Options.validate admits native from LevelCacheTree up):
+// the threads build the step's flat octree (internal/octree FlatTree) directly and in parallel
 // (octree.ParBuild: bin, per-thread subtree build, stitch — no cells
 // heap, no locks, no merge, no flatten), partition it by a prefix over
 // its cost array, and walk it with the batched kernel. The four levels
@@ -26,11 +26,6 @@ import (
 // pointer paths remain the reference (flatnative_test.go,
 // internal/verify). The simulate backend never takes these paths, so its
 // charged phase tables stay byte-identical (pinned by the goldens).
-
-// nativeFlat reports whether the native backend is active.
-func (s *Sim) nativeFlat() bool {
-	return s.o.ExecMode == ModeNative
-}
 
 // flatTree is the shared state of the direct tree path: the parallel
 // builder, whose Tree every thread walks from the tree barrier to the

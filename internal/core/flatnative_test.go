@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -180,6 +181,44 @@ func testSteadyStateZeroAlloc(t *testing.T, threads int) {
 	// The thread's body chunk lives in its own arena, so the unwritten
 	// slack of the 4x-sized double buffers is never resident.
 	inArena(sim.tmem[0], "body buffer", bodyBuf)
+}
+
+// TestNativeSimHoldsNoPointerTree: native means the flat path, so a
+// native Sim builds none of the simulator's shared-tree state — no cells
+// heap (a 16 384-entry chunk table per thread), no lock array, no shared
+// scalars, no subspace scratch or transparent caches — through a step, a
+// checkpoint round trip and Release.
+func TestNativeSimHoldsNoPointerTree(t *testing.T) {
+	opts := DefaultOptions(64, 1, LevelSubspace)
+	opts.ExecMode = ModeNative
+	opts.TransparentCache = true
+	sim, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Release()
+	if err := sim.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sim.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Release()
+	for name, s := range map[string]*Sim{"fresh": sim, "restored": restored} {
+		if s.flat == nil || s.cells != nil || s.locks != nil ||
+			s.geomS != nil || s.tolS != nil || s.epsS != nil || s.rootS != nil {
+			t.Errorf("%s native Sim holds pointer-tree state: flat=%v cells=%v locks=%v scalars=%v/%v/%v/%v",
+				name, s.flat != nil, s.cells != nil, s.locks != nil, s.geomS != nil, s.tolS != nil, s.epsS != nil, s.rootS != nil)
+		}
+		if st := s.ts[0]; st.sub != nil || st.cellCache != nil || st.bodyCache != nil {
+			t.Errorf("%s native thread state holds pointer-path scratch", name)
+		}
+	}
 }
 
 // TestNativeFlatSnapshotCoversTree cross-checks the step's flat tree

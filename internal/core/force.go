@@ -7,13 +7,11 @@ import (
 	"upcbh/internal/vec"
 )
 
-// force dispatches the force-computation phase by optimization level.
-// Under the native backend, every level that walks a private/cached view
-// of the tree (LevelCacheTree and above) runs the flat-tree kernel
-// instead — the communication-hiding machinery of forceCached/forceAsync
-// only exists to model remote access, which native execution does not
-// have. The naive levels (L0-L2) keep the shared-pointer walk: their
-// point is the fine-grained access pattern itself.
+// force dispatches the force-computation phase: the flat-tree kernel
+// under the native backend, and under simulate the pointer walk of the
+// optimization level — forceNaive, forceCached and forceAsync are the
+// paper's three ways of paying for (or hiding) remote access, which only
+// the simulator has.
 func (s *Sim) force(t *upc.Thread, st *tstate, measured bool) {
 	switch {
 	case s.flat != nil:
@@ -40,10 +38,10 @@ func (s *Sim) writeForce(t *upc.Thread, st *tstate, br upc.Ref, acc vec.V3, phi 
 	})
 }
 
-// forceNaive is the shared-memory-style force computation (L0-L2): every
-// tree node is accessed through pointers-to-shared, field by field, and
-// — at LevelBaseline — tol and eps are read from thread 0's shared
-// scalars at every acceptance test and interaction.
+// forceNaive is the shared-memory-style force computation (L0-L2,
+// simulate only): every tree node is accessed through pointers-to-shared,
+// field by field, and — at LevelBaseline — tol and eps are read from
+// thread 0's shared scalars at every acceptance test and interaction.
 func (s *Sim) forceNaive(t *upc.Thread, st *tstate, measured bool) {
 	rootNR := s.readRoot(t, st)
 	stack := st.nodeStack
@@ -213,8 +211,9 @@ func (s *Sim) localizeChildren(t *upc.Thread, st *tstate, n *lnode) {
 	n.localized = true
 }
 
-// forceCached is the §5.3 force computation: walk the private local tree
-// with plain pointers, localizing cells on demand with blocking gets.
+// forceCached is the §5.3 force computation (simulate only): walk the
+// private local tree with plain pointers, localizing cells on demand
+// with blocking gets.
 func (s *Sim) forceCached(t *upc.Thread, st *tstate, measured bool) {
 	st.lroot = s.fetchLocalRoot(t, st)
 	eps := s.readEps(t, st)

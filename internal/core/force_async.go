@@ -93,10 +93,11 @@ func sized[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// forceAsync implements Listing 3: maintain n1 working bodies, aggregate
-// needed remote children into requests of at least n3 cells, keep at most
-// n2 outstanding non-blocking gathers, and overlap communication with the
-// force computation of bodies whose frontiers can still make progress.
+// forceAsync implements Listing 3 (simulate only): maintain n1 working
+// bodies, aggregate needed remote children into requests of at least n3
+// cells, keep at most n2 outstanding non-blocking gathers, and overlap
+// communication with the force computation of bodies whose frontiers can
+// still make progress.
 func (s *Sim) forceAsync(t *upc.Thread, st *tstate, measured bool) {
 	st.lroot = s.fetchLocalRoot(t, st)
 	eps := s.readEps(t, st)

@@ -99,18 +99,22 @@ type Sim struct {
 	stepsDone int
 
 	bodies *upc.Heap[nbody.Body]
-	cells  *upc.Heap[Cell]
-	locks  *upc.LockArray
 
-	// UPC shared scalars (affinity: thread 0).
+	// The simulator's shared pointer tree — the cells heap, the hashed
+	// lock array and the UPC shared scalars (affinity: thread 0). Nil
+	// under ModeNative.
+	cells *upc.Heap[Cell]
+	locks *upc.LockArray
 	geomS *upc.Scalar[rootGeom]
 	tolS  *upc.Scalar[float64]
 	epsS  *upc.Scalar[float64]
 	rootS *upc.Scalar[NodeRef]
 
 	// flat is the step's flat octree and its parallel builder (see
-	// flatnative.go): non-nil under ModeNative at LevelCacheTree and
-	// above, where it replaces the cells heap, the lock array and rootS.
+	// flatnative.go). New sets it exactly under ModeNative — which
+	// Options.validate admits from LevelCacheTree up only — and it is the
+	// one thing the rest of the package tests: flat != nil selects the
+	// native flat path, flat == nil the simulator's pointer tree.
 	flat *flatTree
 
 	// mem backs the flat tree's shared arrays with off-heap (mmap)
@@ -208,8 +212,10 @@ type tstate struct {
 }
 
 // New builds a simulation: generates the initial conditions from the
-// configured scenario (Plummer by default) and sets up the runtime,
-// heaps, locks and shared scalars.
+// configured scenario (Plummer by default) and sets up the runtime and
+// the body heap, then what the backend's tree needs — arenas for the
+// native flat tree; the cells heap, locks and shared scalars for the
+// simulator's pointer tree.
 func New(opts Options) (*Sim, error) {
 	if err := opts.validate(); err != nil {
 		return nil, &marked{ErrInvalidOptions, err}
@@ -230,42 +236,22 @@ func New(opts Options) (*Sim, error) {
 		rt:     rt,
 		par:    opts.Machine.Par,
 		bodies: upc.NewHeap[nbody.Body](rt, bodyChunk),
-		cells:  upc.NewHeap[Cell](rt, 1<<14),
 		init:   init,
 		ts:     make([]*tstate, p),
 	}
-	if s.nativeFlat() && opts.Level >= LevelCacheTree {
-		// The direct flat-tree path (flatnative.go) inserts nothing into a
-		// shared tree: no cell locks — under native each is a channel, and
-		// 2048 of them were two thirds of this function's time.
-		s.flat = &flatTree{}
-		s.locks = rt.NewLockArray(0)
-	} else {
-		s.locks = rt.NewLockArray(2048)
-	}
-	// Both heaps fully initialize every element before first read (cells
-	// are whole-struct assigned at creation, bodies copied/gathered in),
-	// so they can recycle chunk storage across simulations — the harness
-	// builds one Sim per configuration, and per-Sim chunk zeroing was a
-	// top allocation cost. See Release. (The native flat path below takes
-	// its body chunks from the per-thread arenas instead.)
-	s.cells.SetRecycle()
-	s.geomS = upc.NewScalar(rt, rootGeom{})
-	s.tolS = upc.NewScalar(rt, opts.Theta)
-	s.epsS = upc.NewScalar(rt, opts.Eps)
-	s.rootS = upc.NewScalar(rt, NilNode)
 	for i := range s.ts {
 		s.ts[i] = &tstate{id: i}
 	}
-	if s.nativeFlat() {
+	if opts.ExecMode == ModeNative {
+		// The direct flat-tree path (flatnative.go) inserts nothing into a
+		// shared tree: no cells heap, no cell locks, no shared scalars.
+		s.flat = &flatTree{}
 		// Arenas are sized from the body count with room for the
 		// doubling-growth dead space; anonymous mappings commit pages
 		// lazily, so over-reserving virtual space costs nothing. A
 		// failed mmap leaves the arenas nil and growth on the Go heap.
-		if s.flat != nil {
-			if a, err := arena.New(2048*opts.Bodies + 8<<20); err == nil {
-				s.mem = a
-			}
+		if a, err := arena.New(2048*opts.Bodies + 8<<20); err == nil {
+			s.mem = a
 		}
 		// Each thread's arena also holds its body chunk. The §5.2 double
 		// buffers in it are sized for the worst redistribution and mostly
@@ -281,9 +267,21 @@ func New(opts Options) (*Sim, error) {
 		s.bodies.SetChunkSource(func(thr, n int) []nbody.Body {
 			return arena.MakeSlice[nbody.Body](s.tmem[thr], n, n)
 		})
-	} else {
-		s.bodies.SetRecycle()
+		return s, nil
 	}
+	s.cells = upc.NewHeap[Cell](rt, 1<<14)
+	s.locks = rt.NewLockArray(2048)
+	s.geomS = upc.NewScalar(rt, rootGeom{})
+	s.tolS = upc.NewScalar(rt, opts.Theta)
+	s.epsS = upc.NewScalar(rt, opts.Eps)
+	s.rootS = upc.NewScalar(rt, NilNode)
+	// Both heaps fully initialize every element before first read (cells
+	// are whole-struct assigned at creation, bodies copied/gathered in),
+	// so they can recycle chunk storage across simulations — the harness
+	// builds one Sim per configuration, and per-Sim chunk zeroing was a
+	// top allocation cost. See Release.
+	s.cells.SetRecycle()
+	s.bodies.SetRecycle()
 	return s, nil
 }
 
@@ -410,7 +408,9 @@ func (s *Sim) Release() {
 	}
 	s.state = simReleased
 	s.bodies.Release()
-	s.cells.Release()
+	if s.flat == nil {
+		s.cells.Release()
+	}
 	// Unmap the flat-tree arenas after the threads have exited; any
 	// slice into them (the flat tree, builder segments) is dead now.
 	s.mem.Close()
@@ -430,10 +430,7 @@ func (s *Sim) beginPhase(t *upc.Thread) (float64, upc.Stats) {
 }
 
 func (s *Sim) endPhase(t *upc.Thread, st *tstate, ph *PhaseTimes, p Phase, t0 float64, s0 upc.Stats, measured bool) {
-	ph[p] += t.Now() - t0
-	if measured {
-		st.phaseComm[p].Add(t.Stats().Delta(s0))
-	}
+	s.endPhaseFlow(t, st, ph, p, t0, s0, measured)
 	t.Barrier()
 }
 
@@ -493,9 +490,12 @@ func (s *Sim) stepOnce(t *upc.Thread, st *tstate, step int) {
 	}
 }
 
-// stepPointer is the shared-pointer-tree arm of stepOnce up to the force
-// phase (every simulate level, and native L0-L2): build, c-of-m,
-// partition and redistribute as the level prescribes.
+// stepPointer is the simulator's arm of stepOnce up to the force phase:
+// build, c-of-m, partition and redistribute on the shared pointer tree,
+// as the level prescribes. Simulate only — it runs one thread at a time
+// under the cooperative scheduler, and everything it reaches
+// (buildGlobal, cofmGlobal, costzones, buildMerged, stepSubspace) may
+// rely on that.
 func (s *Sim) stepPointer(t *upc.Thread, st *tstate, ph *PhaseTimes, measured bool) {
 	// Per-step reset of the shared tree storage.
 	s.cells.Reset(t)
@@ -584,6 +584,11 @@ func (s *Sim) setup(t *upc.Thread, st *tstate) {
 	if st.stepPh == nil {
 		st.stepPh = make([]PhaseTimes, 0, s.o.Steps-s.o.Warmup)
 	}
+	if s.flat != nil {
+		return
+	}
+	// The rest is the pointer tree's: the shared scalars, the subspace
+	// scratch, and the transparent caches where forceNaive reads them.
 	if me == 0 {
 		s.tolS.Write(t, s.o.Theta)
 		s.epsS.Write(t, s.o.Eps)
@@ -591,7 +596,7 @@ func (s *Sim) setup(t *upc.Thread, st *tstate) {
 	if s.o.Level >= LevelSubspace {
 		st.sub = newSubspaceState()
 	}
-	if s.o.TransparentCache {
+	if s.o.TransparentCache && s.o.Level < LevelCacheTree {
 		st.cellCache = upc.NewCache(t, s.cells, 4096)
 		st.bodyCache = upc.NewCache(t, s.bodies, 4096)
 	}

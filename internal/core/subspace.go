@@ -59,8 +59,8 @@ func (ss *subspaceState) addNode(n subsp) int32 {
 	return int32(len(ss.nodes) - 1)
 }
 
-// stepSubspace runs the §6 tree construction in place of the
-// build/partition/redistribute phases: cost-threshold division with
+// stepSubspace runs the §6 tree construction (simulate only) in place of
+// the build/partition/redistribute phases: cost-threshold division with
 // (vector) reductions, contiguous-leaf ownership, all-to-all body
 // exchange, local subforest construction and lock-free hooking. Timers
 // are charged to the paper's phases: division+subforest+hook+top-cofm to

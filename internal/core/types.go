@@ -20,7 +20,7 @@ type Phase int
 // The phases, in execution order.
 const (
 	PhaseTree Phase = iota // tree building (incl. bounding box; incl. merge/cofm at L4+)
-	PhaseCofM              // center-of-mass computation (separate phase at L0-L3 only; native: L0-L2)
+	PhaseCofM              // center-of-mass computation (separate phase at L0-L3, simulate only)
 	PhasePartition
 	PhaseRedist // body redistribution (L2+)
 	PhaseForce
@@ -47,9 +47,11 @@ type PhaseTimes [NumPhases]float64
 
 // ExecMode selects the execution backend: ModeSimulate charges every UPC
 // operation against the LogGP machine model and reports simulated times
-// (the paper reproduction); ModeNative runs the same time-step with real
-// goroutine parallelism (from LevelCacheTree up on the flat tree of
-// flatnative.go) and reports measured wall-clock phase times.
+// (the paper reproduction, every level); ModeNative runs the time-step
+// with real goroutine parallelism on the flat tree of flatnative.go and
+// reports measured wall-clock phase times. Native starts at
+// LevelCacheTree: below it the levels differ only in remote accesses,
+// which native execution does not have.
 type ExecMode = upc.ExecMode
 
 // Execution backends.
@@ -265,6 +267,11 @@ func (o *Options) validate() error {
 	}
 	if o.ExecMode != ModeSimulate && o.ExecMode != ModeNative {
 		return fmt.Errorf("core: invalid exec mode %d", int(o.ExecMode))
+	}
+	if o.ExecMode == ModeNative && o.Level < LevelCacheTree {
+		// L0-L2 are the paper's study of fine-grained remote access;
+		// with a remote get a plain load there is nothing left to run.
+		return fmt.Errorf("core: level %v is simulate-only: native mode starts at level %v", o.Level, LevelCacheTree)
 	}
 	if o.Theta <= 0 {
 		return fmt.Errorf("core: Theta must be positive")

@@ -19,6 +19,9 @@ import (
 // and the error text as the JSON body.
 func TestErrorStatusTable(t *testing.T) {
 	_, invalidOpts := core.New(core.Options{})
+	nativeOpts := testOpts(4)
+	nativeOpts.ExecMode, nativeOpts.Level = core.ModeNative, core.LevelBaseline
+	_, nativeFloor := core.New(nativeOpts)
 	_, badCkpt := core.Restore(strings.NewReader("not a checkpoint"))
 	for _, tc := range []struct {
 		name string
@@ -28,6 +31,7 @@ func TestErrorStatusTable(t *testing.T) {
 		{"bad request", badRequest("k must be a positive integer"), http.StatusBadRequest},
 		{"invalid options", invalidOpts, http.StatusBadRequest},
 		{"invalid options wrapped", fmt.Errorf("create: %w", invalidOpts), http.StatusBadRequest},
+		{"native below the cache level", nativeFloor, http.StatusBadRequest},
 		{"bad checkpoint", badCkpt, http.StatusBadRequest},
 		{"bad checkpoint sentinel", core.ErrBadCheckpoint, http.StatusBadRequest},
 		{"body too large", &http.MaxBytesError{Limit: 8}, http.StatusRequestEntityTooLarge},

@@ -468,8 +468,11 @@ func TestHTTPEndToEnd(t *testing.T) {
 	// A zero/negative machine or a negative warmup is the client's
 	// fault too: it used to panic inside core.New on the shard (500 via
 	// the task's panic recovery) instead of being rejected. The /stats
-	// request below shows the shards still serve afterwards.
-	for _, o := range []string{`{"machine":{"threads":0}}`, `{"machine":{"threads_per_node":-1}}`, `{"warmup":-1}`} {
+	// request below shows the shards still serve afterwards. So is
+	// native below its floor, the cache level (registers no session: the
+	// created count below stays 2).
+	for _, o := range []string{`{"machine":{"threads":0}}`, `{"machine":{"threads_per_node":-1}}`, `{"warmup":-1}`,
+		`{"exec_mode":"native","level":"baseline"}`} {
 		resp, body = post("/sims", `{"options":`+o+`}`)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("options %s: %d %s, want 400", o, resp.StatusCode, body)

@@ -1,71 +1,10 @@
 package upc
 
-import "sync"
-
-// exchange routes a collective rendezvous to the execution backend: the
-// cooperative scheduler's epoch in ModeSimulate, the mutex/cond collSite
-// under real ModeNative parallelism. Semantics are identical.
-func (rt *Runtime) exchange(t *Thread, v any, cost float64, combine func(slots []any) any) (any, float64) {
-	if rt.coop != nil {
-		return rt.coop.exchange(t, v, cost, combine)
-	}
-	return rt.coll.exchange(t, v, cost, combine)
-}
-
-// collSite is the rendezvous used by all collectives in ModeNative. SPMD
-// discipline guarantees all threads call the same collective in the same
-// order, so a single generation-counted site per runtime suffices.
-type collSite struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-
-	gen      uint64
-	count    int
-	slots    []any
-	maxClock float64
-
-	resolvedClock float64
-	result        any
-}
-
-func newCollSite(n int) *collSite {
-	c := &collSite{n: n, slots: make([]any, n)}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
-
-// exchange deposits `v` for thread t, waits for all threads, and returns
-// combine(slots) along with the aligned clock max(arrivals)+cost. combine
-// runs exactly once per generation, on the last arriver.
-func (c *collSite) exchange(t *Thread, v any, cost float64, combine func(slots []any) any) (any, float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t.rt.checkPoison()
-	c.slots[t.id] = v
-	if t.clock > c.maxClock {
-		c.maxClock = t.clock
-	}
-	c.count++
-	if c.count == c.n {
-		c.result = combine(c.slots)
-		c.resolvedClock = c.maxClock + cost
-		c.count = 0
-		c.maxClock = 0
-		for i := range c.slots {
-			c.slots[i] = nil
-		}
-		c.gen++
-		c.cond.Broadcast()
-		return c.result, c.resolvedClock
-	}
-	gen := c.gen
-	for gen == c.gen {
-		c.cond.Wait()
-		t.rt.checkPoison()
-	}
-	return c.result, c.resolvedClock
-}
+// The collectives are rendezvous of the cooperative scheduler
+// (sched.exchange): every thread deposits a value, the last arriver
+// combines them, and all leave with their clocks aligned to the slowest
+// arrival plus the modelled cost. They exist only under ModeSimulate and
+// panic on a native runtime (Runtime.sim).
 
 // Op selects the combining operator of a reduction.
 type Op int
@@ -96,15 +35,16 @@ func (op Op) apply(a, b float64) float64 {
 
 // AllReduceF64 is a scalar reduce&broadcast over all threads.
 func AllReduceF64(t *Thread, v float64, op Op) float64 {
+	s := t.rt.sim("AllReduceF64")
 	t.stats.Collectives++
-	cost := t.rt.cost.collectiveCost(t, 8)
+	cost := t.rt.mach.CollectiveCost(8)
 	if t.rt.n == 1 {
 		// Single-thread fast path: same charge as the rendezvous would
 		// align to (max-of-one clock plus cost), no interface boxing.
 		t.ChargeRaw(cost)
 		return v
 	}
-	res, clock := t.rt.exchange(t, v, cost, func(slots []any) any {
+	res, clock := s.exchange(t, v, cost, func(slots []any) any {
 		acc := slots[0].(float64)
 		for _, s := range slots[1:] {
 			acc = op.apply(acc, s.(float64))
@@ -122,13 +62,14 @@ func AllReduceF64(t *Thread, v float64, op Op) float64 {
 // fresh allocation with multiple threads, the input slice itself at
 // THREADS==1 (treat it as read-only either way).
 func AllReduceVecF64(t *Thread, v []float64, op Op) []float64 {
+	s := t.rt.sim("AllReduceVecF64")
 	t.stats.Collectives++
-	cost := t.rt.cost.collectiveCost(t, 8*len(v))
+	cost := t.rt.mach.CollectiveCost(8 * len(v))
 	if t.rt.n == 1 {
 		t.ChargeRaw(cost)
 		return v
 	}
-	res, clock := t.rt.exchange(t, v, cost, func(slots []any) any {
+	res, clock := s.exchange(t, v, cost, func(slots []any) any {
 		first := slots[0].([]float64)
 		acc := make([]float64, len(first))
 		copy(acc, first)
@@ -149,13 +90,14 @@ func AllReduceVecF64(t *Thread, v []float64, op Op) []float64 {
 
 // Broadcast distributes root's value to all threads.
 func Broadcast[T any](t *Thread, root int, v T) T {
+	s := t.rt.sim("Broadcast")
 	t.stats.Collectives++
-	cost := t.rt.cost.collectiveCost(t, payloadBytes(v))
+	cost := t.rt.mach.CollectiveCost(payloadBytes(v))
 	if t.rt.n == 1 {
 		t.ChargeRaw(cost)
 		return v
 	}
-	res, clock := t.rt.exchange(t, v, cost, func(slots []any) any {
+	res, clock := s.exchange(t, v, cost, func(slots []any) any {
 		return slots[root]
 	})
 	t.AdvanceTo(clock)
@@ -165,13 +107,14 @@ func Broadcast[T any](t *Thread, root int, v T) T {
 // AllGather collects one value from every thread; the result is indexed
 // by thread id and shared (read-only) by all threads.
 func AllGather[T any](t *Thread, v T) []T {
+	s := t.rt.sim("AllGather")
 	t.stats.Collectives++
-	cost := t.rt.cost.collectiveCost(t, payloadBytes(v)*t.rt.n)
+	cost := t.rt.mach.CollectiveCost(payloadBytes(v) * t.rt.n)
 	if t.rt.n == 1 {
 		t.ChargeRaw(cost)
 		return []T{v}
 	}
-	res, clock := t.rt.exchange(t, v, cost, func(slots []any) any {
+	res, clock := s.exchange(t, v, cost, func(slots []any) any {
 		out := make([]T, len(slots))
 		for i, s := range slots {
 			out[i] = s.(T)
@@ -191,6 +134,7 @@ func AllGather[T any](t *Thread, v T) []T {
 // thread's own volume term (per-message overhead for its sends, transit
 // for its receives).
 func AllToAll[T any](t *Thread, send [][]T) [][]T {
+	s := t.rt.sim("AllToAll")
 	if len(send) != t.rt.n {
 		panic("upc: AllToAll send matrix must have THREADS rows")
 	}
@@ -201,7 +145,7 @@ func AllToAll[T any](t *Thread, send [][]T) [][]T {
 		t.ChargeRaw(2 * t.rt.mach.Par.Latency)
 		return [][]T{send[0]}
 	}
-	res, clock := t.rt.exchange(t, send, 0, func(slots []any) any {
+	res, clock := s.exchange(t, send, 0, func(slots []any) any {
 		out := make([][][]T, len(slots))
 		for i, s := range slots {
 			out[i] = s.([][]T)

@@ -1,6 +1,8 @@
 package upc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"upcbh/internal/machine"
@@ -104,72 +106,63 @@ func TestNativeHeapTransfers(t *testing.T) {
 	})
 }
 
-// TestNativeLockMutualExclusion: the lock must provide real mutual
-// exclusion (not just simulated serialization) — concurrent unprotected
-// increments would be lost (and flagged by the race detector).
-func TestNativeLockMutualExclusion(t *testing.T) {
-	const p, iters = 8, 2000
-	rt := nativeRuntime(p)
-	lk := rt.NewLock(0)
-	counter := 0
-	rt.Run(func(th *Thread) {
-		for i := 0; i < iters; i++ {
-			lk.Acquire(th)
-			counter++
-			lk.Release(th)
-		}
-	})
-	if counter != p*iters {
-		t.Errorf("counter = %d, want %d: lock failed to exclude", counter, p*iters)
-	}
-}
-
 // TestNewLockArrayAllocs pins what a session's lock array costs to
-// create: the locks are one slab, and only the native backend, whose
-// Acquire takes a token from it, makes each lock's channel.
+// create: the LockArray and one slab of locks, nothing per lock.
 func TestNewLockArrayAllocs(t *testing.T) {
 	const n = 256
-	for _, tc := range []struct {
-		mode ExecMode
-		want float64
-	}{
-		{ModeSimulate, 2},   // the LockArray and the slab
-		{ModeNative, 2 + n}, // plus one channel per lock
-	} {
-		rt := NewRuntimeMode(machine.Default(4), tc.mode)
-		var la *LockArray
-		if got := testing.AllocsPerRun(10, func() { la = rt.NewLockArray(n) }); got != tc.want {
-			t.Errorf("%v: NewLockArray(%d) made %.0f allocations, want %.0f", tc.mode, n, got, tc.want)
-		}
-		if la.Len() != n || la.ForRef(Ref{Thr: 1, Idx: 2}).home >= 4 {
-			t.Errorf("%v: malformed lock array", tc.mode)
-		}
+	rt := NewRuntime(machine.Default(4))
+	var la *LockArray
+	if got := testing.AllocsPerRun(10, func() { la = rt.NewLockArray(n) }); got != 2 {
+		t.Errorf("NewLockArray(%d) made %.0f allocations, want 2", n, got)
+	}
+	if la.Len() != n || la.ForRef(Ref{Thr: 1, Idx: 2}).home >= 4 {
+		t.Error("malformed lock array")
 	}
 }
 
-// TestNativeCollectives: reductions and broadcasts must still combine
-// real values under the native backend.
-func TestNativeCollectives(t *testing.T) {
-	const p = 4
-	rt := nativeRuntime(p)
-	rt.Run(func(th *Thread) {
-		if sum := AllReduceF64(th, float64(th.ID()+1), OpSum); sum != 10 {
-			t.Errorf("thread %d: allreduce sum = %g, want 10", th.ID(), sum)
+// TestNativeRejectsSimulateOnlyOps: locks, collectives and spin-waits
+// exist only under the cooperative scheduler. On a native runtime each
+// panics with the documented message — and inside a multi-thread Run that
+// panic poisons the runtime, so the peers parked in the barrier abort and
+// Run re-raises it instead of hanging.
+func TestNativeRejectsSimulateOnlyOps(t *testing.T) {
+	const want = "on a ModeNative runtime: locks, collectives and spin-waits exist only under ModeSimulate"
+	raised := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return
+	}
+	rt := nativeRuntime(4)
+	for op, f := range map[string]func(){
+		"NewLock":      func() { rt.NewLock(0) },
+		"NewLockArray": func() { rt.NewLockArray(0) },
+	} {
+		if msg := raised(f); !strings.Contains(msg, "upc: "+op+" "+want) {
+			t.Errorf("%s on a native runtime raised %q", op, msg)
 		}
-		vec := AllReduceVecF64(th, []float64{float64(th.ID()), 1}, OpMax)
-		if vec[0] != p-1 || vec[1] != 1 {
-			t.Errorf("thread %d: vector reduce = %v", th.ID(), vec)
+	}
+	for op, f := range map[string]func(th *Thread){
+		"AllReduceF64":    func(th *Thread) { AllReduceF64(th, 1, OpSum) },
+		"AllReduceVecF64": func(th *Thread) { AllReduceVecF64(th, []float64{1}, OpMax) },
+		"Broadcast":       func(th *Thread) { Broadcast(th, 0, th.ID()) },
+		"AllGather":       func(th *Thread) { AllGather(th, th.ID()) },
+		"AllToAll":        func(th *Thread) { AllToAll(th, make([][]int, th.P())) },
+		"SpinYield":       func(th *Thread) { th.SpinYield() },
+		"BlockOn":         func(th *Thread) { th.BlockOn(func() bool { return true }) },
+	} {
+		rt := nativeRuntime(4)
+		msg := raised(func() {
+			rt.Run(func(th *Thread) {
+				if th.ID() == 2 {
+					f(th)
+				}
+				th.Barrier()
+			})
+		})
+		if !strings.Contains(msg, "upc: "+op+" "+want) {
+			t.Errorf("%s inside a native Run raised %q", op, msg)
 		}
-		if v := Broadcast(th, 2, th.ID()*11); v != 22 {
-			t.Errorf("thread %d: broadcast = %d, want 22", th.ID(), v)
-		}
-		all := AllGather(th, th.ID())
-		for i, v := range all {
-			if v != i {
-				t.Errorf("thread %d: allgather[%d] = %d", th.ID(), i, v)
-			}
-		}
-	})
+	}
 }
 
 // TestNativeResetClocks: resetting restarts the wall-clock epoch.

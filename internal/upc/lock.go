@@ -1,75 +1,58 @@
 package upc
 
-// Lock is a upc_lock_t: a global lock with affinity to a home thread. In
-// real execution it is a channel-based mutex (so waiters can abort if a
-// peer thread fails); in simulated time, acquisition additionally costs a
-// round trip to the home thread and the critical sections of competing
-// threads serialize through the lock's availability time, which is what
-// makes lock contention visible in the reported phase times.
+// Lock is a upc_lock_t: a global lock with affinity to a home thread.
+// Locks exist only under ModeSimulate, where at most one thread runs at a
+// time and ownership is the held flag; acquisition costs a round trip to
+// the home thread and the critical sections of competing threads
+// serialize through the lock's availability time, which is what makes
+// lock contention visible in the reported phase times.
 type Lock struct {
 	rt      *Runtime
 	home    int
-	ch      chan struct{} // ModeNative only: holds one token when the lock is free
-	availAt float64       // simulated time the lock frees up; guarded by holding the lock
+	availAt float64 // simulated time the lock frees up; guarded by holding the lock
 
-	// Cooperative-scheduler state (ModeSimulate): only the baton holder
-	// touches these, so they need no synchronization. Ownership transfers
-	// directly to the first waiter on release.
+	// Only the baton holder touches these, so they need no
+	// synchronization. Ownership transfers directly to the first waiter
+	// on release.
 	held    bool
 	waiters []int32
 }
 
+// lockMsgBytes is the modelled wire size of a lock protocol message.
+const lockMsgBytes = 16
+
 // NewLock allocates a lock homed on thread `home` (upc_global_lock_alloc
-// distributes homes; the Barnes-Hut code uses arrays of locks).
+// distributes homes; the Barnes-Hut code uses arrays of locks). It
+// panics on a native runtime (Runtime.sim).
 func (rt *Runtime) NewLock(home int) *Lock {
-	l := new(Lock)
-	rt.initLock(l, home)
-	return l
+	rt.sim("NewLock")
+	return &Lock{rt: rt, home: home % rt.n}
 }
 
-// initLock makes *l a free lock homed on thread `home`. The token channel
-// exists only where Acquire uses it: under the cooperative scheduler
-// ownership is the held flag.
-func (rt *Runtime) initLock(l *Lock, home int) {
-	*l = Lock{rt: rt, home: home % rt.n}
-	if rt.coop == nil {
-		l.ch = make(chan struct{}, 1)
-		l.ch <- struct{}{}
-	}
-}
-
-// Acquire takes the lock (upc_lock). Mutual exclusion is real in every
-// mode; under simulation the caller's clock is additionally advanced past
-// both the messaging cost and any serialization behind the previous
-// holder. Acquire aborts if a peer thread has failed, so a panic inside a
-// critical section cannot strand other threads.
+// Acquire takes the lock (upc_lock): the caller parks until the holder
+// releases, and its clock is advanced past both the messaging cost and
+// any serialization behind the previous holder. Acquire aborts if a peer
+// thread has failed, so a panic inside a critical section cannot strand
+// other threads.
 func (l *Lock) Acquire(t *Thread) {
 	t.stats.LockAcqs++
 	t.stats.Msgs++
-	if s := t.rt.coop; s != nil {
-		s.lockAcquire(t, l)
-	} else {
-		select {
-		case <-l.ch:
-		default:
-			select {
-			case <-l.ch:
-			case <-t.rt.poisonCh:
-				panic(poisonAbort{poisonSecondary})
-			}
-		}
+	t.rt.coop.lockAcquire(t, l)
+	c := t.msgCost(l.home, lockMsgBytes)
+	// Request is serviced at the home no earlier than the lock frees up.
+	req := t.clock + c.SenderBusy + c.Transit
+	if l.availAt > req {
+		req = l.availAt
 	}
-	t.rt.cost.lockAcquired(t, l)
+	t.clock = req + t.rt.mach.Par.LockOverhead + c.Transit
 }
 
 // Release drops the lock (upc_unlock).
 func (l *Lock) Release(t *Thread) {
-	t.rt.cost.lockReleasing(t, l)
-	if s := t.rt.coop; s != nil {
-		s.lockRelease(t, l)
-		return
-	}
-	l.ch <- struct{}{}
+	c := t.msgCost(l.home, lockMsgBytes)
+	l.availAt = t.clock + c.SenderBusy + c.Transit + t.rt.mach.Par.LockOverhead
+	t.clock += c.SenderBusy
+	t.rt.coop.lockRelease(t, l)
 }
 
 // LockArray is the hashed array of locks SPLASH2 uses to protect octree
@@ -79,11 +62,12 @@ type LockArray struct {
 }
 
 // NewLockArray creates n locks, in one slab, with homes spread
-// round-robin over threads.
+// round-robin over threads. It panics on a native runtime (Runtime.sim).
 func (rt *Runtime) NewLockArray(n int) *LockArray {
+	rt.sim("NewLockArray")
 	la := &LockArray{locks: make([]Lock, n)}
 	for i := range la.locks {
-		rt.initLock(&la.locks[i], i)
+		la.locks[i] = Lock{rt: rt, home: i % rt.n}
 	}
 	return la
 }

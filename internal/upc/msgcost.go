@@ -76,7 +76,7 @@ func (t *Thread) SendEvent(to, bytes int) float64 {
 	t.stats.Msgs++
 	t.stats.Bytes += uint64(bytes)
 	if t.rt.native {
-		return t.rt.cost.now(t)
+		return t.Now()
 	}
 	c := t.msgCost(to, bytes)
 	t.clock += c.SenderBusy

@@ -240,7 +240,7 @@ func TestRemoteChargeSequence(t *testing.T) {
 		})
 
 		for i := 0; i < p; i++ {
-			if got := rt.ThreadClock(i); got != ref.clock[i] {
+			if got := rt.ThreadNow(i); got != ref.clock[i] {
 				t.Errorf("thread %d clock %.17g, direct model calls give %.17g", i, got, ref.clock[i])
 			}
 			if got := rt.nic[i].availAt; got != ref.nic[i] {

@@ -30,6 +30,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"upcbh/internal/machine"
 )
@@ -44,29 +45,30 @@ import (
 type Runtime struct {
 	mach *machine.Machine
 	n    int
-	cost costModel
-	// native caches cost.mode() == ModeNative so the per-operation hot
-	// paths (Charge in the force inner loop runs millions of times) pay
-	// one predictable branch instead of an interface dispatch; cpuFactor
-	// caches mach.Compute's threaded-runtime multiplier (1 for process
-	// runtimes — multiplying by exactly 1.0 is a bit-exact no-op) so
-	// Charge is a single fused multiply-add.
+	// native is the backend: every timing decision — the clock ops and
+	// message accounting that run millions of times per phase, and the
+	// handful that do not (Now, Barrier, TrySync, ResetClocks) — is one
+	// predictable branch on it. cpuFactor caches mach.Compute's
+	// threaded-runtime multiplier (1 for process runtimes — multiplying
+	// by exactly 1.0 is a bit-exact no-op) so Charge is a single fused
+	// multiply-add.
 	native    bool
 	cpuFactor float64
 	// msgCosts is the LogGP message cost of every small wire size, per
 	// path class of this machine (msgcost.go); nil in ModeNative.
 	msgCosts [machine.PathNetwork + 1][]machine.MsgCost
-
-	bar  *barrier
-	coll *collSite
-	nic  []nicState
+	nic      []nicState
 
 	// coop is the deterministic virtual-time cooperative scheduler
-	// (sched.go); non-nil exactly in ModeSimulate. When set, barriers,
-	// collectives, locks and spin-waits go through baton-passing segments
-	// instead of kernel synchronization, and at most one emulated thread
-	// executes at any moment.
+	// (sched.go); non-nil exactly in ModeSimulate. Barriers, collectives,
+	// locks and spin-waits are its baton-passing segments, and at most
+	// one emulated thread executes at any moment.
 	coop *sched
+	// bar and epoch are the native backend's whole synchronization and
+	// time state: the parking barrier its threads meet at, and the wall
+	// clock's zero. Unset in ModeSimulate.
+	bar   *barrier
+	epoch time.Time
 
 	// poisoned is set when a thread panics so that peers blocked in
 	// barriers/collectives abort instead of waiting forever; poisonCh is
@@ -103,30 +105,46 @@ func NewRuntimeMode(mach *machine.Machine, mode ExecMode) *Runtime {
 	rt := &Runtime{
 		mach:      mach,
 		n:         n,
-		cost:      newCostModel(mode),
 		native:    mode == ModeNative,
 		cpuFactor: mach.Compute(1),
-		bar:       newBarrier(n),
-		coll:      newCollSite(n),
-		nic:       make([]nicState, n),
 		poisonCh:  make(chan struct{}),
 	}
 	rt.threads = make([]*Thread, n)
 	for i := 0; i < n; i++ {
 		rt.threads[i] = &Thread{rt: rt, id: i}
 	}
-	if mode != ModeNative {
+	if rt.native {
+		rt.bar = newBarrier(n)
+		rt.epoch = time.Now()
+	} else {
+		rt.nic = make([]nicState, n)
 		rt.coop = newSched(rt)
 		rt.fillMsgCosts()
 	}
 	return rt
 }
 
+// sim returns the cooperative scheduler for an operation only the
+// simulate backend implements. On a native runtime it panics: inside Run
+// or a session that poisons the runtime, so peers parked in a barrier
+// abort instead of waiting for a rendezvous that cannot happen.
+func (rt *Runtime) sim(op string) *sched {
+	if rt.native {
+		panic("upc: " + op + " on a ModeNative runtime: locks, collectives and spin-waits exist only under ModeSimulate")
+	}
+	return rt.coop
+}
+
 // Threads returns the number of UPC threads (the UPC THREADS constant).
 func (rt *Runtime) Threads() int { return rt.n }
 
 // Mode returns the execution backend the runtime was built with.
-func (rt *Runtime) Mode() ExecMode { return rt.cost.mode() }
+func (rt *Runtime) Mode() ExecMode {
+	if rt.native {
+		return ModeNative
+	}
+	return ModeSimulate
+}
 
 // Machine returns the machine model the runtime charges costs against.
 func (rt *Runtime) Machine() *machine.Machine { return rt.mach }
@@ -226,9 +244,6 @@ func (rt *Runtime) poison(msg string) {
 	rt.bar.mu.Lock()
 	rt.bar.cond.Broadcast()
 	rt.bar.mu.Unlock()
-	rt.coll.mu.Lock()
-	rt.coll.cond.Broadcast()
-	rt.coll.mu.Unlock()
 	if sess := rt.session; sess != nil {
 		// Native session: wake gate-parked threads (they abort) and the
 		// controller (it re-raises via fail).
@@ -257,10 +272,19 @@ func (rt *Runtime) ResetClocks() {
 	for _, t := range rt.threads {
 		t.stats = Stats{}
 	}
-	if rt.coop != nil {
-		rt.coop.stats = SchedStats{}
+	if rt.coop == nil {
+		// Thread clocks are never read in native mode; the epoch is the
+		// only time state it owns.
+		rt.epoch = time.Now()
+		return
 	}
-	rt.cost.reset(rt)
+	rt.coop.stats = SchedStats{}
+	for _, t := range rt.threads {
+		t.clock = 0
+	}
+	for i := range rt.nic {
+		rt.nic[i].availAt = 0
+	}
 }
 
 // nicReserve serializes a message arriving at target's NIC at time
@@ -309,7 +333,12 @@ func (t *Thread) Runtime() *Runtime { return t.rt }
 // Now returns the thread's current time in seconds: the simulated clock
 // in ModeSimulate, wall-clock seconds since the runtime epoch in
 // ModeNative.
-func (t *Thread) Now() float64 { return t.rt.cost.now(t) }
+func (t *Thread) Now() float64 {
+	if t.rt.native {
+		return time.Since(t.rt.epoch).Seconds()
+	}
+	return t.clock
+}
 
 // Charge accounts a computation cost, inflated by the threaded-runtime
 // CPU factor of the machine model (no-op in ModeNative, where the real
@@ -347,29 +376,32 @@ func (t *Thread) Stats() Stats { return t.stats }
 // epoch source for barrier-invalidated caches.
 func (t *Thread) BarrierCount() uint64 { return t.stats.Barriers }
 
-// Barrier is upc_barrier: synchronizes all threads in real execution
-// and, in ModeSimulate, aligns simulated clocks to max(participants)
-// plus the modelled barrier cost.
+// Barrier is upc_barrier: all threads rendezvous — parked on a
+// condition variable in ModeNative; in ModeSimulate as a scheduler
+// epoch that aligns the simulated clocks to max(participants) plus the
+// modelled barrier cost.
 func (t *Thread) Barrier() {
 	t.stats.Barriers++
-	t.rt.cost.barrier(t)
+	if t.rt.native {
+		t.rt.bar.wait(t.rt)
+		return
+	}
+	t.rt.coop.barrier(t)
 }
 
 // Aborted returns a channel closed when a peer thread has failed; use it
 // to abort real blocking waits (e.g. a two-sided receive).
 func (rt *Runtime) Aborted() <-chan struct{} { return rt.poisonCh }
 
-// barrier is a reusable generation barrier that also computes the maximum
-// simulated clock of the participants.
+// barrier is the native backend's reusable generation barrier (simulate
+// barriers are sched.barrier).
 type barrier struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	n    int
 
-	gen      uint64
-	count    int
-	maxClock float64
-	resolved float64
+	gen   uint64
+	count int
 }
 
 func newBarrier(n int) *barrier {
@@ -378,28 +410,22 @@ func newBarrier(n int) *barrier {
 	return b
 }
 
-// wait blocks until all n threads arrive; returns the aligned clock.
-// It aborts (panics with a secondary marker) if the runtime is poisoned.
-func (b *barrier) wait(rt *Runtime, clock, cost float64) float64 {
+// wait blocks until all n threads arrive. It aborts (panics with a
+// secondary marker) if the runtime is poisoned.
+func (b *barrier) wait(rt *Runtime) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	rt.checkPoison()
-	if clock > b.maxClock {
-		b.maxClock = clock
-	}
 	b.count++
 	if b.count == b.n {
-		b.resolved = b.maxClock + cost
 		b.count = 0
-		b.maxClock = 0
 		b.gen++
 		b.cond.Broadcast()
-		return b.resolved
+		return
 	}
 	gen := b.gen
 	for gen == b.gen {
 		b.cond.Wait()
 		rt.checkPoison()
 	}
-	return b.resolved
 }

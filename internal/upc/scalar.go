@@ -1,14 +1,16 @@
 package upc
 
-import "sync"
-
 // Scalar is a UPC shared scalar variable: by the language specification
 // it has affinity to thread 0, so every read from another thread is a
 // remote access — the §5.1 pathology. The optimized code replicates such
 // values into thread-private copies instead of using Scalar reads.
+//
+// A Scalar carries no lock: Read and Write run under the cooperative
+// scheduler, whose baton handoffs order all accesses (baseline-level
+// code reads scalars per interaction, so this is a hot path), and
+// Peek/Poke run while the session is paused.
 type Scalar[T any] struct {
 	rt *Runtime
-	mu sync.RWMutex
 	v  T
 }
 
@@ -29,17 +31,7 @@ func (s *Scalar[T]) Read(t *Thread) T {
 		t.stats.RemoteGets++
 		t.remoteRoundTrip(0, scalarBytes)
 	}
-	if t.rt.coop != nil {
-		// Cooperative simulate: one thread runs at a time, and the
-		// scheduler's baton handoffs order all accesses — no lock needed.
-		// Baseline-level code reads scalars per interaction, so this is
-		// a hot path.
-		return s.v
-	}
-	s.mu.RLock()
-	v := s.v
-	s.mu.RUnlock()
-	return v
+	return s.v
 }
 
 // Write stores the value (remote put when not on thread 0).
@@ -50,28 +42,14 @@ func (s *Scalar[T]) Write(t *Thread, v T) {
 		t.stats.RemotePuts++
 		t.remoteRoundTrip(0, scalarBytes)
 	}
-	if t.rt.coop != nil {
-		s.v = v
-		return
-	}
-	s.mu.Lock()
 	s.v = v
-	s.mu.Unlock()
 }
 
 // Peek reads the value without charging simulated cost. It is for the
 // harness and tests, not for modelled application code.
-func (s *Scalar[T]) Peek() T {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.v
-}
+func (s *Scalar[T]) Peek() T { return s.v }
 
 // Poke stores the value without charging simulated cost: the restore
 // path overwriting a reconstructed simulation's scalars while the
 // session is paused (no thread is running, so no charge may occur).
-func (s *Scalar[T]) Poke(v T) {
-	s.mu.Lock()
-	s.v = v
-	s.mu.Unlock()
-}
+func (s *Scalar[T]) Poke(v T) { s.v = v }

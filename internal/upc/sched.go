@@ -2,7 +2,6 @@ package upc
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 )
 
@@ -69,7 +68,7 @@ type sched struct {
 	barCount int
 	barMax   float64
 
-	// Collective epoch (mirrors collSite, without the mutex/cond).
+	// Collective epoch, counted the same way.
 	collCount    int
 	collMax      float64
 	collSlots    []any
@@ -333,10 +332,10 @@ func (s *sched) barrier(t *Thread) {
 	// The resolver aligned our clock before marking us runnable.
 }
 
-// exchange is the cooperative collective rendezvous (the scheduler's
-// replacement for collSite.exchange): identical result and clock
-// semantics, no mutex/cond. combine runs exactly once per epoch, on the
-// last arriver, which keeps the baton.
+// exchange is the collective rendezvous: thread t deposits v, the last
+// arriver runs combine over all deposits — exactly once per epoch — and
+// keeps the baton, and every thread returns the combined value with the
+// aligned clock max(arrivals)+cost.
 func (s *sched) exchange(t *Thread, v any, cost float64, combine func(slots []any) any) (any, float64) {
 	s.rt.checkPoison()
 	s.collSlots[t.id] = v
@@ -394,19 +393,15 @@ func (s *sched) lockRelease(t *Thread, l *Lock) {
 	l.held = false
 }
 
-// SpinYield is the cooperative replacement for runtime.Gosched in
-// spin-wait loops (e.g. the c-of-m Done-flag poll): under the
-// cooperative scheduler the producer can never run while the consumer
-// spins, so each failed poll must offer the baton to the lowest-clock
-// peer. If the spinner still has the lowest clock it keeps running —
-// charged polls advance its clock, so the producer is reached in
-// bounded virtual time. In ModeNative it degenerates to runtime.Gosched.
+// SpinYield is what a spin-wait loop (e.g. the c-of-m Done-flag poll)
+// calls per failed poll: under the cooperative scheduler the producer
+// can never run while the consumer spins, so each failed poll must offer
+// the baton to the lowest-clock peer. If the spinner still has the
+// lowest clock it keeps running — charged polls advance its clock, so
+// the producer is reached in bounded virtual time. Simulate only
+// (Runtime.sim).
 func (t *Thread) SpinYield() {
-	s := t.rt.coop
-	if s == nil {
-		runtime.Gosched()
-		return
-	}
+	s := t.rt.sim("SpinYield")
 	t.rt.checkPoison()
 	// O(1) fast path: if no parked peer has a lower (clock, id), the
 	// spinner keeps the baton — no peer could have run before it, so the
@@ -428,23 +423,11 @@ func (t *Thread) SpinYield() {
 // primitive for conditions produced by *other* threads with no modelled
 // completion time of their own (e.g. a two-sided MPI receive waiting for
 // its sender). ready must be side-effect free; it is evaluated by
-// scheduling decisions, not just by this thread. Under the cooperative
-// scheduler the thread is simply ineligible until ready() holds; in
-// ModeNative it spin-waits, aborting if the runtime is poisoned.
+// scheduling decisions, not just by this thread. The thread is simply
+// ineligible until ready() holds. Simulate only (Runtime.sim).
 func (t *Thread) BlockOn(ready func() bool) {
+	s := t.rt.sim("BlockOn")
 	if ready() {
-		return
-	}
-	s := t.rt.coop
-	if s == nil {
-		for !ready() {
-			select {
-			case <-t.rt.poisonCh:
-				panic(poisonAbort{poisonSecondary})
-			default:
-				runtime.Gosched()
-			}
-		}
 		return
 	}
 	t.rt.checkPoison()

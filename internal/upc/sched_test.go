@@ -38,7 +38,7 @@ func TestSchedDeterministicClocks(t *testing.T) {
 		})
 		clocks := make([]float64, rt.Threads())
 		for i := range clocks {
-			clocks[i] = rt.ThreadClock(i)
+			clocks[i] = rt.ThreadNow(i)
 		}
 		return clocks, rt.TotalStats()
 	}
@@ -132,7 +132,7 @@ func TestSpinYieldConverges(t *testing.T) {
 			}
 			th.AdvanceTo(doneAt)
 		})
-		return rt.ThreadClock(0), polls
+		return rt.ThreadNow(0), polls
 	}
 	c0, p0 := run()
 	if p0 == 0 {
@@ -243,7 +243,6 @@ func TestNativeModeUnaffected(t *testing.T) {
 	rt.Run(func(th *Thread) {
 		count.Add(1)
 		th.Barrier()
-		_ = AllGather(th, th.ID())
 	})
 	if count.Load() != 4 {
 		t.Fatalf("ran %d native threads", count.Load())

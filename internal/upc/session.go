@@ -306,4 +306,4 @@ func (sess *Session) nextNative(t *Thread) bool {
 // outside): the simulated clock in ModeSimulate, wall-clock seconds
 // since the epoch in ModeNative. Only safe while the runtime is
 // quiescent — between Run invocations, or while a session is paused.
-func (rt *Runtime) ThreadNow(i int) float64 { return rt.cost.now(rt.threads[i]) }
+func (rt *Runtime) ThreadNow(i int) float64 { return rt.threads[i].Now() }

@@ -13,7 +13,8 @@ import (
 
 // sessionBody is a canonical SPMD session body for the tests: per-step
 // it charges thread-dependent time, exchanges data through a barrier-
-// separated collective, and records its step count.
+// separated collective (under simulate; a native runtime has none), and
+// records its step count.
 func sessionBody(steps *[][]int, clocks *[][]float64) func(t *Thread) {
 	return func(t *Thread) {
 		me := t.ID()
@@ -21,7 +22,9 @@ func sessionBody(steps *[][]int, clocks *[][]float64) func(t *Thread) {
 		t.Barrier()
 		for t.NextStep() {
 			t.Charge(1e-6)
-			AllReduceVecF64(t, []float64{float64(me)}, OpMax)
+			if !t.rt.native {
+				AllReduceVecF64(t, []float64{float64(me)}, OpMax)
+			}
 			t.Barrier()
 			(*steps)[me] = append((*steps)[me], len((*steps)[me]))
 			(*clocks)[me] = append((*clocks)[me], t.Now())

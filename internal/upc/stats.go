@@ -81,15 +81,11 @@ func (rt *Runtime) TotalStats() Stats {
 	return agg
 }
 
-// ThreadClock returns thread i's clock (after Run returns): simulated
-// seconds in ModeSimulate, wall-clock seconds since the epoch otherwise.
-func (rt *Runtime) ThreadClock(i int) float64 { return rt.cost.now(rt.threads[i]) }
-
 // MaxClock returns the maximum clock over all threads.
 func (rt *Runtime) MaxClock() float64 {
 	var mx float64
 	for _, t := range rt.threads {
-		if c := rt.cost.now(t); c > mx {
+		if c := t.Now(); c > mx {
 			mx = c
 		}
 	}

@@ -18,7 +18,7 @@ var (
 
 	// Oracle tolerances for the matrix configuration (theta = 0.5,
 	// n = 256, eps = 0.05). Observed legitimate multipole error across
-	// all five scenarios x seven levels x both modes: max-relative
+	// all five scenarios x every level each mode runs: max-relative
 	// <= 0.095 (worst body, near a force cancellation), RMS <= 0.011.
 	// A real defect — a subtree missed, a mass double-counted, a stale
 	// cached cell — shifts the RMS metric by orders of magnitude, so
@@ -62,24 +62,31 @@ func newVerifyRunner() *bench.Runner {
 }
 
 // TestDifferentialMatrix is the repository's physics gate: every
-// optimization Level x ExecMode x workload scenario at oracle-scale n,
-// each run checked against O(n^2) direct summation at the reconstructed
-// force-evaluation positions, and all levels checked pairwise against
-// LevelBaseline within FP-reordering tolerance. A refactor that breaks
-// the physics of any single level, backend, or spatial distribution
-// fails the corresponding cell by name.
+// optimization Level x ExecMode cell that exists (simulate L0-L6, native
+// L3-L6) x workload scenario at oracle-scale n, each run checked against
+// O(n^2) direct summation at the reconstructed force-evaluation
+// positions, and all of a scenario's cells — both modes' — checked
+// pairwise against its simulate LevelBaseline run within FP-reordering
+// tolerance, so the native flat paths are held to the simulator's
+// pointer walk. A refactor that breaks the physics of any single level,
+// backend, or spatial distribution fails the corresponding cell by name.
 func TestDifferentialMatrix(t *testing.T) {
 	runner := newVerifyRunner()
 	for _, scenario := range matrixScenarios(t) {
 		for _, mode := range matrixModes {
 			scenario, mode := scenario, mode
 			t.Run(fmt.Sprintf("%s/%s", scenario, mode), func(t *testing.T) {
-				// Baseline first: the pairwise reference for this cell group.
-				base, _, err := runner.Run(matrixOptions(scenario, core.LevelBaseline, mode))
+				// Baseline first: the scenario's pairwise reference, run
+				// once and shared by both mode groups through the runner.
+				base, _, err := runner.Run(matrixOptions(scenario, core.LevelBaseline, core.ModeSimulate))
 				if err != nil {
 					t.Fatalf("baseline run: %v", err)
 				}
-				for level := core.LevelBaseline; level < core.NumLevels; level++ {
+				first := core.LevelBaseline
+				if mode == core.ModeNative {
+					first = core.LevelCacheTree
+				}
+				for level := first; level < core.NumLevels; level++ {
 					level := level
 					t.Run(level.String(), func(t *testing.T) {
 						opts := matrixOptions(scenario, level, mode)
@@ -100,10 +107,10 @@ func TestDifferentialMatrix(t *testing.T) {
 							t.Errorf("RMS force error vs direct sum: %g > %g", rms, oracleRMSTol)
 						}
 
-						// Pairwise: all levels agree with baseline (and hence
-						// with each other) up to FP reordering.
+						// Pairwise: all cells agree with the simulate baseline
+						// (and hence with each other) up to FP reordering.
 						if d := verify.MaxAccDivergence(base.Bodies, res.Bodies); d > pairwiseTol {
-							t.Errorf("acceleration divergence vs %s: %g > %g", core.LevelBaseline, d, pairwiseTol)
+							t.Errorf("acceleration divergence vs simulate %s: %g > %g", core.LevelBaseline, d, pairwiseTol)
 						}
 					})
 				}
@@ -115,43 +122,6 @@ func TestDifferentialMatrix(t *testing.T) {
 	// pairwise roles; the runner must have deduplicated those requests.
 	if st := runner.Stats(); st.Hits == 0 {
 		t.Errorf("expected memoized re-use inside the matrix, got stats %+v", st)
-	}
-}
-
-// TestFlatVsPointerPerScenario adds the flat-vs-pointer axis to the
-// differential matrix: for each scenario, the native backend's flat
-// paths (arena local build + flat-snapshot force kernel) must produce
-// the same physics as the pointer/NodeRef paths — which the simulate
-// backend runs, charged — within FP-reordering tolerance, at both a
-// merged-build and the fully optimized subspace level, and both must
-// satisfy the direct-sum oracle.
-func TestFlatVsPointerPerScenario(t *testing.T) {
-	runner := newVerifyRunner()
-	for _, scenario := range matrixScenarios(t) {
-		for _, level := range []core.Level{core.LevelMergedBuild, core.LevelSubspace} {
-			scenario, level := scenario, level
-			t.Run(fmt.Sprintf("%s/%s", scenario, level), func(t *testing.T) {
-				flatOpts := matrixOptions(scenario, level, core.ModeNative)
-				flat, _, err := runner.Run(flatOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ptr, _, err := runner.Run(matrixOptions(scenario, level, core.ModeSimulate))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := verify.MaxAccDivergence(flat.Bodies, ptr.Bodies); d > pairwiseTol {
-					t.Errorf("flat vs pointer acceleration divergence: %g > %g", d, pairwiseTol)
-				}
-				for name, res := range map[string]*core.Result{"flat": flat, "pointer": ptr} {
-					maxRel, rms := verify.ForceErrors(res.Bodies, flatOpts.Eps, flatOpts.Dt)
-					if maxRel > oracleMaxRelTol || rms > oracleRMSTol {
-						t.Errorf("%s variant vs direct sum: maxRel %g (tol %g), rms %g (tol %g)",
-							name, maxRel, oracleMaxRelTol, rms, oracleRMSTol)
-					}
-				}
-			})
-		}
 	}
 }
 

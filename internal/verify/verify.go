@@ -22,8 +22,9 @@
 //     asymmetry of the tree approximation.
 //
 // The differential test matrix in this package runs every Level x
-// ExecMode x scenario combination through the memoized bench.Runner and
-// holds each run to both oracles, plus pairwise agreement across levels.
+// ExecMode x scenario combination that exists (native starts at
+// LevelCacheTree) through the memoized bench.Runner and holds each run
+// to both oracles, plus pairwise agreement across levels and modes.
 package verify
 
 import (

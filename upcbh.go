@@ -17,17 +17,19 @@
 //
 // Two execution backends are available (Options.ExecMode). ModeSimulate
 // (the default, shown above) charges every UPC operation against the
-// LogGP machine model and reports simulated cluster times. ModeNative
-// runs the same time-step as a real parallel Go program — goroutine per
-// UPC thread, real barriers, no cost accounting, and from the cached
-// levels up one flat octree built in parallel in place of the shared
-// pointer tree — and reports measured wall-clock phase times instead:
+// LogGP machine model and reports simulated cluster times, at every
+// level. ModeNative runs the time-step as a real parallel Go program —
+// goroutine per UPC thread, real barriers, no cost accounting, one flat
+// octree built in parallel in place of the shared pointer tree — and
+// reports measured wall-clock phase times instead:
 //
 //	opts.ExecMode = upcbh.ModeNative
 //	sim, err := upcbh.New(opts)
 //	res, err := sim.Run() // res.Phases are now measured wall seconds
 //
-// The physics is identical between modes; only the timing policy differs.
+// Native starts at LevelCacheTree: the three levels below it differ only
+// in remote accesses, which native execution does not have, and New
+// rejects them. The physics is identical between modes.
 package upcbh
 
 import (
