@@ -263,8 +263,7 @@ func (s *Sim) costzones(t *upc.Thread, st *tstate) {
 // the local copies, and compact into the alternate buffer when full.
 func (s *Sim) redistribute(t *upc.Thread, st *tstate, measured bool) {
 	me := int32(t.ID())
-	// Parity-indexed scratch: see the tstate field comment.
-	rs := &st.remote[st.stepParity]
+	rs := &st.remote
 	remoteIdx := rs.idx[:0]
 	remoteRefs := rs.refs[:0]
 	for i, br := range st.myBodies {
@@ -327,6 +326,10 @@ func (s *Sim) compactBuffer(t *upc.Thread, st *tstate) {
 // every owned body. Below LevelRedistribute the body may live in another
 // thread's shard and the update is a charged remote read-modify-write.
 func (s *Sim) advance(t *upc.Thread, st *tstate) {
+	if s.flat != nil {
+		s.advanceFlat(st)
+		return
+	}
 	dt := s.o.Dt
 	for _, br := range st.myBodies {
 		t.Charge(s.par.BodyUpdateCost)

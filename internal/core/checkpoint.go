@@ -2,13 +2,13 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"unsafe"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/hostenv"
+	"upcbh/internal/nbody"
 	"upcbh/internal/upc"
 )
 
@@ -28,22 +28,28 @@ import (
 // under the native backend wall-clock timings necessarily differ and
 // the guarantee is exact physics.
 //
-// Checkpoint layout: three regions in the arena checkpoint container.
+// Checkpoint layout: regions in the arena checkpoint container.
 //
 //	"state"  JSON (ckptState): Options, step counts, runtime clocks and
 //	         scheduler counters, lock horizon, shared scalars (both the
 //	         pointer tree's: empty in a native container), and every
 //	         thread's persistent private state.
-//	"heap"   the bodies heap: each shard's allocated bytes [0, n),
-//	         concatenated in thread order.
-//	"refs"   each thread's owned-body reference list (raw upc.Ref
-//	         bytes), concatenated in thread order.
+//	"heap"   simulate: the bodies heap, each shard's allocated bytes
+//	         [0, n), concatenated in thread order.
+//	"refs"   simulate: each thread's owned-body reference list (raw
+//	         upc.Ref bytes), concatenated in thread order.
+//	"bodies" native: the n bodies as raw nbody.Body records in tree-slot
+//	         order, thread i's the n_owned after threads 0..i-1's (the
+//	         partition claims consecutive intervals). Older native
+//	         containers carry heap + refs instead; their refs, resolved
+//	         in thread order, list the same records in the same order.
 
 // Region names within the checkpoint container.
 const (
-	regState = "state"
-	regHeap  = "heap"
-	regRefs  = "refs"
+	regState  = "state"
+	regHeap   = "heap"
+	regRefs   = "refs"
+	regBodies = "bodies"
 )
 
 // ckptThread is one thread's persistent private state (the subset of
@@ -59,7 +65,7 @@ type ckptThread struct {
 	BufCap int        `json:"buf_cap"`
 	Cur    int        `json:"cur"`
 	CurLen int        `json:"cur_len"`
-	NOwned int        `json:"n_owned"` // myBodies length; slices the refs region
+	NOwned int        `json:"n_owned"` // myBodies length; slices the refs or bodies region
 
 	// Replicated scalars.
 	Tol  float64  `json:"tol"`
@@ -148,23 +154,31 @@ func (s *Sim) checkpointRegions() ([]arena.NamedRegion, error) {
 		Options:   s.o,
 		StepsDone: s.stepsDone,
 		Runtime:   s.rt.CaptureState(),
-		HeapLens:  make([]int32, p),
 		Threads:   make([]ckptThread, p),
 	}
+	var heap, refs []byte
+	var bodies []nbody.Body
 	if s.flat != nil {
 		cs.Locks = []float64{} // "locks":[] and zero scalars: native has neither
+		bodies = make([]nbody.Body, 0, s.o.Bodies)
 	} else {
 		cs.Locks = s.locks.CaptureAvail()
 		cs.TolS = s.tolS.Peek()
 		cs.EpsS = s.epsS.Peek()
 		cs.GeomS = s.geomS.Peek()
 		cs.RootS = s.rootS.Peek()
+		cs.HeapLens = make([]int32, p)
 	}
-	var heap, refs []byte
 	for i, st := range s.ts {
-		cs.HeapLens[i] = int32(s.bodies.Len(i))
-		heap = s.bodies.CaptureShard(i, heap)
-		refs = appendRefBytes(refs, st.myBodies)
+		if s.flat != nil {
+			for k, r := range st.myBodies {
+				bodies = append(bodies, s.flat.body(st.slotLo+k, r.Idx))
+			}
+		} else {
+			cs.HeapLens[i] = int32(s.bodies.Len(i))
+			heap = s.bodies.CaptureShard(i, heap)
+			refs = appendRefBytes(refs, st.myBodies)
+		}
 		cs.Threads[i] = ckptThread{
 			Step:         st.step,
 			Buf:          st.buf,
@@ -193,6 +207,12 @@ func (s *Sim) checkpointRegions() ([]arena.NamedRegion, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: encode checkpoint state: %w", err)
 	}
+	if s.flat != nil {
+		return []arena.NamedRegion{
+			{Name: regState, Data: state},
+			{Name: regBodies, Data: bodyRecordBytes(bodies)},
+		}, nil
+	}
 	return []arena.NamedRegion{
 		{Name: regState, Data: state},
 		{Name: regHeap, Data: heap},
@@ -208,6 +228,11 @@ func appendRefBytes(buf []byte, refs []upc.Ref) []byte {
 	}
 	b := unsafe.Slice((*byte)(unsafe.Pointer(&refs[0])), len(refs)*refBytes)
 	return append(buf, b...)
+}
+
+// bodyRecordBytes is the memory of bs as raw bytes.
+func bodyRecordBytes(bs []nbody.Body) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(bs))), len(bs)*bodyBytes)
 }
 
 // Restore reconstructs a paused simulation from a checkpoint written by
@@ -236,25 +261,82 @@ func Restore(r io.Reader) (*Sim, error) {
 	if cs.StepsDone != c.Header.Step {
 		return nil, badCheckpoint(fmt.Errorf("core: checkpoint step mismatch: header says %d, state says %d", c.Header.Step, cs.StepsDone))
 	}
-	heap, ok := c.Region(regHeap)
-	if !ok {
-		return nil, badCheckpoint(fmt.Errorf("core: checkpoint has no %q region", regHeap))
+	if err := cs.Options.validate(); err != nil {
+		return nil, badCheckpoint(fmt.Errorf("core: checkpoint options rejected: %w", err))
 	}
-	refs, ok := c.Region(regRefs)
-	if !ok {
-		return nil, badCheckpoint(fmt.Errorf("core: checkpoint has no %q region", regRefs))
+	heap, okHeap := c.Region(regHeap)
+	refs, okRefs := c.Region(regRefs)
+	var bodies []nbody.Body
+	if cs.Options.ExecMode == ModeNative {
+		// Checked whole before a Sim exists to index its columns by them.
+		if bodies, err = nativeBodies(c, &cs, heap, refs); err != nil {
+			return nil, badCheckpoint(err)
+		}
+	} else if !okHeap || !okRefs {
+		return nil, badCheckpoint(fmt.Errorf("core: checkpoint lacks its %q or %q region", regHeap, regRefs))
 	}
 	s, err := New(cs.Options)
-	if errors.Is(err, ErrInvalidOptions) {
-		return nil, badCheckpoint(fmt.Errorf("core: checkpoint options rejected: %w", err))
-	} else if err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("core: construct restore target: %w", err)
 	}
-	if err := s.restoreState(&cs, heap, refs); err != nil {
+	if err := s.restoreState(&cs, heap, refs, bodies); err != nil {
 		s.Release()
 		return nil, badCheckpoint(err)
 	}
 	return s, nil
+}
+
+// nativeBodies decodes a native container's n bodies in tree-slot order:
+// the bodies region, or an older container's refs resolved, in thread
+// order, into its heap region's shards. Either way the owned counts must
+// sum to n and the IDs be a permutation of 0..n-1.
+func nativeBodies(c *arena.Checkpoint, cs *ckptState, heap, refs []byte) ([]nbody.Body, error) {
+	n, owned := cs.Options.Bodies, 0
+	for i, tc := range cs.Threads {
+		if tc.NOwned < 0 || tc.NOwned > n {
+			return nil, fmt.Errorf("core: checkpoint thread %d owns %d of %d bodies", i, tc.NOwned, n)
+		}
+		owned += tc.NOwned
+	}
+	if owned != n {
+		return nil, fmt.Errorf("core: ownership covers %d bodies, want %d", owned, n)
+	}
+	data, ok := c.Region(regBodies)
+	name, rec := regBodies, bodyBytes
+	if !ok {
+		data, name, rec = refs, regRefs, refBytes
+	}
+	if len(data)%rec != 0 || len(data)/rec != n {
+		return nil, fmt.Errorf("core: checkpoint %s region holds %d bytes, want %d records of %d", name, len(data), n, rec)
+	}
+	out := make([]nbody.Body, n)
+	dst := bodyRecordBytes(out)
+	if ok {
+		copy(dst, data)
+	} else {
+		shard := make([]int, len(cs.HeapLens)+1) // byte offsets in heap
+		for i, l := range cs.HeapLens {
+			if l < 0 || int(l) > (len(heap)-shard[i])/bodyBytes {
+				return nil, fmt.Errorf("core: checkpoint heap region truncated (shard %d holds %d bodies)", i, l)
+			}
+			shard[i+1] = shard[i] + int(l)*bodyBytes
+		}
+		for j := range out {
+			r := *(*upc.Ref)(unsafe.Pointer(&refs[j*refBytes]))
+			if r.Thr < 0 || int(r.Thr) >= len(cs.HeapLens) || r.Idx < 0 || r.Idx >= cs.HeapLens[r.Thr] {
+				return nil, fmt.Errorf("core: checkpoint body ref %v out of range", r)
+			}
+			off := shard[r.Thr] + int(r.Idx)*bodyBytes
+			copy(dst[j*bodyBytes:], heap[off:off+bodyBytes])
+		}
+	}
+	ids := newIDSet(n)
+	for i := range out {
+		if err := ids.claim(out[i].ID); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // PeekCheckpointHeader extracts the key and step a checkpoint
@@ -281,10 +363,11 @@ func badCheckpoint(err error) error { return &marked{ErrBadCheckpoint, err} }
 // captured snapshot. The fresh session has run setup and parked before
 // step 0, so the heap allocation layout is the checkpointed run's
 // setup-time layout; shards the checkpointed run grew past it are
-// extended first, then every mutable byte is replaced.
-func (s *Sim) restoreState(cs *ckptState, heap, refs []byte) error {
+// extended first, then every mutable byte is replaced. A native Sim
+// takes the checked bodies, thread i the n_owned slots after 0..i-1's.
+func (s *Sim) restoreState(cs *ckptState, heap, refs []byte, bodies []nbody.Body) error {
 	p := s.rt.Threads()
-	if len(cs.Threads) != p || len(cs.HeapLens) != p {
+	if len(cs.Threads) != p || (s.flat == nil && len(cs.HeapLens) != p) {
 		return fmt.Errorf("core: checkpoint carries %d thread states for a %d-thread machine", len(cs.Threads), p)
 	}
 	if cs.StepsDone < 0 || cs.StepsDone > s.o.Steps {
@@ -307,10 +390,35 @@ func (s *Sim) restoreState(cs *ckptState, heap, refs []byte) error {
 		s.rootS.Poke(cs.RootS)
 	}
 
-	elem := s.bodies.ElemSize()
-	var heapOff, refsOff int
+	var heapOff, refsOff, slot int
 	for i, st := range s.ts {
 		tc := &cs.Threads[i]
+		st.step = tc.Step
+		st.tol = tc.Tol
+		st.eps = tc.Eps
+		st.geom = tc.Geom
+		st.root = tc.Root
+		st.inter = tc.Inter
+		st.migrated = tc.Migrated
+		st.ownedTot = tc.OwnedTot
+		st.bufCopies = tc.BufCopies
+		st.cellsCopied = tc.CellsCopied
+		st.cellsAliased = tc.CellsAliased
+		st.treeLocalT = tc.TreeLocalT
+		st.treeMergeT = tc.TreeMergeT
+		st.phases = tc.Phases
+		st.stepPh = append(st.stepPh[:0], tc.StepPh...)
+		st.phaseComm = tc.PhaseComm
+		if s.flat != nil {
+			st.slotLo = slot
+			st.myBodies = st.myBodies[:0]
+			for range tc.NOwned {
+				s.flat.setBody(slot, &bodies[slot])
+				st.myBodies = append(st.myBodies, upc.Ref{Thr: int32(i), Idx: bodies[slot].ID})
+				slot++
+			}
+			continue
+		}
 		n := int(cs.HeapLens[i])
 		if cur := s.bodies.Len(i); cur > n {
 			return fmt.Errorf("core: checkpoint shard %d holds %d bodies but fresh setup allocated %d — incompatible layout", i, n, cur)
@@ -318,7 +426,7 @@ func (s *Sim) restoreState(cs *ckptState, heap, refs []byte) error {
 		if err := s.bodies.GrowShard(i, cs.HeapLens[i]); err != nil {
 			return err
 		}
-		nb := n * elem
+		nb := n * bodyBytes
 		if heapOff+nb > len(heap) {
 			return fmt.Errorf("core: checkpoint heap region truncated (shard %d needs %d bytes, %d left)", i, nb, len(heap)-heapOff)
 		}
@@ -372,31 +480,15 @@ func (s *Sim) restoreState(cs *ckptState, heap, refs []byte) error {
 			return fmt.Errorf("core: checkpoint thread %d carries an alternate buffer %v at level %v", i, tc.Buf[1], s.o.Level)
 		}
 
-		st.step = tc.Step
 		st.buf = tc.Buf
 		st.bufCap = tc.BufCap
 		st.cur = tc.Cur
 		st.curLen = tc.CurLen
-		st.tol = tc.Tol
-		st.eps = tc.Eps
-		st.geom = tc.Geom
-		st.root = tc.Root
-		st.inter = tc.Inter
-		st.migrated = tc.Migrated
-		st.ownedTot = tc.OwnedTot
-		st.bufCopies = tc.BufCopies
-		st.cellsCopied = tc.CellsCopied
-		st.cellsAliased = tc.CellsAliased
-		st.treeLocalT = tc.TreeLocalT
-		st.treeMergeT = tc.TreeMergeT
-		st.phases = tc.Phases
-		st.stepPh = append(st.stepPh[:0], tc.StepPh...)
-		st.phaseComm = tc.PhaseComm
 	}
-	if heapOff != len(heap) {
+	if s.flat == nil && heapOff != len(heap) {
 		return fmt.Errorf("core: checkpoint heap region has %d trailing bytes", len(heap)-heapOff)
 	}
-	if refsOff != len(refs) {
+	if s.flat == nil && refsOff != len(refs) {
 		return fmt.Errorf("core: checkpoint refs region has %d trailing bytes", len(refs)-refsOff)
 	}
 	s.stepsDone = cs.StepsDone

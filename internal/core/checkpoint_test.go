@@ -6,11 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/hostenv"
@@ -578,4 +582,197 @@ func TestRestoreOlderNativeContainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBodies(t, got.Bodies, ref.Bodies)
+}
+
+// resealed decodes ckpt, lets mut change its state and regions, and
+// writes it back as a CRC-valid container under the (possibly mutated)
+// options' key: the crafted input an uploader could send.
+func resealed(tb testing.TB, ckpt []byte, mut func(cs *ckptState, regions map[string][]byte)) []byte {
+	tb.Helper()
+	c, err := arena.ReadCheckpoint(bytes.NewReader(ckpt))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	state, _ := c.Region(regState)
+	var cs ckptState
+	if err := json.Unmarshal(state, &cs); err != nil {
+		tb.Fatal(err)
+	}
+	regions := map[string][]byte{}
+	for _, r := range c.Header.Regions {
+		data, _ := c.Region(r.Name)
+		regions[r.Name] = append([]byte(nil), data...)
+	}
+	mut(&cs, regions)
+	enc, err := json.Marshal(&cs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := []arena.NamedRegion{{Name: regState, Data: enc}}
+	delete(regions, regState)
+	for _, name := range slices.Sorted(maps.Keys(regions)) {
+		out = append(out, arena.NamedRegion{Name: name, Data: regions[name]})
+	}
+	var buf bytes.Buffer
+	if err := arena.WriteCheckpoint(&buf, cs.Options.Key(), c.Header.Step, c.Header.Env, out); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// expectBadCheckpoint restores b and wants ErrBadCheckpoint naming want,
+// with no Sim left behind: a Sim that leaked would keep its threads
+// parked at their step gate.
+func expectBadCheckpoint(t *testing.T, name string, b []byte, want string) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	s, err := Restore(bytes.NewReader(b))
+	if err == nil {
+		s.Release()
+		t.Fatalf("%s: accepted", name)
+	}
+	if !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), want) {
+		t.Errorf("%s: error %q, want ErrBadCheckpoint naming %q", name, err, want)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%s: %d goroutines after the rejected restore, %d before", name, n, before)
+	}
+}
+
+// TestRestoreHeapRefsNativeContainer: testdata/native-heaprefs.ckpt is a
+// native container in the older layout — the body heap's shards in
+// "heap", each thread's owned refs in "refs" — written by the build at
+// commit 1387bf3, before native kept its bodies in the tree:
+//
+//	bhrun -mode native -level merged -n 64 -threads 2 -steps 6 -warmup 1 \
+//	      -checkpoint native-heaprefs.ckpt -checkpoint-at 3
+//
+// It restores, and its run ends with every body field == an
+// uninterrupted run of the same options under this build. The same
+// container with one ref out of range, or one body owned twice, is
+// ErrBadCheckpoint and leaves no Sim behind.
+func TestRestoreHeapRefsNativeContainer(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "native-heaprefs.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := arena.ReadCheckpoint(bytes.NewReader(fixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Region(regBodies); ok {
+		t.Fatal("the fixture has a bodies region: it is not the older layout")
+	}
+	restored, err := Restore(bytes.NewReader(fixture))
+	if err != nil {
+		t.Fatalf("older-layout native container refused: %v", err)
+	}
+	defer restored.Release()
+	if o := restored.Options(); o.ExecMode != ModeNative || restored.StepsDone() != 3 {
+		t.Fatalf("fixture restored as %v at step %d, want native at step 3", o.ExecMode, restored.StepsDone())
+	}
+	ref := runOnce(t, restored.Options())
+	got, err := restored.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBodies(t, got.Bodies, ref.Bodies)
+
+	expectBadCheckpoint(t, "ref out of range", resealed(t, fixture, func(cs *ckptState, r map[string][]byte) {
+		binary.LittleEndian.PutUint32(r[regRefs][4:], uint32(cs.HeapLens[0])) // ref 0's Idx, one past shard 0
+	}), "out of range")
+	expectBadCheckpoint(t, "body owned twice", resealed(t, fixture, func(cs *ckptState, r map[string][]byte) {
+		copy(r[regRefs][refBytes:2*refBytes], r[regRefs][:refBytes])
+	}), "owned by two threads")
+}
+
+// TestRestoreRejectsNativeBodies: a native container's bodies region is
+// checked whole — its length, the owned counts it is sliced by, and the
+// IDs, with gatherBodies' errors — before a Sim exists to index a body
+// column with it.
+func TestRestoreRejectsNativeBodies(t *testing.T) {
+	opts := DefaultOptions(256, 3, LevelMergedBuild)
+	opts.Steps, opts.Warmup = 3, 1
+	opts.ExecMode = ModeNative
+	ckpt, src := checkpointAt(t, opts, 1)
+	src.Release()
+	setID := func(k int, id int32) func(*ckptState, map[string][]byte) {
+		return func(_ *ckptState, r map[string][]byte) {
+			binary.LittleEndian.PutUint32(r[regBodies][k*bodyBytes+40:], uint32(id)) // Body.ID
+		}
+	}
+	expectBadCheckpoint(t, "bodies region short", resealed(t, ckpt, func(_ *ckptState, r map[string][]byte) {
+		r[regBodies] = r[regBodies][:len(r[regBodies])-bodyBytes]
+	}), "bodies region holds")
+	expectBadCheckpoint(t, "no body payload", resealed(t, ckpt, func(_ *ckptState, r map[string][]byte) {
+		r["bodies-renamed"] = r[regBodies]
+		delete(r, regBodies)
+	}), "refs region holds 0 bytes")
+	expectBadCheckpoint(t, "owned counts short of n", resealed(t, ckpt, func(cs *ckptState, _ map[string][]byte) {
+		cs.Threads[2].NOwned--
+	}), "ownership covers 255 bodies, want 256")
+	expectBadCheckpoint(t, "owned count negative", resealed(t, ckpt, func(cs *ckptState, _ map[string][]byte) {
+		cs.Threads[0].NOwned = -1
+	}), "owns -1 of 256")
+	expectBadCheckpoint(t, "id too large", resealed(t, ckpt, setID(5, 256)), "outside [0, 256)")
+	expectBadCheckpoint(t, "id negative", resealed(t, ckpt, setID(0, -1)), "outside [0, 256)")
+	expectBadCheckpoint(t, "id duplicated", resealed(t, ckpt, func(cs *ckptState, r map[string][]byte) {
+		id := binary.LittleEndian.Uint32(r[regBodies][40:])
+		setID(255, int32(id))(cs, r)
+	}), "owned by two threads")
+}
+
+// TestNativeContainerIsLiveBodies: a native container carries the live
+// bodies and nothing else — its payload outside "state" is exactly
+// n × sizeof(Body) in one "bodies" region — while a simulate container
+// still carries the heap shards at their allocated lengths and one ref
+// per body.
+func TestNativeContainerIsLiveBodies(t *testing.T) {
+	const n = 600
+	for _, threads := range []int{1, 3} {
+		for _, mode := range []ExecMode{ModeNative, ModeSimulate} {
+			t.Run(fmt.Sprintf("p%d/%v", threads, mode), func(t *testing.T) {
+				opts := DefaultOptions(n, threads, LevelMergedBuild)
+				opts.Steps, opts.Warmup = 3, 1
+				opts.ExecMode = mode
+				ckpt, src := checkpointAt(t, opts, 2)
+				src.Release()
+				c, err := arena.ReadCheckpoint(bytes.NewReader(ckpt))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sizes := map[string]int{}
+				for _, r := range c.Header.Regions {
+					if r.Name != regState {
+						sizes[r.Name] = int(r.Len)
+					}
+				}
+				if mode == ModeNative {
+					if want := map[string]int{regBodies: n * bodyBytes}; !maps.Equal(sizes, want) {
+						t.Fatalf("payload outside state %v, want %v", sizes, want)
+					}
+					return
+				}
+				state, _ := c.Region(regState)
+				var cs ckptState
+				if err := json.Unmarshal(state, &cs); err != nil {
+					t.Fatal(err)
+				}
+				heap := 0
+				for _, l := range cs.HeapLens {
+					heap += int(l) * bodyBytes
+				}
+				if want := map[string]int{regHeap: heap, regRefs: n * refBytes}; len(cs.HeapLens) != threads || !maps.Equal(sizes, want) {
+					t.Fatalf("payload outside state %v (%d shards), want %v", sizes, len(cs.HeapLens), want)
+				}
+				if heap <= n*bodyBytes {
+					t.Fatalf("simulate heap region of %d bytes holds no double-buffer slack over %d live bodies", heap, n)
+				}
+			})
+		}
+	}
 }

@@ -106,7 +106,6 @@ func testSteadyStateZeroAlloc(t *testing.T, threads int) {
 	opts := DefaultOptions(2048, threads, LevelMergedBuild)
 	opts.Steps, opts.Warmup = steps, warm
 	opts.ExecMode = ModeNative
-	var bodyBuf unsafe.Pointer // thread 0's first §5.2 body buffer
 	opts.testStepHook = func(th *upc.Thread, step int) {
 		if th.ID() != 0 {
 			return
@@ -116,7 +115,6 @@ func testSteadyStateZeroAlloc(t *testing.T, threads int) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		mallocs = append(mallocs, ms.Mallocs)
-		bodyBuf = unsafe.Pointer(currentSim.bodies.Local(th, currentSim.ts[0].buf[0]))
 	}
 	sim, err := New(opts)
 	if err != nil {
@@ -130,9 +128,9 @@ func testSteadyStateZeroAlloc(t *testing.T, threads int) {
 	if len(mallocs) != steps {
 		t.Fatalf("hook ran %d times, want %d", len(mallocs), steps)
 	}
-	// The first steps may allocate (arena growth, stepPh warmup, and at
-	// two threads the migration worklists the first time bodies change
-	// owner). The final steps are the steady state the tentpole promises:
+	// The first steps may allocate (arena growth, stepPh warmup, and a
+	// thread's ownership list the first time it claims more bodies than
+	// it ever held). The final steps are the steady state the tentpole promises:
 	// 0 allocs.
 	for i := steps - 8; i < steps; i++ {
 		if d := mallocs[i] - mallocs[i-1]; d != 0 {
@@ -141,7 +139,8 @@ func testSteadyStateZeroAlloc(t *testing.T, threads int) {
 	}
 
 	// Off-heap claim: the flat arenas exist, were consumed, and the hot
-	// arrays of the step's tree, the builder's staging view and each
+	// arrays of the step's tree (whose body view is the body state), the
+	// builder's staging view, the ID-indexed body columns and each
 	// thread's segment live inside the mmap regions — GC-invisible —
 	// rather than on the Go heap.
 	if sim.mem == nil {
@@ -166,28 +165,31 @@ func testSteadyStateZeroAlloc(t *testing.T, threads int) {
 	inArena(sim.mem, "Bodies.Pos", unsafe.Pointer(&ft.Bodies.Pos[0]))
 	inArena(sim.mem, "Bodies.Mass", unsafe.Pointer(&ft.Bodies.Mass[0]))
 	inArena(sim.mem, "Src.Pos", unsafe.Pointer(&sim.flat.Src.Pos[0]))
-	inArena(sim.mem, "refs", unsafe.Pointer(&sim.flat.refs[0]))
+	inArena(sim.mem, "ids", unsafe.Pointer(&sim.flat.ids[0]))
+	inArena(sim.mem, "vel", unsafe.Pointer(&sim.flat.vel[0]))
+	inArena(sim.mem, "acc", unsafe.Pointer(&sim.flat.acc[0]))
+	inArena(sim.mem, "cost", unsafe.Pointer(&sim.flat.cost[0]))
 	if threads > 1 {
-		// A thread's arena holds its body chunk and, beyond it, its
-		// builder segment and sort scratch — which, allocation-free as the
-		// steps above were, is the only place they can be.
+		// A thread's arena holds its builder segment and sort scratch —
+		// which, allocation-free as the steps above were, is the only place
+		// they can be. It holds no body storage: a native Sim has no heap.
 		for i, a := range sim.tmem {
-			if a == nil || a.Used() <= sim.bodies.ChunkBytes() {
+			if a == nil || a.Used() == 0 {
 				t.Errorf("thread %d: builder segment is not in the thread's arena", i)
 			}
 		}
 	}
-
-	// The thread's body chunk lives in its own arena, so the unwritten
-	// slack of the 4x-sized double buffers is never resident.
-	inArena(sim.tmem[0], "body buffer", bodyBuf)
+	if sim.bodies != nil {
+		t.Error("native Sim has a body heap")
+	}
 }
 
 // TestNativeSimHoldsNoPointerTree: native means the flat path, so a
-// native Sim builds none of the simulator's shared-tree state — no cells
-// heap (a 16 384-entry chunk table per thread), no lock array, no shared
-// scalars, no subspace scratch or transparent caches — through a step, a
-// checkpoint round trip and Release.
+// native Sim builds none of the simulator's shared state — no body heap
+// (its bodies live in the tree), no cells heap (a 16 384-entry chunk
+// table per thread), no lock array, no shared scalars, no subspace
+// scratch or transparent caches — through a step, a checkpoint round trip
+// and Release.
 func TestNativeSimHoldsNoPointerTree(t *testing.T) {
 	opts := DefaultOptions(64, 1, LevelSubspace)
 	opts.ExecMode = ModeNative
@@ -210,10 +212,10 @@ func TestNativeSimHoldsNoPointerTree(t *testing.T) {
 	}
 	defer restored.Release()
 	for name, s := range map[string]*Sim{"fresh": sim, "restored": restored} {
-		if s.flat == nil || s.cells != nil || s.locks != nil ||
+		if s.flat == nil || s.bodies != nil || s.cells != nil || s.locks != nil ||
 			s.geomS != nil || s.tolS != nil || s.epsS != nil || s.rootS != nil {
-			t.Errorf("%s native Sim holds pointer-tree state: flat=%v cells=%v locks=%v scalars=%v/%v/%v/%v",
-				name, s.flat != nil, s.cells != nil, s.locks != nil, s.geomS != nil, s.tolS != nil, s.epsS != nil, s.rootS != nil)
+			t.Errorf("%s native Sim holds simulator state: flat=%v bodies=%v cells=%v locks=%v scalars=%v/%v/%v/%v",
+				name, s.flat != nil, s.bodies != nil, s.cells != nil, s.locks != nil, s.geomS != nil, s.tolS != nil, s.epsS != nil, s.rootS != nil)
 		}
 		if st := s.ts[0]; st.sub != nil || st.cellCache != nil || st.bodyCache != nil {
 			t.Errorf("%s native thread state holds pointer-path scratch", name)
@@ -263,10 +265,11 @@ func TestNativeFlatSnapshotCoversTree(t *testing.T) {
 // TestNativeFlatSkipForLeafIdx is the direct unit test of the force
 // phase's slot table, in a configuration with real migration
 // (multi-thread, clustered): a thread's owned bodies are exactly the tree
-// slots slotLo, slotLo+1, … in myBodies order — so the slot is the
-// self-skip — and the owned bodies whose build-time copy (the ref the
-// tree recorded for the slot) is not the ref the thread now holds are
-// exactly this step's migrations.
+// slots slotLo, slotLo+1, … in myBodies order — the staging table names
+// each slot's body, and advance moved that slot by that body's velocity,
+// so the slot is the self-skip — and the owned bodies staged by another
+// thread (the one that advanced them last step) are exactly the
+// ownership changes the step counted as migrations.
 func TestNativeFlatSkipForLeafIdx(t *testing.T) {
 	opts := DefaultOptions(1024, 4, LevelMergedBuild)
 	opts.Steps, opts.Warmup = 3, 1
@@ -274,27 +277,36 @@ func TestNativeFlatSkipForLeafIdx(t *testing.T) {
 	opts.Scenario = "clustered"
 	var mu sync.Mutex
 	checked, migratedTotal := 0, 0
+	counted := make([]int, 4) // per thread: its migration count at its previous hook
 	opts.testStepHook = func(th *upc.Thread, step int) {
 		s := currentSim
-		st := s.ts[th.ID()]
+		me := th.ID()
+		st := s.ts[me]
 		ft := &s.flat.Tree
-		fresh := 0
-		for i, br := range st.myBodies {
+		moved := 0
+		for i, r := range st.myBodies {
 			slot := st.slotLo + i
-			if want := s.bodies.Raw(br).ID; s.bodies.Raw(s.flat.refs[ft.Bodies.ID[slot]]).ID != want {
-				t.Errorf("step %d thread %d: slot %d does not hold owned body %d", step, th.ID(), slot, want)
+			src := ft.Bodies.ID[slot]
+			if got := s.flat.ids[src].Idx; got != r.Idx {
+				t.Errorf("step %d thread %d: slot %d holds body %d, not owned body %d", step, me, slot, got, r.Idx)
 			}
-			if s.flat.refs[ft.Bodies.ID[slot]] != br {
-				fresh++
+			if want := s.flat.Src.Pos[src].AddScaled(s.flat.vel[r.Idx], opts.Dt); ft.Bodies.Pos[slot] != want {
+				t.Errorf("step %d thread %d: slot %d was not advanced as body %d", step, me, slot, r.Idx)
+			}
+			if int(r.Thr) != me {
+				moved++
 			}
 		}
-		if migrated := len(st.remote[st.stepParity].refs); fresh != migrated {
-			t.Errorf("step %d thread %d: %d bodies moved off their build-time slot, but %d migrated",
-				step, th.ID(), fresh, migrated)
+		if step >= opts.Warmup {
+			if d := st.migrated - counted[me]; d != moved {
+				t.Errorf("step %d thread %d: %d owned bodies were staged by another thread, but %d counted as migrated",
+					step, me, moved, d)
+			}
+			counted[me] = st.migrated
 		}
 		mu.Lock()
 		checked++
-		migratedTotal += fresh
+		migratedTotal += moved
 		mu.Unlock()
 	}
 	sim, err := New(opts)

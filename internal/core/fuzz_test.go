@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"upcbh/internal/nbody"
@@ -139,6 +144,98 @@ func FuzzOptionsKeyCollisionFree(f *testing.F) {
 		}
 		if !distinct && a.Key() != b.Key() {
 			t.Fatalf("canonically equal options got different keys:\n%s\n%s", a.Key(), b.Key())
+		}
+	})
+}
+
+// FuzzRestore: Restore on arbitrary bytes either returns an error that
+// is ErrBadCheckpoint or a Sim whose next Step(1) (when the schedule has
+// one left) and Snapshot succeed — never a panic. Seeded with
+// TestRestoreRejects' cases, the older-layout native fixture, crafted
+// native bodies regions, fresh native containers at one and three
+// threads, and a simulate one.
+func FuzzRestore(f *testing.F) {
+	capture := func(opts Options, k int) []byte {
+		sim, err := New(opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		defer sim.Release()
+		if err := sim.Step(k); err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sim.Checkpoint(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	sim := DefaultOptions(256, 2, LevelMergedBuild)
+	sim.Steps, sim.Warmup = 2, 1
+	simCkpt := capture(sim, 1)
+	var seeds [][]byte
+	for _, threads := range []int{1, 3} {
+		o := DefaultOptions(256, threads, LevelMergedBuild)
+		o.Steps, o.Warmup = 3, 1
+		o.ExecMode = ModeNative
+		seeds = append(seeds, capture(o, 1))
+	}
+	native := seeds[1]
+	fixture, err := os.ReadFile(filepath.Join("testdata", "native-heaprefs.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, simCkpt, fixture,
+		[]byte("not a checkpoint at all........."), nil,
+		simCkpt[:len(simCkpt)-10],
+		append(append([]byte(nil), simCkpt[:len(simCkpt)-1]...), simCkpt[len(simCkpt)-1]^0xff))
+	for _, mut := range []func(cs *ckptState, r map[string][]byte){
+		func(cs *ckptState, _ map[string][]byte) { cs.Options.Seed++ }, // key re-derived: a different run's state
+		func(cs *ckptState, _ map[string][]byte) { cs.StepsDone++ },
+		func(cs *ckptState, _ map[string][]byte) { cs.Threads[0].Cur = 7 },
+		func(cs *ckptState, _ map[string][]byte) { cs.Threads[0].Buf[cs.Threads[0].Cur].Idx = 1 << 30 },
+		func(cs *ckptState, _ map[string][]byte) { cs.Threads[1].Buf[cs.Threads[1].Cur].Thr = 0 },
+		func(cs *ckptState, _ map[string][]byte) { cs.Threads[0].BufCap = 1 << 30 },
+		func(cs *ckptState, _ map[string][]byte) { cs.Threads[0].CurLen = cs.Threads[0].BufCap + 1 },
+		func(cs *ckptState, _ map[string][]byte) { cs.Threads[0].NOwned = 1 << 60 },
+		func(cs *ckptState, _ map[string][]byte) { cs.Options.Machine.Threads = 0 },
+		func(cs *ckptState, _ map[string][]byte) { cs.Options.Warmup = -1 },
+		func(cs *ckptState, _ map[string][]byte) {
+			cs.Options.ExecMode, cs.Options.Level = ModeNative, LevelRedistribute
+		},
+	} {
+		seeds = append(seeds, resealed(f, simCkpt, mut))
+	}
+	for _, mut := range []func(cs *ckptState, r map[string][]byte){
+		func(_ *ckptState, r map[string][]byte) { r[regBodies] = r[regBodies][:len(r[regBodies])-bodyBytes] },
+		func(cs *ckptState, _ map[string][]byte) { cs.Threads[2].NOwned++ },
+		func(_ *ckptState, r map[string][]byte) { copy(r[regBodies][bodyBytes:], r[regBodies][:bodyBytes]) },
+		func(cs *ckptState, _ map[string][]byte) { cs.Options.ExecMode = ModeSimulate },
+	} {
+		seeds = append(seeds, resealed(f, native, mut))
+	}
+	seeds = append(seeds, resealed(f, fixture, func(_ *ckptState, r map[string][]byte) {
+		binary.LittleEndian.PutUint32(r[regRefs][4:], 1<<30)
+	}))
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Restore(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("Restore failed with %v, not ErrBadCheckpoint", err)
+			}
+			return
+		}
+		defer s.Release()
+		if s.StepsDone() < s.Options().Steps {
+			if err := s.Step(1); err != nil {
+				t.Fatalf("restored Sim at step %d cannot step: %v", s.StepsDone(), err)
+			}
+		}
+		if _, err := s.Snapshot(); err != nil {
+			t.Fatalf("restored Sim cannot snapshot: %v", err)
 		}
 	})
 }

@@ -468,20 +468,22 @@ func TestRunCompletesSteppedSim(t *testing.T) {
 func TestGatherBodiesRejects(t *testing.T) {
 	for _, c := range []struct {
 		name, want string
-		corrupt    func(s *Sim)
+		// How each backend's state breaks: simulate owns refs into the
+		// body heap, native owns slots whose bodies myBodies names by ID.
+		simulate, native func(s *Sim)
 	}{
-		{"owned-twice", "owned by two threads", func(s *Sim) {
-			s.ts[1].myBodies = append(s.ts[1].myBodies, s.ts[0].myBodies[0])
-		}},
-		{"id-too-large", "outside [0, 64)", func(s *Sim) {
-			s.bodies.Raw(s.ts[0].myBodies[0]).ID = 64
-		}},
-		{"id-negative", "outside [0, 64)", func(s *Sim) {
-			s.bodies.Raw(s.ts[1].myBodies[0]).ID = -1
-		}},
-		{"short-coverage", "ownership covers 63 bodies, want 64", func(s *Sim) {
-			s.ts[1].myBodies = s.ts[1].myBodies[1:]
-		}},
+		{"owned-twice", "owned by two threads",
+			func(s *Sim) { s.ts[1].myBodies = append(s.ts[1].myBodies, s.ts[0].myBodies[0]) },
+			func(s *Sim) { s.ts[1].myBodies[0].Idx = s.ts[0].myBodies[0].Idx }},
+		{"id-too-large", "outside [0, 64)",
+			func(s *Sim) { s.bodies.Raw(s.ts[0].myBodies[0]).ID = 64 },
+			func(s *Sim) { s.ts[0].myBodies[0].Idx = 64 }},
+		{"id-negative", "outside [0, 64)",
+			func(s *Sim) { s.bodies.Raw(s.ts[1].myBodies[0]).ID = -1 },
+			func(s *Sim) { s.ts[1].myBodies[0].Idx = -1 }},
+		{"short-coverage", "ownership covers 63 bodies, want 64",
+			func(s *Sim) { s.ts[1].myBodies = s.ts[1].myBodies[1:] },
+			func(s *Sim) { s.ts[1].myBodies = s.ts[1].myBodies[1:] }},
 	} {
 		for _, mode := range []ExecMode{ModeSimulate, ModeNative} {
 			t.Run(fmt.Sprintf("%s/%v", c.name, mode), func(t *testing.T) {
@@ -498,7 +500,12 @@ func TestGatherBodiesRejects(t *testing.T) {
 				if _, err := sim.Snapshot(); err != nil {
 					t.Fatalf("Snapshot of the intact session: %v", err)
 				}
-				c.corrupt(sim) // the session is paused: its state is ours to break
+				// The session is paused: its state is ours to break.
+				if mode == ModeNative {
+					c.native(sim)
+				} else {
+					c.simulate(sim)
+				}
 				if _, err := sim.Snapshot(); err == nil || !strings.Contains(err.Error(), c.want) {
 					t.Errorf("Snapshot: err = %v, want one containing %q", err, c.want)
 				}
@@ -510,9 +517,9 @@ func TestGatherBodiesRejects(t *testing.T) {
 	}
 }
 
-// TestSnapshotBodiesInIDOrder: after redistribution has moved bodies
-// between threads, Snapshot and Result still hold body i at index i, and
-// it is the very body its owner's heap holds.
+// TestSnapshotBodiesInIDOrder: after redistribution (or, native, a new
+// partition) has moved bodies between threads, Snapshot and Result still
+// hold body i at index i, and it is the very body its owner holds.
 func TestSnapshotBodiesInIDOrder(t *testing.T) {
 	for _, threads := range []int{1, 3} {
 		for _, mode := range []ExecMode{ModeSimulate, ModeNative} {
@@ -533,8 +540,13 @@ func TestSnapshotBodiesInIDOrder(t *testing.T) {
 				}
 				migrated := 0
 				for thr, st := range sim.ts {
-					for _, ref := range st.myBodies {
-						b := *sim.bodies.Raw(ref)
+					for k, ref := range st.myBodies {
+						var b nbody.Body
+						if sim.flat != nil {
+							b = sim.flat.body(st.slotLo+k, ref.Idx)
+						} else {
+							b = *sim.bodies.Raw(ref)
+						}
 						if snap.Bodies[b.ID] != b {
 							t.Fatalf("snapshot slot %d does not hold thread %d's body %d", b.ID, thr, b.ID)
 						}

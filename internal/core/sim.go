@@ -70,7 +70,7 @@ type remoteScratch struct {
 // simPaused: a session is active and every thread is parked at a step
 // boundary; Step, Snapshot, Run, Finish and Release are legal.
 // simFinished: the threads have exited and the Result was collected;
-// Snapshot remains legal (body state is still in the heaps).
+// Snapshot remains legal (the body state is kept until Release).
 // simReleased: heap storage recycled; only Release (a no-op) is legal.
 type simState int
 
@@ -98,17 +98,16 @@ type Sim struct {
 	state     simState
 	stepsDone int
 
+	// The simulator's body heap and shared pointer tree — the cells heap,
+	// the hashed lock array and the UPC shared scalars (affinity: thread
+	// 0). Nil under ModeNative, whose bodies live in the flat tree.
 	bodies *upc.Heap[nbody.Body]
-
-	// The simulator's shared pointer tree — the cells heap, the hashed
-	// lock array and the UPC shared scalars (affinity: thread 0). Nil
-	// under ModeNative.
-	cells *upc.Heap[Cell]
-	locks *upc.LockArray
-	geomS *upc.Scalar[rootGeom]
-	tolS  *upc.Scalar[float64]
-	epsS  *upc.Scalar[float64]
-	rootS *upc.Scalar[NodeRef]
+	cells  *upc.Heap[Cell]
+	locks  *upc.LockArray
+	geomS  *upc.Scalar[rootGeom]
+	tolS   *upc.Scalar[float64]
+	epsS   *upc.Scalar[float64]
+	rootS  *upc.Scalar[NodeRef]
 
 	// flat is the step's flat octree and its parallel builder (see
 	// flatnative.go). New sets it exactly under ModeNative — which
@@ -117,9 +116,9 @@ type Sim struct {
 	// native flat path, flat == nil the simulator's pointer tree.
 	flat *flatTree
 
-	// mem backs the flat tree's shared arrays with off-heap (mmap)
-	// memory; tmem[i] backs thread i's builder segment and its body-heap
-	// chunk. Arenas are single-owner bump allocators, so the shared one
+	// mem backs the flat tree's shared arrays and the body columns with
+	// off-heap (mmap) memory; tmem[i] backs thread i's builder segment.
+	// Arenas are single-owner bump allocators, so the shared one
 	// is touched only by thread 0 (and by start, before any thread runs)
 	// and each tmem[i] only by its thread. Nil under ModeSimulate or when
 	// mmap is unavailable — growth then falls back to the Go heap.
@@ -140,10 +139,12 @@ type tstate struct {
 	// at a session pause they all agree.
 	step int
 
-	// mybodytab: global refs of the bodies this thread currently owns.
+	// mybodytab: global refs of the bodies this thread currently owns;
+	// under ModeNative, tree slot slotLo+i's body ID and its last
+	// advancer (flatnative.go ids).
 	myBodies []upc.Ref
 
-	// §5.2 double buffer in the thread's local shared space.
+	// §5.2 double buffer in the thread's local shared space (simulate).
 	buf    [2]upc.Ref
 	bufCap int
 	cur    int
@@ -176,14 +177,9 @@ type tstate struct {
 	slotLo  int
 
 	// Iterative-walk and redistribution scratch, retained across steps
-	// so steady-state stepping allocates nothing. The migration scratch
-	// is parity-indexed by step (stepParity): the native flat path has no
-	// barrier after redistribute, and step k's gather list stays intact
-	// for the whole step it describes (and for test hooks inspecting it)
-	// instead of being clobbered in place by step k+1.
+	// so steady-state stepping allocates nothing.
 	nodeStack  []NodeRef
-	remote     [2]remoteScratch
-	stepParity int
+	remote     remoteScratch
 	bbLo, bbHi [3]float64
 
 	// Local-tree arena and async-force object pools (force.go,
@@ -212,10 +208,10 @@ type tstate struct {
 }
 
 // New builds a simulation: generates the initial conditions from the
-// configured scenario (Plummer by default) and sets up the runtime and
-// the body heap, then what the backend's tree needs — arenas for the
-// native flat tree; the cells heap, locks and shared scalars for the
-// simulator's pointer tree.
+// configured scenario (Plummer by default) and sets up the runtime, then
+// what the backend needs — arenas for the native flat tree, which holds
+// the bodies; the body heap, cells heap, locks and shared scalars for the
+// simulator.
 func New(opts Options) (*Sim, error) {
 	if err := opts.validate(); err != nil {
 		return nil, &marked{ErrInvalidOptions, err}
@@ -226,25 +222,19 @@ func New(opts Options) (*Sim, error) {
 	}
 	rt := upc.NewRuntimeMode(opts.Machine, opts.ExecMode)
 	p := rt.Threads()
-	perThread := opts.Bodies/p + 1
-	bodyChunk := 16 * perThread // buffers must fit one chunk (LocalSlice)
-	if bodyChunk < 4096 {
-		bodyChunk = 4096
-	}
 	s := &Sim{
-		o:      opts,
-		rt:     rt,
-		par:    opts.Machine.Par,
-		bodies: upc.NewHeap[nbody.Body](rt, bodyChunk),
-		init:   init,
-		ts:     make([]*tstate, p),
+		o:    opts,
+		rt:   rt,
+		par:  opts.Machine.Par,
+		init: init,
+		ts:   make([]*tstate, p),
 	}
 	for i := range s.ts {
 		s.ts[i] = &tstate{id: i}
 	}
 	if opts.ExecMode == ModeNative {
-		// The direct flat-tree path (flatnative.go) inserts nothing into a
-		// shared tree: no cells heap, no cell locks, no shared scalars.
+		// The direct flat-tree path (flatnative.go) keeps its bodies in
+		// the tree: no body heap, cells heap, cell locks or shared scalars.
 		s.flat = &flatTree{}
 		// Arenas are sized from the body count with room for the
 		// doubling-growth dead space; anonymous mappings commit pages
@@ -253,22 +243,19 @@ func New(opts Options) (*Sim, error) {
 		if a, err := arena.New(2048*opts.Bodies + 8<<20); err == nil {
 			s.mem = a
 		}
-		// Each thread's arena also holds its body chunk. The §5.2 double
-		// buffers in it are sized for the worst redistribution and mostly
-		// never written; in a fresh mapping the unwritten pages are never
-		// resident, where a Go-heap chunk is zeroed through — all of it
-		// touched — whenever it happens to land on recycled address space.
 		s.tmem = make([]*arena.Arena, p)
 		for i := range s.ts {
-			if a, err := arena.New(1024*(opts.Bodies/p+1) + 1<<20 + s.bodies.ChunkBytes()); err == nil {
+			if a, err := arena.New(1024*(opts.Bodies/p+1) + 1<<20); err == nil {
 				s.tmem[i] = a
 			}
 		}
-		s.bodies.SetChunkSource(func(thr, n int) []nbody.Body {
-			return arena.MakeSlice[nbody.Body](s.tmem[thr], n, n)
-		})
 		return s, nil
 	}
+	bodyChunk := 16 * (opts.Bodies/p + 1) // buffers must fit one chunk (LocalSlice)
+	if bodyChunk < 4096 {
+		bodyChunk = 4096
+	}
+	s.bodies = upc.NewHeap[nbody.Body](rt, bodyChunk)
 	s.cells = upc.NewHeap[Cell](rt, 1<<14)
 	s.locks = rt.NewLockArray(2048)
 	s.geomS = upc.NewScalar(rt, rootGeom{})
@@ -287,7 +274,7 @@ func New(opts Options) (*Sim, error) {
 
 // SetBodies replaces the generated initial conditions. It must be
 // called before the session starts (before the first Run, Step or
-// Snapshot): setup copies the initial conditions into the shared heap,
+// Snapshot): setup copies the initial conditions into the body state,
 // so a later replacement would silently not take effect — panic
 // instead.
 func (s *Sim) SetBodies(bodies []nbody.Body) {
@@ -407,8 +394,8 @@ func (s *Sim) Release() {
 		s.sess.Finish()
 	}
 	s.state = simReleased
-	s.bodies.Release()
 	if s.flat == nil {
+		s.bodies.Release()
 		s.cells.Release()
 	}
 	// Unmap the flat-tree arenas after the threads have exited; any
@@ -467,7 +454,6 @@ func (s *Sim) threadMain(t *upc.Thread) {
 func (s *Sim) stepOnce(t *upc.Thread, st *tstate, step int) {
 	measured := step >= s.o.Warmup
 	var ph PhaseTimes
-	st.stepParity = step & 1
 	if s.flat != nil {
 		s.stepFlat(t, st, &ph, measured)
 	} else {
@@ -549,6 +535,21 @@ func (s *Sim) setup(t *upc.Thread, st *tstate) {
 	lo, hi := me*n/p, (me+1)*n/p
 	cnt := hi - lo
 
+	st.tol = s.o.Theta
+	st.eps = s.o.Eps
+	if st.stepPh == nil {
+		st.stepPh = make([]PhaseTimes, 0, s.o.Steps-s.o.Warmup)
+	}
+	if s.flat != nil {
+		st.slotLo = lo
+		st.myBodies = st.myBodies[:0]
+		for j := lo; j < hi; j++ {
+			s.flat.setBody(j, &s.init[j])
+			st.myBodies = append(st.myBodies, upc.Ref{Thr: int32(me), Idx: s.init[j].ID})
+		}
+		return
+	}
+
 	capacity := cnt
 	if s.o.Level >= LevelRedistribute {
 		capacity = 4 * (n/p + 1)
@@ -579,14 +580,6 @@ func (s *Sim) setup(t *upc.Thread, st *tstate) {
 		st.myBodies = append(st.myBodies, upc.Ref{Thr: int32(me), Idx: st.buf[0].Idx + int32(i)})
 	}
 
-	st.tol = s.o.Theta
-	st.eps = s.o.Eps
-	if st.stepPh == nil {
-		st.stepPh = make([]PhaseTimes, 0, s.o.Steps-s.o.Warmup)
-	}
-	if s.flat != nil {
-		return
-	}
 	// The rest is the pointer tree's: the shared scalars, the subspace
 	// scratch, and the transparent caches where forceNaive reads them.
 	if me == 0 {
@@ -721,11 +714,18 @@ func (s *Sim) newCell(t *upc.Thread, st *tstate, center vec.V3, half float64) up
 func (s *Sim) boundingBox(t *upc.Thread, st *tstate) rootGeom {
 	lo := vec.V3{X: math.Inf(1), Y: math.Inf(1), Z: math.Inf(1)}
 	hi := lo.Scale(-1)
-	for _, br := range st.myBodies {
-		pos := s.bodyPos(t, st, br)
-		lo = lo.Min(pos)
-		hi = hi.Max(pos)
-		t.Charge(s.par.LocalDerefCost)
+	if s.flat != nil {
+		for _, pos := range s.ownPos(st) {
+			lo = lo.Min(pos)
+			hi = hi.Max(pos)
+		}
+	} else {
+		for _, br := range st.myBodies {
+			pos := s.bodyPos(t, st, br)
+			lo = lo.Min(pos)
+			hi = hi.Max(pos)
+			t.Charge(s.par.LocalDerefCost)
+		}
 	}
 	st.bbLo = [3]float64{lo.X, lo.Y, lo.Z}
 	st.bbHi = [3]float64{hi.X, hi.Y, hi.Z}
@@ -813,36 +813,65 @@ func (s *Sim) collect() (*Result, error) {
 	return res, nil
 }
 
-// gatherBodies copies the current body state out of the shared heaps in
-// ID order, validating that thread ownership covers every body exactly
+// gatherBodies copies the current body state out in ID order — from the
+// shared heaps, or under ModeNative from the tree's body view and the
+// columns — validating that thread ownership covers every body exactly
 // once. IDs are a permutation of 0..n-1 by construction (every scenario
 // numbers its bodies sequentially, SetBodies renumbers), so each owned
-// body is placed straight at out[ID] — O(n), no sort — and a bitmap of
-// the IDs seen catches a state that breaks the construction (a crafted
-// checkpoint, a redistribution bug). Shared by collect and Snapshot;
-// only safe while the runtime is quiescent (session paused or finished).
+// body is placed straight at out[ID] — O(n), no sort — and an idSet
+// catches a state that breaks the construction (a crafted simulate
+// checkpoint, a redistribution bug).
+// Shared by collect and Snapshot; only safe while the runtime is
+// quiescent (session paused or finished).
 func (s *Sim) gatherBodies() ([]nbody.Body, error) {
-	n := s.o.Bodies
-	out := make([]nbody.Body, n)
-	seen := make([]uint64, (n+63)/64)
-	owned := 0
+	out := make([]nbody.Body, s.o.Bodies)
+	ids := newIDSet(s.o.Bodies)
 	for _, st := range s.ts {
-		for _, br := range st.myBodies {
-			b := s.bodies.Raw(br)
-			id := int(b.ID)
-			if id < 0 || id >= n {
-				return nil, fmt.Errorf("core: body id %d outside [0, %d)", id, n)
+		for k, br := range st.myBodies {
+			id := br.Idx
+			if s.flat == nil {
+				id = s.bodies.Raw(br).ID
 			}
-			if seen[id>>6]&(1<<(id&63)) != 0 {
-				return nil, fmt.Errorf("core: body %d owned by two threads", id)
+			if err := ids.claim(id); err != nil {
+				return nil, err
 			}
-			seen[id>>6] |= 1 << (id & 63)
-			out[id] = *b
-			owned++
+			if s.flat != nil {
+				out[id] = s.flat.body(st.slotLo+k, id)
+			} else {
+				out[id] = *s.bodies.Raw(br)
+			}
 		}
 	}
-	if owned != n {
-		return nil, fmt.Errorf("core: ownership covers %d bodies, want %d", owned, n)
+	if err := ids.covered(); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// idSet checks that the body IDs claimed one at a time are a permutation
+// of 0..n-1, with gatherBodies' three errors.
+type idSet struct {
+	seen     []uint64
+	n, owned int
+}
+
+func newIDSet(n int) idSet { return idSet{seen: make([]uint64, (n+63)/64), n: n} }
+
+func (c *idSet) claim(id int32) error {
+	if id < 0 || int(id) >= c.n {
+		return fmt.Errorf("core: body id %d outside [0, %d)", id, c.n)
+	}
+	if c.seen[id>>6]&(1<<(id&63)) != 0 {
+		return fmt.Errorf("core: body %d owned by two threads", id)
+	}
+	c.seen[id>>6] |= 1 << (id & 63)
+	c.owned++
+	return nil
+}
+
+func (c *idSet) covered() error {
+	if c.owned != c.n {
+		return fmt.Errorf("core: ownership covers %d bodies, want %d", c.owned, c.n)
+	}
+	return nil
 }

@@ -338,8 +338,8 @@ type Result struct {
 	// paper's per-phase analysis reasons about.
 	PhaseComm        [NumPhases]upc.Stats `json:"phase_comm,omitempty"`
 	Interactions     uint64               `json:"interactions"`
-	MigratedFraction float64              `json:"migrated_fraction"` // bodies migrated per step / bodies, averaged over measured steps
-	BufferCopies     int                  `json:"buffer_copies"`     // §5.2 double-buffer compactions
+	MigratedFraction float64              `json:"migrated_fraction"` // bodies claimed by a thread that did not advance them last step, per step / bodies, averaged over measured steps
+	BufferCopies     int                  `json:"buffer_copies"`     // §5.2 double-buffer compactions; always 0 under ModeNative, which has no buffers
 	// CellsCopied / CellsAliased count local-tree cache fills that copied
 	// a cell vs aliased an already-local cell via a shadow pointer
 	// (§5.3.1 vs §5.3.2).

@@ -75,7 +75,7 @@ type ParBuild struct {
 	Tree FlatTree
 	// Src is the bin-ordered staging view stage 2 fills. Tree.Bodies.ID[j]
 	// is the Src slot tree slot j came from, so a caller-side array
-	// indexed by Src slot (core: the bodies' heap refs) follows the bodies
+	// indexed by Src slot (core: each body's ID) follows the bodies
 	// into tree order.
 	Src nbody.SoA
 

@@ -14,7 +14,7 @@ import (
 // stages are barrier-separated, so worker-by-worker execution of each is
 // one of the schedules the barriers allow. owner[i] is the worker that
 // holds bodies[i]. Returns the builder and, per Src slot, the index of the
-// body staged there (the caller-side array core keeps heap refs in).
+// body staged there (the caller-side array core keeps body IDs in).
 func parBuild(bodies []nbody.Body, owner []int, workers, depth int) (*ParBuild, []int32) {
 	lo, hi := nbody.BoundingBox(bodies)
 	center, half := nbody.RootCell(lo, hi)

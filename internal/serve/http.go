@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"time"
 
 	"upcbh/internal/core"
 	"upcbh/internal/machine"
@@ -393,6 +394,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, sess *sess
 	return nil, err
 }
 
+// streamWriteTimeout bounds each stream frame's write (tests shorten it).
+var streamWriteTimeout = 30 * time.Second
+
 // handleStream serves the NDJSON snapshot stream: subscribe to the
 // session's hub, start the (single) stepper if nobody is driving the
 // session yet, then relay frames until the hub closes (session
@@ -434,8 +438,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *sess
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
-	flusher, _ := w.(http.Flusher)
-	// emit writes f's line and lets go of f.
+	rc := http.NewResponseController(w)
+	defer rc.SetWriteDeadline(time.Time{}) // the connection may serve another request
+	// emit writes f's line and lets go of f. A per-frame write deadline
+	// frees this goroutine, its hub slot and its frame from a stalled peer.
 	emit := func(f *frame) bool {
 		defer f.release()
 		line, err := f.line(withBodies)
@@ -443,11 +449,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *sess
 			s.cfg.Logf("session %s: stream frame at step %d: %v", sess.id, f.snap.Step, err)
 			return false
 		}
+		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)) // a writer without deadlines has none to set
 		if _, err := w.Write(line); err != nil {
-			return false // client went away; unsubscribe via defer
+			return false // client went away or stalled; unsubscribe via defer
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			return false
 		}
 		return true
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -640,6 +641,74 @@ func TestStreamFromFinishedSession(t *testing.T) {
 	}
 	if sn.Step != 2 {
 		t.Fatalf("terminal frame at step %d, want 2", sn.Step)
+	}
+}
+
+// TestStreamWriteDeadline: a client that sends the stream request and
+// then never reads stalls the handler's writes once the socket buffers
+// are full. The per-frame write deadline ends the handler, which
+// unsubscribes — while the session is still running, so the hub did not
+// end the stream — and after DELETE no frame buffer is still out.
+func TestStreamWriteDeadline(t *testing.T) {
+	defer func(d time.Duration) { streamWriteTimeout = d }(streamWriteTimeout)
+	streamWriteTimeout = 100 * time.Millisecond
+
+	s := newTestServer(t, Config{Shards: 1, SubBuffer: 2})
+	returned := make(chan struct{})
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/stream") {
+			close(returned)
+		}
+	}))
+	t.Cleanup(ts.Close)
+
+	// Bodies frames of ~0.7 MB each, and far more steps than the test
+	// lasts: the stream can only end by the deadline.
+	opts := core.DefaultOptions(2048, 2, core.LevelMergedBuild)
+	opts.ExecMode = core.ModeNative
+	opts.Steps, opts.Warmup = 20000, 1
+	sess, _, err := s.admit(s.buildCreate(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if tc, ok := conn.(*net.TCPConn); ok {
+		_ = tc.SetReadBuffer(4096)
+	}
+	if _, err := fmt.Fprintf(conn, "GET /sims/%s/stream?bodies=1 HTTP/1.1\r\nHost: test\r\n\r\n", sess.id); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-returned:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the stream handler is still writing to a client that stopped reading")
+	}
+	if n := sess.hub.subscriberCount(); n != 0 {
+		t.Errorf("%d subscribers left after the stalled stream ended", n)
+	}
+	if si, err := s.info(sess); err != nil || si.Finished {
+		t.Fatalf("session finished (%v) before the stream stalled: the deadline went untested", err)
+	}
+
+	resp, err := http.DefaultClient.Do(mustRequest(t, "DELETE", ts.URL+"/sims/"+sess.id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete: status %d", resp.StatusCode)
+	}
+	p := &sess.hub.frames
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.lent != 0 {
+		t.Errorf("%d line buffers still out after the stalled stream and DELETE", p.lent)
 	}
 }
 

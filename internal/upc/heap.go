@@ -64,7 +64,6 @@ type Heap[T any] struct {
 	chunkSize int32
 	shift     uint
 	recycle   bool
-	source    func(thr, n int) []T // see SetChunkSource
 	shards    []heapShard[T]
 }
 
@@ -111,43 +110,7 @@ func NewHeap[T any](rt *Runtime, chunkSize int) *Heap[T] {
 // element is fully initialized before its first read (the Barnes-Hut
 // heaps are: cells are whole-struct assigned at creation, bodies copied
 // in), because Alloc's usual zeroed-memory guarantee no longer holds.
-func (h *Heap[T]) SetRecycle() {
-	if h.source != nil {
-		panic("upc: SetRecycle on a heap with a chunk source")
-	}
-	h.recycle = true
-}
-
-// SetChunkSource makes the heap take the storage of every new chunk from
-// src — n zeroed elements for thread thr's shard — instead of the Go
-// heap. The native engine passes its per-thread mmap arenas: a body
-// buffer is sized for the worst redistribution and mostly never written,
-// and only a fresh anonymous mapping guarantees that the unwritten part
-// stays non-resident (the Go heap zeroes a large allocation that lands on
-// recycled address space, touching all of it, and whether it does is
-// luck). src is called by the shard's owner thread, or by GrowShard
-// while no thread runs. The storage stays the source's to free, so
-// Release drops such chunks instead of pooling them: a chunk source
-// replaces SetRecycle, it does not combine with it.
-func (h *Heap[T]) SetChunkSource(src func(thr, n int) []T) {
-	if h.recycle {
-		panic("upc: SetChunkSource on a recycling heap")
-	}
-	h.source = src
-}
-
-// newBacking returns zeroed storage for nchunks contiguous chunks of
-// thread thr's shard.
-func (h *Heap[T]) newBacking(thr, nchunks int) []T {
-	n := nchunks * int(h.chunkSize)
-	if h.source != nil {
-		return h.source(thr, n)
-	}
-	return make([]T, n)
-}
-
-// ChunkBytes returns the size in bytes of one chunk's storage.
-func (h *Heap[T]) ChunkBytes() int { return int(h.chunkSize) * h.elemSize }
+func (h *Heap[T]) SetRecycle() { h.recycle = true }
 
 // Release returns the heap's storage to the process-wide recycling
 // pools (chunk backings only if SetRecycle was called). The heap must
@@ -174,9 +137,6 @@ func (h *Heap[T]) Release() {
 		tp.Put(&tbl)
 	}
 }
-
-// ElemSize returns the modelled size in bytes of one element.
-func (h *Heap[T]) ElemSize() int { return h.elemSize }
 
 // Len returns the number of elements allocated in thread thr's shard.
 // Only meaningful at phase boundaries (the owner may be allocating).
@@ -219,14 +179,14 @@ func (h *Heap[T]) Alloc(t *Thread, count int) Ref {
 			if v := p.Get(); v != nil {
 				sh.table[last].Store(v.(*[]T))
 			} else {
-				c := h.newBacking(t.id, 1)
+				c := make([]T, cs)
 				sh.table[last].Store(&c)
 			}
 		} else {
 			// Allocate all missing chunks in one backing array so large
 			// allocations are physically contiguous too. Caps are bounded
 			// per chunk so Release can pool each independently.
-			backing := h.newBacking(t.id, nchunks)
+			backing := make([]T, nchunks*cs)
 			for k := 0; k < nchunks; k++ {
 				c := backing[k*cs : (k+1)*cs : (k+1)*cs]
 				sh.table[firstMissing+k].Store(&c)

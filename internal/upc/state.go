@@ -172,7 +172,7 @@ func (h *Heap[T]) GrowShard(thr int, n int32) error {
 				continue
 			}
 		}
-		c := h.newBacking(thr, 1)
+		c := make([]T, cs)
 		sh.table[j].Store(&c)
 	}
 	sh.n = n

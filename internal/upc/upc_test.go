@@ -145,69 +145,6 @@ func TestAllocContiguityAndReset(t *testing.T) {
 	})
 }
 
-// TestChunkSource pins the chunk-source contract: every chunk of a heap
-// with a source — single, multi-chunk and GrowShard's — is the source's
-// storage, asked for per shard in whole chunks, and Release does not pool
-// it (the source frees it), so a later recycling heap of the same
-// geometry cannot be handed memory the source has already unmapped.
-func TestChunkSource(t *testing.T) {
-	type el struct{ a, b int64 } // a type no other test pools chunks of
-	rt := testRuntime(2)
-	h := NewHeap[el](rt, 1024)
-	var asked [2][]int
-	owned := map[*el]bool{}
-	h.SetChunkSource(func(thr, n int) []el {
-		asked[thr] = append(asked[thr], n)
-		s := make([]el, n)
-		for k := 0; k < n; k += 1024 {
-			owned[&s[k]] = true
-		}
-		return s
-	})
-	if got, want := h.ChunkBytes(), 1024*16; got != want {
-		t.Errorf("ChunkBytes = %d, want %d", got, want)
-	}
-	rt.Run(func(th *Thread) {
-		if th.ID() != 0 {
-			return
-		}
-		h.Alloc(th, 10)   // one chunk
-		h.Alloc(th, 3000) // three more, one backing
-	})
-	if err := h.GrowShard(1, 1500); err != nil { // two chunks, one at a time
-		t.Fatal(err)
-	}
-	if got := asked[0]; len(got) != 2 || got[0] != 1024 || got[1] != 3*1024 {
-		t.Errorf("shard 0 asked the source for %v elements, want [1024 3072]", got)
-	}
-	if got := asked[1]; len(got) != 2 || got[0] != 1024 || got[1] != 1024 {
-		t.Errorf("shard 1 asked the source for %v elements, want [1024 1024]", got)
-	}
-	for thr, chunks := range []int{4, 2} {
-		for j := 0; j < chunks; j++ {
-			if c := h.shards[thr].table[j].Load(); c == nil || !owned[&(*c)[0]] {
-				t.Errorf("shard %d chunk %d is not the source's storage", thr, j)
-			}
-		}
-	}
-	h.Release()
-
-	h2 := NewHeap[el](rt, 1024)
-	h2.SetRecycle()
-	rt.Run(func(th *Thread) { h2.Alloc(th, 10) })
-	for thr := range h2.shards {
-		if c := h2.shards[thr].table[0].Load(); owned[&(*c)[0]] {
-			t.Errorf("shard %d of a recycling heap was handed a released source chunk", thr)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SetChunkSource on a recycling heap did not panic")
-		}
-	}()
-	h2.SetChunkSource(func(thr, n int) []el { return make([]el, n) })
-}
-
 func TestGatherAggregatesBySource(t *testing.T) {
 	rt := testRuntime(4)
 	h := NewHeap[float64](rt, 1024)
