@@ -70,8 +70,9 @@ func TestJSONTrajectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	var traj struct {
-		Params  map[string]any  `json:"params"`
-		Reports []*bench.Report `json:"reports"`
+		Params  map[string]any    `json:"params"`
+		Runner  bench.RunnerStats `json:"runner"`
+		Reports []*bench.Report   `json:"reports"`
 	}
 	if err := json.Unmarshal(raw, &traj); err != nil {
 		t.Fatalf("BENCH_results.json does not decode: %v", err)
@@ -81,6 +82,10 @@ func TestJSONTrajectory(t *testing.T) {
 	}
 	if _, ok := traj.Params["mode"]; ok || traj.Params["scale"] != 0.05 {
 		t.Errorf("params stamp %v: want scale 0.05 and no mode", traj.Params)
+	}
+	// Every run stays resident: the cache budget is far above a suite's.
+	if rs := traj.Runner; rs.Runs == 0 || rs.CachedEntries != rs.Runs || rs.CachedBytes == 0 || rs.CapacityEvictions != 0 {
+		t.Errorf("runner stats %+v: want every run cached and no capacity eviction", rs)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "table2.txt")); err != nil {
 		t.Errorf("-out did not write the experiment's text: %v", err)

@@ -1,11 +1,14 @@
 package bench
 
 import (
+	"container/list"
 	"fmt"
 	"runtime"
 	"sync"
+	"unsafe"
 
 	"upcbh/internal/core"
+	"upcbh/internal/nbody"
 )
 
 // Runner executes simulation configurations for the experiment harness
@@ -15,7 +18,10 @@ import (
 //     each unique configuration simulates exactly once no matter how many
 //     tables/figures request it (the strong-scaling tables and the
 //     speedup/efficiency figures largely share configs). Concurrent
-//     requests for the same key coalesce onto one execution.
+//     requests for the same key coalesce onto one execution. Completed
+//     results are held within a fixed byte budget (cacheBudget), least
+//     recently used evicted first, so a long-lived process that finishes
+//     sessions forever (bhserve) holds a bounded cache.
 //   - Bounded parallelism: independent ModeSimulate configurations run
 //     concurrently on a worker pool sized to the host's cores. Under the
 //     cooperative virtual-time scheduler each simulate run executes on
@@ -49,6 +55,8 @@ type Runner struct {
 
 	mu    sync.Mutex
 	cache map[string]*cacheEntry
+	lru   list.List // completed, successful entries, most recently used first
+	bytes int       // sum of cost over lru
 	stats RunnerStats
 
 	// exec performs one uncached run; tests substitute a counting stub.
@@ -70,6 +78,14 @@ type RunnerStats struct {
 	// the cache's provenance auditable instead of silently discarded.
 	Memoized       int `json:"memoized"`
 	MemoizeDropped int `json:"memoize_dropped"`
+
+	// The byte budget: completed results resident in the cache, their
+	// cost (entryCost) in bytes, and the results evicted or never stored
+	// to keep that cost within cacheBudget. In-flight runs are not
+	// counted: they cannot be evicted.
+	CachedEntries     int `json:"cached_entries"`
+	CachedBytes       int `json:"cached_bytes"`
+	CapacityEvictions int `json:"capacity_evictions"`
 }
 
 // Requests returns the total number of Run calls the stats describe.
@@ -85,9 +101,53 @@ func (s RunnerStats) DedupFraction() float64 {
 }
 
 type cacheEntry struct {
+	key  string
 	done chan struct{} // closed when res/err are valid
 	res  *core.Result
 	err  error
+	elem *list.Element // in Runner.lru; nil while in flight
+	cost int
+}
+
+// cacheBudget bounds the bytes of completed results the cache holds.
+// bhbench's whole suite memoizes well under a megabyte; bhserve finishes
+// a session every few milliseconds under churn, each result a few KiB.
+const cacheBudget = 4 << 20
+
+// entryCost is what a cached result holds resident: its key, the Result
+// and the slices that grow with steps, threads and (under KeepBodies) n.
+func entryCost(key string, res *core.Result) int {
+	return len(key) + int(unsafe.Sizeof(*res)) +
+		int(unsafe.Sizeof(core.PhaseTimes{}))*len(res.StepPhases) +
+		int(unsafe.Sizeof(core.ThreadBreakdown{}))*len(res.PerThread) +
+		int(unsafe.Sizeof(nbody.Body{}))*len(res.Bodies)
+}
+
+// completeLocked puts a finished, successful entry under the byte budget:
+// at the front of the LRU, evicting from the back until the total fits.
+// An entry over the whole budget is dropped from the map instead.
+func (r *Runner) completeLocked(e *cacheEntry) {
+	e.cost = entryCost(e.key, e.res)
+	if e.cost > cacheBudget {
+		delete(r.cache, e.key)
+		r.stats.CapacityEvictions++
+		return
+	}
+	e.elem = r.lru.PushFront(e)
+	r.bytes += e.cost
+	for r.bytes > cacheBudget {
+		old := r.lru.Remove(r.lru.Back()).(*cacheEntry)
+		delete(r.cache, old.key)
+		r.bytes -= old.cost
+		r.stats.CapacityEvictions++
+	}
+}
+
+// touchLocked marks a hit: a completed entry moves to the LRU's front.
+func (r *Runner) touchLocked(e *cacheEntry) {
+	if e.elem != nil {
+		r.lru.MoveToFront(e.elem)
+	}
 }
 
 // NewRunner builds a Runner with the given worker-pool width; workers <= 0
@@ -142,7 +202,9 @@ func (r *Runner) Workers() int { return cap(r.sem) }
 func (r *Runner) Stats() RunnerStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.stats
+	st := r.stats
+	st.CachedEntries, st.CachedBytes = r.lru.Len(), r.bytes
+	return st
 }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -167,18 +229,20 @@ func describe(opts core.Options) string {
 // onto a concurrently in-flight execution of the same key). Only
 // successes are memoized: a failed execution propagates its error to
 // every request coalesced onto it, then leaves the cache, so the next
-// request for the key executes afresh.
+// request for the key executes afresh. A success stays until the byte
+// budget evicts it.
 func (r *Runner) Run(opts core.Options) (res *core.Result, hit bool, err error) {
 	key := opts.Key()
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
 		r.stats.Hits++
+		r.touchLocked(e)
 		r.mu.Unlock()
 		r.logf("cache hit: %s", describe(opts))
 		<-e.done
 		return e.res, true, e.err
 	}
-	e := &cacheEntry{done: make(chan struct{})}
+	e := &cacheEntry{key: key, done: make(chan struct{})}
 	r.cache[key] = e
 	r.stats.Runs++
 	if opts.ExecMode == core.ModeNative {
@@ -191,19 +255,20 @@ func (r *Runner) Run(opts core.Options) (res *core.Result, hit bool, err error) 
 		e.res.Bodies = nil
 	}
 	close(e.done)
+	// Waiters coalesced onto the entry hold it and see res/err through
+	// done, so it leaves the map (or joins the LRU) only now.
+	r.mu.Lock()
 	if e.err != nil {
 		// Do not memoize failures: a transient error (a native run hitting
 		// a resource limit, say) would otherwise be replayed to every
-		// later request for the key, forever. Evict after close(done) so
-		// waiters already coalesced onto this entry still observe the
-		// error; the next request for the key re-executes.
-		r.mu.Lock()
-		if cur, ok := r.cache[key]; ok && cur == e {
-			delete(r.cache, key)
-			r.stats.Evictions++
-		}
-		r.mu.Unlock()
+		// later request for the key, forever. The next request for the
+		// key re-executes.
+		delete(r.cache, key)
+		r.stats.Evictions++
+	} else {
+		r.completeLocked(e)
 	}
+	r.mu.Unlock()
 	return e.res, false, e.err
 }
 
@@ -213,24 +278,14 @@ func (r *Runner) Run(opts core.Options) (res *core.Result, hit bool, err error) 
 // and never triggers an execution. A successful peek counts as a cache
 // hit in the stats. The returned Result is shared: treat it as read-only.
 func (r *Runner) Lookup(opts core.Options) (*core.Result, bool) {
-	key := opts.Key()
 	r.mu.Lock()
-	e, ok := r.cache[key]
-	r.mu.Unlock()
-	if !ok {
-		return nil, false
+	defer r.mu.Unlock()
+	e, ok := r.cache[opts.Key()]
+	if !ok || e.elem == nil {
+		return nil, false // absent, or still executing
 	}
-	select {
-	case <-e.done:
-	default:
-		return nil, false // still executing
-	}
-	if e.err != nil || e.res == nil {
-		return nil, false
-	}
-	r.mu.Lock()
 	r.stats.Hits++
-	r.mu.Unlock()
+	r.touchLocked(e)
 	return e.res, true
 }
 
@@ -239,8 +294,8 @@ func (r *Runner) Lookup(opts core.Options) (*core.Result, bool) {
 // driven outside the Runner (the bhserve service steps its own Sims) use
 // it to land their completed runs in the shared cache. An entry that
 // already exists — completed or in flight — is left untouched; the
-// stored copy follows the KeepBodies policy. Reports whether the result
-// was stored.
+// stored copy follows the KeepBodies policy and the byte budget. Reports
+// whether the result was stored.
 func (r *Runner) Memoize(opts core.Options, res *core.Result) bool {
 	cached := *res
 	if !r.KeepBodies {
@@ -253,9 +308,13 @@ func (r *Runner) Memoize(opts core.Options, res *core.Result) bool {
 		r.stats.MemoizeDropped++
 		return false
 	}
-	e := &cacheEntry{done: make(chan struct{}), res: &cached}
+	e := &cacheEntry{key: key, done: make(chan struct{}), res: &cached}
 	close(e.done)
 	r.cache[key] = e
+	r.completeLocked(e)
+	if e.elem == nil {
+		return false // over the whole budget
+	}
 	r.stats.Memoized++
 	return true
 }

@@ -506,3 +506,159 @@ func TestMemoizeOutcomeStats(t *testing.T) {
 		t.Fatalf("Run after Memoize: hit=%v err=%v execs=%d, want a cache hit and no execution", hit, err, execs.Load())
 	}
 }
+
+// TestRunnerCacheBudget pins the byte budget's rules: completed results
+// leave least recently used first, a hit from Run or Lookup counts as a
+// use, an in-flight entry is never evicted, a result over the whole
+// budget is not stored, error eviction is unchanged, and the resident
+// cost never exceeds cacheBudget.
+func TestRunnerCacheBudget(t *testing.T) {
+	r := NewRunner(4)
+	var execs atomic.Int64
+	gate := make(chan struct{}) // holds a run with Seed 1 in flight
+	r.exec = func(o core.Options) (*core.Result, error) {
+		execs.Add(1)
+		switch o.Seed {
+		case 1:
+			<-gate
+		case 2:
+			return nil, errors.New("transient")
+		}
+		// Steps sets the result's size: one PhaseTimes per step.
+		return &core.Result{Level: o.Level, StepPhases: make([]core.PhaseTimes, o.Steps)}, nil
+	}
+	quarter := (cacheBudget/4 - 4096) / 48 // steps for a result just under a quarter of the budget
+	cfg := func(n, steps int) core.Options {
+		o := core.DefaultOptions(n, 2, core.LevelAsync)
+		o.Steps, o.Warmup = steps, 0
+		return o
+	}
+	check := func(when string) RunnerStats {
+		t.Helper()
+		s := r.Stats()
+		if s.CachedBytes > cacheBudget {
+			t.Fatalf("%s: %d cached bytes over the %d-byte budget", when, s.CachedBytes, cacheBudget)
+		}
+		return s
+	}
+	run := func(o core.Options) (*core.Result, bool) {
+		t.Helper()
+		res, hit, err := r.Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("after Run")
+		return res, hit
+	}
+	cached := func(o core.Options) bool {
+		t.Helper()
+		_, ok := r.Lookup(o)
+		return ok
+	}
+
+	a, b, c, d, e, f := cfg(100, quarter), cfg(101, quarter), cfg(102, quarter), cfg(103, quarter), cfg(104, quarter), cfg(105, quarter)
+	for _, o := range []core.Options{a, b, c, d} {
+		run(o)
+	}
+	if s := check("four quarters"); s.CachedEntries != 4 || s.CapacityEvictions != 0 {
+		t.Fatalf("four sub-quarter results: %d entries, %d capacity evictions; want 4 and 0", s.CachedEntries, s.CapacityEvictions)
+	}
+	// Use a (by Run) and b (by Lookup): c becomes the least recently used.
+	if _, hit := run(a); !hit {
+		t.Fatal("Run of a cached key missed")
+	}
+	if !cached(b) {
+		t.Fatal("Lookup of a cached key missed")
+	}
+	run(e)
+	if cached(c) {
+		t.Fatal("c, the least recently used, survived the fifth result")
+	}
+	run(f)
+	if cached(d) {
+		t.Fatal("d, now the least recently used, survived the sixth result")
+	}
+	for name, o := range map[string]core.Options{"a": a, "b": b, "e": e, "f": f} {
+		if !cached(o) {
+			t.Errorf("%s was evicted although used more recently than c and d", name)
+		}
+	}
+	if s := check("LRU"); s.CapacityEvictions != 2 || s.CachedEntries != 4 {
+		t.Fatalf("after two evictions: %+v", s)
+	}
+
+	// An in-flight entry survives any pressure, and its waiters get its
+	// result once it lands.
+	slow := cfg(200, quarter)
+	slow.Seed = 1
+	const waiters = 4
+	results := make(chan *core.Result, waiters+1)
+	hitsBefore := r.Stats().Hits
+	for i := 0; i <= waiters; i++ {
+		go func() {
+			res, _, err := r.Run(slow)
+			if err != nil {
+				t.Error(err)
+			}
+			results <- res
+		}()
+	}
+	for r.Stats().Hits < hitsBefore+waiters {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 12; i++ {
+		run(cfg(300+i, quarter))
+	}
+	if cached(slow) {
+		t.Fatal("Lookup returned an in-flight entry")
+	}
+	close(gate)
+	first := <-results
+	for i := 0; i < waiters; i++ {
+		if res := <-results; res != first || res == nil {
+			t.Fatal("a coalesced waiter did not get the in-flight run's result")
+		}
+	}
+	if !cached(slow) {
+		t.Fatal("the in-flight run's result was not cached when it landed")
+	}
+	execsBefore := execs.Load()
+	if _, hit := run(slow); !hit || execs.Load() != execsBefore {
+		t.Fatal("the landed in-flight result was not served from the cache")
+	}
+
+	// A result over the whole budget is returned but not stored, by
+	// either path in.
+	huge := cfg(400, cacheBudget/48+1)
+	before := check("before oversize")
+	if res, hit := run(huge); hit || len(res.StepPhases) != huge.Steps {
+		t.Fatal("an oversize run did not return its own result")
+	}
+	if cached(huge) {
+		t.Fatal("an oversize run was stored")
+	}
+	hugeM := cfg(401, cacheBudget/48+1)
+	if r.Memoize(hugeM, &core.Result{StepPhases: make([]core.PhaseTimes, hugeM.Steps)}) || cached(hugeM) {
+		t.Fatal("an oversize Memoize was stored")
+	}
+	after := check("after oversize")
+	if after.CachedBytes != before.CachedBytes || after.CachedEntries != before.CachedEntries {
+		t.Fatalf("oversize results disturbed the cache: %+v → %+v", before, after)
+	}
+	if after.CapacityEvictions != before.CapacityEvictions+2 {
+		t.Fatalf("capacity evictions %d → %d, want +2 for the two oversize results", before.CapacityEvictions, after.CapacityEvictions)
+	}
+
+	// Errors are evicted as before, and only they count as Evictions.
+	failing := cfg(500, 1)
+	failing.Seed = 2
+	for i := 1; i <= 2; i++ {
+		if _, hit, err := r.Run(failing); err == nil || hit {
+			t.Fatalf("failing run %d: hit=%v err=%v, want a fresh error", i, hit, err)
+		}
+	}
+	if s := check("errors"); s.Evictions != 2 || s.CapacityEvictions != after.CapacityEvictions {
+		t.Fatalf("after two failed runs: Evictions=%d CapacityEvictions=%d, want 2 and %d",
+			s.Evictions, s.CapacityEvictions, after.CapacityEvictions)
+	}
+}

@@ -97,11 +97,6 @@ func PairKernel(d2, m, epsSq float64) (s, mr float64) {
 	return m * inv * inv * inv, m * inv
 }
 
-// AdvanceHalfKick applies the opening half-kick of leapfrog integration.
-func AdvanceHalfKick(b *Body, dt float64) {
-	b.Vel = b.Vel.AddScaled(b.Acc, dt/2)
-}
-
 // AdvanceKickDrift applies one full leapfrog step given freshly computed
 // accelerations: kick the velocity by dt then drift the position by dt,
 // matching the SPLASH2 advancebody sequence.

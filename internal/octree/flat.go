@@ -116,8 +116,8 @@ type FlatTree struct {
 	permTmp []int32
 	scatter nbody.SoA
 
-	// Tree-owned walker for the convenience ForceOn/ForceAt entry points
-	// (which are therefore not safe for concurrent use on one FlatTree —
+	// Tree-owned walker for the convenience ForceOn entry point
+	// (which is therefore not safe for concurrent use on one FlatTree —
 	// concurrent walkers keep their own FlatWalker).
 	walker FlatWalker
 
@@ -459,13 +459,6 @@ type FlatBatch struct {
 // has warmed up.
 func (ft *FlatTree) ForceOn(body int32, theta, eps float64) (acc vec.V3, phi float64, inter int) {
 	return ft.walker.Force(ft, ft.Bodies.Pos[body], body, theta, eps)
-}
-
-// ForceAt computes the force at an arbitrary position; skip is the SoA
-// slot to exclude (-1 for none). Uses the tree-owned walker; for
-// concurrent walks over one tree give each goroutine its own FlatWalker.
-func (ft *FlatTree) ForceAt(pos vec.V3, skip int32, theta, eps float64) (acc vec.V3, phi float64, inter int) {
-	return ft.walker.Force(ft, pos, skip, theta, eps)
 }
 
 // Force is the single-body entry point: a one-lane batch.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"upcbh/internal/core"
@@ -132,6 +133,15 @@ func respond(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
+// snapBufs holds encode buffers for snapshot responses: a step response
+// is the service's most frequent answer, and Write copies out of the
+// buffer, so each one can go back for the next.
+var snapBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledSnap bounds the buffers snapBufs keeps; a bodies snapshot of
+// a large run is encoded into a buffer of its own.
+const maxPooledSnap = 1 << 20
+
 // writeJSON answers v as one JSON document and a newline. A snapshot
 // goes through its own appender (core.Snapshot.AppendJSON: encoding/json's
 // bytes without the reflection); everything else is small and reflected.
@@ -141,9 +151,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	if snap, ok := v.(*core.Snapshot); ok {
 		// As with the encoder below, a snapshot json refuses (a NaN)
 		// leaves the body empty: no part of it is sent.
-		if b, err := snap.AppendJSON(nil); err == nil {
-			_, _ = w.Write(append(b, '\n'))
+		buf := snapBufs.Get().(*[]byte)
+		if b, err := snap.AppendJSON((*buf)[:0]); err == nil {
+			b = append(b, '\n')
+			_, _ = w.Write(b)
+			if cap(b) <= maxPooledSnap {
+				*buf = b
+			}
 		}
+		snapBufs.Put(buf)
 		return
 	}
 	enc := json.NewEncoder(w)

@@ -23,6 +23,8 @@
 //   - Completed runs land in a shared bench.Runner cache keyed by
 //     Options.Key(): an identical later create is served from cache
 //     without re-simulating (the create response carries cache_hit).
+//     The cache holds a fixed byte budget, least recently used evicted
+//     first, so finished sessions do not accumulate in memory.
 //   - Shutdown drains gracefully: admissions stop (503), steppers park,
 //     in-flight queued requests finish, and every live session is
 //     Finish()ed and Release()d.

@@ -10,6 +10,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -894,4 +896,76 @@ func TestHTTPCheckpointRestore(t *testing.T) {
 	if after := s.Stats().Sessions.Created; after != before {
 		t.Fatalf("bad restores created %d sessions", after-before)
 	}
+}
+
+// TestServeMemoryBoundedUnderChurn: sessions that finish and are deleted
+// leave only their cached results behind, and the shared cache holds
+// those within its byte budget, so the live heap of a process that churns
+// through distinct configurations stops growing once the cache is full.
+func TestServeMemoryBoundedUnderChurn(t *testing.T) {
+	const (
+		lifecycles = 2000
+		mark       = 500     // the cache is full by here
+		budget     = 4 << 20 // bench.Runner's cacheBudget
+		maxGrowth  = 8 << 20
+	)
+	if testing.Short() {
+		t.Skip("2000 lifecycles; seconds without -race, tens of seconds with it")
+	}
+	s := newTestServer(t, Config{Shards: 2, Logf: func(string, ...any) {}})
+	h := s.Handler()
+	do := func(method, path string, body []byte, want int) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("%s %s: %d %s, want %d", method, path, rec.Code, rec.Body, want)
+		}
+		return rec.Body.Bytes()
+	}
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+
+	var atMark uint64
+	for i := 1; i <= lifecycles; i++ {
+		// One native thread over a few bodies makes a step cheap; the
+		// schedule's length makes each result a few KiB.
+		o := core.DefaultOptions(32, 1, core.LevelMergedBuild)
+		o.ExecMode, o.Steps, o.Warmup, o.Seed = core.ModeNative, 100, 0, uint64(i)
+		opts, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var si sessionInfo
+		if err := json.Unmarshal(do("POST", "/sims", append(append([]byte(`{"options":`), opts...), '}'), http.StatusCreated), &si); err != nil {
+			t.Fatal(err)
+		}
+		if si.CacheHit {
+			t.Fatalf("lifecycle %d: a distinct seed hit the cache", i)
+		}
+		do("POST", "/sims/"+si.ID+"/step?k=100", nil, http.StatusOK)
+		do("DELETE", "/sims/"+si.ID, nil, http.StatusNoContent)
+		if i == mark {
+			atMark = liveHeap()
+		}
+	}
+	end := liveHeap()
+	st := s.Stats()
+	if st.Runner.CachedBytes > budget {
+		t.Errorf("cache holds %d bytes, over its %d-byte budget", st.Runner.CachedBytes, budget)
+	}
+	if st.Runner.CapacityEvictions == 0 {
+		t.Errorf("%d distinct results never filled the cache: %+v", lifecycles, st.Runner)
+	}
+	if st.Sessions.Live != 0 {
+		t.Errorf("%d sessions still registered after every DELETE", st.Sessions.Live)
+	}
+	if end > atMark && end-atMark > maxGrowth {
+		t.Errorf("live heap grew %d → %d bytes between lifecycle %d and %d", atMark, end, mark, lifecycles)
+	}
+	t.Logf("live heap %d → %d bytes; runner %+v", atMark, end, st.Runner)
 }

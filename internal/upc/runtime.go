@@ -389,10 +389,6 @@ func (t *Thread) Barrier() {
 	t.rt.coop.barrier(t)
 }
 
-// Aborted returns a channel closed when a peer thread has failed; use it
-// to abort real blocking waits (e.g. a two-sided receive).
-func (rt *Runtime) Aborted() <-chan struct{} { return rt.poisonCh }
-
 // barrier is the native backend's reusable generation barrier (simulate
 // barriers are sched.barrier).
 type barrier struct {

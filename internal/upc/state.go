@@ -134,12 +134,6 @@ func (h *Heap[T]) RestoreShard(thr int, data []byte) error {
 	return nil
 }
 
-// ShardBytes returns the size in bytes of the allocated portion of
-// thread thr's shard (what CaptureShard would append).
-func (h *Heap[T]) ShardBytes(thr int) int {
-	return int(h.shards[thr].n) * h.elemSize
-}
-
 // GrowShard extends thread thr's shard to exactly n allocated elements,
 // materializing any missing chunks, without a Thread and without
 // charging simulated cost. It exists for the restore path: a

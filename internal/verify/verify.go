@@ -89,12 +89,6 @@ func MaxForceError(final []nbody.Body, eps, dt float64) float64 {
 	return maxRel
 }
 
-// RMSForceError returns only the norm-level metric of ForceErrors.
-func RMSForceError(final []nbody.Body, eps, dt float64) float64 {
-	_, rms := ForceErrors(final, eps, dt)
-	return rms
-}
-
 // Conservation reports the drift diagnostics of a run: every field is
 // dimensionless and should be ~0 for a correct integrator.
 type Conservation struct {
