@@ -58,7 +58,7 @@ func main() {
 		for i := 0; i < 1000; i++ {
 			t.Charge(100e-9) // useful local computation
 		}
-		t.WaitSync(h)
+		t.WaitSync(&h)
 		overlapped := t.Now() - before
 
 		if me == 0 {
@@ -81,7 +81,7 @@ func main() {
 		for j := range send {
 			send[j] = []int{me*10 + j}
 		}
-		recv := upc.AllToAll(t, send)
+		recv := upc.AllToAll(t, send, nil)
 		if me == 0 {
 			fmt.Printf("\ncounter after locked updates: %.0f (threads: %d)\n", counter.Peek(), t.P())
 			fmt.Printf("allreduce sum(1..P) = %.0f, vector reduce = %v\n", total, vec)

@@ -99,3 +99,55 @@ func BenchmarkSimulateStep(b *testing.B) {
 		})
 	}
 }
+
+// TestSimulateSteadyStateAllocs is BenchmarkSimulateStep's allocation
+// gate: in the same configuration, after a warm-up, one Step(1) of a
+// long-lived simulate session allocates at most the level's bound:
+// twice the count measured when the gate was set, 0 / 1 / 3 / 26 per
+// step at baseline / cache / async / subspace (the counts are
+// deterministic). What remains:
+//   - upc.Broadcast boxes the root's value into the rendezvous deposit,
+//     once per broadcast: the tree root at cache, the top-tree base at
+//     subspace;
+//   - retained scratch still growing toward its high-water mark, since
+//     the bodies (and so the tree) change every step: the async force's
+//     pooled request lists and gather buffers (enqueueChildren, sized),
+//     the working bodies' frontiers, and at subspace the per-subspace
+//     body lists (bodiesOf), the leaf rows and slot map, and the
+//     all-to-all send rows.
+func TestSimulateSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steps four 16-thread sessions past their warm-up")
+	}
+	const warm, runs = 24, 8
+	for _, c := range []struct {
+		level Level
+		bound float64
+	}{
+		{LevelBaseline, 0},
+		{LevelCacheTree, 2},
+		{LevelAsync, 6},
+		{LevelSubspace, 52},
+	} {
+		opts := DefaultOptions(2048, 16, c.level)
+		opts.Seed = 1
+		opts.Steps, opts.Warmup = warm+1+runs, 2
+		sim, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Step(warm); err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(runs, func() {
+			if err := sim.Step(1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		sim.Release()
+		t.Logf("%s: %.0f allocations per step (bound %.0f)", c.level, got, c.bound)
+		if got > c.bound {
+			t.Errorf("%s: a steady-state Step(1) made %.0f allocations, want <= %.0f", c.level, got, c.bound)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"upcbh/internal/nbody"
 	"upcbh/internal/octree"
@@ -45,7 +44,7 @@ func (s *Sim) buildGlobal(t *upc.Thread, st *tstate) {
 
 // insertBody descends the shared tree from cur (covering center/half) and
 // places the body, splitting leaves under the cell lock as SPLASH2's
-// loadtree does. Slots are read/written atomically; modifications are
+// loadtree does. Slots are read without the lock; modifications are
 // serialized by the hashed lock of the parent cell.
 func (s *Sim) insertBody(t *upc.Thread, st *tstate, bodyR upc.Ref, pos vec.V3, cur upc.Ref, center vec.V3, half float64) {
 	for depth := 0; ; depth++ {
@@ -56,7 +55,7 @@ func (s *Sim) insertBody(t *upc.Thread, st *tstate, bodyR upc.Ref, pos vec.V3, c
 		oct := octree.Octant(center, pos)
 		cp := s.cells.Raw(cur)
 		s.cells.Touch(t, cur, bytesSlot)
-		slot := loadSlot(&cp.Sub[oct])
+		slot := cp.Sub[oct]
 		switch {
 		case slot.IsCell():
 			cur = slot.Ref()
@@ -65,9 +64,9 @@ func (s *Sim) insertBody(t *upc.Thread, st *tstate, bodyR upc.Ref, pos vec.V3, c
 		case slot.IsNil():
 			lk := s.locks.ForRef(cur)
 			lk.Acquire(t)
-			if loadSlot(&cp.Sub[oct]).IsNil() {
+			if cp.Sub[oct].IsNil() {
 				s.cells.TouchPut(t, cur, bytesSlot)
-				storeSlot(&cp.Sub[oct], BodyRef(bodyR))
+				cp.Sub[oct] = BodyRef(bodyR)
 				lk.Release(t)
 				return
 			}
@@ -76,7 +75,7 @@ func (s *Sim) insertBody(t *upc.Thread, st *tstate, bodyR upc.Ref, pos vec.V3, c
 		default: // occupied by a body: split the leaf under the lock
 			lk := s.locks.ForRef(cur)
 			lk.Acquire(t)
-			if loadSlot(&cp.Sub[oct]) != slot {
+			if cp.Sub[oct] != slot {
 				lk.Release(t)
 				continue // slot changed under us; retry this level
 			}
@@ -85,7 +84,7 @@ func (s *Sim) insertBody(t *upc.Thread, st *tstate, bodyR upc.Ref, pos vec.V3, c
 			cc, ch := octree.ChildBounds(center, half, oct)
 			top := s.buildChain(t, st, cc, ch, oldR, oldPos, bodyR, pos, nil)
 			s.cells.TouchPut(t, cur, bytesSlot)
-			storeSlot(&cp.Sub[oct], CellRef(top))
+			cp.Sub[oct] = CellRef(top)
 			lk.Release(t)
 			return
 		}
@@ -168,7 +167,7 @@ func (s *Sim) cofmGlobal(t *upc.Thread, st *tstate) {
 				// access, and on success the clock aligns to the
 				// modelled flag-set time.
 				polls := 0
-				for atomic.LoadUint32(&chP.Done) == 0 {
+				for chP.Done == 0 {
 					if t.Poisoned() {
 						panic("core: aborting c-of-m spin: a peer thread failed")
 					}
@@ -200,7 +199,7 @@ func (s *Sim) cofmGlobal(t *upc.Thread, st *tstate) {
 			cp.CofM = cp.Center
 		}
 		cp.DoneAt = t.Now()
-		atomic.StoreUint32(&cp.Done, 1)
+		cp.Done = 1
 	}
 }
 

@@ -163,15 +163,15 @@ func (s *Sim) mergeCell(t *upc.Thread, st *tstate, gRef, lRef upc.Ref, center ve
 		for {
 			t.Charge(s.par.TreeLevelCost)
 			s.cells.Touch(t, gRef, bytesSlot)
-			slot := loadSlot(&gp.Sub[oct])
+			slot := gp.Sub[oct]
 			switch {
 			case slot.IsNil():
 				lk := s.locks.ForRef(gRef)
 				lk.Acquire(t)
-				if loadSlot(&gp.Sub[oct]).IsNil() {
+				if gp.Sub[oct].IsNil() {
 					// Hook the whole local subtree: one pointer update.
 					s.cells.TouchPut(t, gRef, bytesSlot)
-					storeSlot(&gp.Sub[oct], lch)
+					gp.Sub[oct] = lch
 					lk.Release(t)
 					break slotLoop
 				}
@@ -196,7 +196,7 @@ func (s *Sim) mergeCell(t *upc.Thread, st *tstate, gRef, lRef upc.Ref, center ve
 			default: // global slot holds a body
 				lk := s.locks.ForRef(gRef)
 				lk.Acquire(t)
-				if loadSlot(&gp.Sub[oct]) != slot {
+				if gp.Sub[oct] != slot {
 					lk.Release(t)
 					continue slotLoop
 				}
@@ -215,13 +215,13 @@ func (s *Sim) mergeCell(t *upc.Thread, st *tstate, gRef, lRef upc.Ref, center ve
 					chain := s.buildChain(t, st, cc, ch, oldR, old.Pos, lch.Ref(), b.Pos,
 						&chainAgg{oldMass: old.Mass, oldCost: oldCost, newMass: b.Mass, newCost: bc})
 					s.cells.TouchPut(t, gRef, bytesSlot)
-					storeSlot(&gp.Sub[oct], CellRef(chain))
+					gp.Sub[oct] = CellRef(chain)
 				} else {
 					// Mine is a cell: fold the displaced body into my
 					// (still private) subtree, then hook it.
 					s.insertBodyLocalAgg(t, st, lch.Ref(), oldR, old.Pos, old.Mass, oldCost)
 					s.cells.TouchPut(t, gRef, bytesSlot)
-					storeSlot(&gp.Sub[oct], lch)
+					gp.Sub[oct] = lch
 				}
 				lk.Release(t)
 				break slotLoop
@@ -249,7 +249,7 @@ func (s *Sim) insertBodyMerge(t *upc.Thread, st *tstate, cur upc.Ref, center vec
 		cp := s.cells.Raw(cur)
 		oct := octree.Octant(center, pos)
 		s.cells.Touch(t, cur, bytesSlot)
-		slot := loadSlot(&cp.Sub[oct])
+		slot := cp.Sub[oct]
 		switch {
 		case slot.IsCell():
 			cur = slot.Ref()
@@ -259,9 +259,9 @@ func (s *Sim) insertBodyMerge(t *upc.Thread, st *tstate, cur upc.Ref, center vec
 		case slot.IsNil():
 			lk := s.locks.ForRef(cur)
 			lk.Acquire(t)
-			if loadSlot(&cp.Sub[oct]).IsNil() {
+			if cp.Sub[oct].IsNil() {
 				s.cells.TouchPut(t, cur, bytesSlot)
-				storeSlot(&cp.Sub[oct], BodyRef(bodyR))
+				cp.Sub[oct] = BodyRef(bodyR)
 				lk.Release(t)
 				return
 			}
@@ -270,7 +270,7 @@ func (s *Sim) insertBodyMerge(t *upc.Thread, st *tstate, cur upc.Ref, center vec
 		default:
 			lk := s.locks.ForRef(cur)
 			lk.Acquire(t)
-			if loadSlot(&cp.Sub[oct]) != slot {
+			if cp.Sub[oct] != slot {
 				lk.Release(t)
 				continue
 			}
@@ -284,7 +284,7 @@ func (s *Sim) insertBodyMerge(t *upc.Thread, st *tstate, cur upc.Ref, center vec
 			chain := s.buildChain(t, st, cc, ch, oldR, old.Pos, bodyR, pos,
 				&chainAgg{oldMass: old.Mass, oldCost: oldCost, newMass: mass, newCost: cost})
 			s.cells.TouchPut(t, cur, bytesSlot)
-			storeSlot(&cp.Sub[oct], CellRef(chain))
+			cp.Sub[oct] = CellRef(chain)
 			lk.Release(t)
 			return
 		}

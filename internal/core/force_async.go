@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"upcbh/internal/nbody"
 	"upcbh/internal/octree"
 	"upcbh/internal/upc"
@@ -33,7 +35,8 @@ type reqItem struct {
 // (bupc_memget_vlist_async): all children of a batch of parents, staged
 // into per-heap buffers. For simplicity all children of a cell travel in
 // the same request, so a request handles between n3 and n3+7 nodes, as in
-// the paper.
+// the paper. hc and hb are the two gathers' handles, set when cellRefs
+// and bodyRefs (respectively) are non-empty.
 type request struct {
 	parents  []*lnode
 	items    []reqItem
@@ -41,7 +44,7 @@ type request struct {
 	cellDst  []Cell
 	bodyRefs []upc.Ref
 	bodyDst  []nbody.Body
-	hc, hb   *upc.Handle
+	hc, hb   upc.Handle
 }
 
 func (r *request) empty() bool { return len(r.items) == 0 }
@@ -83,15 +86,10 @@ func (st *tstate) putRequest(r *request) {
 }
 
 // sized returns a destination slice of exactly n elements, reusing
-// capacity. Stale trailing bytes beyond each staged prefix are never
-// read: cell gathers copy whole elements, body gathers only expose the
-// staged position/mass prefix.
-func sized[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
-}
+// capacity (and growing it as append does). Stale trailing bytes beyond
+// each staged prefix are never read: cell gathers copy whole elements,
+// body gathers only expose the staged position/mass prefix.
+func sized[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 
 // forceAsync implements Listing 3 (simulate only): maintain n1 working
 // bodies, aggregate needed remote children into requests of at least n3
@@ -109,7 +107,7 @@ func (s *Sim) forceAsync(t *upc.Thread, st *tstate, measured bool) {
 	next := 0
 	working := st.working[:0]
 	pending := st.getRequest()
-	var outstanding []*request
+	outstanding := st.outstanding[:0] // FIFO of issued requests
 
 	enqueueChildren := func(n *lnode) {
 		n.requested = true
@@ -148,11 +146,11 @@ func (s *Sim) forceAsync(t *upc.Thread, st *tstate, measured bool) {
 	}
 
 	complete := func(r *request) {
-		if r.hc != nil {
-			t.WaitSync(r.hc)
+		if len(r.cellRefs) > 0 {
+			t.WaitSync(&r.hc)
 		}
-		if r.hb != nil {
-			t.WaitSync(r.hb)
+		if len(r.bodyRefs) > 0 {
+			t.WaitSync(&r.hb)
 		}
 		for _, it := range r.items {
 			if it.isBody {
@@ -238,7 +236,7 @@ func (s *Sim) forceAsync(t *upc.Thread, st *tstate, measured bool) {
 			issue()
 			if len(outstanding) > 0 {
 				complete(outstanding[0])
-				outstanding = outstanding[1:]
+				outstanding = outstanding[:copy(outstanding, outstanding[1:])]
 			}
 			continue
 		}
@@ -283,7 +281,7 @@ func (s *Sim) forceAsync(t *upc.Thread, st *tstate, measured bool) {
 				}
 				if len(outstanding) > 0 {
 					complete(outstanding[0])
-					outstanding = outstanding[1:]
+					outstanding = outstanding[:copy(outstanding, outstanding[1:])]
 					unblock()
 				}
 			}
@@ -291,4 +289,5 @@ func (s *Sim) forceAsync(t *upc.Thread, st *tstate, measured bool) {
 	}
 	st.putRequest(pending)
 	st.working = working[:0]
+	st.outstanding = outstanding
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"unsafe"
 
 	"upcbh/internal/nbody"
@@ -11,9 +10,10 @@ import (
 
 // NodeRef is a tagged global reference to an octree node: either a cell
 // (in the cells heap) or a body (in the bodies heap), or nil. It is
-// packed into one machine word so that tree slots can be read and written
-// atomically — the pointer-sized loads/stores that make the SPLASH2
-// lock-protocol sound on real shared-memory hardware.
+// packed into one machine word, the pointer-sized tree slot the SPLASH2
+// lock protocol reads without the lock. The pointer tree exists only
+// under the cooperative scheduler, where one thread runs at a time, so
+// slots are plain loads and stores (DESIGN.md §9).
 //
 // Layout: bits 62-63 kind, bits 32-45 thread, bits 0-31 index.
 type NodeRef uint64
@@ -52,14 +52,10 @@ func (n NodeRef) Ref() upc.Ref {
 	return upc.Ref{Thr: int32(n >> 32 & 0x3fff), Idx: int32(uint32(n))}
 }
 
-// loadSlot / storeSlot access a tree slot atomically.
-func loadSlot(p *NodeRef) NodeRef     { return NodeRef(atomic.LoadUint64((*uint64)(p))) }
-func storeSlot(p *NodeRef, v NodeRef) { atomic.StoreUint64((*uint64)(p), uint64(v)) }
-
 // Cell is one internal octree cell, stored in the distributed cells heap.
 // During phases that mutate cells concurrently (tree build, merge) the
-// Sub slots are accessed atomically and the aggregate fields under the
-// hashed cell lock, per the SPLASH2 protocol.
+// Sub slots are read without and written under the hashed cell lock, as
+// are the aggregate fields, per the SPLASH2 protocol.
 //
 // Field order is load-bearing: fine-grained remote reads copy byte
 // prefixes (see upc.Heap.GetBytes), so the fields the force walk's
@@ -75,7 +71,7 @@ type Cell struct {
 	Half float64
 	Cost float64 // subtree work estimate, for costzones
 	NSub int32   // bodies in subtree
-	Done uint32  // atomic flag: aggregates valid (L0-L3 c-of-m phase)
+	Done uint32  // flag: aggregates valid (L0-L3 c-of-m phase)
 
 	Center vec.V3
 	// DoneAt is the simulated time Done was set; a thread that observed

@@ -8,8 +8,8 @@ import (
 )
 
 // Property: NodeRef packing round-trips any (kind, thread, index) the
-// runtime can produce. Slot atomicity (the reason for the packing)
-// depends on this encoding being lossless.
+// runtime can produce. The one-word tree slot (the reason for the
+// packing) depends on this encoding being lossless.
 func TestQuickNodeRefRoundTrip(t *testing.T) {
 	f := func(thr uint16, idx uint32, body bool) bool {
 		r := upc.Ref{Thr: int32(thr % 0x4000), Idx: int32(idx & 0x7fffffff)}
@@ -36,9 +36,7 @@ func TestNilNode(t *testing.T) {
 	if !NilNode.IsNil() || NilNode.IsBody() || NilNode.IsCell() {
 		t.Error("NilNode misclassified")
 	}
-	var slot NodeRef
-	storeSlot(&slot, BodyRef(upc.Ref{Thr: 3, Idx: 99}))
-	got := loadSlot(&slot)
+	got := BodyRef(upc.Ref{Thr: 3, Idx: 99})
 	if !got.IsBody() || got.Ref() != (upc.Ref{Thr: 3, Idx: 99}) {
 		t.Errorf("slot round trip failed: %v", got.Ref())
 	}

@@ -186,11 +186,12 @@ type tstate struct {
 	// force_async.go), retained across steps: the §5.3+ local tree is
 	// rebuilt every step, and per-lnode/per-request heap allocation
 	// dominated the harness's GC load.
-	lna        lnodeArena
-	lnodeStack []*lnode
-	working    []*wbody
-	wbFree     []*wbody
-	reqFree    []*request
+	lna         lnodeArena
+	lnodeStack  []*lnode
+	working     []*wbody
+	outstanding []*request
+	wbFree      []*wbody
+	reqFree     []*request
 
 	// Counters (accumulated over measured steps).
 	inter        uint64
@@ -705,12 +706,12 @@ func (s *Sim) newCell(t *upc.Thread, st *tstate, center vec.V3, half float64) up
 }
 
 // boundingBox computes the new root geometry: a local pass over owned
-// bodies and a min/max reduction of the threads' boxes — two vector
-// all-reduces, or on the native flat path (whose step must not allocate)
-// a barrier after which every thread folds its peers' boxes itself; min
-// and max are exact, so both give the same cube. At LevelBaseline thread
-// 0 publishes it to the shared scalar; above, every thread keeps the
-// replicated copy.
+// bodies and a min/max reduction of the threads' boxes — two in-place
+// vector all-reduces of st.bbLo/st.bbHi, or on the native flat path
+// (which has no collectives) a barrier after which every thread folds
+// its peers' boxes itself; min and max are exact, so both give the same
+// cube. At LevelBaseline thread 0 publishes it to the shared scalar;
+// above, every thread keeps the replicated copy.
 func (s *Sim) boundingBox(t *upc.Thread, st *tstate) rootGeom {
 	lo := vec.V3{X: math.Inf(1), Y: math.Inf(1), Z: math.Inf(1)}
 	hi := lo.Scale(-1)
@@ -736,10 +737,10 @@ func (s *Sim) boundingBox(t *upc.Thread, st *tstate) rootGeom {
 			hi = hi.Max(vec.V3{X: o.bbHi[0], Y: o.bbHi[1], Z: o.bbHi[2]})
 		}
 	} else {
-		mins := upc.AllReduceVecF64(t, st.bbLo[:], upc.OpMin)
-		maxs := upc.AllReduceVecF64(t, st.bbHi[:], upc.OpMax)
-		lo = vec.V3{X: mins[0], Y: mins[1], Z: mins[2]}
-		hi = vec.V3{X: maxs[0], Y: maxs[1], Z: maxs[2]}
+		upc.AllReduceVecF64(t, st.bbLo[:], upc.OpMin)
+		upc.AllReduceVecF64(t, st.bbHi[:], upc.OpMax)
+		lo = vec.V3{X: st.bbLo[0], Y: st.bbLo[1], Z: st.bbLo[2]}
+		hi = vec.V3{X: st.bbHi[0], Y: st.bbHi[1], Z: st.bbHi[2]}
 	}
 	center, half := nbody.RootCell(lo, hi)
 	g := rootGeom{Center: center, Half: half}

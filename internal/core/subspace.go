@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"upcbh/internal/nbody"
 	"upcbh/internal/octree"
@@ -31,13 +32,18 @@ type subspaceState struct {
 	leaves   []int32   // leaf subspaces in DFS order
 
 	// Per-step scratch retained across steps so steady-state subspace
-	// stepping allocates (almost) nothing: the root body-index list, the
-	// per-level cost vector, the all-to-all send matrix, and the
-	// leaf-binning slots (first-appearance ordered; see the binning loop
-	// for why the order matters).
+	// stepping allocates nothing: the root body-index list, the division
+	// frontier, the per-level cost vector (reduced in place), the
+	// all-to-all send and receive matrices, and the leaf-binning slots
+	// (first-appearance ordered; see the binning loop for why the order
+	// matters). bodiesOf's entries keep their backing arrays too, past
+	// its length; slot 0, the root, aliases allBuf and is only ever
+	// reassigned, never appended to.
 	allBuf    []int32
+	frontier  []int32
 	costBuf   []float64
 	send      [][]nbody.Body
+	recv      [][]nbody.Body
 	leafSlot  map[int32]int32
 	leafOrder []int32
 	leafRows  [][]upc.Ref
@@ -55,8 +61,26 @@ func (ss *subspaceState) reset() {
 
 func (ss *subspaceState) addNode(n subsp) int32 {
 	ss.nodes = append(ss.nodes, n)
-	ss.bodiesOf = append(ss.bodiesOf, nil)
+	if k := len(ss.bodiesOf); k < cap(ss.bodiesOf) {
+		ss.bodiesOf = ss.bodiesOf[:k+1]
+		ss.bodiesOf[k] = ss.bodiesOf[k][:0]
+	} else {
+		ss.bodiesOf = append(ss.bodiesOf, nil)
+	}
 	return int32(len(ss.nodes) - 1)
+}
+
+// collectLeaves appends the leaf subspaces under idx to ss.leaves in
+// depth-first octant order.
+func (ss *subspaceState) collectLeaves(idx int32) {
+	n := &ss.nodes[idx]
+	if n.firstChild < 0 {
+		ss.leaves = append(ss.leaves, idx)
+		return
+	}
+	for oct := int32(0); oct < 8; oct++ {
+		ss.collectLeaves(n.firstChild + oct)
+	}
 }
 
 // stepSubspace runs the §6 tree construction (simulate only) in place of
@@ -82,9 +106,7 @@ func (s *Sim) stepSubspace(t *upc.Thread, st *tstate, ph *PhaseTimes, measured b
 	g := s.boundingBox(t, st)
 	ss.reset()
 	rootIdx := ss.addNode(subsp{center: g.Center, half: g.Half, parent: -1, firstChild: -1})
-	if cap(ss.allBuf) < len(st.myBodies) {
-		ss.allBuf = make([]int32, len(st.myBodies))
-	}
+	ss.allBuf = slices.Grow(ss.allBuf[:0], len(st.myBodies))
 	all := ss.allBuf[:len(st.myBodies)]
 	var rootCost float64
 	for i, br := range st.myBodies {
@@ -97,11 +119,12 @@ func (s *Sim) stepSubspace(t *upc.Thread, st *tstate, ph *PhaseTimes, measured b
 		t.Charge(s.par.LocalDerefCost)
 	}
 	ss.bodiesOf[rootIdx] = all
-	total := s.reduceCosts(t, []float64{rootCost})[0]
+	ss.costBuf = append(ss.costBuf[:0], rootCost)
+	total := s.reduceCosts(t, ss.costBuf)[0]
 	ss.nodes[rootIdx].cost = total
 	tau := s.o.SubspaceAlpha * total / float64(p)
 
-	frontier := []int32{rootIdx} // the root is always divided
+	frontier := append(ss.frontier[:0], rootIdx) // the root is always divided
 	depth := 0
 	for len(frontier) > 0 {
 		if depth++; depth > maxDepth {
@@ -123,15 +146,13 @@ func (s *Sim) stepSubspace(t *upc.Thread, st *tstate, ph *PhaseTimes, measured b
 				ss.bodiesOf[first+int32(oct)] = append(ss.bodiesOf[first+int32(oct)], bi)
 				t.Charge(s.par.TreeLevelCost)
 			}
-			ss.bodiesOf[fi] = nil
+			ss.bodiesOf[fi] = ss.bodiesOf[fi][:0]
 		}
 		// Reduce the new level's costs: one vector collective (§6), or
 		// one scalar collective per subspace when VectorReduce is off
 		// (the figure 10 pathology).
 		nNew := len(ss.nodes) - int(newStart)
-		if cap(ss.costBuf) < nNew {
-			ss.costBuf = make([]float64, nNew)
-		}
+		ss.costBuf = slices.Grow(ss.costBuf[:0], nNew)
 		local := ss.costBuf[:nNew]
 		for i := range local {
 			var c float64
@@ -154,6 +175,7 @@ func (s *Sim) stepSubspace(t *upc.Thread, st *tstate, ph *PhaseTimes, measured b
 			}
 		}
 	}
+	ss.frontier = frontier
 	ph[PhaseTree] += t.Now() - t0
 	comm(PhaseTree)
 	t.Barrier()
@@ -161,18 +183,7 @@ func (s *Sim) stepSubspace(t *upc.Thread, st *tstate, ph *PhaseTimes, measured b
 	// --- Partitioning: contiguous-leaf ownership -------------------------
 	t1 := t.Now()
 	ss.leaves = ss.leaves[:0]
-	var dfs func(idx int32)
-	dfs = func(idx int32) {
-		n := &ss.nodes[idx]
-		if n.firstChild < 0 {
-			ss.leaves = append(ss.leaves, idx)
-			return
-		}
-		for oct := int32(0); oct < 8; oct++ {
-			dfs(n.firstChild + oct)
-		}
-	}
-	dfs(rootIdx)
+	ss.collectLeaves(rootIdx)
 	prefix := 0.0
 	owner := int32(0)
 	for _, li := range ss.leaves {
@@ -206,7 +217,8 @@ func (s *Sim) stepSubspace(t *upc.Thread, st *tstate, ph *PhaseTimes, measured b
 
 	// --- Redistribution: all-to-all body exchange ------------------------
 	t2 := t.Now()
-	recv := upc.AllToAll(t, send)
+	recv := upc.AllToAll(t, send, ss.recv)
+	ss.recv = recv
 	count := 0
 	for _, r := range recv {
 		count += len(r)
@@ -326,7 +338,7 @@ func (s *Sim) stepSubspace(t *upc.Thread, st *tstate, ph *PhaseTimes, measured b
 		parent := &ss.nodes[leaf.parent]
 		pRef := upc.Ref{Thr: 0, Idx: base.Idx + parent.intIdx}
 		s.cells.TouchPut(t, pRef, bytesSlot)
-		storeSlot(&s.cells.Raw(pRef).Sub[leaf.oct], hook)
+		s.cells.Raw(pRef).Sub[leaf.oct] = hook
 	}
 	t.Barrier()
 
@@ -344,7 +356,7 @@ func (s *Sim) stepSubspace(t *upc.Thread, st *tstate, ph *PhaseTimes, measured b
 			var mass, cost float64
 			var cnt int32
 			for oct := int32(0); oct < 8; oct++ {
-				slot := loadSlot(&c.Sub[oct])
+				slot := c.Sub[oct]
 				switch {
 				case slot.IsNil():
 					continue
@@ -381,16 +393,15 @@ func (s *Sim) stepSubspace(t *upc.Thread, st *tstate, ph *PhaseTimes, measured b
 	t.Barrier()
 }
 
-// reduceCosts performs the per-level cost reduction: a single vector
-// reduce&broadcast when VectorReduce is on, or one scalar collective per
-// element when it is off.
+// reduceCosts performs the per-level cost reduction in place: a single
+// vector reduce&broadcast when VectorReduce is on, or one scalar
+// collective per element when it is off.
 func (s *Sim) reduceCosts(t *upc.Thread, local []float64) []float64 {
 	if s.o.VectorReduce {
 		return upc.AllReduceVecF64(t, local, upc.OpSum)
 	}
-	out := make([]float64, len(local))
 	for i, v := range local {
-		out[i] = upc.AllReduceF64(t, v, upc.OpSum)
+		local[i] = upc.AllReduceF64(t, v, upc.OpSum)
 	}
-	return out
+	return local
 }

@@ -180,7 +180,7 @@ func Run(o Options) (*Result, error) {
 				}
 				send[r] = collectLET(t, tree.Root, boxes[r], o.Theta, par, send[r])
 			}
-			recv := upc.AllToAll(t, send)
+			recv := upc.AllToAll(t, send, nil)
 			let := octree.New(center, half)
 			fars := make([]nbody.Body, 0, 1024)
 			for r, ps := range recv {
@@ -339,7 +339,7 @@ func sampleSort(t *upc.Thread, bodies []nbody.Body, center vec.V3, half float64,
 		send[dst] = append(send[dst], k.body)
 		t.Charge(par.LocalDerefCost * 4)
 	}
-	recv := upc.AllToAll(t, send)
+	recv := upc.AllToAll(t, send, nil)
 	out := make([]nbody.Body, 0, len(bodies))
 	for _, r := range recv {
 		out = append(out, r...)

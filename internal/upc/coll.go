@@ -1,5 +1,7 @@
 package upc
 
+import "unsafe"
+
 // The collectives are rendezvous of the cooperative scheduler
 // (sched.exchange): every thread deposits a value, the last arriver
 // combines them, and all leave with their clocks aligned to the slowest
@@ -35,57 +37,58 @@ func (op Op) apply(a, b float64) float64 {
 
 // AllReduceF64 is a scalar reduce&broadcast over all threads.
 func AllReduceF64(t *Thread, v float64, op Op) float64 {
-	s := t.rt.sim("AllReduceF64")
-	t.stats.Collectives++
-	cost := t.rt.mach.CollectiveCost(8)
-	if t.rt.n == 1 {
-		// Single-thread fast path: same charge as the rendezvous would
-		// align to (max-of-one clock plus cost), no interface boxing.
-		t.ChargeRaw(cost)
-		return v
-	}
-	res, clock := s.exchange(t, v, cost, func(slots []any) any {
-		acc := slots[0].(float64)
-		for _, s := range slots[1:] {
-			acc = op.apply(acc, s.(float64))
-		}
-		return acc
-	})
-	t.AdvanceTo(clock)
-	return res.(float64)
+	t.red1[0] = v
+	return allReduce(t, "AllReduceF64", t.red1[:], op)[0]
 }
 
 // AllReduceVecF64 is the vector reduce&broadcast the paper identifies as
 // critical for the subspace tree-building algorithm (§6): one collective
-// combines a whole level's worth of costs. The input slice is not
-// modified; all threads receive the same shared read-only result — a
-// fresh allocation with multiple threads, the input slice itself at
-// THREADS==1 (treat it as read-only either way).
+// combines a whole level's worth of costs. It reduces in place, as
+// MPI_Allreduce with MPI_IN_PLACE does: on return every thread's v holds
+// the elementwise result, and v is returned. Nothing is allocated.
 func AllReduceVecF64(t *Thread, v []float64, op Op) []float64 {
-	s := t.rt.sim("AllReduceVecF64")
+	return allReduce(t, "AllReduceVecF64", v, op)
+}
+
+func allReduce(t *Thread, name string, v []float64, op Op) []float64 {
+	s := t.rt.sim(name)
 	t.stats.Collectives++
 	cost := t.rt.mach.CollectiveCost(8 * len(v))
 	if t.rt.n == 1 {
+		// Single-thread fast path: same charge as the rendezvous would
+		// align to (max-of-one clock plus cost).
 		t.ChargeRaw(cost)
 		return v
 	}
-	res, clock := s.exchange(t, v, cost, func(slots []any) any {
-		first := slots[0].([]float64)
-		acc := make([]float64, len(first))
-		copy(acc, first)
-		for _, s := range slots[1:] {
-			sv := s.([]float64)
-			if len(sv) != len(acc) {
-				panic("upc: AllReduceVecF64 with mismatched lengths")
-			}
-			for i, x := range sv {
-				acc[i] = op.apply(acc[i], x)
-			}
-		}
-		return acc
+	t.red = v
+	_, clock := s.exchange(t, nil, cost, func([]any) any {
+		s.reduce(op)
+		return nil
 	})
 	t.AdvanceTo(clock)
-	return res.([]float64)
+	return v
+}
+
+// reduce is the resolver's half of allReduce: every thread is parked in
+// the epoch with its deposit in Thread.red, so the resolver folds them in
+// thread order into a retained accumulator and writes the result back
+// into each.
+func (s *sched) reduce(op Op) {
+	ths := s.rt.threads
+	acc := append(s.redAcc[:0], ths[0].red...)
+	for _, th := range ths[1:] {
+		if len(th.red) != len(acc) {
+			panic("upc: AllReduceVecF64 with mismatched lengths")
+		}
+		for i, x := range th.red {
+			acc[i] = op.apply(acc[i], x)
+		}
+	}
+	for _, th := range ths {
+		copy(th.red, acc)
+		th.red = nil
+	}
+	s.redAcc = acc
 }
 
 // Broadcast distributes root's value to all threads.
@@ -97,7 +100,13 @@ func Broadcast[T any](t *Thread, root int, v T) T {
 		t.ChargeRaw(cost)
 		return v
 	}
-	res, clock := s.exchange(t, v, cost, func(slots []any) any {
+	// Only the root's value travels, so only the root boxes it: at most
+	// one allocation per broadcast, none for a pointer-shaped T.
+	var dep any
+	if t.id == root {
+		dep = v
+	}
+	res, clock := s.exchange(t, dep, cost, func(slots []any) any {
 		return slots[root]
 	})
 	t.AdvanceTo(clock)
@@ -127,40 +136,47 @@ func AllGather[T any](t *Thread, v T) []T {
 
 // AllToAll performs a personalized exchange: send[j] is delivered to
 // thread j; the result's element j is what thread j sent to the caller.
-// Received slices alias the sender's buffers; callers must treat them as
-// read-only until the next collective, mirroring one-sided semantics.
+// The result is recv resliced to THREADS rows, or a fresh matrix if recv
+// is shorter: pass a retained buffer and steady-state exchanges allocate
+// nothing. Received rows alias the sender's buffers; callers must treat
+// them as read-only until the next collective, mirroring one-sided
+// semantics.
 //
 // Simulated cost: a synchronization to the slowest participant plus each
 // thread's own volume term (per-message overhead for its sends, transit
 // for its receives).
-func AllToAll[T any](t *Thread, send [][]T) [][]T {
+func AllToAll[T any](t *Thread, send, recv [][]T) [][]T {
 	s := t.rt.sim("AllToAll")
 	if len(send) != t.rt.n {
 		panic("upc: AllToAll send matrix must have THREADS rows")
 	}
 	t.stats.Collectives++
+	if cap(recv) < t.rt.n {
+		recv = make([][]T, t.rt.n)
+	}
+	recv = recv[:t.rt.n]
 	if t.rt.n == 1 {
 		// Same charge as the general path degenerates to at one thread:
 		// no messages, no volume, the two latency terms.
 		t.ChargeRaw(2 * t.rt.mach.Par.Latency)
-		return [][]T{send[0]}
+		recv[0] = send[0]
+		return recv
 	}
-	res, clock := s.exchange(t, send, 0, func(slots []any) any {
-		out := make([][][]T, len(slots))
-		for i, s := range slots {
-			out[i] = s.([][]T)
-		}
-		return out
+	// Each thread deposits a pointer to its send rows (pointer-shaped, so
+	// boxing it allocates nothing), and the resolver keeps the deposits in
+	// s.a2a. No later AllToAll can overwrite them before this thread has
+	// read its column below: resolving one takes this thread's deposit.
+	_, clock := s.exchange(t, unsafe.SliceData(send), 0, func(slots []any) any {
+		s.a2a = append(s.a2a[:0], slots...)
+		return nil
 	})
 	t.AdvanceTo(clock)
-	matrix := res.([][][]T)
 	var zero T
 	elem := intSizeof(zero)
 	m := t.rt.mach
-	recv := make([][]T, t.rt.n)
 	sentBytes, recvBytes, nmsg := 0, 0, 0
 	for j := 0; j < t.rt.n; j++ {
-		recv[j] = matrix[j][t.id]
+		recv[j] = unsafe.Slice(s.a2a[j].(*[]T), t.rt.n)[t.id]
 		if j != t.id {
 			if len(send[j]) > 0 {
 				sentBytes += len(send[j]) * elem

@@ -2,6 +2,7 @@ package upc
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -71,41 +72,6 @@ func TestNativeNowMonotonic(t *testing.T) {
 	})
 }
 
-// TestNativeHeapTransfers: data movement is mode-independent — remote
-// gets, puts, and gathers must move real bytes in ModeNative.
-func TestNativeHeapTransfers(t *testing.T) {
-	const p = 4
-	rt := nativeRuntime(p)
-	h := NewHeap[int](rt, 1024)
-	rt.Run(func(th *Thread) {
-		r := h.Alloc(th, 1)
-		h.Put(th, r, 100+th.ID())
-		th.Barrier()
-		// Read every peer's value remotely.
-		for i := 0; i < p; i++ {
-			if got := h.Get(th, Ref{Thr: int32(i), Idx: 0}); got != 100+i {
-				t.Errorf("thread %d: Get(%d) = %d, want %d", th.ID(), i, got, 100+i)
-			}
-		}
-		// Gather them all at once.
-		refs := make([]Ref, p)
-		for i := range refs {
-			refs[i] = Ref{Thr: int32(i), Idx: 0}
-		}
-		dst := make([]int, p)
-		hd := h.GatherAsync(th, refs, dst)
-		if !th.TrySync(hd) {
-			t.Errorf("thread %d: native TrySync should complete immediately", th.ID())
-		}
-		th.WaitSync(hd)
-		for i, v := range dst {
-			if v != 100+i {
-				t.Errorf("thread %d: gather[%d] = %d, want %d", th.ID(), i, v, 100+i)
-			}
-		}
-	})
-}
-
 // TestNewLockArrayAllocs pins what a session's lock array costs to
 // create: the LockArray and one slab of locks, nothing per lock.
 func TestNewLockArrayAllocs(t *testing.T) {
@@ -120,13 +86,28 @@ func TestNewLockArrayAllocs(t *testing.T) {
 	}
 }
 
-// TestNativeRejectsSimulateOnlyOps: locks, collectives and spin-waits
-// exist only under the cooperative scheduler. On a native runtime each
+// TestNewHeapFootprint pins what a heap costs to create: its shard
+// headers, O(threads) bytes. Chunk tables start empty and grow with their
+// shard, so no shard pays for maxChunks entries it may never reach.
+func TestNewHeapFootprint(t *testing.T) {
+	rt := testRuntime(112)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	h := NewHeap[[64]byte](rt, 1024)
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 64<<10 {
+		t.Errorf("NewHeap on %d threads allocated %d bytes, want <= 64 KiB", rt.Threads(), got)
+	}
+	runtime.KeepAlive(h)
+}
+
+// TestNativeRejectsSimulateOnlyOps: heaps, locks, collectives and
+// spin-waits exist only under the cooperative scheduler. On a native runtime each
 // panics with the documented message — and inside a multi-thread Run that
 // panic poisons the runtime, so the peers parked in the barrier abort and
 // Run re-raises it instead of hanging.
 func TestNativeRejectsSimulateOnlyOps(t *testing.T) {
-	const want = "on a ModeNative runtime: locks, collectives and spin-waits exist only under ModeSimulate"
+	const want = "on a ModeNative runtime: heaps, locks, collectives and spin-waits exist only under ModeSimulate"
 	raised := func(f func()) (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
 		f()
@@ -134,6 +115,7 @@ func TestNativeRejectsSimulateOnlyOps(t *testing.T) {
 	}
 	rt := nativeRuntime(4)
 	for op, f := range map[string]func(){
+		"NewHeap":      func() { NewHeap[int](rt, 1024) },
 		"NewLock":      func() { rt.NewLock(0) },
 		"NewLockArray": func() { rt.NewLockArray(0) },
 	} {
@@ -146,7 +128,7 @@ func TestNativeRejectsSimulateOnlyOps(t *testing.T) {
 		"AllReduceVecF64": func(th *Thread) { AllReduceVecF64(th, []float64{1}, OpMax) },
 		"Broadcast":       func(th *Thread) { Broadcast(th, 0, th.ID()) },
 		"AllGather":       func(th *Thread) { AllGather(th, th.ID()) },
-		"AllToAll":        func(th *Thread) { AllToAll(th, make([][]int, th.P())) },
+		"AllToAll":        func(th *Thread) { AllToAll(th, make([][]int, th.P()), nil) },
 		"SpinYield":       func(th *Thread) { th.SpinYield() },
 		"BlockOn":         func(th *Thread) { th.BlockOn(func() bool { return true }) },
 	} {

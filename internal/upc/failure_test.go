@@ -66,7 +66,7 @@ func TestAllToAllWrongRowsPanics(t *testing.T) {
 	rt := testRuntime(2)
 	expectPanic(t, "THREADS rows", func() {
 		rt.Run(func(th *Thread) {
-			AllToAll(th, make([][]int, 1))
+			AllToAll(th, make([][]int, 1), nil)
 		})
 	})
 }

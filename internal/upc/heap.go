@@ -4,29 +4,28 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
-// heapPools recycles shard storage across runtimes: the experiment
+// chunkPools recycles chunk backings across runtimes: the experiment
 // harness builds one Runtime per configuration, and allocating (and,
-// above all, zeroing) megabytes of chunk backing and chunk-table memory
-// per simulation dominated the harness's allocation profile. Pools are
-// keyed by element type and chunk geometry; see Heap.SetRecycle for the
-// (non-zeroed!) reuse contract.
-var heapPools sync.Map // heapPoolKey -> *sync.Pool
+// above all, zeroing) megabytes of chunk backing per simulation
+// dominated the harness's allocation profile. Pools are keyed by element
+// type and chunk geometry; see Heap.SetRecycle for the (non-zeroed!)
+// reuse contract.
+var chunkPools sync.Map // chunkPoolKey -> *sync.Pool
 
-type heapPoolKey struct {
-	typ   reflect.Type
-	table bool // chunk tables vs chunk backings
-	els   int  // elements per chunk (backings only)
+type chunkPoolKey struct {
+	typ reflect.Type
+	els int // elements per chunk
 }
 
-func heapPool(key heapPoolKey) *sync.Pool {
-	if p, ok := heapPools.Load(key); ok {
+func chunkPool[T any](els int) *sync.Pool {
+	key := chunkPoolKey{typ: reflect.TypeFor[T](), els: els}
+	if p, ok := chunkPools.Load(key); ok {
 		return p.(*sync.Pool)
 	}
-	p, _ := heapPools.LoadOrStore(key, &sync.Pool{})
+	p, _ := chunkPools.LoadOrStore(key, &sync.Pool{})
 	return p.(*sync.Pool)
 }
 
@@ -51,15 +50,18 @@ func (r Ref) String() string {
 	return fmt.Sprintf("ref(%d:%d)", r.Thr, r.Idx)
 }
 
+// maxChunks bounds a shard's chunk count: an Alloc or GrowShard that
+// would reach chunk maxChunks exhausts the shard.
 const maxChunks = 1 << 14
 
 // Heap is a distributed array of T: each thread owns a shard in its local
 // shared memory, grown by Alloc. Elements are addressed by Ref and
 // accessed through cost-charged operations. The backing storage is
 // chunked so raw pointers obtained via Local remain valid across later
-// allocations.
+// allocations. Heaps exist only under ModeSimulate, where one thread runs
+// at a time: chunk tables are plain slices that the scheduler's baton
+// orders (DESIGN.md §9).
 type Heap[T any] struct {
-	rt        *Runtime
 	elemSize  int
 	chunkSize int32
 	shift     uint
@@ -68,14 +70,19 @@ type Heap[T any] struct {
 }
 
 type heapShard[T any] struct {
-	table []atomic.Pointer[[]T] // chunk table; entries published atomically
-	n     int32                 // allocated elements; written only by the owner
-	_     [6]uint64             // keep owners off each other's cache lines
+	// table holds the shard's chunks, every entry non-nil: it starts
+	// empty and Alloc and GrowShard append up to the highest chunk they
+	// reach, so a shard pays for the chunks it uses and nothing per
+	// possible chunk.
+	table []*[]T
+	n     int32 // allocated elements
 }
 
 // NewHeap creates a heap over rt whose shards grow in chunks of
-// chunkSize elements (rounded up to a power of two, min 1024).
+// chunkSize elements (rounded up to a power of two, min 1024). It panics
+// on a native runtime (Runtime.sim).
 func NewHeap[T any](rt *Runtime, chunkSize int) *Heap[T] {
+	rt.sim("NewHeap")
 	cs := int32(1024)
 	var shift uint = 10
 	for int(cs) < chunkSize {
@@ -83,25 +90,12 @@ func NewHeap[T any](rt *Runtime, chunkSize int) *Heap[T] {
 		shift++
 	}
 	var zero T
-	h := &Heap[T]{
-		rt:        rt,
+	return &Heap[T]{
 		elemSize:  int(unsafe.Sizeof(zero)),
 		chunkSize: cs,
 		shift:     shift,
 		shards:    make([]heapShard[T], rt.Threads()),
 	}
-	tp := heapPool(heapPoolKey{typ: reflect.TypeFor[T](), table: true})
-	for i := range h.shards {
-		// Chunk tables are recycled unconditionally: Release nils the
-		// entries it harvests, so a pooled table is indistinguishable
-		// from a fresh one.
-		if v := tp.Get(); v != nil {
-			h.shards[i].table = *v.(*[]atomic.Pointer[[]T])
-		} else {
-			h.shards[i].table = make([]atomic.Pointer[[]T], maxChunks)
-		}
-	}
-	return h
 }
 
 // SetRecycle opts the heap into cross-runtime chunk recycling: Release
@@ -112,29 +106,20 @@ func NewHeap[T any](rt *Runtime, chunkSize int) *Heap[T] {
 // in), because Alloc's usual zeroed-memory guarantee no longer holds.
 func (h *Heap[T]) SetRecycle() { h.recycle = true }
 
-// Release returns the heap's storage to the process-wide recycling
-// pools (chunk backings only if SetRecycle was called). The heap must
-// not be used afterwards; data previously copied out (e.g. a collected
-// Result) is unaffected.
+// Release drops the heap's chunks, returning them to the process-wide
+// recycling pool if SetRecycle was called. The heap must not be used
+// afterwards; data previously copied out (e.g. a collected Result) is
+// unaffected.
 func (h *Heap[T]) Release() {
-	typ := reflect.TypeFor[T]()
-	cp := heapPool(heapPoolKey{typ: typ, els: int(h.chunkSize)})
-	tp := heapPool(heapPoolKey{typ: typ, table: true})
 	for i := range h.shards {
 		sh := &h.shards[i]
-		for j := 0; j < maxChunks; j++ {
-			c := sh.table[j].Load()
-			if c == nil {
-				break
-			}
-			sh.table[j].Store(nil)
-			if h.recycle {
-				cp.Put(c)
+		if h.recycle {
+			p := chunkPool[T](int(h.chunkSize))
+			for _, c := range sh.table {
+				p.Put(c)
 			}
 		}
-		tbl := sh.table
 		sh.table = nil
-		tp.Put(&tbl)
 	}
 }
 
@@ -160,41 +145,40 @@ func (h *Heap[T]) Alloc(t *Thread, count int) Ref {
 	if off := start & mask; off != 0 && off+int32(count) > h.chunkSize {
 		start = start - off + h.chunkSize // skip to a chunk boundary
 	}
-	first := int(start >> h.shift)
 	last := int((start + int32(count) - 1) >> h.shift)
 	if last >= maxChunks {
 		panic("upc: heap shard exhausted")
 	}
-	if sh.table[last].Load() == nil {
-		firstMissing := first
-		for firstMissing <= last && sh.table[firstMissing].Load() != nil {
-			firstMissing++
-		}
-		nchunks := last - firstMissing + 1
-		cs := int(h.chunkSize)
-		if h.recycle && nchunks == 1 {
-			// Recycled chunk if one is pooled (NOT re-zeroed — see
-			// SetRecycle), else a fresh zeroed one.
-			p := heapPool(heapPoolKey{typ: reflect.TypeFor[T](), els: cs})
-			if v := p.Get(); v != nil {
-				sh.table[last].Store(v.(*[]T))
-			} else {
-				c := make([]T, cs)
-				sh.table[last].Store(&c)
-			}
-		} else {
-			// Allocate all missing chunks in one backing array so large
-			// allocations are physically contiguous too. Caps are bounded
-			// per chunk so Release can pool each independently.
-			backing := make([]T, nchunks*cs)
-			for k := 0; k < nchunks; k++ {
-				c := backing[k*cs : (k+1)*cs : (k+1)*cs]
-				sh.table[firstMissing+k].Store(&c)
-			}
-		}
-	}
+	h.growTable(sh, last)
 	sh.n = start + int32(count)
 	return Ref{Thr: int32(t.id), Idx: start}
+}
+
+// growTable extends sh's chunk table to cover chunk last. The table is
+// dense (the shard's elements, and any chunk-boundary skip, never pass
+// its end), so the missing chunks are exactly those from len(table) on.
+func (h *Heap[T]) growTable(sh *heapShard[T], last int) {
+	missing := last + 1 - len(sh.table)
+	if missing <= 0 {
+		return
+	}
+	cs := int(h.chunkSize)
+	if h.recycle && missing == 1 {
+		// Recycled chunk if one is pooled (NOT re-zeroed — see
+		// SetRecycle), else a fresh zeroed one.
+		if v := chunkPool[T](cs).Get(); v != nil {
+			sh.table = append(sh.table, v.(*[]T))
+			return
+		}
+	}
+	// Allocate all missing chunks in one backing array so large
+	// allocations are physically contiguous too. Caps are bounded per
+	// chunk so Release can pool each independently.
+	backing := make([]T, missing*cs)
+	for k := 0; k < missing; k++ {
+		c := backing[k*cs : (k+1)*cs : (k+1)*cs]
+		sh.table = append(sh.table, &c)
+	}
 }
 
 // Reset discards all elements of t's own shard (retaining memory). Any
@@ -205,7 +189,7 @@ func (h *Heap[T]) Reset(t *Thread) { h.shards[t.id].n = 0 }
 
 // ptr returns the raw address of the element; no cost, no checks.
 func (h *Heap[T]) ptr(thr, idx int32) *T {
-	c := h.shards[thr].table[idx>>h.shift].Load()
+	c := h.shards[thr].table[idx>>h.shift]
 	return &(*c)[idx&(h.chunkSize-1)]
 }
 
@@ -330,7 +314,7 @@ func (h *Heap[T]) LocalSlice(t *Thread, r Ref, n int) []T {
 	if first != last {
 		panic("upc: LocalSlice range spans chunks; allocate a larger chunkSize")
 	}
-	c := h.shards[r.Thr].table[first].Load()
+	c := h.shards[r.Thr].table[first]
 	off := r.Idx & (h.chunkSize - 1)
 	return (*c)[off : off+int32(n)]
 }
@@ -348,9 +332,8 @@ func (h *Heap[T]) OneChunk(idx int32, n int) bool {
 }
 
 // Raw returns the element's address regardless of affinity, charging
-// nothing. It exists for flag protocols that need atomics (spin-waiting
-// on a cell's Done flag) and for emulation internals; callers are
-// responsible for charging the corresponding simulated cost via Touch.
+// nothing. It exists for flag protocols (spin-waiting on a cell's Done
+// flag) and for emulation internals; callers are responsible for charging the corresponding simulated cost via Touch.
 func (h *Heap[T]) Raw(r Ref) *T {
 	if r.IsNil() {
 		panic("upc: Raw of nil pointer-to-shared")
@@ -370,7 +353,7 @@ func (h *Heap[T]) TouchPut(t *Thread, r Ref, bytes int) { h.chargePut(t, r, byte
 // dst[i]. Elements with the same source thread travel in one aggregated
 // message. dst must be at least as long as refs.
 func (h *Heap[T]) Gather(t *Thread, refs []Ref, dst []T) {
-	hd := h.gather(t, refs, dst, h.elemSize) // by value: a blocking gather allocates nothing
+	hd := h.GatherAsync(t, refs, dst)
 	t.WaitSync(&hd)
 }
 
@@ -387,19 +370,15 @@ type Handle struct {
 // GatherAsync is bupc_memget_vlist_async: a non-blocking gather from
 // possibly many source threads. The sender is charged the per-message
 // overheads immediately; the handle completes when the slowest source's
-// reply would arrive.
-func (h *Heap[T]) GatherAsync(t *Thread, refs []Ref, dst []T) *Handle {
+// reply would arrive. The Handle is a value, so a gather allocates
+// nothing.
+func (h *Heap[T]) GatherAsync(t *Thread, refs []Ref, dst []T) Handle {
 	return h.GatherAsyncBytes(t, refs, dst, h.elemSize)
 }
 
 // GatherAsyncBytes is GatherAsync fetching only the leading bytesPer
 // bytes of each element (see GetBytes for the prefix semantics).
-func (h *Heap[T]) GatherAsyncBytes(t *Thread, refs []Ref, dst []T, bytesPer int) *Handle {
-	hd := h.gather(t, refs, dst, bytesPer)
-	return &hd
-}
-
-func (h *Heap[T]) gather(t *Thread, refs []Ref, dst []T, bytesPer int) Handle {
+func (h *Heap[T]) GatherAsyncBytes(t *Thread, refs []Ref, dst []T, bytesPer int) Handle {
 	if len(dst) < len(refs) {
 		panic("upc: GatherAsync destination shorter than reference list")
 	}
@@ -432,12 +411,7 @@ func (h *Heap[T]) gather(t *Thread, refs []Ref, dst []T, bytesPer int) Handle {
 		}
 	}
 	t.gatherGroups = groups
-	// CompleteAt only matters under simulation (native handles are done
-	// at issue); skip the clock reads in the async-force hot path.
-	complete := 0.0
-	if !t.rt.native {
-		complete = t.clock
-	}
+	complete := t.clock
 	nsrc := 0
 	for _, g := range groups {
 		bytes := int(g.count) * bytesPer
@@ -445,9 +419,6 @@ func (h *Heap[T]) gather(t *Thread, refs []Ref, dst []T, bytesPer int) Handle {
 			nsrc++
 			t.stats.Msgs++
 			t.stats.Bytes += uint64(bytes)
-		}
-		if t.rt.native {
-			continue
 		}
 		if done := t.gatherFrom(int(g.thr), bytes); done > complete {
 			complete = done
@@ -462,21 +433,17 @@ func (h *Heap[T]) gather(t *Thread, refs []Ref, dst []T, bytesPer int) Handle {
 	return Handle{CompleteAt: complete, Refs: len(refs), Sources: nsrc}
 }
 
-// WaitSync is bupc_waitsync: block until the handle completes. (The data
-// is staged at issue, so in ModeNative this returns immediately; in
-// ModeSimulate it aligns the clock to the completion event.)
+// WaitSync is bupc_waitsync: block until the handle completes. The data
+// is staged at issue, so this only aligns the clock to the completion
+// event.
 func (t *Thread) WaitSync(h *Handle) {
 	t.AdvanceTo(h.CompleteAt)
 }
 
 // TrySync is bupc_trysync: poll the handle; reports whether it has
 // completed by the thread's current time. Each poll costs a small
-// runtime-progress charge under simulation; a native handle is complete
-// at issue.
+// runtime-progress charge.
 func (t *Thread) TrySync(h *Handle) bool {
-	if t.rt.native {
-		return true
-	}
 	t.clock += t.rt.mach.Par.LocalDerefCost * 50
 	return t.clock >= h.CompleteAt
 }

@@ -47,7 +47,7 @@ type Runtime struct {
 	n    int
 	// native is the backend: every timing decision — the clock ops and
 	// message accounting that run millions of times per phase, and the
-	// handful that do not (Now, Barrier, TrySync, ResetClocks) — is one
+	// handful that do not (Now, Barrier, ResetClocks) — is one
 	// predictable branch on it. cpuFactor caches mach.Compute's
 	// threaded-runtime multiplier (1 for process runtimes — multiplying
 	// by exactly 1.0 is a bit-exact no-op) so Charge is a single fused
@@ -130,7 +130,7 @@ func NewRuntimeMode(mach *machine.Machine, mode ExecMode) *Runtime {
 // abort instead of waiting for a rendezvous that cannot happen.
 func (rt *Runtime) sim(op string) *sched {
 	if rt.native {
-		panic("upc: " + op + " on a ModeNative runtime: locks, collectives and spin-waits exist only under ModeSimulate")
+		panic("upc: " + op + " on a ModeNative runtime: heaps, locks, collectives and spin-waits exist only under ModeSimulate")
 	}
 	return rt.coop
 }
@@ -313,6 +313,12 @@ type Thread struct {
 	// GatherAsyncBytes, retained so steady-state gathers allocate
 	// nothing. Owned by the thread.
 	gatherGroups []gatherGroup
+
+	// red is the thread's deposit in the reduction in flight (coll.go's
+	// allReduce), which the resolver reads and overwrites with the
+	// result; red1 backs AllReduceF64's one-element vector.
+	red  []float64
+	red1 [1]float64
 }
 
 // gatherGroup is one source thread's share of an aggregated gather.

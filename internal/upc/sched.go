@@ -75,6 +75,12 @@ type sched struct {
 	collResult   any
 	collResolved float64
 
+	// Retained scratch of the allocation-free collectives (coll.go): the
+	// reduction accumulator, and the last resolved AllToAll's deposits,
+	// which its participants read after they return.
+	redAcc []float64
+	a2a    []any
+
 	// Session step gate (session.go): the active session, the number of
 	// threads parked at the gate this pause, and the first arriver — the
 	// thread that held the baton when the pause began, which gets it

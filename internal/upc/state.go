@@ -2,7 +2,6 @@ package upc
 
 import (
 	"fmt"
-	"reflect"
 	"unsafe"
 )
 
@@ -104,7 +103,7 @@ func (h *Heap[T]) CaptureShard(thr int, buf []byte) []byte {
 		if end > sh.n {
 			end = sh.n
 		}
-		c := sh.table[start>>h.shift].Load()
+		c := sh.table[start>>h.shift]
 		b := unsafe.Slice((*byte)(unsafe.Pointer(&(*c)[0])), int(cs)*h.elemSize)
 		buf = append(buf, b[:int(end-start)*h.elemSize]...)
 	}
@@ -127,7 +126,7 @@ func (h *Heap[T]) RestoreShard(thr int, data []byte) error {
 		if end > sh.n {
 			end = sh.n
 		}
-		c := sh.table[start>>h.shift].Load()
+		c := sh.table[start>>h.shift]
 		b := unsafe.Slice((*byte)(unsafe.Pointer(&(*c)[0])), int(cs)*h.elemSize)
 		copy(b[:int(end-start)*h.elemSize], data[int(start)*h.elemSize:])
 	}
@@ -154,21 +153,7 @@ func (h *Heap[T]) GrowShard(thr int, n int32) error {
 	if last >= maxChunks {
 		return fmt.Errorf("upc: GrowShard to %d elements exceeds shard capacity", n)
 	}
-	cs := int(h.chunkSize)
-	p := heapPool(heapPoolKey{typ: reflect.TypeFor[T](), els: cs})
-	for j := 0; j <= last; j++ {
-		if sh.table[j].Load() != nil {
-			continue
-		}
-		if h.recycle {
-			if v := p.Get(); v != nil {
-				sh.table[j].Store(v.(*[]T))
-				continue
-			}
-		}
-		c := make([]T, cs)
-		sh.table[j].Store(&c)
-	}
+	h.growTable(sh, last)
 	sh.n = n
 	return nil
 }

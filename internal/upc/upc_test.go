@@ -197,16 +197,16 @@ func TestGatherAsyncOverlap(t *testing.T) {
 		}
 		dst := make([]float64, 1)
 		hd := h.GatherAsync(th, []Ref{{1, 0}}, dst)
-		if th.TrySync(hd) {
+		if th.TrySync(&hd) {
 			t.Error("gather complete immediately after issue")
 		}
 		// Overlap: local compute advances the clock past completion.
 		th.ChargeRaw(1) // 1 simulated second, far beyond the transfer
-		if !th.TrySync(hd) {
+		if !th.TrySync(&hd) {
 			t.Error("gather not complete after long local work")
 		}
 		before := th.Now()
-		th.WaitSync(hd)
+		th.WaitSync(&hd)
 		if th.Now() != before {
 			t.Error("WaitSync advanced the clock past an already-complete handle")
 		}
@@ -277,9 +277,13 @@ func TestCollectives(t *testing.T) {
 		if got := AllReduceF64(th, me, OpMin); got != 0 {
 			t.Errorf("min = %v", got)
 		}
-		vecOut := AllReduceVecF64(th, []float64{me, 1, -me}, OpSum)
+		vecIn := []float64{me, 1, -me}
+		vecOut := AllReduceVecF64(th, vecIn, OpSum)
 		if vecOut[0] != 15 || vecOut[1] != 6 || vecOut[2] != -15 {
 			t.Errorf("vector reduce = %v", vecOut)
+		}
+		if &vecOut[0] != &vecIn[0] {
+			t.Error("vector reduce did not reduce in place")
 		}
 		if got := Broadcast(th, 3, th.ID()*10); got != 30 {
 			t.Errorf("broadcast = %v", got)
@@ -316,17 +320,26 @@ func TestVectorReduceCheaperThanScalars(t *testing.T) {
 	}
 }
 
+// TestAllToAll: two rounds, the second into the first's retained
+// receive matrix, each delivering exactly what the peers sent that round.
 func TestAllToAll(t *testing.T) {
 	rt := testRuntime(4)
 	rt.Run(func(th *Thread) {
-		send := make([][]int, 4)
-		for j := range send {
-			send[j] = []int{th.ID()*10 + j}
-		}
-		recv := AllToAll(th, send)
-		for j := range recv {
-			if len(recv[j]) != 1 || recv[j][0] != j*10+th.ID() {
-				t.Errorf("recv[%d] = %v", j, recv[j])
+		var recv [][]int
+		for round := 0; round < 2; round++ {
+			send := make([][]int, 4)
+			for j := range send {
+				send[j] = []int{round*100 + th.ID()*10 + j}
+			}
+			prev := recv
+			recv = AllToAll(th, send, recv)
+			if prev != nil && &recv[0] != &prev[0] {
+				t.Error("AllToAll did not reuse the receive matrix")
+			}
+			for j := range recv {
+				if len(recv[j]) != 1 || recv[j][0] != round*100+j*10+th.ID() {
+					t.Errorf("round %d: recv[%d] = %v", round, j, recv[j])
+				}
 			}
 		}
 	})
