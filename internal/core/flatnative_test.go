@@ -184,6 +184,28 @@ func testSteadyStateZeroAlloc(t *testing.T, threads int) {
 	}
 }
 
+// TestNativeChargesNothing pins why the runtime's clock ops have no
+// native arm: the native engine never charges, so after steps on
+// several threads every simulated clock still reads zero.
+func TestNativeChargesNothing(t *testing.T) {
+	opts := DefaultOptions(512, 3, LevelSubspace)
+	opts.ExecMode = ModeNative
+	opts.Steps = 5
+	sim, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Release()
+	if err := sim.Step(5); err != nil {
+		t.Fatal(err)
+	}
+	for i, th := range sim.rt.CaptureState().Threads {
+		if th.Clock != 0 {
+			t.Errorf("thread %d: native clock %g after 5 steps, want 0", i, th.Clock)
+		}
+	}
+}
+
 // TestNativeSimHoldsNoPointerTree: native means the flat path, so a
 // native Sim builds none of the simulator's shared state — no body heap
 // (its bodies live in the tree), no cells heap (a 16 384-entry chunk

@@ -8,12 +8,11 @@ import (
 // ExecMode selects the execution backend of a Runtime: how operations are
 // timed, what Thread.Now means, and how much of the runtime exists. The
 // simulate backend is the whole emulated UPC runtime. The native backend
-// is the subset a program with no remote accesses uses: SPMD launch and
-// the session step gate (Run, Start/NextStep/Resume), Barrier, Now,
-// Stats, poisoning, and the shared heap as plain host memory (Alloc,
-// Local/LocalSlice/Raw, Get/Put/Gather as uncharged copies, the chunk
-// source). Locks, collectives, SpinYield and BlockOn belong to the
-// cooperative scheduler and panic on a native runtime (Runtime.sim).
+// is the subset a program with no communication uses: SPMD launch and
+// the session step gate (Run, Start/NextStep/Resume/Finish), Barrier,
+// Now, Stats and poisoning. Shared heaps, scalars, locks, collectives,
+// messages, SpinYield and BlockOn panic on a native runtime
+// (Runtime.sim).
 type ExecMode int
 
 const (
@@ -23,8 +22,8 @@ const (
 	// on the modelled machine.
 	ModeSimulate ExecMode = iota
 	// ModeNative skips simulated-time accounting entirely: threads run as
-	// plain goroutines meeting at real barriers, cost charges are no-ops,
-	// outstanding handles are complete at issue, and Thread.Now returns
+	// plain goroutines meeting at real barriers, cost charges do not
+	// affect time, and Thread.Now returns
 	// measured wall-clock seconds since the runtime (or clock-reset)
 	// epoch — so phase timings in the harness become real measured times
 	// on the host hardware.

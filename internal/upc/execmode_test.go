@@ -118,6 +118,7 @@ func TestNativeRejectsSimulateOnlyOps(t *testing.T) {
 		"NewHeap":      func() { NewHeap[int](rt, 1024) },
 		"NewLock":      func() { rt.NewLock(0) },
 		"NewLockArray": func() { rt.NewLockArray(0) },
+		"NewScalar":    func() { NewScalar(rt, 1.0) },
 	} {
 		if msg := raised(f); !strings.Contains(msg, "upc: "+op+" "+want) {
 			t.Errorf("%s on a native runtime raised %q", op, msg)
@@ -131,6 +132,7 @@ func TestNativeRejectsSimulateOnlyOps(t *testing.T) {
 		"AllToAll":        func(th *Thread) { AllToAll(th, make([][]int, th.P()), nil) },
 		"SpinYield":       func(th *Thread) { th.SpinYield() },
 		"BlockOn":         func(th *Thread) { th.BlockOn(func() bool { return true }) },
+		"SendEvent":       func(th *Thread) { th.SendEvent(0, 8) },
 	} {
 		rt := nativeRuntime(4)
 		msg := raised(func() {

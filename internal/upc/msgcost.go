@@ -50,15 +50,11 @@ func (t *Thread) msgCost(peer, bytes int) machine.MsgCost {
 }
 
 // remoteRoundTrip accounts a blocking one-sided transfer of `bytes`
-// between t and thread `target` (the data copy happens in the caller):
-// the stats are counted in every mode, the clock and the target's NIC
-// only under simulation.
+// between t and thread `target` (the data copy happens in the caller).
+// Only heaps and scalars call it, and both are simulate-only.
 func (t *Thread) remoteRoundTrip(target, bytes int) {
 	t.stats.Msgs++
 	t.stats.Bytes += uint64(bytes)
-	if t.rt.native {
-		return
-	}
 	mc := t.msgCost(target, bytes)
 	// Request reaches the target, queues at its NIC, then the reply
 	// transits back.
@@ -69,15 +65,12 @@ func (t *Thread) remoteRoundTrip(target, bytes int) {
 
 // SendEvent charges the sender side of a one-way message of `bytes` to
 // thread `to` and returns the time the data is fully received (after
-// queueing at the target NIC; the current wall-clock time in
-// ModeNative). It is the primitive the MPI emulation layers its
-// two-sided Send/Recv on.
+// queueing at the target NIC). It is the primitive the MPI emulation
+// layers its two-sided Send/Recv on. Simulate only (Runtime.sim).
 func (t *Thread) SendEvent(to, bytes int) float64 {
+	t.rt.sim("SendEvent")
 	t.stats.Msgs++
 	t.stats.Bytes += uint64(bytes)
-	if t.rt.native {
-		return t.Now()
-	}
 	c := t.msgCost(to, bytes)
 	t.clock += c.SenderBusy
 	arrive := t.clock + c.Transit

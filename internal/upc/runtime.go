@@ -22,7 +22,8 @@
 // accesses to the same shared location are only meaningful when the
 // application synchronizes them (locks, barriers, flag protocols). The
 // Barnes-Hut code follows the paper's phase discipline; flags that are
-// genuinely polled across threads are accessed with atomics.
+// polled across threads are plain loads and stores, ordered by the
+// cooperative scheduler's baton (only the simulate backend has them).
 package upc
 
 import (
@@ -36,8 +37,9 @@ import (
 )
 
 // Runtime is one emulated UPC job: a fixed number of SPMD threads over a
-// machine model. A Runtime may execute many Run invocations; heaps, locks
-// and scalars created against it persist across them.
+// machine model. A Runtime may execute many Run invocations and sessions,
+// one at a time; heaps, locks and scalars created against it persist
+// across them.
 //
 // The execution backend (ExecMode) is fixed at construction: ModeSimulate
 // charges every operation against the LogGP machine model, ModeNative
@@ -45,13 +47,12 @@ import (
 type Runtime struct {
 	mach *machine.Machine
 	n    int
-	// native is the backend: every timing decision — the clock ops and
-	// message accounting that run millions of times per phase, and the
-	// handful that do not (Now, Barrier, ResetClocks) — is one
-	// predictable branch on it. cpuFactor caches mach.Compute's
-	// threaded-runtime multiplier (1 for process runtimes — multiplying
-	// by exactly 1.0 is a bit-exact no-op) so Charge is a single fused
-	// multiply-add.
+	// native is the backend; Now, Barrier and ResetClocks branch on it.
+	// The clock ops do not: a native thread's clock is never read (Now
+	// reads the epoch) and the native engine charges nothing. cpuFactor
+	// caches mach.Compute's threaded-runtime multiplier (1 for process
+	// runtimes — multiplying by exactly 1.0 is a bit-exact no-op) so
+	// Charge is a single fused multiply-add.
 	native    bool
 	cpuFactor float64
 	// msgCosts is the LogGP message cost of every small wire size, per
@@ -70,15 +71,21 @@ type Runtime struct {
 	bar   *barrier
 	epoch time.Time
 
+	// gates are the per-thread wake channels (capacity 1) of both
+	// backends: a thread parked at the session step gate, or in the
+	// cooperative scheduler, blocks on its own. Poison wakes every gate
+	// (non-blocking sends).
+	gates []chan struct{}
+
 	// poisoned is set when a thread panics so that peers blocked in
 	// barriers/collectives abort instead of waiting forever; poisonCh is
-	// closed at the same time to abort lock waiters.
+	// closed at the same time to wake the session controller.
 	poisoned atomic.Pointer[string]
 	poisonCh chan struct{}
 
 	// session is the active resumable SPMD region, if any (session.go).
 	// Written by the controller while no thread goroutine is running
-	// (before launch, after the last exit), read by threads and poison.
+	// (before launch, after the last exit), read by threads.
 	session *Session
 
 	threads []*Thread
@@ -110,8 +117,10 @@ func NewRuntimeMode(mach *machine.Machine, mode ExecMode) *Runtime {
 		poisonCh:  make(chan struct{}),
 	}
 	rt.threads = make([]*Thread, n)
+	rt.gates = make([]chan struct{}, n)
 	for i := 0; i < n; i++ {
 		rt.threads[i] = &Thread{rt: rt, id: i}
+		rt.gates[i] = make(chan struct{}, 1)
 	}
 	if rt.native {
 		rt.bar = newBarrier(n)
@@ -154,7 +163,8 @@ func (rt *Runtime) Machine() *machine.Machine { return rt.mach }
 // barriers or collectives abort immediately instead of deadlocking — and
 // the original panic is re-raised on the caller with the thread id and
 // stack attached. Run may be called repeatedly; simulated clocks continue
-// from where the previous Run left them.
+// from where the previous Run left them. Run is a session that is never
+// resumed: a NextStep in fn returns false.
 //
 // In ModeSimulate the threads execute under the cooperative virtual-time
 // scheduler (sched.go): one at a time, in deterministic lowest-clock
@@ -163,26 +173,17 @@ func (rt *Runtime) Run(fn func(t *Thread)) {
 	if rt.session != nil {
 		panic("upc: Run while a session is active on this runtime")
 	}
-	var wg sync.WaitGroup
-	panics := make(chan string, rt.n)
-	body := fn
-	if rt.coop != nil {
-		body = rt.coop.gatedBody(fn)
-	}
-	rt.launch(body, &wg, panics)
-	if rt.coop != nil {
-		rt.coop.start()
-	}
-	wg.Wait()
-	if primary := primaryPanic(panics); primary != "" {
-		panic(primary)
-	}
+	rt.Start(fn).Finish()
 }
 
 // launch starts one goroutine per thread running body with the standard
 // poison-on-panic wrapper; panic messages land on the panics channel.
-// Shared by Run and Session.Start.
+// Under the cooperative scheduler each thread first waits for the baton,
+// which goes to the first thread once all are launched.
 func (rt *Runtime) launch(body func(t *Thread), wg *sync.WaitGroup, panics chan string) {
+	if rt.coop != nil {
+		body = rt.coop.gatedBody(body)
+	}
 	for i := 0; i < rt.n; i++ {
 		wg.Add(1)
 		go func(t *Thread) {
@@ -199,6 +200,9 @@ func (rt *Runtime) launch(body func(t *Thread), wg *sync.WaitGroup, panics chan 
 			}()
 			body(t)
 		}(rt.threads[i])
+	}
+	if rt.coop != nil {
+		rt.coop.start()
 	}
 }
 
@@ -229,28 +233,24 @@ func (p poisonAbort) Error() string { return p.msg }
 
 const poisonSecondary = "upc: thread aborted because a peer thread panicked"
 
-// poison marks the runtime failed and wakes all blocked waiters.
+// poison marks the runtime failed and wakes all blocked waiters: the
+// controller through poisonCh, every gate-parked thread through a
+// non-blocking send (a thread already handed a wake keeps it), and the
+// native barrier's waiters through its condition variable.
 func (rt *Runtime) poison(msg string) {
 	if rt.poisoned.CompareAndSwap(nil, &msg) {
 		close(rt.poisonCh)
 	}
-	if rt.coop != nil {
-		// Cooperative threads all park on their gates; wake them so they
-		// observe the poison and abort. (Only the baton holder can
-		// poison, so no other thread is running right now.)
-		rt.coop.wakeAllParked()
-		return
+	for _, g := range rt.gates {
+		select {
+		case g <- struct{}{}:
+		default:
+		}
 	}
-	rt.bar.mu.Lock()
-	rt.bar.cond.Broadcast()
-	rt.bar.mu.Unlock()
-	if sess := rt.session; sess != nil {
-		// Native session: wake gate-parked threads (they abort) and the
-		// controller (it re-raises via fail).
-		sess.mu.Lock()
-		sess.stepC.Broadcast()
-		sess.ctrlC.Broadcast()
-		sess.mu.Unlock()
+	if rt.native {
+		rt.bar.mu.Lock()
+		rt.bar.cond.Broadcast()
+		rt.bar.mu.Unlock()
 	}
 }
 
@@ -308,6 +308,8 @@ type Thread struct {
 	id    int
 	clock float64
 	stats Stats
+	// steps counts the session steps this thread has taken (session.go).
+	steps int64
 
 	// gatherGroups is the per-source grouping scratch of
 	// GatherAsyncBytes, retained so steady-state gathers allocate
@@ -347,29 +349,20 @@ func (t *Thread) Now() float64 {
 }
 
 // Charge accounts a computation cost, inflated by the threaded-runtime
-// CPU factor of the machine model (no-op in ModeNative, where the real
-// computation takes its real time).
+// CPU factor of the machine model. In ModeNative it has no effect on
+// time: Now reads the wall clock, never the simulated one.
 func (t *Thread) Charge(sec float64) {
-	if t.rt.native {
-		return
-	}
 	t.clock += sec * t.rt.cpuFactor
 }
 
 // ChargeRaw accounts exactly sec of already-modelled cost.
 func (t *Thread) ChargeRaw(sec float64) {
-	if t.rt.native {
-		return
-	}
 	t.clock += sec
 }
 
 // AdvanceTo aligns the clock to a modelled completion event (e.g. a
 // producer's flag-set time observed by a spin-waiting consumer).
 func (t *Thread) AdvanceTo(when float64) {
-	if t.rt.native {
-		return
-	}
 	if when > t.clock {
 		t.clock = when
 	}

@@ -14,8 +14,10 @@ type Scalar[T any] struct {
 	v  T
 }
 
-// NewScalar declares a shared scalar initialized to init.
+// NewScalar declares a shared scalar initialized to init. Simulate only
+// (Runtime.sim).
 func NewScalar[T any](rt *Runtime, init T) *Scalar[T] {
+	rt.sim("NewScalar")
 	return &Scalar[T]{rt: rt, v: init}
 }
 

@@ -43,10 +43,9 @@ type sched struct {
 	rt *Runtime
 	n  int
 
-	// gates are the per-thread wake channels (capacity 1). A parked
-	// thread blocks on its gate; the baton holder wakes exactly one
-	// thread per handoff. Poison wakes everyone (non-blocking sends).
-	gates []chan struct{}
+	// state is each thread's scheduling eligibility. A parked thread
+	// blocks on its Runtime.gates channel; the baton holder wakes exactly
+	// one thread per handoff.
 	state []schedState
 	// ready holds the BlockOn predicate of an sWaiting thread.
 	ready []func() bool
@@ -80,16 +79,6 @@ type sched struct {
 	// which its participants read after they return.
 	redAcc []float64
 	a2a    []any
-
-	// Session step gate (session.go): the active session, the number of
-	// threads parked at the gate this pause, and the first arriver — the
-	// thread that held the baton when the pause began, which gets it
-	// back on resume so the pause is invisible to the schedule.
-	sess      *Session
-	stepCount int
-	stepFirst int32
-
-	nDone int
 
 	stats SchedStats
 }
@@ -146,13 +135,9 @@ func newSched(rt *Runtime) *sched {
 	s := &sched{
 		rt:        rt,
 		n:         rt.n,
-		gates:     make([]chan struct{}, rt.n),
 		state:     make([]schedState, rt.n),
 		ready:     make([]func() bool, rt.n),
 		collSlots: make([]any, rt.n),
-	}
-	for i := range s.gates {
-		s.gates[i] = make(chan struct{}, 1)
 	}
 	return s
 }
@@ -243,7 +228,7 @@ func (s *sched) popNext() int {
 func (s *sched) handoff(next int) {
 	s.state[next] = sRunning
 	s.stats.Handoffs++
-	s.gates[next] <- struct{}{}
+	s.rt.gates[next] <- struct{}{}
 }
 
 // handoffGate is handoff without the Handoffs count. The session step
@@ -253,7 +238,7 @@ func (s *sched) handoff(next int) {
 // an uninterrupted one.
 func (s *sched) handoffGate(next int) {
 	s.state[next] = sRunning
-	s.gates[next] <- struct{}{}
+	s.rt.gates[next] <- struct{}{}
 }
 
 // yield parks the calling thread in `state` and hands the baton to the
@@ -274,12 +259,10 @@ func (s *sched) yield(me int, state schedState) {
 		return
 	}
 	if next < 0 {
-		msg := s.deadlockMsg(me)
-		s.rt.poison(msg) // wakes every parked thread; they abort on their gates
-		panic(msg)
+		s.deadlock(me)
 	}
 	s.handoff(next)
-	<-s.gates[me]
+	<-s.rt.gates[me]
 }
 
 // deadlockMsg renders the all-threads-blocked failure. The old runtime
@@ -294,20 +277,6 @@ func (s *sched) deadlockMsg(me int) string {
 		}
 	}
 	return b.String()
-}
-
-// wakeAllParked is the poison path: wake every parked thread so it can
-// observe the poisoned runtime and abort. Gate sends are non-blocking —
-// a thread that was already handed the baton keeps its pending wake.
-// Only the baton holder ever calls poison in cooperative mode, so the
-// state scan is race-free.
-func (s *sched) wakeAllParked() {
-	for i := range s.gates {
-		select {
-		case s.gates[i] <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // barrier is the cooperative Thread.Barrier: deposit the clock, resolve
@@ -443,93 +412,73 @@ func (t *Thread) BlockOn(ready func() bool) {
 	t.rt.checkPoison()
 }
 
-// stepPark parks the calling thread at the session step gate. When the
-// last live thread parks, the pause is complete and control passes to
-// the session controller instead of another emulated thread — the
-// single-runner invariant extends to the controller, which runs only
-// while every thread is parked. Parking charges nothing and aligns no
-// clocks: the gate must be invisible to the simulated-time model.
-func (s *sched) stepPark(t *Thread) {
-	me := t.id
-	if s.stepCount == 0 {
-		s.stepFirst = int32(me)
-	}
-	s.stepCount++
+// stepPark is the baton hand-off of a thread parking at the session
+// step gate (Session.park): the thread that completes the pause passes
+// control to the session controller instead of another emulated thread —
+// the single-runner invariant extends to the controller, which runs only
+// while every thread is parked — and any other arriver hands the baton
+// to the lowest-clock runnable thread. Gate handoffs are uncounted.
+func (s *sched) stepPark(me int, last bool) {
 	s.state[me] = sStep
-	if s.stepCount == s.n-s.nDone {
-		// Every live thread is at the gate: hand control to the
-		// controller (buffered send — it may not be waiting yet).
-		s.sess.pauseCh <- struct{}{}
-	} else {
-		next := s.popNext()
-		if next < 0 {
-			// Peers are blocked on events only gate-parked threads could
-			// produce (a barrier this thread abandoned, etc.) — the SPMD
-			// discipline is broken.
-			msg := s.deadlockMsg(me)
-			s.rt.poison(msg)
-			panic(msg)
-		}
-		s.handoffGate(next)
+	if last {
+		return
 	}
-	<-s.gates[me]
-	s.rt.checkPoison()
+	next := s.popNext()
+	if next < 0 {
+		// Peers are blocked on events only gate-parked threads could
+		// produce (a barrier this thread abandoned, etc.) — the SPMD
+		// discipline is broken.
+		s.deadlock(me)
+	}
+	s.handoffGate(next)
 }
 
-// stepResume releases a completed pause: every gate-parked thread except
-// the first arriver re-enters the run queue, and the baton goes back to
-// the first arriver — the thread that was running when the pause began —
-// so the continuation is scheduled exactly as if the gate did not exist.
+// stepResume releases a completed pause: every arrival except the first
+// re-enters the run queue, and the baton goes back to the first arriver —
+// the thread that was running when the pause began — so the
+// continuation is scheduled exactly as if the gate did not exist.
 // Called by the session controller while every thread is parked.
-func (s *sched) stepResume() {
-	first := s.stepFirst
-	s.stepCount, s.stepFirst = 0, -1
-	for i, st := range s.state {
-		if st == sStep && int32(i) != first {
-			s.state[i] = sRunnable
-			s.heapPush(int32(i))
-		}
+func (s *sched) stepResume(arrivals []int32) {
+	for _, i := range arrivals[1:] {
+		s.state[i] = sRunnable
+		s.heapPush(i)
 	}
-	s.handoffGate(int(first))
+	s.handoffGate(int(arrivals[0]))
 }
 
-// exit retires the calling thread at the end of the SPMD function and
-// passes the baton on. After a poison every thread is already awake and
-// unwinding, so no baton discipline remains.
-func (s *sched) exit(me int) {
+// exit retires the calling thread at the end of the SPMD function and,
+// unless its exit completed a pause, passes the baton on. After a poison
+// every thread is already awake and unwinding, so no baton discipline
+// remains.
+func (s *sched) exit(me int, last bool) {
 	if s.rt.poisoned.Load() != nil {
 		return
 	}
 	s.state[me] = sDone
-	s.nDone++
-	if s.nDone == s.n {
-		if s.sess != nil {
-			// Session region: the last thread exited, so no pause will
-			// ever signal again — return control to the controller (it
-			// may be waiting in Start/Resume if fn never hit the gate).
-			select {
-			case s.sess.pauseCh <- struct{}{}:
-			default:
-			}
-		}
+	if last {
 		return
 	}
 	next := s.popNext()
 	if next < 0 {
 		// The remaining threads are blocked on events that can no longer
 		// happen (e.g. a barrier this thread will never reach).
-		msg := s.deadlockMsg(me)
-		s.rt.poison(msg)
-		panic(msg)
+		s.deadlock(me)
 	}
 	s.handoff(next)
 }
 
+// deadlock poisons the runtime with the all-threads-blocked report and
+// panics with it.
+func (s *sched) deadlock(me int) {
+	msg := s.deadlockMsg(me)
+	s.rt.poison(msg) // wakes every parked thread; they abort on their gates
+	panic(msg)
+}
+
 // gatedBody wraps one cooperative SPMD region's thread function: reset
 // the region state (the caller invokes gatedBody before launching any
-// goroutine), then have each thread wait for its first scheduling, run,
-// and retire. Clocks persist across regions, exactly like the old
-// backend.
+// goroutine), then have each thread wait for its first scheduling before
+// it runs. Clocks persist across regions, exactly like the old backend.
 func (s *sched) gatedBody(fn func(t *Thread)) func(t *Thread) {
 	s.runq = s.runq[:0]
 	s.waitq = s.waitq[:0]
@@ -538,10 +487,8 @@ func (s *sched) gatedBody(fn func(t *Thread)) func(t *Thread) {
 		s.ready[i] = nil
 		s.heapPush(int32(i))
 	}
-	s.nDone = 0
-	s.stepCount, s.stepFirst = 0, -1
 	return func(t *Thread) {
-		<-s.gates[t.id]
+		<-s.rt.gates[t.id]
 		if s.rt.poisoned.Load() != nil {
 			// A peer failed before this thread was ever scheduled. Abort
 			// instead of running fn: the single-runner invariant must
@@ -551,13 +498,12 @@ func (s *sched) gatedBody(fn func(t *Thread)) func(t *Thread) {
 			panic(poisonAbort{poisonSecondary})
 		}
 		fn(t)
-		s.exit(t.id)
 	}
 }
 
-// start hands the baton to the first thread of a region (called by Run
-// after every thread goroutine is launched; threads are parked on their
-// gates, so launch order is irrelevant).
+// start hands the baton to the first thread of a region (called after
+// every thread goroutine is launched; threads are parked on their gates,
+// so launch order is irrelevant).
 func (s *sched) start() {
 	if first := s.popNext(); first >= 0 {
 		s.handoff(first)

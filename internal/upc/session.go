@@ -5,15 +5,15 @@ import (
 	"sync"
 )
 
-// Session is a resumable SPMD region: the same thread function Run
-// executes to completion, but with the step loop driven from outside.
-// The thread function marks its step boundaries by calling
-// Thread.NextStep in a loop; the controller — the goroutine that called
-// Start — doles out steps with Resume(k) and regains control whenever
-// every thread has consumed its grant and parked at the gate. While the
-// session is paused the runtime is quiescent (no emulated thread is
-// running), so the controller may freely read shared heap state, thread
-// clocks, and anything else the threads own.
+// Session is a resumable SPMD region: the thread function runs on every
+// thread, with its step loop driven from outside. The thread function
+// marks its step boundaries by calling Thread.NextStep in a loop; the
+// controller — the goroutine that called Start — doles out steps with
+// Resume(k) and regains control whenever every live thread has consumed
+// its grant and parked at the gate. While the session is paused the
+// runtime is quiescent (no emulated thread is running), so the
+// controller may freely read shared heap state, thread clocks, and
+// anything else the threads own.
 //
 // Lifecycle: Start(fn) launches the threads and returns at the first
 // pause (threads park at their first NextStep, before any step has
@@ -21,28 +21,30 @@ import (
 // of them are parked at the gate again. Finish() makes every pending
 // NextStep return false — the thread functions fall out of their loops
 // and return — and blocks until all thread goroutines have exited.
-// A panic on any thread poisons the runtime exactly as under Run, and
-// the call in progress (Start, Resume or Finish) re-raises the primary
-// panic on the controller.
+// A thread whose function returns early simply stops being live: the
+// pause completes without it. A panic on any thread poisons the
+// runtime, and the call in progress (Start, Resume or Finish) re-raises
+// the primary panic on the controller.
 //
-// Scheduling transparency (ModeSimulate): the step gate must not
-// disturb the deterministic baton order that makes simulate runs
-// byte-identical (see sched.go). Parking charges nothing and aligns no
-// clocks, and when a pause is released the baton goes back to the
-// thread that held it when the pause began (the first gate arriver) —
-// so the post-resume schedule is exactly the schedule of an
-// uninterrupted run. That is what makes Run() ≡ Start+Resume(Steps)+
-// Finish, and any Step(k) partition thereof, byte-identical.
+// The gate is one protocol in both backends: a parking thread appends
+// itself to the arrival list and blocks on its wake channel
+// (Runtime.gates); the last live thread to arrive or exit signals the
+// controller on pauseCh; Resume and Finish wake the arrivals. The only
+// backend difference is the cooperative baton (sched.go): a parking
+// thread hands it to the next runnable thread, and a release gives it
+// back to the first arriver — the thread that held it when the pause
+// began — so the post-resume schedule is exactly the schedule of an
+// uninterrupted run. Parking charges nothing and aligns no clocks.
+// That is what makes a Run-equivalent Start+Resume(Steps)+Finish, and
+// any Step(k) partition thereof, byte-identical.
 //
-// One session may be active per Runtime at a time, and Runtime.Run may
-// not be called while a session is active.
+// One session may be active per Runtime at a time; Runtime.Run is
+// Start(fn).Finish().
 type Session struct {
 	rt *Runtime
-	// consumed[i] counts the steps thread i has taken; granted is the
-	// total released by the controller. Under the cooperative scheduler
-	// these are plain fields (single-runner + gate-channel ordering); in
-	// ModeNative every access holds mu.
-	consumed  []int64
+	// granted is the number of steps released by the controller, and
+	// finishing is set by Finish. Both change only while every live
+	// thread is parked, so threads read them without a lock.
 	granted   int64
 	finishing bool
 	done      bool // every thread function has returned
@@ -51,18 +53,19 @@ type Session struct {
 	wg     sync.WaitGroup
 	panics chan string
 
-	// pauseCh carries the "all live threads parked" signal from the
-	// cooperative scheduler to the controller (buffered: the pause can
-	// complete before the controller starts waiting).
-	pauseCh chan struct{}
+	// mu guards the arrival list and the live count. arrivals holds the
+	// threads parked at the gate this pause, in arrival order; woken is
+	// the previous pause's list, retained so a release iterates it while
+	// the woken threads append to the other buffer.
+	mu       sync.Mutex
+	arrivals []int32
+	woken    []int32
+	live     int
 
-	// Native-mode gate: threads park on stepC when their grant is
-	// exhausted; the controller waits on ctrlC for quiescence.
-	mu     sync.Mutex
-	stepC  *sync.Cond
-	ctrlC  *sync.Cond
-	parked int
-	live   int
+	// pauseCh carries the "every live thread parked or exited" signal to
+	// the controller (buffered: the pause can complete before the
+	// controller starts waiting).
+	pauseCh chan struct{}
 }
 
 // Start launches fn as a resumable SPMD session on every thread and
@@ -76,39 +79,22 @@ func (rt *Runtime) Start(fn func(t *Thread)) *Session {
 	}
 	sess := &Session{
 		rt:       rt,
-		consumed: make([]int64, rt.n),
+		arrivals: make([]int32, 0, rt.n),
+		woken:    make([]int32, 0, rt.n),
 		live:     rt.n,
 		pauseCh:  make(chan struct{}, 1),
 		panics:   make(chan string, rt.n),
 	}
-	sess.stepC = sync.NewCond(&sess.mu)
-	sess.ctrlC = sync.NewCond(&sess.mu)
 	rt.session = sess
-	body := fn
-	if rt.coop != nil {
-		rt.coop.sess = sess
-		body = rt.coop.gatedBody(fn)
-	} else {
-		body = func(t *Thread) {
-			fn(t)
-			sess.retire()
-		}
+	for _, t := range rt.threads {
+		t.steps = 0
 	}
-	rt.launch(body, &sess.wg, sess.panics)
-	if rt.coop != nil {
-		rt.coop.start()
-	}
+	rt.launch(func(t *Thread) {
+		fn(t)
+		sess.exit(t)
+	}, &sess.wg, sess.panics)
 	sess.waitPause()
 	return sess
-}
-
-// retire records a native-mode thread function's normal return. Threads
-// that panic skip it: the poison path already wakes the controller.
-func (sess *Session) retire() {
-	sess.mu.Lock()
-	sess.live--
-	sess.ctrlC.Broadcast()
-	sess.mu.Unlock()
 }
 
 // Resume releases k more steps to every thread and blocks until all of
@@ -123,15 +109,8 @@ func (sess *Session) Resume(k int) {
 	if sess.done {
 		panic("upc: Session.Resume on a session whose threads have exited")
 	}
-	if sess.rt.coop != nil {
-		sess.granted += int64(k)
-		sess.rt.coop.stepResume()
-	} else {
-		sess.mu.Lock()
-		sess.granted += int64(k)
-		sess.stepC.Broadcast()
-		sess.mu.Unlock()
-	}
+	sess.granted += int64(k)
+	sess.release()
 	sess.waitPause()
 }
 
@@ -143,14 +122,8 @@ func (sess *Session) Finish() {
 		return
 	}
 	sess.finishing = true
-	if sess.rt.coop != nil {
-		if !sess.done && sess.rt.poisoned.Load() == nil {
-			sess.rt.coop.stepResume()
-		}
-	} else {
-		sess.mu.Lock()
-		sess.stepC.Broadcast()
-		sess.mu.Unlock()
+	if !sess.done {
+		sess.release()
 	}
 	sess.wg.Wait()
 	sess.close()
@@ -160,15 +133,8 @@ func (sess *Session) Finish() {
 }
 
 // StepsDone returns the number of steps every thread has completed
-// (meaningful while paused; all threads agree at a pause).
-func (sess *Session) StepsDone() int64 {
-	if sess.rt.coop != nil {
-		return sess.granted
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.granted
-}
+// (meaningful while paused; all live threads agree at a pause).
+func (sess *Session) StepsDone() int64 { return sess.granted }
 
 // Done reports whether every thread function has returned.
 func (sess *Session) Done() bool { return sess.done || sess.completed }
@@ -177,14 +143,10 @@ func (sess *Session) Done() bool { return sess.done || sess.completed }
 func (sess *Session) close() {
 	sess.completed = true
 	sess.rt.session = nil
-	if sess.rt.coop != nil {
-		sess.rt.coop.sess = nil
-	}
 }
 
 // fail is the controller-side poison path: wait out the unwinding
-// threads, detach, and re-raise the primary panic — the same contract
-// Run has.
+// threads, detach, and re-raise the primary panic.
 func (sess *Session) fail() {
 	sess.wg.Wait()
 	sess.close()
@@ -196,109 +158,97 @@ func (sess *Session) fail() {
 }
 
 // waitPause blocks the controller until the session is quiescent: every
-// live thread parked at the gate with its grant consumed, or every
-// thread exited, or the runtime poisoned (which re-raises).
+// live thread parked at the gate, or every thread exited, or the runtime
+// poisoned (which re-raises).
 func (sess *Session) waitPause() {
-	if sess.rt.coop != nil {
-		select {
-		case <-sess.pauseCh:
-		case <-sess.rt.poisonCh:
-		}
-		if sess.rt.poisoned.Load() != nil {
-			sess.fail()
-		}
-		if sess.rt.coop.nDone == sess.rt.coop.n {
-			sess.done = true
-		}
+	select {
+	case <-sess.pauseCh:
+	case <-sess.rt.poisonCh:
+	}
+	if sess.rt.poisoned.Load() != nil {
+		sess.fail()
+	}
+	sess.done = sess.live == 0
+}
+
+// release ends a completed pause, waking every arrival. The controller
+// calls it only while every live thread is parked, so it swaps the
+// arrival buffers without the lock.
+func (sess *Session) release() {
+	woken := sess.arrivals
+	sess.arrivals, sess.woken = sess.woken[:0], woken
+	if s := sess.rt.coop; s != nil {
+		s.stepResume(woken)
 		return
 	}
-	sess.mu.Lock()
-	for sess.rt.poisoned.Load() == nil && sess.live > 0 &&
-		!(sess.parked == sess.live && sess.allConsumed()) {
-		sess.ctrlC.Wait()
-	}
-	poisoned := sess.rt.poisoned.Load() != nil
-	if sess.live == 0 {
-		sess.done = true
-	}
-	sess.mu.Unlock()
-	if poisoned {
-		sess.fail()
+	for _, i := range woken {
+		sess.rt.gates[i] <- struct{}{}
 	}
 }
 
-// allConsumed reports whether every thread has used its full grant (mu
-// held). It distinguishes a genuine pause from the instant just after
-// Resume, when the grant has grown but the parked threads have not yet
-// woken to consume it.
-func (sess *Session) allConsumed() bool {
-	for i := range sess.consumed {
-		if sess.consumed[i] < sess.granted {
-			return false
+// park blocks thread t at the gate until the controller releases the
+// pause; the last live thread to arrive signals the controller.
+func (sess *Session) park(t *Thread) {
+	sess.mu.Lock()
+	sess.arrivals = append(sess.arrivals, int32(t.id))
+	last := len(sess.arrivals) == sess.live
+	sess.mu.Unlock()
+	if s := sess.rt.coop; s != nil {
+		s.stepPark(t.id, last)
+	}
+	if last {
+		sess.pauseCh <- struct{}{}
+	}
+	<-sess.rt.gates[t.id]
+}
+
+// exit retires thread t after its function returned normally (a
+// panicking thread poisons the runtime instead). If every remaining
+// live thread is parked, t's exit completes the pause.
+func (sess *Session) exit(t *Thread) {
+	sess.mu.Lock()
+	sess.live--
+	last := len(sess.arrivals) == sess.live
+	sess.mu.Unlock()
+	if s := sess.rt.coop; s != nil {
+		s.exit(t.id, last)
+	}
+	if last {
+		sess.pauseCh <- struct{}{}
+	}
+}
+
+// firstArrival moves thread i to the front of the arrival list, so the
+// next release hands it the baton; false if i is not parked at the gate.
+func (sess *Session) firstArrival(i int32) bool {
+	for k, a := range sess.arrivals {
+		if a == i {
+			sess.arrivals[0], sess.arrivals[k] = a, sess.arrivals[0]
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // NextStep is the step gate of a session thread function: it blocks
 // until the controller has granted this thread another step (true) or
-// called Finish (false). Outside a session it panics — plain Run
-// regions have no step protocol.
+// called Finish (false). Under Run, which grants no steps, it parks
+// until every thread has parked or exited and then returns false.
 func (t *Thread) NextStep() bool {
 	sess := t.rt.session
 	if sess == nil {
-		panic("upc: Thread.NextStep outside a session (use Runtime.Start)")
+		panic("upc: Thread.NextStep outside an SPMD region (use Runtime.Start)")
 	}
-	if t.rt.coop != nil {
-		return sess.nextCoop(t)
-	}
-	return sess.nextNative(t)
-}
-
-// nextCoop is the cooperative-scheduler gate: charge-free, clock-
-// neutral, parking through the scheduler so the single-runner invariant
-// holds across the pause.
-func (sess *Session) nextCoop(t *Thread) bool {
-	s := sess.rt.coop
 	for {
-		sess.rt.checkPoison()
-		if sess.consumed[t.id] < sess.granted {
-			sess.consumed[t.id]++
+		t.rt.checkPoison()
+		if t.steps < sess.granted {
+			t.steps++
 			return true
 		}
 		if sess.finishing {
 			return false
 		}
-		s.stepPark(t)
-	}
-}
-
-// nextNative is the native-mode gate: a plain condition-variable park.
-// The fast path (grant available) is one uncontended lock/unlock per
-// step and allocates nothing, preserving the steady-state zero-
-// allocation invariant of the native step loop.
-func (sess *Session) nextNative(t *Thread) bool {
-	sess.mu.Lock()
-	for {
-		if sess.rt.poisoned.Load() != nil {
-			sess.mu.Unlock()
-			panic(poisonAbort{poisonSecondary})
-		}
-		if sess.consumed[t.id] < sess.granted {
-			sess.consumed[t.id]++
-			sess.mu.Unlock()
-			return true
-		}
-		if sess.finishing {
-			sess.mu.Unlock()
-			return false
-		}
-		sess.parked++
-		if sess.parked == sess.live {
-			sess.ctrlC.Broadcast()
-		}
-		sess.stepC.Wait()
-		sess.parked--
+		sess.park(t)
 	}
 }
 

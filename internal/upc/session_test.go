@@ -227,37 +227,48 @@ func TestSessionBodyWithoutGate(t *testing.T) {
 	}
 }
 
-// TestSessionGuards pins the misuse panics: Run during an active
+// TestSessionGuards pins the misuse panics — Run during an active
 // session, a second Start, Resume(0), Resume after Finish, and NextStep
-// outside any session.
+// outside any region — and that a Run region, a session that is never
+// resumed, takes no step.
 func TestSessionGuards(t *testing.T) {
-	rt := NewRuntime(machine.Default(2))
-	sess := rt.Start(func(th *Thread) {
-		for th.NextStep() {
-			th.Barrier()
-		}
-	})
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
+	for _, mode := range []ExecMode{ModeSimulate, ModeNative} {
+		t.Run(mode.String(), func(t *testing.T) {
+			rt := NewRuntimeMode(machine.Default(2), mode)
+			sess := rt.Start(func(th *Thread) {
+				for th.NextStep() {
+					th.Barrier()
+				}
+			})
+			mustPanic := func(name string, f func()) {
+				t.Helper()
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s did not panic", name)
+					}
+				}()
+				f()
 			}
-		}()
-		f()
-	}
-	mustPanic("Run during session", func() { rt.Run(func(th *Thread) {}) })
-	mustPanic("second Start", func() { rt.Start(func(th *Thread) {}) })
-	mustPanic("Resume(0)", func() { sess.Resume(0) })
-	sess.Resume(2)
-	sess.Finish()
-	sess.Finish() // idempotent
-	mustPanic("Resume after Finish", func() { sess.Resume(1) })
+			mustPanic("Run during session", func() { rt.Run(func(th *Thread) {}) })
+			mustPanic("second Start", func() { rt.Start(func(th *Thread) {}) })
+			mustPanic("Resume(0)", func() { sess.Resume(0) })
+			sess.Resume(2)
+			sess.Finish()
+			sess.Finish() // idempotent
+			mustPanic("Resume after Finish", func() { sess.Resume(1) })
+			mustPanic("NextStep outside any region", func() { rt.threads[0].NextStep() })
 
-	rt2 := NewRuntime(machine.Default(1))
-	mustPanic("NextStep outside session", func() {
-		rt2.Run(func(th *Thread) { th.NextStep() })
-	})
+			var stepped atomic.Int64
+			rt.Run(func(th *Thread) {
+				for th.NextStep() {
+					stepped.Add(1)
+				}
+			})
+			if got := stepped.Load(); got != 0 {
+				t.Errorf("a Run region took %d steps, want 0", got)
+			}
+		})
+	}
 }
 
 // TestSessionRunAfterFinish: the runtime is reusable for plain Run
@@ -279,36 +290,122 @@ func TestSessionRunAfterFinish(t *testing.T) {
 	}
 }
 
-// TestSessionManyThreadsStress drives a 64-thread cooperative session
-// through many tiny resumes; catches bookkeeping drift in the gate
-// (stepCount/stepFirst reset, heap re-insertion).
+// TestSessionManyThreadsStress drives a 64-thread session through many
+// tiny resumes; catches bookkeeping drift in the gate (arrival-list
+// reuse, the first arriver's baton, heap re-insertion).
 func TestSessionManyThreadsStress(t *testing.T) {
 	const n, rounds = 64, 20
-	rt := NewRuntime(machine.Default(n))
+	for _, mode := range []ExecMode{ModeSimulate, ModeNative} {
+		t.Run(mode.String(), func(t *testing.T) {
+			rt := NewRuntimeMode(machine.Default(n), mode)
+			var counts [n]int64
+			sess := rt.Start(func(th *Thread) {
+				th.Barrier()
+				for th.NextStep() {
+					th.Charge(float64(th.ID()+1) * 1e-8)
+					th.Barrier()
+					counts[th.ID()]++
+				}
+			})
+			want := int64(0)
+			for r := 0; r < rounds; r++ {
+				k := r%3 + 1
+				sess.Resume(k)
+				want += int64(k)
+				if counts[n-1] != want {
+					t.Fatalf("round %d: thread %d at %d steps, want %d", r, n-1, counts[n-1], want)
+				}
+			}
+			sess.Finish()
+			for i, c := range counts {
+				if c != want {
+					t.Fatalf("thread %d ran %d steps, want %d", i, c, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSessionLostWakeupStress: thousands of one-step pauses on native
+// threads, each step ending at a barrier. A wake-up lost between a
+// thread's arrival and its park hangs Resume (at -cpu 1 most readily);
+// a miscounted pause returns before every thread has stepped.
+func TestSessionLostWakeupStress(t *testing.T) {
+	const n, rounds = 4, 2000
+	rt := NewRuntimeMode(machine.Default(n), ModeNative)
 	var counts [n]int64
 	sess := rt.Start(func(th *Thread) {
-		th.Barrier()
 		for th.NextStep() {
-			th.Charge(float64(th.ID()+1) * 1e-8)
-			th.Barrier()
 			counts[th.ID()]++
+			th.Barrier()
 		}
 	})
-	want := int64(0)
-	for r := 0; r < rounds; r++ {
-		k := r%3 + 1
-		sess.Resume(k)
-		want += int64(k)
-		if counts[n-1] != want {
-			t.Fatalf("round %d: thread %d at %d steps, want %d", r, n-1, counts[n-1], want)
+	for r := 1; r <= rounds; r++ {
+		sess.Resume(1)
+		for i, c := range counts {
+			if c != int64(r) {
+				t.Fatalf("after Resume %d: thread %d at %d steps", r, i, c)
+			}
 		}
 	}
 	sess.Finish()
-	for i, c := range counts {
-		if c != want {
-			t.Fatalf("thread %d ran %d steps, want %d", i, c, want)
-		}
+}
+
+// TestSessionThreadExitsEarly: a thread that returns from its body while
+// its peers keep stepping stops being live, and the pause completes
+// without it, in both backends. A later barrier that the exited thread
+// never reaches is still reported as a deadlock under simulate.
+func TestSessionThreadExitsEarly(t *testing.T) {
+	for _, mode := range []ExecMode{ModeSimulate, ModeNative} {
+		t.Run(mode.String(), func(t *testing.T) {
+			rt := NewRuntimeMode(machine.Default(3), mode)
+			var counts [3]int64
+			sess := rt.Start(func(th *Thread) {
+				for th.NextStep() {
+					counts[th.ID()]++
+					if th.ID() == 2 {
+						return
+					}
+				}
+			})
+			raised := make(chan any, 1)
+			go func() {
+				defer func() { raised <- recover() }()
+				sess.Resume(2)
+				sess.Resume(2)
+				sess.Finish()
+			}()
+			select {
+			case r := <-raised:
+				if r != nil {
+					t.Fatalf("a session with an exited thread panicked: %v", r)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Resume hangs on a session with an exited thread")
+			}
+			if counts != [3]int64{4, 4, 1} {
+				t.Fatalf("step counts %v, want [4 4 1]", counts)
+			}
+		})
 	}
+
+	rt := NewRuntime(machine.Default(2))
+	sess := rt.Start(func(th *Thread) {
+		for th.NextStep() {
+			if th.ID() == 1 && th.steps == 2 {
+				return
+			}
+			th.Barrier()
+		}
+	})
+	sess.Resume(1)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "deadlock") {
+			t.Fatalf("panic is not the deadlock report: %v", msg)
+		}
+	}()
+	sess.Resume(1)
+	t.Fatal("Resume returned although thread 0 waits at a barrier thread 1 left")
 }
 
 // TestSessionDeadlockDetected: a broken SPMD body where one thread

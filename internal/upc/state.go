@@ -10,9 +10,10 @@ import (
 // session step boundaries and therefore must survive a checkpoint.
 // Everything else the scheduler owns — barrier/collective epochs, lock
 // hold state, run queues — is provably quiescent at a completed pause
-// (all live threads parked in sStep, no arrivals counted, no locks
-// held), so a restored runtime reproduces it by construction and only
-// the state below needs to travel (DESIGN.md §12.3).
+// (all live threads parked at the step gate, no barrier arrivals
+// counted, no locks held), so a restored runtime reproduces it by
+// construction and only the state below needs to travel (DESIGN.md
+// §12.3).
 
 // ThreadState is one thread's persistent clock and operation counters.
 type ThreadState struct {
@@ -53,7 +54,9 @@ func (rt *Runtime) CaptureState() RuntimeState {
 			st.NICAvail[i] = rt.nic[i].availAt
 		}
 		st.Sched = rt.coop.stats
-		st.StepFirst = rt.coop.stepFirst
+		if sess := rt.session; sess != nil && len(sess.arrivals) > 0 {
+			st.StepFirst = sess.arrivals[0]
+		}
 	}
 	return st
 }
@@ -78,13 +81,12 @@ func (rt *Runtime) RestoreState(st RuntimeState) error {
 		}
 		rt.coop.stats = st.Sched
 		if st.StepFirst >= 0 {
-			if int(st.StepFirst) >= rt.n {
-				return fmt.Errorf("upc: restore step-first thread %d out of range", st.StepFirst)
-			}
 			// The restored pause must resume through the same thread the
 			// original pause parked first, not whichever thread parked
 			// first during the fresh runtime's setup.
-			rt.coop.stepFirst = st.StepFirst
+			if sess := rt.session; sess == nil || !sess.firstArrival(st.StepFirst) {
+				return fmt.Errorf("upc: restore step-first thread %d is not parked at the gate", st.StepFirst)
+			}
 		}
 	}
 	return nil
