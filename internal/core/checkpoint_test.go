@@ -375,9 +375,10 @@ func TestRestoreRejectsVersion1(t *testing.T) {
 
 // TestRestoreAcrossForceKernels: the header's env stamp records which
 // force kernel wrote the container (hostenv.Env.ForceKernel) but is
-// opaque to Restore, so a container written on an AVX2 host restores on
-// a portable-kernel host and vice versa — and, the kernels being
-// bit-identical, completes exactly like the uninterrupted run.
+// opaque to Restore, so a container written under any kernel restores
+// under any other — and, the kernels being bit-identical, completes
+// exactly like the uninterrupted run. The container is re-stamped with
+// every known kernel name but this process's, in turn.
 func TestRestoreAcrossForceKernels(t *testing.T) {
 	opts := DefaultOptions(512, 1, LevelMergedBuild)
 	opts.Steps, opts.Warmup = 4, 1
@@ -397,30 +398,45 @@ func TestRestoreAcrossForceKernels(t *testing.T) {
 	if env.ForceKernel != octree.Kernel() {
 		t.Fatalf("header env force_kernel = %q, want this process's %q", env.ForceKernel, octree.Kernel())
 	}
-
-	env.ForceKernel = map[string]string{"avx2": "portable", "portable": "avx2"}[env.ForceKernel]
-	foreign, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
 	regions, err := src.checkpointRegions()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := arena.WriteCheckpoint(&buf, opts.Key(), src.StepsDone(), foreign, regions); err != nil {
-		t.Fatal(err)
+
+	known := []string{"portable", "avx2", "avx512"}
+	var foreign []string
+	for _, name := range known {
+		if name != octree.Kernel() {
+			foreign = append(foreign, name)
+		}
 	}
-	restored, err := Restore(&buf)
-	if err != nil {
-		t.Fatalf("container stamped force_kernel=%q refused under %q: %v", env.ForceKernel, octree.Kernel(), err)
+	if len(foreign) != len(known)-1 {
+		t.Fatalf("Kernel() = %q is not one of the known kernels %v", octree.Kernel(), known)
 	}
-	defer restored.Release()
-	got, err := restored.Run()
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range foreign {
+		if name == "" || name == octree.Kernel() {
+			t.Fatalf("foreign kernel name %q under %q", name, octree.Kernel())
+		}
+		env.ForceKernel = name
+		stamp, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := arena.WriteCheckpoint(&buf, opts.Key(), src.StepsDone(), stamp, regions); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Restore(&buf)
+		if err != nil {
+			t.Fatalf("container stamped force_kernel=%q refused under %q: %v", name, octree.Kernel(), err)
+		}
+		got, err := restored.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBodies(t, got.Bodies, ref.Bodies)
+		restored.Release()
 	}
-	sameBodies(t, got.Bodies, ref.Bodies)
 }
 
 // TestCheckpointRestoreFreshProcess re-executes the test binary so the

@@ -26,8 +26,9 @@ type Env struct {
 	// CPUModel is the "model name" line of /proc/cpuinfo, best-effort:
 	// empty on hosts without procfs.
 	CPUModel string `json:"cpu_model,omitempty"`
-	// ForceKernel is octree.Kernel(): which leaf kernels ("avx2" or
-	// "portable") the native force phase ran on this host and build.
+	// ForceKernel is octree.Kernel(): which force kernel ("avx512",
+	// "avx2" or "portable") the native force phase ran on this host and
+	// build.
 	ForceKernel string `json:"force_kernel"`
 }
 

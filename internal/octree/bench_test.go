@@ -91,8 +91,8 @@ func BenchmarkForceOnFlatBatch32k(b *testing.B) { benchmarkForceOnFlatBatch(b, 3
 
 // BenchmarkForceBatchKernels times one full force sweep (n = 16384,
 // theta = 1, Morton-order batches) per force-kernel implementation and
-// reports ns/interaction, so the portable fallback's cost on hosts
-// without AVX2 is a logged number next to the SIMD kernel's.
+// reports ns/interaction, so each SIMD kernel the host can run (AVX2,
+// AVX-512) and the portable fallback are logged numbers side by side.
 func BenchmarkForceBatchKernels(b *testing.B) {
 	bodies := nbody.Plummer(16384, 1)
 	ft := BuildFlat(bodies)

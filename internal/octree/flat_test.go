@@ -301,13 +301,10 @@ func FuzzFlatEquivalence(f *testing.F) {
 }
 
 // testKernels lists the force-kernel implementations this host can run:
-// the portable one always, the SIMD one when the CPU has it.
+// the portable one first, then every SIMD kernel the CPU has, not only the
+// one Kernel() picked.
 func testKernels() []*laneKernel {
-	ks := []*laneKernel{&portableKernel}
-	if k := simdKernel(); k != nil {
-		ks = append(ks, k)
-	}
-	return ks
+	return append([]*laneKernel{&portableKernel}, simdKernels()...)
 }
 
 type laneResult struct {
@@ -345,11 +342,19 @@ func solveOn(w *FlatWalker, ft *FlatTree, k *laneKernel, theta, eps float64) []l
 
 // TestKernelAVX2MatchesPortable is the assembly's contract: on every
 // body of every scenario, across opening angles and with and without
-// softening, the fused AVX2 kernel produces exactly (==) the portable
-// kernel's accelerations, potentials and interaction counts.
+// softening, every fused SIMD kernel the host can run (AVX2, AVX-512)
+// produces exactly (==) the portable kernel's accelerations, potentials
+// and interaction counts. It logs which kernels it compared, so a run on a
+// host without AVX-512 is not read as coverage of that kernel.
 func TestKernelAVX2MatchesPortable(t *testing.T) {
-	simd := simdKernel()
-	if simd == nil {
+	ks := testKernels()
+	var names []string
+	for _, k := range ks {
+		names = append(names, k.name)
+	}
+	t.Logf("Kernel() = %q; tested kernels: %v", Kernel(), names)
+	simd := ks[1:]
+	if len(simd) == 0 {
 		t.Skipf("no SIMD force kernel on this host/build (Kernel() = %q): nothing to compare", Kernel())
 	}
 	n := 1501 // not a multiple of FlatBatchWidth: the last batch has a 5-lane tail
@@ -365,11 +370,13 @@ func TestKernelAVX2MatchesPortable(t *testing.T) {
 		for _, theta := range []float64{0.3, 0.5, 1.0, 1.8} {
 			for _, eps := range []float64{0, 0.05} {
 				want := solveWith(ft, &portableKernel, theta, eps)
-				got := solveWith(ft, simd, theta, eps)
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("%s theta=%g eps=%g slot %d: %s %+v != portable %+v",
-							scn, theta, eps, j, simd.name, got[j], want[j])
+				for _, k := range simd {
+					got := solveWith(ft, k, theta, eps)
+					for j := range want {
+						if got[j] != want[j] {
+							t.Fatalf("%s theta=%g eps=%g slot %d: %s %+v != portable %+v",
+								scn, theta, eps, j, k.name, got[j], want[j])
+						}
 					}
 				}
 			}
@@ -405,8 +412,8 @@ func batchOracle(w *FlatWalker, ft *FlatTree, b *FlatBatch, theta, eps float64) 
 // canonical interaction kernel: after a portable batch walk,
 // re-streaming each lane's masked entries of the shared list through
 // nbody.InteractAccum in list order must reproduce Acc/Phi to within
-// ulpTol and Inter exactly, and the fused kernel (when the host has it),
-// which keeps no list, must produce == the portable results for the same
+// ulpTol and Inter exactly, and every fused kernel the host has, which
+// keeps no list, must produce == the portable results for the same
 // batch. The sweep covers what the lane layout makes interesting: batch
 // tails of 1..7 lanes (unused lanes contribute nothing), entries whose
 // low or high 4-lane half is entirely masked out, eps = 0 (the self-skip
@@ -417,9 +424,9 @@ func batchOracle(w *FlatWalker, ft *FlatTree, b *FlatBatch, theta, eps float64) 
 // reason the file header documents: a reference loop compiled here is a
 // separate inlined copy of the same expressions, and copies can differ
 // by an ulp on architectures that fuse. The hard bit-identity contracts —
-// AVX2 == portable, flat == recursive pointer walk — are enforced here
-// and by TestKernelAVX2MatchesPortable, TestFlatVsPointerPerScenario and
-// core's TestNativeFlatExactSingleThread.
+// every SIMD kernel == portable, flat == recursive pointer walk — are
+// enforced here and by TestKernelAVX2MatchesPortable,
+// TestFlatVsPointerPerScenario and core's TestNativeFlatExactSingleThread.
 func TestForceBatchUnrollReferenceStream(t *testing.T) {
 	const (
 		skipSelf  = iota // the lane's own slot: the hot path

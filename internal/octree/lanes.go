@@ -9,10 +9,10 @@ import (
 // portable implementation: a two-phase walk (forceLanesGo) built from the
 // opening test of one cell for eight lanes (acceptLanesGo) and the
 // interaction loop over the batch's shared masked list (interactLanesGo).
-// On amd64 hosts with AVX2 the fused assembly kernel in lanes_amd64.s
-// replaces the whole walk; the Go version here is the fallback everywhere
-// else and the oracle the assembly is tested against (==, not a
-// tolerance).
+// On amd64 hosts with AVX2 or AVX-512 a fused assembly kernel in
+// lanes_amd64.s replaces the whole walk; the Go version here is the
+// fallback everywhere else and the oracle the assembly is tested against
+// (==, not a tolerance).
 
 // laneEntry is one record of a batch's shared interaction list: a cell's
 // centre of mass (or a leaf's body) and the lanes that interact with it.
@@ -36,10 +36,12 @@ type kidRange struct {
 // laneState is the lane-transposed scratch of one batch: the lanes'
 // positions as structure-of-arrays and the per-lane results a kernel
 // writes, and each lane's self-skip slot. Lanes 0-3 and 4-7 are the two
-// 4-wide float64 halves. ThetaSq, EpsSq and One are the fused kernel's
-// scalar operands, pre-broadcast because they do not fit its sixteen
-// vector registers and so are memory operands there; the portable kernel
-// does not read them. The field offsets are known to lanes_amd64.s.
+// 4-wide float64 halves of the AVX2 kernel, and the one 8-wide register
+// of the AVX-512 kernel. ThetaSq, EpsSq and One are the fused kernels'
+// scalar operands, pre-broadcast because they do not fit the AVX2
+// kernel's sixteen vector registers and so are memory operands there; the
+// portable kernel does not read them. The field offsets are known to
+// lanes_amd64.s.
 type laneState struct {
 	X, Y, Z          [FlatBatchWidth]float64
 	AccX, AccY, AccZ [FlatBatchWidth]float64
@@ -68,16 +70,17 @@ type laneKernel struct {
 var portableKernel = laneKernel{"portable", (*FlatWalker).forceLanesGo}
 
 // kernel is the implementation ForceBatch runs, chosen once at init: the
-// CPU (and the purego build tag) are the only selectors.
+// widest SIMD kernel the CPU can run, else the portable one. The CPU (and
+// the purego build tag) are the only selectors.
 var kernel = func() *laneKernel {
-	if k := simdKernel(); k != nil {
-		return k
+	if ks := simdKernels(); len(ks) > 0 {
+		return ks[len(ks)-1]
 	}
 	return &portableKernel
 }()
 
 // Kernel names the force-kernel implementation this process's flat force
-// walks run: "avx2" or "portable".
+// walks run: "avx512", "avx2" or "portable".
 func Kernel() string { return kernel.name }
 
 // forceLanesGo is the portable kernel, in two phases.

@@ -2,18 +2,18 @@
 
 #include "textflag.h"
 
-// The fused AVX2 force kernel: the whole batch walk of forceLanesGo
-// (lanes.go) in one function, interacting each accepted entry at once
-// instead of listing it for a second pass. Rules that keep it
-// bit-identical to the Go code at the default GOAMD64=v1:
+// The fused force kernels, AVX2 and AVX-512: each is the whole batch walk
+// of forceLanesGo (lanes.go) in one function, interacting each accepted
+// entry at once instead of listing it for a second pass. Rules that keep
+// them bit-identical to the Go code at the default GOAMD64=v1:
 //   - every float operation is the same IEEE operation in the same order
 //     as the portable kernel; VSQRTPD and VDIVPD are correctly rounded,
 //     like math.Sqrt and /;
 //   - no FMA instruction (the Go compiler emits none at v1);
 //   - lanes never mix: no horizontal add, shuffle or reduction.
-// Every function that touches a YMM register ends with VZEROUPPER: the Go
-// compiler's float code is legacy-SSE encoded and would otherwise pay the
-// dirty-upper-half transition penalty.
+// Every function that touches a YMM or ZMM register ends with VZEROUPPER:
+// the Go compiler's float code is legacy-SSE encoded and would otherwise
+// pay the dirty-upper-half transition penalty.
 //
 // Offsets, from lanes.go and flat.go:
 //   laneState: X 0, Y 64, Z 128, AccX 192, AccY 256, AccZ 320, Phi 384,
@@ -262,6 +262,166 @@ done:
 	RET
 
 overflow:
+	VZEROUPPER
+	MOVB $0, ret+64(FP)
+	RET
+
+// One, as an int64, for the AVX-512 kernel's interaction count.
+DATA one64<>+0(SB)/8, $1
+GLOBL one64<>(SB), RODATA|NOPTR, $8
+
+// DIST8 leaves in Z9-Z11 the differences pos - rec of all eight lanes
+// against the record at SI ({x, y, z, ...}) and in Z12 their squared
+// distance (dx*dx+dy*dy)+dz*dz. pos - rec is the opening test's operand
+// order in the Go code; an interaction's q - p is its exact negation
+// (IEEE subtraction is antisymmetric), so the squares are the same bits
+// and the interaction subtracts the products instead of adding them. An
+// accepted cell's interaction reuses its opening test's DIST8: both walk
+// the same ((dx*dx+dy*dy)+dz*dz).
+#define DIST8 \
+	VSUBPD.BCST 0(SI), Z5, Z9   \
+	VSUBPD.BCST 8(SI), Z6, Z10  \
+	VSUBPD.BCST 16(SI), Z7, Z11 \
+	VMULPD  Z9, Z9, Z12         \
+	VMULPD  Z10, Z10, Z13       \
+	VADDPD  Z13, Z12, Z12       \
+	VMULPD  Z11, Z11, Z13       \
+	VADDPD  Z13, Z12, Z12
+
+// func forceLanesAVX512(st *laneState, frames []kidRange, nodes *FlatNode, kids *int32, pm *PosMass, full uint32) bool
+//
+// The walk of forceLanesAVX2 with the eight lanes in one ZMM register.
+// Register plan:
+//   Z0-Z4   AccX, AccY, AccZ, Phi, Inter (int64 lanes), for the whole batch
+//   Z5-Z7   the lane positions X, Y, Z
+//   Z8      1.0 in every lane, the dividend of 1/r
+//   Z9-Z12  DIST8 of the current record; Z13-Z15 scratch
+//   K1      the current frame's active lanes (a copy of BX)
+//   K2      the lanes that interact with the current record
+//   general registers as in forceLanesAVX2
+// thetaSq, epsSq, the int64 1 and the Skip slots are broadcast or memory
+// operands, which keeps the kernel in Z0-Z15: VZEROUPPER then leaves no
+// dirty upper state behind.
+//
+// The opening test ends in one compare into an opmask that the active
+// lanes already write-mask, and every accumulation is merge-masked by K2:
+// a lane outside K2 is never written, so its accumulators keep their bits
+// whatever its term computed (0*Inf = NaN for a self-skip lane at eps = 0
+// included).
+TEXT ·forceLanesAVX512(SB), NOSPLIT, $0-65
+	MOVQ st+0(FP), DI
+	MOVQ frames_base+8(FP), R11
+	MOVQ frames_len+16(FP), R12
+	SHLQ $4, R12
+	ADDQ R11, R12
+	MOVQ nodes+32(FP), R8
+	MOVQ kids+40(FP), R9
+	MOVQ pm+48(FP), R10
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VMOVUPD 0(DI), Z5
+	VMOVUPD 64(DI), Z6
+	VMOVUPD 128(DI), Z7
+	VBROADCASTSD 576(DI), Z8
+	XORL CX, CX
+	XORL DX, DX
+	MOVL full+56(FP), BX
+	KMOVW BX, K1
+	MOVQ R8, SI
+	JMP  cell512
+
+next512:
+	CMPL CX, DX
+	JGE  pop512
+kid512:
+	MOVL (R9)(CX*4), AX
+	INCL CX
+	TESTL AX, AX
+	JMI  leaf512
+	LEAQ (AX)(AX*2), AX
+	SHLQ $4, AX
+	LEAQ (R8)(AX*1), SI
+
+cell512:
+	DIST8
+	VMULPD.BCST 512(DI), Z12, Z13
+	// GT_OQ (0x1e) with the operands swapped is LSq < thetaSq*d2: false
+	// when the product is NaN, like Go's <.
+	VCMPPD.BCST $0x1e, 32(SI), Z13, K1, K2
+	KMOVB K2, AX               // the active lanes that accept
+	MOVL BX, R13
+	XORL AX, R13               // the active lanes that open
+	JZ   accepted512
+	CMPL CX, DX
+	JGE  descend512
+	CMPQ R11, R12
+	JAE  overflow512
+	MOVL CX, 0(R11)
+	MOVL DX, 4(R11)
+	MOVL BX, 8(R11)
+	ADDQ $16, R11
+descend512:
+	MOVL 40(SI), CX
+	MOVL 44(SI), DX
+	ADDL CX, DX
+	MOVL R13, BX
+	KMOVW BX, K1
+accepted512:
+	TESTL AX, AX
+	JZ   next512
+
+interact512:
+	VADDPD.BCST 544(DI), Z12, Z13 // + epsSq
+	VSQRTPD Z13, Z13
+	VDIVPD  Z13, Z8, Z13          // inv = 1/r
+	VMULPD.BCST 24(SI), Z13, Z14  // m*inv
+	VMULPD  Z13, Z14, Z15
+	VMULPD  Z13, Z15, Z15         // s = m*inv*inv*inv
+	VMULPD  Z15, Z9, Z9
+	VMULPD  Z15, Z10, Z10
+	VMULPD  Z15, Z11, Z11
+	VSUBPD  Z9, Z0, K2, Z0        // acc += dx*s, as acc - (-dx)*s
+	VSUBPD  Z10, Z1, K2, Z1
+	VSUBPD  Z11, Z2, K2, Z2
+	VSUBPD  Z14, Z3, K2, Z3       // phi += -m*inv
+	VPADDQ.BCST one64<>(SB), Z4, K2, Z4
+	JMP  next512
+
+leaf512:
+	NOTL AX                    // the body's slot
+	VPBROADCASTD AX, Y13
+	VPCMPD $4, 608(DI), Y13, K1, K2 // NE: the active lanes this body is not the self-skip of
+	KORTESTB K2, K2
+	JZ   next512
+	SHLQ $5, AX
+	LEAQ (R10)(AX*1), SI       // &pm[slot]
+	DIST8
+	JMP  interact512
+
+pop512:
+	CMPQ R11, frames_base+8(FP)
+	JEQ  done512
+	SUBQ $16, R11
+	MOVL 0(R11), CX
+	MOVL 4(R11), DX
+	MOVL 8(R11), BX
+	KMOVW BX, K1
+	JMP  kid512
+
+done512:
+	VMOVUPD Z0, 192(DI)
+	VMOVUPD Z1, 256(DI)
+	VMOVUPD Z2, 320(DI)
+	VMOVUPD Z3, 384(DI)
+	VMOVDQU64 Z4, 448(DI)
+	VZEROUPPER
+	MOVB $1, ret+64(FP)
+	RET
+
+overflow512:
 	VZEROUPPER
 	MOVB $0, ret+64(FP)
 	RET

@@ -2,6 +2,6 @@
 
 package octree
 
-// simdKernel reports no SIMD force kernel: this build runs the portable
+// simdKernels reports no SIMD force kernel: this build runs the portable
 // one.
-func simdKernel() *laneKernel { return nil }
+func simdKernels() []*laneKernel { return nil }
