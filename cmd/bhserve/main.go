@@ -1,11 +1,11 @@
 // Command bhserve is the multi-tenant simulation service: a daemon
 // exposing the steppable session lifecycle over HTTP. Sessions are
-// hashed onto a fixed set of worker shards with bounded queues
-// (backpressure is explicit: 429 with Retry-After when a shard is full,
-// 503 while draining), snapshot streams fan out from one stepper per
-// session to any number of NDJSON subscribers, and completed runs land
-// in a shared content-addressed cache so an identical later create is
-// answered without re-simulating.
+// placed on the least-loaded of a fixed set of worker shards with
+// bounded queues (backpressure is explicit: 429 with Retry-After when a
+// shard is full, 503 while draining), snapshot streams fan out from one
+// stepper per session to any number of NDJSON subscribers, and completed
+// runs land in a shared content-addressed cache so an identical later
+// create is answered without re-simulating.
 //
 //	bhserve -addr :8080 -shards 4 -queue 64
 //

@@ -127,6 +127,9 @@ type Sim struct {
 
 	init []nbody.Body
 	ts   []*tstate
+
+	// stepTab is the step-phase table snapshots and collect read.
+	stepTab phaseTable
 }
 
 // tstate is the thread-private state of one UPC thread (the "private
@@ -224,11 +227,12 @@ func New(opts Options) (*Sim, error) {
 	rt := upc.NewRuntimeMode(opts.Machine, opts.ExecMode)
 	p := rt.Threads()
 	s := &Sim{
-		o:    opts,
-		rt:   rt,
-		par:  opts.Machine.Par,
-		init: init,
-		ts:   make([]*tstate, p),
+		o:       opts,
+		rt:      rt,
+		par:     opts.Machine.Par,
+		init:    init,
+		ts:      make([]*tstate, p),
+		stepTab: phaseTable{text: new(phaseText)},
 	}
 	for i := range s.ts {
 		s.ts[i] = &tstate{id: i}
@@ -759,24 +763,20 @@ func (s *Sim) boundingBox(t *upc.Thread, st *tstate) rootGeom {
 // finished early yields a Result over the measured steps it completed.
 func (s *Sim) collect() (*Result, error) {
 	p := s.rt.Threads()
-	nsteps := s.stepsDone - s.o.Warmup
-	if nsteps < 0 {
-		nsteps = 0
+	tab, err := s.stepPhaseTable()
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Level:      s.o.Level,
 		Threads:    p,
 		ExecMode:   s.o.ExecMode,
-		StepPhases: make([]PhaseTimes, nsteps),
+		Phases:     tab.sum,
+		StepPhases: make([]PhaseTimes, len(tab.rows)),
 		PerThread:  make([]ThreadBreakdown, p),
 	}
+	copy(res.StepPhases, tab.rows)
 	for i, st := range s.ts {
-		if len(st.stepPh) != nsteps {
-			return nil, fmt.Errorf("core: thread %d recorded %d measured steps, want %d", i, len(st.stepPh), nsteps)
-		}
-		for k, ph := range st.stepPh {
-			res.StepPhases[k].MaxInto(ph)
-		}
 		res.PerThread[i] = ThreadBreakdown{
 			Phases:       st.phases,
 			TreeLocal:    st.treeLocalT,
@@ -790,9 +790,6 @@ func (s *Sim) collect() (*Result, error) {
 		for p := range st.phaseComm {
 			res.PhaseComm[p].Add(st.phaseComm[p])
 		}
-	}
-	for _, ph := range res.StepPhases {
-		res.Phases.Add(ph)
 	}
 	var migrated, owned int
 	for _, st := range s.ts {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 
 	"upcbh/internal/nbody"
 	"upcbh/internal/vec"
@@ -42,11 +43,12 @@ func (s *Snapshot) AppendJSON(dst []byte) ([]byte, error) {
 		e.b = append(e.b, "null"...)
 	} else {
 		e.b = append(e.b, '[')
-		for i := range s.StepPhases {
+		k := s.rowText.copyPrefix(&e, s.StepPhases)
+		for i := k; i < len(s.StepPhases); i++ {
 			if i > 0 {
 				e.b = append(e.b, ',')
 			}
-			e.floats("", s.StepPhases[i][:])
+			e.row(s.StepPhases[i], s.rowText.text)
 		}
 		e.b = append(e.b, ']')
 	}
@@ -67,6 +69,71 @@ func (s *Snapshot) AppendJSON(dst []byte) ([]byte, error) {
 		return e.b[:len(dst)], e.err
 	}
 	return e.b, nil
+}
+
+// phaseText is the JSON of a Sim's step-phase rows, comma-separated, row
+// k ending at ends[k]. Rows are formatted once, by the first AppendJSON
+// that needs them — on the goroutine that encodes, never the one that
+// steps the Sim — so mu orders the encoders that share the text.
+type phaseText struct {
+	mu     sync.Mutex
+	b      []byte
+	ends   []int
+	failed bool // a row did not encode (a NaN): no text past it
+
+	// testFormatHook, when set, runs once per row formatted as JSON; tests
+	// use it to pin that a step's response formats only that step's row.
+	testFormatHook func()
+}
+
+// rowText is one snapshot's view of its Sim's phaseTable: the rows as
+// they stood when the snapshot was taken, and the table's shared text.
+// The table only appends past the view's rows.
+type rowText struct {
+	rows []PhaseTimes
+	text *phaseText
+}
+
+// copyPrefix appends the cached text of the longest prefix of rows that
+// is bit-equal to the view's (bits, not ==: -0 == 0, but they encode
+// differently), formatting into the cache whatever of it is not there
+// yet, and returns that prefix's length.
+func (v *rowText) copyPrefix(e *snapEncoder, rows []PhaseTimes) int {
+	n := 0
+	for n < min(len(rows), len(v.rows)) && sameBits(&rows[n], &v.rows[n]) {
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	t := v.text
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for k := len(t.ends); k < n && !t.failed; k++ {
+		te := snapEncoder{b: t.b}
+		if k > 0 {
+			te.b = append(te.b, ',')
+		}
+		te.row(v.rows[k], t)
+		if t.failed = te.err != nil; !t.failed {
+			t.b = te.b
+			t.ends = append(t.ends, len(t.b))
+		}
+	}
+	n = min(n, len(t.ends))
+	if n > 0 {
+		e.b = append(e.b, t.b[:t.ends[n-1]]...)
+	}
+	return n
+}
+
+func sameBits(a, b *PhaseTimes) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // snapEncoder is AppendJSON's output and its first error. Every method
@@ -137,6 +204,15 @@ func (e *snapEncoder) number(f float64) {
 			e.b[n-2] = e.b[n-1]
 			e.b = e.b[:n-1]
 		}
+	}
+}
+
+// row writes one step-phase row; t (nil for a snapshot no Sim took)
+// carries the test hook that counts formatted rows.
+func (e *snapEncoder) row(r PhaseTimes, t *phaseText) {
+	e.floats("", r[:])
+	if t != nil && t.testFormatHook != nil {
+		t.testFormatHook()
 	}
 }
 

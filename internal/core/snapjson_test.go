@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"upcbh/internal/nbody"
@@ -145,6 +146,142 @@ func TestSnapshotAppendJSON(t *testing.T) {
 	})
 }
 
+// TestStepPhaseTable: the cached step-phase rows leave AppendJSON's bytes
+// equal to encoding/json's — at any step, after a caller edits the
+// snapshot's rows, and on a restored Sim, whose table starts empty — and
+// each step's snapshot and encoding format at most that step's row.
+// Simulate mode, so the restored run's bytes must be the uninterrupted
+// run's.
+func TestStepPhaseTable(t *testing.T) {
+	opts := DefaultOptions(64, 2, LevelMergedBuild)
+	opts.Steps, opts.Warmup = 1000, 0
+	sim, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Release()
+	meta := func(sim *Sim) *Snapshot {
+		t.Helper()
+		snap, err := sim.SnapshotMeta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	formatted := 0
+	sim.stepTab.text.testFormatHook = func() { formatted++ }
+	var ckpt bytes.Buffer
+	for step := 0; step <= 1000; step++ {
+		if step > 0 {
+			if err := sim.Step(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := formatted
+		snap := meta(sim)
+		if _, err := snap.AppendJSON(nil); err != nil {
+			t.Fatal(err)
+		}
+		if n := formatted - before; n > 1 {
+			t.Fatalf("step %d: the snapshot and its encoding formatted %d rows, want at most 1", step, n)
+		}
+		switch step {
+		case 0, 1, 32, 1000:
+			checkAppendJSON(t, snap)
+		case 500:
+			if err := sim.Checkpoint(&ckpt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	final := meta(sim)
+
+	t.Run("edited", func(t *testing.T) {
+		last := len(final.StepPhases) - 1
+		for name, edit := range map[string]func(s *Snapshot){
+			"row0":          func(s *Snapshot) { s.StepPhases[0][PhaseForce] *= 2 },
+			"last-row":      func(s *Snapshot) { s.StepPhases[last][PhaseTree] = 1e-9 },
+			"negative-zero": func(s *Snapshot) { s.StepPhases[0][PhaseCofM] = math.Copysign(0, -1) },
+			"nan":           func(s *Snapshot) { s.StepPhases[last][PhaseAdvance] = math.NaN() },
+			"truncated":     func(s *Snapshot) { s.StepPhases = s.StepPhases[:7] },
+			"appended":      func(s *Snapshot) { s.StepPhases = append(s.StepPhases, PhaseTimes{1, 2, 3, 4, 5, 6}) },
+			"emptied":       func(s *Snapshot) { s.StepPhases = s.StepPhases[:0] },
+			"nil":           func(s *Snapshot) { s.StepPhases = nil },
+		} {
+			t.Run(name, func(t *testing.T) {
+				snap := meta(sim)
+				edit(snap)
+				checkAppendJSON(t, snap)
+			})
+		}
+	})
+
+	t.Run("restored", func(t *testing.T) {
+		rs, err := Restore(bytes.NewReader(ckpt.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rs.Release()
+		checkAppendJSON(t, meta(rs))
+		if err := rs.Step(500); err != nil {
+			t.Fatal(err)
+		}
+		got := meta(rs)
+		checkAppendJSON(t, got)
+		a, err := got.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _ := final.AppendJSON(nil); !bytes.Equal(a, b) {
+			t.Fatalf("restored run's final snapshot encodes differently from the uninterrupted run's")
+		}
+	})
+}
+
+// TestStepPhaseTableConcurrentEncode: snapshots are encoded while later
+// steps extend the table and while other snapshots of the same Sim are
+// encoded — as bhserve encodes step responses and stream frames off the
+// shard loop while the session steps on. Under -race, an unordered
+// access to the shared rows or text is a report.
+func TestStepPhaseTableConcurrentEncode(t *testing.T) {
+	opts := DefaultOptions(64, 1, LevelMergedBuild)
+	opts.ExecMode = ModeNative
+	opts.Steps, opts.Warmup = 200, 0
+	sim, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Release()
+	snaps := make(chan *Snapshot, 8) // lagging encoders: the table grows under them
+	var wg sync.WaitGroup
+	defer func() {
+		close(snaps)
+		wg.Wait()
+	}()
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for snap := range snaps {
+				want, _ := json.Marshal((*plainSnapshot)(snap))
+				if got, err := snap.AppendJSON(nil); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("step %d: AppendJSON differs from encoding/json (err %v)", snap.Step, err)
+				}
+			}
+		}()
+	}
+	for step := 0; step < opts.Steps; step++ {
+		if err := sim.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := sim.SnapshotMeta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps <- snap
+	}
+}
+
 // FuzzSnapshotAppendJSON: AppendJSON == encoding/json over the
 // method-less twin, byte for byte, for arbitrary field values — and error
 // parity on NaN/±Inf. The float arguments are spread over every float
@@ -238,6 +375,38 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 			var buf []byte
 			for b.Loop() {
 				var err error
+				if buf, err = snap.AppendJSON(buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStepResponse is the part of a bhserve step response that
+// depends on the session's age: SnapshotMeta and AppendJSON of a 64-body
+// native session after the given number of measured steps.
+func BenchmarkStepResponse(b *testing.B) {
+	for _, measured := range []int{32, 1024, 4000} {
+		b.Run(fmt.Sprintf("step-%d", measured), func(b *testing.B) {
+			opts := DefaultOptions(64, 1, LevelMergedBuild)
+			opts.ExecMode = ModeNative
+			opts.Steps, opts.Warmup = measured+1, 0
+			sim, err := New(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sim.Release()
+			if err := sim.Step(measured); err != nil {
+				b.Fatal(err)
+			}
+			var buf []byte
+			b.ReportAllocs()
+			for b.Loop() {
+				snap, err := sim.SnapshotMeta()
+				if err != nil {
+					b.Fatal(err)
+				}
 				if buf, err = snap.AppendJSON(buf[:0]); err != nil {
 					b.Fatal(err)
 				}

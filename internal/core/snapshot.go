@@ -49,6 +49,11 @@ type Snapshot struct {
 	// stream unless requested (bhrun -snap-bodies): at realistic body
 	// counts it dominates the snapshot size.
 	Bodies []nbody.Body `json:"bodies,omitempty"`
+
+	// rowText is the Sim's step-phase rows as of this snapshot and their
+	// JSON, which AppendJSON copies for the rows StepPhases still holds
+	// unedited. Zero on a snapshot no Sim took.
+	rowText rowText
 }
 
 // Snapshot copies out the simulation state at the current step
@@ -100,23 +105,53 @@ func (s *Sim) SnapshotMeta() (*Snapshot, error) {
 	for i := 0; i < p; i++ {
 		snap.Clocks[i] = s.rt.ThreadNow(i)
 	}
-	measured := s.stepsDone - s.o.Warmup
-	if measured < 0 {
-		measured = 0
+	tab, err := s.stepPhaseTable()
+	if err != nil {
+		return nil, err
 	}
-	snap.StepPhases = make([]PhaseTimes, measured)
-	for i, st := range s.ts {
-		if len(st.stepPh) != measured {
-			return nil, fmt.Errorf("core: thread %d recorded %d measured steps at the pause, want %d",
-				i, len(st.stepPh), measured)
-		}
-		for k, ph := range st.stepPh {
-			snap.StepPhases[k].MaxInto(ph)
-		}
+	snap.StepPhases = make([]PhaseTimes, len(tab.rows))
+	copy(snap.StepPhases, tab.rows)
+	snap.Phases = tab.sum
+	snap.rowText = rowText{rows: tab.rows[:len(tab.rows):len(tab.rows)], text: tab.text}
+	for _, st := range s.ts {
 		snap.Interactions += st.inter
 	}
-	for _, ph := range snap.StepPhases {
-		snap.Phases.Add(ph)
-	}
 	return snap, nil
+}
+
+// phaseTable is a Sim's step-phase table, reduced once per row instead
+// of once per snapshot: rows[k] is measured step k's per-phase maxima
+// across threads, and sum their running total (added in row order, so its
+// bits are the ones a fresh sum over rows gives). It only grows, by at
+// most one extension per step, so a snapshot's view of it (rowText)
+// stays valid while later steps extend it. text is the rows' JSON, which
+// AppendJSON formats once, on demand. A restored Sim starts with an empty
+// table and rebuilds it at its first snapshot.
+type phaseTable struct {
+	rows []PhaseTimes
+	sum  PhaseTimes
+	text *phaseText
+}
+
+// stepPhaseTable brings the table up to the measured steps done and
+// returns it. Snapshots and collect read the phase tables only through
+// it. Only safe while the runtime is quiescent (session paused or
+// finished).
+func (s *Sim) stepPhaseTable() (*phaseTable, error) {
+	measured := max(s.stepsDone-s.o.Warmup, 0)
+	for i, st := range s.ts {
+		if len(st.stepPh) != measured {
+			return nil, fmt.Errorf("core: thread %d recorded %d measured steps, want %d", i, len(st.stepPh), measured)
+		}
+	}
+	tab := &s.stepTab
+	for k := len(tab.rows); k < measured; k++ {
+		var row PhaseTimes
+		for _, st := range s.ts {
+			row.MaxInto(st.stepPh[k])
+		}
+		tab.rows = append(tab.rows, row)
+		tab.sum.Add(row)
+	}
+	return tab, nil
 }

@@ -372,12 +372,17 @@ func (ft *FlatTree) scatterRange(lo, hi int32, center vec.V3, count [8]int32) {
 	}
 }
 
-// radixSortByKey sorts (keys, perm) pairs by key: LSD radix, 8-bit
-// digits, constant-byte passes skipped. Scratch slices must match the
-// input length; no allocations.
+// radixSortByKey sorts (keys, perm) pairs by key, stably. In steady
+// state the input is the previous step's Morton order, nearly sorted, so
+// a stable insertion pass with a budget of 4n moves usually finishes the
+// job; when the budget runs out the LSD radix passes (8-bit digits,
+// constant-byte passes skipped) take over on the partly sorted input.
+// Both sorts are stable and the insertion pass only moves a key past
+// greater ones, so the output is the stable sort of the input either
+// way. Scratch slices must match the input length; no allocations.
 func radixSortByKey(keys []uint64, perm []int32, keyTmp []uint64, permTmp []int32) {
 	n := len(keys)
-	if n < 2 {
+	if n < 2 || insertionSortByKey(keys, perm, 4*n) {
 		return
 	}
 	var count [256]int32
@@ -415,6 +420,25 @@ func radixSortByKey(keys []uint64, perm []int32, keyTmp []uint64, permTmp []int3
 		copy(keys, src)
 		copy(perm, psrc)
 	}
+}
+
+// insertionSortByKey is radixSortByKey's first pass: a stable insertion
+// sort that gives up once it has made more than budget moves. It reports
+// whether the pairs are sorted; when it gives up they are a stable
+// rearrangement of the input (a sorted prefix, the rest untouched).
+func insertionSortByKey(keys []uint64, perm []int32, budget int) bool {
+	for i := 1; i < len(keys); i++ {
+		k, p := keys[i], perm[i]
+		j := i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j], perm[j] = keys[j-1], perm[j-1]
+		}
+		keys[j], perm[j] = k, p
+		if budget -= i - j; budget < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // FlatBatchWidth is the number of bodies that share one tree traversal

@@ -1,8 +1,10 @@
 package octree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -244,6 +246,89 @@ func TestRadixSortByKey(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRadixSortByKeyMatchesStableSort: radixSortByKey is a stable sort,
+// keys and perm equal to slices.SortStableFunc's, on inputs that the
+// insertion pass finishes within its budget (sorted, one adjacent swap,
+// all keys equal) and on inputs that overrun it and fall through to the
+// radix passes (reversed, random). FuzzParallelFlatBuild cannot catch an
+// unstable sort: both of its sides, the parallel build and BuildFlat,
+// call this same function, so they agree on whatever order it gives ties.
+func TestRadixSortByKeyMatchesStableSort(t *testing.T) {
+	r := rng.New(7)
+	inputs := []struct {
+		name string
+		gen  func(n int) []uint64
+	}{
+		{"sorted", func(n int) []uint64 {
+			keys := randomKeys(r, n)
+			slices.Sort(keys)
+			return keys
+		}},
+		{"adjacent-swap", func(n int) []uint64 {
+			keys := randomKeys(r, n)
+			slices.Sort(keys)
+			if n >= 2 {
+				keys[n/2-1], keys[n/2] = keys[n/2], keys[n/2-1]
+			}
+			return keys
+		}},
+		{"reversed", func(n int) []uint64 {
+			keys := randomKeys(r, n)
+			slices.Sort(keys)
+			slices.Reverse(keys)
+			return keys
+		}},
+		{"all-equal", func(n int) []uint64 {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = 0x5555_5555_5555
+			}
+			return keys
+		}},
+		{"random", func(n int) []uint64 { return randomKeys(r, n) }},
+	}
+	within, overrun := 0, 0
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 4096} {
+		for _, in := range inputs {
+			keys := in.gen(n)
+			perm := make([]int32, n)
+			for i := range perm {
+				perm[i] = int32(i)
+			}
+			want := slices.Clone(perm)
+			slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+			if n >= 2 {
+				if insertionSortByKey(slices.Clone(keys), slices.Clone(perm), 4*n) {
+					within++
+				} else {
+					overrun++
+				}
+			}
+			orig := slices.Clone(keys)
+			radixSortByKey(keys, perm, make([]uint64, n), make([]int32, n))
+			for i := range want {
+				if perm[i] != want[i] || keys[i] != orig[want[i]] {
+					t.Fatalf("n=%d %s: slot %d holds (key %#x, perm %d), stable sort has (key %#x, perm %d)",
+						n, in.name, i, keys[i], perm[i], orig[want[i]], want[i])
+				}
+			}
+		}
+	}
+	if within == 0 || overrun == 0 {
+		t.Fatalf("%d inputs sorted within the insertion budget and %d overran it; want both paths", within, overrun)
+	}
+}
+
+// randomKeys draws n keys of mixed magnitudes: every byte of a key
+// varies somewhere, and the small ones repeat, so ties are common.
+func randomKeys(r *rng.RNG, n int) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = r.Uint64() >> (r.Uint64() % 64)
+	}
+	return keys
 }
 
 // FuzzFlatEquivalence drives the property through arbitrary body sets:

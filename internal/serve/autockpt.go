@@ -139,7 +139,9 @@ func (s *Server) persistOne(j store.Entry) {
 // paused session ready to step/stream/finish exactly where the crashed
 // process left it. Runs from New before the listener exists and admits
 // one session at a time, so no shard queue holds more than one task and
-// backpressure cannot reject a recovery.
+// backpressure cannot reject a recovery; each recovered session is
+// placed by the usual rule, on loads its predecessors' registrations
+// already corrected to their restored bodies.
 func (s *Server) recoverSessions() {
 	for _, e := range s.cfg.Store.NewestAll() {
 		if _, _, err := s.admit(s.buildRecovered(e)); err != nil {
@@ -152,8 +154,8 @@ func (s *Server) recoverSessions() {
 // store's format validation but fails core.Restore's deeper checks is
 // quarantined and the key's next-newest entry tried — recovery never
 // aborts on one bad entry.
-func (s *Server) buildRecovered(e store.Entry) func(*session) error {
-	return func(sess *session) error {
+func (s *Server) buildRecovered(e store.Entry) admission {
+	return admission{0, func(sess *session) error {
 		for {
 			sim, err := core.Restore(bytes.NewReader(e.Data))
 			if err == nil {
@@ -171,5 +173,5 @@ func (s *Server) buildRecovered(e store.Entry) func(*session) error {
 			}
 			e.Data, e.Step = data, step
 		}
-	}
+	}}
 }

@@ -68,8 +68,8 @@ func TestErrorStatusTable(t *testing.T) {
 // TestAdmitDrainingRace: Shutdown flipping draining after a session's
 // build ran but before its registration must not strand the session —
 // whichever of the three builders made it, admit reports errDraining,
-// releases the Sim, closes the hub, and leaves the registry and the
-// created/recovered counters untouched.
+// releases the Sim, closes the hub, gives its shard the load back, and
+// leaves the registry and the created/recovered counters untouched.
 func TestAdmitDrainingRace(t *testing.T) {
 	opts := testOpts(4)
 	src := New(Config{Shards: 1, Logf: t.Logf})
@@ -88,26 +88,26 @@ func TestAdmitDrainingRace(t *testing.T) {
 	})
 	src.Shutdown()
 
-	for name, builder := range map[string]func(*Server) func(*session) error{
-		"create":  func(s *Server) func(*session) error { return s.buildCreate(opts) },
-		"restore": func(s *Server) func(*session) error { return s.buildRestore(ckpt.Bytes()) },
-		"recover": func(s *Server) func(*session) error {
+	for name, builder := range map[string]func(*Server) admission{
+		"create":  func(s *Server) admission { return s.buildCreate(opts) },
+		"restore": func(s *Server) admission { return s.buildRestore(ckpt.Bytes()) },
+		"recover": func(s *Server) admission {
 			return s.buildRecovered(store.Entry{Key: opts.Key(), Step: 1, Data: ckpt.Bytes()})
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := New(Config{Shards: 1, Logf: t.Logf})
-			build := builder(s)
+			a := builder(s)
 			var built *session
-			_, _, err := s.admit(func(sess *session) error {
-				err := build(sess)
+			_, _, err := s.admit(admission{a.weight, func(sess *session) error {
+				err := a.build(sess)
 				built = sess
 				// Shutdown's first act, frozen before its sweep.
 				s.mu.Lock()
 				s.draining = true
 				s.mu.Unlock()
 				return err
-			})
+			}})
 			if !errors.Is(err, errDraining) {
 				t.Fatalf("admit = %v, want errDraining", err)
 			}
@@ -122,6 +122,9 @@ func TestAdmitDrainingRace(t *testing.T) {
 			}
 			if st := s.Stats().Sessions; st.Live != 0 || st.Created != 0 || st.Recovered != 0 {
 				t.Fatalf("stranded session counted: %+v", st)
+			}
+			if sh := s.Stats().Shards[0]; sh.Sessions != 0 || sh.Bodies != 0 {
+				t.Fatalf("stranded session still loads its shard: %+v", sh)
 			}
 			// Thaw the fake drain so the real one stops the loops.
 			s.mu.Lock()

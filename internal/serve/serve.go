@@ -5,10 +5,11 @@
 //
 // Architecture (DESIGN.md §12.6):
 //
-//   - Sessions are hashed by ID onto shards. Each shard is one
-//     goroutine-owned loop with a bounded request queue; every operation
-//     on a session executes on its shard's loop, so session state is
-//     single-writer and lock-free.
+//   - Each session is placed at admission on the shard with the least
+//     live load — the bodies of its sessions that hold a live core.Sim —
+//     and never moves. Each shard is one goroutine-owned loop with a
+//     bounded request queue; every operation on a session executes on
+//     its shard's loop, so session state is single-writer and lock-free.
 //   - Every request reaches session state through one call, onShard; a
 //     full shard queue rejects immediately (HTTP 429 with Retry-After)
 //     instead of blocking the handler: explicit backpressure.
@@ -119,11 +120,12 @@ func (c *Config) fillDefaults() {
 // fields below the hub are owned by the shard loop: they are only read
 // or written from tasks executing on session.shard.
 type session struct {
-	id    string // "s-<n>"
-	n     uint64 // admission number: orders listings
-	key   string
-	shard *shard
-	hub   *hub
+	id     string // "s-<n>"
+	n      uint64 // admission number: orders listings
+	key    string
+	shard  *shard
+	weight int // bodies charged to the shard's load (Server.mu)
+	hub    *hub
 
 	opts      core.Options
 	cacheHit  bool // born completed from the Options.Key() cache
@@ -253,27 +255,40 @@ func (s *Server) count(c *uint64) {
 	s.mu.Unlock()
 }
 
+// admission is what admit needs from a create, restore or recovery:
+// build gives the session its state on its shard loop, and weight is the
+// bodies the session is expected to hold live, charged to its shard at
+// placement (0 for a container that is not parsed yet).
+type admission struct {
+	weight int
+	build  func(*session) error
+}
+
 // admit is the one way a session enters the registry: it allocates the
-// ID, hashes it onto a shard, and runs build on that shard's loop to give
-// the session its state (a cache hit, a fresh core.Sim, a restored one).
-// The sessionInfo is captured in the same shard task, so admission is a
-// single submission and the response payload cannot be lost to a later
-// backpressure rejection. err reports admission (backpressure, draining)
-// or build (invalid options, bad checkpoint) failures.
-func (s *Server) admit(build func(*session) error) (*session, sessionInfo, error) {
+// ID, places the session on a shard (placeLocked, charging it a.weight),
+// and runs a.build on that shard's loop to give the session its state (a
+// cache hit, a fresh core.Sim, a restored one). The sessionInfo is
+// captured in the same shard task, so admission is a single submission
+// and the response payload cannot be lost to a later backpressure
+// rejection. Registration corrects the charge to the bodies the built
+// session really holds live (none for a cache hit); a failed admission
+// gives it back. err reports admission (backpressure, draining) or build
+// (invalid options, bad checkpoint) failures.
+func (s *Server) admit(a admission) (*session, sessionInfo, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		return nil, sessionInfo{}, errDraining
 	}
 	s.nextID++
-	n, id := s.nextID, fmt.Sprintf("s-%d", s.nextID)
+	sess := &session{id: fmt.Sprintf("s-%d", s.nextID), n: s.nextID, hub: newHub()}
+	s.placeLocked(sess, a.weight)
 	s.mu.Unlock()
 
-	sess := &session{id: id, n: n, shard: s.shards[shardFor(id, len(s.shards))], hub: newHub()}
 	var si sessionInfo
+	live := 0
 	err := s.onShard(sess, func() error {
-		if err := build(sess); err != nil {
+		if err := a.build(sess); err != nil {
 			return err
 		}
 		// The checkpoint cadence counts from admission — at the restored
@@ -281,20 +296,22 @@ func (s *Server) admit(build func(*session) error) (*session, sessionInfo, error
 		sess.lastCkptTime = time.Now()
 		if sess.sim != nil {
 			sess.lastCkptStep = sess.sim.StepsDone()
+			live = sess.opts.Bodies
 		}
 		si = sess.info()
 		return nil
 	})
+	s.mu.Lock()
 	if err == nil {
 		// Register atomically with the draining check: Shutdown flips
 		// draining under mu before sweeping, so either this session lands
 		// in the registry in time for the sweep, or we observe draining
 		// here and tear it down below.
-		s.mu.Lock()
 		if s.draining {
 			err = errDraining
 		} else {
-			s.sessions[id] = sess
+			s.sessions[sess.id] = sess
+			s.reweighLocked(sess, live)
 			s.stats.Created++
 			if sess.cacheHit {
 				s.stats.CacheHits++
@@ -303,8 +320,11 @@ func (s *Server) admit(build func(*session) error) (*session, sessionInfo, error
 				s.stats.Recovered++
 			}
 		}
-		s.mu.Unlock()
 	}
+	if err != nil {
+		s.unplaceLocked(sess)
+	}
+	s.mu.Unlock()
 	if err != nil {
 		// Unregistered and unreturned, this goroutine is the session's
 		// only owner, so the teardown needs no shard task.
@@ -317,12 +337,40 @@ func (s *Server) admit(build func(*session) error) (*session, sessionInfo, error
 	return sess, si, nil
 }
 
+// placeLocked puts a new session on the shard with the least live load,
+// ties to the lowest id, and charges it weight bodies. Load is bodies,
+// not sessions, because a step's cost grows with its session's bodies;
+// a session never moves, so a placement is final. Must hold s.mu.
+func (s *Server) placeLocked(sess *session, weight int) {
+	sh := s.shards[0]
+	for _, o := range s.shards[1:] {
+		if o.bodies < sh.bodies {
+			sh = o
+		}
+	}
+	sess.shard = sh
+	sh.sessions++
+	s.reweighLocked(sess, weight)
+}
+
+// reweighLocked sets the bodies sess charges its shard. Must hold s.mu.
+func (s *Server) reweighLocked(sess *session, weight int) {
+	sess.shard.bodies += weight - sess.weight
+	sess.weight = weight
+}
+
+// unplaceLocked gives sess's load back to its shard. Must hold s.mu.
+func (s *Server) unplaceLocked(sess *session) {
+	s.reweighLocked(sess, 0)
+	sess.shard.sessions--
+}
+
 // buildCreate is POST /sims: serve the session from the Options.Key()
 // cache when an identical run already completed — no simulation is built
 // or stepped — and construct the live core.Sim otherwise.
-func (s *Server) buildCreate(opts core.Options) func(*session) error {
+func (s *Server) buildCreate(opts core.Options) admission {
 	key := opts.Key()
-	return func(sess *session) error {
+	return admission{opts.Bodies, func(sess *session) error {
 		sess.opts, sess.key = opts, key
 		if res, ok := s.cfg.Runner.Lookup(opts); ok {
 			sess.cacheHit, sess.finished, sess.result = true, true, res
@@ -333,7 +381,7 @@ func (s *Server) buildCreate(opts core.Options) func(*session) error {
 		sim, err := core.New(opts)
 		sess.sim = sim
 		return err
-	}
+	}}
 }
 
 // buildRestore is POST /sims/restore: core.Restore reconstructs the paused
@@ -350,7 +398,11 @@ func (s *Server) buildCreate(opts core.Options) func(*session) error {
 // up here, on the caller's goroutine, so the shard loop never reads the
 // disk — and a novel valid upload is persisted asynchronously so a crash
 // right after the restore can still recover the session.
-func (s *Server) buildRestore(upload []byte) func(*session) error {
+//
+// The session's weight is unknown until the container is parsed on the
+// shard loop, so placement charges it nothing and registration charges
+// the restored session's bodies.
+func (s *Server) buildRestore(upload []byte) admission {
 	st, data, fromStore := s.cfg.Store, upload, false
 	var key string
 	var step int
@@ -361,7 +413,7 @@ func (s *Server) buildRestore(upload []byte) func(*session) error {
 			}
 		}
 	}
-	return func(sess *session) error {
+	return admission{0, func(sess *session) error {
 		sess.fromStore = fromStore
 		sim, err := core.Restore(bytes.NewReader(data))
 		if err != nil && sess.fromStore {
@@ -381,7 +433,7 @@ func (s *Server) buildRestore(upload []byte) func(*session) error {
 		}
 		s.cfg.Logf("session %s: restored at step %d (%s)", sess.id, sim.StepsDone(), sess.key)
 		return nil
-	}
+	}}
 }
 
 // finalizeLocked completes a session whose schedule has run out (or a
@@ -510,6 +562,7 @@ func (s *Server) releaseLocked(sess *session) {
 	s.mu.Lock()
 	if _, ok := s.sessions[sess.id]; ok {
 		delete(s.sessions, sess.id)
+		s.unplaceLocked(sess)
 		s.stats.Released++
 		// The hub is closed above, so its drop count is final: fold it
 		// into the service-wide counter so Stats stays monotone after
@@ -586,7 +639,8 @@ type ShardStats struct {
 	ID       int `json:"id"`
 	Queue    int `json:"queue"`    // requests waiting
 	Capacity int `json:"capacity"` // bounded queue depth
-	Sessions int `json:"sessions"` // live sessions hashed here
+	Sessions int `json:"sessions"` // live sessions placed here, admissions in flight included
+	Bodies   int `json:"bodies"`   // their bodies held in a live core.Sim: the placement load
 }
 
 // Stats is the service-wide observability snapshot (GET /stats).
@@ -608,21 +662,20 @@ func (s *Server) Stats() Stats {
 	st := Stats{Sessions: s.stats, Draining: s.draining, Env: hostenv.Capture()}
 	st.Sessions.Live = len(s.sessions)
 	ck := s.ckpt
-	perShard := make(map[*shard]int)
 	dropped := s.snapDropped // drops of already-released sessions
 	for _, sess := range s.sessions {
-		perShard[sess.shard]++
 		dropped += sess.hub.droppedCount()
 	}
-	s.mu.Unlock()
 	for _, sh := range s.shards {
 		st.Shards = append(st.Shards, ShardStats{
 			ID:       sh.id,
 			Queue:    len(sh.tasks),
 			Capacity: cap(sh.tasks),
-			Sessions: perShard[sh],
+			Sessions: sh.sessions,
+			Bodies:   sh.bodies,
 		})
 	}
+	s.mu.Unlock()
 	st.SnapshotsDropped = dropped
 	st.Runner = s.cfg.Runner.Stats()
 	if s.cfg.Store != nil {

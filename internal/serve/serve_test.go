@@ -51,29 +51,182 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-// TestShardAssignmentStable: shardFor is deterministic and in-range, so
-// a session's every operation lands on the same loop for its lifetime.
-func TestShardAssignmentStable(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 8, 16} {
-		for i := 0; i < 100; i++ {
-			id := fmt.Sprintf("s-%d", i)
-			a, b := shardFor(id, n), shardFor(id, n)
-			if a != b {
-				t.Fatalf("shardFor(%q, %d) unstable: %d vs %d", id, n, a, b)
-			}
-			if a < 0 || a >= n {
-				t.Fatalf("shardFor(%q, %d) = %d out of range", id, n, a)
-			}
+// placedOpts is a small native session of n bodies whose seed keeps it
+// out of the result cache.
+func placedOpts(n int, seed uint64) core.Options {
+	opts := core.DefaultOptions(n, 1, core.LevelMergedBuild)
+	opts.ExecMode = core.ModeNative
+	opts.Steps, opts.Warmup, opts.Seed = 4, 0, seed
+	return opts
+}
+
+// admitOK admits a session and returns it with its status.
+func admitOK(t *testing.T, s *Server, a admission) (*session, sessionInfo) {
+	t.Helper()
+	sess, si, err := s.admit(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess, si
+}
+
+// shardLoads is each shard's (sessions, bodies) as /stats reports them.
+func shardLoads(s *Server) [][2]int {
+	var loads [][2]int
+	for _, sh := range s.Stats().Shards {
+		loads = append(loads, [2]int{sh.Sessions, sh.Bodies})
+	}
+	return loads
+}
+
+// TestPlacementSpreadsSessions: two sessions on a two-shard server take
+// different shards, and /stats shows each shard's load.
+func TestPlacementSpreadsSessions(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 2})
+	_, a := admitOK(t, s, s.buildCreate(placedOpts(64, 1)))
+	_, b := admitOK(t, s, s.buildCreate(placedOpts(64, 2)))
+	if a.Shard != 0 || b.Shard != 1 {
+		t.Fatalf("sessions placed on shards %d and %d, want 0 and 1", a.Shard, b.Shard)
+	}
+	if got, want := shardLoads(s), [][2]int{{1, 64}, {1, 64}}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("shard loads %v, want %v", got, want)
+	}
+}
+
+// TestPlacementReleaseGivesLoadBack: a released session's shard gets its
+// load back and takes the next session; a cache hit holds no live Sim
+// and weighs nothing.
+func TestPlacementReleaseGivesLoadBack(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 2})
+	opts := placedOpts(64, 1)
+	a, _ := admitOK(t, s, s.buildCreate(opts))
+	admitOK(t, s, s.buildCreate(placedOpts(100, 2)))
+	for i := 0; i < opts.Steps; i++ {
+		stepOne(t, s, a) // the last step memoizes the result
+	}
+	onLoop(t, s, a, func() { s.releaseLocked(a) })
+	if got, want := shardLoads(s), [][2]int{{0, 0}, {1, 100}}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after release: shard loads %v, want %v", got, want)
+	}
+	if _, si := admitOK(t, s, s.buildCreate(opts)); !si.CacheHit || si.Shard != 0 {
+		t.Fatalf("repeat create: cache_hit %t on shard %d, want a hit on shard 0", si.CacheHit, si.Shard)
+	}
+	if _, si := admitOK(t, s, s.buildCreate(placedOpts(64, 3))); si.Shard != 0 {
+		t.Fatalf("create after a cache hit went to shard %d, want 0", si.Shard)
+	}
+	if got, want := shardLoads(s), [][2]int{{2, 64}, {1, 100}}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("shard loads %v, want %v", got, want)
+	}
+}
+
+// TestPlacementWeighsBodies: load is bodies, not sessions — with one
+// 16384-body session on one shard and three 64-body sessions on the
+// other, the next small session joins the small ones.
+func TestPlacementWeighsBodies(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 2})
+	_, big := admitOK(t, s, s.buildCreate(placedOpts(16384, 1)))
+	for i := 0; i < 4; i++ {
+		if _, si := admitOK(t, s, s.buildCreate(placedOpts(64, uint64(2+i)))); si.Shard == big.Shard {
+			t.Fatalf("small session %d joined the 16384-body session's shard %d", i, si.Shard)
 		}
 	}
-	// Sessions spread: with 8 shards and 100 IDs at least 2 shards are hit.
-	hit := map[int]bool{}
-	for i := 0; i < 100; i++ {
-		hit[shardFor(fmt.Sprintf("s-%d", i), 8)] = true
+	if got, want := shardLoads(s), [][2]int{{1, 16384}, {4, 256}}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("shard loads %v, want %v", got, want)
 	}
-	if len(hit) < 2 {
-		t.Fatalf("100 sessions all hashed onto one of 8 shards")
+}
+
+// TestPlacementConcurrentCreates: concurrent admissions reserve their
+// load in the critical section that picks the shard, so however they
+// interleave the shards end within one session of each other. CI runs it
+// under -race -count=5.
+func TestPlacementConcurrentCreates(t *testing.T) {
+	const creates, bodies = 64, 16
+	s := newTestServer(t, Config{Shards: 4})
+	var wg sync.WaitGroup
+	errs := make(chan error, creates)
+	for i := 0; i < creates; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := s.admit(s.buildCreate(placedOpts(bodies, uint64(i+1)))); err != nil {
+				errs <- err
+			}
+		}()
 	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	total, lo, hi := 0, creates*bodies, 0
+	for _, sh := range s.Stats().Shards {
+		if sh.Bodies != sh.Sessions*bodies {
+			t.Fatalf("shard %d: %d bodies for %d sessions", sh.ID, sh.Bodies, sh.Sessions)
+		}
+		total += sh.Bodies
+		lo, hi = min(lo, sh.Bodies), max(hi, sh.Bodies)
+	}
+	if total != creates*bodies || hi-lo > bodies {
+		t.Fatalf("shard loads %v: %d bodies in all, spread %d, want %d within %d", shardLoads(s), total, hi-lo, creates*bodies, bodies)
+	}
+}
+
+// TestPlacementRestoreAndRecovery: POST /sims/restore and boot recovery
+// place sessions by the same rule. A container's bodies are charged once
+// it is parsed, so the next placement already sees them.
+func TestPlacementRestoreAndRecovery(t *testing.T) {
+	bigOpts, smallOpts := placedOpts(2048, 1), placedOpts(64, 2)
+	dir := t.TempDir()
+	st1 := openTestStore(t, dir, nil)
+	s1 := New(Config{Shards: 2, Store: st1, CkptEvery: 1, Logf: t.Logf})
+	var ckpts [][]byte
+	for _, opts := range []core.Options{bigOpts, smallOpts} {
+		sess, _ := admitOK(t, s1, s1.buildCreate(opts))
+		stepOne(t, s1, sess)
+		waitFor(t, "step-1 checkpoint", func() bool { return st1.Has(opts.Key(), 1) })
+		data, _, err := st1.Newest(opts.Key())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpts = append(ckpts, data)
+	}
+	s1.Shutdown()
+
+	t.Run("restore", func(t *testing.T) {
+		s := newTestServer(t, Config{Shards: 2})
+		admitOK(t, s, s.buildCreate(placedOpts(64, 3)))
+		admitOK(t, s, s.buildCreate(placedOpts(100, 4)))
+		// Weightless at the pick, the big container goes to the lighter
+		// shard 0 and is charged its 2048 bodies there ...
+		if _, si := admitOK(t, s, s.buildRestore(ckpts[0])); si.Shard != 0 {
+			t.Fatalf("restore placed on shard %d, want 0", si.Shard)
+		}
+		// ... so the small one goes to shard 1.
+		if _, si := admitOK(t, s, s.buildRestore(ckpts[1])); si.Shard != 1 {
+			t.Fatalf("second restore placed on shard %d, want 1", si.Shard)
+		}
+		if got, want := shardLoads(s), [][2]int{{2, 2112}, {2, 164}}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("shard loads %v, want %v", got, want)
+		}
+	})
+
+	t.Run("recovery", func(t *testing.T) {
+		s := newTestServer(t, Config{Shards: 2, Store: openTestStore(t, dir, nil)})
+		if got := s.Stats().Sessions.Recovered; got != 2 {
+			t.Fatalf("recovered %d sessions, want 2", got)
+		}
+		loads := shardLoads(s)
+		if fmt.Sprint(loads) != "[[1 2048] [1 64]]" && fmt.Sprint(loads) != "[[1 64] [1 2048]]" {
+			t.Fatalf("recovered sessions' shard loads %v, want one on each shard", loads)
+		}
+		light := 0
+		if loads[1][1] < loads[0][1] {
+			light = 1
+		}
+		if _, si := admitOK(t, s, s.buildCreate(placedOpts(64, 5))); si.Shard != light {
+			t.Fatalf("create after recovery placed on shard %d, want the lighter %d", si.Shard, light)
+		}
+	})
 }
 
 // TestSessionLifecycle: create → step to completion → result, with the

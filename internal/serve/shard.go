@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 )
 
@@ -28,14 +27,18 @@ type task struct {
 }
 
 // shard is one worker: a goroutine-owned loop draining a bounded task
-// queue. Sessions are hashed onto shards by ID and every operation on a
-// session executes on its shard's loop, so session state needs no locks —
-// the shard loop is the session's single writer.
+// queue. Each session is placed on a shard at admission (Server.admit)
+// and every operation on it executes on that shard's loop, so session
+// state needs no locks — the shard loop is the session's single writer.
 type shard struct {
 	id     int
 	tasks  chan *task
 	stop   chan struct{} // closed by Shutdown after the last submission
 	exited chan struct{} // closed by the loop on exit
+
+	// Placement load, guarded by Server.mu: the sessions placed here and
+	// not yet released, and the bodies of those holding a live core.Sim.
+	sessions, bodies int
 
 	// mu orders submit's enqueue against the loop's exit: the loop sets
 	// closed under mu before its final queue drain, so every submit
@@ -157,13 +160,4 @@ func (sh *shard) internal(abort <-chan struct{}, fn func() error) error {
 	}
 	<-t.done
 	return t.err
-}
-
-// shardFor hashes a session ID onto one of n shards (FNV-1a): the
-// assignment is stable for the session's lifetime, so all its operations
-// serialize on one loop.
-func shardFor(id string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(n))
 }
