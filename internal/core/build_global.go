@@ -17,7 +17,7 @@ const maxDepth = 48
 // levels; simulate only): every thread inserts its bodies into one shared octree,
 // protecting mutations with the hashed lock array. At LevelBaseline the
 // root geometry and root pointer are shared scalars read per insertion.
-func (s *Sim) buildGlobal(t *upc.Thread, st *tstate) {
+func (s *simEngine) buildGlobal(t *upc.Thread, st *simThread) {
 	g := s.boundingBox(t, st)
 
 	// Thread 0 creates the (empty) root cell.
@@ -46,7 +46,7 @@ func (s *Sim) buildGlobal(t *upc.Thread, st *tstate) {
 // places the body, splitting leaves under the cell lock as SPLASH2's
 // loadtree does. Slots are read without the lock; modifications are
 // serialized by the hashed lock of the parent cell.
-func (s *Sim) insertBody(t *upc.Thread, st *tstate, bodyR upc.Ref, pos vec.V3, cur upc.Ref, center vec.V3, half float64) {
+func (s *simEngine) insertBody(t *upc.Thread, st *simThread, bodyR upc.Ref, pos vec.V3, cur upc.Ref, center vec.V3, half float64) {
 	for depth := 0; ; depth++ {
 		if depth > maxDepth {
 			panic(fmt.Sprintf("core: octree depth limit exceeded inserting body %v (coincident bodies?)", bodyR))
@@ -102,7 +102,7 @@ type chainAgg struct {
 // buildChain creates the cell chain separating two bodies that fall in
 // the same octant path, entirely in the caller's shard, and returns the
 // top cell. The chain is unpublished until the caller stores it.
-func (s *Sim) buildChain(t *upc.Thread, st *tstate, center vec.V3, half float64,
+func (s *simEngine) buildChain(t *upc.Thread, st *simThread, center vec.V3, half float64,
 	oldR upc.Ref, oldPos vec.V3, newR upc.Ref, newPos vec.V3, agg *chainAgg) upc.Ref {
 
 	top := s.newCell(t, st, center, half)
@@ -142,7 +142,7 @@ func (s *Sim) buildChain(t *upc.Thread, st *tstate, center vec.V3, half float64,
 // each thread processes the cells it created in reverse creation order
 // (bottom-up) and spin-waits on children owned by other threads via the
 // Done flag.
-func (s *Sim) cofmGlobal(t *upc.Thread, st *tstate) {
+func (s *simEngine) cofmGlobal(t *upc.Thread, st *simThread) {
 	for i := len(st.myCells) - 1; i >= 0; i-- {
 		cr := st.myCells[i]
 		cp := s.cells.Raw(cr) // mine: local access
@@ -211,7 +211,7 @@ func (s *Sim) cofmGlobal(t *upc.Thread, st *tstate) {
 // iterative over a retained explicit stack (children pushed in reverse,
 // so the visit — and hence charge — order equals the recursive one);
 // steady-state steps allocate nothing.
-func (s *Sim) costzones(t *upc.Thread, st *tstate) {
+func (s *simEngine) costzones(t *upc.Thread, st *simThread) {
 	rootNR := s.readRoot(t, st)
 	rootRef := rootNR.Ref()
 	total := s.cells.ReadView(t, rootRef, bytesAgg).Cost
@@ -260,7 +260,7 @@ func (s *Sim) costzones(t *upc.Thread, st *tstate) {
 // redistribute implements §5.2: pull remotely stored owned bodies into
 // the local double buffer with one indexed gather, swizzle mybodytab to
 // the local copies, and compact into the alternate buffer when full.
-func (s *Sim) redistribute(t *upc.Thread, st *tstate, measured bool) {
+func (s *simEngine) redistribute(t *upc.Thread, st *simThread, measured bool) {
 	me := int32(t.ID())
 	rs := &st.remote
 	remoteIdx := rs.idx[:0]
@@ -301,7 +301,7 @@ func (s *Sim) redistribute(t *upc.Thread, st *tstate, measured bool) {
 // compactBuffer copies the live owned bodies into the alternate buffer
 // and switches to it ("When curbuf fills up, the thread copies all the
 // bodies in mybodytab[] to the alternative buffer", §5.2).
-func (s *Sim) compactBuffer(t *upc.Thread, st *tstate) {
+func (s *simEngine) compactBuffer(t *upc.Thread, st *simThread) {
 	me := int32(t.ID())
 	alt := st.buf[1-st.cur]
 	w := 0
@@ -324,13 +324,9 @@ func (s *Sim) compactBuffer(t *upc.Thread, st *tstate) {
 // advance is the body-advancing phase: a leapfrog (kick-drift) update of
 // every owned body. Below LevelRedistribute the body may live in another
 // thread's shard and the update is a charged remote read-modify-write.
-func (s *Sim) advance(t *upc.Thread, st *tstate) {
-	if s.flat != nil {
-		s.advanceFlat(st)
-		return
-	}
+func (s *simEngine) advance(t *upc.Thread) {
 	dt := s.o.Dt
-	for _, br := range st.myBodies {
+	for _, br := range s.ts[t.ID()].myBodies {
 		t.Charge(s.par.BodyUpdateCost)
 		if s.o.Level >= LevelRedistribute && s.bodies.IsLocal(t, br) {
 			nbody.AdvanceKickDrift(s.bodies.Local(t, br), dt)

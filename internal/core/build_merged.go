@@ -16,7 +16,7 @@ import (
 // commutative weighted averages performed under the cell lock, so no
 // separate c-of-m phase is needed. The local/merge time split per thread
 // is recorded for figure 8.
-func (s *Sim) buildMerged(t *upc.Thread, st *tstate, measured bool) {
+func (s *simEngine) buildMerged(t *upc.Thread, st *simThread, measured bool) {
 	g := s.boundingBox(t, st)
 
 	// Sub-phase 1: local tree (sequential, no locks, local pointers).
@@ -50,7 +50,7 @@ func (s *Sim) buildMerged(t *upc.Thread, st *tstate, measured bool) {
 // insertLocalTree inserts a (local) body into the thread's private local
 // tree. All accesses are through cast local pointers: only computation
 // costs are charged.
-func (s *Sim) insertLocalTree(t *upc.Thread, st *tstate, root upc.Ref, bodyR upc.Ref, pos vec.V3) {
+func (s *simEngine) insertLocalTree(t *upc.Thread, st *simThread, root upc.Ref, bodyR upc.Ref, pos vec.V3) {
 	cur := root
 	for depth := 0; ; depth++ {
 		if depth > maxDepth {
@@ -79,7 +79,7 @@ func (s *Sim) insertLocalTree(t *upc.Thread, st *tstate, root upc.Ref, bodyR upc
 
 // cofmLocalTree computes aggregates over the thread's private local tree
 // bottom-up (recursive, local pointers only).
-func (s *Sim) cofmLocalTree(t *upc.Thread, root upc.Ref) {
+func (s *simEngine) cofmLocalTree(t *upc.Thread, root upc.Ref) {
 	var rec func(r upc.Ref)
 	rec = func(r upc.Ref) {
 		cp := s.cells.Local(t, r)
@@ -125,7 +125,7 @@ func (s *Sim) cofmLocalTree(t *upc.Thread, root upc.Ref) {
 // addAggregate merges a (mass, cofm, cost, count) contribution into a
 // shared cell under its lock — the paper's atomic weighted-average
 // center-of-mass update, valid in any merge order.
-func (s *Sim) addAggregate(t *upc.Thread, cRef upc.Ref, mass float64, cofm vec.V3, cost float64, n int32) {
+func (s *simEngine) addAggregate(t *upc.Thread, cRef upc.Ref, mass float64, cofm vec.V3, cost float64, n int32) {
 	lk := s.locks.ForRef(cRef)
 	lk.Acquire(t)
 	s.cells.Touch(t, cRef, bytesAgg)
@@ -149,7 +149,7 @@ func (s *Sim) addAggregate(t *upc.Thread, cRef upc.Ref, mass float64, cofm vec.V
 // recurse, and body/cell conflicts replay the insertion protocol — the
 // step-by-step remote operations that make the losing thread of a merge
 // conflict slow (§6.1, figure 8).
-func (s *Sim) mergeCell(t *upc.Thread, st *tstate, gRef, lRef upc.Ref, center vec.V3, half float64) {
+func (s *simEngine) mergeCell(t *upc.Thread, st *simThread, gRef, lRef upc.Ref, center vec.V3, half float64) {
 	lp := s.cells.Local(t, lRef)
 	s.addAggregate(t, gRef, lp.Mass, lp.CofM, lp.Cost, lp.NSub)
 	gp := s.cells.Raw(gRef)
@@ -233,7 +233,7 @@ func (s *Sim) mergeCell(t *upc.Thread, st *tstate, gRef, lRef upc.Ref, center ve
 // insertBodyMerge inserts a body into a published global subtree during
 // the merge, adding its contribution to every cell on the descent path
 // and placing it under the usual lock protocol.
-func (s *Sim) insertBodyMerge(t *upc.Thread, st *tstate, cur upc.Ref, center vec.V3, half float64,
+func (s *simEngine) insertBodyMerge(t *upc.Thread, st *simThread, cur upc.Ref, center vec.V3, half float64,
 	bodyR upc.Ref, pos vec.V3, mass, cost float64) {
 
 	aggregated := false // add the contribution exactly once per level
@@ -294,7 +294,7 @@ func (s *Sim) insertBodyMerge(t *upc.Thread, st *tstate, cur upc.Ref, center vec
 // insertBodyLocalAgg inserts a displaced body into the caller's still
 // private subtree, updating aggregates along the path. No locks: the
 // subtree is unpublished.
-func (s *Sim) insertBodyLocalAgg(t *upc.Thread, st *tstate, root upc.Ref, bodyR upc.Ref, pos vec.V3, mass, cost float64) {
+func (s *simEngine) insertBodyLocalAgg(t *upc.Thread, st *simThread, root upc.Ref, bodyR upc.Ref, pos vec.V3, mass, cost float64) {
 	cur := root
 	for depth := 0; ; depth++ {
 		if depth > maxDepth {

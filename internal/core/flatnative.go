@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"unsafe"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/nbody"
@@ -10,38 +12,24 @@ import (
 	"upcbh/internal/vec"
 )
 
-// This file is the native backend's step. Under ModeNative the emulated
-// PGAS heaps are ordinary host memory and there is no pointer tree (New
-// builds none; Options.validate admits native from LevelCacheTree up):
-// the threads build the step's flat octree (internal/octree FlatTree) directly and in parallel
-// (octree.ParBuild: bin, per-thread subtree build, stitch — no cells
-// heap, no locks, no merge, no flatten), partition it by a prefix over
-// its cost array, and walk it with the batched kernel. The four levels
-// L3-L6 share this one path: what distinguishes them in the paper (how
-// remote cells are cached, merged, fetched, hooked) is communication
-// that native execution does not have. See DESIGN.md §8.2-§8.5.
-//
-// Nor is there a body heap: the last tree's body view (Tree.Bodies, Pos
-// and Mass by tree slot) is the body state, and what the tree does not
-// carry sits in columns indexed by body ID. A thread owns the slot
-// interval its partition claimed, advances it in place and stages it
-// into the next build — SPLASH-2's one body array that costzones cuts
-// into runs. The §5.2 double buffers make bodies local under UPC; native
-// memory is all local.
-//
-// The tree is the canonical octree of the body set with one fixed
-// floating-point association, whoever built which part, so native
-// results are a pure function of the bodies — the same at every thread
-// count and bit-identical to the simulate backend at one thread, whose
-// pointer paths remain the reference (flatnative_test.go,
-// internal/verify). The simulate backend never takes these paths, so its
-// charged phase tables stay byte-identical (pinned by the goldens).
+// This file is the native backend's engine (DESIGN.md §8). Under
+// ModeNative the threads build the step's flat octree directly and in
+// parallel (octree.ParBuild), partition it by a prefix over its cost
+// array, and walk it with the batched kernel; levels L3-L6 share this one
+// path, since what separates them in the paper is communication native
+// execution does not have. There is no body heap: the last tree's body
+// view (Tree.Bodies) is the body state, with ID-indexed columns for what
+// the tree does not carry, and a thread owns the slot interval its
+// partition claimed. The tree is canonical whoever built which part, so
+// native results are a pure function of the bodies — the same at every
+// thread count, and bit-identical to the simulate engine at one thread.
 
-// flatTree is the native engine's shared state: the parallel builder,
-// whose Tree every thread walks from the tree barrier to the force
-// barrier and whose Tree.Bodies then holds the bodies until the next
-// build, and the body state the tree does not carry.
-type flatTree struct {
+// flatEngine is the native backend: the parallel builder, whose Tree
+// every thread walks from the tree barrier to the force barrier and whose
+// Tree.Bodies then holds the bodies until the next build; the body state
+// the tree does not carry; the arenas behind both; and each thread's
+// walker and slot interval.
+type flatEngine struct {
 	octree.ParBuild
 
 	// ids[k] names the body in Src slot k (Tree.Bodies.ID maps a tree
@@ -60,6 +48,28 @@ type flatTree struct {
 	vel  []vec.V3
 	acc  []accPhi
 	cost []float64
+
+	o    Options
+	init []nbody.Body
+	ts   []*flatThread
+
+	// mem backs the flat tree's shared arrays and the body columns with
+	// off-heap (mmap) memory; tmem[i] backs thread i's builder segment.
+	// Arenas are single-owner bump allocators, so the shared one is
+	// touched only by thread 0 (and by newFlatEngine, before any thread
+	// runs) and each tmem[i] only by its thread. Nil when mmap is
+	// unavailable — growth then falls back to the Go heap.
+	mem  *arena.Arena
+	tmem []*arena.Arena
+}
+
+// flatThread is one thread's native state: its force walker, and the
+// flat-tree slot of myBodies[0] — this step's owned bodies are slots
+// slotLo, slotLo+1, … in myBodies order.
+type flatThread struct {
+	*tstate
+	fwalker octree.FlatWalker
+	slotLo  int
 }
 
 // accPhi is a body's force result.
@@ -68,68 +78,130 @@ type accPhi struct {
 	Phi float64
 }
 
-// initFlatTree sizes the builder and the columns once the body count is
-// final, on the goroutine that starts the session (the arenas are
-// single-owner, and no thread runs yet).
-func (s *Sim) initFlatTree() {
-	n, p := s.o.Bodies, s.rt.Threads()
-	f := s.flat
-	f.Init(n, p, octree.CrownDepth(n, p), s.mem, s.tmem)
-	f.ids = arena.MakeSlice[upc.Ref](s.mem, n, n)
-	f.vel = arena.MakeSlice[vec.V3](s.mem, n, n)
-	f.acc = arena.MakeSlice[accPhi](s.mem, n, n)
-	f.cost = arena.MakeSlice[float64](s.mem, n, n)
+// newFlatEngine maps the arenas and sizes the builder and the columns
+// for the Sim's final body count, on the goroutine that starts the
+// session (the arenas are single-owner, and no thread runs yet). The
+// arenas leave room for the doubling-growth dead space; anonymous
+// mappings commit pages lazily, so over-reserving virtual space costs
+// nothing. A failed mmap leaves an arena nil and growth on the Go heap.
+func newFlatEngine(sim *Sim) *flatEngine {
+	n, p := sim.o.Bodies, sim.rt.Threads()
+	s := &flatEngine{o: sim.o, init: sim.init, ts: make([]*flatThread, p), tmem: make([]*arena.Arena, p)}
+	for i, st := range sim.ts {
+		s.ts[i] = &flatThread{tstate: st}
+	}
+	if a, err := arena.New(2048*n + 8<<20); err == nil {
+		s.mem = a
+	}
+	for i := range s.tmem {
+		if a, err := arena.New(1024*(n/p+1) + 1<<20); err == nil {
+			s.tmem[i] = a
+		}
+	}
+	s.Init(n, p, octree.CrownDepth(n, p), s.mem, s.tmem)
+	s.ids = arena.MakeSlice[upc.Ref](s.mem, n, n)
+	s.vel = arena.MakeSlice[vec.V3](s.mem, n, n)
+	s.acc = arena.MakeSlice[accPhi](s.mem, n, n)
+	s.cost = arena.MakeSlice[float64](s.mem, n, n)
+	return s
+}
+
+// release unmaps the arenas after the threads have exited; any slice
+// into them (the flat tree, builder segments) is dead now.
+func (s *flatEngine) release() {
+	s.mem.Close()
+	for _, a := range s.tmem {
+		a.Close()
+	}
+}
+
+// setup gives thread t the block of slots [lo, hi) and their bodies.
+func (s *flatEngine) setup(t *upc.Thread) {
+	st := s.ts[t.ID()]
+	me, p, n := t.ID(), t.P(), s.o.Bodies
+	lo, hi := me*n/p, (me+1)*n/p
+	st.slotLo = lo
+	st.myBodies = st.myBodies[:0]
+	for j := lo; j < hi; j++ {
+		s.setBody(j, &s.init[j])
+		st.myBodies = append(st.myBodies, upc.Ref{Thr: int32(me), Idx: s.init[j].ID})
+	}
 }
 
 // body is tree slot j's body, whose ID is id, as one record.
-func (f *flatTree) body(j int, id int32) nbody.Body {
+func (s *flatEngine) body(j int, id int32) nbody.Body {
 	return nbody.Body{
-		Pos: f.Tree.Bodies.Pos[j], Mass: f.Tree.Bodies.Mass[j], Cost: f.cost[id], ID: id,
-		Vel: f.vel[id], Acc: f.acc[id].Acc, Phi: f.acc[id].Phi,
+		Pos: s.Tree.Bodies.Pos[j], Mass: s.Tree.Bodies.Mass[j], Cost: s.cost[id], ID: id,
+		Vel: s.vel[id], Acc: s.acc[id].Acc, Phi: s.acc[id].Phi,
 	}
 }
 
 // setBody stores b as tree slot j's body; b.ID must be in range.
-func (f *flatTree) setBody(j int, b *nbody.Body) {
-	f.Tree.Bodies.Pos[j], f.Tree.Bodies.Mass[j] = b.Pos, b.Mass
-	f.cost[b.ID], f.vel[b.ID], f.acc[b.ID] = b.Cost, b.Vel, accPhi{b.Acc, b.Phi}
+func (s *flatEngine) setBody(j int, b *nbody.Body) {
+	s.Tree.Bodies.Pos[j], s.Tree.Bodies.Mass[j] = b.Pos, b.Mass
+	s.cost[b.ID], s.vel[b.ID], s.acc[b.ID] = b.Cost, b.Vel, accPhi{b.Acc, b.Phi}
 }
 
 // ownPos is the Pos column of this thread's slot interval.
-func (s *Sim) ownPos(st *tstate) []vec.V3 {
-	return s.flat.Tree.Bodies.Pos[st.slotLo : st.slotLo+len(st.myBodies)]
+func (s *flatEngine) ownPos(st *flatThread) []vec.V3 {
+	return s.Tree.Bodies.Pos[st.slotLo : st.slotLo+len(st.myBodies)]
 }
 
-// stepFlat is the native arm of stepOnce up to the force phase: build and
+// prepare is the native step up to the force phase: build and
 // partition. Only the build ends at a barrier. Once the tree is complete
 // nothing downstream reads what another thread writes before the force
 // barrier: the partition reads the tree and ids, and the force phase
 // takes positions from the tree and writes its own bodies' columns
 // (DESIGN.md §8.5). Claiming slots is all the redistribution there is.
-func (s *Sim) stepFlat(t *upc.Thread, st *tstate, ph *PhaseTimes, measured bool) {
-	t0, s0 := s.beginPhase(t)
+func (s *flatEngine) prepare(t *upc.Thread, measured bool) (ph PhaseTimes) {
+	st := s.ts[t.ID()]
+	t0, s0 := beginPhase(t)
 	s.buildFlat(t, st, measured)
-	s.endPhase(t, st, ph, PhaseTree, t0, s0, measured)
+	st.endPhase(t, &ph, PhaseTree, t0, s0, measured)
 	if s.o.Verify {
 		if t.ID() == 0 {
 			s.verifyFlat()
 		}
 		t.Barrier()
 	}
-	t0, s0 = s.beginPhase(t)
+	t0, s0 = beginPhase(t)
 	s.costzonesFlat(t, st, measured)
-	s.endPhaseFlow(t, st, ph, PhasePartition, t0, s0, measured)
+	st.endPhaseFlow(t, &ph, PhasePartition, t0, s0, measured)
+	return ph
+}
+
+// boundingBox computes the new root geometry: a pass over the thread's
+// own slots, then, since the native runtime has no collectives, a
+// barrier after which every thread folds its peers' boxes itself. Min
+// and max are exact, so this is the cube the simulator's all-reduce
+// gives.
+func (s *flatEngine) boundingBox(t *upc.Thread, st *flatThread) rootGeom {
+	lo := vec.V3{X: math.Inf(1), Y: math.Inf(1), Z: math.Inf(1)}
+	hi := lo.Scale(-1)
+	for _, pos := range s.ownPos(st) {
+		lo = lo.Min(pos)
+		hi = hi.Max(pos)
+	}
+	st.bbLo = [3]float64{lo.X, lo.Y, lo.Z}
+	st.bbHi = [3]float64{hi.X, hi.Y, hi.Z}
+	t.Barrier()
+	for _, o := range s.ts {
+		lo = lo.Min(vec.V3{X: o.bbLo[0], Y: o.bbLo[1], Z: o.bbLo[2]})
+		hi = hi.Max(vec.V3{X: o.bbHi[0], Y: o.bbHi[1], Z: o.bbHi[2]})
+	}
+	center, half := nbody.RootCell(lo, hi)
+	st.geom = rootGeom{Center: center, Half: half}
+	return st.geom
 }
 
 // buildFlat drives this thread through the stages of octree.ParBuild,
 // with a barrier after each; the caller's phase barrier closes the last.
 // Box, count and put read the thread's own slots of the last tree, which
 // stage 3 overwrites only after the put barrier.
-func (s *Sim) buildFlat(t *upc.Thread, st *tstate, measured bool) {
+func (s *flatEngine) buildFlat(t *upc.Thread, st *flatThread, measured bool) {
 	t0 := t.Now()
 	g := s.boundingBox(t, st)
-	f := s.flat
-	w := f.Worker(t.ID())
+	w := s.Worker(t.ID())
 	pos := s.ownPos(st)
 	w.Begin(g.Center, g.Half, len(pos))
 	for i, p := range pos {
@@ -138,20 +210,20 @@ func (s *Sim) buildFlat(t *upc.Thread, st *tstate, measured bool) {
 	t.Barrier()
 	w.Offsets()
 	me := int32(t.ID())
-	mass := f.Tree.Bodies.Mass[st.slotLo:]
+	mass := s.Tree.Bodies.Mass[st.slotLo:]
 	for i, r := range st.myBodies {
-		c := f.cost[r.Idx]
+		c := s.cost[r.Idx]
 		if c <= 0 {
 			c = 1
 		}
-		f.ids[w.Put(i, pos[i], mass[i], c)] = upc.Ref{Thr: me, Idx: r.Idx}
+		s.ids[w.Put(i, pos[i], mass[i], c)] = upc.Ref{Thr: me, Idx: r.Idx}
 	}
 	t.Barrier()
 	w.Build()
 	t1 := t.Now()
 	t.Barrier()
 	if t.ID() == 0 {
-		f.Crown()
+		s.Crown()
 	}
 	t.Barrier()
 	w.Stitch()
@@ -168,8 +240,8 @@ func (s *Sim) buildFlat(t *upc.Thread, st *tstate, measured bool) {
 // integer-valued, so the sums are exact and this is the partition the
 // pointer walk produces. The claimed slots are one contiguous interval
 // from slotLo; a body another thread staged has migrated.
-func (s *Sim) costzonesFlat(t *upc.Thread, st *tstate, measured bool) {
-	ft := &s.flat.Tree
+func (s *flatEngine) costzonesFlat(t *upc.Thread, st *flatThread, measured bool) {
+	ft := &s.Tree
 	me := int32(t.ID())
 	total := ft.Meta[0].Cost
 	lo := total * float64(me) / float64(t.P())
@@ -185,7 +257,7 @@ func (s *Sim) costzonesFlat(t *upc.Thread, st *tstate, measured bool) {
 			if len(st.myBodies) == 0 {
 				st.slotLo = j
 			}
-			r := s.flat.ids[ft.Bodies.ID[j]]
+			r := s.ids[ft.Bodies.ID[j]]
 			if r.Thr != me {
 				migrated++
 			}
@@ -199,16 +271,16 @@ func (s *Sim) costzonesFlat(t *upc.Thread, st *tstate, measured bool) {
 	}
 }
 
-// forceFlat is the native force phase for LevelCacheTree and above: this
+// force is the native force phase (LevelCacheTree and above): this
 // thread's bodies are tree slots slotLo, slotLo+1, … in myBodies order,
 // so each batch of FlatBatchWidth takes its lane positions from the tree
 // and skips itself by slot. Unlike the pointer walks, a body that
 // migrated this step therefore does not interact with its own build-time
 // copy. Zero allocations in steady state.
-func (s *Sim) forceFlat(t *upc.Thread, st *tstate, measured bool) {
-	f := s.flat
-	ft := &f.Tree
-	tol, eps := st.tol, st.eps // replicated at LevelScalars and above
+func (s *flatEngine) force(t *upc.Thread, measured bool) {
+	st := s.ts[t.ID()]
+	ft := &s.Tree
+	tol, eps := s.o.Theta, s.o.Eps
 	var fb octree.FlatBatch
 	mb := st.myBodies
 	for base := 0; base < len(mb); base += octree.FlatBatchWidth {
@@ -222,8 +294,8 @@ func (s *Sim) forceFlat(t *upc.Thread, st *tstate, measured bool) {
 		st.fwalker.ForceBatch(ft, &fb, tol, eps)
 		for lane := 0; lane < w; lane++ {
 			id := mb[base+lane].Idx
-			f.acc[id] = accPhi{fb.Acc[lane], fb.Phi[lane]}
-			f.cost[id] = float64(fb.Inter[lane])
+			s.acc[id] = accPhi{fb.Acc[lane], fb.Phi[lane]}
+			s.cost[id] = float64(fb.Inter[lane])
 			if measured {
 				st.inter += uint64(fb.Inter[lane])
 			}
@@ -231,16 +303,16 @@ func (s *Sim) forceFlat(t *upc.Thread, st *tstate, measured bool) {
 	}
 }
 
-// advanceFlat is nbody.AdvanceKickDrift, operation for operation, on the
+// advance is nbody.AdvanceKickDrift, operation for operation, on the
 // thread's own slots of the tree every walk finished with at the force
 // barrier.
-func (s *Sim) advanceFlat(st *tstate) {
-	f := s.flat
+func (s *flatEngine) advance(t *upc.Thread) {
+	st := s.ts[t.ID()]
 	dt := s.o.Dt
 	pos := s.ownPos(st)
 	for i, r := range st.myBodies {
-		v := f.vel[r.Idx].AddScaled(f.acc[r.Idx].Acc, dt)
-		f.vel[r.Idx] = v
+		v := s.vel[r.Idx].AddScaled(s.acc[r.Idx].Acc, dt)
+		s.vel[r.Idx] = v
 		pos[i] = pos[i].AddScaled(v, dt)
 	}
 }
@@ -252,9 +324,8 @@ func (s *Sim) advanceFlat(st *tstate) {
 // every cell's Cost is EXACTLY the sum of its kids' (see verifyTree), and
 // the slots hold every body exactly once, as it was staged, with the
 // cost its column carries.
-func (s *Sim) verifyFlat() {
-	f := s.flat
-	ft := &f.Tree
+func (s *flatEngine) verifyFlat() {
+	ft := &s.Tree
 	if err := ft.Verify(); err != nil {
 		panic(fmt.Sprintf("core verify: %v", err))
 	}
@@ -274,19 +345,126 @@ func (s *Sim) verifyFlat() {
 	}
 	ids := newIDSet(s.o.Bodies)
 	for j, src := range ft.Bodies.ID {
-		id := f.ids[src].Idx
+		id := s.ids[src].Idx
 		if err := ids.claim(id); err != nil {
 			panic(fmt.Sprintf("core verify: flat slot %d: %v", j, err))
 		}
-		cost := f.cost[id]
+		cost := s.cost[id]
 		if cost <= 0 {
 			cost = 1
 		}
-		if f.Src.Pos[src] != ft.Bodies.Pos[j] || f.Src.Mass[src] != ft.Bodies.Mass[j] || cost != ft.Bodies.Cost[j] {
+		if s.Src.Pos[src] != ft.Bodies.Pos[j] || s.Src.Mass[src] != ft.Bodies.Mass[j] || cost != ft.Bodies.Cost[j] {
 			panic(fmt.Sprintf("core verify: flat slot %d is not body %d as it was staged", j, id))
 		}
 	}
 	if err := ids.covered(); err != nil {
 		panic(fmt.Sprintf("core verify: flat tree: %v", err))
 	}
+}
+
+// gather reads every owned body from its tree slot and the columns.
+func (s *flatEngine) gather(out []nbody.Body, ids *idSet) error {
+	for _, st := range s.ts {
+		for k, br := range st.myBodies {
+			if err := ids.claim(br.Idx); err != nil {
+				return err
+			}
+			out[br.Idx] = s.body(st.slotLo+k, br.Idx)
+		}
+	}
+	return nil
+}
+
+// capture writes the n bodies in tree-slot order (the "bodies" region),
+// and the replicated tol and eps each thread's walk uses. The pointer
+// tree's fields stay zero, and "locks" is [], not null.
+func (s *flatEngine) capture(cs *ckptState) []arena.NamedRegion {
+	cs.Locks = []float64{}
+	bodies := make([]nbody.Body, 0, s.o.Bodies)
+	for i, st := range s.ts {
+		for k, r := range st.myBodies {
+			bodies = append(bodies, s.body(st.slotLo+k, r.Idx))
+		}
+		cs.Threads[i].Tol, cs.Threads[i].Eps = s.o.Theta, s.o.Eps
+	}
+	return []arena.NamedRegion{{Name: regBodies, Data: bodyRecordBytes(bodies)}}
+}
+
+// restore takes the container's bodies, checked whole before they index
+// the columns: thread i the n_owned slots after threads 0..i-1's. (The
+// flat tree has neither locks nor shared scalars; containers written
+// while it still allocated them carry 2048 idle locks and four values
+// nothing read, ignored here.)
+func (s *flatEngine) restore(cs *ckptState, c *arena.Checkpoint) error {
+	bodies, err := nativeBodies(c, cs)
+	if err != nil {
+		return err
+	}
+	slot := 0
+	for i, st := range s.ts {
+		st.slotLo = slot
+		st.myBodies = st.myBodies[:0]
+		for range cs.Threads[i].NOwned {
+			s.setBody(slot, &bodies[slot])
+			st.myBodies = append(st.myBodies, upc.Ref{Thr: int32(i), Idx: bodies[slot].ID})
+			slot++
+		}
+	}
+	return nil
+}
+
+// nativeBodies decodes a native container's n bodies in tree-slot order:
+// the bodies region, or an older container's refs resolved, in thread
+// order, into its heap region's shards. Either way the owned counts must
+// sum to n and the IDs be a permutation of 0..n-1.
+func nativeBodies(c *arena.Checkpoint, cs *ckptState) ([]nbody.Body, error) {
+	n, owned := cs.Options.Bodies, 0
+	for i, tc := range cs.Threads {
+		if tc.NOwned < 0 || tc.NOwned > n {
+			return nil, fmt.Errorf("core: checkpoint thread %d owns %d of %d bodies", i, tc.NOwned, n)
+		}
+		owned += tc.NOwned
+	}
+	if owned != n {
+		return nil, fmt.Errorf("core: ownership covers %d bodies, want %d", owned, n)
+	}
+	data, ok := c.Region(regBodies)
+	name, rec := regBodies, bodyBytes
+	if !ok {
+		data, _ = c.Region(regRefs)
+		name, rec = regRefs, refBytes
+	}
+	if len(data)%rec != 0 || len(data)/rec != n {
+		return nil, fmt.Errorf("core: checkpoint %s region holds %d bytes, want %d records of %d", name, len(data), n, rec)
+	}
+	out := make([]nbody.Body, n)
+	dst := bodyRecordBytes(out)
+	if ok {
+		copy(dst, data)
+	} else {
+		heap, _ := c.Region(regHeap)
+		refs := data
+		shard := make([]int, len(cs.HeapLens)+1) // byte offsets in heap
+		for i, l := range cs.HeapLens {
+			if l < 0 || int(l) > (len(heap)-shard[i])/bodyBytes {
+				return nil, fmt.Errorf("core: checkpoint heap region truncated (shard %d holds %d bodies)", i, l)
+			}
+			shard[i+1] = shard[i] + int(l)*bodyBytes
+		}
+		for j := range out {
+			r := *(*upc.Ref)(unsafe.Pointer(&refs[j*refBytes]))
+			if r.Thr < 0 || int(r.Thr) >= len(cs.HeapLens) || r.Idx < 0 || r.Idx >= cs.HeapLens[r.Thr] {
+				return nil, fmt.Errorf("core: checkpoint body ref %v out of range", r)
+			}
+			off := shard[r.Thr] + int(r.Idx)*bodyBytes
+			copy(dst[j*bodyBytes:], heap[off:off+bodyBytes])
+		}
+	}
+	ids := newIDSet(n)
+	for i := range out {
+		if err := ids.claim(out[i].ID); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

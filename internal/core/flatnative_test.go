@@ -138,12 +138,31 @@ func testSteadyStateZeroAlloc(t *testing.T, threads int) {
 		}
 	}
 
-	// Off-heap claim: the flat arenas exist, were consumed, and the hot
-	// arrays of the step's tree (whose body view is the body state), the
-	// builder's staging view, the ID-indexed body columns and each
-	// thread's segment live inside the mmap regions — GC-invisible —
-	// rather than on the Go heap.
-	if sim.mem == nil {
+	fe, ok := sim.eng.(*flatEngine)
+	if !ok {
+		t.Fatalf("native Sim runs a %T, not the flat engine", sim.eng)
+	}
+	treeInArena(t, fe)
+	if threads > 1 {
+		// A thread's arena holds its builder segment and sort scratch —
+		// which, allocation-free as the steps above were, is the only place
+		// they can be. It holds no body storage: a native Sim has no heap.
+		for i, a := range fe.tmem {
+			if a == nil || a.Used() == 0 {
+				t.Errorf("thread %d: builder segment is not in the thread's arena", i)
+			}
+		}
+	}
+}
+
+// treeInArena is the off-heap claim: the flat arenas exist, were
+// consumed, and the hot arrays of the step's tree (whose body view is the
+// body state), the builder's staging view and the ID-indexed body columns
+// live inside the mmap region — GC-invisible — rather than on the Go
+// heap.
+func treeInArena(t *testing.T, fe *flatEngine) {
+	t.Helper()
+	if fe.mem == nil {
 		t.Fatal("native sim has no flat arena")
 	}
 	inArena := func(a *arena.Arena, name string, p unsafe.Pointer) {
@@ -157,31 +176,18 @@ func testSteadyStateZeroAlloc(t *testing.T, threads int) {
 			t.Errorf("%s at %#x is outside its arena [%#x,%#x)", name, addr, lo, lo+uintptr(len(mem)))
 		}
 	}
-	ft := &sim.flat.Tree
-	inArena(sim.mem, "Nodes", unsafe.Pointer(&ft.Nodes[0]))
-	inArena(sim.mem, "Meta", unsafe.Pointer(&ft.Meta[0]))
-	inArena(sim.mem, "Kids", unsafe.Pointer(&ft.Kids[0]))
-	inArena(sim.mem, "PM", unsafe.Pointer(&ft.PM[0]))
-	inArena(sim.mem, "Bodies.Pos", unsafe.Pointer(&ft.Bodies.Pos[0]))
-	inArena(sim.mem, "Bodies.Mass", unsafe.Pointer(&ft.Bodies.Mass[0]))
-	inArena(sim.mem, "Src.Pos", unsafe.Pointer(&sim.flat.Src.Pos[0]))
-	inArena(sim.mem, "ids", unsafe.Pointer(&sim.flat.ids[0]))
-	inArena(sim.mem, "vel", unsafe.Pointer(&sim.flat.vel[0]))
-	inArena(sim.mem, "acc", unsafe.Pointer(&sim.flat.acc[0]))
-	inArena(sim.mem, "cost", unsafe.Pointer(&sim.flat.cost[0]))
-	if threads > 1 {
-		// A thread's arena holds its builder segment and sort scratch —
-		// which, allocation-free as the steps above were, is the only place
-		// they can be. It holds no body storage: a native Sim has no heap.
-		for i, a := range sim.tmem {
-			if a == nil || a.Used() == 0 {
-				t.Errorf("thread %d: builder segment is not in the thread's arena", i)
-			}
-		}
-	}
-	if sim.bodies != nil {
-		t.Error("native Sim has a body heap")
-	}
+	ft := &fe.Tree
+	inArena(fe.mem, "Nodes", unsafe.Pointer(&ft.Nodes[0]))
+	inArena(fe.mem, "Meta", unsafe.Pointer(&ft.Meta[0]))
+	inArena(fe.mem, "Kids", unsafe.Pointer(&ft.Kids[0]))
+	inArena(fe.mem, "PM", unsafe.Pointer(&ft.PM[0]))
+	inArena(fe.mem, "Bodies.Pos", unsafe.Pointer(&ft.Bodies.Pos[0]))
+	inArena(fe.mem, "Bodies.Mass", unsafe.Pointer(&ft.Bodies.Mass[0]))
+	inArena(fe.mem, "Src.Pos", unsafe.Pointer(&fe.Src.Pos[0]))
+	inArena(fe.mem, "ids", unsafe.Pointer(&fe.ids[0]))
+	inArena(fe.mem, "vel", unsafe.Pointer(&fe.vel[0]))
+	inArena(fe.mem, "acc", unsafe.Pointer(&fe.acc[0]))
+	inArena(fe.mem, "cost", unsafe.Pointer(&fe.cost[0]))
 }
 
 // TestNativeChargesNothing pins why the runtime's clock ops have no
@@ -207,11 +213,11 @@ func TestNativeChargesNothing(t *testing.T) {
 }
 
 // TestNativeSimHoldsNoPointerTree: native means the flat path, so a
-// native Sim builds none of the simulator's shared state — no body heap
-// (its bodies live in the tree), no cells heap (a 16 384-entry chunk
-// table per thread), no lock array, no shared scalars, no subspace
-// scratch or transparent caches — through a step, a checkpoint round trip
-// and Release.
+// native Sim runs the flat engine and builds none of the simulator's
+// state — no body heap (its bodies live in the tree), no cells heap (a
+// 16 384-entry chunk table per thread), no lock array, no shared
+// scalars, no subspace scratch or transparent caches, all of which only
+// simEngine holds — through a step, a checkpoint round trip and Release.
 func TestNativeSimHoldsNoPointerTree(t *testing.T) {
 	opts := DefaultOptions(64, 1, LevelSubspace)
 	opts.ExecMode = ModeNative
@@ -234,13 +240,8 @@ func TestNativeSimHoldsNoPointerTree(t *testing.T) {
 	}
 	defer restored.Release()
 	for name, s := range map[string]*Sim{"fresh": sim, "restored": restored} {
-		if s.flat == nil || s.bodies != nil || s.cells != nil || s.locks != nil ||
-			s.geomS != nil || s.tolS != nil || s.epsS != nil || s.rootS != nil {
-			t.Errorf("%s native Sim holds simulator state: flat=%v bodies=%v cells=%v locks=%v scalars=%v/%v/%v/%v",
-				name, s.flat != nil, s.bodies != nil, s.cells != nil, s.locks != nil, s.geomS != nil, s.tolS != nil, s.epsS != nil, s.rootS != nil)
-		}
-		if st := s.ts[0]; st.sub != nil || st.cellCache != nil || st.bodyCache != nil {
-			t.Errorf("%s native thread state holds pointer-path scratch", name)
+		if _, ok := s.eng.(*flatEngine); !ok {
+			t.Errorf("%s native Sim runs a %T, not the flat engine", name, s.eng)
 		}
 	}
 }
@@ -261,7 +262,7 @@ func TestNativeFlatSnapshotCoversTree(t *testing.T) {
 		if th.ID() != 0 {
 			return
 		}
-		ft := &currentSim.flat.Tree
+		ft := &currentSim.eng.(*flatEngine).Tree
 		snapBodies = append(snapBodies, ft.Bodies.Len())
 		snapCells = append(snapCells, len(ft.Nodes))
 	}
@@ -303,16 +304,17 @@ func TestNativeFlatSkipForLeafIdx(t *testing.T) {
 	opts.testStepHook = func(th *upc.Thread, step int) {
 		s := currentSim
 		me := th.ID()
-		st := s.ts[me]
-		ft := &s.flat.Tree
+		fe := s.eng.(*flatEngine)
+		st := fe.ts[me]
+		ft := &fe.Tree
 		moved := 0
 		for i, r := range st.myBodies {
 			slot := st.slotLo + i
 			src := ft.Bodies.ID[slot]
-			if got := s.flat.ids[src].Idx; got != r.Idx {
+			if got := fe.ids[src].Idx; got != r.Idx {
 				t.Errorf("step %d thread %d: slot %d holds body %d, not owned body %d", step, me, slot, got, r.Idx)
 			}
-			if want := s.flat.Src.Pos[src].AddScaled(s.flat.vel[r.Idx], opts.Dt); ft.Bodies.Pos[slot] != want {
+			if want := fe.Src.Pos[src].AddScaled(fe.vel[r.Idx], opts.Dt); ft.Bodies.Pos[slot] != want {
 				t.Errorf("step %d thread %d: slot %d was not advanced as body %d", step, me, slot, r.Idx)
 			}
 			if int(r.Thr) != me {

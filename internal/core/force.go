@@ -7,15 +7,12 @@ import (
 	"upcbh/internal/vec"
 )
 
-// force dispatches the force-computation phase: the flat-tree kernel
-// under the native backend, and under simulate the pointer walk of the
-// optimization level — forceNaive, forceCached and forceAsync are the
-// paper's three ways of paying for (or hiding) remote access, which only
-// the simulator has.
-func (s *Sim) force(t *upc.Thread, st *tstate, measured bool) {
+// force is the simulator's force phase: the pointer walk of the
+// optimization level. forceNaive, forceCached and forceAsync are the
+// paper's three ways of paying for (or hiding) remote access.
+func (s *simEngine) force(t *upc.Thread, measured bool) {
+	st := s.ts[t.ID()]
 	switch {
-	case s.flat != nil:
-		s.forceFlat(t, st, measured)
 	case s.o.Level >= LevelAsync:
 		s.forceAsync(t, st, measured)
 	case s.o.Level >= LevelCacheTree:
@@ -27,7 +24,7 @@ func (s *Sim) force(t *upc.Thread, st *tstate, measured bool) {
 
 // writeForce stores the computed acceleration, potential and new cost
 // back into the body (remote put below LevelRedistribute).
-func (s *Sim) writeForce(t *upc.Thread, st *tstate, br upc.Ref, acc vec.V3, phi float64, inter int) {
+func (s *simEngine) writeForce(t *upc.Thread, st *simThread, br upc.Ref, acc vec.V3, phi float64, inter int) {
 	if measuredLocal := s.o.Level >= LevelRedistribute && s.bodies.IsLocal(t, br); measuredLocal {
 		b := s.bodies.Local(t, br)
 		b.Acc, b.Phi, b.Cost = acc, phi, float64(inter)
@@ -42,7 +39,7 @@ func (s *Sim) writeForce(t *upc.Thread, st *tstate, br upc.Ref, acc vec.V3, phi 
 // simulate only): every tree node is accessed through pointers-to-shared,
 // field by field, and — at LevelBaseline — tol and eps are read from
 // thread 0's shared scalars at every acceptance test and interaction.
-func (s *Sim) forceNaive(t *upc.Thread, st *tstate, measured bool) {
+func (s *simEngine) forceNaive(t *upc.Thread, st *simThread, measured bool) {
 	rootNR := s.readRoot(t, st)
 	stack := st.nodeStack
 	for _, br := range st.myBodies {
@@ -158,21 +155,21 @@ func (a *lnodeArena) alloc() *lnode {
 }
 
 // newCellLnode copies a fetched cell into a fresh arena lnode.
-func (st *tstate) newCellLnode(c *Cell) *lnode {
+func (st *simThread) newCellLnode(c *Cell) *lnode {
 	ln := st.lna.alloc()
 	*ln = lnode{half: c.Half, cofm: c.CofM, mass: c.Mass, sub: c.Sub}
 	return ln
 }
 
 // newBodyLnode makes an arena lnode leaf for a fetched body.
-func (st *tstate) newBodyLnode(r upc.Ref, pos vec.V3, mass float64) *lnode {
+func (st *simThread) newBodyLnode(r upc.Ref, pos vec.V3, mass float64) *lnode {
 	ln := st.lna.alloc()
 	*ln = lnode{isBody: true, bodyRef: r, cofm: pos, mass: mass}
 	return ln
 }
 
 // fetchLocalRoot copies the global root into a fresh local tree.
-func (s *Sim) fetchLocalRoot(t *upc.Thread, st *tstate) *lnode {
+func (s *simEngine) fetchLocalRoot(t *upc.Thread, st *simThread) *lnode {
 	st.lna.reset()
 	rootNR := s.readRoot(t, st)
 	c := s.cells.ReadView(t, rootNR.Ref(), cellBytes)
@@ -184,7 +181,7 @@ func (s *Sim) fetchLocalRoot(t *upc.Thread, st *tstate) *lnode {
 // caching scheme does) and mark n localized. With AliasLocalCells
 // (§5.3.2) children that already live in this thread's shared memory are
 // aliased through "shadow pointers" instead of being copied.
-func (s *Sim) localizeChildren(t *upc.Thread, st *tstate, n *lnode) {
+func (s *simEngine) localizeChildren(t *upc.Thread, st *simThread, n *lnode) {
 	for oct, slot := range n.sub {
 		if slot.IsNil() {
 			continue
@@ -214,7 +211,7 @@ func (s *Sim) localizeChildren(t *upc.Thread, st *tstate, n *lnode) {
 // forceCached is the §5.3 force computation (simulate only): walk the
 // private local tree with plain pointers, localizing cells on demand
 // with blocking gets.
-func (s *Sim) forceCached(t *upc.Thread, st *tstate, measured bool) {
+func (s *simEngine) forceCached(t *upc.Thread, st *simThread, measured bool) {
 	st.lroot = s.fetchLocalRoot(t, st)
 	eps := s.readEps(t, st)
 	tol := s.readTol(t, st)

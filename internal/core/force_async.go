@@ -52,7 +52,7 @@ func (r *request) empty() bool { return len(r.items) == 0 }
 // getWbody/putWbody and getRequest/putRequest recycle the async-force
 // working structures across bodies and steps; their slices keep their
 // capacity, so the steady-state force phase stops allocating.
-func (st *tstate) getWbody(br upc.Ref, pos vec.V3) *wbody {
+func (st *simThread) getWbody(br upc.Ref, pos vec.V3) *wbody {
 	if n := len(st.wbFree); n > 0 {
 		wb := st.wbFree[n-1]
 		st.wbFree = st.wbFree[:n-1]
@@ -62,9 +62,9 @@ func (st *tstate) getWbody(br upc.Ref, pos vec.V3) *wbody {
 	return &wbody{br: br, pos: pos}
 }
 
-func (st *tstate) putWbody(wb *wbody) { st.wbFree = append(st.wbFree, wb) }
+func (st *simThread) putWbody(wb *wbody) { st.wbFree = append(st.wbFree, wb) }
 
-func (st *tstate) getRequest() *request {
+func (st *simThread) getRequest() *request {
 	if n := len(st.reqFree); n > 0 {
 		r := st.reqFree[n-1]
 		st.reqFree = st.reqFree[:n-1]
@@ -73,7 +73,7 @@ func (st *tstate) getRequest() *request {
 	return &request{}
 }
 
-func (st *tstate) putRequest(r *request) {
+func (st *simThread) putRequest(r *request) {
 	*r = request{
 		parents:  r.parents[:0],
 		items:    r.items[:0],
@@ -96,7 +96,7 @@ func sized[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 // cells, keep at most n2 outstanding non-blocking gathers, and overlap
 // communication with the force computation of bodies whose frontiers can
 // still make progress.
-func (s *Sim) forceAsync(t *upc.Thread, st *tstate, measured bool) {
+func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 	st.lroot = s.fetchLocalRoot(t, st)
 	eps := s.readEps(t, st)
 	tol := s.readTol(t, st)

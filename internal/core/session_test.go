@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -381,6 +383,70 @@ func TestSetBodiesAfterStartPanics(t *testing.T) {
 	sim.SetBodies(make([]nbody.Body, 4))
 }
 
+// TestSetBodiesResizes: the backend is built when the session starts, so
+// SetBodies at another body count than Options.Bodies runs exactly as a
+// Sim configured for that count — equal bodies, and simulate Results
+// byte-equal at levels whose buffers outgrow a chunk sized for the
+// configured count — and the native tree's hot arrays stay inside the
+// arena sized for the bodies actually stepped.
+func TestSetBodiesResizes(t *testing.T) {
+	run := func(t *testing.T, opts Options, bodies []nbody.Body, check func(*Sim)) *Result {
+		t.Helper()
+		sim, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Release()
+		sim.SetBodies(bodies)
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if check != nil {
+			check(sim)
+		}
+		return res
+	}
+	for _, c := range []struct {
+		mode  ExecMode
+		level Level
+		n     int
+	}{
+		{ModeSimulate, LevelBaseline, 5000},
+		{ModeSimulate, LevelRedistribute, 5000},
+		{ModeSimulate, LevelCacheTree, 5000},
+		{ModeSimulate, LevelSubspace, 5000},
+		{ModeNative, LevelMergedBuild, 50000},
+	} {
+		t.Run(fmt.Sprintf("%v/%v", c.mode, c.level), func(t *testing.T) {
+			bodies := nbody.Plummer(c.n, 7)
+			opts := DefaultOptions(64, 1, c.level)
+			opts.ExecMode = c.mode
+			opts.Steps, opts.Warmup = 2, 1
+			sized := opts
+			sized.Bodies = c.n
+			if c.mode == ModeNative {
+				got := run(t, opts, bodies, func(s *Sim) { treeInArena(t, s.eng.(*flatEngine)) })
+				sameBodies(t, got.Bodies, run(t, sized, bodies, nil).Bodies)
+				return
+			}
+			gotRes, wantRes := run(t, opts, bodies, nil), run(t, sized, bodies, nil)
+			sameBodies(t, gotRes.Bodies, wantRes.Bodies)
+			got, err := json.Marshal(gotRes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(wantRes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("SetBodies(%d) on a %d-body Sim:\n%.300s\nvs a %d-body Sim:\n%.300s", c.n, opts.Bodies, got, c.n, want)
+			}
+		})
+	}
+}
+
 // TestSessionLifecycleErrors pins the misuse error paths of the
 // lifecycle API.
 func TestSessionLifecycleErrors(t *testing.T) {
@@ -476,10 +542,10 @@ func TestGatherBodiesRejects(t *testing.T) {
 			func(s *Sim) { s.ts[1].myBodies = append(s.ts[1].myBodies, s.ts[0].myBodies[0]) },
 			func(s *Sim) { s.ts[1].myBodies[0].Idx = s.ts[0].myBodies[0].Idx }},
 		{"id-too-large", "outside [0, 64)",
-			func(s *Sim) { s.bodies.Raw(s.ts[0].myBodies[0]).ID = 64 },
+			func(s *Sim) { s.eng.(*simEngine).bodies.Raw(s.ts[0].myBodies[0]).ID = 64 },
 			func(s *Sim) { s.ts[0].myBodies[0].Idx = 64 }},
 		{"id-negative", "outside [0, 64)",
-			func(s *Sim) { s.bodies.Raw(s.ts[1].myBodies[0]).ID = -1 },
+			func(s *Sim) { s.eng.(*simEngine).bodies.Raw(s.ts[1].myBodies[0]).ID = -1 },
 			func(s *Sim) { s.ts[1].myBodies[0].Idx = -1 }},
 		{"short-coverage", "ownership covers 63 bodies, want 64",
 			func(s *Sim) { s.ts[1].myBodies = s.ts[1].myBodies[1:] },
@@ -542,10 +608,10 @@ func TestSnapshotBodiesInIDOrder(t *testing.T) {
 				for thr, st := range sim.ts {
 					for k, ref := range st.myBodies {
 						var b nbody.Body
-						if sim.flat != nil {
-							b = sim.flat.body(st.slotLo+k, ref.Idx)
+						if fe, ok := sim.eng.(*flatEngine); ok {
+							b = fe.body(fe.ts[thr].slotLo+k, ref.Idx)
 						} else {
-							b = *sim.bodies.Raw(ref)
+							b = *sim.eng.(*simEngine).bodies.Raw(ref)
 						}
 						if snap.Bodies[b.ID] != b {
 							t.Fatalf("snapshot slot %d does not hold thread %d's body %d", b.ID, thr, b.ID)

@@ -90,7 +90,7 @@ func (ss *subspaceState) collectLeaves(idx int32) {
 // are charged to the paper's phases: division+subforest+hook+top-cofm to
 // Tree-building, leaf-ownership to Partitioning, the body exchange to
 // Redistribution.
-func (s *Sim) stepSubspace(t *upc.Thread, st *tstate, ph *PhaseTimes, measured bool) {
+func (s *simEngine) stepSubspace(t *upc.Thread, st *simThread, ph *PhaseTimes, measured bool) {
 	ss := st.sub
 	p := t.P()
 	sSnap := t.Stats()
@@ -396,7 +396,7 @@ func (s *Sim) stepSubspace(t *upc.Thread, st *tstate, ph *PhaseTimes, measured b
 // reduceCosts performs the per-level cost reduction in place: a single
 // vector reduce&broadcast when VectorReduce is on, or one scalar
 // collective per element when it is off.
-func (s *Sim) reduceCosts(t *upc.Thread, local []float64) []float64 {
+func (s *simEngine) reduceCosts(t *upc.Thread, local []float64) []float64 {
 	if s.o.VectorReduce {
 		return upc.AllReduceVecF64(t, local, upc.OpSum)
 	}

@@ -23,7 +23,7 @@ import (
 //
 // It runs on thread 0 when Options.Verify is set, after tree
 // construction, and panics with a descriptive message on violation.
-func (s *Sim) verifyTree(t *upc.Thread, st *tstate) {
+func (s *simEngine) verifyTree(t *upc.Thread, st *simThread) {
 	root := s.readRoot(t, st)
 	if !root.IsCell() {
 		panic("core verify: root is not a cell")
