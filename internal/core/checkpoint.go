@@ -220,9 +220,8 @@ func Restore(r io.Reader) (*Sim, error) {
 	if err := cs.Options.validate(); err != nil {
 		return nil, badCheckpoint(fmt.Errorf("core: checkpoint options rejected: %w", err))
 	}
-	// A genuine payload holds at least n body records (the heap or the
-	// bodies region), which bounds what New allocates for the claimed n
-	// before the engine checks the regions themselves.
+	// A genuine payload holds at least n body records (heap or bodies):
+	// that bounds what New allocates before the engine checks regions.
 	if n := cs.Options.Bodies; int64(n) > c.Header.PayloadLen/int64(bodyBytes) {
 		return nil, badCheckpoint(fmt.Errorf("core: checkpoint claims %d bodies in a %d-byte payload", n, c.Header.PayloadLen))
 	}

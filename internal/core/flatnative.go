@@ -12,23 +12,17 @@ import (
 	"upcbh/internal/vec"
 )
 
-// This file is the native backend's engine (DESIGN.md §8). Under
-// ModeNative the threads build the step's flat octree directly and in
-// parallel (octree.ParBuild), partition it by a prefix over its cost
-// array, and walk it with the batched kernel; levels L3-L6 share this one
-// path, since what separates them in the paper is communication native
-// execution does not have. There is no body heap: the last tree's body
-// view (Tree.Bodies) is the body state, with ID-indexed columns for what
-// the tree does not carry, and a thread owns the slot interval its
-// partition claimed. The tree is canonical whoever built which part, so
-// native results are a pure function of the bodies — the same at every
-// thread count, and bit-identical to the simulate engine at one thread.
-
-// flatEngine is the native backend: the parallel builder, whose Tree
-// every thread walks from the tree barrier to the force barrier and whose
-// Tree.Bodies then holds the bodies until the next build; the body state
-// the tree does not carry; the arenas behind both; and each thread's
-// walker and slot interval.
+// flatEngine is the native backend (DESIGN.md §8). The threads build the
+// step's flat octree directly and in parallel (the embedded builder),
+// partition it by a prefix over its cost array, and walk it with the
+// batched kernel; levels L3-L6 share this one path, since what separates
+// them in the paper is communication native execution does not have. The
+// last tree's body view (Tree.Bodies) is the body state, with ID-indexed
+// columns for what the tree does not carry, and a thread owns the slot
+// interval its partition claimed. The tree is canonical whoever built
+// which part, so native results are a pure function of the bodies — the
+// same at every thread count, and bit-identical to the simulate engine at
+// one thread.
 type flatEngine struct {
 	octree.ParBuild
 
@@ -79,11 +73,9 @@ type accPhi struct {
 }
 
 // newFlatEngine maps the arenas and sizes the builder and the columns
-// for the Sim's final body count, on the goroutine that starts the
-// session (the arenas are single-owner, and no thread runs yet). The
-// arenas leave room for the doubling-growth dead space; anonymous
-// mappings commit pages lazily, so over-reserving virtual space costs
-// nothing. A failed mmap leaves an arena nil and growth on the Go heap.
+// for the Sim's final body count, before any thread runs. The arenas
+// leave room for the doubling-growth dead space; anonymous mappings
+// commit pages lazily, so over-reserving virtual space costs nothing.
 func newFlatEngine(sim *Sim) *flatEngine {
 	n, p := sim.o.Bodies, sim.rt.Threads()
 	s := &flatEngine{o: sim.o, init: sim.init, ts: make([]*flatThread, p), tmem: make([]*arena.Arena, p)}
@@ -390,11 +382,9 @@ func (s *flatEngine) capture(cs *ckptState) []arena.NamedRegion {
 	return []arena.NamedRegion{{Name: regBodies, Data: bodyRecordBytes(bodies)}}
 }
 
-// restore takes the container's bodies, checked whole before they index
-// the columns: thread i the n_owned slots after threads 0..i-1's. (The
-// flat tree has neither locks nor shared scalars; containers written
-// while it still allocated them carry 2048 idle locks and four values
-// nothing read, ignored here.)
+// restore gives thread i the n_owned slots after threads 0..i-1's, once
+// nativeBodies has checked the bodies whole. Locks and shared scalars,
+// which older native containers carry, are ignored.
 func (s *flatEngine) restore(cs *ckptState, c *arena.Checkpoint) error {
 	bodies, err := nativeBodies(c, cs)
 	if err != nil {

@@ -288,12 +288,13 @@ func (s *Sim) Finish() (*Result, error) {
 	return s.collect()
 }
 
-// Release returns the simulation's heap storage to the process-wide
-// recycling pools. Call it after the last use of the Sim; collected
-// Results and Snapshots are unaffected (they copy all body state out).
-// Release is idempotent — a second call is a no-op, not a double return
-// of the same chunks to the pools — and it terminates a still-paused
-// session first, so a stepped Sim can be abandoned without Finish.
+// Release returns the engine's memory: heap chunks to the process-wide
+// recycling pools, arenas to the OS. Call it after the last use of the
+// Sim; collected Results and Snapshots are unaffected (they copy all
+// body state out). Release is idempotent — a second call is a no-op,
+// not a double return of the same chunks to the pools — and it
+// terminates a still-paused session first, so a stepped Sim can be
+// abandoned without Finish.
 func (s *Sim) Release() {
 	switch s.state {
 	case simReleased:

@@ -12,14 +12,12 @@ import (
 	"upcbh/internal/vec"
 )
 
-// This file is the simulate backend's engine (DESIGN.md §9): the paper's
-// UPC program at every optimization level, every shared access charged
-// against the machine model. Its phases live in build_global.go,
+// simEngine is the simulate backend (DESIGN.md §9): the paper's UPC
+// program at every level, every shared access charged. It owns the body
+// heap, the shared pointer tree — the cells heap, the hashed lock array,
+// the UPC shared scalars (affinity: thread 0) — and each thread's
+// pointer-path state. Its phases live in build_global.go,
 // build_merged.go, subspace.go, force.go, force_async.go and verify.go.
-
-// simEngine is the simulator's memory: the body heap, the shared pointer
-// tree — the cells heap, the hashed lock array and the UPC shared
-// scalars (affinity: thread 0) — and each thread's pointer-path state.
 type simEngine struct {
 	o    Options
 	par  machine.Params
@@ -146,8 +144,7 @@ func (s *simEngine) setup(t *upc.Thread) {
 	lo, hi := me*n/p, (me+1)*n/p
 	cnt := hi - lo
 
-	st.tol = s.o.Theta
-	st.eps = s.o.Eps
+	st.tol, st.eps = s.o.Theta, s.o.Eps
 
 	capacity := cnt
 	if s.o.Level >= LevelRedistribute {
@@ -347,11 +344,9 @@ func (s *simEngine) capture(cs *ckptState) []arena.NamedRegion {
 	return []arena.NamedRegion{{Name: regHeap, Data: heap}, {Name: regRefs, Data: refs}}
 }
 
-// restore reads the body heap, the owned-body refs, the lock horizon,
-// the shared scalars and each thread's buffers back. The fresh setup's
-// heap allocation layout is the checkpointed run's setup-time layout;
-// shards the checkpointed run grew past it are extended first, then
-// every mutable byte is replaced.
+// restore reads capture's state back. The fresh setup's heap layout is
+// the checkpointed run's setup-time layout; shards the run grew past it
+// are extended first, then every mutable byte is replaced.
 func (s *simEngine) restore(cs *ckptState, c *arena.Checkpoint) error {
 	p := len(s.ts)
 	heap, okHeap := c.Region(regHeap)
