@@ -22,7 +22,7 @@ func runExperiment(b *testing.B, id string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := bench.QuickParams()
+	p := bench.Params{Scale: 0.25, MaxThreads: 32} // a reduced workload
 	for i := 0; i < b.N; i++ {
 		rep, err := e.Run(bench.NewRunner(0), p)
 		if err != nil {

@@ -8,9 +8,7 @@
 //
 // Experiments run through a shared memoized Runner: configurations that
 // several tables/figures have in common simulate once, independent
-// configurations run concurrently (-parallel workers), and ext-native's
-// native-mode halves run exclusively so their wall-clock timings stay
-// clean. With -json, the structured reports land in a
+// configurations run concurrently (-parallel workers). With -json, the structured reports land in a
 // BENCH_results.json trajectory file next to the text output.
 package main
 

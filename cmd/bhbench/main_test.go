@@ -35,7 +35,7 @@ func TestListNamesEveryExperiment(t *testing.T) {
 
 // TestUsageErrorsExit2: invocations that name nothing runnable are usage
 // errors. -mode went with the harness-wide mode parameter: the tables are
-// simulated-time tables and ext-native sets its own modes.
+// simulated-time tables.
 func TestUsageErrorsExit2(t *testing.T) {
 	for name, tc := range map[string]struct {
 		args []string

@@ -54,9 +54,7 @@ func New(size int) (*Arena, error) {
 	return &Arena{mem: mem}, nil
 }
 
-// Size returns the mapped capacity in bytes; Used the bytes bumped so
-// far.
-func (a *Arena) Size() int { return len(a.mem) }
+// Used returns the bytes bumped so far.
 func (a *Arena) Used() int { return a.off }
 
 // Bytes returns the full mapped region. The caller must not retain it
@@ -171,15 +169,4 @@ func Append[T any](a *Arena, s []T, vs ...T) []T {
 	ns := MakeSlice[T](a, len(s), newCap)
 	copy(ns, s)
 	return append(ns, vs...)
-}
-
-// Grow returns s extended to at least capacity (length preserved),
-// allocating from a when the current capacity is insufficient.
-func Grow[T any](a *Arena, s []T, capacity int) []T {
-	if cap(s) >= capacity {
-		return s
-	}
-	ns := MakeSlice[T](a, len(s), capacity)
-	copy(ns, s)
-	return ns
 }

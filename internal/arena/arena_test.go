@@ -75,23 +75,6 @@ func TestAppendGrowsThroughArena(t *testing.T) {
 	}
 }
 
-func TestGrow(t *testing.T) {
-	a, err := New(1 << 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	s := MakeSlice[uint64](a, 2, 2)
-	s[0], s[1] = 7, 9
-	g := Grow(a, s, 500)
-	if len(g) != 2 || cap(g) < 500 || g[0] != 7 || g[1] != 9 {
-		t.Fatalf("Grow lost state: len %d cap %d vals %v", len(g), cap(g), g[:2])
-	}
-	if same := Grow(a, g, 10); &same[0] != &g[0] {
-		t.Fatal("Grow reallocated despite sufficient capacity")
-	}
-}
-
 func TestPointerTypeRejected(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -39,9 +39,6 @@ type Params struct {
 // DefaultParams is the full harness configuration.
 func DefaultParams() Params { return Params{Scale: 1.0} }
 
-// QuickParams is a reduced configuration for `go test -bench`.
-func QuickParams() Params { return Params{Scale: 0.25, MaxThreads: 32} }
-
 // Experiment reproduces one table or figure.
 type Experiment struct {
 	ID    string
@@ -121,7 +118,7 @@ func (p Params) steps() (int, int) {
 
 // options builds the standard options for an experiment configuration:
 // simulated time on the given machine (nil = one thread per node), which
-// is what the paper's tables are. ext-native sets its own modes.
+// is what the paper's tables are.
 func options(p Params, n, threads int, level core.Level, m *machine.Machine) core.Options {
 	opts := core.DefaultOptions(n, threads, level)
 	opts.Steps, opts.Warmup = p.steps()
@@ -188,24 +185,6 @@ func (pt *PhaseTable) Format() string {
 		fmt.Fprintf(&b, "%9s%5s", fmtTime(r.Total()), "")
 	}
 	b.WriteByte('\n')
-	return b.String()
-}
-
-// CSV renders the table in machine-readable form.
-func (pt *PhaseTable) CSV() string {
-	var b strings.Builder
-	b.WriteString("threads")
-	for ph := core.Phase(0); ph < core.NumPhases; ph++ {
-		fmt.Fprintf(&b, ",%s", ph)
-	}
-	b.WriteString(",total\n")
-	for i, th := range pt.Threads {
-		fmt.Fprintf(&b, "%d", th)
-		for ph := core.Phase(0); ph < core.NumPhases; ph++ {
-			fmt.Fprintf(&b, ",%.6f", pt.Results[i].Phases[ph])
-		}
-		fmt.Fprintf(&b, ",%.6f\n", pt.Results[i].Total())
-	}
 	return b.String()
 }
 

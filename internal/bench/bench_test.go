@@ -4,8 +4,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"upcbh/internal/core"
 )
 
 // tinyParams keeps harness tests fast.
@@ -28,7 +26,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"table2", "table3", "table4", "table5", "table6", "table7", "table8", "table9",
 		"fig5", "fig6", "fig7", "fig8", "fig10", "fig11", "fig12", "fig13",
-		"ext-cache", "ext-mpi", "ext-native", "imbalance",
+		"ext-cache", "ext-mpi", "imbalance",
 	}
 	got := map[string]bool{}
 	for _, e := range All() {
@@ -169,45 +167,6 @@ func TestEveryRunnerExecutes(t *testing.T) {
 	}
 	t.Logf("runner stats over all experiments: %d runs, %d hits (%.0f%% dedup)",
 		s.Runs, s.Hits, 100*s.DedupFraction())
-}
-
-// TestModeComparisonExperiment: the ext-native experiment must print
-// both backends' per-phase columns for the same configuration.
-func TestModeComparisonExperiment(t *testing.T) {
-	e, err := ByID("ext-native")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := runText(t, e, tinyParams())
-	for _, want := range []string{"sim t(s)", "wall t(s)", "Force Comp.", "Total"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestPhaseTableCSV(t *testing.T) {
-	x := &Exec{R: NewRunner(0), P: tinyParams()}
-	pt, err := strongScalingTable(x, core.LevelSubspace, "t", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csv := pt.CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != len(pt.Threads)+1 {
-		t.Errorf("CSV has %d lines, want %d", len(lines), len(pt.Threads)+1)
-	}
-	if !strings.HasPrefix(lines[0], "threads,") {
-		t.Errorf("CSV header: %s", lines[0])
-	}
-	// Each data row: threads + NumPhases + total columns, and the row's
-	// total must be the sum the Format() table prints.
-	for i, line := range lines[1:] {
-		cols := strings.Split(line, ",")
-		if len(cols) != 2+int(core.NumPhases) {
-			t.Errorf("row %d has %d columns, want %d: %s", i, len(cols), 2+int(core.NumPhases), line)
-		}
-	}
 }
 
 func TestParamsScaling(t *testing.T) {

@@ -23,12 +23,6 @@ func extensionExperiments() []Experiment {
 			Paper: "§9 future work: 'We suspect that, with all these changes, the UPC code is as efficient as a similar MPI code' — the comparison the authors planned",
 			run:   runExtMPI,
 		},
-		{
-			ID:    "ext-native",
-			Title: "Extension: Simulate vs Native backend, same configuration",
-			Paper: "beyond the paper: the same UPC Barnes-Hut code run as a real parallel program on this host (ModeNative) vs the simulated Power5 cluster (ModeSimulate); per-phase simulated and wall-clock times side by side",
-			run:   runModeComparison,
-		},
 		imbalanceExperiment(),
 	}
 }

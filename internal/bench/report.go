@@ -76,9 +76,6 @@ type Report struct {
 	Elapsed float64 `json:"elapsed_seconds"`
 }
 
-// JSON renders the report as indented JSON.
-func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
-
 // Trajectory is the top-level document of a BENCH_results.json file: one
 // bhbench invocation's reports plus the Runner's cache statistics, the
 // machine-readable trail a perf trajectory is built from.

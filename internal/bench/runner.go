@@ -22,24 +22,22 @@ import (
 //     results are held within a fixed byte budget (cacheBudget), least
 //     recently used evicted first, so a long-lived process that finishes
 //     sessions forever (bhserve) holds a bounded cache.
-//   - Bounded parallelism: independent ModeSimulate configurations run
-//     concurrently on a worker pool sized to the host's cores. Under the
-//     cooperative virtual-time scheduler each simulate run executes on
-//     exactly one OS thread at a time (emulated threads park on their
+//   - Bounded parallelism: independent configurations run concurrently
+//     on a worker pool sized to the host's cores, one slot per run. Under
+//     the cooperative virtual-time scheduler each simulate run executes
+//     on exactly one OS thread at a time (emulated threads park on their
 //     gates), so a pool of NumCPU workers saturates the host without
 //     goroutine oversubscription even at 512+ emulated threads per run —
 //     the old goroutine-per-thread backend put workers × THREADS runnable
-//     goroutines on the scheduler. ModeNative configurations measure real
-//     wall-clock phase times, so they take the pool exclusively — no
-//     simulation may co-run and pollute the timing.
+//     goroutines on the scheduler. A ModeNative run takes one slot like
+//     any other: its wall-clock phase times are not measurements (host
+//     wall-clock is measured by benchmark/ only, DESIGN.md §10), so
+//     nothing needs the host to itself.
 //
 // A Runner is safe for concurrent use and is normally shared across every
 // experiment of a bhbench invocation.
 type Runner struct {
-	sem chan struct{} // worker-pool slots for simulate-mode runs
-	// excl is held shared by simulate runs and exclusively by native
-	// runs, serializing wall-clock measurements against everything else.
-	excl sync.RWMutex
+	sem chan struct{} // worker-pool slots, one per executing run
 
 	// Progress, if non-nil, receives one streamed line per cache event
 	// (miss/start, hit). Set it before the first Run call.
@@ -67,7 +65,7 @@ type Runner struct {
 type RunnerStats struct {
 	Runs       int `json:"runs"`        // unique configurations executed
 	Hits       int `json:"cache_hits"`  // requests served from the cache (incl. coalesced in-flight)
-	NativeRuns int `json:"native_runs"` // subset of Runs executed exclusively in ModeNative
+	NativeRuns int `json:"native_runs"` // subset of Runs executed in ModeNative
 	Evictions  int `json:"evictions"`   // error results evicted so the key can re-execute
 
 	// Memoize outcomes: externally produced results (the session
@@ -176,19 +174,8 @@ func runToCompletion(opts core.Options) (*core.Result, error) {
 	return sim.Run()
 }
 
-// pooled executes opts under the worker-pool discipline: a native run
-// takes the pool exclusively — it waits out all in-flight simulations and
-// admits no new ones, so the measured wall-clock phases see an otherwise
-// idle host — while simulate runs share it, one pool slot each.
+// pooled executes opts in one worker-pool slot.
 func (r *Runner) pooled(opts core.Options) (*core.Result, error) {
-	if opts.ExecMode == core.ModeNative {
-		r.excl.Lock()
-		defer r.excl.Unlock()
-		r.logf("run (native, exclusive): %s", describe(opts))
-		return r.exec(opts)
-	}
-	r.excl.RLock()
-	defer r.excl.RUnlock()
 	r.sem <- struct{}{}
 	defer func() { <-r.sem }()
 	r.logf("run: %s", describe(opts))

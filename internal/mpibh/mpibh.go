@@ -43,11 +43,6 @@ const (
 	NumPhases
 )
 
-var phaseNames = [NumPhases]string{"Sort+Part.", "Local tree", "LET exch.", "Force Comp.", "Body-adv."}
-
-// String returns the phase's display name.
-func (p Phase) String() string { return phaseNames[p] }
-
 // Options configures one MPI Barnes-Hut run.
 type Options struct {
 	Bodies int

@@ -132,12 +132,3 @@ func RootCell(lo, hi vec.V3) (center vec.V3, half float64) {
 	}
 	return center, rsize / 2
 }
-
-// TotalMass sums the masses.
-func TotalMass(bodies []Body) float64 {
-	var m float64
-	for i := range bodies {
-		m += bodies[i].Mass
-	}
-	return m
-}

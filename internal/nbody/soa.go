@@ -61,33 +61,12 @@ func (s *SoA) Resize(n int) {
 	s.ID = s.ID[:n]
 }
 
-// Gather fills the view from bodies: slot i holds bodies[i] with
-// ID[i] = i. Previous contents are discarded; backing arrays are reused.
-func (s *SoA) Gather(bodies []Body) {
-	s.Resize(len(bodies))
-	for i := range bodies {
-		b := &bodies[i]
-		s.Pos[i] = b.Pos
-		s.Mass[i] = b.Mass
-		s.Cost[i] = b.Cost
-		s.ID[i] = int32(i)
-	}
-}
-
 // Set fills one slot.
 func (s *SoA) Set(i int, pos vec.V3, mass, cost float64, id int32) {
 	s.Pos[i] = pos
 	s.Mass[i] = mass
 	s.Cost[i] = cost
 	s.ID[i] = id
-}
-
-// Swap exchanges two slots (all component arrays move together).
-func (s *SoA) Swap(i, j int) {
-	s.Pos[i], s.Pos[j] = s.Pos[j], s.Pos[i]
-	s.Mass[i], s.Mass[j] = s.Mass[j], s.Mass[i]
-	s.Cost[i], s.Cost[j] = s.Cost[j], s.Cost[i]
-	s.ID[i], s.ID[j] = s.ID[j], s.ID[i]
 }
 
 // CopySlot copies slot j of src into slot i of s.

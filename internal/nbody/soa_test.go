@@ -6,10 +6,19 @@ import (
 	"upcbh/internal/vec"
 )
 
+// gather fills s from bodies through Resize and Set, the way the flat
+// tree's builder fills its body view: slot i holds bodies[i], ID i.
+func gather(s *SoA, bodies []Body) {
+	s.Resize(len(bodies))
+	for i := range bodies {
+		s.Set(i, bodies[i].Pos, bodies[i].Mass, bodies[i].Cost, int32(i))
+	}
+}
+
 func TestSoAGatherRoundTrip(t *testing.T) {
 	bodies := Plummer(100, 3)
 	var s SoA
-	s.Gather(bodies)
+	gather(&s, bodies)
 	if s.Len() != len(bodies) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(bodies))
 	}
@@ -20,7 +29,7 @@ func TestSoAGatherRoundTrip(t *testing.T) {
 		}
 	}
 	// Re-gathering a same-size set must not allocate (arena reuse).
-	if allocs := testing.AllocsPerRun(10, func() { s.Gather(bodies) }); allocs > 0 {
+	if allocs := testing.AllocsPerRun(10, func() { gather(&s, bodies) }); allocs > 0 {
 		t.Errorf("steady-state Gather allocated %.1f objects/op, want 0", allocs)
 	}
 }
@@ -51,17 +60,13 @@ func TestSoAResizePreservesOnGrowth(t *testing.T) {
 	}
 }
 
-func TestSoASwapAndCopySlot(t *testing.T) {
+func TestSoACopySlot(t *testing.T) {
 	var a, b SoA
 	a.Resize(2)
 	a.Set(0, vec.V3{X: 1}, 10, 100, 0)
 	a.Set(1, vec.V3{X: 2}, 20, 200, 1)
-	a.Swap(0, 1)
-	if a.Pos[0].X != 2 || a.Mass[0] != 20 || a.Cost[0] != 200 || a.ID[0] != 1 {
-		t.Fatalf("Swap did not move all components: %+v", a)
-	}
 	b.Resize(1)
-	b.CopySlot(0, &a, 1)
+	b.CopySlot(0, &a, 0)
 	if b.Pos[0].X != 1 || b.Mass[0] != 10 || b.Cost[0] != 100 || b.ID[0] != 0 {
 		t.Fatalf("CopySlot did not copy all components: %+v", b)
 	}

@@ -52,11 +52,11 @@ func BenchmarkForceOn32k(b *testing.B) { benchmarkForceOnPointer(b, 32768) }
 // >= 1.5x for the batched kernel the hot path runs.
 func benchmarkForceOnFlat(b *testing.B, n int) {
 	bodies := nbody.Plummer(n, 1)
-	ft := BuildFlat(bodies)
+	ft := buildFlat(bodies)
 	b.ResetTimer()
 	var inter int
 	for i := 0; i < b.N; i++ {
-		_, _, k := ft.ForceOn(int32(i%ft.Bodies.Len()), 1.0, 0.05)
+		_, _, k := forceOn(ft, int32(i%ft.Bodies.Len()), 1.0, 0.05)
 		inter = k
 	}
 	b.ReportMetric(float64(inter), "interactions/body")
@@ -70,7 +70,7 @@ func BenchmarkForceOnFlat32k(b *testing.B) { benchmarkForceOnFlat(b, 32768) }
 // Divide ns/op by the reported bodies/op for the per-body cost.
 func benchmarkForceOnFlatBatch(b *testing.B, n int) {
 	bodies := nbody.Plummer(n, 1)
-	ft := BuildFlat(bodies)
+	ft := buildFlat(bodies)
 	nb := ft.Bodies.Len()
 	var fb FlatBatch
 	b.ResetTimer()
@@ -95,7 +95,7 @@ func BenchmarkForceOnFlatBatch32k(b *testing.B) { benchmarkForceOnFlatBatch(b, 3
 // AVX-512) and the portable fallback are logged numbers side by side.
 func BenchmarkForceBatchKernels(b *testing.B) {
 	bodies := nbody.Plummer(16384, 1)
-	ft := BuildFlat(bodies)
+	ft := buildFlat(bodies)
 	for _, k := range testKernels() {
 		b.Run(k.name, func(b *testing.B) {
 			inter := 0
@@ -121,7 +121,7 @@ func BenchmarkForceBatchKernels(b *testing.B) {
 // subtract-square-sum-compare chain per test, the shape of the SIMD
 // test of all eight.
 func BenchmarkAcceptChain(b *testing.B) {
-	ft := BuildFlat(nbody.Plummer(16384, 1))
+	ft := buildFlat(nbody.Plummer(16384, 1))
 	var st laneState
 	for lane := 0; lane < FlatBatchWidth; lane++ {
 		p := ft.Bodies.Pos[lane]

@@ -101,12 +101,11 @@ type FlatTree struct {
 	Kids  []int32
 
 	// Bodies holds the body inputs in tree (DFS/Morton) order;
-	// Bodies.ID[i] is the index of slot i in the slice Rebuild was given
-	// (or the Body.ID when the tree was converted with FromTree).
+	// Bodies.ID[i] is the index of slot i in the slice Rebuild was given.
 	Bodies nbody.SoA
 
 	// PM mirrors Bodies.Pos/Bodies.Mass as packed interaction records;
-	// refreshed by PackPM after a build/conversion.
+	// refreshed by PackPM after a build.
 	PM []PosMass
 
 	// Rebuild scratch, retained across steps.
@@ -135,14 +134,6 @@ func (ft *FlatTree) SetArena(a *arena.Arena) {
 	ft.mem = a
 	ft.Bodies.SetArena(a)
 	ft.scatter.SetArena(a)
-}
-
-// BuildFlat constructs a flat tree over bodies with the root cube derived
-// from their bounding box, exactly as Build does for the pointer tree.
-func BuildFlat(bodies []nbody.Body) *FlatTree {
-	ft := &FlatTree{}
-	ft.Rebuild(bodies)
-	return ft
 }
 
 // Rebuild reconstructs the tree over bodies, reusing all arenas, and
@@ -214,8 +205,8 @@ func (ft *FlatTree) AppendSubtree(src *nbody.SoA, lo, hi int32, center vec.V3, h
 }
 
 // PackPM derives the packed PM interaction records from the (final) SoA
-// order; the force kernels read PM, so it must run after any rebuild or
-// conversion and before the first walk.
+// order; the force kernels read PM, so it must run after any rebuild
+// and before the first walk.
 func (ft *FlatTree) PackPM() {
 	n := ft.Bodies.Len()
 	if cap(ft.PM) < n {
@@ -476,25 +467,6 @@ type FlatBatch struct {
 	Inter [FlatBatchWidth]int
 }
 
-// ForceOn computes the Barnes-Hut force on the body in SoA slot `body`
-// (skipping it), mirroring Tree.ForceOn: same acceptance test, same
-// interaction kernel, same DFS child order, so for equal trees the
-// results agree bit for bit. Zero allocations once the internal walker
-// has warmed up.
-func (ft *FlatTree) ForceOn(body int32, theta, eps float64) (acc vec.V3, phi float64, inter int) {
-	return ft.walker.Force(ft, ft.Bodies.Pos[body], body, theta, eps)
-}
-
-// Force is the single-body entry point: a one-lane batch.
-func (w *FlatWalker) Force(ft *FlatTree, pos vec.V3, skip int32, theta, eps float64) (acc vec.V3, phi float64, inter int) {
-	var b FlatBatch
-	b.N = 1
-	b.Pos[0] = pos
-	b.Skip[0] = skip
-	w.ForceBatch(ft, &b, theta, eps)
-	return b.Acc[0], b.Phi[0], b.Inter[0]
-}
-
 // ForceBatch is the batched force kernel, run with the implementation
 // this process selected at init (see Kernel): one tree traversal for all
 // lanes, each lane accumulating exactly the interactions of its solo
@@ -562,13 +534,6 @@ func (ft *FlatTree) SolveInto(bodies []nbody.Body, theta, eps float64) {
 	}
 }
 
-// SolveFlat is the drop-in flat equivalent of Solve: build a flat tree
-// over bodies and write forces in place.
-func SolveFlat(bodies []nbody.Body, theta, eps float64) {
-	ft := BuildFlat(bodies)
-	ft.SolveInto(bodies, theta, eps)
-}
-
 // KidOctant derives which octant of parent cell p a kid entry occupies
 // (kid geometry determines it: a cell child's center, a leaf's position).
 func (ft *FlatTree) KidOctant(p int32, kid int32) int {
@@ -576,109 +541,6 @@ func (ft *FlatTree) KidOctant(p int32, kid int32) int {
 		return Octant(ft.Meta[p].Center, ft.Bodies.Pos[FlatLeafBody(kid)])
 	}
 	return Octant(ft.Meta[p].Center, ft.Meta[kid].Center)
-}
-
-// FlatFromTree converts a pointer tree (with aggregates computed) into a
-// fresh flat tree: DFS preorder, octant child order, aggregate values
-// copied verbatim. Bodies.ID carries each leaf's Body.ID.
-func FlatFromTree(t *Tree) *FlatTree {
-	ft := &FlatTree{}
-	ft.FromTree(t)
-	return ft
-}
-
-// FromTree rebuilds ft from a pointer tree, reusing arenas. Like the flat
-// build, it panics on a tree deeper than flatMaxDepth.
-func (ft *FlatTree) FromTree(t *Tree) {
-	ft.Center, ft.Half = t.Root.Center, t.Root.Half
-	ft.Nodes = ft.Nodes[:0]
-	ft.Meta = ft.Meta[:0]
-	ft.Kids = ft.Kids[:0]
-	ft.Bodies.Resize(0)
-	ft.convCell(t.Root, 0)
-	ft.PackPM()
-}
-
-func (ft *FlatTree) convCell(n *Node, depth int) int32 {
-	if depth > flatMaxDepth {
-		panic("octree: flat tree depth limit exceeded (coincident bodies?)")
-	}
-	idx := ft.newNode(n.Center, n.Half)
-	first := int32(len(ft.Kids))
-	nkids := int32(0)
-	for _, ch := range n.Child {
-		if ch != nil {
-			nkids++
-		}
-	}
-	for k := int32(0); k < nkids; k++ {
-		ft.Kids = arena.Append(ft.mem, ft.Kids, 0)
-	}
-	ft.Nodes[idx].First = first
-	ft.Nodes[idx].Count = nkids
-	ki := first
-	for _, ch := range n.Child {
-		if ch == nil {
-			continue
-		}
-		if ch.IsLeaf() {
-			b := ch.Body
-			bi := ft.Bodies.Len()
-			ft.Bodies.Resize(bi + 1)
-			ft.Bodies.Set(bi, b.Pos, b.Mass, b.Cost, b.ID)
-			ft.Kids[ki] = FlatLeaf(int32(bi))
-		} else {
-			ft.Kids[ki] = ft.convCell(ch, depth+1)
-		}
-		ki++
-	}
-	nd := &ft.Nodes[idx]
-	nd.CofM, nd.Mass = n.CofM, n.Mass
-	mt := &ft.Meta[idx]
-	mt.Cost, mt.N = n.Cost, int32(n.N)
-	return idx
-}
-
-// ToTree converts the flat tree back into a pointer tree with freshly
-// allocated nodes and body records (Pos/Mass/Cost/ID populated from the
-// SoA views); aggregates are copied verbatim. The result satisfies
-// Tree.Verify for any structurally valid flat tree.
-func (ft *FlatTree) ToTree() *Tree {
-	bodies := make([]nbody.Body, ft.Bodies.Len())
-	for i := range bodies {
-		bodies[i] = nbody.Body{
-			Pos:  ft.Bodies.Pos[i],
-			Mass: ft.Bodies.Mass[i],
-			Cost: ft.Bodies.Cost[i],
-			ID:   ft.Bodies.ID[i],
-		}
-	}
-	t := &Tree{Leaf: len(bodies)}
-	t.Root = ft.convNode(0, bodies)
-	t.Cells = len(ft.Nodes)
-	return t
-}
-
-func (ft *FlatTree) convNode(idx int32, bodies []nbody.Body) *Node {
-	fn := &ft.Nodes[idx]
-	mt := &ft.Meta[idx]
-	n := &Node{
-		Center: mt.Center, Half: mt.Half,
-		CofM: fn.CofM, Mass: fn.Mass, Cost: mt.Cost, N: int(mt.N),
-	}
-	for k := fn.First; k < fn.First+fn.Count; k++ {
-		c := ft.Kids[k]
-		oct := ft.KidOctant(idx, c)
-		if c < 0 {
-			b := &bodies[FlatLeafBody(c)]
-			n.Child[oct] = &Node{
-				Body: b, CofM: b.Pos, Mass: b.Mass, Cost: b.Cost, N: 1,
-			}
-		} else {
-			n.Child[oct] = ft.convNode(c, bodies)
-		}
-	}
-	return n
 }
 
 // Verify checks the flat tree's structural invariants and returns the

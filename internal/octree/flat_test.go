@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -28,6 +29,25 @@ func relClose(a, b, tol float64) bool {
 
 func vecClose(a, b vec.V3, tol float64) bool {
 	return a.Sub(b).Len() <= tol*(1+b.Len())
+}
+
+// buildFlat builds a flat tree over bodies, root cube from their
+// bounding box, as the pointer tree's Build does.
+func buildFlat(bodies []nbody.Body) *FlatTree {
+	ft := &FlatTree{}
+	ft.Rebuild(bodies)
+	return ft
+}
+
+// forceOn computes the force on the body in SoA slot `body` (skipping
+// it) as a one-lane batch of the tree's own walker.
+func forceOn(ft *FlatTree, body int32, theta, eps float64) (acc vec.V3, phi float64, inter int) {
+	var b FlatBatch
+	b.N = 1
+	b.Pos[0] = ft.Bodies.Pos[body]
+	b.Skip[0] = body
+	ft.walker.ForceBatch(ft, &b, theta, eps)
+	return b.Acc[0], b.Phi[0], b.Inter[0]
 }
 
 // assertFlatMatchesPointer checks full structural + aggregate equivalence
@@ -125,7 +145,7 @@ func TestFlatMatchesPointerScenarios(t *testing.T) {
 				t.Fatal(err)
 			}
 			pt := Build(bodies)
-			ft := BuildFlat(bodies)
+			ft := buildFlat(bodies)
 			t.Run(scn, func(t *testing.T) { assertFlatMatchesPointer(t, ft, pt, bodies) })
 		}
 	}
@@ -137,12 +157,12 @@ func TestFlatMatchesPointerScenarios(t *testing.T) {
 func TestFlatForceMatchesPointer(t *testing.T) {
 	bodies := nbody.Plummer(1024, 3)
 	pt := Build(bodies)
-	ft := BuildFlat(bodies)
+	ft := buildFlat(bodies)
 	for _, theta := range []float64{0.3, 1.0, 1.8} {
 		for j := 0; j < ft.Bodies.Len(); j++ {
 			orig := ft.Bodies.ID[j]
 			pacc, pphi, pinter := pt.ForceOn(&bodies[orig], theta, 0.05)
-			facc, fphi, finter := ft.ForceOn(int32(j), theta, 0.05)
+			facc, fphi, finter := forceOn(ft, int32(j), theta, 0.05)
 			if finter != pinter {
 				t.Fatalf("theta=%g body %d: interaction count flat %d pointer %d", theta, orig, finter, pinter)
 			}
@@ -158,7 +178,7 @@ func TestSolveFlatMatchesSolve(t *testing.T) {
 	ref := nbody.Plummer(512, 11)
 	flat := nbody.Plummer(512, 11)
 	Solve(ref, 1.0, 0.05)
-	SolveFlat(flat, 1.0, 0.05)
+	buildFlat(flat).SolveInto(flat, 1.0, 0.05)
 	for i := range ref {
 		if !vecClose(flat[i].Acc, ref[i].Acc, ulpTol) || !relClose(flat[i].Phi, ref[i].Phi, ulpTol) ||
 			flat[i].Cost != ref[i].Cost {
@@ -168,33 +188,11 @@ func TestSolveFlatMatchesSolve(t *testing.T) {
 	}
 }
 
-// TestFlatConversionsRoundTrip exercises FromTree/ToTree: a flat tree
-// built from a pointer tree is equivalent to the directly built one, and
-// converting back yields a tree that passes pointer verification with
-// identical aggregates.
-func TestFlatConversionsRoundTrip(t *testing.T) {
-	bodies := nbody.Plummer(777, 5)
-	pt := Build(bodies)
-	ft := FlatFromTree(pt)
-	assertFlatMatchesPointer(t, ft, pt, nil)
-
-	back := ft.ToTree()
-	if err := back.Verify(); err != nil {
-		t.Fatalf("round-tripped tree Verify: %v", err)
-	}
-	if back.Cells != pt.Cells || back.Leaf != pt.Leaf {
-		t.Fatalf("round-trip counts: got (%d,%d) want (%d,%d)", back.Cells, back.Leaf, pt.Cells, pt.Leaf)
-	}
-	// And the direct build equals the conversion (same canonical tree).
-	ft2 := BuildFlat(bodies)
-	assertFlatMatchesPointer(t, ft2, back, nil)
-}
-
 // TestFlatRebuildReusesArenas pins the arena contract: rebuilding over a
 // same-sized body set allocates nothing.
 func TestFlatRebuildReusesArenas(t *testing.T) {
 	bodies := nbody.Plummer(2048, 9)
-	ft := BuildFlat(bodies)
+	ft := buildFlat(bodies)
 	allocs := testing.AllocsPerRun(10, func() {
 		// Jitter positions so every rebuild does real work.
 		for i := range bodies {
@@ -211,11 +209,11 @@ func TestFlatRebuildReusesArenas(t *testing.T) {
 // kernel: after stack warmup, ForceOn performs zero allocations.
 func TestFlatForceOnZeroAlloc(t *testing.T) {
 	bodies := nbody.Plummer(4096, 1)
-	ft := BuildFlat(bodies)
-	ft.ForceOn(0, 1.0, 0.05) // warm the walker's buffers
+	ft := buildFlat(bodies)
+	forceOn(ft, 0, 1.0, 0.05) // warm the walker's buffers
 	j := int32(0)
 	allocs := testing.AllocsPerRun(100, func() {
-		ft.ForceOn(j%int32(ft.Bodies.Len()), 1.0, 0.05)
+		forceOn(ft, j%int32(ft.Bodies.Len()), 1.0, 0.05)
 		j++
 	})
 	if allocs > 0 {
@@ -348,7 +346,7 @@ func FuzzFlatEquivalence(f *testing.F) {
 			// coordinate to probe cell-boundary rounding.
 			bodies[i].Pos = vec.V3{X: r.Range(-8, 8), Y: r.Range(-8, 8), Z: r.Range(-8, 8)}
 			bodies[i].Mass = r.Range(0.1, 2)
-			bodies[i].Cost = float64(r.Intn(5))
+			bodies[i].Cost = float64(intn(r, 5))
 			bodies[i].ID = int32(i)
 		}
 		fv := math.Float64frombits(uint64(rawBits))
@@ -365,7 +363,7 @@ func FuzzFlatEquivalence(f *testing.F) {
 			seen[bodies[i].Pos] = true
 		}
 		pt := Build(bodies)
-		ft := BuildFlat(bodies)
+		ft := buildFlat(bodies)
 		assertFlatMatchesPointer(t, ft, pt, bodies)
 
 		// Every body, through every force-kernel implementation this host
@@ -451,7 +449,7 @@ func TestKernelAVX2MatchesPortable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ft := BuildFlat(bodies)
+		ft := buildFlat(bodies)
 		for _, theta := range []float64{0.3, 0.5, 1.0, 1.8} {
 			for _, eps := range []float64{0, 0.05} {
 				want := solveWith(ft, &portableKernel, theta, eps)
@@ -521,7 +519,7 @@ func TestForceBatchUnrollReferenceStream(t *testing.T) {
 	var lowEmpty, highEmpty int        // entries seen with an all-masked half
 	var tails [FlatBatchWidth + 1]bool // batch widths seen
 	for _, n := range []int{2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 33, 257} {
-		ft := BuildFlat(nbody.Plummer(n, uint64(n)))
+		ft := buildFlat(nbody.Plummer(n, uint64(n)))
 		nb := ft.Bodies.Len()
 		var w FlatWalker
 		var b FlatBatch
@@ -609,7 +607,7 @@ func checkReferenceStream(w *FlatWalker, b *FlatBatch, eps float64) error {
 // may accept it (one interaction each, nothing opened), only some (the
 // rest descend under a partial mask from the very first frame), or none.
 func TestForceBatchRootCell(t *testing.T) {
-	ft := BuildFlat(nbody.Plummer(300, 4))
+	ft := buildFlat(nbody.Plummer(300, 4))
 	far := func(lane int) vec.V3 { // well outside the root cube: theta = 1 accepts it
 		return ft.Center.Add(vec.V3{X: 40 * ft.Half, Y: float64(lane) * ft.Half})
 	}
@@ -657,7 +655,7 @@ func TestForceBatchRootCell(t *testing.T) {
 // interacts with that body (zero force, -m/eps potential, one more
 // interaction than the same query skipping the slot), in every kernel.
 func TestForceAtBodyPositionSkipsBySlot(t *testing.T) {
-	ft := BuildFlat(nbody.Plummer(200, 6))
+	ft := buildFlat(nbody.Plummer(200, 6))
 	const theta, eps = 0.7, 0.05
 	var w FlatWalker
 	var with, without FlatBatch
@@ -821,22 +819,24 @@ func TestForceBatchFrameStackOverflow(t *testing.T) {
 	}
 }
 
-// TestFromTreeDepthLimit: the pointer builder has no depth limit of its
+// TestFlatBuildDepthLimit: the pointer builder has no depth limit of its
 // own, the flat tree does (flatMaxDepth, which sizes the walk's frame
-// stack), so converting a deeper pointer tree must panic like the flat
-// build does.
-func TestFromTreeDepthLimit(t *testing.T) {
+// stack), so a body set whose closest pair separates deeper than that
+// must make the flat build panic instead of overrunning the walk.
+func TestFlatBuildDepthLimit(t *testing.T) {
 	d := math.Ldexp(1, -(flatMaxDepth + 6))
 	bodies := []nbody.Body{
 		{Pos: vec.V3{X: 1, Y: 1, Z: 1}, Mass: 1},
 		{Pos: vec.V3{X: d, Y: d, Z: d}, Mass: 1, ID: 1},
 		{Pos: vec.V3{X: d / 2, Y: d / 2, Z: d / 2}, Mass: 1, ID: 2},
 	}
-	pt := Build(bodies)
+	if err := Build(bodies).Verify(); err != nil {
+		t.Fatalf("pointer tree: %v", err)
+	}
 	defer func() {
-		if recover() == nil {
-			t.Error("FlatFromTree accepted a pointer tree deeper than flatMaxDepth")
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "depth limit") {
+			t.Errorf("the flat build of a body set deeper than flatMaxDepth raised %v, want the depth-limit panic", r)
 		}
 	}()
-	FlatFromTree(pt)
+	buildFlat(bodies)
 }

@@ -11,6 +11,18 @@ import (
 	"upcbh/internal/vec"
 )
 
+// intn returns a uniform integer in [0, n).
+func intn(r *rng.RNG, n int) int { return int(r.Uint64() % uint64(n)) }
+
+// totalMass sums the masses.
+func totalMass(bodies []nbody.Body) float64 {
+	var m float64
+	for i := range bodies {
+		m += bodies[i].Mass
+	}
+	return m
+}
+
 func TestOctantAndChildBounds(t *testing.T) {
 	c := vec.V3{}
 	cases := []struct {
@@ -95,10 +107,10 @@ func TestAcceptDist2SharedDisplacement(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		p := vec.V3{X: r.Range(-8, 8), Y: r.Range(-8, 8), Z: r.Range(-8, 8)}
 		c := vec.V3{X: r.Range(-8, 8), Y: r.Range(-8, 8), Z: r.Range(-8, 8)}
-		half := math.Ldexp(1, r.Intn(8)-5)
+		half := math.Ldexp(1, intn(r, 8)-5)
 		check(p, c, half, []float64{0.5, 0.8, 1}[i%3])
 		// On the boundary for this pair, to rounding: half = theta*d/2.
-		check(p, c, p.Dist(c)/2, 1)
+		check(p, c, math.Sqrt(p.Dist2(c))/2, 1)
 	}
 }
 
@@ -152,8 +164,8 @@ func TestBuildInvariants(t *testing.T) {
 	if tree.Root.N != len(bodies) {
 		t.Errorf("root body count %d, want %d", tree.Root.N, len(bodies))
 	}
-	if math.Abs(tree.Root.Mass-nbody.TotalMass(bodies)) > 1e-9 {
-		t.Errorf("root mass %v, want %v", tree.Root.Mass, nbody.TotalMass(bodies))
+	if math.Abs(tree.Root.Mass-totalMass(bodies)) > 1e-9 {
+		t.Errorf("root mass %v, want %v", tree.Root.Mass, totalMass(bodies))
 	}
 	if tree.Leaf != len(bodies) {
 		t.Errorf("leaf count %d, want %d", tree.Leaf, len(bodies))
@@ -238,7 +250,7 @@ func TestCofMAdditivity(t *testing.T) {
 	for i := range bodies {
 		wsum = wsum.AddScaled(bodies[i].Pos, bodies[i].Mass)
 	}
-	want := wsum.Scale(1 / nbody.TotalMass(bodies))
+	want := wsum.Scale(1 / totalMass(bodies))
 	if d := tree.Root.CofM.Sub(want).Len(); d > 1e-9 {
 		t.Errorf("root cofm off by %v", d)
 	}

@@ -106,7 +106,7 @@ func fuzzBodies(r *rng.RNG, n, shape int) []nbody.Body {
 		p := vec.V3{X: r.Range(-8, 8), Y: r.Range(-8, 8), Z: r.Range(-8, 8)}
 		switch shape % 4 {
 		case 1:
-			p = hubs[r.Intn(len(hubs))].Add(p.Scale(1.0 / 512))
+			p = hubs[intn(r, len(hubs))].Add(p.Scale(1.0 / 512))
 		case 2:
 			// Multiples of 1/4 are cell faces at several crown levels
 			// whatever the bounding box turns out to be.
@@ -120,7 +120,7 @@ func fuzzBodies(r *rng.RNG, n, shape int) []nbody.Body {
 				p.Z += math.Ldexp(1, -40)
 			}
 		}
-		bodies[i] = nbody.Body{Pos: p, Mass: r.Range(0.1, 2), Cost: float64(1 + r.Intn(5)), ID: int32(i)}
+		bodies[i] = nbody.Body{Pos: p, Mass: r.Range(0.1, 2), Cost: float64(1 + intn(r, 5)), ID: int32(i)}
 	}
 	// Both builders panic on coincident positions, by contract.
 	seen := map[vec.V3]bool{}
@@ -156,13 +156,13 @@ func FuzzParallelFlatBuild(f *testing.F) {
 			case 0: // block-wise, as core's setup deals them
 				owner[i] = i * workers / n
 			case 1: // at random
-				owner[i] = r.Intn(workers)
+				owner[i] = intn(r, workers)
 			case 2: // everything on the last worker: the others hold nothing
 				owner[i] = workers - 1
 			}
 		}
 		pb, from := parBuild(bodies, owner, workers, depth)
-		assertSameFlat(t, &pb.Tree, from, BuildFlat(bodies))
+		assertSameFlat(t, &pb.Tree, from, buildFlat(bodies))
 	})
 }
 
@@ -182,7 +182,7 @@ func TestParallelBuildCorners(t *testing.T) {
 		owner[i] = i % 4
 	}
 	pb, from := parBuild(bodies, owner, 4, 3)
-	assertSameFlat(t, &pb.Tree, from, BuildFlat(bodies))
+	assertSameFlat(t, &pb.Tree, from, buildFlat(bodies))
 
 	// Rebuild after the bodies moved: same builder, different occupancy.
 	lo, hi := nbody.BoundingBox(bodies)
@@ -213,7 +213,7 @@ func TestParallelBuildCorners(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		pb.Worker(w).Stitch()
 	}
-	assertSameFlat(t, &pb.Tree, from, BuildFlat(bodies))
+	assertSameFlat(t, &pb.Tree, from, buildFlat(bodies))
 }
 
 func TestCrownDepth(t *testing.T) {

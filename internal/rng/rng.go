@@ -37,14 +37,6 @@ func (r *RNG) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Intn returns a uniform integer in [0, n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // Gauss returns a standard normal variate (Box-Muller, cached pair).
 func (r *RNG) Gauss() float64 {
 	if r.haveGauss {

@@ -93,24 +93,14 @@ func TestUnitSphere(t *testing.T) {
 	}
 }
 
-func TestRangeAndIntn(t *testing.T) {
+func TestRange(t *testing.T) {
 	r := New(5)
 	for i := 0; i < 10000; i++ {
 		v := r.Range(-3, 7)
 		if v < -3 || v >= 7 {
 			t.Fatalf("Range out of bounds: %v", v)
 		}
-		k := r.Intn(13)
-		if k < 0 || k >= 13 {
-			t.Fatalf("Intn out of bounds: %d", k)
-		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Intn(0) did not panic")
-		}
-	}()
-	r.Intn(0)
 }
 
 // Property: Range output respects arbitrary valid bounds.

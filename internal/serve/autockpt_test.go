@@ -40,6 +40,12 @@ func stepOne(t *testing.T, s *Server, sess *session) {
 // waitFor polls cond until it holds or the deadline expires — the
 // persistence pipeline is asynchronous by design, so tests observe it
 // converging rather than assuming when.
+// stored reports whether st serves a valid container for key at step.
+func stored(st *store.Store, key string, step int) bool {
+	_, err := st.Get(key, step)
+	return err == nil
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -84,11 +90,11 @@ func TestAutoCheckpointEveryK(t *testing.T) {
 	key := opts.Key()
 	// The persister writes in capture order, so step 4 landing implies
 	// step 2 landed (or was GC'd, which Keep=2 forbids here).
-	waitFor(t, "step-4 checkpoint", func() bool { return st.Has(key, 4) })
-	if !st.Has(key, 2) {
+	waitFor(t, "step-4 checkpoint", func() bool { return stored(st, key, 4) })
+	if !stored(st, key, 2) {
 		t.Fatal("step-2 checkpoint missing")
 	}
-	if st.Has(key, 6) {
+	if stored(st, key, 6) {
 		t.Fatal("auto-checkpoint captured the final step")
 	}
 
@@ -124,7 +130,7 @@ func TestAutoCheckpointInterval(t *testing.T) {
 	}
 	time.Sleep(5 * time.Millisecond) // let the interval elapse
 	stepOne(t, s, sess)
-	waitFor(t, "interval checkpoint", func() bool { return st.Has(opts.Key(), 1) })
+	waitFor(t, "interval checkpoint", func() bool { return stored(st, opts.Key(), 1) })
 }
 
 // blockFS stalls every Create until released: the "disk has hung"
@@ -348,7 +354,7 @@ func TestStartupRecovery(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		stepOne(t, s1, sess)
 	}
-	waitFor(t, "step-4 checkpoint", func() bool { return st1.Has(key, 4) })
+	waitFor(t, "step-4 checkpoint", func() bool { return stored(st1, key, 4) })
 	s1.Shutdown()
 
 	// "Restart": a fresh store handle and server over the same directory.
@@ -417,7 +423,7 @@ func TestRecoverySkipsCorruptNewest(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		stepOne(t, s1, sess)
 	}
-	waitFor(t, "step-4 checkpoint", func() bool { return st1.Has(key, 4) })
+	waitFor(t, "step-4 checkpoint", func() bool { return stored(st1, key, 4) })
 	s1.Shutdown()
 
 	// Corrupt the newest entry the way a torn disk would: truncate it.
@@ -479,7 +485,7 @@ func TestRestoreAnswersFromStore(t *testing.T) {
 	key := opts.Key()
 	stepOne(t, s, sess)
 	stepOne(t, s, sess) // auto-checkpoint at step 2
-	waitFor(t, "step-2 checkpoint", func() bool { return st.Has(key, 2) })
+	waitFor(t, "step-2 checkpoint", func() bool { return stored(st, key, 2) })
 
 	capture := func() []byte {
 		t.Helper()
@@ -518,13 +524,13 @@ func TestRestoreAnswersFromStore(t *testing.T) {
 
 	// A novel step: restored from the upload, then persisted.
 	stepOne(t, s, sess) // step 3: not an auto-checkpoint boundary
-	if st.Has(key, 3) {
+	if stored(st, key, 3) {
 		t.Fatal("step 3 unexpectedly already stored")
 	}
 	if ri := restore(capture()); ri.FromStore || ri.Done != 3 {
 		t.Fatalf("restore of novel step = %+v, want from upload at step 3", ri)
 	}
-	waitFor(t, "uploaded container persisted", func() bool { return st.Has(key, 3) })
+	waitFor(t, "uploaded container persisted", func() bool { return stored(st, key, 3) })
 }
 
 // TestRestoreOversized413: an upload beyond -max-restore-bytes answers

@@ -238,7 +238,7 @@ func TestPutCrashBeforeRename(t *testing.T) {
 	}
 	ffs.set(func(f *faultFS) { f.crashBeforeRename = false })
 	checkIntact(t, s, key, 1, good)
-	if s.Has(key, 2) {
+	if has(s, key, 2) {
 		t.Fatal("unpublished entry visible in the index")
 	}
 

@@ -158,9 +158,6 @@ func Open(dir string, o Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) log(format string, args ...any) {
 	if s.logf != nil {
 		s.logf("store: "+format, args...)
@@ -274,16 +271,6 @@ func (s *Store) gcLocked(kh string) {
 		s.gcRemoved++
 	}
 	s.index[kh] = steps
-}
-
-// Has reports whether an entry for key at step exists (by name only —
-// no validation; use Get to both check and read).
-func (s *Store) Has(key string, step int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	steps := s.index[keyHash(key)]
-	i := sort.SearchInts(steps, step)
-	return i < len(steps) && steps[i] == step
 }
 
 // Get returns the validated container for key at exactly step, or

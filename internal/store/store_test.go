@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -15,6 +16,16 @@ import (
 // container builds a small but fully valid checkpoint container for
 // key at step: lookups validate with arena.ReadCheckpoint, so test
 // entries must pass the real format checks.
+// has reports whether the index names an entry for key at step (by
+// name only: Get both checks and reads).
+func has(s *Store, key string, step int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	steps := s.index[keyHash(key)]
+	i := sort.SearchInts(steps, step)
+	return i < len(steps) && steps[i] == step
+}
+
 func container(t *testing.T, key string, step int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -77,8 +88,8 @@ func TestPutGetNewest(t *testing.T) {
 	if got, err := s.Get(key, 2); err != nil || !bytes.Equal(got, c2) {
 		t.Fatalf("Get(2) = %v", err)
 	}
-	if !s.Has(key, 2) || s.Has(key, 3) {
-		t.Fatalf("Has: got (2)=%v (3)=%v", s.Has(key, 2), s.Has(key, 3))
+	if !has(s, key, 2) || has(s, key, 3) {
+		t.Fatalf("Has: got (2)=%v (3)=%v", has(s, key, 2), has(s, key, 3))
 	}
 	if _, err := s.Get(key, 3); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get(3) = %v, want ErrNotFound", err)

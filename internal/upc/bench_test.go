@@ -200,10 +200,10 @@ func BenchmarkCacheHit(b *testing.B) {
 		}
 		c := NewCache(t, h, 256)
 		r := Ref{Thr: 1, Idx: 0}
-		_ = c.Get(r)
+		_ = c.GetBytes(r, 64)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = c.Get(r)
+			_ = c.GetBytes(r, 64)
 		}
 	})
 }

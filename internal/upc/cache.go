@@ -17,9 +17,6 @@ type Cache[T any] struct {
 	t     *Thread
 	lines []cacheLine[T]
 	mask  uint64
-
-	hits, misses, invalidations uint64
-	lastBarrierGen              uint64
 }
 
 type cacheLine[T any] struct {
@@ -53,36 +50,15 @@ func (c *Cache[T]) slot(r Ref) *cacheLine[T] {
 // Any line filled before the last barrier is stale.
 func (c *Cache[T]) gen() uint64 { return c.t.stats.Barriers }
 
-// Get reads an element through the cache. A hit costs a table lookup; a
-// miss performs the underlying (charged) remote get and fills the line.
-// Local-affinity references bypass the cache entirely, like a runtime
-// that checks upc_threadof first.
-func (c *Cache[T]) Get(r Ref) T {
-	if c.h.IsLocal(c.t, r) {
-		return c.h.Get(c.t, r)
-	}
-	ln := c.slot(r)
-	g := c.gen()
-	if ln.valid && ln.ref == r {
-		if ln.gen == g {
-			c.hits++
-			c.t.ChargeRaw(10 * c.t.rt.mach.Par.LocalDerefCost)
-			return ln.val
-		}
-		c.invalidations++
-	}
-	c.misses++
-	v := c.h.Get(c.t, r)
-	*ln = cacheLine[T]{ref: r, gen: g, valid: true, val: v}
-	return v
-}
-
 // GetBytes models a fine-grained access through the cache. The cache
 // operates at whole-element ("logical cache line") granularity, so a hit
 // serves any prefix; a miss transfers (and caches) only the requested
 // byte prefix — the unit-choice problem §8 describes. Callers should use
 // a consistent prefix size per cache, since a hit may otherwise serve a
-// shorter line than requested.
+// shorter line than requested. A hit costs ten plain dereferences; a
+// miss is the underlying (charged) remote get. Local-affinity references
+// bypass the cache entirely, like a runtime that checks upc_threadof
+// first.
 func (c *Cache[T]) GetBytes(r Ref, bytes int) T {
 	if c.h.IsLocal(c.t, r) {
 		return c.h.GetBytes(c.t, r, bytes)
@@ -90,43 +66,10 @@ func (c *Cache[T]) GetBytes(r Ref, bytes int) T {
 	ln := c.slot(r)
 	g := c.gen()
 	if ln.valid && ln.ref == r && ln.gen == g {
-		c.hits++
 		c.t.ChargeRaw(10 * c.t.rt.mach.Par.LocalDerefCost)
 		return ln.val
 	}
-	if ln.valid && ln.ref == r {
-		c.invalidations++
-	}
-	c.misses++
 	v := c.h.GetBytes(c.t, r, bytes)
 	*ln = cacheLine[T]{ref: r, gen: g, valid: true, val: v}
 	return v
-}
-
-// Put writes through the cache (write-through, matching the surveyed
-// designs) and updates the local line.
-func (c *Cache[T]) Put(r Ref, v T) {
-	c.h.Put(c.t, r, v)
-	if !c.h.IsLocal(c.t, r) {
-		*c.slot(r) = cacheLine[T]{ref: r, gen: c.gen(), valid: true, val: v}
-	}
-}
-
-// CacheStats reports hit/miss/stale counts.
-type CacheStats struct {
-	Hits, Misses, Invalidations uint64
-}
-
-// Stats returns the counters.
-func (c *Cache[T]) Stats() CacheStats {
-	return CacheStats{Hits: c.hits, Misses: c.misses, Invalidations: c.invalidations}
-}
-
-// HitRate returns hits / (hits+misses), or 0 when unused.
-func (c *Cache[T]) HitRate() float64 {
-	tot := c.hits + c.misses
-	if tot == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(tot)
 }

@@ -10,9 +10,8 @@ import (
 // simulate backend is the whole emulated UPC runtime. The native backend
 // is the subset a program with no communication uses: SPMD launch and
 // the session step gate (Run, Start/NextStep/Resume/Finish), Barrier,
-// Now, Stats and poisoning. Shared heaps, scalars, locks, collectives,
-// messages, SpinYield and BlockOn panic on a native runtime
-// (Runtime.sim).
+// Now, Stats and poisoning. Shared heaps, scalars, locks, collectives
+// and SpinYield panic on a native runtime (Runtime.sim).
 type ExecMode int
 
 const (
@@ -23,10 +22,9 @@ const (
 	ModeSimulate ExecMode = iota
 	// ModeNative skips simulated-time accounting entirely: threads run as
 	// plain goroutines meeting at real barriers, cost charges do not
-	// affect time, and Thread.Now returns
-	// measured wall-clock seconds since the runtime (or clock-reset)
-	// epoch — so phase timings in the harness become real measured times
-	// on the host hardware.
+	// affect time, and Thread.Now returns measured wall-clock seconds
+	// since the runtime was built — so phase timings become real
+	// measured times on the host hardware.
 	ModeNative
 )
 

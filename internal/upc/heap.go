@@ -30,14 +30,11 @@ func chunkPool[T any](els int) *sync.Pool {
 }
 
 // Ref is a global reference into a Heap: the UPC "pointer-to-shared". The
-// zero value is NOT nil; use NilRef / IsNil.
+// zero value is NOT nil; a negative Thr is nil (IsNil).
 type Ref struct {
 	Thr int32 // affinity: which thread's shard holds the element
 	Idx int32 // element index within that shard
 }
-
-// NilRef is the null pointer-to-shared.
-var NilRef = Ref{Thr: -1, Idx: -1}
 
 // IsNil reports whether r is the null reference.
 func (r Ref) IsNil() bool { return r.Thr < 0 }
@@ -270,12 +267,6 @@ func (h *Heap[T]) chargeGet(t *Thread, r Ref, bytes int) {
 	t.remoteRoundTrip(int(r.Thr), bytes)
 }
 
-// Put stores a whole element through a pointer-to-shared.
-func (h *Heap[T]) Put(t *Thread, r Ref, v T) {
-	h.chargePut(t, r, h.elemSize)
-	*h.ptr(r.Thr, r.Idx) = v
-}
-
 // PutBytes models a fine-grained partial store: mut is applied to the
 // element in place and only `bytes` are charged on the wire. The caller
 // must hold whatever application-level lock protects the element, as the
@@ -438,12 +429,4 @@ func (h *Heap[T]) GatherAsyncBytes(t *Thread, refs []Ref, dst []T, bytesPer int)
 // event.
 func (t *Thread) WaitSync(h *Handle) {
 	t.AdvanceTo(h.CompleteAt)
-}
-
-// TrySync is bupc_trysync: poll the handle; reports whether it has
-// completed by the thread's current time. Each poll costs a small
-// runtime-progress charge.
-func (t *Thread) TrySync(h *Handle) bool {
-	t.clock += t.rt.mach.Par.LocalDerefCost * 50
-	return t.clock >= h.CompleteAt
 }

@@ -63,21 +63,6 @@ func (t *Thread) remoteRoundTrip(target, bytes int) {
 	t.clock = start + mc.Transit
 }
 
-// SendEvent charges the sender side of a one-way message of `bytes` to
-// thread `to` and returns the time the data is fully received (after
-// queueing at the target NIC). It is the primitive the MPI emulation
-// layers its two-sided Send/Recv on. Simulate only (Runtime.sim).
-func (t *Thread) SendEvent(to, bytes int) float64 {
-	t.rt.sim("SendEvent")
-	t.stats.Msgs++
-	t.stats.Bytes += uint64(bytes)
-	c := t.msgCost(to, bytes)
-	t.clock += c.SenderBusy
-	arrive := t.clock + c.Transit
-	start := t.rt.nicReserve(to, arrive, c.TargetBusy)
-	return start + c.TargetBusy
-}
-
 // gatherFrom accounts one per-source-thread message of an aggregated
 // gather under simulation and returns its completion time; the local
 // share of a gather is a memcpy.

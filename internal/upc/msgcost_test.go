@@ -75,8 +75,8 @@ func TestMsgCostTableMatchesModel(t *testing.T) {
 
 			// One size past the bound charges the clock the model charges.
 			for _, bytes := range []int{msgTableBytes - 1, msgTableBytes, msgTableBytes + 1} {
-				rt.ResetClocks()
 				th := rt.threads[1]
+				th.clock, rt.nic[threads-1].availAt = 0, 0
 				th.remoteRoundTrip(threads-1, bytes)
 				mc := m.Message(1, threads-1, bytes)
 				if want := (0 + mc.SenderBusy + mc.Transit) + mc.Transit; th.Now() != want {

@@ -47,7 +47,7 @@ import (
 type Runtime struct {
 	mach *machine.Machine
 	n    int
-	// native is the backend; Now, Barrier and ResetClocks branch on it.
+	// native is the backend; Now and Barrier branch on it.
 	// The clock ops do not: a native thread's clock is never read (Now
 	// reads the epoch) and the native engine charges nothing. cpuFactor
 	// caches mach.Compute's threaded-runtime multiplier (1 for process
@@ -146,17 +146,6 @@ func (rt *Runtime) sim(op string) *sched {
 
 // Threads returns the number of UPC threads (the UPC THREADS constant).
 func (rt *Runtime) Threads() int { return rt.n }
-
-// Mode returns the execution backend the runtime was built with.
-func (rt *Runtime) Mode() ExecMode {
-	if rt.native {
-		return ModeNative
-	}
-	return ModeSimulate
-}
-
-// Machine returns the machine model the runtime charges costs against.
-func (rt *Runtime) Machine() *machine.Machine { return rt.mach }
 
 // Run executes fn once on every thread (SPMD) and blocks until all
 // complete. A panic on any thread poisons the runtime — peers blocked in
@@ -265,28 +254,6 @@ func (rt *Runtime) checkPoison() {
 // loops (e.g. flag spins) should consult it to abort promptly.
 func (t *Thread) Poisoned() bool { return t.rt.poisoned.Load() != nil }
 
-// ResetClocks restarts time (simulated clocks and NIC states, or the
-// wall-clock epoch in ModeNative) and zeroes the operation counters. Call
-// between independent experiments that share a Runtime.
-func (rt *Runtime) ResetClocks() {
-	for _, t := range rt.threads {
-		t.stats = Stats{}
-	}
-	if rt.coop == nil {
-		// Thread clocks are never read in native mode; the epoch is the
-		// only time state it owns.
-		rt.epoch = time.Now()
-		return
-	}
-	rt.coop.stats = SchedStats{}
-	for _, t := range rt.threads {
-		t.clock = 0
-	}
-	for i := range rt.nic {
-		rt.nic[i].availAt = 0
-	}
-}
-
 // nicReserve serializes a message arriving at target's NIC at time
 // `arrive`, occupying it for `busy`: it returns the time service starts.
 // It runs once per modelled remote access, so it must stay a handful of
@@ -334,9 +301,6 @@ func (t *Thread) ID() int { return t.id }
 
 // P returns the UPC THREADS value.
 func (t *Thread) P() int { return t.rt.n }
-
-// Runtime returns the owning runtime.
-func (t *Thread) Runtime() *Runtime { return t.rt }
 
 // Now returns the thread's current time in seconds: the simulated clock
 // in ModeSimulate, wall-clock seconds since the runtime epoch in

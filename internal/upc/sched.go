@@ -18,10 +18,10 @@ import (
 // code blocks mid-call-stack, so it needs a real stack), but exactly one
 // is ever runnable — a "baton" is handed from thread to thread at
 // synchronization points only (barriers, collectives, contended locks,
-// spin polls, two-sided receives). Between sync points a thread runs
-// straight through, charging its private virtual clock with plain
-// arithmetic; barriers and collectives resolve by counting arrivals in
-// ordinary fields instead of kernel synchronization.
+// spin polls). Between sync points a thread runs straight through,
+// charging its private virtual clock with plain arithmetic; barriers and
+// collectives resolve by counting arrivals in ordinary fields instead of
+// kernel synchronization.
 //
 // Scheduling policy: whenever the baton is released, it goes to the
 // eligible thread with the lowest virtual clock (ties to the lowest
@@ -47,8 +47,6 @@ type sched struct {
 	// blocks on its Runtime.gates channel; the baton holder wakes exactly
 	// one thread per handoff.
 	state []schedState
-	// ready holds the BlockOn predicate of an sWaiting thread.
-	ready []func() bool
 
 	// runq is a binary min-heap of parked runnable threads ordered by
 	// (clock, id): scheduling decisions are O(log n), and a spinning
@@ -56,11 +54,8 @@ type sched struct {
 	// O(1) — with 512+ emulated threads and millions of spin polls, a
 	// linear scan per yield dominated the whole run. Thread clocks never
 	// change while parked in the heap (resolvers align clocks before
-	// pushing), so the heap invariant holds. waitq holds sWaiting
-	// threads; their predicates are polled at each scheduling decision
-	// (rare — only two-sided receives use it).
-	runq  []int32
-	waitq []int32
+	// pushing), so the heap invariant holds.
+	runq []int32
 
 	// Barrier epoch: arrivals counted in plain fields; the last arriver
 	// resolves and keeps running.
@@ -92,7 +87,6 @@ const (
 	sBarrier                    // parked in Barrier until the epoch resolves
 	sColl                       // parked in a collective until the epoch resolves
 	sLock                       // parked waiting for a Lock holder to release
-	sWaiting                    // parked on a BlockOn predicate
 	sStep                       // parked at the session step gate
 	sDone                       // returned from the SPMD function
 )
@@ -109,8 +103,6 @@ func (st schedState) String() string {
 		return "collective"
 	case sLock:
 		return "lock"
-	case sWaiting:
-		return "waiting"
 	case sStep:
 		return "step-gate"
 	case sDone:
@@ -120,12 +112,12 @@ func (st schedState) String() string {
 }
 
 // SchedStats counts cooperative-scheduler events over a Runtime's
-// lifetime (zeroed by ResetClocks, like the clocks). They quantify the
-// real cost the harness pays per simulated run: Handoffs is the number
-// of baton transfers between thread goroutines (two channel operations
-// each — the only kernel synchronization left in a simulate run),
-// SpinYields the number of spin-wait polls that actually offered the
-// baton to a peer (fast-path polls that kept it are not counted).
+// lifetime. They quantify the real cost the harness pays per simulated
+// run: Handoffs is the number of baton transfers between thread
+// goroutines (two channel operations each — the only kernel
+// synchronization left in a simulate run), SpinYields the number of
+// spin-wait polls that actually offered the baton to a peer (fast-path
+// polls that kept it are not counted).
 type SchedStats struct {
 	Handoffs   uint64 `json:"handoffs"`
 	SpinYields uint64 `json:"spin_yields"`
@@ -136,7 +128,6 @@ func newSched(rt *Runtime) *sched {
 		rt:        rt,
 		n:         rt.n,
 		state:     make([]schedState, rt.n),
-		ready:     make([]func() bool, rt.n),
 		collSlots: make([]any, rt.n),
 	}
 	return s
@@ -203,27 +194,8 @@ func (s *sched) heapPop() int {
 	return int(top)
 }
 
-// popNext returns the next thread to run: ready sWaiting threads join
-// the heap first, then the heap minimum wins. Returns -1 when every
-// live thread is blocked.
-func (s *sched) popNext() int {
-	if len(s.waitq) > 0 {
-		kept := s.waitq[:0]
-		for _, i := range s.waitq {
-			if s.ready[i]() {
-				s.state[i] = sRunnable
-				s.heapPush(i)
-			} else {
-				kept = append(kept, i)
-			}
-		}
-		s.waitq = kept
-	}
-	return s.heapPop()
-}
-
-// handoff gives the baton to thread next (which popNext removed from
-// the queues). Callers must have finished all scheduler-state updates
+// handoff gives the baton to thread next (which heapPop removed from
+// the run queue). Callers must have finished all scheduler-state updates
 // first: the moment the gate send completes, next is running.
 func (s *sched) handoff(next int) {
 	s.state[next] = sRunning
@@ -247,13 +219,10 @@ func (s *sched) handoffGate(next int) {
 // keeps the baton and returns immediately (the spin fast path).
 func (s *sched) yield(me int, state schedState) {
 	s.state[me] = state
-	switch state {
-	case sRunnable:
+	if state == sRunnable {
 		s.heapPush(int32(me))
-	case sWaiting:
-		s.waitq = append(s.waitq, int32(me))
 	}
-	next := s.popNext()
+	next := s.heapPop()
 	if next == me {
 		s.state[me] = sRunning
 		return
@@ -381,34 +350,12 @@ func (t *Thread) SpinYield() {
 	// O(1) fast path: if no parked peer has a lower (clock, id), the
 	// spinner keeps the baton — no peer could have run before it, so the
 	// polled condition cannot have changed. Charged polls advance the
-	// spinner's clock, so it eventually yields past runq[0]. (With
-	// predicate waiters present the full path runs: their readiness is
-	// not clock-ordered.)
-	if len(s.waitq) == 0 {
-		if len(s.runq) == 0 || !s.less(s.runq[0], int32(t.id)) {
-			return
-		}
+	// spinner's clock, so it eventually yields past runq[0].
+	if len(s.runq) == 0 || !s.less(s.runq[0], int32(t.id)) {
+		return
 	}
 	s.stats.SpinYields++
 	s.yield(t.id, sRunnable)
-	t.rt.checkPoison()
-}
-
-// BlockOn parks the thread until ready() reports true. It is the
-// primitive for conditions produced by *other* threads with no modelled
-// completion time of their own (e.g. a two-sided MPI receive waiting for
-// its sender). ready must be side-effect free; it is evaluated by
-// scheduling decisions, not just by this thread. The thread is simply
-// ineligible until ready() holds. Simulate only (Runtime.sim).
-func (t *Thread) BlockOn(ready func() bool) {
-	s := t.rt.sim("BlockOn")
-	if ready() {
-		return
-	}
-	t.rt.checkPoison()
-	s.ready[t.id] = ready
-	s.yield(t.id, sWaiting)
-	s.ready[t.id] = nil
 	t.rt.checkPoison()
 }
 
@@ -423,7 +370,7 @@ func (s *sched) stepPark(me int, last bool) {
 	if last {
 		return
 	}
-	next := s.popNext()
+	next := s.heapPop()
 	if next < 0 {
 		// Peers are blocked on events only gate-parked threads could
 		// produce (a barrier this thread abandoned, etc.) — the SPMD
@@ -458,7 +405,7 @@ func (s *sched) exit(me int, last bool) {
 	if last {
 		return
 	}
-	next := s.popNext()
+	next := s.heapPop()
 	if next < 0 {
 		// The remaining threads are blocked on events that can no longer
 		// happen (e.g. a barrier this thread will never reach).
@@ -481,10 +428,8 @@ func (s *sched) deadlock(me int) {
 // it runs. Clocks persist across regions, exactly like the old backend.
 func (s *sched) gatedBody(fn func(t *Thread)) func(t *Thread) {
 	s.runq = s.runq[:0]
-	s.waitq = s.waitq[:0]
 	for i := range s.state {
 		s.state[i] = sRunnable
-		s.ready[i] = nil
 		s.heapPush(int32(i))
 	}
 	return func(t *Thread) {
@@ -505,7 +450,7 @@ func (s *sched) gatedBody(fn func(t *Thread)) func(t *Thread) {
 // every thread goroutine is launched; threads are parked on their gates,
 // so launch order is irrelevant).
 func (s *sched) start() {
-	if first := s.popNext(); first >= 0 {
+	if first := s.heapPop(); first >= 0 {
 		s.handoff(first)
 	}
 }

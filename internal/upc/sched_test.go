@@ -10,7 +10,7 @@ import (
 
 // The cooperative virtual-time scheduler must reproduce the blocking
 // semantics of the old goroutine runtime (locks held across barriers,
-// spin-wait protocols, two-sided waits) while making every simulated
+// spin-wait protocols) while making every simulated
 // clock sequence deterministic.
 
 // TestSchedDeterministicClocks runs a lock/NIC/collective-heavy SPMD
@@ -146,41 +146,6 @@ func TestSpinYieldConverges(t *testing.T) {
 			t.Fatalf("spin nondeterministic: clock %g/%g polls %d/%d", c, c0, p, p0)
 		}
 	}
-}
-
-// TestBlockOnWakesWhenReady: BlockOn parks the thread until another
-// thread makes the predicate true (the mpi.Recv wait path).
-func TestBlockOnWakesWhenReady(t *testing.T) {
-	rt := testRuntime(2)
-	ch := make(chan int, 4)
-	got := 0
-	rt.Run(func(th *Thread) {
-		// The consumer is thread 0 so it is scheduled first and must
-		// genuinely park on the predicate.
-		if th.ID() == 1 {
-			th.ChargeRaw(1e-3)
-			ch <- 42
-			return
-		}
-		th.BlockOn(func() bool { return len(ch) > 0 })
-		got = <-ch
-	})
-	if got != 42 {
-		t.Fatalf("BlockOn consumer read %d", got)
-	}
-}
-
-// TestBlockOnDeadlockPanics: a predicate nobody can satisfy must be
-// diagnosed, not hung on.
-func TestBlockOnDeadlockPanics(t *testing.T) {
-	rt := testRuntime(2)
-	expectPanic(t, "deadlock", func() {
-		rt.Run(func(th *Thread) {
-			if th.ID() == 1 {
-				th.BlockOn(func() bool { return false })
-			}
-		})
-	})
 }
 
 // TestSchedStatsCount: handoffs and spin yields are counted (the sched

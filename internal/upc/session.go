@@ -132,13 +132,6 @@ func (sess *Session) Finish() {
 	}
 }
 
-// StepsDone returns the number of steps every thread has completed
-// (meaningful while paused; all live threads agree at a pause).
-func (sess *Session) StepsDone() int64 { return sess.granted }
-
-// Done reports whether every thread function has returned.
-func (sess *Session) Done() bool { return sess.done || sess.completed }
-
 // close detaches the completed session from the runtime.
 func (sess *Session) close() {
 	sess.completed = true

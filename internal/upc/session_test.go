@@ -60,8 +60,8 @@ func testSessionStepGate(t *testing.T, mode ExecMode) {
 			t.Fatalf("thread %d ran %d steps after Resume(2)+Resume(3), want 5", i, got)
 		}
 	}
-	if got := sess.StepsDone(); got != 5 {
-		t.Fatalf("StepsDone = %d, want 5", got)
+	if got := sess.granted; got != 5 {
+		t.Fatalf("steps granted = %d, want 5", got)
 	}
 	if mode == ModeSimulate {
 		// Clocks must be monotone across the pause: the gate charges
@@ -76,7 +76,7 @@ func testSessionStepGate(t *testing.T, mode ExecMode) {
 		}
 	}
 	sess.Finish()
-	if !sess.Done() {
+	if !(sess.done || sess.completed) {
 		t.Fatal("session not done after Finish")
 	}
 	for i := 0; i < n; i++ {
@@ -219,7 +219,7 @@ func TestSessionBodyWithoutGate(t *testing.T) {
 			if got := ran.Load(); got != 3 {
 				t.Fatalf("Start returned with %d of 3 threads finished", got)
 			}
-			if !sess.Done() {
+			if !(sess.done || sess.completed) {
 				t.Fatal("session with no gate should be done after Start")
 			}
 			sess.Finish()

@@ -182,6 +182,3 @@ func (la *LockArray) RestoreAvail(avail []float64) error {
 	}
 	return nil
 }
-
-// Len returns the number of locks in the array.
-func (la *LockArray) Len() int { return len(la.locks) }

@@ -81,17 +81,6 @@ func (rt *Runtime) TotalStats() Stats {
 	return agg
 }
 
-// MaxClock returns the maximum clock over all threads.
-func (rt *Runtime) MaxClock() float64 {
-	var mx float64
-	for _, t := range rt.threads {
-		if c := t.Now(); c > mx {
-			mx = c
-		}
-	}
-	return mx
-}
-
 // intSizeof returns the in-memory size of v as an int.
 func intSizeof[T any](v T) int { return int(unsafe.Sizeof(v)) }
 

@@ -36,9 +36,6 @@ func (v V3) Len() float64 { return math.Sqrt(v.Len2()) }
 // Dist2 returns the squared distance between v and w.
 func (v V3) Dist2(w V3) float64 { return v.Sub(w).Len2() }
 
-// Dist returns the distance between v and w.
-func (v V3) Dist(w V3) float64 { return math.Sqrt(v.Dist2(w)) }
-
 // Min returns the component-wise minimum of v and w.
 func (v V3) Min(w V3) V3 {
 	return V3{math.Min(v.X, w.X), math.Min(v.Y, w.Y), math.Min(v.Z, w.Z)}
@@ -53,13 +50,3 @@ func (v V3) Max(w V3) V3 {
 func (v V3) MaxComponent() float64 {
 	return math.Max(v.X, math.Max(v.Y, v.Z))
 }
-
-// IsFinite reports whether all components are finite numbers.
-func (v V3) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
-		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
-}
-
-// Zero is the zero vector.
-var Zero = V3{}

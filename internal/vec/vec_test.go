@@ -43,19 +43,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestIsFinite(t *testing.T) {
-	if !(V3{1, 2, 3}).IsFinite() {
-		t.Error("finite vector reported non-finite")
-	}
-	for _, bad := range []V3{
-		{math.NaN(), 0, 0}, {0, math.Inf(1), 0}, {0, 0, math.Inf(-1)},
-	} {
-		if bad.IsFinite() {
-			t.Errorf("%v reported finite", bad)
-		}
-	}
-}
-
 // Property: vector addition commutes and Sub inverts Add.
 func TestQuickAddProperties(t *testing.T) {
 	f := func(ax, ay, az, bx, by, bz float64) bool {
@@ -87,7 +74,7 @@ func TestQuickDotDist(t *testing.T) {
 		if math.Abs(a.Dot(b)) > a.Len()*b.Len()*(1+1e-12) {
 			return false
 		}
-		return a.Dist(b) == b.Dist(a)
+		return a.Dist2(b) == b.Dist2(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -83,12 +83,6 @@ func ForceErrors(final []nbody.Body, eps, dt float64) (maxRel, rms float64) {
 	return maxRel, rms
 }
 
-// MaxForceError returns only the per-body metric of ForceErrors.
-func MaxForceError(final []nbody.Body, eps, dt float64) float64 {
-	maxRel, _ := ForceErrors(final, eps, dt)
-	return maxRel
-}
-
 // Conservation reports the drift diagnostics of a run: every field is
 // dimensionless and should be ~0 for a correct integrator.
 type Conservation struct {

@@ -55,7 +55,7 @@ func TestForceOracleDetectsDefects(t *testing.T) {
 		bs := make([]nbody.Body, len(clean))
 		copy(bs, clean)
 		plant(bs)
-		if e := verify.MaxForceError(bs, eps, dt); e < 0.2 {
+		if e, _ := verify.ForceErrors(bs, eps, dt); e < 0.2 {
 			t.Errorf("%s: oracle scored only %g; defect would pass the matrix", name, e)
 		}
 	}
