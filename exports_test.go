@@ -37,8 +37,8 @@ var exportAllowlist = map[string]string{
 // only tests use. It type-checks the module's non-test files plus
 // benchmark/ (the product: cmd/, examples/, the upcbh facade, the
 // benchmark harness and internal/ itself) and fails on every exported
-// identifier under internal/ that none of them uses outside its own
-// declaration. A helper only tests need belongs in a _test.go file.
+// identifier under internal/ that none of them uses. A helper only tests
+// need belongs in a _test.go file.
 func TestExportsHaveProductCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	dirs := map[string]string{} // import path -> directory
@@ -68,7 +68,6 @@ func TestExportsHaveProductCallers(t *testing.T) {
 	}
 
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-	files := map[string][]*ast.File{}
 	checked := map[string]*types.Package{}
 	std := importer.Default()
 	var check func(path string) (*types.Package, error)
@@ -100,7 +99,7 @@ func TestExportsHaveProductCallers(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		checked[path], files[path] = p, fs
+		checked[path] = p
 		return p, nil
 	}
 	for path := range dirs {
@@ -109,29 +108,9 @@ func TestExportsHaveProductCallers(t *testing.T) {
 		}
 	}
 
-	// A use inside the object's own declaration (recursion, a method
-	// calling itself through the receiver) is not a caller.
-	declSpan := map[types.Object][2]token.Pos{}
-	for path, fs := range files {
-		for _, f := range fs {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if obj := objectOf(checked[path], fd); obj != nil {
-					declSpan[obj] = [2]token.Pos{fd.Pos(), fd.End()}
-				}
-			}
-		}
-	}
 	used := map[types.Object]bool{}
-	for id, obj := range info.Uses {
-		obj = origin(obj)
-		if span, ok := declSpan[obj]; ok && id.Pos() >= span[0] && id.Pos() < span[1] {
-			continue
-		}
-		used[obj] = true
+	for _, obj := range info.Uses {
+		used[origin(obj)] = true
 	}
 
 	var orphans []string
@@ -197,41 +176,6 @@ func exported(p *types.Package) map[string]types.Object {
 		}
 	}
 	return out
-}
-
-// objectOf returns the function or method object fd declares.
-func objectOf(p *types.Package, fd *ast.FuncDecl) types.Object {
-	if fd.Recv == nil {
-		return p.Scope().Lookup(fd.Name.Name)
-	}
-	recv := fd.Recv.List[0].Type
-	if star, ok := recv.(*ast.StarExpr); ok {
-		recv = star.X
-	}
-	switch r := recv.(type) {
-	case *ast.IndexExpr:
-		recv = r.X
-	case *ast.IndexListExpr:
-		recv = r.X
-	}
-	id, ok := recv.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	tn, ok := p.Scope().Lookup(id.Name).(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	named, ok := tn.Type().(*types.Named)
-	if !ok {
-		return nil
-	}
-	for i := 0; i < named.NumMethods(); i++ {
-		if m := named.Method(i); m.Name() == fd.Name.Name {
-			return m
-		}
-	}
-	return nil
 }
 
 // origin maps a use of an instantiated generic function, method or

@@ -206,7 +206,8 @@ func TestFlatRebuildReusesArenas(t *testing.T) {
 }
 
 // TestFlatForceOnZeroAlloc is the allocation-regression gate for the hot
-// kernel: after stack warmup, ForceOn performs zero allocations.
+// kernel: after stack warmup, a one-lane ForceBatch performs zero
+// allocations.
 func TestFlatForceOnZeroAlloc(t *testing.T) {
 	bodies := nbody.Plummer(4096, 1)
 	ft := buildFlat(bodies)
