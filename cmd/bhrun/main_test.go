@@ -18,9 +18,39 @@ import (
 	"upcbh"
 )
 
-func streamSim(t *testing.T) *upcbh.Sim {
+// TestMain runs bhrun's main() instead of the tests when the
+// environment marks this process as a bhrun child (runBhrun).
+func TestMain(m *testing.M) {
+	if os.Getenv("UPCBH_BHRUN_CHILD") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runBhrun re-executes this test binary as `bhrun args...` and returns
+// its stdout, its stderr and its exit status.
+func runBhrun(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "UPCBH_BHRUN_CHILD=1")
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	_ = cmd.Run() // a process that never ran has exit status -1
+	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
+}
+
+// forStreamModes runs test as a subtest on each backend.
+func forStreamModes(t *testing.T, test func(*testing.T, upcbh.ExecMode)) {
+	for _, mode := range []upcbh.ExecMode{upcbh.ModeSimulate, upcbh.ModeNative} {
+		t.Run(mode.String(), func(t *testing.T) { test(t, mode) })
+	}
+}
+
+func streamSim(t *testing.T, mode upcbh.ExecMode) *upcbh.Sim {
 	t.Helper()
 	opts := upcbh.DefaultOptions(256, 2, upcbh.LevelMergedBuild)
+	opts.ExecMode = mode
 	opts.Steps, opts.Warmup = 4, 1
 	sim, err := upcbh.New(opts)
 	if err != nil {
@@ -29,11 +59,16 @@ func streamSim(t *testing.T) *upcbh.Sim {
 	return sim
 }
 
-// TestRunStreamEmitsMonotoneSnapshots: the happy path — step 0 first,
-// strictly increasing step indices, ending at -steps.
+// TestRunStreamEmitsMonotoneSnapshots: the happy path on both backends —
+// step 0 first, strictly increasing step indices, ending at -steps, and
+// every frame carrying the schedule and one clock per thread.
 func TestRunStreamEmitsMonotoneSnapshots(t *testing.T) {
+	forStreamModes(t, testRunStreamEmitsMonotoneSnapshots)
+}
+
+func testRunStreamEmitsMonotoneSnapshots(t *testing.T, mode upcbh.ExecMode) {
 	var buf bytes.Buffer
-	if err := runStream(&buf, streamSim(t), 4, 2, false, nil); err != nil {
+	if err := runStream(&buf, streamSim(t, mode), 4, 2, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	var steps []int
@@ -42,6 +77,10 @@ func TestRunStreamEmitsMonotoneSnapshots(t *testing.T) {
 		var snap upcbh.Snapshot
 		if err := json.Unmarshal(sc.Bytes(), &snap); err != nil {
 			t.Fatalf("bad NDJSON line: %v", err)
+		}
+		if snap.Steps != 4 || snap.ExecMode != mode || len(snap.Clocks) != snap.Threads {
+			t.Fatalf("frame at step %d: steps %d, mode %v, %d clocks for %d threads",
+				snap.Step, snap.Steps, snap.ExecMode, len(snap.Clocks), snap.Threads)
 		}
 		steps = append(steps, snap.Step)
 	}
@@ -65,10 +104,10 @@ func TestRunStreamBytesAreEncodingJSONs(t *testing.T) {
 	type plainSnapshot upcbh.Snapshot
 	for _, withBodies := range []bool{true, false} {
 		var got, want bytes.Buffer
-		if err := runStream(&got, streamSim(t), 4, 1, withBodies, nil); err != nil {
+		if err := runStream(&got, streamSim(t, upcbh.ModeSimulate), 4, 1, withBodies, nil); err != nil {
 			t.Fatal(err)
 		}
-		sim := streamSim(t)
+		sim := streamSim(t, upcbh.ModeSimulate)
 		defer sim.Release()
 		enc := json.NewEncoder(&want)
 		for step := 0; ; step++ {
@@ -119,7 +158,7 @@ func (b *brokenPipe) Write(p []byte) (int, error) {
 // Finish/Release.
 func TestRunStreamEPIPEIsClean(t *testing.T) {
 	w := &brokenPipe{limit: 1}
-	err := runStream(w, streamSim(t), 4, 1, false, nil)
+	err := runStream(w, streamSim(t, upcbh.ModeSimulate), 4, 1, false, nil)
 	if err == nil {
 		t.Fatal("broken pipe surfaced no error to classify")
 	}
@@ -138,7 +177,7 @@ func TestRunStreamSignalStopsCleanly(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	sig <- os.Interrupt // already pending: the loop must stop before stepping further
 	var buf bytes.Buffer
-	if err := runStream(&buf, streamSim(t), 4, 1, false, sig); err != nil {
+	if err := runStream(&buf, streamSim(t, upcbh.ModeSimulate), 4, 1, false, sig); err != nil {
 		t.Fatalf("signalled stream did not stop cleanly: %v", err)
 	}
 	// Only the step-0 snapshot made it out before the signal was seen.
@@ -156,18 +195,25 @@ func TestRunStreamSignalStopsCleanly(t *testing.T) {
 }
 
 // TestRunStreamFromRestoredSim: a restored simulation streams from its
-// captured step, and the remaining snapshot lines are byte-identical to
-// the tail of the uninterrupted stream.
+// captured step, and the remaining snapshot lines are the tail of the
+// uninterrupted stream: byte-identical under simulate, with identical
+// bodies under native (whose clocks and phase times are wall-clock).
 func TestRunStreamFromRestoredSim(t *testing.T) {
+	forStreamModes(t, testRunStreamFromRestoredSim)
+}
+
+func testRunStreamFromRestoredSim(t *testing.T, mode upcbh.ExecMode) {
 	opts := upcbh.DefaultOptions(256, 2, upcbh.LevelMergedBuild)
+	opts.ExecMode = mode
 	opts.Steps, opts.Warmup = 4, 1
+	native := mode == upcbh.ModeNative
 
 	var ref bytes.Buffer
 	sim, err := upcbh.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runStream(&ref, sim, opts.Steps, 1, false, nil); err != nil {
+	if err := runStream(&ref, sim, opts.Steps, 1, native, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,7 +239,7 @@ func TestRunStreamFromRestoredSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := runStream(&got, restored, opts.Steps, 1, false, nil); err != nil {
+	if err := runStream(&got, restored, opts.Steps, 1, native, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,9 +251,42 @@ func TestRunStreamFromRestoredSim(t *testing.T) {
 	// The restored stream's frames are the uninterrupted stream's steps
 	// 2..4, byte for byte.
 	for i, line := range gotLines {
-		if line != refLines[i+2] {
-			t.Fatalf("restored stream frame %d diverged:\n%s\nvs\n%s", i, line, refLines[i+2])
+		want := refLines[i+2]
+		if native { // the bodies, the frame's last field, as written
+			line, want = line[strings.Index(line, `"bodies":`):], want[strings.Index(want, `"bodies":`):]
 		}
+		if line != want {
+			t.Fatalf("restored stream frame %d diverged:\n%s\nvs\n%s", i, line, want)
+		}
+	}
+}
+
+// TestCheckpointRestoreReport: a run that writes a container at step 3
+// and a run restored from it print the uninterrupted run's report byte
+// for byte, the restored one resuming at step 3; a container with its
+// last byte flipped is refused with an error that names the CRC.
+func TestCheckpointRestoreReport(t *testing.T) {
+	flags := []string{"-n", "2048", "-threads", "4", "-steps", "6", "-warmup", "1", "-level", "subspace"}
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	ref, _, _ := runBhrun(t, flags...)
+	mid, stderr, code := runBhrun(t, append(flags, "-checkpoint", ckpt, "-checkpoint-at", "3")...)
+	if code != 0 || mid != ref {
+		t.Fatalf("checkpointing run: exit %d, report identical to the uninterrupted one: %v\n%s", code, mid == ref, stderr)
+	}
+	restored, stderr, code := runBhrun(t, "-restore", ckpt)
+	if code != 0 || restored != ref || !strings.Contains(stderr, "at step 3 of 6") {
+		t.Fatalf("restored run: exit %d, report identical to the uninterrupted one: %v, want resumed at step 3:\n%s", code, restored == ref, stderr)
+	}
+	b, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0xff
+	if err := os.WriteFile(ckpt, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, stderr, code := runBhrun(t, "-restore", ckpt); code != 1 || !strings.Contains(strings.ToUpper(stderr), "CRC") {
+		t.Fatalf("corrupted container: exit %d, want 1 with an error naming the CRC: %s", code, stderr)
 	}
 }
 
@@ -301,18 +380,13 @@ func TestCheckpointFileKilledMidWrite(t *testing.T) {
 // before anything is built — the child re-executes this test binary as
 // bhrun, the same way TestCheckpointFileKilledMidWrite gets its child.
 func TestNativeBelowCacheIsUsageError(t *testing.T) {
-	if args := os.Getenv("UPCBH_BHRUN_ARGS"); args != "" {
-		os.Args = append([]string{"bhrun"}, strings.Fields(args)...)
-		main()
-		os.Exit(0)
-	}
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, level := range []string{"baseline", "scalars", "redistribute"} {
-		cmd := exec.Command(exe, "-test.run", "^TestNativeBelowCacheIsUsageError$")
-		cmd.Env = append(os.Environ(), "UPCBH_BHRUN_ARGS=-n 64 -mode native -level "+level)
+		cmd := exec.Command(exe, "-n", "64", "-mode", "native", "-level", level)
+		cmd.Env = append(os.Environ(), "UPCBH_BHRUN_CHILD=1")
 		out, err := cmd.CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {

@@ -33,13 +33,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"upcbh/internal/bench"
 	"upcbh/internal/serve"
 	"upcbh/internal/store"
 )
@@ -66,13 +66,12 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 
 func main() {
 	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		shards  = flag.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
-		queue   = flag.Int("queue", 0, "per-shard request queue depth (0 = 64)")
-		subbuf  = flag.Int("subbuf", 0, "per-subscriber snapshot buffer (0 = 8)")
-		every   = flag.Int("every", 0, "default steps between streamed snapshots (0 = 1)")
-		workers = flag.Int("workers", 0, "runner worker pool size (0 = GOMAXPROCS)")
-		quiet   = flag.Bool("quiet", false, "suppress progress logging")
+		addr   = flag.String("addr", ":8080", "listen address")
+		shards = flag.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
+		queue  = flag.Int("queue", 0, "per-shard request queue depth (0 = 64)")
+		subbuf = flag.Int("subbuf", 0, "per-subscriber snapshot buffer (0 = 8)")
+		every  = flag.Int("every", 0, "default steps between streamed snapshots (0 = 1)")
+		quiet  = flag.Bool("quiet", false, "suppress progress logging")
 
 		storeDir  = flag.String("store", "", "durable checkpoint store directory (empty = no durability)")
 		ckptEvery = flag.Int("ckpt-every", 0,
@@ -94,9 +93,6 @@ func main() {
 	if *quiet {
 		logf = func(string, ...any) {}
 	}
-	runner := bench.NewRunner(*workers)
-	runner.Progress = func(format string, args ...any) { logf("runner: "+format, args...) }
-
 	var ckptStore *store.Store
 	if *storeDir != "" {
 		var err error
@@ -116,7 +112,6 @@ func main() {
 		QueueDepth:      *queue,
 		SubBuffer:       *subbuf,
 		StreamEvery:     *every,
-		Runner:          runner,
 		Logf:            logf,
 		Store:           ckptStore,
 		CkptEvery:       *ckptEvery,
@@ -124,15 +119,21 @@ func main() {
 		MaxRestoreBytes: *maxRestore,
 	})
 	httpSrv := newHTTPServer(*addr, srv.Handler())
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("bhserve: %v", err)
+	}
 
-	errCh := make(chan error, 1)
-	go func() {
-		logf("bhserve: listening on %s", *addr)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
+	// Signals are caught from before the listening line: whoever waits
+	// for it may signal at once.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	errCh := make(chan error, 1)
+	go func() {
+		logf("bhserve: listening on %s", ln.Addr())
+		errCh <- httpSrv.Serve(ln)
+	}()
+
 	select {
 	case got := <-sig:
 		logf("bhserve: %v: draining", got)

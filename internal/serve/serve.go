@@ -61,10 +61,6 @@ type Config struct {
 	// endpoint (default 1): the stepper pauses and publishes a snapshot
 	// every StreamEvery time-steps.
 	StreamEvery int
-	// Runner is the shared result cache (and its worker-pool discipline
-	// for anything the service runs through it). A fresh one is created
-	// when nil.
-	Runner *bench.Runner
 	// Logf receives progress lines (cache hits, drains, stepper faults);
 	// nil silences them.
 	Logf func(format string, args ...any)
@@ -101,9 +97,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.StreamEvery <= 0 {
 		c.StreamEvery = 1
-	}
-	if c.Runner == nil {
-		c.Runner = bench.NewRunner(0)
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -193,6 +186,9 @@ func (sess *session) snapshot() (*core.Snapshot, error) {
 type Server struct {
 	cfg    Config
 	shards []*shard
+	// runner is the result cache completed runs land in: the service
+	// only looks results up and memoizes them, never runs through it.
+	runner *bench.Runner
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -218,6 +214,7 @@ func New(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{
 		cfg:      cfg,
+		runner:   bench.NewRunner(0),
 		sessions: make(map[string]*session),
 		drainCh:  make(chan struct{}),
 	}
@@ -372,7 +369,7 @@ func (s *Server) buildCreate(opts core.Options) admission {
 	key := opts.Key()
 	return admission{opts.Bodies, func(sess *session) error {
 		sess.opts, sess.key = opts, key
-		if res, ok := s.cfg.Runner.Lookup(opts); ok {
+		if res, ok := s.runner.Lookup(opts); ok {
 			sess.cacheHit, sess.finished, sess.result = true, true, res
 			sess.hub.close()
 			s.cfg.Logf("session %s: cache hit for %s", sess.id, key)
@@ -454,7 +451,7 @@ func (s *Server) finalizeLocked(sess *session) error {
 	sess.result = res
 	sess.finished = true
 	if full {
-		s.cfg.Runner.Memoize(sess.opts, res)
+		s.runner.Memoize(sess.opts, res)
 	}
 	sess.hub.close()
 	return nil
@@ -677,7 +674,7 @@ func (s *Server) Stats() Stats {
 	}
 	s.mu.Unlock()
 	st.SnapshotsDropped = dropped
-	st.Runner = s.cfg.Runner.Stats()
+	st.Runner = s.runner.Stats()
 	if s.cfg.Store != nil {
 		ss := s.cfg.Store.Stats()
 		st.Store, st.Checkpoints = &ss, &ck

@@ -47,13 +47,11 @@ import (
 type Runtime struct {
 	mach *machine.Machine
 	n    int
-	// native is the backend; Now and Barrier branch on it.
-	// The clock ops do not: a native thread's clock is never read (Now
-	// reads the epoch) and the native engine charges nothing. cpuFactor
-	// caches mach.Compute's threaded-runtime multiplier (1 for process
-	// runtimes — multiplying by exactly 1.0 is a bit-exact no-op) so
-	// Charge is a single fused multiply-add.
-	native    bool
+	// cpuFactor caches mach.Compute's threaded-runtime multiplier (1 for
+	// process runtimes — multiplying by exactly 1.0 is a bit-exact no-op)
+	// so Charge is a single fused multiply-add. The clock ops do not
+	// branch on the backend: a native thread's clock is never read (Now
+	// reads the epoch) and the native engine charges nothing.
 	cpuFactor float64
 	// msgCosts is the LogGP message cost of every small wire size, per
 	// path class of this machine (msgcost.go); nil in ModeNative.
@@ -61,20 +59,21 @@ type Runtime struct {
 	nic      []nicState
 
 	// coop is the deterministic virtual-time cooperative scheduler
-	// (sched.go); non-nil exactly in ModeSimulate. Barriers, collectives,
-	// locks and spin-waits are its baton-passing segments, and at most
-	// one emulated thread executes at any moment.
+	// (sched.go); non-nil exactly in ModeSimulate, so it is the backend.
+	// Barriers, collectives, locks and spin-waits are its baton-passing
+	// segments, and at most one emulated thread executes at any moment.
 	coop *sched
-	// bar and epoch are the native backend's whole synchronization and
-	// time state: the parking barrier its threads meet at, and the wall
-	// clock's zero. Unset in ModeSimulate.
-	bar   *barrier
-	epoch time.Time
+	// barMu, barCount and epoch are the native backend's whole
+	// synchronization and time state: the arrivals at the current
+	// barrier, and the wall clock's zero. Unused in ModeSimulate.
+	barMu    sync.Mutex
+	barCount int
+	epoch    time.Time
 
 	// gates are the per-thread wake channels (capacity 1) of both
-	// backends: a thread parked at the session step gate, or in the
-	// cooperative scheduler, blocks on its own. Poison wakes every gate
-	// (non-blocking sends).
+	// backends: a thread parked at the session step gate, in a native
+	// barrier, or in the cooperative scheduler blocks on its own. Poison
+	// wakes every gate (non-blocking sends).
 	gates []chan struct{}
 
 	// poisoned is set when a thread panics so that peers blocked in
@@ -112,7 +111,6 @@ func NewRuntimeMode(mach *machine.Machine, mode ExecMode) *Runtime {
 	rt := &Runtime{
 		mach:      mach,
 		n:         n,
-		native:    mode == ModeNative,
 		cpuFactor: mach.Compute(1),
 		poisonCh:  make(chan struct{}),
 	}
@@ -122,8 +120,7 @@ func NewRuntimeMode(mach *machine.Machine, mode ExecMode) *Runtime {
 		rt.threads[i] = &Thread{rt: rt, id: i}
 		rt.gates[i] = make(chan struct{}, 1)
 	}
-	if rt.native {
-		rt.bar = newBarrier(n)
+	if mode == ModeNative {
 		rt.epoch = time.Now()
 	} else {
 		rt.nic = make([]nicState, n)
@@ -138,7 +135,7 @@ func NewRuntimeMode(mach *machine.Machine, mode ExecMode) *Runtime {
 // or a session that poisons the runtime, so peers parked in a barrier
 // abort instead of waiting for a rendezvous that cannot happen.
 func (rt *Runtime) sim(op string) *sched {
-	if rt.native {
+	if rt.coop == nil {
 		panic("upc: " + op + " on a ModeNative runtime: heaps, locks, collectives and spin-waits exist only under ModeSimulate")
 	}
 	return rt.coop
@@ -223,23 +220,23 @@ func (p poisonAbort) Error() string { return p.msg }
 const poisonSecondary = "upc: thread aborted because a peer thread panicked"
 
 // poison marks the runtime failed and wakes all blocked waiters: the
-// controller through poisonCh, every gate-parked thread through a
-// non-blocking send (a thread already handed a wake keeps it), and the
-// native barrier's waiters through its condition variable.
+// controller through poisonCh, and every gate-parked thread through a
+// non-blocking send (a thread already handed a wake keeps it).
 func (rt *Runtime) poison(msg string) {
 	if rt.poisoned.CompareAndSwap(nil, &msg) {
 		close(rt.poisonCh)
 	}
 	for _, g := range rt.gates {
-		select {
-		case g <- struct{}{}:
-		default:
-		}
+		wake(g)
 	}
-	if rt.native {
-		rt.bar.mu.Lock()
-		rt.bar.cond.Broadcast()
-		rt.bar.mu.Unlock()
+}
+
+// wake hands a parked thread its gate's one pending wake, unless it
+// already holds one.
+func wake(g chan struct{}) {
+	select {
+	case g <- struct{}{}:
+	default:
 	}
 }
 
@@ -306,7 +303,7 @@ func (t *Thread) P() int { return t.rt.n }
 // in ModeSimulate, wall-clock seconds since the runtime epoch in
 // ModeNative.
 func (t *Thread) Now() float64 {
-	if t.rt.native {
+	if t.rt.coop == nil {
 		return time.Since(t.rt.epoch).Seconds()
 	}
 	return t.clock
@@ -339,52 +336,40 @@ func (t *Thread) Stats() Stats { return t.stats }
 // epoch source for barrier-invalidated caches.
 func (t *Thread) BarrierCount() uint64 { return t.stats.Barriers }
 
-// Barrier is upc_barrier: all threads rendezvous — parked on a
-// condition variable in ModeNative; in ModeSimulate as a scheduler
-// epoch that aligns the simulated clocks to max(participants) plus the
-// modelled barrier cost.
+// Barrier is upc_barrier: all threads rendezvous — in ModeNative each
+// early arriver parks on its gate until the last one wakes it; in
+// ModeSimulate as a scheduler epoch that aligns the simulated clocks to
+// max(participants) plus the modelled barrier cost. A native barrier
+// aborts (panics with a secondary marker) if the runtime is poisoned.
 func (t *Thread) Barrier() {
 	t.stats.Barriers++
-	if t.rt.native {
-		t.rt.bar.wait(t.rt)
+	rt := t.rt
+	if rt.coop != nil {
+		rt.coop.barrier(t)
 		return
 	}
-	t.rt.coop.barrier(t)
-}
-
-// barrier is the native backend's reusable generation barrier (simulate
-// barriers are sched.barrier).
-type barrier struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-
-	gen   uint64
-	count int
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// wait blocks until all n threads arrive. It aborts (panics with a
-// secondary marker) if the runtime is poisoned.
-func (b *barrier) wait(rt *Runtime) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	// Checked before counting, so a late arriver never parks for a
+	// rendezvous that cannot happen; poison's wake releases any thread
+	// that counted first.
 	rt.checkPoison()
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
+	rt.barMu.Lock()
+	rt.barCount++
+	last := rt.barCount == rt.n
+	if last {
+		rt.barCount = 0
+	}
+	rt.barMu.Unlock()
+	if !last {
+		<-rt.gates[t.id]
+		rt.checkPoison()
 		return
 	}
-	gen := b.gen
-	for gen == b.gen {
-		b.cond.Wait()
-		rt.checkPoison()
+	// Every peer has counted itself and parks, or is about to, on an
+	// empty gate; a poison wake that got there first releases it just as
+	// well, so the sends never block.
+	for i, g := range rt.gates {
+		if i != t.id {
+			wake(g)
+		}
 	}
 }

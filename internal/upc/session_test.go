@@ -22,7 +22,7 @@ func sessionBody(steps *[][]int, clocks *[][]float64) func(t *Thread) {
 		t.Barrier()
 		for t.NextStep() {
 			t.Charge(1e-6)
-			if !t.rt.native {
+			if t.rt.coop != nil {
 				AllReduceVecF64(t, []float64{float64(me)}, OpMax)
 			}
 			t.Barrier()
