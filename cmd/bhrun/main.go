@@ -300,13 +300,14 @@ func downstreamClosed(err error) bool {
 func runStream(w io.Writer, sim *upcbh.Sim, steps, every int, withBodies bool, sig <-chan os.Signal) error {
 	defer sim.Release()
 	var line []byte // one buffer for every snapshot's line
+	snapshot := sim.SnapshotMeta
+	if withBodies {
+		snapshot = sim.Snapshot
+	}
 	emit := func() error {
-		snap, err := sim.Snapshot()
+		snap, err := snapshot()
 		if err != nil {
 			return err
-		}
-		if !withBodies {
-			snap.Bodies = nil
 		}
 		if line, err = snap.AppendJSON(line[:0]); err != nil {
 			return err

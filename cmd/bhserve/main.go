@@ -69,8 +69,6 @@ func main() {
 		addr   = flag.String("addr", ":8080", "listen address")
 		shards = flag.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
 		queue  = flag.Int("queue", 0, "per-shard request queue depth (0 = 64)")
-		subbuf = flag.Int("subbuf", 0, "per-subscriber snapshot buffer (0 = 8)")
-		every  = flag.Int("every", 0, "default steps between streamed snapshots (0 = 1)")
 		quiet  = flag.Bool("quiet", false, "suppress progress logging")
 
 		storeDir  = flag.String("store", "", "durable checkpoint store directory (empty = no durability)")
@@ -110,8 +108,6 @@ func main() {
 	srv := serve.New(serve.Config{
 		Shards:          *shards,
 		QueueDepth:      *queue,
-		SubBuffer:       *subbuf,
-		StreamEvery:     *every,
 		Logf:            logf,
 		Store:           ckptStore,
 		CkptEvery:       *ckptEvery,

@@ -15,10 +15,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/hostenv"
 	"upcbh/internal/octree"
+	"upcbh/internal/upc"
 )
 
 // checkpointAt runs opts for k steps, checkpoints, and returns the
@@ -210,6 +212,69 @@ func TestCheckpointStepZeroAndReuse(t *testing.T) {
 	}
 	if _, err := second.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSimContainerHeapIsOwnedBodies: a simulate container's heap region
+// holds the session's owned bodies at their refs' offsets and zero bytes
+// in every other record — no stale copy from a double buffer, nothing a
+// recycled chunk kept from an earlier Sim.
+func TestSimContainerHeapIsOwnedBodies(t *testing.T) {
+	opts := DefaultOptions(2048, 4, LevelAsync)
+	opts.Steps = 3
+	ckpt, sim := checkpointAt(t, opts, 1)
+	sim.Release()
+	c, err := arena.ReadCheckpoint(bytes.NewReader(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, _ := c.Region(regState)
+	heap, _ := c.Region(regHeap)
+	refs, _ := c.Region(regRefs)
+	var cs ckptState
+	if err := json.Unmarshal(state, &cs); err != nil {
+		t.Fatal(err)
+	}
+	shard := make([]int, len(cs.HeapLens)+1) // each shard's first record
+	for i, l := range cs.HeapLens {
+		shard[i+1] = shard[i] + int(l)
+	}
+	owned := make([]bool, shard[len(cs.HeapLens)])
+	for j := 0; j < len(refs); j += refBytes {
+		r := *(*upc.Ref)(unsafe.Pointer(&refs[j]))
+		owned[shard[r.Thr]+int(r.Idx)] = true
+	}
+	var stray, unowned int
+	for k, own := range owned {
+		if own {
+			continue
+		}
+		unowned++
+		if slices.ContainsFunc(heap[k*bodyBytes:(k+1)*bodyBytes], func(b byte) bool { return b != 0 }) {
+			stray++
+		}
+	}
+	if stray != 0 {
+		t.Errorf("%d of the %d heap records no ref names carry bytes", stray, unowned)
+	}
+}
+
+// TestSimContainerIndependentOfProcessHistory: a session's container is
+// the same bytes whether or not a session of the same geometry, other
+// bodies, ran and was released in the process before it.
+func TestSimContainerIndependentOfProcessHistory(t *testing.T) {
+	opts := DefaultOptions(2048, 4, LevelAsync)
+	opts.Steps = 3
+	before, sim := checkpointAt(t, opts, 1)
+	sim.Release()
+	other := opts
+	other.Seed = opts.Seed + 1
+	_, sim = checkpointAt(t, other, 2)
+	sim.Release()
+	after, sim := checkpointAt(t, opts, 1)
+	sim.Release()
+	if !bytes.Equal(before, after) {
+		t.Error("a session's container changed after another session ran and was released")
 	}
 }
 

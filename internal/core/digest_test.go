@@ -101,9 +101,9 @@ func TestSimulateDigest16T(t *testing.T) {
 // every simulate configuration of TestSimulateDigest16T, SHA-256 over the
 // "state" and "refs" regions (name, then bytes) and the "heap" region's
 // owned records, read through the refs, after step 1 of a 3-step run.
-// (The heap region's other records are unused buffer space, and a
-// recycled chunk leaves there whatever an earlier Sim in the process
-// wrote.) For native at T threads, SHA-256 over the "bodies"
+// (The heap region's other records are unused buffer space, zero bytes
+// since capture copies only owned bodies;
+// TestSimContainerHeapIsOwnedBodies holds that.) For native at T threads, SHA-256 over the "bodies"
 // region and, separately, over the state region's JSON key and delimiter
 // sequence (its values carry wall-clock times, so only its shape is
 // pinned). The header, which carries the host env, is excluded.

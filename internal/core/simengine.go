@@ -324,7 +324,10 @@ func (s *simEngine) newCell(t *upc.Thread, st *simThread, center vec.V3, half fl
 
 // capture writes the body heap (each shard's allocated elements, in
 // thread order), the owned-body refs, the lock horizon, the shared
-// scalars and each thread's buffers and replicated scalars.
+// scalars and each thread's buffers and replicated scalars. Of the heap
+// only the owned bodies are copied, each to its ref's offset; every other
+// slot is zero, so the container carries this session's bodies and
+// nothing a recycled chunk kept from an earlier Sim.
 func (s *simEngine) capture(cs *ckptState) []arena.NamedRegion {
 	cs.Locks = s.locks.CaptureAvail()
 	cs.TolS = s.tolS.Peek()
@@ -332,10 +335,18 @@ func (s *simEngine) capture(cs *ckptState) []arena.NamedRegion {
 	cs.GeomS = s.geomS.Peek()
 	cs.RootS = s.rootS.Peek()
 	cs.HeapLens = make([]int32, len(s.ts))
-	var heap, refs []byte
-	for i, st := range s.ts {
+	shard := make([]int, len(s.ts)+1) // each shard's offset in the region
+	for i := range s.ts {
 		cs.HeapLens[i] = int32(s.bodies.Len(i))
-		heap = s.bodies.CaptureShard(i, heap)
+		shard[i+1] = shard[i] + s.bodies.Len(i)*bodyBytes
+	}
+	heap := make([]byte, shard[len(s.ts)])
+	var refs []byte
+	for i, st := range s.ts {
+		for _, r := range st.myBodies {
+			off := shard[r.Thr] + int(r.Idx)*bodyBytes
+			copy(heap[off:off+bodyBytes], bodyRecordBytes(unsafe.Slice(s.bodies.Raw(r), 1)))
+		}
 		refs = appendRefBytes(refs, st.myBodies)
 		tc := &cs.Threads[i]
 		tc.Buf, tc.BufCap, tc.Cur, tc.CurLen = st.buf, st.bufCap, st.cur, st.curLen

@@ -113,7 +113,7 @@ func (s *Server) persister() {
 // policy. Only this goroutine runs it, so backoff sleeps stall at most
 // the checkpoint pipeline — never a session.
 func (s *Server) persistOne(j store.Entry) {
-	backoff := s.cfg.CkptBackoff
+	backoff := s.cfg.ckptBackoff
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = s.cfg.Store.Put(j.Key, j.Step, j.Data)

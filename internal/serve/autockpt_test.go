@@ -221,7 +221,7 @@ func TestAutoCheckpointDegradedENOSPC(t *testing.T) {
 	st := openTestStore(t, t.TempDir(), efs)
 	s := newTestServer(t, Config{
 		Shards: 1, Store: st, CkptEvery: 1,
-		CkptBackoff: time.Millisecond,
+		ckptBackoff: time.Millisecond,
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

@@ -20,7 +20,7 @@ import (
 // count). Whoever drops a frame — the drop-oldest policy, a stale frame, a
 // departing subscriber draining its queue — releases it like any other
 // holder. When the last holder lets go, the frame's line buffers return to
-// the session's pool; a release past zero is a lifetime bug and panics.
+// lineBufs; a release past zero is a lifetime bug and panics.
 type frame struct {
 	snap    *core.Snapshot
 	pool    *framePool
@@ -31,7 +31,7 @@ type frame struct {
 // frameLine is one lazily produced encoding of a frame.
 type frameLine struct {
 	once sync.Once
-	b    []byte // the snapshot's JSON and a '\n'
+	buf  *[]byte // from lineBufs: the snapshot's JSON and a '\n'
 	err  error
 }
 
@@ -48,55 +48,38 @@ func kindOf(withBodies bool) int {
 	return kindMeta
 }
 
-// framePool is a session's supply of line buffers and its count of what
-// became of them. Its lock is a leaf: frames are released under the hub's
-// lock (publish dropping a slow subscriber's oldest frame) and outside it.
+// lineBufs holds the buffers every snapshot line is encoded into — stream
+// frames' and step and snapshot responses' alike. A response's buffer
+// goes back once Write has copied it out, a frame's when its last holder
+// lets go; a buffer idle across two collections is dropped.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// framePool counts what became of a session's frame lines. Its lock is a
+// leaf: frames are released under the hub's lock (publish dropping a slow
+// subscriber's oldest frame) and outside it.
 type framePool struct {
 	mu      sync.Mutex
-	free    [2][][]byte // per kind: a bodies line is hundreds of times a meta line
-	closed  bool        // the session's stream has ended: keep nothing
-	lent    int         // buffers out with live frames
-	encodes [2]uint64   // encodings made, per kind
+	lent    int       // line buffers out with live frames
+	encodes [2]uint64 // encodings made, per kind
 
 	// testEncodeHook, when set, runs on the encoding goroutine before each
 	// encoding; tests use it to assert that no shard loop ever encodes.
 	testEncodeHook func()
 }
 
-// maxFreeLines bounds each kind's free list. One writer in steady state
-// keeps one buffer in flight; readers of uneven speed can have up to a
-// queue's worth, which is not worth pinning for the session's lifetime.
-const maxFreeLines = 4
-
-func (p *framePool) get(kind int) []byte {
+func (p *framePool) get(kind int) *[]byte {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.lent++
 	p.encodes[kind]++
-	if n := len(p.free[kind]); n > 0 {
-		b := p.free[kind][n-1]
-		p.free[kind] = p.free[kind][:n-1]
-		return b
-	}
-	return nil
+	p.mu.Unlock()
+	return lineBufs.Get().(*[]byte)
 }
 
-func (p *framePool) put(kind int, b []byte) {
+func (p *framePool) put(buf *[]byte) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.lent--
-	if !p.closed && len(p.free[kind]) < maxFreeLines {
-		p.free[kind] = append(p.free[kind], b[:0])
-	}
-}
-
-// close empties the free lists for good: a finished session streams at
-// most terminal frames, and should not hold megabytes for them.
-func (p *framePool) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	p.free = [2][][]byte{}
+	p.mu.Unlock()
+	lineBufs.Put(buf)
 }
 
 // newFrame wraps snap for one holder, the caller.
@@ -121,12 +104,14 @@ func (f *frame) line(withBodies bool) ([]byte, error) {
 		if !withBodies {
 			snap = withoutBodies(snap)
 		}
-		buf := f.pool.get(kind)
-		if l.b, l.err = snap.AppendJSON(buf); l.err == nil {
-			l.b = append(l.b, '\n')
+		l.buf = f.pool.get(kind)
+		b, err := snap.AppendJSON((*l.buf)[:0])
+		if err == nil {
+			b = append(b, '\n')
 		}
+		*l.buf, l.err = b, err
 	})
-	return l.b, l.err
+	return *l.buf, l.err
 }
 
 func (f *frame) retain() { f.holders.Add(1) }
@@ -139,9 +124,9 @@ func (f *frame) release() {
 		for kind := range f.lines {
 			// No holder is left, so no line is being read and no once is
 			// running; a line never asked for took no buffer.
-			if l := &f.lines[kind]; l.b != nil {
-				f.pool.put(kind, l.b)
-				l.b = nil
+			if l := &f.lines[kind]; l.buf != nil {
+				f.pool.put(l.buf)
+				l.buf = nil
 			}
 		}
 	}

@@ -12,8 +12,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"upcbh/internal/core"
+	"upcbh/internal/nbody"
 )
 
 // The bytes the service sends are its contract. These tests hold every
@@ -122,7 +124,7 @@ func TestStreamFramesAreEncodingJSONs(t *testing.T) {
 		"4":             {fastBodies, fastMeta, slowBodies, slowMeta},
 	} {
 		t.Run(name, func(t *testing.T) {
-			s := newTestServer(t, Config{Shards: 2, SubBuffer: 3})
+			s := newTestServer(t, Config{Shards: 2, subBuffer: 3})
 			ts := httptest.NewServer(s.Handler())
 			t.Cleanup(ts.Close)
 			sess, _, err := s.admit(s.buildCreate(opts))
@@ -204,8 +206,8 @@ func TestStreamFramesAreEncodingJSONs(t *testing.T) {
 				if lineStep(t, lines[0]) != 0 || last != opts.Steps {
 					t.Fatalf("subscriber %d: stream ran from step %d to %d, want 0 to %d", i, lineStep(t, lines[0]), last, opts.Steps)
 				}
-				if spec.slow && len(lines) > 2+s.cfg.SubBuffer {
-					t.Fatalf("stalled subscriber %d got %d frames through a %d-deep queue", i, len(lines), s.cfg.SubBuffer)
+				if spec.slow && len(lines) > 2+s.cfg.subBuffer {
+					t.Fatalf("stalled subscriber %d got %d frames through a %d-deep queue", i, len(lines), s.cfg.subBuffer)
 				}
 				wantEncodes[kind]++ // its first frame: the session's state when it joined, its own
 			}
@@ -229,9 +231,6 @@ func TestStreamFramesAreEncodingJSONs(t *testing.T) {
 			}
 			if p.lent != 0 {
 				t.Errorf("%d line buffers still out after every stream ended", p.lent)
-			}
-			if !p.closed || len(p.free[kindMeta])+len(p.free[kindBodies]) != 0 {
-				t.Errorf("the finished session's pool still holds buffers: %+v", p.free)
 			}
 			var slow bool
 			for _, spec := range specs {
@@ -298,10 +297,44 @@ func TestSnapshotResponsesAreEncodingJSONs(t *testing.T) {
 	}
 }
 
+// TestSnapshotWithoutBodiesGathersNone: GET /snapshot without ?bodies
+// does not gather the bodies it would throw away — each request allocates
+// less than half of one body gather, at a size where the gather dwarfs
+// the rest of the response.
+func TestSnapshotWithoutBodiesGathersNone(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 1})
+	opts := placedOpts(16384, 1)
+	sess, _, err := s.admit(s.buildCreate(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	get := func() {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/sims/"+sess.id+"/snapshot", nil))
+		if w.Code != http.StatusOK || bytes.Contains(w.Body.Bytes(), []byte(`"bodies"`)) {
+			t.Fatalf("GET /snapshot: status %d, %.80q", w.Code, w.Body.Bytes())
+		}
+	}
+	get() // the first request starts the simulation and fills the pools
+	const requests = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range requests {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	gather := uint64(opts.Bodies) * uint64(unsafe.Sizeof(nbody.Body{}))
+	per := (after.TotalAlloc - before.TotalAlloc) / requests
+	if per >= gather/2 {
+		t.Errorf("GET /snapshot without bodies allocated %d B per request; one body gather is %d B", per, gather)
+	}
+	t.Logf("%d B per request; one body gather is %d B", per, gather)
+}
+
 // TestFrameLifetime: a frame's lines come from the pool and go back when
-// its last holder lets go — the next frame encodes into the same memory —
-// and a release beyond the holders panics instead of freeing a buffer
-// someone else may be writing from.
+// its last holder lets go, and a release beyond the holders panics
+// instead of freeing a buffer someone else may be writing from.
 func TestFrameLifetime(t *testing.T) {
 	opts := testOpts(2)
 	sim, err := core.New(opts)
@@ -331,13 +364,10 @@ func TestFrameLifetime(t *testing.T) {
 		t.Fatalf("%d buffers out while a holder remains, want 2", p.lent)
 	}
 	f.release()
-	if p.lent != 0 || len(p.free[kindBodies]) != 1 || len(p.free[kindMeta]) != 1 {
-		t.Fatalf("after the last release: %d out, free lists %d/%d", p.lent, len(p.free[kindMeta]), len(p.free[kindBodies]))
+	if p.lent != 0 {
+		t.Fatalf("after the last release: %d out", p.lent)
 	}
 	next := p.newFrame(snap)
-	if line, _ := next.line(true); &line[0] != &first[0] {
-		t.Error("the next frame did not reuse the returned buffer")
-	}
 	next.release()
 
 	defer func() {

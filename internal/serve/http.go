@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"upcbh/internal/core"
@@ -133,15 +132,6 @@ func respond(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
-// snapBufs holds encode buffers for snapshot responses: a step response
-// is the service's most frequent answer, and Write copies out of the
-// buffer, so each one can go back for the next.
-var snapBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// maxPooledSnap bounds the buffers snapBufs keeps; a bodies snapshot of
-// a large run is encoded into a buffer of its own.
-const maxPooledSnap = 1 << 20
-
 // writeJSON answers v as one JSON document and a newline. A snapshot
 // goes through its own appender (core.Snapshot.AppendJSON: encoding/json's
 // bytes without the reflection); everything else is small and reflected.
@@ -151,15 +141,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	if snap, ok := v.(*core.Snapshot); ok {
 		// As with the encoder below, a snapshot json refuses (a NaN)
 		// leaves the body empty: no part of it is sent.
-		buf := snapBufs.Get().(*[]byte)
-		if b, err := snap.AppendJSON((*buf)[:0]); err == nil {
+		buf := lineBufs.Get().(*[]byte)
+		b, err := snap.AppendJSON((*buf)[:0])
+		if err == nil {
 			b = append(b, '\n')
 			_, _ = w.Write(b)
-			if cap(b) <= maxPooledSnap {
-				*buf = b
-			}
 		}
-		snapBufs.Put(buf)
+		*buf = b
+		lineBufs.Put(buf)
 		return
 	}
 	enc := json.NewEncoder(w)
@@ -370,14 +359,12 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) (any, err
 // handleSnapshot answers the current state without stepping, with bodies
 // only under ?bodies=1.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *session) (any, error) {
+	wantBodies := r.URL.Query().Get("bodies") != ""
 	var snap *core.Snapshot
 	err := s.onShard(sess, func() (err error) {
-		snap, err = sess.snapshot()
+		snap, err = sess.snapshot(wantBodies)
 		return err
 	})
-	if err == nil && r.URL.Query().Get("bodies") == "" {
-		snap.Bodies = nil // snap is this request's own copy
-	}
 	return snap, err
 }
 
@@ -419,12 +406,13 @@ var streamWriteTimeout = 30 * time.Second
 // finished or released) or the client goes away. The first frame is the
 // session's current state, so a subscriber always sees where it joined —
 // a fresh session streams from step 0, matching bhrun -stream. ?every=
-// sets the steps between frames (default Config.StreamEvery); ?bodies=1
-// includes bodies. A frame's line is encoded by the first subscriber to
-// reach it, here on the handler's goroutine, and shared by the rest
-// (frame.go); each writer only copies it to its connection.
+// sets the steps between frames (default 1); ?bodies=1 includes bodies,
+// and only then is the first frame's state gathered with them. A
+// frame's line is encoded by the first subscriber to reach it, here on
+// the handler's goroutine, and shared by the rest (frame.go); each
+// writer only copies it to its connection.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *session) (any, error) {
-	every, err := positiveQuery(r, "every", s.cfg.StreamEvery)
+	every, err := positiveQuery(r, "every", 1)
 	if err != nil {
 		return nil, err
 	}
@@ -438,10 +426,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *sess
 		sub   *subscriber
 	)
 	err = s.onShard(sess, func() (err error) {
-		if first, err = sess.snapshot(); err != nil {
+		if first, err = sess.snapshot(withBodies); err != nil {
 			return err
 		}
-		sub = sess.hub.subscribe(s.cfg.SubBuffer) // nil if already finished: stream is just the terminal frame
+		sub = sess.hub.subscribe(s.cfg.subBuffer) // nil if already finished: stream is just the terminal frame
 		s.ensureStepperLocked(sess, every)
 		return nil
 	})

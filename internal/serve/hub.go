@@ -24,8 +24,8 @@ type hub struct {
 	closed  bool
 	dropped uint64
 
-	// frames supplies and takes back the line buffers of every frame of
-	// this session, published or not (a stream's first frame).
+	// frames counts the line buffers of every frame of this session,
+	// published or not (a stream's first frame).
 	frames framePool
 }
 
@@ -117,7 +117,6 @@ func (h *hub) close() {
 		return
 	}
 	h.closed = true
-	h.frames.close()
 	for sub := range h.subs {
 		delete(h.subs, sub)
 		close(sub.ch)

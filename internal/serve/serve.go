@@ -53,14 +53,6 @@ type Config struct {
 	// shard's queue is full, requests are rejected with a backpressure
 	// status instead of blocking.
 	QueueDepth int
-	// SubBuffer is the per-subscriber snapshot buffer of the fan-out hub
-	// (default 8). A subscriber that falls more than SubBuffer snapshots
-	// behind starts losing its oldest frames.
-	SubBuffer int
-	// StreamEvery is the default stepping interval of the stream
-	// endpoint (default 1): the stepper pauses and publishes a snapshot
-	// every StreamEvery time-steps.
-	StreamEvery int
 	// Logf receives progress lines (cache hits, drains, stepper faults);
 	// nil silences them.
 	Logf func(format string, args ...any)
@@ -77,12 +69,18 @@ type Config struct {
 	// boundaries — an idle session's state isn't changing, so there is
 	// nothing new to capture (0 = disabled).
 	CkptInterval time.Duration
-	// CkptBackoff is the persister's initial retry backoff, doubling per
-	// attempt (default 50ms).
-	CkptBackoff time.Duration
 	// MaxRestoreBytes caps the POST /sims/restore upload body
 	// (default 1 GiB); larger uploads get 413.
 	MaxRestoreBytes int64
+
+	// Only this package's tests set these to other than their defaults.
+	// subBuffer is the per-subscriber frame queue of the fan-out hub
+	// (default 8): a subscriber that falls more than subBuffer frames
+	// behind starts losing its oldest ones. ckptBackoff is the
+	// persister's initial retry backoff, doubling per attempt (default
+	// 50ms).
+	subBuffer   int
+	ckptBackoff time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -92,17 +90,14 @@ func (c *Config) fillDefaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.SubBuffer <= 0 {
-		c.SubBuffer = 8
-	}
-	if c.StreamEvery <= 0 {
-		c.StreamEvery = 1
+	if c.subBuffer <= 0 {
+		c.subBuffer = 8
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.CkptBackoff <= 0 {
-		c.CkptBackoff = 50 * time.Millisecond
+	if c.ckptBackoff <= 0 {
+		c.ckptBackoff = 50 * time.Millisecond
 	}
 	if c.MaxRestoreBytes <= 0 {
 		c.MaxRestoreBytes = 1 << 30
@@ -164,16 +159,19 @@ func (sess *session) info() sessionInfo {
 	return si
 }
 
-// snapshot is the session's current state: the live simulation's, or —
-// for a session born finished from the cache, which has no simulation to
-// ask — the terminal snapshot synthesized from its Result. Must run on
-// the shard loop.
-func (sess *session) snapshot() (*core.Snapshot, error) {
+// snapshot is the session's current state: the live simulation's, its
+// bodies gathered only when the reader asked for them, or — for a session
+// born finished from the cache, which has no simulation to ask and no
+// bodies to give — the terminal snapshot synthesized from its Result.
+// Must run on the shard loop.
+func (sess *session) snapshot(bodies bool) (*core.Snapshot, error) {
 	switch {
 	case sess.released:
 		return nil, core.ErrReleased
-	case sess.sim != nil:
+	case sess.sim != nil && bodies:
 		return sess.sim.Snapshot()
+	case sess.sim != nil:
+		return sess.sim.SnapshotMeta()
 	case sess.result != nil:
 		return synthSnapshot(sess.opts, sess.result), nil
 	default:
@@ -683,8 +681,8 @@ func (s *Server) Stats() Stats {
 }
 
 // synthSnapshot fabricates the terminal Snapshot of a completed run from
-// its cached Result: cache-hit sessions have no live Sim to ask. Bodies
-// are absent — the cache drops them (bench.Runner KeepBodies policy).
+// its cached Result: cache-hit sessions have no live Sim to ask. It has
+// no bodies: the cache drops them (bench.Runner KeepBodies policy).
 func synthSnapshot(opts core.Options, res *core.Result) *core.Snapshot {
 	return &core.Snapshot{
 		Step:         opts.Steps,
@@ -699,6 +697,5 @@ func synthSnapshot(opts core.Options, res *core.Result) *core.Snapshot {
 		Phases:       res.Phases,
 		StepPhases:   res.StepPhases,
 		Interactions: res.Interactions,
-		Bodies:       res.Bodies,
 	}
 }

@@ -288,7 +288,7 @@ func TestCreateCacheHit(t *testing.T) {
 		t.Fatal("cache-hit session built a simulation")
 	}
 	var snap *core.Snapshot
-	onLoop(t, s, second, func() { snap, err = second.snapshot() })
+	onLoop(t, s, second, func() { snap, err = second.snapshot(true) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestBackpressureQueueFull(t *testing.T) {
 // step indices and the terminal snapshot; the slow one may lose
 // intermediate frames (counted), never ordering or the final state.
 func TestFanOutSubscribers(t *testing.T) {
-	s := newTestServer(t, Config{Shards: 2, SubBuffer: 2})
+	s := newTestServer(t, Config{Shards: 2, subBuffer: 2})
 	steps := 6
 	sess, _, err := s.admit(s.buildCreate(testOpts(steps)))
 	if err != nil {
@@ -384,7 +384,7 @@ func TestFanOutSubscribers(t *testing.T) {
 	subs := make([]*subscriber, nSubs)
 	onLoop(t, s, sess, func() {
 		for i := range subs {
-			buf := s.cfg.SubBuffer
+			buf := s.cfg.subBuffer
 			if i == 0 {
 				buf = 1
 			}
@@ -664,7 +664,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 // ?bodies=1 path does; under -race the old in-place mutation is a
 // reported data race, and functionally every frame must keep its bodies.
 func TestStepDoesNotMutateStreamedSnapshot(t *testing.T) {
-	s := newTestServer(t, Config{Shards: 1, SubBuffer: 4})
+	s := newTestServer(t, Config{Shards: 1, subBuffer: 4})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
@@ -675,7 +675,7 @@ func TestStepDoesNotMutateStreamedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sub *subscriber
-	onLoop(t, s, sess, func() { sub = sess.hub.subscribe(s.cfg.SubBuffer) })
+	onLoop(t, s, sess, func() { sub = sess.hub.subscribe(s.cfg.subBuffer) })
 
 	done := make(chan struct{})
 	go func() {
@@ -808,7 +808,7 @@ func TestStreamWriteDeadline(t *testing.T) {
 	defer func(d time.Duration) { streamWriteTimeout = d }(streamWriteTimeout)
 	streamWriteTimeout = 100 * time.Millisecond
 
-	s := newTestServer(t, Config{Shards: 1, SubBuffer: 2})
+	s := newTestServer(t, Config{Shards: 1, subBuffer: 2})
 	returned := make(chan struct{})
 	h := s.Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -92,26 +92,6 @@ func (rt *Runtime) RestoreState(st RuntimeState) error {
 	return nil
 }
 
-// CaptureShard appends the raw bytes of the first Len(thr) elements of
-// thread thr's shard to buf and returns the extended buffer. The bytes
-// are the element storage verbatim — including any never-written gap
-// slots from chunk-boundary skips, which the deterministic allocator
-// reproduces and the application never reads.
-func (h *Heap[T]) CaptureShard(thr int, buf []byte) []byte {
-	sh := &h.shards[thr]
-	cs := h.chunkSize
-	for start := int32(0); start < sh.n; start += cs {
-		end := start + cs
-		if end > sh.n {
-			end = sh.n
-		}
-		c := sh.table[start>>h.shift]
-		b := unsafe.Slice((*byte)(unsafe.Pointer(&(*c)[0])), int(cs)*h.elemSize)
-		buf = append(buf, b[:int(end-start)*h.elemSize]...)
-	}
-	return buf
-}
-
 // RestoreShard overwrites the allocated elements of thread thr's shard
 // with previously captured bytes. The shard must already hold exactly
 // the right number of elements — the restore protocol reconstructs the
