@@ -30,14 +30,16 @@ import (
 //	         engine: Options, step counts, runtime clocks and scheduler
 //	         counters, lock horizons and shared scalars (zero, and
 //	         "locks":[], in a native container), every thread's state.
-//	"heap"   simEngine: each body shard's allocated bytes [0, n), in
-//	         thread order.
-//	"refs"   simEngine: each thread's owned-body refs (raw upc.Ref bytes),
-//	         in thread order.
-//	"bodies" flatEngine: the n bodies as raw nbody.Body records in
-//	         tree-slot order, thread i's the n_owned after threads
-//	         0..i-1's. Older native containers carry heap + refs instead;
-//	         their refs, resolved in thread order, list the same records.
+//	"bodies" both engines: the n owned bodies as raw nbody.Body records,
+//	         thread i's the n_owned after threads 0..i-1's, each thread's
+//	         in myBodies order (tree-slot order under flatEngine).
+//	"refs"   simEngine: each owned body's heap ref (raw upc.Ref bytes),
+//	         in the same order as "bodies".
+//
+// Older containers of both engines carry no "bodies" but a "heap": each
+// body shard's allocated bytes [0, heap_lens[i]), in thread order, into
+// which their "refs" resolve to the same records. ownedBodies reads both
+// layouts, so every engine restores from its result alone.
 
 // Region names within the checkpoint container.
 const (
@@ -97,8 +99,8 @@ type ckptState struct {
 	GeomS rootGeom `json:"geom_s"`
 	RootS NodeRef  `json:"root_s"`
 
-	// HeapLens[i] is the element count of bodies shard i; together with
-	// the element size it slices the heap region.
+	// HeapLens[i] is the element count of bodies shard i: restore grows
+	// the shard to it, and it slices an older container's heap region.
 	HeapLens []int32 `json:"heap_lens"`
 
 	Threads []ckptThread `json:"threads"`
@@ -186,6 +188,11 @@ func appendRefBytes(buf []byte, refs []upc.Ref) []byte {
 	return append(buf, b...)
 }
 
+// refAt is record j of a refs region.
+func refAt(refs []byte, j int) upc.Ref {
+	return *(*upc.Ref)(unsafe.Pointer(&refs[j*refBytes]))
+}
+
 // bodyRecordBytes is the memory of bs as raw bytes.
 func bodyRecordBytes(bs []nbody.Body) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(bs))), len(bs)*bodyBytes)
@@ -220,8 +227,8 @@ func Restore(r io.Reader) (*Sim, error) {
 	if err := cs.Options.validate(); err != nil {
 		return nil, badCheckpoint(fmt.Errorf("core: checkpoint options rejected: %w", err))
 	}
-	// A genuine payload holds at least n body records (heap or bodies):
-	// that bounds what New allocates before the engine checks regions.
+	// A genuine payload holds at least n body records (bodies or heap):
+	// that bounds what New allocates before the regions are checked.
 	if n := cs.Options.Bodies; int64(n) > c.Header.PayloadLen/int64(bodyBytes) {
 		return nil, badCheckpoint(fmt.Errorf("core: checkpoint claims %d bodies in a %d-byte payload", n, c.Header.PayloadLen))
 	}
@@ -258,8 +265,8 @@ func badCheckpoint(err error) error { return &marked{ErrBadCheckpoint, err} }
 
 // restoreState overwrites the freshly constructed Sim's state with the
 // captured snapshot: the Sim's own (runtime, step counts, each thread's
-// counters and phase tables), then the engine's. The fresh session has
-// run setup and parked before step 0.
+// counters and phase tables), then the engine's from the decoded owned
+// bodies. The fresh session has run setup and parked before step 0.
 func (s *Sim) restoreState(cs *ckptState, c *arena.Checkpoint) error {
 	p := s.rt.Threads()
 	if len(cs.Threads) != p {
@@ -267,6 +274,10 @@ func (s *Sim) restoreState(cs *ckptState, c *arena.Checkpoint) error {
 	}
 	if cs.StepsDone < 0 || cs.StepsDone > s.o.Steps {
 		return fmt.Errorf("core: checkpoint at step %d outside the configured %d-step schedule", cs.StepsDone, s.o.Steps)
+	}
+	bodies, err := ownedBodies(c, cs)
+	if err != nil {
+		return err
 	}
 	s.start()
 	if err := s.rt.RestoreState(cs.Runtime); err != nil {
@@ -281,9 +292,66 @@ func (s *Sim) restoreState(cs *ckptState, c *arena.Checkpoint) error {
 		st.phases, st.phaseComm = tc.Phases, tc.PhaseComm
 		st.stepPh = append(st.stepPh[:0], tc.StepPh...)
 	}
-	if err := s.eng.restore(cs, c); err != nil {
+	if err := s.eng.restore(cs, c, bodies); err != nil {
 		return err
 	}
 	s.stepsDone = cs.StepsDone
 	return nil
+}
+
+// ownedBodies decodes a container's n owned bodies in capture order
+// (thread order, each thread's n_owned in turn): the bodies region, or
+// an older container's refs resolved, in the same order, into its heap
+// region's shards. Either way the owned counts must sum to n and the IDs
+// be a permutation of 0..n-1.
+func ownedBodies(c *arena.Checkpoint, cs *ckptState) ([]nbody.Body, error) {
+	n, owned := cs.Options.Bodies, 0
+	for i, tc := range cs.Threads {
+		if tc.NOwned < 0 || tc.NOwned > n {
+			return nil, fmt.Errorf("core: checkpoint thread %d owns %d of %d bodies", i, tc.NOwned, n)
+		}
+		owned += tc.NOwned
+	}
+	if owned != n {
+		return nil, fmt.Errorf("core: ownership covers %d bodies, want %d", owned, n)
+	}
+	data, ok := c.Region(regBodies)
+	name, rec := regBodies, bodyBytes
+	if !ok {
+		data, _ = c.Region(regRefs)
+		name, rec = regRefs, refBytes
+	}
+	if len(data)%rec != 0 || len(data)/rec != n {
+		return nil, fmt.Errorf("core: checkpoint %s region holds %d bytes, want %d records of %d", name, len(data), n, rec)
+	}
+	out := make([]nbody.Body, n)
+	dst := bodyRecordBytes(out)
+	if ok {
+		copy(dst, data)
+	} else {
+		heap, _ := c.Region(regHeap)
+		refs := data
+		shard := make([]int, len(cs.HeapLens)+1) // byte offsets in heap
+		for i, l := range cs.HeapLens {
+			if l < 0 || int(l) > (len(heap)-shard[i])/bodyBytes {
+				return nil, fmt.Errorf("core: checkpoint heap region truncated (shard %d holds %d bodies)", i, l)
+			}
+			shard[i+1] = shard[i] + int(l)*bodyBytes
+		}
+		for j := range out {
+			r := refAt(refs, j)
+			if r.Thr < 0 || int(r.Thr) >= len(cs.HeapLens) || r.Idx < 0 || r.Idx >= cs.HeapLens[r.Thr] {
+				return nil, fmt.Errorf("core: checkpoint body ref %v out of range", r)
+			}
+			off := shard[r.Thr] + int(r.Idx)*bodyBytes
+			copy(dst[j*bodyBytes:], heap[off:off+bodyBytes])
+		}
+	}
+	ids := newIDSet(n)
+	for i := range out {
+		if err := ids.claim(out[i].ID); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -15,12 +15,10 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/hostenv"
 	"upcbh/internal/octree"
-	"upcbh/internal/upc"
 )
 
 // checkpointAt runs opts for k steps, checkpoints, and returns the
@@ -215,50 +213,6 @@ func TestCheckpointStepZeroAndReuse(t *testing.T) {
 	}
 }
 
-// TestSimContainerHeapIsOwnedBodies: a simulate container's heap region
-// holds the session's owned bodies at their refs' offsets and zero bytes
-// in every other record — no stale copy from a double buffer, nothing a
-// recycled chunk kept from an earlier Sim.
-func TestSimContainerHeapIsOwnedBodies(t *testing.T) {
-	opts := DefaultOptions(2048, 4, LevelAsync)
-	opts.Steps = 3
-	ckpt, sim := checkpointAt(t, opts, 1)
-	sim.Release()
-	c, err := arena.ReadCheckpoint(bytes.NewReader(ckpt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, _ := c.Region(regState)
-	heap, _ := c.Region(regHeap)
-	refs, _ := c.Region(regRefs)
-	var cs ckptState
-	if err := json.Unmarshal(state, &cs); err != nil {
-		t.Fatal(err)
-	}
-	shard := make([]int, len(cs.HeapLens)+1) // each shard's first record
-	for i, l := range cs.HeapLens {
-		shard[i+1] = shard[i] + int(l)
-	}
-	owned := make([]bool, shard[len(cs.HeapLens)])
-	for j := 0; j < len(refs); j += refBytes {
-		r := *(*upc.Ref)(unsafe.Pointer(&refs[j]))
-		owned[shard[r.Thr]+int(r.Idx)] = true
-	}
-	var stray, unowned int
-	for k, own := range owned {
-		if own {
-			continue
-		}
-		unowned++
-		if slices.ContainsFunc(heap[k*bodyBytes:(k+1)*bodyBytes], func(b byte) bool { return b != 0 }) {
-			stray++
-		}
-	}
-	if stray != 0 {
-		t.Errorf("%d of the %d heap records no ref names carry bytes", stray, unowned)
-	}
-}
-
 // TestSimContainerIndependentOfProcessHistory: a session's container is
 // the same bytes whether or not a session of the same geometry, other
 // bodies, ran and was released in the process before it.
@@ -357,34 +311,7 @@ func TestRestoreRejects(t *testing.T) {
 	// it like it does the body refs — reject, never a later panic.
 	mutated := func(f func(cs *ckptState)) []byte {
 		t.Helper()
-		c, err := arena.ReadCheckpoint(bytes.NewReader(ckpt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		state, _ := c.Region(regState)
-		var cs ckptState
-		if err := json.Unmarshal(state, &cs); err != nil {
-			t.Fatal(err)
-		}
-		f(&cs)
-		enc, err := json.Marshal(&cs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heap, _ := c.Region(regHeap)
-		refs, _ := c.Region(regRefs)
-		var buf bytes.Buffer
-		// Re-keyed from the (possibly mutated) options, so an options
-		// mutation reaches New instead of stopping at the key check.
-		err = arena.WriteCheckpoint(&buf, cs.Options.Key(), c.Header.Step, nil, []arena.NamedRegion{
-			{Name: regState, Data: enc},
-			{Name: regHeap, Data: heap},
-			{Name: regRefs, Data: refs},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return resealed(t, ckpt, func(cs *ckptState, _ map[string][]byte) { f(cs) })
 	}
 
 	expectErr("buffer index out of range",
@@ -398,9 +325,13 @@ func TestRestoreRejects(t *testing.T) {
 	expectErr("occupancy past capacity",
 		mutated(func(cs *ckptState) { cs.Threads[0].CurLen = cs.Threads[0].BufCap + 1 }), "occupancy")
 	expectErr("owned count overflowing refs region",
-		mutated(func(cs *ckptState) { cs.Threads[0].NOwned = 1 << 60 }), "refs region truncated")
+		mutated(func(cs *ckptState) { cs.Threads[0].NOwned = 1 << 60 }), "owns")
 	expectErr("buffer ref negative index",
 		mutated(func(cs *ckptState) { cs.Threads[0].Buf[cs.Threads[0].Cur].Idx = -1 }), "current buffer")
+	// Two refs naming one slot: the bodies region still holds n distinct
+	// IDs, but the second body placed overwrites the first.
+	expectErr("ref named twice",
+		resealed(t, ckpt, dupRef), "owned by two threads")
 
 	// Options that New would have panicked on (divide by zero, negative
 	// slice length) rather than rejected.
@@ -771,6 +702,60 @@ func TestRestoreHeapRefsNativeContainer(t *testing.T) {
 	}), "owned by two threads")
 }
 
+// dupRef copies a container's first body ref over its second: two refs
+// naming one slot.
+func dupRef(_ *ckptState, r map[string][]byte) {
+	copy(r[regRefs][refBytes:2*refBytes], r[regRefs][:refBytes])
+}
+
+// TestRestoreHeapRefsSimContainer: testdata/sim-heaprefs.ckpt is a
+// simulate container in the older layout — the body heap's shards in
+// "heap", each thread's owned refs in "refs" — written by the build at
+// commit 99bd73b, before a simulate container carried only its owned
+// bodies:
+//
+//	bhrun -level subspace -n 256 -threads 4 -pernode 2 -steps 6 -warmup 1 \
+//	      -checkpoint sim-heaprefs.ckpt -checkpoint-at 3
+//
+// It restores, and its run's Result and bodies are byte-equal to an
+// uninterrupted run of the same options under this build. The same
+// container with two refs naming one slot is ErrBadCheckpoint and leaves
+// no Sim behind.
+func TestRestoreHeapRefsSimContainer(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "sim-heaprefs.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := arena.ReadCheckpoint(bytes.NewReader(fixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Region(regBodies); ok {
+		t.Fatal("the fixture has a bodies region: it is not the older layout")
+	}
+	restored, err := Restore(bytes.NewReader(fixture))
+	if err != nil {
+		t.Fatalf("older-layout simulate container refused: %v", err)
+	}
+	defer restored.Release()
+	if o := restored.Options(); o.ExecMode != ModeSimulate || o.Level != LevelSubspace || restored.StepsDone() != 3 {
+		t.Fatalf("fixture restored as %v/%v at step %d, want simulate/subspace at step 3", o.ExecMode, o.Level, restored.StepsDone())
+	}
+	ref := runOnce(t, restored.Options())
+	got, err := restored.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp, want := resultFingerprint(t, got), resultFingerprint(t, ref); fp != want {
+		t.Fatalf("restored run diverged from the uninterrupted run:\n%.300s\nvs\n%.300s", fp, want)
+	}
+	if !bytes.Equal(bodyRecordBytes(got.Bodies), bodyRecordBytes(ref.Bodies)) {
+		t.Fatal("restored run's bodies differ from the uninterrupted run's")
+	}
+
+	expectBadCheckpoint(t, "ref named twice", resealed(t, fixture, dupRef), "owned by two threads")
+}
+
 // TestRestoreRejectsNativeBodies: a native container's bodies region is
 // checked whole — its length, the owned counts it is sliced by, and the
 // IDs, with gatherBodies' errors — before a Sim exists to index a body
@@ -809,9 +794,8 @@ func TestRestoreRejectsNativeBodies(t *testing.T) {
 
 // TestNativeContainerIsLiveBodies: a native container carries the live
 // bodies and nothing else — its payload outside "state" is exactly
-// n × sizeof(Body) in one "bodies" region — while a simulate container
-// still carries the heap shards at their allocated lengths and one ref
-// per body.
+// n × sizeof(Body) in one "bodies" region — and a simulate container
+// the same region plus one ref per body: none of the body heap's slack.
 func TestNativeContainerIsLiveBodies(t *testing.T) {
 	const n = 600
 	for _, threads := range []int{1, 3} {
@@ -838,20 +822,8 @@ func TestNativeContainerIsLiveBodies(t *testing.T) {
 					}
 					return
 				}
-				state, _ := c.Region(regState)
-				var cs ckptState
-				if err := json.Unmarshal(state, &cs); err != nil {
-					t.Fatal(err)
-				}
-				heap := 0
-				for _, l := range cs.HeapLens {
-					heap += int(l) * bodyBytes
-				}
-				if want := map[string]int{regHeap: heap, regRefs: n * refBytes}; len(cs.HeapLens) != threads || !maps.Equal(sizes, want) {
-					t.Fatalf("payload outside state %v (%d shards), want %v", sizes, len(cs.HeapLens), want)
-				}
-				if heap <= n*bodyBytes {
-					t.Fatalf("simulate heap region of %d bytes holds no double-buffer slack over %d live bodies", heap, n)
+				if want := map[string]int{regBodies: n * bodyBytes, regRefs: n * refBytes}; !maps.Equal(sizes, want) {
+					t.Fatalf("payload outside state %v, want %v", sizes, want)
 				}
 			})
 		}

@@ -10,11 +10,9 @@ import (
 	"io"
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/machine"
-	"upcbh/internal/upc"
 )
 
 // simulateDigest16T pins, byte for byte, what the benchmark's
@@ -99,11 +97,11 @@ func TestSimulateDigest16T(t *testing.T) {
 
 // checkpointRegionDigest pins the checkpoint container's payload: for
 // every simulate configuration of TestSimulateDigest16T, SHA-256 over the
-// "state" and "refs" regions (name, then bytes) and the "heap" region's
-// owned records, read through the refs, after step 1 of a 3-step run.
-// (The heap region's other records are unused buffer space, zero bytes
-// since capture copies only owned bodies;
-// TestSimContainerHeapIsOwnedBodies holds that.) For native at T threads, SHA-256 over the "bodies"
+// "state" and "refs" regions (name, then bytes) and then "heap" followed
+// by the "bodies" region's bytes, after step 1 of a 3-step run. Those are
+// the owned records in refs order, which the earlier "heap" region held
+// at the refs' offsets, so the digests outlived that layout. For native
+// at T threads, SHA-256 over the "bodies"
 // region and, separately, over the state region's JSON key and delimiter
 // sequence (its values carry wall-clock times, so only its shape is
 // pinned). The header, which carries the host env, is excluded.
@@ -194,26 +192,16 @@ func TestCheckpointRegionDigest(t *testing.T) {
 				opts.Seed = 1
 				c := container(t, opts)
 				h := sha256.New()
-				state := region(t, c, h, regState)
-				refs := region(t, c, h, regRefs)
-				heap, _ := c.Region(regHeap)
-				var cs ckptState
-				if err := json.Unmarshal(state, &cs); err != nil {
-					t.Fatal(err)
-				}
-				shard := make([]int, len(cs.HeapLens)+1)
-				for i, l := range cs.HeapLens {
-					shard[i+1] = shard[i] + int(l)*bodyBytes
-				}
-				if shard[len(cs.HeapLens)] != len(heap) {
-					t.Fatalf("heap region holds %d bytes, heap_lens sum to %d", len(heap), shard[len(cs.HeapLens)])
+				region(t, c, h, regState)
+				region(t, c, h, regRefs)
+				// The owned records in refs order, hashed under the name
+				// of the heap region that carried them before "bodies".
+				bodies, ok := c.Region(regBodies)
+				if !ok {
+					t.Fatalf("container has no %q region", regBodies)
 				}
 				h.Write([]byte(regHeap))
-				for j := 0; j < len(refs); j += refBytes {
-					r := *(*upc.Ref)(unsafe.Pointer(&refs[j]))
-					off := shard[r.Thr] + int(r.Idx)*bodyBytes
-					h.Write(heap[off : off+bodyBytes])
-				}
+				h.Write(bodies)
 				check(t, name, h)
 			})
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/nbody"
@@ -382,14 +381,10 @@ func (s *flatEngine) capture(cs *ckptState) []arena.NamedRegion {
 	return []arena.NamedRegion{{Name: regBodies, Data: bodyRecordBytes(bodies)}}
 }
 
-// restore gives thread i the n_owned slots after threads 0..i-1's, once
-// nativeBodies has checked the bodies whole. Locks and shared scalars,
-// which older native containers carry, are ignored.
-func (s *flatEngine) restore(cs *ckptState, c *arena.Checkpoint) error {
-	bodies, err := nativeBodies(c, cs)
-	if err != nil {
-		return err
-	}
+// restore gives thread i the n_owned slots after threads 0..i-1's.
+// Locks and shared scalars, which older native containers carry, are
+// ignored.
+func (s *flatEngine) restore(cs *ckptState, _ *arena.Checkpoint, bodies []nbody.Body) error {
 	slot := 0
 	for i, st := range s.ts {
 		st.slotLo = slot
@@ -401,60 +396,4 @@ func (s *flatEngine) restore(cs *ckptState, c *arena.Checkpoint) error {
 		}
 	}
 	return nil
-}
-
-// nativeBodies decodes a native container's n bodies in tree-slot order:
-// the bodies region, or an older container's refs resolved, in thread
-// order, into its heap region's shards. Either way the owned counts must
-// sum to n and the IDs be a permutation of 0..n-1.
-func nativeBodies(c *arena.Checkpoint, cs *ckptState) ([]nbody.Body, error) {
-	n, owned := cs.Options.Bodies, 0
-	for i, tc := range cs.Threads {
-		if tc.NOwned < 0 || tc.NOwned > n {
-			return nil, fmt.Errorf("core: checkpoint thread %d owns %d of %d bodies", i, tc.NOwned, n)
-		}
-		owned += tc.NOwned
-	}
-	if owned != n {
-		return nil, fmt.Errorf("core: ownership covers %d bodies, want %d", owned, n)
-	}
-	data, ok := c.Region(regBodies)
-	name, rec := regBodies, bodyBytes
-	if !ok {
-		data, _ = c.Region(regRefs)
-		name, rec = regRefs, refBytes
-	}
-	if len(data)%rec != 0 || len(data)/rec != n {
-		return nil, fmt.Errorf("core: checkpoint %s region holds %d bytes, want %d records of %d", name, len(data), n, rec)
-	}
-	out := make([]nbody.Body, n)
-	dst := bodyRecordBytes(out)
-	if ok {
-		copy(dst, data)
-	} else {
-		heap, _ := c.Region(regHeap)
-		refs := data
-		shard := make([]int, len(cs.HeapLens)+1) // byte offsets in heap
-		for i, l := range cs.HeapLens {
-			if l < 0 || int(l) > (len(heap)-shard[i])/bodyBytes {
-				return nil, fmt.Errorf("core: checkpoint heap region truncated (shard %d holds %d bodies)", i, l)
-			}
-			shard[i+1] = shard[i] + int(l)*bodyBytes
-		}
-		for j := range out {
-			r := *(*upc.Ref)(unsafe.Pointer(&refs[j*refBytes]))
-			if r.Thr < 0 || int(r.Thr) >= len(cs.HeapLens) || r.Idx < 0 || r.Idx >= cs.HeapLens[r.Thr] {
-				return nil, fmt.Errorf("core: checkpoint body ref %v out of range", r)
-			}
-			off := shard[r.Thr] + int(r.Idx)*bodyBytes
-			copy(dst[j*bodyBytes:], heap[off:off+bodyBytes])
-		}
-	}
-	ids := newIDSet(n)
-	for i := range out {
-		if err := ids.claim(out[i].ID); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

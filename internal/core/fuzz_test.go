@@ -151,9 +151,10 @@ func FuzzOptionsKeyCollisionFree(f *testing.F) {
 // FuzzRestore: Restore on arbitrary bytes either returns an error that
 // is ErrBadCheckpoint or a Sim whose next Step(1) (when the schedule has
 // one left) and Snapshot succeed — never a panic. Seeded with
-// TestRestoreRejects' cases, the older-layout native fixture, crafted
-// native bodies regions, fresh native containers at one and three
-// threads, and a simulate one.
+// TestRestoreRejects' cases, the older-layout native and simulate
+// fixtures, crafted native bodies regions, fresh native containers at one
+// and three threads, a simulate one, and two refs naming one slot in the
+// fresh simulate container and in the simulate fixture.
 func FuzzRestore(f *testing.F) {
 	capture := func(opts Options, k int) []byte {
 		sim, err := New(opts)
@@ -185,7 +186,12 @@ func FuzzRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	seeds = append(seeds, simCkpt, fixture,
+	simFixture, err := os.ReadFile(filepath.Join("testdata", "sim-heaprefs.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, simCkpt, fixture, simFixture,
+		resealed(f, simCkpt, dupRef), resealed(f, simFixture, dupRef),
 		[]byte("not a checkpoint at all........."), nil,
 		simCkpt[:len(simCkpt)-10],
 		append(append([]byte(nil), simCkpt[:len(simCkpt)-1]...), simCkpt[len(simCkpt)-1]^0xff))

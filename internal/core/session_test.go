@@ -190,6 +190,34 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestStepAllocIndependentOfSteps: what a session allocates to take its
+// first step does not grow with Options.Steps, a number a client sends:
+// the 64-body native session of bhserve's one-request crash, configured
+// for 1<<22 or 1<<40 steps, takes one step in under 1 MB.
+func TestStepAllocIndependentOfSteps(t *testing.T) {
+	for _, steps := range []int{1 << 22, 1 << 40} {
+		t.Run(fmt.Sprintf("steps=%d", steps), func(t *testing.T) {
+			opts := DefaultOptions(64, 1, LevelMergedBuild)
+			opts.Steps, opts.Warmup = steps, 0
+			opts.ExecMode = ModeNative
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sim, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Release()
+			if err := sim.Step(1); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+				t.Errorf("New + Step(1) allocated %d bytes, want < 1 MB", d)
+			}
+		})
+	}
+}
+
 // TestSnapshotNonPerturbing interleaves a Snapshot at every step
 // boundary and demands the final Result still matches the plain Run
 // byte-for-byte, while the snapshots themselves are monotone and

@@ -105,9 +105,10 @@ type engine interface {
 	// gather copies every owned body to out[ID], claiming each ID in ids.
 	gather(out []nbody.Body, ids *idSet) error
 	// capture fills the engine's fields of cs and returns the regions
-	// after "state"; restore reads them back into a fresh session.
+	// after "state"; restore reads them back into a fresh session, with
+	// the owned bodies already decoded and checked (ownedBodies).
 	capture(cs *ckptState) []arena.NamedRegion
-	restore(cs *ckptState, c *arena.Checkpoint) error
+	restore(cs *ckptState, c *arena.Checkpoint, bodies []nbody.Body) error
 	release() // after the threads have exited
 }
 
@@ -240,8 +241,7 @@ func (s *Sim) Run() (*Result, error) {
 // at the step boundary, starting the session if needed. While paused
 // the runtime is quiescent: Snapshot (and any other read of simulation
 // state) is safe. k must be positive and may not take the simulation
-// past Options.Steps — the per-thread phase buffers are sized for
-// exactly that many. A thread panic (runtime poison) propagates as a
+// past Options.Steps. A thread panic (runtime poison) propagates as a
 // panic, exactly as under Run.
 func (s *Sim) Step(k int) error {
 	if k <= 0 {
@@ -343,7 +343,9 @@ func (st *tstate) endPhaseFlow(t *upc.Thread, ph *PhaseTimes, p Phase, t0 float6
 func (s *Sim) threadMain(t *upc.Thread) {
 	st := s.ts[t.ID()]
 	if st.stepPh == nil {
-		st.stepPh = make([]PhaseTimes, 0, s.o.Steps-s.o.Warmup)
+		// Steps is a client's number: start at most 1024 rows, and let
+		// append grow past them.
+		st.stepPh = make([]PhaseTimes, 0, min(s.o.Steps-s.o.Warmup, 1024))
 	}
 	s.eng.setup(t)
 	t.Barrier()

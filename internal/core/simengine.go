@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/machine"
@@ -322,12 +321,11 @@ func (s *simEngine) newCell(t *upc.Thread, st *simThread, center vec.V3, half fl
 	return r
 }
 
-// capture writes the body heap (each shard's allocated elements, in
-// thread order), the owned-body refs, the lock horizon, the shared
-// scalars and each thread's buffers and replicated scalars. Of the heap
-// only the owned bodies are copied, each to its ref's offset; every other
-// slot is zero, so the container carries this session's bodies and
-// nothing a recycled chunk kept from an earlier Sim.
+// capture writes each thread's owned bodies and their refs (the
+// "bodies" and "refs" regions), the body shards' allocated lengths, the
+// lock horizon, the shared scalars and each thread's buffers and
+// replicated scalars. No other heap slot travels: the container is this
+// session's bodies, whatever the rest of a shard holds.
 func (s *simEngine) capture(cs *ckptState) []arena.NamedRegion {
 	cs.Locks = s.locks.CaptureAvail()
 	cs.TolS = s.tolS.Peek()
@@ -335,35 +333,31 @@ func (s *simEngine) capture(cs *ckptState) []arena.NamedRegion {
 	cs.GeomS = s.geomS.Peek()
 	cs.RootS = s.rootS.Peek()
 	cs.HeapLens = make([]int32, len(s.ts))
-	shard := make([]int, len(s.ts)+1) // each shard's offset in the region
-	for i := range s.ts {
-		cs.HeapLens[i] = int32(s.bodies.Len(i))
-		shard[i+1] = shard[i] + s.bodies.Len(i)*bodyBytes
-	}
-	heap := make([]byte, shard[len(s.ts)])
-	var refs []byte
+	bodies := make([]nbody.Body, 0, s.o.Bodies)
+	refs := make([]byte, 0, s.o.Bodies*refBytes)
 	for i, st := range s.ts {
+		cs.HeapLens[i] = int32(s.bodies.Len(i))
 		for _, r := range st.myBodies {
-			off := shard[r.Thr] + int(r.Idx)*bodyBytes
-			copy(heap[off:off+bodyBytes], bodyRecordBytes(unsafe.Slice(s.bodies.Raw(r), 1)))
+			bodies = append(bodies, *s.bodies.Raw(r))
 		}
 		refs = appendRefBytes(refs, st.myBodies)
 		tc := &cs.Threads[i]
 		tc.Buf, tc.BufCap, tc.Cur, tc.CurLen = st.buf, st.bufCap, st.cur, st.curLen
 		tc.Tol, tc.Eps, tc.Root = st.tol, st.eps, st.root
 	}
-	return []arena.NamedRegion{{Name: regHeap, Data: heap}, {Name: regRefs, Data: refs}}
+	return []arena.NamedRegion{{Name: regBodies, Data: bodyRecordBytes(bodies)}, {Name: regRefs, Data: refs}}
 }
 
 // restore reads capture's state back. The fresh setup's heap layout is
 // the checkpointed run's setup-time layout; shards the run grew past it
-// are extended first, then every mutable byte is replaced.
-func (s *simEngine) restore(cs *ckptState, c *arena.Checkpoint) error {
+// are extended first, then each owned body is written at its ref. No
+// other slot is read before a step writes it (DESIGN §12.3), so none is
+// filled.
+func (s *simEngine) restore(cs *ckptState, c *arena.Checkpoint, bodies []nbody.Body) error {
 	p := len(s.ts)
-	heap, okHeap := c.Region(regHeap)
-	refs, okRefs := c.Region(regRefs)
-	if !okHeap || !okRefs {
-		return fmt.Errorf("core: checkpoint lacks its %q or %q region", regHeap, regRefs)
+	refs, _ := c.Region(regRefs)
+	if len(refs) != len(bodies)*refBytes {
+		return fmt.Errorf("core: checkpoint refs region holds %d bytes, want %d records of %d", len(refs), len(bodies), refBytes)
 	}
 	if len(cs.HeapLens) != p {
 		return fmt.Errorf("core: checkpoint carries %d heap shards for a %d-thread machine", len(cs.HeapLens), p)
@@ -376,38 +370,28 @@ func (s *simEngine) restore(cs *ckptState, c *arena.Checkpoint) error {
 	s.geomS.Poke(cs.GeomS)
 	s.rootS.Poke(cs.RootS)
 
-	var heapOff, refsOff int
+	for i, n := range cs.HeapLens {
+		if cur := s.bodies.Len(i); cur > int(n) {
+			return fmt.Errorf("core: checkpoint shard %d holds %d bodies but fresh setup allocated %d — incompatible layout", i, n, cur)
+		}
+		if err := s.bodies.GrowShard(i, n); err != nil {
+			return err
+		}
+	}
+	j := 0
 	for i, st := range s.ts {
 		tc := &cs.Threads[i]
 		st.tol, st.eps, st.root = tc.Tol, tc.Eps, tc.Root
-		n := int(cs.HeapLens[i])
-		if cur := s.bodies.Len(i); cur > n {
-			return fmt.Errorf("core: checkpoint shard %d holds %d bodies but fresh setup allocated %d — incompatible layout", i, n, cur)
-		}
-		if err := s.bodies.GrowShard(i, cs.HeapLens[i]); err != nil {
-			return err
-		}
-		nb := n * bodyBytes
-		if heapOff+nb > len(heap) {
-			return fmt.Errorf("core: checkpoint heap region truncated (shard %d needs %d bytes, %d left)", i, nb, len(heap)-heapOff)
-		}
-		if err := s.bodies.RestoreShard(i, heap[heapOff:heapOff+nb]); err != nil {
-			return err
-		}
-		heapOff += nb
-
-		if tc.NOwned < 0 || tc.NOwned > (len(refs)-refsOff)/refBytes {
-			return fmt.Errorf("core: checkpoint refs region truncated (thread %d owns %d bodies)", i, tc.NOwned)
-		}
 		st.myBodies = st.myBodies[:0]
-		for j := 0; j < tc.NOwned; j++ {
-			r := *(*upc.Ref)(unsafe.Pointer(&refs[refsOff+j*refBytes]))
-			if int(r.Thr) < 0 || int(r.Thr) >= p || r.Idx < 0 || r.Idx >= cs.HeapLens[r.Thr] {
+		for range tc.NOwned {
+			r := refAt(refs, j)
+			if r.Thr < 0 || int(r.Thr) >= p || r.Idx < 0 || r.Idx >= cs.HeapLens[r.Thr] {
 				return fmt.Errorf("core: checkpoint body ref %v out of range", r)
 			}
+			*s.bodies.Raw(r) = bodies[j]
 			st.myBodies = append(st.myBodies, r)
+			j++
 		}
-		refsOff += tc.NOwned * refBytes
 
 		// The double-buffer geometry is dereferenced unchecked on the
 		// hot path (redistribute LocalSlices up to bufCap elements at
@@ -443,11 +427,15 @@ func (s *simEngine) restore(cs *ckptState, c *arena.Checkpoint) error {
 
 		st.buf, st.bufCap, st.cur, st.curLen = tc.Buf, tc.BufCap, tc.Cur, tc.CurLen
 	}
-	if heapOff != len(heap) {
-		return fmt.Errorf("core: checkpoint heap region has %d trailing bytes", len(heap)-heapOff)
-	}
-	if refsOff != len(refs) {
-		return fmt.Errorf("core: checkpoint refs region has %d trailing bytes", len(refs)-refsOff)
+	// The bodies' IDs are distinct, so two refs naming one slot show as
+	// one ID read back twice.
+	ids := newIDSet(len(bodies))
+	for _, st := range s.ts {
+		for _, r := range st.myBodies {
+			if err := ids.claim(s.bodies.Raw(r).ID); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

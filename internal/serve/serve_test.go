@@ -1022,14 +1022,14 @@ func TestHTTPCheckpointRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		heap, _ := c.Region("heap")
-		refs, _ := c.Region("refs")
+		regions := []arena.NamedRegion{{Name: "state", Data: enc}}
+		for _, r := range c.Header.Regions {
+			if data, _ := c.Region(r.Name); r.Name != "state" {
+				regions = append(regions, arena.NamedRegion{Name: r.Name, Data: data})
+			}
+		}
 		var buf bytes.Buffer
-		err = arena.WriteCheckpoint(&buf, c.Header.Key, c.Header.Step, nil, []arena.NamedRegion{
-			{Name: "state", Data: enc},
-			{Name: "heap", Data: heap},
-			{Name: "refs", Data: refs},
-		})
+		err = arena.WriteCheckpoint(&buf, c.Header.Key, c.Header.Step, nil, regions)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1049,6 +1049,50 @@ func TestHTTPCheckpointRestore(t *testing.T) {
 	if after := s.Stats().Sessions.Created; after != before {
 		t.Fatalf("bad restores created %d sessions", after-before)
 	}
+}
+
+// TestHugeStepsSession: a session configured for 200 000 000 steps —
+// the one request that once sized a per-step table from Options.Steps
+// and killed the process — is created, stepped, checkpointed, restored
+// and stepped again, and each request gets its normal answer.
+func TestHugeStepsSession(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	post := func(path, ctype string, body []byte, want int) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s: %d %s, want %d", path, resp.StatusCode, raw, want)
+		}
+		return raw
+	}
+	session := func(raw []byte) sessionInfo {
+		t.Helper()
+		var si sessionInfo
+		if err := json.Unmarshal(raw, &si); err != nil {
+			t.Fatal(err)
+		}
+		return si
+	}
+
+	const create = `{"threads":1,"options":{"bodies":64,"level":"merged","exec_mode":"native","steps":200000000}}`
+	si := session(post("/sims", "application/json", []byte(create), http.StatusCreated))
+	post("/sims/"+si.ID+"/step", "application/json", []byte("{}"), http.StatusOK)
+	ckpt := post("/sims/"+si.ID+"/checkpoint", "application/octet-stream", nil, http.StatusOK)
+	ri := session(post("/sims/restore", "application/octet-stream", ckpt, http.StatusCreated))
+	if ri.Done != 1 || ri.Steps != 200000000 {
+		t.Fatalf("restored session at step %d of %d, want 1 of 200000000", ri.Done, ri.Steps)
+	}
+	post("/sims/"+ri.ID+"/step", "application/json", []byte("{}"), http.StatusOK)
 }
 
 // TestServeMemoryBoundedUnderChurn: sessions that finish and are deleted

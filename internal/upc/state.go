@@ -1,9 +1,6 @@
 package upc
 
-import (
-	"fmt"
-	"unsafe"
-)
+import "fmt"
 
 // This file is the checkpoint/restore surface of the runtime: the
 // portion of a Runtime's virtual-time state that persists across
@@ -92,37 +89,13 @@ func (rt *Runtime) RestoreState(st RuntimeState) error {
 	return nil
 }
 
-// RestoreShard overwrites the allocated elements of thread thr's shard
-// with previously captured bytes. The shard must already hold exactly
-// the right number of elements — the restore protocol reconstructs the
-// allocation layout by re-running the deterministic setup, then
-// overwrites the contents.
-func (h *Heap[T]) RestoreShard(thr int, data []byte) error {
-	sh := &h.shards[thr]
-	if want := int(sh.n) * h.elemSize; want != len(data) {
-		return fmt.Errorf("upc: restore shard %d: %d bytes captured, shard holds %d", thr, len(data), want)
-	}
-	cs := h.chunkSize
-	for start := int32(0); start < sh.n; start += cs {
-		end := start + cs
-		if end > sh.n {
-			end = sh.n
-		}
-		c := sh.table[start>>h.shift]
-		b := unsafe.Slice((*byte)(unsafe.Pointer(&(*c)[0])), int(cs)*h.elemSize)
-		copy(b[:int(end-start)*h.elemSize], data[int(start)*h.elemSize:])
-	}
-	return nil
-}
-
 // GrowShard extends thread thr's shard to exactly n allocated elements,
 // materializing any missing chunks, without a Thread and without
 // charging simulated cost. It exists for the restore path: a
 // checkpointed run may have allocated buffers mid-flight (subspace
 // buffer growth) that the fresh setup does not reproduce, so restore
-// first grows the shard to the captured layout and then overwrites the
-// contents with RestoreShard. Chunk contents are unspecified until
-// overwritten.
+// first grows the shard to the captured layout and then writes the
+// owned elements. Chunk contents are unspecified until written.
 func (h *Heap[T]) GrowShard(thr int, n int32) error {
 	sh := &h.shards[thr]
 	if n < sh.n {
