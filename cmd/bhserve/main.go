@@ -55,9 +55,8 @@ const (
 // opens connections and says nothing cannot hold them forever. There is
 // deliberately no WriteTimeout: /stream responses live as long as their
 // session, and a per-write deadline for them is separate work.
-func newHTTPServer(addr string, h http.Handler) *http.Server {
+func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{
-		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
@@ -114,7 +113,7 @@ func main() {
 		CkptInterval:    *ckptInterval,
 		MaxRestoreBytes: *maxRestore,
 	})
-	httpSrv := newHTTPServer(*addr, srv.Handler())
+	httpSrv := newHTTPServer(srv.Handler())
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("bhserve: %v", err)

@@ -180,7 +180,7 @@ func TestKill9Recovery(t *testing.T) {
 // keep-alive connection is kept, and does not bound writes (streams are
 // long-lived).
 func TestHTTPServerTimeouts(t *testing.T) {
-	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	srv := newHTTPServer(http.NotFoundHandler())
 	if srv.ReadHeaderTimeout <= 0 || srv.ReadHeaderTimeout != readHeaderTimeout {
 		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
 	}
@@ -196,7 +196,7 @@ func TestHTTPServerTimeouts(t *testing.T) {
 // and then nothing is disconnected by the server once the header timeout
 // passes (shortened here; the field is what newHTTPServer sets).
 func TestHalfRequestLineIsDropped(t *testing.T) {
-	srv := newHTTPServer("", http.NotFoundHandler())
+	srv := newHTTPServer(http.NotFoundHandler())
 	srv.ReadHeaderTimeout = 100 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -93,9 +93,15 @@ func BenchmarkForceOnFlatBatch32k(b *testing.B) { benchmarkForceOnFlatBatch(b, 3
 // theta = 1, Morton-order batches) per force-kernel implementation and
 // reports ns/interaction, so each SIMD kernel the host can run (AVX2,
 // AVX-512) and the portable fallback are logged numbers side by side.
+// Each also reports the walk's shape, which no kernel changes: the
+// records a batch's walk interacts with (accepted cells and leaves) and
+// the lane-group passes they take (one per record and group of eight
+// lanes with a lane in it), per body, counted on the portable walk's
+// shared list.
 func BenchmarkForceBatchKernels(b *testing.B) {
 	bodies := nbody.Plummer(16384, 1)
 	ft := buildFlat(bodies)
+	records, passes := walkCounts(ft, 1.0, 0.05)
 	for _, k := range testKernels() {
 		b.Run(k.name, func(b *testing.B) {
 			inter := 0
@@ -106,8 +112,37 @@ func BenchmarkForceBatchKernels(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(inter), "ns/interaction")
+			b.ReportMetric(records, "records/body")
+			b.ReportMetric(passes, "group-passes/body")
 		})
 	}
+}
+
+// walkCounts runs the portable walk over every body in batches of
+// FlatBatchWidth, as solveWith does, and returns the shared-list records
+// and the lane-group passes per body.
+func walkCounts(ft *FlatTree, theta, eps float64) (records, passes float64) {
+	var w FlatWalker
+	var fb FlatBatch
+	n := ft.Bodies.Len()
+	nrec, npass := 0, 0
+	for j := 0; j < n; j += FlatBatchWidth {
+		fb.N = min(FlatBatchWidth, n-j)
+		for lane := 0; lane < fb.N; lane++ {
+			fb.Pos[lane] = ft.Bodies.Pos[j+lane]
+			fb.Skip[lane] = int32(j + lane)
+		}
+		w.forceBatch(ft, &fb, theta, eps, &portableKernel)
+		nrec += len(w.list)
+		for _, q := range w.list {
+			for m := q.Mask; m != 0; m >>= laneGroup {
+				if m&(1<<laneGroup-1) != 0 {
+					npass++
+				}
+			}
+		}
+	}
+	return float64(nrec) / float64(n), float64(npass) / float64(n)
 }
 
 // BenchmarkAcceptChain is why the AVX2 kernel is one fused pass (DESIGN.md
@@ -119,7 +154,7 @@ func BenchmarkForceBatchKernels(b *testing.B) {
 // core free to run interactions underneath it. Portable accept, so the
 // pair runs on every GOARCH, with one active lane: one short
 // subtract-square-sum-compare chain per test, the shape of the SIMD
-// test of all eight.
+// test of one lane group.
 func BenchmarkAcceptChain(b *testing.B) {
 	ft := buildFlat(nbody.Plummer(16384, 1))
 	var st laneState

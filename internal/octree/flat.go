@@ -437,8 +437,9 @@ func insertionSortByKey(keys []uint64, perm []int32, budget int) bool {
 // identical walks, so one descent amortizes the node loads, kid scans
 // and stack traffic across the lanes while each lane keeps its exact
 // solo interaction sequence. The batch's lanes are also the SIMD lanes
-// of the force kernel in lanes.go (two 4-wide float64 halves).
-const FlatBatchWidth = 8
+// of the force kernel in lanes.go: two lane groups of eight, one ZMM
+// register each (see laneGroup).
+const FlatBatchWidth = 16
 
 // FlatWalker is the per-walker scratch of the force kernel: the
 // lane-transposed positions and accumulators, the traversal's frame stack
@@ -488,7 +489,7 @@ func (w *FlatWalker) forceBatch(ft *FlatTree, b *FlatBatch, theta, eps float64, 
 
 	// Transpose the lane positions. Lanes past N never get a mask bit, so
 	// they contribute nothing; they are parked on lane 0's position only
-	// so the SIMD halves never chew on stale values.
+	// so the SIMD lanes never chew on stale values.
 	st := &w.lanes
 	for lane := 0; lane < FlatBatchWidth; lane++ {
 		p := b.Pos[0]

@@ -368,7 +368,7 @@ func FuzzFlatEquivalence(f *testing.F) {
 		assertFlatMatchesPointer(t, ft, pt, bodies)
 
 		// Every body, through every force-kernel implementation this host
-		// can run, in full batches (so all eight lanes are exercised).
+		// can run, in full batches (so all sixteen lanes are exercised).
 		for _, k := range testKernels() {
 			got := solveWith(ft, k, 0.8, 0.05)
 			for j := 0; j < ft.Bodies.Len(); j++ {
@@ -441,7 +441,7 @@ func TestKernelAVX2MatchesPortable(t *testing.T) {
 	if len(simd) == 0 {
 		t.Skipf("no SIMD force kernel on this host/build (Kernel() = %q): nothing to compare", Kernel())
 	}
-	n := 1501 // not a multiple of FlatBatchWidth: the last batch has a 5-lane tail
+	n := 1501 // not a multiple of FlatBatchWidth: the last batch has a 13-lane tail
 	if testing.Short() {
 		n = 301
 	}
@@ -499,8 +499,10 @@ func batchOracle(w *FlatWalker, ft *FlatTree, b *FlatBatch, theta, eps float64) 
 // ulpTol and Inter exactly, and every fused kernel the host has, which
 // keeps no list, must produce == the portable results for the same
 // batch. The sweep covers what the lane layout makes interesting: batch
-// tails of 1..7 lanes (unused lanes contribute nothing), entries whose
-// low or high 4-lane half is entirely masked out, eps = 0 (the self-skip
+// tails of 1..15 lanes (unused lanes contribute nothing), entries whose
+// lanes 0-7 or lanes 8-15 are all masked out (a lane group with no pass,
+// or a pass that writes nothing), entries with one 4-lane half of a lane
+// group masked out (the AVX2 kernel's halves), eps = 0 (the self-skip
 // lane computes 0*Inf; a leaked mask shows up as NaN), Skip = -1 and a
 // Skip slot outside the batch.
 //
@@ -515,11 +517,13 @@ func TestForceBatchUnrollReferenceStream(t *testing.T) {
 	const (
 		skipSelf  = iota // the lane's own slot: the hot path
 		skipNone         // -1
-		skipOther        // another body's slot, outside the batch once the tree has >= 16 bodies
+		skipOther        // another body's slot: outside the batch when the tree has one
 	)
-	var lowEmpty, highEmpty int        // entries seen with an all-masked half
+	var groupEmpty [2]int              // entries of two-group batches with lanes 0-7 / 8-15 masked out
+	var halfEmpty [2]int               // entries with the low / high half of a non-empty group masked out
+	var outside int                    // skipOther slots of full batches outside their batch
 	var tails [FlatBatchWidth + 1]bool // batch widths seen
-	for _, n := range []int{2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 33, 257} {
+	for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 33, 40, 257} {
 		ft := buildFlat(nbody.Plummer(n, uint64(n)))
 		nb := ft.Bodies.Len()
 		var w FlatWalker
@@ -538,7 +542,14 @@ func TestForceBatchUnrollReferenceStream(t *testing.T) {
 							case skipNone:
 								b.Skip[lane] = -1
 							case skipOther:
-								b.Skip[lane] = int32((base + FlatBatchWidth + lane) % nb)
+								slot := (base + lane + 1) % nb // another lane's, in a one-batch tree
+								if nb > b.N {
+									slot = (base + b.N + lane%(nb-b.N)) % nb
+								}
+								b.Skip[lane] = int32(slot)
+								if b.N == FlatBatchWidth && (slot < base || slot >= base+b.N) {
+									outside++
+								}
 							}
 							if mode != skipSelf {
 								// Off every body, so nothing coincides
@@ -551,11 +562,20 @@ func TestForceBatchUnrollReferenceStream(t *testing.T) {
 							t.Fatalf("n=%d theta=%g eps=%g mode %d base %d: %v", n, theta, eps, mode, base, err)
 						}
 						for _, q := range list {
-							if q.Mask&0x0f == 0 {
-								lowEmpty++
-							}
-							if q.Mask&0xf0 == 0 {
-								highEmpty++
+							for g := 0; g < 2; g++ {
+								m := q.Mask >> uint(g*laneGroup) & 0xff
+								if m == 0 {
+									if b.N > laneGroup {
+										groupEmpty[g]++
+									}
+									continue
+								}
+								if m&0x0f == 0 {
+									halfEmpty[0]++
+								}
+								if m&0xf0 == 0 {
+									halfEmpty[1]++
+								}
 							}
 						}
 					}
@@ -563,8 +583,14 @@ func TestForceBatchUnrollReferenceStream(t *testing.T) {
 			}
 		}
 	}
-	if lowEmpty == 0 || highEmpty == 0 {
-		t.Errorf("sweep saw %d entries with the low half masked out and %d with the high half: want both > 0", lowEmpty, highEmpty)
+	if groupEmpty[0] == 0 || groupEmpty[1] == 0 {
+		t.Errorf("sweep saw %d entries with lanes 0-7 masked out and %d with lanes 8-15: want both > 0", groupEmpty[0], groupEmpty[1])
+	}
+	if halfEmpty[0] == 0 || halfEmpty[1] == 0 {
+		t.Errorf("sweep saw %d entries with a group's low half masked out and %d with its high half: want both > 0", halfEmpty[0], halfEmpty[1])
+	}
+	if outside == 0 {
+		t.Errorf("no full batch skipped a slot outside itself")
 	}
 	for width := 1; width <= FlatBatchWidth; width++ {
 		if !tails[width] {
@@ -606,7 +632,8 @@ func checkReferenceStream(w *FlatWalker, b *FlatBatch, eps float64) error {
 // TestForceBatchRootCell covers the first cell the walk visits: the root
 // gets the opening test like any other cell, and every lane of the batch
 // may accept it (one interaction each, nothing opened), only some (the
-// rest descend under a partial mask from the very first frame), or none.
+// rest descend under a partial mask from the very first frame: one lane
+// group, a half of each, a scattered set) or none.
 func TestForceBatchRootCell(t *testing.T) {
 	ft := buildFlat(nbody.Plummer(300, 4))
 	far := func(lane int) vec.V3 { // well outside the root cube: theta = 1 accepts it
@@ -616,9 +643,10 @@ func TestForceBatchRootCell(t *testing.T) {
 		name string
 		far  uint32 // lanes placed far away
 	}{
-		{"all", 0xff}, {"none", 0}, {"low-half", 0x0f}, {"high-half", 0xf0}, {"mixed", 0xa5}, {"one", 0x40},
+		{"all", 0xffff}, {"none", 0}, {"lanes 0-7", 0x00ff}, {"lanes 8-15", 0xff00},
+		{"low halves", 0x0f0f}, {"high half of lanes 8-15", 0xf000}, {"mixed", 0xa55a}, {"one", 0x4000},
 	} {
-		for _, n := range []int{FlatBatchWidth, 5, 1} {
+		for _, n := range []int{FlatBatchWidth, 11, laneGroup, 5, 1} {
 			var w FlatWalker
 			var b FlatBatch
 			b.N = n
@@ -646,6 +674,69 @@ func TestForceBatchRootCell(t *testing.T) {
 				if isFar := wantRoot>>uint(lane)&1 != 0; isFar != (b.Inter[lane] == 1) {
 					t.Fatalf("%s n=%d lane %d: %d interactions, far=%v", tc.name, n, lane, b.Inter[lane], isFar)
 				}
+			}
+		}
+	}
+}
+
+// TestForceBatchDivergentGroups puts a batch's two lane groups in
+// different octants of the root: lanes 0-7 are the first eight bodies in
+// Morton order, lanes 8-15 the last eight. Below the root the groups'
+// walks part at once — the cells on one group's way down are far from the
+// other group — so the walk meets records that only one group interacts
+// with, and frames where only one group still has active lanes. Every
+// kernel must be == portable on every lane.
+func TestForceBatchDivergentGroups(t *testing.T) {
+	ft := buildFlat(nbody.Plummer(2000, 9))
+	nb := ft.Bodies.Len()
+	octant := func(p vec.V3) int {
+		o := 0
+		if p.X >= ft.Center.X {
+			o |= 1
+		}
+		if p.Y >= ft.Center.Y {
+			o |= 2
+		}
+		if p.Z >= ft.Center.Z {
+			o |= 4
+		}
+		return o
+	}
+	var b FlatBatch
+	b.N = FlatBatchWidth
+	for lane := 0; lane < FlatBatchWidth; lane++ {
+		slot := lane
+		if lane >= laneGroup {
+			slot = nb - FlatBatchWidth + lane
+		}
+		b.Pos[lane], b.Skip[lane] = ft.Bodies.Pos[slot], int32(slot)
+	}
+	for lane := 1; lane < FlatBatchWidth; lane++ {
+		if sameGroup := lane < laneGroup; (octant(b.Pos[lane]) == octant(b.Pos[0])) != sameGroup {
+			t.Fatalf("lane %d sits in root octant %d and lane 0 in %d: the groups must each fill one octant, a different one",
+				lane, octant(b.Pos[lane]), octant(b.Pos[0]))
+		}
+	}
+	var w FlatWalker
+	for _, theta := range []float64{0.3, 0.5, 1.0, 1.8} {
+		for _, eps := range []float64{0, 0.05} {
+			got := b
+			list, err := batchOracle(&w, ft, &got, theta, eps)
+			if err != nil {
+				t.Fatalf("theta=%g eps=%g: %v", theta, eps, err)
+			}
+			var only [2]int
+			for _, q := range list {
+				switch {
+				case q.Mask&0xff00 == 0:
+					only[0]++
+				case q.Mask&0x00ff == 0:
+					only[1]++
+				}
+			}
+			if only[0] == 0 || only[1] == 0 {
+				t.Errorf("theta=%g eps=%g: %d records for lanes 0-7 alone and %d for lanes 8-15 alone: want both > 0",
+					theta, eps, only[0], only[1])
 			}
 		}
 	}

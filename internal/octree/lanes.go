@@ -7,16 +7,23 @@ import (
 
 // This file holds the lane layout of the batched force kernel and its
 // portable implementation: a two-phase walk (forceLanesGo) built from the
-// opening test of one cell for eight lanes (acceptLanesGo) and the
-// interaction loop over the batch's shared masked list (interactLanesGo).
-// On amd64 hosts with AVX2 or AVX-512 a fused assembly kernel in
-// lanes_amd64.s replaces the whole walk; the Go version here is the
-// fallback everywhere else and the oracle the assembly is tested against
-// (==, not a tolerance).
+// opening test of one cell for all the batch's lanes (acceptLanesGo) and
+// the interaction loop over the batch's shared masked list
+// (interactLanesGo). On amd64 hosts with AVX2 or AVX-512 a fused assembly
+// kernel in lanes_amd64.s replaces the whole walk; the Go version here is
+// the fallback everywhere else and the oracle the assembly is tested
+// against (==, not a tolerance).
+
+// laneGroup is the number of lanes in one lane group: the float64 lanes of
+// one ZMM register, which the AVX-512 kernel interacts in one pass, and
+// the lanes one walk of the AVX2 kernel carries. A batch of
+// FlatBatchWidth lanes is two groups, lanes 0-7 and lanes 8-15.
+const laneGroup = 8
 
 // laneEntry is one record of a batch's shared interaction list: a cell's
 // centre of mass (or a leaf's body) and the lanes that interact with it.
-// Only the low FlatBatchWidth bits of Mask are ever set.
+// Only the low FlatBatchWidth bits of Mask are ever set; bits 0-7 are the
+// first lane group, bits 8-15 the second.
 type laneEntry struct {
 	PosMass
 	Mask uint32
@@ -34,22 +41,17 @@ type kidRange struct {
 }
 
 // laneState is the lane-transposed scratch of one batch: the lanes'
-// positions as structure-of-arrays and the per-lane results a kernel
-// writes, and each lane's self-skip slot. Lanes 0-3 and 4-7 are the two
-// 4-wide float64 halves of the AVX2 kernel, and the one 8-wide register
-// of the AVX-512 kernel. ThetaSq, EpsSq and One are the fused kernels'
-// scalar operands, pre-broadcast because they do not fit the AVX2
-// kernel's sixteen vector registers and so are memory operands there; the
-// portable kernel does not read them. The field offsets are known to
-// lanes_amd64.s.
+// positions as structure-of-arrays, the per-lane results a kernel writes,
+// and each lane's self-skip slot. Each lane array is two lane groups of
+// 64 bytes: lanes 0-7, one ZMM register of the AVX-512 kernel (two 4-wide
+// halves for the AVX2 kernel), then lanes 8-15, the second. The field
+// offsets are known to lanes_amd64.s.
 type laneState struct {
 	X, Y, Z          [FlatBatchWidth]float64
 	AccX, AccY, AccZ [FlatBatchWidth]float64
 	Phi              [FlatBatchWidth]float64
 	Inter            [FlatBatchWidth]int64
-
-	ThetaSq, EpsSq, One [FlatBatchWidth / 2]float64
-	Skip                [FlatBatchWidth]int32 // lanes past the batch's N: stale, never read through a mask bit
+	Skip             [FlatBatchWidth]int32 // lanes past the batch's N: stale, never read through a mask bit
 }
 
 // laneKernel is one implementation of the batch walk. force runs the
@@ -166,7 +168,7 @@ func acceptLanesGo(st *laneState, nd *FlatNode, thetaSq float64, active uint32) 
 	cx, cy, cz, lsq := nd.CofM.X, nd.CofM.Y, nd.CofM.Z, nd.LSq
 	acc := uint32(0)
 	for m := active; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m) & (FlatBatchWidth - 1) // & 7: no bounds checks
+		lane := bits.TrailingZeros32(m) & (FlatBatchWidth - 1) // & 15: no bounds checks
 		dx, dy, dz := st.X[lane]-cx, st.Y[lane]-cy, st.Z[lane]-cz
 		if lsq < thetaSq*(dx*dx+dy*dy+dz*dz) {
 			acc |= 1 << uint(lane)

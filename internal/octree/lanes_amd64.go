@@ -5,8 +5,8 @@ package octree
 import "unsafe"
 
 var (
-	avx2Kernel   = laneKernel{"avx2", fused(forceLanesAVX2)}
-	avx512Kernel = laneKernel{"avx512", fused(forceLanesAVX512)}
+	avx2Kernel   = laneKernel{"avx2", forceAVX2}
+	avx512Kernel = laneKernel{"avx512", forceAVX512}
 )
 
 // simdKernels returns the fused assembly kernels this CPU can run.
@@ -30,9 +30,9 @@ const (
 	cpuOSXSAVE  = 1 << 27 // CPUID.1:ECX: the OS enabled XSAVE, so XGETBV works
 	cpuAVX      = 1 << 28 // CPUID.1:ECX
 	cpuAVX2     = 1 << 5  // CPUID.7.0:EBX
-	cpuAVX512F  = 1 << 16 // CPUID.7.0:EBX
-	cpuAVX512DQ = 1 << 17 // CPUID.7.0:EBX: KMOVB, KORTESTB
-	cpuAVX512VL = 1 << 31 // CPUID.7.0:EBX: the EVEX forms on YMM
+	cpuAVX512F  = 1 << 16 // CPUID.7.0:EBX: every AVX-512 instruction the kernel uses
+	cpuAVX512DQ = 1 << 17 // CPUID.7.0:EBX
+	cpuAVX512VL = 1 << 31 // CPUID.7.0:EBX
 	xcr0YMM     = 0x06    // SSE and AVX state
 	xcr0ZMM     = 0xe6    // plus the opmasks, ZMM0-15's upper halves and ZMM16-31
 )
@@ -47,7 +47,9 @@ func avx2Usable(maxLeaf, ecx1, xcr0, ebx7 uint32) bool {
 // avx512Usable reports whether the AVX-512 kernel can run: the CPU has
 // AVX-512 F, DQ and VL and the OS saves the opmask and ZMM state. A
 // hypervisor may pass the CPUID bits through without enabling that state,
-// and the kernel's first opmask instruction would then fault.
+// and the kernel's first opmask instruction would then fault. The kernel
+// itself uses F instructions only; DQ and VL keep it off F-only CPUs
+// (Xeon Phi), where it has never been measured.
 func avx512Usable(maxLeaf, ecx1, xcr0, ebx7 uint32) bool {
 	const need = cpuAVX512F | cpuAVX512DQ | cpuAVX512VL
 	return maxLeaf >= 7 && ecx1&cpuOSXSAVE != 0 &&
@@ -81,22 +83,28 @@ func xgetbv0() uint32
 // lanes_amd64.s.
 //
 //go:noescape
-func forceLanesAVX2(st *laneState, frames []kidRange, nodes *FlatNode, kids *int32, pm *PosMass, full uint32) bool
+func forceLanesAVX2(st *laneState, lo int, frames []kidRange, nodes *FlatNode, kids *int32, pm *PosMass, full uint32, thetaSq, epsSq float64) bool
 
 //go:noescape
-func forceLanesAVX512(st *laneState, frames []kidRange, nodes *FlatNode, kids *int32, pm *PosMass, full uint32) bool
+func forceLanesAVX512(st *laneState, frames []kidRange, nodes *FlatNode, kids *int32, pm *PosMass, full uint32, thetaSq, epsSq float64) bool
 
-// fused makes an assembly walk a laneKernel's force: it fills the scalar
-// operands the assembly reads from memory and runs it.
-func fused(walk func(st *laneState, frames []kidRange, nodes *FlatNode, kids *int32, pm *PosMass, full uint32) bool) func(*FlatWalker, *FlatTree, int, float64, float64) {
-	return func(w *FlatWalker, ft *FlatTree, n int, theta, eps float64) {
-		st := &w.lanes
-		for i := range st.One {
-			st.ThetaSq[i], st.EpsSq[i], st.One[i] = theta*theta, eps*eps, 1
-		}
-		full := uint32(1)<<uint(n) - 1
-		if !walk(st, w.frames[:], unsafe.SliceData(ft.Nodes), unsafe.SliceData(ft.Kids), unsafe.SliceData(ft.PM), full) {
-			panic("octree: flat tree deeper than flatMaxDepth")
+// forceAVX512 walks all the batch's lanes at once, as two lane groups.
+func forceAVX512(w *FlatWalker, ft *FlatTree, n int, theta, eps float64) {
+	if !forceLanesAVX512(&w.lanes, w.frames[:], unsafe.SliceData(ft.Nodes), unsafe.SliceData(ft.Kids), unsafe.SliceData(ft.PM),
+		uint32(1)<<uint(n)-1, theta*theta, eps*eps) {
+		panic(errDeepTree)
+	}
+}
+
+// forceAVX2 walks the batch once per lane group: the kernel's sixteen YMM
+// registers hold the accumulators of eight lanes.
+func forceAVX2(w *FlatWalker, ft *FlatTree, n int, theta, eps float64) {
+	for lo := 0; lo < n; lo += laneGroup {
+		if !forceLanesAVX2(&w.lanes, lo, w.frames[:], unsafe.SliceData(ft.Nodes), unsafe.SliceData(ft.Kids), unsafe.SliceData(ft.PM),
+			uint32(1)<<uint(min(n-lo, laneGroup))-1, theta*theta, eps*eps) {
+			panic(errDeepTree)
 		}
 	}
 }
+
+const errDeepTree = "octree: flat tree deeper than flatMaxDepth"
