@@ -9,7 +9,8 @@
 //
 // With -stream the run executes through the steppable session engine
 // and emits one JSON snapshot per line on stdout (NDJSON) — the initial
-// state, then one every -snap-every steps — instead of the report:
+// state, then one every -snap-every steps, carrying the step_phases rows
+// of those steps only — instead of the report:
 //
 //	bhrun -n 4096 -threads 8 -steps 8 -stream -snap-every 2
 //	bhrun -n 512 -steps 4 -stream -snap-bodies | jq .step
@@ -291,12 +292,14 @@ func downstreamClosed(err error) bool {
 // emitting one JSON snapshot per line on w: the current state first
 // (step 0 for a fresh run, the captured step for a restored one), then
 // one every `every` steps (the final interval truncated to the
-// schedule). It returns errors instead of exiting, and it always tears
-// the session down before returning — on success via Finish, on any
-// early exit (write error, observer gone, signal) via the deferred
-// Release, which finishes a still-paused session before recycling its
-// storage. A signal on sig ends the stream cleanly (nil error) at the
-// next step boundary.
+// schedule). The first line carries the whole step-phase table, each
+// later one the rows of its own steps, as bhserve's frames do. It
+// returns errors instead of exiting, and it always tears the session
+// down before returning — on success via Finish, on any early exit
+// (write error, observer gone, signal) via the deferred Release, which
+// finishes a still-paused session before recycling its storage. A
+// signal on sig ends the stream cleanly (nil error) at the next step
+// boundary.
 func runStream(w io.Writer, sim *upcbh.Sim, steps, every int, withBodies bool, sig <-chan os.Signal) error {
 	defer sim.Release()
 	var line []byte // one buffer for every snapshot's line
@@ -304,11 +307,12 @@ func runStream(w io.Writer, sim *upcbh.Sim, steps, every int, withBodies bool, s
 	if withBodies {
 		snapshot = sim.Snapshot
 	}
-	emit := func() error {
+	emit := func(k int) error {
 		snap, err := snapshot()
 		if err != nil {
 			return err
 		}
+		snap.KeepSteps(k)
 		if line, err = snap.AppendJSON(line[:0]); err != nil {
 			return err
 		}
@@ -316,7 +320,7 @@ func runStream(w io.Writer, sim *upcbh.Sim, steps, every int, withBodies bool, s
 		_, err = w.Write(line)
 		return err
 	}
-	if err := emit(); err != nil {
+	if err := emit(sim.StepsDone()); err != nil {
 		return err
 	}
 loop:
@@ -333,7 +337,7 @@ loop:
 		if err := sim.Step(k); err != nil {
 			return err
 		}
-		if err := emit(); err != nil {
+		if err := emit(k); err != nil {
 			return err
 		}
 	}

@@ -99,7 +99,8 @@ func testRunStreamEmitsMonotoneSnapshots(t *testing.T, mode upcbh.ExecMode) {
 // Snapshot.AppendJSON, and the stream is the contract — a whole
 // -snap-bodies run (and a bodies-less one) is byte for byte what the
 // json.Encoder this writer replaced emits for the same deterministic run,
-// here over a method-less twin of the type.
+// here over a method-less twin of the type, every line after the first
+// holding only its own step's step_phases row.
 func TestRunStreamBytesAreEncodingJSONs(t *testing.T) {
 	type plainSnapshot upcbh.Snapshot
 	for _, withBodies := range []bool{true, false} {
@@ -118,6 +119,9 @@ func TestRunStreamBytesAreEncodingJSONs(t *testing.T) {
 			if !withBodies {
 				snap.Bodies = nil
 			}
+			if step > 0 {
+				snap.StepPhases = snap.StepPhases[max(len(snap.StepPhases)-1, 0):]
+			}
 			if err := enc.Encode((*plainSnapshot)(snap)); err != nil {
 				t.Fatal(err)
 			}
@@ -133,6 +137,53 @@ func TestRunStreamBytesAreEncodingJSONs(t *testing.T) {
 		}
 		if n := bytes.Count(got.Bytes(), []byte("\n")); n != 5 {
 			t.Fatalf("bodies=%v: %d lines, want 5", withBodies, n)
+		}
+	}
+}
+
+// TestRunStreamLinesCarryTheirOwnRows: at -snap-every 1 every line after
+// the first carries one step_phases row, its own step's, so a stream's
+// bytes per line do not grow with its age; the first line carries the
+// whole table, here of a restored run's two steps.
+func TestRunStreamLinesCarryTheirOwnRows(t *testing.T) {
+	opts := upcbh.DefaultOptions(64, 2, upcbh.LevelMergedBuild)
+	opts.ExecMode = upcbh.ModeNative
+	opts.Steps, opts.Warmup = 40, 0
+	src, err := upcbh.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Release()
+	if err := src.Step(2); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := src.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	sim, err := upcbh.Restore(&ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := runStream(&buf, sim, opts.Steps, 1, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != opts.Steps-1 {
+		t.Fatalf("%d lines, want %d", len(lines), opts.Steps-1)
+	}
+	for i, line := range lines {
+		var snap upcbh.Snapshot
+		if err := json.Unmarshal([]byte(line), &snap); err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if i == 0 {
+			want = 2
+		}
+		if len(snap.StepPhases) != want {
+			t.Fatalf("line %d (step %d) carries %d step_phases rows, want %d", i, snap.Step, len(snap.StepPhases), want)
 		}
 	}
 }

@@ -27,9 +27,10 @@ import (
 // Regions in the arena checkpoint container:
 //
 //	"state"  JSON (ckptState), written by the Sim and filled in by the
-//	         engine: Options, step counts, runtime clocks and scheduler
-//	         counters, lock horizons and shared scalars (zero, and
-//	         "locks":[], in a native container), every thread's state.
+//	         engine: Options, step counts, the step-phase table, runtime
+//	         clocks and scheduler counters, lock horizons and shared
+//	         scalars (zero, and "locks":[], in a native container), every
+//	         thread's state.
 //	"bodies" both engines: the n owned bodies as raw nbody.Body records,
 //	         thread i's the n_owned after threads 0..i-1's, each thread's
 //	         in myBodies order (tree-slot order under flatEngine).
@@ -39,7 +40,9 @@ import (
 // Older containers of both engines carry no "bodies" but a "heap": each
 // body shard's allocated bytes [0, heap_lens[i]), in thread order, into
 // which their "refs" resolve to the same records. ownedBodies reads both
-// layouts, so every engine restores from its result alone.
+// layouts, so every engine restores from its result alone. Older
+// containers also carry each thread's step-phase rows ("step_ph") in
+// place of the one table; stepRows reduces them.
 
 // Region names within the checkpoint container.
 const (
@@ -82,16 +85,17 @@ type ckptThread struct {
 	TreeMergeT   float64 `json:"tree_merge_t"`
 
 	Phases    PhaseTimes           `json:"phases"`
-	StepPh    []PhaseTimes         `json:"step_ph"`
+	StepPh    []PhaseTimes         `json:"step_ph,omitempty"` // read from older containers only
 	PhaseComm [NumPhases]upc.Stats `json:"phase_comm"`
 }
 
 // ckptState is the JSON "state" region.
 type ckptState struct {
-	Options   Options          `json:"options"`
-	StepsDone int              `json:"steps_done"`
-	Runtime   upc.RuntimeState `json:"runtime"`
-	Locks     []float64        `json:"locks"`
+	Options    Options          `json:"options"`
+	StepsDone  int              `json:"steps_done"`
+	StepPhases []PhaseTimes     `json:"step_phases"` // the Sim's step-phase table
+	Runtime    upc.RuntimeState `json:"runtime"`
+	Locks      []float64        `json:"locks"`
 
 	// UPC shared scalars (affinity thread 0).
 	TolS  float64  `json:"tol_s"`
@@ -147,10 +151,11 @@ func (s *Sim) checkpointRegions() ([]arena.NamedRegion, error) {
 		return nil, fmt.Errorf("core: Checkpoint on a released Sim: %w", ErrReleased)
 	}
 	cs := ckptState{
-		Options:   s.o,
-		StepsDone: s.stepsDone,
-		Runtime:   s.rt.CaptureState(),
-		Threads:   make([]ckptThread, len(s.ts)),
+		Options:    s.o,
+		StepsDone:  s.stepsDone,
+		StepPhases: s.stepTab.rows,
+		Runtime:    s.rt.CaptureState(),
+		Threads:    make([]ckptThread, len(s.ts)),
 	}
 	for i, st := range s.ts {
 		cs.Threads[i] = ckptThread{
@@ -166,7 +171,6 @@ func (s *Sim) checkpointRegions() ([]arena.NamedRegion, error) {
 			TreeLocalT:   st.treeLocalT,
 			TreeMergeT:   st.treeMergeT,
 			Phases:       st.phases,
-			StepPh:       st.stepPh,
 			PhaseComm:    st.phaseComm,
 		}
 	}
@@ -264,9 +268,9 @@ func PeekCheckpointHeader(data []byte) (key string, step int, err error) {
 func badCheckpoint(err error) error { return &marked{ErrBadCheckpoint, err} }
 
 // restoreState overwrites the freshly constructed Sim's state with the
-// captured snapshot: the Sim's own (runtime, step counts, each thread's
-// counters and phase tables), then the engine's from the decoded owned
-// bodies. The fresh session has run setup and parked before step 0.
+// captured snapshot: the Sim's own (runtime, step counts, step-phase
+// table, each thread's counters), then the engine's from the decoded
+// owned bodies. The fresh session has run setup and parked before step 0.
 func (s *Sim) restoreState(cs *ckptState, c *arena.Checkpoint) error {
 	p := s.rt.Threads()
 	if len(cs.Threads) != p {
@@ -275,11 +279,19 @@ func (s *Sim) restoreState(cs *ckptState, c *arena.Checkpoint) error {
 	if cs.StepsDone < 0 || cs.StepsDone > s.o.Steps {
 		return fmt.Errorf("core: checkpoint at step %d outside the configured %d-step schedule", cs.StepsDone, s.o.Steps)
 	}
+	rows, err := stepRows(cs)
+	if err != nil {
+		return err
+	}
 	bodies, err := ownedBodies(c, cs)
 	if err != nil {
 		return err
 	}
 	s.start()
+	for _, row := range rows {
+		s.stepTab.rows = append(s.stepTab.rows, row)
+		s.stepTab.sum.Add(row)
+	}
 	if err := s.rt.RestoreState(cs.Runtime); err != nil {
 		return err
 	}
@@ -290,13 +302,37 @@ func (s *Sim) restoreState(cs *ckptState, c *arena.Checkpoint) error {
 		st.bufCopies, st.cellsCopied, st.cellsAliased = tc.BufCopies, tc.CellsCopied, tc.CellsAliased
 		st.treeLocalT, st.treeMergeT = tc.TreeLocalT, tc.TreeMergeT
 		st.phases, st.phaseComm = tc.Phases, tc.PhaseComm
-		st.stepPh = append(st.stepPh[:0], tc.StepPh...)
 	}
 	if err := s.eng.restore(cs, c, bodies); err != nil {
 		return err
 	}
 	s.stepsDone = cs.StepsDone
 	return nil
+}
+
+// stepRows is a container's step-phase table, one row per measured step
+// done: its step_phases, or in an older container, which has none, every
+// thread's step_ph reduced as stepOnce reduces them.
+func stepRows(cs *ckptState) ([]PhaseTimes, error) {
+	measured := max(cs.StepsDone-cs.Options.Warmup, 0)
+	rows := cs.StepPhases
+	if rows == nil {
+		for i, tc := range cs.Threads {
+			if len(tc.StepPh) != measured {
+				return nil, fmt.Errorf("core: checkpoint thread %d carries %d step-phase rows at step %d, want %d", i, len(tc.StepPh), cs.StepsDone, measured)
+			}
+		}
+		rows = make([]PhaseTimes, measured)
+		for _, tc := range cs.Threads {
+			for k, r := range tc.StepPh {
+				rows[k].MaxInto(r)
+			}
+		}
+	}
+	if len(rows) != measured {
+		return nil, fmt.Errorf("core: checkpoint carries %d step-phase rows at step %d, want %d", len(rows), cs.StepsDone, measured)
+	}
+	return rows, nil
 }
 
 // ownedBodies decodes a container's n owned bodies in capture order

@@ -344,6 +344,55 @@ func TestRestoreRejects(t *testing.T) {
 	// A configuration older builds ran and this one does not.
 	expectErr("native below the cache level",
 		mutated(func(cs *ckptState) { cs.Options.ExecMode, cs.Options.Level = ModeNative, LevelRedistribute }), "starts at level cache")
+
+	// Step-phase rows that disagree with steps_done − warmup (two, at
+	// step 3 after one warmup step), in the one table and in an older
+	// container's per-thread rows: every later snapshot and Finish would
+	// fail, so restore refuses them.
+	opts.Steps = 4
+	rowsCkpt, rowsSrc := checkpointAt(t, opts, 3)
+	rowsSrc.Release()
+	rows := func(f func(cs *ckptState)) []byte {
+		t.Helper()
+		return resealed(t, rowsCkpt, func(cs *ckptState, _ map[string][]byte) {
+			if len(cs.StepPhases) != 2 {
+				t.Fatalf("container carries %d step-phase rows, want 2", len(cs.StepPhases))
+			}
+			f(cs)
+		})
+	}
+	older := func(cs *ckptState) { // the layout of older builds
+		for i := range cs.Threads {
+			cs.Threads[i].StepPh = slices.Clone(cs.StepPhases)
+		}
+		cs.StepPhases = nil
+	}
+	expectErr("step rows short of the steps done",
+		rows(func(cs *ckptState) { cs.StepPhases = cs.StepPhases[:1] }), "carries 1 step-phase rows at step 3, want 2")
+	expectErr("step rows past the steps done",
+		rows(func(cs *ckptState) { cs.StepPhases = append(cs.StepPhases, PhaseTimes{}) }), "carries 3 step-phase rows")
+	expectErr("no step rows",
+		rows(func(cs *ckptState) { cs.StepPhases = nil }), "thread 0 carries 0 step-phase rows")
+	expectErr("older layout, a thread's rows cut",
+		rows(func(cs *ckptState) { older(cs); cs.Threads[1].StepPh = cs.Threads[1].StepPh[:1] }), "thread 1 carries 1 step-phase rows at step 3, want 2")
+	expectErr("older layout, a thread's rows past the steps done",
+		rows(func(cs *ckptState) { older(cs); cs.Threads[0].StepPh = append(cs.Threads[0].StepPh, PhaseTimes{}) }), "thread 0 carries 3")
+	// Consistent per-thread rows reduce to the one table.
+	var tables [2]*Result
+	for i, ckpt := range [][]byte{rowsCkpt, rows(older)} {
+		s, err := Restore(bytes.NewReader(ckpt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tables[i], err = s.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		s.Release()
+	}
+	if !slices.Equal(tables[0].StepPhases, tables[1].StepPhases) || tables[0].Phases != tables[1].Phases {
+		t.Errorf("older layout's rows reduce to %v (sum %v), want %v (sum %v)",
+			tables[1].StepPhases, tables[1].Phases, tables[0].StepPhases, tables[0].Phases)
+	}
 }
 
 // TestRestoreRejectsVersion1 pins the format bump: a container whose

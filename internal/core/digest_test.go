@@ -106,33 +106,33 @@ func TestSimulateDigest16T(t *testing.T) {
 // sequence (its values carry wall-clock times, so only its shape is
 // pinned). The header, which carries the host env, is excluded.
 var checkpointRegionDigest = map[string]string{
-	"baseline/1pn":              "9f1675692f7d53b3d242817c30ae4abc7114c96166a6a551c2454c13d42e241f",
-	"scalars/1pn":               "c4a4d757008c941bb0be8826e814862a4e734c3e9d1a6e587e6466cba8a93e18",
-	"redistribute/1pn":          "b7a80f95e2dd16b99287da1105f6956b7a8c089e4653033945ed0ba37e72a5e9",
-	"cache/1pn":                 "8eeeb416e9bcf4cf9829ee96e6a25b127ebb5371fbe69d07b6b1985ae9fb5009",
-	"merged/1pn":                "9e9d9fe4aa60cc868a10ab84b47d371482c47a585e11d44546d9497501a9e4d4",
-	"async/1pn":                 "7b56e57308e9e394cd8d24c581d2ecf6f9498f9d26d075ec33299b84fea33095",
-	"subspace/1pn":              "b2bf39a84c2f973cbfcd107abcb04dd4874954c85a53114863cb0bd67bbe2e06",
-	"baseline/4pn":              "a0e8139b9d0a743e469b2e9d6b69cc0bbaa0d899636b19a5e18c207f4d13e8f5",
-	"scalars/4pn":               "f0b124cc8cc429ea3aae6c43fbb26c99960636c79dd03acbf74ad689c059870f",
-	"redistribute/4pn":          "cbdb01c919468e4bd7cfb6dfeaecfe4bfc952e679db7112fcfc5a9b4bff4a68f",
-	"cache/4pn":                 "ae06f9f44e4a1db4aab0ccbccb4a60451484f06beb5d6f28da49d51b0ed5552d",
-	"merged/4pn":                "d0f3caa2166714fe3954035d96d202f49c42e373e20455140e1cd5d91dc4dcf6",
-	"async/4pn":                 "31145d9452fd2d8a437f4690f94fe31809ecd39141cb16682cd85c1aa429a1b7",
-	"subspace/4pn":              "d631daa50647cbf250af331c962d1fefb4550e5aacdbea4271e6a8a006afb054",
-	"baseline/4pn-pthreads":     "89a7ffc07061b2d58e362b1a4d4bc95985fa9c864636ca06d91c3177584699ef",
-	"scalars/4pn-pthreads":      "37b229378595130666e9cc87dd3ae45755d00804597a4cdb5e82d2fccb59c9c0",
-	"redistribute/4pn-pthreads": "27f76d71af92c59b71aabe1f815197e8b035545c50b8ee1ee3e99c03d5cc03d2",
-	"cache/4pn-pthreads":        "b380c39605422ab667628f7695079688832a3f40bd37e38723cf764c6ac78637",
-	"merged/4pn-pthreads":       "f8f4454cb094aaa51495957cd457b759fbc88bc9c35df0ea9f2d4afa11f955b2",
-	"async/4pn-pthreads":        "99ad7fff2b0998e6c923be210dba26bb5b59e80a1a043998f95e524c47b8353e",
-	"subspace/4pn-pthreads":     "ff5ef8db38cd829e53d429f1b4f564fee4674b82618c1992bb794a6881b9e1e6",
+	"baseline/1pn":              "9d7fb4fe0336a3b87c7ab176e792cc026e3fd48de2057725a1ee02072e33d5d1",
+	"scalars/1pn":               "6d4a82ffb24566744732a52784631271900ecaacd248a6cd01006f3902075c3e",
+	"redistribute/1pn":          "4d9e96313a0bd49615eb895a2b7a035840000a8a552817787aee0439d2290bc2",
+	"cache/1pn":                 "292a53219e438e2bc34e6042f2af17df67958add43284030411c67e826dccffc",
+	"merged/1pn":                "8ff174d90c3e52ce6f7ecafc46909c57a784fadbd3db3b8af88a854082234d4f",
+	"async/1pn":                 "3fd9af044455b188ac364a470bbd4a75c55714dcb34be5de57661e1ac3c45eec",
+	"subspace/1pn":              "ca11db7bf46e28c583b11df922b9c3356cc36e7e11c46d69d3349059602d2564",
+	"baseline/4pn":              "18c0ef7b343c3572faa8c1cfe4306279f34146a19c43dfa2490722426674f121",
+	"scalars/4pn":               "712d304c556783a588f39c75679500641748a0b656aa7e5b2d14ca281326e606",
+	"redistribute/4pn":          "45edf499f686145bb6f7af05f000f78d9e86aff98a52462f594e21dd09cb6449",
+	"cache/4pn":                 "d2dfb0eb53d25573e95e942ae43cdfbb88779db5a28b79f6e8c538196dd5dfb5",
+	"merged/4pn":                "334534544d9303bba4285af44351d9bf6b083a14a9fba10d8e50de0a3e653f56",
+	"async/4pn":                 "0d2c29806b200f68ca30a63cfc2875cc02d22dd1dde8d414baa0c6df026ee31e",
+	"subspace/4pn":              "2519cc6043539c73e5a078df46005ac3705729c89daf7333ade35db440a34d44",
+	"baseline/4pn-pthreads":     "2aadfaaa1eb931c55e5870055b1e6a3b60f082f0057b072d53ca4fc2474bd401",
+	"scalars/4pn-pthreads":      "4d66d60cbd8a2cc48756acb08d3cdb0f0b3e654b5bf145f3785659fe4c460d32",
+	"redistribute/4pn-pthreads": "73775d109343d39250eb7014896121502d2d4cfda49081f2204d11541994aed5",
+	"cache/4pn-pthreads":        "b70b53ead91df59a062b2f6467e4577aab1000000273771bd9972be81276faec",
+	"merged/4pn-pthreads":       "3a49c9c643ef7890e2e3e42ae04ae788b2e429ef03b487838ce35bc2ac7be440",
+	"async/4pn-pthreads":        "8bfdadeab17776372d8ad08c37ea75dccd09ad1f169140dc39f93eef5d1ffba4",
+	"subspace/4pn-pthreads":     "323b4c24b3bd9329dbedef04345b4cdf634dea0dc75e81a978cc6c0d8e8df8d0",
 	"native/T1/bodies":          "b83ec9c50f087003e9c169777c1a7629b1ffb4e400448dcec2f98cf1cac5cf83",
-	"native/T1/state-keys":      "7d65d0dd6612e308f5997d3d49ca58dac6eae764246de69fc56d718e03ed7c87",
+	"native/T1/state-keys":      "9a4340f0799d5e58cf4abba99087c36dd8c9f77256347efac4a7626ab747f4e2",
 	"native/T2/bodies":          "b83ec9c50f087003e9c169777c1a7629b1ffb4e400448dcec2f98cf1cac5cf83",
-	"native/T2/state-keys":      "0b1d9ee6d4a810fce384b070d050064c2070117e5d15c36e3a0c432d60c3b898",
+	"native/T2/state-keys":      "f0d44de81d46b556f3b822da97859118f41ebe44a167451d78a626292df925cc",
 	"native/T4/bodies":          "b83ec9c50f087003e9c169777c1a7629b1ffb4e400448dcec2f98cf1cac5cf83",
-	"native/T4/state-keys":      "6e8d986c21f08e5f9221e743baaaa0e2febeb32b2c33e37ab0365f0f3d8ba49d",
+	"native/T4/state-keys":      "1b6df5e6b6f7cb32705cd6d876bc8e31c91140fe05a5c151bd2f5ac2d385f163",
 }
 
 func TestCheckpointRegionDigest(t *testing.T) {

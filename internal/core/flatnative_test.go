@@ -128,9 +128,9 @@ func testSteadyStateZeroAlloc(t *testing.T, threads int) {
 	if len(mallocs) != steps {
 		t.Fatalf("hook ran %d times, want %d", len(mallocs), steps)
 	}
-	// The first steps may allocate (arena growth, stepPh warmup, and a
-	// thread's ownership list the first time it claims more bodies than
-	// it ever held). The final steps are the steady state the tentpole promises:
+	// The first steps may allocate (arena growth and a thread's
+	// ownership list the first time it claims more bodies than it ever
+	// held). The final steps are the steady state the tentpole promises:
 	// 0 allocs.
 	for i := steps - 8; i < steps; i++ {
 		if d := mallocs[i] - mallocs[i-1]; d != 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/nbody"
@@ -87,7 +88,7 @@ type Sim struct {
 	init []nbody.Body
 	ts   []*tstate
 
-	// stepTab is the step-phase table snapshots and collect read.
+	// stepTab is the step-phase table: the only store of step rows.
 	stepTab phaseTable
 }
 
@@ -149,7 +150,7 @@ type tstate struct {
 	treeMergeT   float64
 
 	phases    PhaseTimes
-	stepPh    []PhaseTimes
+	row       PhaseTimes           // the last measured step's phase times, for stepTab
 	phaseComm [NumPhases]upc.Stats // per-phase operation deltas (measured steps)
 }
 
@@ -167,11 +168,10 @@ func New(opts Options) (*Sim, error) {
 	}
 	rt := upc.NewRuntimeMode(opts.Machine, opts.ExecMode)
 	s := &Sim{
-		o:       opts,
-		rt:      rt,
-		init:    init,
-		ts:      make([]*tstate, rt.Threads()),
-		stepTab: phaseTable{text: new(phaseText)},
+		o:    opts,
+		rt:   rt,
+		init: init,
+		ts:   make([]*tstate, rt.Threads()),
 	}
 	for i := range s.ts {
 		s.ts[i] = new(tstate)
@@ -214,6 +214,9 @@ func (s *Sim) start() {
 	} else {
 		s.eng = newSimEngine(s)
 	}
+	// Steps is a client's number: start at most 1024 rows, and let
+	// append grow past them.
+	s.stepTab.rows = make([]PhaseTimes, 0, min(s.o.Steps-s.o.Warmup, 1024))
 	s.sess = s.rt.Start(s.threadMain)
 	s.state = simPaused
 }
@@ -342,11 +345,6 @@ func (st *tstate) endPhaseFlow(t *upc.Thread, ph *PhaseTimes, p Phase, t0 float6
 // one (see upc.Session).
 func (s *Sim) threadMain(t *upc.Thread) {
 	st := s.ts[t.ID()]
-	if st.stepPh == nil {
-		// Steps is a client's number: start at most 1024 rows, and let
-		// append grow past them.
-		st.stepPh = make([]PhaseTimes, 0, min(s.o.Steps-s.o.Warmup, 1024))
-	}
 	s.eng.setup(t)
 	t.Barrier()
 	for t.NextStep() {
@@ -357,6 +355,10 @@ func (s *Sim) threadMain(t *upc.Thread) {
 
 // stepOnce runs one full time-step on one thread: tree build,
 // partition, redistribution, force and advance, with per-phase timing.
+// A measured step's row is stored before the advance barrier and thread 0
+// reduces every thread's into stepTab after it: no thread rewrites its
+// row before the next step's barriers, which thread 0 must reach first.
+// The reduction charges no virtual time.
 func (s *Sim) stepOnce(t *upc.Thread, st *tstate, step int) {
 	measured := step >= s.o.Warmup
 	ph := s.eng.prepare(t, measured)
@@ -366,11 +368,15 @@ func (s *Sim) stepOnce(t *upc.Thread, st *tstate, step int) {
 	st.endPhase(t, &ph, PhaseForce, t0, s0, measured)
 	t0, s0 = beginPhase(t)
 	s.eng.advance(t)
-	st.endPhase(t, &ph, PhaseAdvance, t0, s0, measured)
-
+	st.endPhaseFlow(t, &ph, PhaseAdvance, t0, s0, measured)
 	if measured {
 		st.phases.Add(ph)
-		st.stepPh = append(st.stepPh, ph)
+		st.row = ph
+	}
+	t.Barrier()
+
+	if measured && t.ID() == 0 {
+		s.stepTab.reduce(s.ts)
 	}
 	if s.o.testStepHook != nil {
 		s.o.testStepHook(t, step)
@@ -382,19 +388,14 @@ func (s *Sim) stepOnce(t *upc.Thread, st *tstate, step int) {
 // finished early yields a Result over the measured steps it completed.
 func (s *Sim) collect() (*Result, error) {
 	p := s.rt.Threads()
-	tab, err := s.stepPhaseTable()
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Level:      s.o.Level,
 		Threads:    p,
 		ExecMode:   s.o.ExecMode,
-		Phases:     tab.sum,
-		StepPhases: make([]PhaseTimes, len(tab.rows)),
+		Phases:     s.stepTab.sum,
+		StepPhases: slices.Clone(s.stepTab.rows),
 		PerThread:  make([]ThreadBreakdown, p),
 	}
-	copy(res.StepPhases, tab.rows)
 	var migrated, owned int
 	for i, st := range s.ts {
 		res.PerThread[i] = ThreadBreakdown{

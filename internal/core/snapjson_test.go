@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -146,12 +147,12 @@ func TestSnapshotAppendJSON(t *testing.T) {
 	})
 }
 
-// TestStepPhaseTable: the cached step-phase rows leave AppendJSON's bytes
-// equal to encoding/json's — at any step, after a caller edits the
-// snapshot's rows, and on a restored Sim, whose table starts empty — and
-// each step's snapshot and encoding format at most that step's row.
-// Simulate mode, so the restored run's bytes must be the uninterrupted
-// run's.
+// TestStepPhaseTable: snapshots view the Sim's one step-phase table,
+// and AppendJSON's bytes equal encoding/json's at any step, after a
+// caller edits a copy of the rows, and on a restored Sim. A view is
+// capped, so a caller's append copies instead of writing the table, and
+// later steps never rewrite the rows it holds. Simulate mode, so the
+// restored run's bytes must be the uninterrupted run's.
 func TestStepPhaseTable(t *testing.T) {
 	opts := DefaultOptions(64, 2, LevelMergedBuild)
 	opts.Steps, opts.Warmup = 1000, 0
@@ -168,26 +169,32 @@ func TestStepPhaseTable(t *testing.T) {
 		}
 		return snap
 	}
-	formatted := 0
-	sim.stepTab.text.testFormatHook = func() { formatted++ }
-	var ckpt bytes.Buffer
+	var (
+		ckpt       bytes.Buffer
+		early      *Snapshot
+		earlyBytes []byte
+		appended   []PhaseTimes // a caller's append to the step-32 view
+	)
 	for step := 0; step <= 1000; step++ {
 		if step > 0 {
 			if err := sim.Step(1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		before := formatted
 		snap := meta(sim)
-		if _, err := snap.AppendJSON(nil); err != nil {
-			t.Fatal(err)
-		}
-		if n := formatted - before; n > 1 {
-			t.Fatalf("step %d: the snapshot and its encoding formatted %d rows, want at most 1", step, n)
+		if len(snap.StepPhases) != step || cap(snap.StepPhases) != step {
+			t.Fatalf("step %d: a view of %d rows, capacity %d", step, len(snap.StepPhases), cap(snap.StepPhases))
 		}
 		switch step {
-		case 0, 1, 32, 1000:
+		case 0, 1, 1000:
 			checkAppendJSON(t, snap)
+		case 32:
+			checkAppendJSON(t, snap)
+			early = snap
+			if earlyBytes, err = snap.AppendJSON(nil); err != nil {
+				t.Fatal(err)
+			}
+			appended = append(snap.StepPhases, PhaseTimes{1, 2, 3, 4, 5, 6})
 		case 500:
 			if err := sim.Checkpoint(&ckpt); err != nil {
 				t.Fatal(err)
@@ -195,6 +202,12 @@ func TestStepPhaseTable(t *testing.T) {
 		}
 	}
 	final := meta(sim)
+	if b, _ := early.AppendJSON(nil); !bytes.Equal(b, earlyBytes) {
+		t.Fatalf("the step-32 snapshot encodes differently after 968 more steps")
+	}
+	if appended[32] != (PhaseTimes{1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("a later step overwrote the row a caller appended to a view: %v", appended[32])
+	}
 
 	t.Run("edited", func(t *testing.T) {
 		last := len(final.StepPhases) - 1
@@ -210,6 +223,7 @@ func TestStepPhaseTable(t *testing.T) {
 		} {
 			t.Run(name, func(t *testing.T) {
 				snap := meta(sim)
+				snap.StepPhases = slices.Clone(snap.StepPhases)
 				edit(snap)
 				checkAppendJSON(t, snap)
 			})
@@ -238,11 +252,11 @@ func TestStepPhaseTable(t *testing.T) {
 	})
 }
 
-// TestStepPhaseTableConcurrentEncode: snapshots are encoded while later
-// steps extend the table and while other snapshots of the same Sim are
-// encoded — as bhserve encodes step responses and stream frames off the
-// shard loop while the session steps on. Under -race, an unordered
-// access to the shared rows or text is a report.
+// TestStepPhaseTableConcurrentEncode: snapshots' views of the table are
+// encoded while later steps append to it and while other snapshots of
+// the same Sim are encoded — as bhserve encodes step responses and
+// stream frames off the shard loop while the session steps on. Under
+// -race, an unordered access to the shared rows is a report.
 func TestStepPhaseTableConcurrentEncode(t *testing.T) {
 	opts := DefaultOptions(64, 1, LevelMergedBuild)
 	opts.ExecMode = ModeNative
@@ -384,8 +398,9 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 }
 
 // BenchmarkStepResponse is the part of a bhserve step response that
-// depends on the session's age: SnapshotMeta and AppendJSON of a 64-body
-// native session after the given number of measured steps.
+// depends on the session's age: SnapshotMeta, trimmed to the step's one
+// row, and AppendJSON, for a 64-body native session after the given
+// number of measured steps. It should read flat across them.
 func BenchmarkStepResponse(b *testing.B) {
 	for _, measured := range []int{32, 1024, 4000} {
 		b.Run(fmt.Sprintf("step-%d", measured), func(b *testing.B) {
@@ -407,6 +422,7 @@ func BenchmarkStepResponse(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				snap.KeepSteps(1)
 				if buf, err = snap.AppendJSON(buf[:0]); err != nil {
 					b.Fatal(err)
 				}

@@ -6,10 +6,12 @@ import (
 	"upcbh/internal/nbody"
 )
 
-// Snapshot is a zero-surprise copy of the observable simulation state
-// at a step boundary: body state, per-thread clocks, and the phase
-// tables accumulated over the measured steps so far. Everything is
-// copied out — a Snapshot stays valid after further Steps, Finish, and
+// Snapshot is the observable simulation state at a step boundary: body
+// state, per-thread clocks, and the phase tables accumulated over the
+// measured steps so far. Bodies and clocks are copies; StepPhases is a
+// read-only view of the Sim's append-only step-phase table, whose rows
+// are never rewritten, capped at its length so that a caller's append
+// copies. A Snapshot stays valid after further Steps, Finish, and
 // Release, and marshals cleanly to JSON (bhrun -stream emits exactly
 // this type, one object per line). Writers on a hot path use AppendJSON
 // (snapjson.go): the same bytes without the reflection.
@@ -38,6 +40,7 @@ type Snapshot struct {
 
 	// Phases and StepPhases mirror Result: per-step maxima across
 	// threads over the measured steps completed so far, and their sum.
+	// StepPhases is read-only (see above); KeepSteps trims it.
 	Phases     PhaseTimes   `json:"phases"`
 	StepPhases []PhaseTimes `json:"step_phases"`
 
@@ -49,11 +52,15 @@ type Snapshot struct {
 	// stream unless requested (bhrun -snap-bodies): at realistic body
 	// counts it dominates the snapshot size.
 	Bodies []nbody.Body `json:"bodies,omitempty"`
+}
 
-	// rowText is the Sim's step-phase rows as of this snapshot and their
-	// JSON, which AppendJSON copies for the rows StepPhases still holds
-	// unedited. Zero on a snapshot no Sim took.
-	rowText rowText
+// KeepSteps trims StepPhases to the rows of the snapshot's last k steps:
+// k rows, fewer where those steps fall in the warmup. A step response
+// and a stream frame carry only the steps since the previous one
+// (bhserve, bhrun -stream); Phases stays the running sum.
+func (s *Snapshot) KeepSteps(k int) {
+	n := len(s.StepPhases)
+	s.StepPhases = s.StepPhases[n-min(k, n):]
 }
 
 // Snapshot copies out the simulation state at the current step
@@ -62,7 +69,7 @@ type Snapshot struct {
 // conditions as distributed. It is legal while the session is paused
 // and after Finish; it is an error after Release, when the body storage
 // has been recycled. Taking a snapshot never perturbs the simulation:
-// the runtime is quiescent at a pause, and every read here is a copy.
+// the runtime is quiescent at a pause, and a snapshot only reads it.
 func (s *Sim) Snapshot() (*Snapshot, error) {
 	snap, err := s.SnapshotMeta()
 	if err != nil {
@@ -105,53 +112,33 @@ func (s *Sim) SnapshotMeta() (*Snapshot, error) {
 	for i := 0; i < p; i++ {
 		snap.Clocks[i] = s.rt.ThreadNow(i)
 	}
-	tab, err := s.stepPhaseTable()
-	if err != nil {
-		return nil, err
-	}
-	snap.StepPhases = make([]PhaseTimes, len(tab.rows))
-	copy(snap.StepPhases, tab.rows)
+	tab := &s.stepTab
+	snap.StepPhases = tab.rows[:len(tab.rows):len(tab.rows)]
 	snap.Phases = tab.sum
-	snap.rowText = rowText{rows: tab.rows[:len(tab.rows):len(tab.rows)], text: tab.text}
 	for _, st := range s.ts {
 		snap.Interactions += st.inter
 	}
 	return snap, nil
 }
 
-// phaseTable is a Sim's step-phase table, reduced once per row instead
-// of once per snapshot: rows[k] is measured step k's per-phase maxima
-// across threads, and sum their running total (added in row order, so its
-// bits are the ones a fresh sum over rows gives). It only grows, by at
-// most one extension per step, so a snapshot's view of it (rowText)
-// stays valid while later steps extend it. text is the rows' JSON, which
-// AppendJSON formats once, on demand. A restored Sim starts with an empty
-// table and rebuilds it at its first snapshot.
+// phaseTable is a Sim's step-phase table: rows[k] is measured step k's
+// per-phase maxima across threads, and sum their running total (added in
+// row order, so its bits are the ones a fresh sum over rows gives).
+// Thread 0 appends one row per measured step (reduce); only a restore,
+// into a Sim no snapshot has seen, writes it otherwise. So a snapshot's
+// view of the rows stays valid while later steps extend the table.
 type phaseTable struct {
 	rows []PhaseTimes
 	sum  PhaseTimes
-	text *phaseText
 }
 
-// stepPhaseTable brings the table up to the measured steps done and
-// returns it. Snapshots and collect read the phase tables only through
-// it. Only safe while the runtime is quiescent (session paused or
-// finished).
-func (s *Sim) stepPhaseTable() (*phaseTable, error) {
-	measured := max(s.stepsDone-s.o.Warmup, 0)
-	for i, st := range s.ts {
-		if len(st.stepPh) != measured {
-			return nil, fmt.Errorf("core: thread %d recorded %d measured steps, want %d", i, len(st.stepPh), measured)
-		}
+// reduce appends the row of the step every thread just finished: the
+// maximum over the threads' rows, in thread order.
+func (tab *phaseTable) reduce(ts []*tstate) {
+	var row PhaseTimes
+	for _, st := range ts {
+		row.MaxInto(st.row)
 	}
-	tab := &s.stepTab
-	for k := len(tab.rows); k < measured; k++ {
-		var row PhaseTimes
-		for _, st := range s.ts {
-			row.MaxInto(st.stepPh[k])
-		}
-		tab.rows = append(tab.rows, row)
-		tab.sum.Add(row)
-	}
-	return tab, nil
+	tab.rows = append(tab.rows, row)
+	tab.sum.Add(row)
 }

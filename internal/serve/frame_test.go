@@ -24,16 +24,29 @@ import (
 // its methods, so it stays the reflection oracle whatever Snapshot grows.
 type plainSnapshot core.Snapshot
 
+// oracle is json.Encoder's line for the snapshot at every step, by kind:
+// whole with the whole step-phase table (GET /snapshot, a stream's first
+// frame), own with the row of that step alone (POST /step, and every
+// frame a stream publishes after its first, one step apart).
+type oracle struct{ whole, own [2][][]byte }
+
 // oracleLines runs opts in process (the simulate backend is
 // deterministic: the same steps give the same clocks and phase tables)
-// and returns json.Encoder's line for the snapshot at every step, by kind.
-func oracleLines(t *testing.T, opts core.Options) (lines [2][][]byte) {
+// and returns the oracle's lines at every step.
+func oracleLines(t *testing.T, opts core.Options) (o oracle) {
 	t.Helper()
 	sim, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sim.Release()
+	encode := func(snap *core.Snapshot) []byte {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode((*plainSnapshot)(snap)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	for step := 0; ; step++ {
 		snap, err := sim.Snapshot()
 		if err != nil {
@@ -43,14 +56,13 @@ func oracleLines(t *testing.T, opts core.Options) (lines [2][][]byte) {
 			if kind == kindMeta {
 				snap.Bodies = nil
 			}
-			var buf bytes.Buffer
-			if err := json.NewEncoder(&buf).Encode((*plainSnapshot)(snap)); err != nil {
-				t.Fatal(err)
-			}
-			lines[kind] = append(lines[kind], buf.Bytes())
+			o.whole[kind] = append(o.whole[kind], encode(snap))
+			own := *snap
+			own.StepPhases = own.StepPhases[max(len(own.StepPhases)-1, 0):]
+			o.own[kind] = append(o.own[kind], encode(&own))
 		}
 		if step == opts.Steps {
-			return lines
+			return o
 		}
 		if err := sim.Step(1); err != nil {
 			t.Fatal(err)
@@ -107,7 +119,8 @@ func noShardEncodes(t *testing.T, sess *session) {
 // TestStreamFramesAreEncodingJSONs: whatever the mix of subscribers —
 // with and without bodies, keeping up or stalled until the hub has dropped
 // frames on them — every line each receives is json.Encoder's line for
-// that step; each frame is encoded once per kind however many read it,
+// that step, the first with the whole step-phase table and every later
+// one with its own step's row; each frame is encoded once per kind however many read it,
 // never on the shard loop; and when the streams have ended no line buffer
 // is still out.
 func TestStreamFramesAreEncodingJSONs(t *testing.T) {
@@ -195,9 +208,13 @@ func TestStreamFramesAreEncodingJSONs(t *testing.T) {
 						t.Fatalf("subscriber %d: step %d after step %d", i, step, last)
 					}
 					last = step
-					if !bytes.Equal(line, want[kind][step]) {
+					wantLine := want.own[kind][step]
+					if k == 0 {
+						wantLine = want.whole[kind][step]
+					}
+					if !bytes.Equal(line, wantLine) {
 						t.Fatalf("subscriber %d (%+v): frame %d is not json.Encoder's line:\n got %.200s\nwant %.200s",
-							i, spec, step, line, want[kind][step])
+							i, spec, step, line, wantLine)
 					}
 					if k > 0 {
 						delivered[kind][step] = true
@@ -253,7 +270,8 @@ func mustRequest(t *testing.T, method, url string) *http.Request {
 }
 
 // TestSnapshotResponsesAreEncodingJSONs: POST /step and GET /snapshot,
-// with and without ?bodies=1, answer json.Encoder's bytes at every step.
+// with and without ?bodies=1, answer json.Encoder's bytes at every step:
+// a step's with its own step-phase row, a snapshot's with the whole table.
 func TestSnapshotResponsesAreEncodingJSONs(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -277,22 +295,22 @@ func TestSnapshotResponsesAreEncodingJSONs(t *testing.T) {
 		}
 		return b
 	}
-	check := func(what string, got []byte, kind, step int) {
+	check := func(what string, got []byte, want [2][][]byte, kind, step int) {
 		t.Helper()
 		if !bytes.Equal(got, want[kind][step]) {
 			t.Fatalf("%s at step %d is not json.Encoder's document:\n got %.200s\nwant %.200s", what, step, got, want[kind][step])
 		}
 	}
 	for step := 0; ; step++ {
-		check("GET /snapshot", body("GET", "/snapshot"), kindMeta, step)
-		check("GET /snapshot?bodies=1", body("GET", "/snapshot?bodies=1"), kindBodies, step)
+		check("GET /snapshot", body("GET", "/snapshot"), want.whole, kindMeta, step)
+		check("GET /snapshot?bodies=1", body("GET", "/snapshot?bodies=1"), want.whole, kindBodies, step)
 		if step == opts.Steps {
 			break
 		}
 		if step%2 == 0 {
-			check("POST /step", body("POST", "/step"), kindMeta, step+1)
+			check("POST /step", body("POST", "/step"), want.own, kindMeta, step+1)
 		} else {
-			check("POST /step?bodies=1", body("POST", "/step?bodies=1"), kindBodies, step+1)
+			check("POST /step?bodies=1", body("POST", "/step?bodies=1"), want.own, kindBodies, step+1)
 		}
 	}
 }

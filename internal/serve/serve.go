@@ -458,6 +458,9 @@ func (s *Server) finalizeLocked(sess *session) error {
 // stepLocked advances a session k steps and publishes the resulting
 // snapshot to its hub; when the schedule completes it finalizes the
 // session (feeding the cache). Must run on the session's shard loop.
+// The snapshot carries the step-phase rows of these k steps only
+// (Snapshot.KeepSteps): a step response's, and a stream frame's since
+// the previous published frame.
 // The snapshot's cost tracks demand: the full body gather is the
 // bulk of a Snapshot, so it runs only when this caller asked
 // for bodies or a stream subscriber is listening (subscriptions are
@@ -482,6 +485,7 @@ func (s *Server) stepLocked(sess *session, k int, wantBodies bool) (*core.Snapsh
 	if err != nil {
 		return nil, err
 	}
+	snap.KeepSteps(k)
 	sess.hub.publish(snap)
 	if sess.sim.StepsDone() >= sess.opts.Steps {
 		if err := s.finalizeLocked(sess); err != nil {

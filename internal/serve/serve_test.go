@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/core"
@@ -1093,6 +1094,77 @@ func TestHugeStepsSession(t *testing.T) {
 		t.Fatalf("restored session at step %d of %d, want 1 of 200000000", ri.Done, ri.Steps)
 	}
 	post("/sims/"+ri.ID+"/step", "application/json", []byte("{}"), http.StatusOK)
+}
+
+// TestStepCostIndependentOfAge: a session costs the same at step 10 000
+// as at step 100. A 64-body native session is stepped one request at a
+// time through Handler() at both ages: a POST /step response's bytes and
+// the bytes allocated per step at the later age are within 2× of the
+// earlier age's, and between the ages the live heap grows by one 48-byte
+// step-phase row per step, plus the slack append leaves in the table.
+func TestStepCostIndependentOfAge(t *testing.T) {
+	const (
+		early, late = 100, 10000
+		window      = 50 // single-step requests measured at each age
+		rowBytes    = uint64(unsafe.Sizeof(core.PhaseTimes{}))
+	)
+	s := newTestServer(t, Config{Shards: 1, Logf: func(string, ...any) {}})
+	h := s.Handler()
+	post := func(path, body string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if rec.Code/100 != 2 {
+			t.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	var si sessionInfo
+	create := fmt.Sprintf(`{"threads":1,"options":{"bodies":64,"level":"merged","exec_mode":"native","steps":%d,"warmup":0}}`, 2*late)
+	if err := json.Unmarshal(post("/sims", create), &si); err != nil {
+		t.Fatal(err)
+	}
+	step, done := "/sims/"+si.ID+"/step", 0
+	advanceTo := func(target int) { // in short hops: no response large enough to linger in a pool
+		for done < target {
+			k := min(target-done, 100)
+			post(fmt.Sprintf("%s?k=%d", step, k), "")
+			done += k
+		}
+	}
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	type cost struct{ live, respBytes, allocBytes uint64 }
+	measure := func() cost {
+		runtime.GC()
+		metrics.Read(sample)
+		c := cost{live: sample[0].Value.Uint64()}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range window {
+			c.respBytes += uint64(len(post(step, "")))
+		}
+		runtime.ReadMemStats(&m1)
+		done += window
+		c.respBytes /= window
+		c.allocBytes = (m1.TotalAlloc - m0.TotalAlloc) / window
+		return c
+	}
+	advanceTo(early)
+	young := measure()
+	advanceTo(late)
+	old := measure()
+	t.Logf("step %d: %+v; step %d: %+v", early, young, late, old)
+	if old.respBytes > 2*young.respBytes {
+		t.Errorf("a step response is %d bytes at step %d, %d at step %d", old.respBytes, late, young.respBytes, early)
+	}
+	if old.allocBytes > 2*young.allocBytes {
+		t.Errorf("a step allocates %d bytes at step %d, %d at step %d", old.allocBytes, late, young.allocBytes, early)
+	}
+	rows := uint64(late - early)
+	if grew := int64(old.live) - int64(young.live); grew > int64(rows*rowBytes*5/4) {
+		t.Errorf("live heap grew %d bytes over %d steps: %.1f bytes per step, want one %d-byte row",
+			grew, rows, float64(grew)/float64(rows), rowBytes)
+	}
 }
 
 // TestServeMemoryBoundedUnderChurn: sessions that finish and are deleted
