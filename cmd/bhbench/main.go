@@ -25,6 +25,7 @@ import (
 
 	"upcbh/internal/bench"
 	"upcbh/internal/core"
+	"upcbh/internal/hostenv"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -167,7 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Generated: time.Now().UTC().Format(time.RFC3339),
 			GoVersion: runtime.Version(),
 			Params:    p,
-			Env:       bench.CaptureEnv(),
+			Env:       hostenv.Capture(),
 			Runner:    stats,
 			Reports:   reports,
 		}

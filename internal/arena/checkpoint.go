@@ -1,7 +1,6 @@
 package arena
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -230,15 +229,6 @@ func readHeader(r io.Reader) (Header, error) {
 		}
 	}
 	return h, nil
-}
-
-// PeekHeader parses and validates just the header of the container in
-// data — magic, version, header shape — without reading or
-// CRC-checking the payload. It answers "what key and step does this
-// container claim?" cheaply (the store's restore-dedup path); the
-// claim is only trusted after a full ReadCheckpoint.
-func PeekHeader(data []byte) (Header, error) {
-	return readHeader(bytes.NewReader(data))
 }
 
 // ReadCheckpoint parses and validates a checkpoint from r: magic,

@@ -245,37 +245,6 @@ func TestFileCheckpointFailureKeepsPrevious(t *testing.T) {
 	}
 }
 
-// TestPeekHeader: the header-only parse returns the container's claim
-// without touching the payload, and rejects the same malformed
-// preambles/headers ReadCheckpoint does.
-func TestPeekHeader(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, "peek-key", 9, nil, sampleRegions()); err != nil {
-		t.Fatal(err)
-	}
-	h, err := PeekHeader(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Key != "peek-key" || h.Step != 9 {
-		t.Fatalf("PeekHeader = %q step %d", h.Key, h.Step)
-	}
-	// A corrupted payload does not bother PeekHeader (it never reads it)...
-	raw := append([]byte{}, buf.Bytes()...)
-	raw[len(raw)-1] ^= 0xFF
-	if _, err := PeekHeader(raw); err != nil {
-		t.Fatalf("payload corruption failed the header peek: %v", err)
-	}
-	// ...but a truncated header or bad magic is rejected.
-	if _, err := PeekHeader(raw[:10]); err == nil {
-		t.Fatal("truncated preamble accepted")
-	}
-	raw[0] = 'X'
-	if _, err := PeekHeader(raw); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
 // growSink is an in-memory sink that can reserve room: it records every
 // Grow and every write that had to reallocate.
 type growSink struct {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"upcbh/internal/core"
+	"upcbh/internal/hostenv"
 	"upcbh/internal/machine"
 )
 
@@ -67,7 +68,7 @@ func (e Experiment) Run(r *Runner, p Params) (*Report, error) {
 		Title:   e.Title,
 		Paper:   e.Paper,
 		Params:  p,
-		Env:     CaptureEnv(),
+		Env:     hostenv.Capture(),
 		Configs: x.configs,
 		Text:    text,
 		Elapsed: time.Since(start).Seconds(),

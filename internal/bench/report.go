@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"upcbh/internal/core"
+	"upcbh/internal/hostenv"
 )
 
 // ConfigRun records one executed configuration inside a Report: the full
@@ -68,7 +69,7 @@ type Report struct {
 	Title   string      `json:"title"`
 	Paper   string      `json:"paper,omitempty"`
 	Params  Params      `json:"params"`
-	Env     Env         `json:"env"`
+	Env     hostenv.Env `json:"env"` // the host stamp: judges whether a wall-clock number means anything
 	Configs []ConfigRun `json:"configs,omitempty"`
 	Text    string      `json:"text"`
 	// Elapsed is the harness wall-clock time for the experiment in
@@ -83,7 +84,7 @@ type Trajectory struct {
 	Generated string      `json:"generated,omitempty"` // RFC3339, filled by the CLI
 	GoVersion string      `json:"go_version,omitempty"`
 	Params    Params      `json:"params"`
-	Env       Env         `json:"env"`
+	Env       hostenv.Env `json:"env"`
 	Runner    RunnerStats `json:"runner"`
 	Reports   []*Report   `json:"reports"`
 }

@@ -247,20 +247,6 @@ func Restore(r io.Reader) (*Sim, error) {
 	return s, nil
 }
 
-// PeekCheckpointHeader extracts the key and step a checkpoint
-// container claims to capture, validating only the header (magic,
-// version, shape) — not the payload. The durable checkpoint store uses
-// it to answer "is this key+step already persisted?" without a full
-// parse; the claim must still be proven by Restore before anything
-// trusts the payload. Malformed input is marked ErrBadCheckpoint.
-func PeekCheckpointHeader(data []byte) (key string, step int, err error) {
-	h, err := arena.PeekHeader(data)
-	if err != nil {
-		return "", 0, badCheckpoint(err)
-	}
-	return h.Key, h.Step, nil
-}
-
 // badCheckpoint marks err as the checkpoint container's fault. Callers
 // that restore on behalf of someone else (bhserve's POST /sims/restore)
 // separate uploader mistakes from server-side construction failures

@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"upcbh/internal/arena"
 	"upcbh/internal/core"
 	"upcbh/internal/durable"
 	"upcbh/internal/store"
@@ -37,15 +39,30 @@ func stepOne(t *testing.T, s *Server, sess *session) {
 	}
 }
 
+// stored returns the container st holds for key at step, or nil: the
+// entry file whose header names that pair and whose payload is intact.
+func stored(st *store.Store, key string, step int) []byte {
+	dir := st.Stats().Dir
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".ckpt") {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil { // retention removed it since the listing
+			continue
+		}
+		if c, err := arena.ReadCheckpoint(bytes.NewReader(raw)); err == nil &&
+			c.Header.Key == key && c.Header.Step == step {
+			return raw
+		}
+	}
+	return nil
+}
+
 // waitFor polls cond until it holds or the deadline expires — the
 // persistence pipeline is asynchronous by design, so tests observe it
 // converging rather than assuming when.
-// stored reports whether st serves a valid container for key at step.
-func stored(st *store.Store, key string, step int) bool {
-	_, err := st.Get(key, step)
-	return err == nil
-}
-
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -90,11 +107,11 @@ func TestAutoCheckpointEveryK(t *testing.T) {
 	key := opts.Key()
 	// The persister writes in capture order, so step 4 landing implies
 	// step 2 landed (or was GC'd, which Keep=2 forbids here).
-	waitFor(t, "step-4 checkpoint", func() bool { return stored(st, key, 4) })
-	if !stored(st, key, 2) {
+	waitFor(t, "step-4 checkpoint", func() bool { return stored(st, key, 4) != nil })
+	if stored(st, key, 2) == nil {
 		t.Fatal("step-2 checkpoint missing")
 	}
-	if stored(st, key, 6) {
+	if stored(st, key, 6) != nil {
 		t.Fatal("auto-checkpoint captured the final step")
 	}
 
@@ -130,7 +147,7 @@ func TestAutoCheckpointInterval(t *testing.T) {
 	}
 	time.Sleep(5 * time.Millisecond) // let the interval elapse
 	stepOne(t, s, sess)
-	waitFor(t, "interval checkpoint", func() bool { return stored(st, opts.Key(), 1) })
+	waitFor(t, "interval checkpoint", func() bool { return stored(st, opts.Key(), 1) != nil })
 }
 
 // blockFS stalls every Create until released: the "disk has hung"
@@ -354,7 +371,7 @@ func TestStartupRecovery(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		stepOne(t, s1, sess)
 	}
-	waitFor(t, "step-4 checkpoint", func() bool { return stored(st1, key, 4) })
+	waitFor(t, "step-4 checkpoint", func() bool { return stored(st1, key, 4) != nil })
 	s1.Shutdown()
 
 	// "Restart": a fresh store handle and server over the same directory.
@@ -423,7 +440,7 @@ func TestRecoverySkipsCorruptNewest(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		stepOne(t, s1, sess)
 	}
-	waitFor(t, "step-4 checkpoint", func() bool { return stored(st1, key, 4) })
+	waitFor(t, "step-4 checkpoint", func() bool { return stored(st1, key, 4) != nil })
 	s1.Shutdown()
 
 	// Corrupt the newest entry the way a torn disk would: truncate it.
@@ -465,72 +482,6 @@ func TestRecoverySkipsCorruptNewest(t *testing.T) {
 	if st2.Stats().Quarantined == 0 {
 		t.Fatal("torn entry was not quarantined")
 	}
-}
-
-// TestRestoreAnswersFromStore: POST /sims/restore of a container whose
-// (key, step) is already durably stored answers from the store
-// (from_store), while a novel upload restores from the body and is then
-// persisted so it too survives a crash.
-func TestRestoreAnswersFromStore(t *testing.T) {
-	st := openTestStore(t, t.TempDir(), nil)
-	s := newTestServer(t, Config{Shards: 2, Store: st, CkptEvery: 2})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	opts := testOpts(8)
-	sess, _, err := s.admit(s.buildCreate(opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := opts.Key()
-	stepOne(t, s, sess)
-	stepOne(t, s, sess) // auto-checkpoint at step 2
-	waitFor(t, "step-2 checkpoint", func() bool { return stored(st, key, 2) })
-
-	capture := func() []byte {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/sims/"+sess.id+"/checkpoint", "application/octet-stream", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("checkpoint: %d %v", resp.StatusCode, err)
-		}
-		return raw
-	}
-	restore := func(body []byte) sessionInfo {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/sims/restore", "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var ri sessionInfo
-		if err := json.NewDecoder(resp.Body).Decode(&ri); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("restore: %d %+v", resp.StatusCode, ri)
-		}
-		return ri
-	}
-
-	// Same (key, step) as the stored auto-checkpoint: answered from disk.
-	if ri := restore(capture()); !ri.FromStore || ri.Done != 2 {
-		t.Fatalf("restore of stored step = %+v, want from_store at step 2", ri)
-	}
-
-	// A novel step: restored from the upload, then persisted.
-	stepOne(t, s, sess) // step 3: not an auto-checkpoint boundary
-	if stored(st, key, 3) {
-		t.Fatal("step 3 unexpectedly already stored")
-	}
-	if ri := restore(capture()); ri.FromStore || ri.Done != 3 {
-		t.Fatalf("restore of novel step = %+v, want from upload at step 3", ri)
-	}
-	waitFor(t, "uploaded container persisted", func() bool { return stored(st, key, 3) })
 }
 
 // TestRestoreOversized413: an upload beyond -max-restore-bytes answers

@@ -35,8 +35,7 @@ type sessionInfo struct {
 	Done      int    `json:"steps_done"`
 	Finished  bool   `json:"finished"`
 	CacheHit  bool   `json:"cache_hit"`
-	Recovered bool   `json:"recovered,omitempty"`  // re-admitted from the store at boot
-	FromStore bool   `json:"from_store,omitempty"` // restore answered from the store
+	Recovered bool   `json:"recovered,omitempty"` // re-admitted from the store at boot
 }
 
 type errorBody struct {
@@ -342,11 +341,12 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, sess *
 }
 
 // handleRestore creates a session from a checkpoint container uploaded
-// as the request body (buildRestore). The body is capped at Config.MaxRestoreBytes (-max-restore-bytes;
-// default 1 GiB — a checkpoint is dominated by the body heap at ~200 B
-// per body, so the default admits far larger simulations than the
-// service would ever step while keeping a hostile upload from
-// exhausting memory). An oversized upload answers 413.
+// as the request body (buildRestore). The body is capped at
+// Config.MaxRestoreBytes (-max-restore-bytes; default 1 GiB — a checkpoint
+// is dominated by its bodies, a 104-byte record each plus an 8-byte ref
+// under simulate, so the default admits far larger simulations than the
+// service would ever step while keeping a hostile upload from exhausting
+// memory). An oversized upload answers 413.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) (any, error) {
 	data, err := readBody(w, r, s.cfg.MaxRestoreBytes)
 	if err != nil {

@@ -32,8 +32,7 @@ type hub struct {
 // subscriber is one stream consumer's view of a hub. Receiving a frame
 // from ch makes the receiver its holder: release it after use.
 type subscriber struct {
-	ch      chan *frame
-	dropped uint64 // frames this subscriber lost to the drop policy (guarded by hub.mu)
+	ch chan *frame
 }
 
 func newHub() *hub {
@@ -97,7 +96,6 @@ func (h *hub) publish(snap *core.Snapshot) {
 				select {
 				case old := <-sub.ch:
 					old.release()
-					sub.dropped++
 					h.dropped++
 				default:
 				}

@@ -24,6 +24,8 @@
 //   - Completed runs land in a shared bench.Runner cache keyed by
 //     Options.Key(): an identical later create is served from cache
 //     without re-simulating (the create response carries cache_hit).
+//     Only a run created from its Options feeds it: a restored or
+//     recovered run holds whatever bodies its container carried.
 //     The cache holds a fixed byte budget, least recently used evicted
 //     first, so finished sessions do not accumulate in memory.
 //   - Shutdown drains gracefully: admissions stop (503), steppers park,
@@ -58,8 +60,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 
 	// Store is the durable checkpoint store (DESIGN.md §12.5). Nil disables
-	// durability: no auto-checkpoints, no startup recovery, and restores
-	// never consult disk.
+	// durability: no auto-checkpoints, no startup recovery, and restored
+	// uploads are not persisted.
 	Store *store.Store
 	// CkptEvery auto-checkpoints each live session every time it advances
 	// this many steps (0 = disabled).
@@ -118,7 +120,7 @@ type session struct {
 	opts      core.Options
 	cacheHit  bool // born completed from the Options.Key() cache
 	recovered bool // re-admitted from the store at boot
-	fromStore bool // restore answered from the store, not the upload
+	adopted   bool // state read from a container (restore, recovery): never memoized
 
 	// Shard-loop-owned state.
 	sim      *core.Sim    // nil for cache-hit sessions
@@ -133,10 +135,13 @@ type session struct {
 }
 
 // adopt installs a restored simulation as the session's live state.
+// Its bodies are whatever the container held, not what its Options
+// compute, so its Result never feeds the cache (finalizeLocked).
 func (sess *session) adopt(sim *core.Sim) {
 	sess.sim = sim
 	sess.opts = sim.Options()
 	sess.key = sess.opts.Key()
+	sess.adopted = true
 }
 
 // info is the session's status document. Must run on the shard loop.
@@ -149,7 +154,6 @@ func (sess *session) info() sessionInfo {
 		Finished:  sess.finished,
 		CacheHit:  sess.cacheHit,
 		Recovered: sess.recovered,
-		FromStore: sess.fromStore,
 	}
 	if sess.finished {
 		si.Done = sess.opts.Steps
@@ -262,7 +266,8 @@ type admission struct {
 // admit is the one way a session enters the registry: it allocates the
 // ID, places the session on a shard (placeLocked, charging it a.weight),
 // and runs a.build on that shard's loop to give the session its state (a
-// cache hit, a fresh core.Sim, a restored one). The sessionInfo is
+// cache hit, a fresh core.Sim, a restored one), finishing a restored one
+// that is already at its last step. The sessionInfo is
 // captured in the same shard task, so admission is a single submission
 // and the response payload cannot be lost to a later backpressure
 // rejection. Registration corrects the charge to the bodies the built
@@ -285,6 +290,14 @@ func (s *Server) admit(a admission) (*session, sessionInfo, error) {
 	err := s.onShard(sess, func() error {
 		if err := a.build(sess); err != nil {
 			return err
+		}
+		// A container captured at its last step has no step left to run:
+		// finish it here, so its status says finished and its stream ends
+		// after the terminal frame.
+		if sess.sim != nil && sess.sim.StepsDone() == sess.opts.Steps {
+			if err := s.finalizeLocked(sess); err != nil {
+				return err
+			}
 		}
 		// The checkpoint cadence counts from admission — at the restored
 		// step, if any — not from the zero time or step 0.
@@ -380,50 +393,29 @@ func (s *Server) buildCreate(opts core.Options) admission {
 }
 
 // buildRestore is POST /sims/restore: core.Restore reconstructs the paused
-// core.Sim at its captured step, and the session resumes exactly where
-// the checkpointed run paused — stepping, streaming, and the final Result
-// are byte-identical to the uninterrupted run. Restores never consult the
-// result cache: the point of restoring is the live, resumable simulation
-// (its completed Result still feeds the cache through the ordinary
-// finalize path).
+// core.Sim from the upload at its captured step, and the session resumes
+// exactly where the checkpointed run paused — stepping, streaming, and the
+// final Result are byte-identical to the uninterrupted run. The upload is
+// the only source: its header's (key, step) is a claim, and nothing else
+// is looked up by it. Restores never consult the result cache, and a
+// restored run never feeds it (adopt).
 //
-// With a store configured the restore is durability-aware in both
-// directions: an upload whose (key, step) is already stored is answered
-// from the store's validated copy (from_store in the response) — looked
-// up here, on the caller's goroutine, so the shard loop never reads the
-// disk — and a novel valid upload is persisted asynchronously so a crash
-// right after the restore can still recover the session.
+// With a store configured the upload is persisted asynchronously under
+// its (key, step), so a crash right after the restore still recovers the
+// session; like any entry it shares its key's retention and recovery
+// with the key's other sessions.
 //
 // The session's weight is unknown until the container is parsed on the
 // shard loop, so placement charges it nothing and registration charges
 // the restored session's bodies.
 func (s *Server) buildRestore(upload []byte) admission {
-	st, data, fromStore := s.cfg.Store, upload, false
-	var key string
-	var step int
-	if st != nil {
-		if k, n, err := core.PeekCheckpointHeader(upload); err == nil {
-			if stored, err := st.Get(k, n); err == nil {
-				data, key, step, fromStore = stored, k, n, true
-			}
-		}
-	}
 	return admission{0, func(sess *session) error {
-		sess.fromStore = fromStore
-		sim, err := core.Restore(bytes.NewReader(data))
-		if err != nil && sess.fromStore {
-			// The store's copy passed format validation but failed the
-			// deeper restore checks: quarantine it and fall back to the
-			// client's own upload.
-			st.Quarantine(key, step)
-			sess.fromStore = false
-			sim, err = core.Restore(bytes.NewReader(upload))
-		}
+		sim, err := core.Restore(bytes.NewReader(upload))
 		if err != nil {
 			return err
 		}
 		sess.adopt(sim)
-		if st != nil && !sess.fromStore {
+		if s.cfg.Store != nil {
 			s.enqueueCkptLocked(store.Entry{Key: sess.key, Step: sim.StepsDone(), Data: upload})
 		}
 		s.cfg.Logf("session %s: restored at step %d (%s)", sess.id, sim.StepsDone(), sess.key)
@@ -434,21 +426,22 @@ func (s *Server) buildRestore(upload []byte) admission {
 // finalizeLocked completes a session whose schedule has run out (or a
 // cache-hit session's live twin): collects the Result, feeds the shared
 // cache, and closes the fan-out hub so every subscriber's stream ends.
-// Must run on the session's shard loop. Only a full-schedule result is
-// memoized — a partial (drained) run covers fewer steps than the key
-// promises and would poison the cache.
+// Must run on the session's shard loop. Only a full-schedule result of a
+// run created from its Options is memoized: a partial (drained) run covers
+// fewer steps than the key promises, and an adopted run's bodies came from
+// a container, not from the key; either would poison the cache.
 func (s *Server) finalizeLocked(sess *session) error {
 	if sess.finished || sess.sim == nil {
 		return nil
 	}
-	full := sess.sim.StepsDone() == sess.opts.Steps
+	memoize := sess.sim.StepsDone() == sess.opts.Steps && !sess.adopted
 	res, err := sess.sim.Finish()
 	if err != nil {
 		return err
 	}
 	sess.result = res
 	sess.finished = true
-	if full {
+	if memoize {
 		s.runner.Memoize(sess.opts, res)
 	}
 	sess.hub.close()

@@ -184,7 +184,7 @@ func TestPlacementRestoreAndRecovery(t *testing.T) {
 	for _, opts := range []core.Options{bigOpts, smallOpts} {
 		sess, _ := admitOK(t, s1, s1.buildCreate(opts))
 		stepOne(t, s1, sess)
-		waitFor(t, "step-1 checkpoint", func() bool { return stored(st1, opts.Key(), 1) })
+		waitFor(t, "step-1 checkpoint", func() bool { return stored(st1, opts.Key(), 1) != nil })
 		data, _, err := st1.Newest(opts.Key())
 		if err != nil {
 			t.Fatal(err)

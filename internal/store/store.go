@@ -46,8 +46,7 @@ import (
 	"upcbh/internal/durable"
 )
 
-// ErrNotFound reports that no valid entry exists for the requested key
-// (or key+step).
+// ErrNotFound reports that no valid entry exists for the requested key.
 var ErrNotFound = errors.New("store: no valid checkpoint")
 
 const (
@@ -271,21 +270,6 @@ func (s *Store) gcLocked(kh string) {
 		s.gcRemoved++
 	}
 	s.index[kh] = steps
-}
-
-// Get returns the validated container for key at exactly step, or
-// ErrNotFound. An entry that fails validation is quarantined.
-func (s *Store) Get(key string, step int) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kh := keyHash(key)
-	steps := s.index[kh]
-	if i := sort.SearchInts(steps, step); i < len(steps) && steps[i] == step {
-		if data, ok := s.readValidLocked(kh, step, key); ok {
-			return data, nil
-		}
-	}
-	return nil, fmt.Errorf("%w for key %q at step %d", ErrNotFound, key, step)
 }
 
 // Newest returns the newest valid container for key and the step it

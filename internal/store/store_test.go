@@ -65,9 +65,9 @@ func listDir(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestPutGetNewest: the round trip — entries come back byte-identical,
-// Newest picks the highest step, Get demands the exact step.
-func TestPutGetNewest(t *testing.T) {
+// TestPutNewest: the round trip — entries come back byte-identical,
+// Newest picks the highest step, and an older step stays indexed.
+func TestPutNewest(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{Keep: 10})
 	const key = "n=512;steps=8;test-key"
 	c2, c5 := container(t, key, 2), container(t, key, 5)
@@ -85,14 +85,8 @@ func TestPutGetNewest(t *testing.T) {
 	if step != 5 || !bytes.Equal(got, c5) {
 		t.Fatalf("Newest = step %d (%d bytes), want step 5 byte-identical", step, len(got))
 	}
-	if got, err := s.Get(key, 2); err != nil || !bytes.Equal(got, c2) {
-		t.Fatalf("Get(2) = %v", err)
-	}
 	if !has(s, key, 2) || has(s, key, 3) {
 		t.Fatalf("Has: got (2)=%v (3)=%v", has(s, key, 2), has(s, key, 3))
-	}
-	if _, err := s.Get(key, 3); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get(3) = %v, want ErrNotFound", err)
 	}
 	if _, _, err := s.Newest("some-other-key"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Newest(other) = %v, want ErrNotFound", err)
@@ -100,6 +94,11 @@ func TestPutGetNewest(t *testing.T) {
 	st := s.Stats()
 	if st.Writes != 2 || st.Keys != 1 || st.Entries != 2 || st.Degraded {
 		t.Fatalf("stats = %+v", st)
+	}
+	// Quarantining the newest leaves the older entry, byte-identical.
+	s.Quarantine(key, 5)
+	if got, step, err := s.Newest(key); err != nil || step != 2 || !bytes.Equal(got, c2) {
+		t.Fatalf("Newest after quarantining step 5 = step %d (%v), want step 2 byte-identical", step, err)
 	}
 }
 
@@ -121,8 +120,8 @@ func TestRetentionGC(t *testing.T) {
 	if _, _, err := s.Newest(key); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(key, 1); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("GC'd entry still served: %v", err)
+	if has(s, key, 1) || has(s, key, 3) || !has(s, key, 4) || !has(s, key, 5) {
+		t.Fatal("retention kept the wrong steps, want 4 and 5")
 	}
 	names := listDir(t, dir)
 	if len(names) != 2 {
