@@ -25,8 +25,9 @@ import (
 //   - Bounded parallelism: independent configurations run concurrently
 //     on a worker pool sized to the host's cores, one slot per run. Under
 //     the cooperative virtual-time scheduler each simulate run executes
-//     on exactly one OS thread at a time (emulated threads park on their
-//     gates), so a pool of NumCPU workers saturates the host without
+//     on its caller's goroutine (emulated threads are coroutines that
+//     one scheduler loop runs in turn), so a pool of NumCPU workers
+//     saturates the host without
 //     goroutine oversubscription even at 512+ emulated threads per run —
 //     the old goroutine-per-thread backend put workers × THREADS runnable
 //     goroutines on the scheduler. A ModeNative run takes one slot like

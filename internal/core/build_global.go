@@ -168,9 +168,6 @@ func (s *simEngine) cofmGlobal(t *upc.Thread, st *simThread) {
 				// modelled flag-set time.
 				polls := 0
 				for chP.Done == 0 {
-					if t.Poisoned() {
-						panic("core: aborting c-of-m spin: a peer thread failed")
-					}
 					polls++
 					s.cells.Touch(t, chR, 4)
 					// Offer the baton to lower-clock peers: each failed

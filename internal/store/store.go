@@ -195,7 +195,9 @@ func parseEntryName(name string) (kh string, step int, ok bool) {
 // against crashes at every point. On success superseded entries beyond
 // the retention horizon are garbage-collected and a previously degraded
 // store is marked healthy again; on failure the temp file is removed
-// (best effort) and the store's previous entries are untouched.
+// (best effort) and the store's previous entries are untouched. A step
+// older than the key's Keep newest entries is past the horizon already:
+// retention would remove it at once, so Put returns nil without writing.
 func (s *Store) Put(key string, step int, data []byte) error {
 	if step < 0 {
 		return fmt.Errorf("store: negative step %d", step)
@@ -203,6 +205,9 @@ func (s *Store) Put(key string, step int, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	kh := keyHash(key)
+	if steps := s.index[kh]; len(steps) >= s.keep && step < steps[len(steps)-s.keep] {
+		return nil
+	}
 	s.seq++
 	tmp := filepath.Join(s.dir, fmt.Sprintf("%s%s-%010d-%d", tmpPrefix, kh, step, s.seq))
 	err := durable.Publish(s.fs, tmp, filepath.Join(s.dir, entryName(kh, step)), func(w io.Writer) error {

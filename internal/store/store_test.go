@@ -127,6 +127,25 @@ func TestRetentionGC(t *testing.T) {
 	if len(names) != 2 {
 		t.Fatalf("directory holds %v, want exactly the 2 retained entries", names)
 	}
+
+	// A put older than the retention horizon is not written at all:
+	// retention would delete it at once.
+	dir = t.TempDir()
+	s = openTest(t, dir, Options{Keep: 2})
+	for _, step := range []int{4, 5, 2} {
+		if err := s.Put(key, step, container(t, key, step)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Writes != 2 || st.GCRemoved != 0 {
+		t.Fatalf("puts at steps 4, 5, 2 with Keep=2: %+v, want 2 writes and no GC", st)
+	}
+	if has(s, key, 2) || !has(s, key, 4) || !has(s, key, 5) {
+		t.Fatal("retention kept the wrong steps, want 4 and 5")
+	}
+	if names := listDir(t, dir); len(names) != 2 {
+		t.Fatalf("directory holds %v, want exactly the 2 retained entries and no temp file", names)
+	}
 }
 
 // TestReopenIndexes: a fresh Open over an existing directory serves

@@ -81,12 +81,15 @@ func BenchmarkAllReduceVec8(b *testing.B) {
 }
 
 // BenchmarkRuntimeOps measures the real (wall-clock) cost of the core
-// runtime operations under the cooperative scheduler at a small and at
+// runtime operations under the cooperative scheduler at two small and at
 // the paper's maximum thread count — the per-operation overhead every
 // simulate-mode experiment pays. Run in CI to track the scheduler's
-// perf trajectory.
+// perf trajectory. The barrier cases also report ns/handoff: the
+// elapsed time over the scheduler's counted handoffs, i.e. the cost of
+// one coroutine switch through the scheduler loop plus its share of
+// the barrier bookkeeping.
 func BenchmarkRuntimeOps(b *testing.B) {
-	for _, p := range []int{8, 112} {
+	for _, p := range []int{2, 8, 112} {
 		b.Run(fmt.Sprintf("barrier/p=%d", p), func(b *testing.B) {
 			rt := NewRuntime(machine.Default(p))
 			b.ResetTimer()
@@ -95,6 +98,9 @@ func BenchmarkRuntimeOps(b *testing.B) {
 					t.Barrier()
 				}
 			})
+			if h := rt.SchedStats().Handoffs; h > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(h), "ns/handoff")
+			}
 		})
 		b.Run(fmt.Sprintf("memget/p=%d", p), func(b *testing.B) {
 			rt := NewRuntime(machine.Default(p))

@@ -1,18 +1,26 @@
 package upc
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"upcbh/internal/machine"
 )
 
 // Misuse of the runtime must fail loudly, not corrupt state.
 
+// expectPanic runs fn, wants a panic whose message contains substr,
+// and wants every thread of the failed region unwound: the goroutine
+// count (simulate coroutines count too) returns to its value from
+// before fn.
 func expectPanic(t *testing.T, substr string, fn func()) {
 	t.Helper()
+	before := runtime.NumGoroutine()
 	defer func() {
 		r := recover()
+		expectUnwound(t, before)
 		if r == nil {
 			t.Errorf("expected panic containing %q", substr)
 			return
@@ -31,6 +39,20 @@ func expectPanic(t *testing.T, substr string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// expectUnwound waits, under a deadline, for the goroutine count to
+// fall back to before: a thread left parked by a failed region would
+// hold it above.
+func expectUnwound(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the failed region, %d before", n, before)
+	}
 }
 
 func TestAllocNonPositivePanics(t *testing.T) {
@@ -120,6 +142,23 @@ func TestPoisonAbortsLockWaiters(t *testing.T) {
 			lk.Acquire(th) // held by the dying thread: must abort, not hang
 		})
 	})
+}
+
+// TestPoisonedRuntimeRunsNoBody: a simulate region started on a runtime
+// a failed region poisoned runs none of its threads: each aborts as a
+// poisoned peer before user code.
+func TestPoisonedRuntimeRunsNoBody(t *testing.T) {
+	rt := testRuntime(3)
+	expectPanic(t, "original failure", func() {
+		rt.Run(func(th *Thread) { panic("original failure") })
+	})
+	ran := false
+	expectPanic(t, poisonSecondary, func() {
+		rt.Run(func(th *Thread) { ran = true })
+	})
+	if ran {
+		t.Fatal("a thread body ran on a poisoned runtime")
+	}
 }
 
 func TestRuntimeReusableAcrossRuns(t *testing.T) {

@@ -1,7 +1,9 @@
 // Package upc emulates the UPC (Unified Parallel C) partitioned global
-// address space runtime that the paper programs against, on top of
-// goroutines and a LogGP-style simulated-time cost model
-// (internal/machine).
+// address space runtime that the paper programs against, with a
+// LogGP-style simulated-time cost model (internal/machine). Under
+// ModeSimulate the SPMD threads are coroutines driven one at a time by a
+// deterministic scheduler loop; under ModeNative they are goroutines
+// running in parallel.
 //
 // The emulation has two jobs:
 //
@@ -70,10 +72,11 @@ type Runtime struct {
 	barCount int
 	epoch    time.Time
 
-	// gates are the per-thread wake channels (capacity 1) of both
-	// backends: a thread parked at the session step gate, in a native
-	// barrier, or in the cooperative scheduler blocks on its own. Poison
-	// wakes every gate (non-blocking sends).
+	// gates are the per-thread wake channels (capacity 1) of the native
+	// backend: a thread parked at the session step gate or in a barrier
+	// blocks on its own. Poison wakes every gate (non-blocking sends).
+	// Nil in ModeSimulate, whose threads park by yielding to the
+	// scheduler loop.
 	gates []chan struct{}
 
 	// poisoned is set when a thread panics so that peers blocked in
@@ -83,8 +86,8 @@ type Runtime struct {
 	poisonCh chan struct{}
 
 	// session is the active resumable SPMD region, if any (session.go).
-	// Written by the controller while no thread goroutine is running
-	// (before launch, after the last exit), read by threads.
+	// Written by the controller while no thread is running (before
+	// launch, after the last exit), read by threads.
 	session *Session
 
 	threads []*Thread
@@ -115,13 +118,15 @@ func NewRuntimeMode(mach *machine.Machine, mode ExecMode) *Runtime {
 		poisonCh:  make(chan struct{}),
 	}
 	rt.threads = make([]*Thread, n)
-	rt.gates = make([]chan struct{}, n)
 	for i := 0; i < n; i++ {
 		rt.threads[i] = &Thread{rt: rt, id: i}
-		rt.gates[i] = make(chan struct{}, 1)
 	}
 	if mode == ModeNative {
 		rt.epoch = time.Now()
+		rt.gates = make([]chan struct{}, n)
+		for i := range rt.gates {
+			rt.gates[i] = make(chan struct{}, 1)
+		}
 	} else {
 		rt.nic = make([]nicState, n)
 		rt.coop = newSched(rt)
@@ -152,9 +157,10 @@ func (rt *Runtime) Threads() int { return rt.n }
 // from where the previous Run left them. Run is a session that is never
 // resumed: a NextStep in fn returns false.
 //
-// In ModeSimulate the threads execute under the cooperative virtual-time
-// scheduler (sched.go): one at a time, in deterministic lowest-clock
-// order. In ModeNative they run as freely scheduled parallel goroutines.
+// In ModeSimulate the threads execute as coroutines under the
+// cooperative virtual-time scheduler (sched.go): one at a time, in
+// deterministic lowest-clock order, on the caller's goroutine. In
+// ModeNative they run as freely scheduled parallel goroutines.
 func (rt *Runtime) Run(fn func(t *Thread)) {
 	if rt.session != nil {
 		panic("upc: Run while a session is active on this runtime")
@@ -162,34 +168,39 @@ func (rt *Runtime) Run(fn func(t *Thread)) {
 	rt.Start(fn).Finish()
 }
 
-// launch starts one goroutine per thread running body with the standard
-// poison-on-panic wrapper; panic messages land on the panics channel.
-// Under the cooperative scheduler each thread first waits for the baton,
-// which goes to the first thread once all are launched.
+// launch runs body on every thread under the poison-on-panic wrapper
+// (guard). Under the cooperative scheduler the threads are coroutines
+// and launch returns at the region's first pause; in ModeNative each is
+// a goroutine counted on wg.
 func (rt *Runtime) launch(body func(t *Thread), wg *sync.WaitGroup, panics chan string) {
 	if rt.coop != nil {
-		body = rt.coop.gatedBody(body)
+		rt.coop.spawn(body, panics)
+		return
 	}
-	for i := 0; i < rt.n; i++ {
+	for _, t := range rt.threads {
 		wg.Add(1)
-		go func(t *Thread) {
+		go func() {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					msg := fmt.Sprintf("upc: thread %d panicked: %v\n%s", t.id, r, debug.Stack())
-					if _, secondary := r.(poisonAbort); secondary {
-						msg = poisonSecondary
-					}
-					rt.poison(msg)
-					panics <- msg
-				}
-			}()
-			body(t)
-		}(rt.threads[i])
+			rt.guard(t, body, panics)
+		}()
 	}
-	if rt.coop != nil {
-		rt.coop.start()
-	}
+}
+
+// guard runs body(t) and turns a panic into the runtime's poison: the
+// message, with t's stack (or the secondary marker of a peer abort),
+// lands on panics.
+func (rt *Runtime) guard(t *Thread, body func(t *Thread), panics chan<- string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg := fmt.Sprintf("upc: thread %d panicked: %v\n%s", t.id, r, debug.Stack())
+			if _, secondary := r.(poisonAbort); secondary {
+				msg = poisonSecondary
+			}
+			rt.poison(msg)
+			panics <- msg
+		}
+	}()
+	body(t)
 }
 
 // primaryPanic drains the collected panic messages, preferring the
@@ -219,9 +230,11 @@ func (p poisonAbort) Error() string { return p.msg }
 
 const poisonSecondary = "upc: thread aborted because a peer thread panicked"
 
-// poison marks the runtime failed and wakes all blocked waiters: the
-// controller through poisonCh, and every gate-parked thread through a
-// non-blocking send (a thread already handed a wake keeps it).
+// poison marks the runtime failed and wakes all blocked native waiters:
+// the controller through poisonCh, and every gate-parked thread through
+// a non-blocking send (a thread already handed a wake keeps it). A
+// simulate region has no gates: its scheduler loop unwinds the parked
+// threads itself.
 func (rt *Runtime) poison(msg string) {
 	if rt.poisoned.CompareAndSwap(nil, &msg) {
 		close(rt.poisonCh)
@@ -247,10 +260,6 @@ func (rt *Runtime) checkPoison() {
 	}
 }
 
-// Poisoned reports whether a peer thread has failed; long-running local
-// loops (e.g. flag spins) should consult it to abort promptly.
-func (t *Thread) Poisoned() bool { return t.rt.poisoned.Load() != nil }
-
 // nicReserve serializes a message arriving at target's NIC at time
 // `arrive`, occupying it for `busy`: it returns the time service starts.
 // It runs once per modelled remote access, so it must stay a handful of
@@ -266,7 +275,8 @@ func (rt *Runtime) nicReserve(target int, arrive, busy float64) float64 {
 }
 
 // Thread is one emulated UPC thread. All methods must be called from the
-// goroutine Run assigned it; a Thread owns its simulated clock.
+// thread's own body (its coroutine or goroutine); a Thread owns its
+// simulated clock.
 type Thread struct {
 	rt    *Runtime
 	id    int

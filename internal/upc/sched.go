@@ -2,26 +2,23 @@ package upc
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 )
 
 // sched is the deterministic virtual-time cooperative scheduler behind
-// ModeSimulate. The old simulate backend ran one freely-preempted OS
-// goroutine per emulated thread and rendezvoused them through real
-// sync.Mutex/sync.Cond barriers — paying genuine kernel contention and
-// context-switch cost to compute *virtual* LogGP clocks, and leaving
-// multi-thread clock sequences at the mercy of the Go scheduler (lock
-// acquisition and NIC reservation order varied run to run).
-//
-// The cooperative scheduler replaces that with run-to-completion
-// segments: emulated threads still own a goroutine each (application
-// code blocks mid-call-stack, so it needs a real stack), but exactly one
-// is ever runnable — a "baton" is handed from thread to thread at
+// ModeSimulate. Real kernel synchronization between emulated threads
+// would buy nothing — the clocks are virtual — and would leave clock
+// sequences at the mercy of the Go scheduler. So the threads run as
+// run-to-completion segments: each is an iter.Pull coroutine (code
+// blocks mid-call-stack, so it needs a stack of its own), and one
+// scheduler loop (run), on the controller's goroutine, resumes exactly
+// one of them at a time. A thread gives the "baton" back to the loop at
 // synchronization points only (barriers, collectives, contended locks,
-// spin polls). Between sync points a thread runs straight through,
-// charging its private virtual clock with plain arithmetic; barriers and
-// collectives resolve by counting arrivals in ordinary fields instead of
-// kernel synchronization.
+// spin polls, the session step gate), and the loop alone picks who runs
+// next. Between sync points a thread runs straight through, charging
+// its private clock with plain arithmetic; barriers and collectives
+// resolve by counting arrivals in ordinary fields.
 //
 // Scheduling policy: whenever the baton is released, it goes to the
 // eligible thread with the lowest virtual clock (ties to the lowest
@@ -43,10 +40,16 @@ type sched struct {
 	rt *Runtime
 	n  int
 
-	// state is each thread's scheduling eligibility. A parked thread
-	// blocks on its Runtime.gates channel; the baton holder wakes exactly
-	// one thread per handoff.
+	// state is each thread's scheduling eligibility.
 	state []schedState
+
+	// next and stop drive each thread's coroutine of the current region
+	// (only the loop calls them), yields holds the yield each coroutine
+	// suspends itself with, and panics is the region's panic channel.
+	next   []func() (bool, bool)
+	stop   []func()
+	yields []func(bool) bool
+	panics chan<- string
 
 	// runq is a binary min-heap of parked runnable threads ordered by
 	// (clock, id): scheduling decisions are O(log n), and a spinning
@@ -54,13 +57,16 @@ type sched struct {
 	// O(1) — with 512+ emulated threads and millions of spin polls, a
 	// linear scan per yield dominated the whole run. Thread clocks never
 	// change while parked in the heap (resolvers align clocks before
-	// pushing), so the heap invariant holds.
-	runq []int32
+	// pushing), so each entry carries its thread's clock as pushed and
+	// the heap invariant holds without reading the threads.
+	runq []runEntry
 
 	// Barrier epoch: arrivals counted in plain fields; the last arriver
-	// resolves and keeps running.
+	// resolves and keeps running. barCost is the machine's modelled
+	// barrier cost, fixed for the runtime's life.
 	barCount int
 	barMax   float64
+	barCost  float64
 
 	// Collective epoch, counted the same way.
 	collCount    int
@@ -82,8 +88,7 @@ type sched struct {
 type schedState uint8
 
 const (
-	sRunnable schedState = iota // parked in the run queue, eligible
-	sRunning                    // holds the baton
+	sRunnable schedState = iota // in the run queue or holding the baton
 	sBarrier                    // parked in Barrier until the epoch resolves
 	sColl                       // parked in a collective until the epoch resolves
 	sLock                       // parked waiting for a Lock holder to release
@@ -95,8 +100,6 @@ func (st schedState) String() string {
 	switch st {
 	case sRunnable:
 		return "runnable"
-	case sRunning:
-		return "running"
 	case sBarrier:
 		return "barrier"
 	case sColl:
@@ -113,24 +116,27 @@ func (st schedState) String() string {
 
 // SchedStats counts cooperative-scheduler events over a Runtime's
 // lifetime. They quantify the real cost the harness pays per simulated
-// run: Handoffs is the number of baton transfers between thread
-// goroutines (two channel operations each — the only kernel
-// synchronization left in a simulate run), SpinYields the number of
-// spin-wait polls that actually offered the baton to a peer (fast-path
-// polls that kept it are not counted).
+// run: Handoffs is the number of baton transfers between threads (a
+// switch through the scheduler loop each; the step gate's parks and
+// releases are not counted), SpinYields the number of spin-wait polls
+// that actually offered the baton to a peer (fast-path polls that kept
+// it are not counted).
 type SchedStats struct {
 	Handoffs   uint64 `json:"handoffs"`
 	SpinYields uint64 `json:"spin_yields"`
 }
 
 func newSched(rt *Runtime) *sched {
-	s := &sched{
+	return &sched{
 		rt:        rt,
 		n:         rt.n,
 		state:     make([]schedState, rt.n),
+		next:      make([]func() (bool, bool), rt.n),
+		stop:      make([]func(), rt.n),
+		yields:    make([]func(bool) bool, rt.n),
 		collSlots: make([]any, rt.n),
+		barCost:   rt.mach.BarrierCost(),
 	}
-	return s
 }
 
 // SchedStats returns the cooperative-scheduler counters (zero in
@@ -142,19 +148,25 @@ func (rt *Runtime) SchedStats() SchedStats {
 	return rt.coop.stats
 }
 
-// less orders threads by (clock, id) — the scheduling priority.
-func (s *sched) less(a, b int32) bool {
-	ca, cb := s.rt.threads[a].clock, s.rt.threads[b].clock
-	return ca < cb || (ca == cb && a < b)
+// runEntry is a runnable thread in the run queue, keyed by its clock.
+type runEntry struct {
+	clock float64
+	id    int32
 }
 
-// heapPush marks thread i runnable-parked and enqueues it.
+// before orders threads by (clock, id) — the scheduling priority.
+func (a runEntry) before(b runEntry) bool {
+	return a.clock < b.clock || (a.clock == b.clock && a.id < b.id)
+}
+
+// heapPush marks thread i runnable and enqueues it at its current clock.
 func (s *sched) heapPush(i int32) {
-	q := append(s.runq, i)
+	s.state[i] = sRunnable
+	q := append(s.runq, runEntry{s.rt.threads[i].clock, i})
 	c := len(q) - 1
 	for c > 0 {
 		p := (c - 1) / 2
-		if !s.less(q[c], q[p]) {
+		if !q[c].before(q[p]) {
 			break
 		}
 		q[c], q[p] = q[p], q[c]
@@ -164,80 +176,147 @@ func (s *sched) heapPush(i int32) {
 }
 
 // heapPop removes and returns the lowest-(clock, id) runnable thread,
-// or -1 when none is parked runnable.
+// or -1 when none is parked runnable. It walks the hole left at the
+// root down to a leaf along the lower children, then sifts the last
+// entry up from there: one comparison per level on the way down, and
+// the last entry, one of the highest, rarely climbs (Floyd's heapsort
+// pop).
 func (s *sched) heapPop() int {
 	q := s.runq
 	if len(q) == 0 {
 		return -1
 	}
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(q) && s.less(q[l], q[m]) {
-			m = l
+	top := q[0].id
+	last := q[len(q)-1]
+	q = q[:len(q)-1]
+	if len(q) > 0 {
+		i := 0
+		for c := 1; c < len(q); c = 2*i + 1 {
+			if c+1 < len(q) && q[c+1].before(q[c]) {
+				c++
+			}
+			q[i] = q[c]
+			i = c
 		}
-		if r < len(q) && s.less(q[r], q[m]) {
-			m = r
+		for i > 0 {
+			p := (i - 1) / 2
+			if !last.before(q[p]) {
+				break
+			}
+			q[i] = q[p]
+			i = p
 		}
-		if m == i {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
+		q[i] = last
 	}
 	s.runq = q
 	return int(top)
 }
 
-// handoff gives the baton to thread next (which heapPop removed from
-// the run queue). Callers must have finished all scheduler-state updates
-// first: the moment the gate send completes, next is running.
-func (s *sched) handoff(next int) {
-	s.state[next] = sRunning
-	s.stats.Handoffs++
-	s.rt.gates[next] <- struct{}{}
+// spawn starts one cooperative SPMD region: it makes every thread a
+// runnable coroutine running body under the poison-on-panic wrapper,
+// and runs the loop until the region's first pause. Clocks persist
+// across regions, exactly like the old backend.
+func (s *sched) spawn(body func(t *Thread), panics chan<- string) {
+	s.panics = panics
+	s.runq = s.runq[:0]
+	for i, t := range s.rt.threads {
+		s.heapPush(int32(i))
+		s.next[i], s.stop[i] = iter.Pull(func(yield func(bool) bool) {
+			s.yields[i] = yield
+			s.rt.guard(t, body, panics)
+		})
+	}
+	if first := s.heapPop(); first >= 0 {
+		s.run(first, true)
+	}
 }
 
-// handoffGate is handoff without the Handoffs count. The session step
-// gate uses it exclusively: gate parks and resumes are an artifact of
-// the observer pausing the run, not of the simulated program's
-// schedule, so a stepped run must report byte-identical SchedStats to
-// an uninterrupted one.
-func (s *sched) handoffGate(next int) {
-	s.state[next] = sRunning
-	s.rt.gates[next] <- struct{}{}
+// resume releases a completed pause of the session step gate: every
+// arrival except the first re-enters the run queue, and the baton goes
+// back to the first arriver — the thread that was running when the
+// pause began — so the continuation is scheduled exactly as if the gate
+// did not exist. The release is not a counted handoff.
+func (s *sched) resume(arrivals []int32) {
+	for _, i := range arrivals[1:] {
+		s.heapPush(i)
+	}
+	s.run(int(arrivals[0]), false)
 }
 
-// yield parks the calling thread in `state` and hands the baton to the
-// lowest-clock eligible thread. It returns when the caller is scheduled
-// again. With state == sRunnable and no lower-clock peer, the caller
-// keeps the baton and returns immediately (the spin fast path).
-func (s *sched) yield(me int, state schedState) {
+// run is the scheduler loop. It resumes thread cur and, each time the
+// running thread yields or returns, the lowest-(clock, id) runnable
+// thread, counting the switch as a handoff unless the thread it follows
+// parked at the step gate. It returns once no thread is runnable and
+// every live thread is parked at the step gate or has returned (a
+// pause). A failed region — a thread panicked, some live thread waits
+// in a barrier, a collective or a lock that nothing can release (a
+// deadlock), or the runtime was poisoned before — runs no further
+// thread: run unwinds every suspended one and returns.
+func (s *sched) run(cur int, counted bool) {
+	for s.rt.poisoned.Load() == nil {
+		if counted {
+			s.stats.Handoffs++
+		}
+		c, live := s.next[cur]()
+		if !live {
+			s.state[cur] = sDone
+		}
+		counted = c || !live
+		last := cur
+		if cur = s.heapPop(); cur < 0 && s.rt.poisoned.Load() == nil {
+			if !s.blocked() {
+				return
+			}
+			s.deadlock(last)
+		}
+	}
+	s.unwind()
+}
+
+// blocked reports whether some live thread waits in a barrier, a
+// collective or a lock.
+func (s *sched) blocked() bool {
+	for _, st := range s.state {
+		if st == sBarrier || st == sColl || st == sLock {
+			return true
+		}
+	}
+	return false
+}
+
+// unwind ends every coroutine of a poisoned region: a suspended thread's
+// yield returns false and it aborts as a poisoned peer (suspend), one
+// never scheduled does not run at all, and a returned one is already
+// gone.
+func (s *sched) unwind() {
+	for i, stop := range s.stop {
+		stop()
+		s.state[i] = sDone
+	}
+}
+
+// suspend parks the calling thread in state (a runnable one re-enters
+// the run queue) and yields to the loop, which resumes it once it is
+// picked again. The yielded value says whether the pass counts as a
+// handoff: a step-gate park does not, because it is an artifact of the
+// observer pausing the run, so a stepped run reports byte-identical
+// SchedStats to an uninterrupted one. A false return from yield means
+// the loop is unwinding a poisoned region.
+func (s *sched) suspend(me int, state schedState) {
 	s.state[me] = state
 	if state == sRunnable {
 		s.heapPush(int32(me))
 	}
-	next := s.heapPop()
-	if next == me {
-		s.state[me] = sRunning
-		return
+	if !s.yields[me](state != sStep) {
+		panic(poisonAbort{poisonSecondary})
 	}
-	if next < 0 {
-		s.deadlock(me)
-	}
-	s.handoff(next)
-	<-s.rt.gates[me]
 }
 
-// deadlockMsg renders the all-threads-blocked failure. The old runtime
-// hung forever here; the scheduler can see the whole wait graph and
-// fails loudly instead.
-func (s *sched) deadlockMsg(me int) string {
+// deadlock is the loop's report of a region in which no thread is
+// runnable while some live thread waits on an event only a parked or
+// returned thread could produce. It poisons the runtime with the whole
+// wait graph and posts that report as the region's primary panic.
+func (s *sched) deadlock(me int) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "upc: deadlock: every live thread is blocked (thread %d yielded last):", me)
 	for i, st := range s.state {
@@ -245,7 +324,9 @@ func (s *sched) deadlockMsg(me int) string {
 			fmt.Fprintf(&b, " t%d=%v", i, st)
 		}
 	}
-	return b.String()
+	msg := b.String()
+	s.rt.poison(msg)
+	s.panics <- msg
 }
 
 // barrier is the cooperative Thread.Barrier: deposit the clock, resolve
@@ -253,26 +334,23 @@ func (s *sched) deadlockMsg(me int) string {
 // park otherwise. The resolver keeps the baton; resumed waiters have
 // their clocks pre-aligned to the resolved time.
 func (s *sched) barrier(t *Thread) {
-	s.rt.checkPoison()
 	if t.clock > s.barMax {
 		s.barMax = t.clock
 	}
 	s.barCount++
 	if s.barCount == s.n {
-		resolved := s.barMax + s.rt.mach.BarrierCost()
+		resolved := s.barMax + s.barCost
 		s.barCount, s.barMax = 0, 0
 		for i, st := range s.state {
 			if st == sBarrier {
 				s.rt.threads[i].clock = resolved
-				s.state[i] = sRunnable
 				s.heapPush(int32(i))
 			}
 		}
 		t.clock = resolved
 		return
 	}
-	s.yield(t.id, sBarrier)
-	s.rt.checkPoison()
+	s.suspend(t.id, sBarrier)
 	// The resolver aligned our clock before marking us runnable.
 }
 
@@ -281,7 +359,6 @@ func (s *sched) barrier(t *Thread) {
 // keeps the baton, and every thread returns the combined value with the
 // aligned clock max(arrivals)+cost.
 func (s *sched) exchange(t *Thread, v any, cost float64, combine func(slots []any) any) (any, float64) {
-	s.rt.checkPoison()
 	s.collSlots[t.id] = v
 	if t.clock > s.collMax {
 		s.collMax = t.clock
@@ -296,14 +373,12 @@ func (s *sched) exchange(t *Thread, v any, cost float64, combine func(slots []an
 		}
 		for i, st := range s.state {
 			if st == sColl {
-				s.state[i] = sRunnable
 				s.heapPush(int32(i))
 			}
 		}
 		return s.collResult, s.collResolved
 	}
-	s.yield(t.id, sColl)
-	s.rt.checkPoison()
+	s.suspend(t.id, sColl)
 	// SPMD discipline makes this read safe: the next epoch cannot
 	// resolve (and overwrite the result) until every thread — including
 	// us — has deposited into it, which happens after this return.
@@ -314,14 +389,12 @@ func (s *sched) exchange(t *Thread, v any, cost float64, combine func(slots []an
 // exclusion is structural: ownership transfers directly to the first
 // waiter at release, and only one thread runs at a time.
 func (s *sched) lockAcquire(t *Thread, l *Lock) {
-	s.rt.checkPoison()
 	if !l.held {
 		l.held = true
 		return
 	}
 	l.waiters = append(l.waiters, int32(t.id))
-	s.yield(t.id, sLock)
-	s.rt.checkPoison()
+	s.suspend(t.id, sLock)
 	// The releaser transferred ownership to us (l.held stayed true).
 }
 
@@ -330,7 +403,6 @@ func (s *sched) lockRelease(t *Thread, l *Lock) {
 	if len(l.waiters) > 0 {
 		w := l.waiters[0]
 		l.waiters = l.waiters[:copy(l.waiters, l.waiters[1:])]
-		s.state[w] = sRunnable
 		s.heapPush(w)
 		return
 	}
@@ -346,111 +418,13 @@ func (s *sched) lockRelease(t *Thread, l *Lock) {
 // (Runtime.sim).
 func (t *Thread) SpinYield() {
 	s := t.rt.sim("SpinYield")
-	t.rt.checkPoison()
 	// O(1) fast path: if no parked peer has a lower (clock, id), the
 	// spinner keeps the baton — no peer could have run before it, so the
 	// polled condition cannot have changed. Charged polls advance the
 	// spinner's clock, so it eventually yields past runq[0].
-	if len(s.runq) == 0 || !s.less(s.runq[0], int32(t.id)) {
+	if len(s.runq) == 0 || !s.runq[0].before(runEntry{t.clock, int32(t.id)}) {
 		return
 	}
 	s.stats.SpinYields++
-	s.yield(t.id, sRunnable)
-	t.rt.checkPoison()
-}
-
-// stepPark is the baton hand-off of a thread parking at the session
-// step gate (Session.park): the thread that completes the pause passes
-// control to the session controller instead of another emulated thread —
-// the single-runner invariant extends to the controller, which runs only
-// while every thread is parked — and any other arriver hands the baton
-// to the lowest-clock runnable thread. Gate handoffs are uncounted.
-func (s *sched) stepPark(me int, last bool) {
-	s.state[me] = sStep
-	if last {
-		return
-	}
-	next := s.heapPop()
-	if next < 0 {
-		// Peers are blocked on events only gate-parked threads could
-		// produce (a barrier this thread abandoned, etc.) — the SPMD
-		// discipline is broken.
-		s.deadlock(me)
-	}
-	s.handoffGate(next)
-}
-
-// stepResume releases a completed pause: every arrival except the first
-// re-enters the run queue, and the baton goes back to the first arriver —
-// the thread that was running when the pause began — so the
-// continuation is scheduled exactly as if the gate did not exist.
-// Called by the session controller while every thread is parked.
-func (s *sched) stepResume(arrivals []int32) {
-	for _, i := range arrivals[1:] {
-		s.state[i] = sRunnable
-		s.heapPush(i)
-	}
-	s.handoffGate(int(arrivals[0]))
-}
-
-// exit retires the calling thread at the end of the SPMD function and,
-// unless its exit completed a pause, passes the baton on. After a poison
-// every thread is already awake and unwinding, so no baton discipline
-// remains.
-func (s *sched) exit(me int, last bool) {
-	if s.rt.poisoned.Load() != nil {
-		return
-	}
-	s.state[me] = sDone
-	if last {
-		return
-	}
-	next := s.heapPop()
-	if next < 0 {
-		// The remaining threads are blocked on events that can no longer
-		// happen (e.g. a barrier this thread will never reach).
-		s.deadlock(me)
-	}
-	s.handoff(next)
-}
-
-// deadlock poisons the runtime with the all-threads-blocked report and
-// panics with it.
-func (s *sched) deadlock(me int) {
-	msg := s.deadlockMsg(me)
-	s.rt.poison(msg) // wakes every parked thread; they abort on their gates
-	panic(msg)
-}
-
-// gatedBody wraps one cooperative SPMD region's thread function: reset
-// the region state (the caller invokes gatedBody before launching any
-// goroutine), then have each thread wait for its first scheduling before
-// it runs. Clocks persist across regions, exactly like the old backend.
-func (s *sched) gatedBody(fn func(t *Thread)) func(t *Thread) {
-	s.runq = s.runq[:0]
-	for i := range s.state {
-		s.state[i] = sRunnable
-		s.heapPush(int32(i))
-	}
-	return func(t *Thread) {
-		<-s.rt.gates[t.id]
-		if s.rt.poisoned.Load() != nil {
-			// A peer failed before this thread was ever scheduled. Abort
-			// instead of running fn: the single-runner invariant must
-			// hold even while a poisoned region unwinds, so that the
-			// scheduler (and everything it orders — clocks, NIC times,
-			// heap storage) never sees concurrent access.
-			panic(poisonAbort{poisonSecondary})
-		}
-		fn(t)
-	}
-}
-
-// start hands the baton to the first thread of a region (called after
-// every thread goroutine is launched; threads are parked on their gates,
-// so launch order is irrelevant).
-func (s *sched) start() {
-	if first := s.heapPop(); first >= 0 {
-		s.handoff(first)
-	}
+	s.suspend(t.id, sRunnable)
 }

@@ -20,21 +20,23 @@ import (
 // run). Resume(k) releases k steps to every thread and blocks until all
 // of them are parked at the gate again. Finish() makes every pending
 // NextStep return false — the thread functions fall out of their loops
-// and return — and blocks until all thread goroutines have exited.
+// and return — and blocks until all threads have exited.
 // A thread whose function returns early simply stops being live: the
 // pause completes without it. A panic on any thread poisons the
 // runtime, and the call in progress (Start, Resume or Finish) re-raises
 // the primary panic on the controller.
 //
 // The gate is one protocol in both backends: a parking thread appends
-// itself to the arrival list and blocks on its wake channel
-// (Runtime.gates); the last live thread to arrive or exit signals the
-// controller on pauseCh; Resume and Finish wake the arrivals. The only
-// backend difference is the cooperative baton (sched.go): a parking
-// thread hands it to the next runnable thread, and a release gives it
-// back to the first arriver — the thread that held it when the pause
-// began — so the post-resume schedule is exactly the schedule of an
-// uninterrupted run. Parking charges nothing and aligns no clocks.
+// itself to the arrival list, and a release wakes the arrivals. The
+// backends differ in how a thread waits and who sees the pause. In
+// ModeNative a parked thread blocks on its wake channel
+// (Runtime.gates), and the last live thread to arrive or exit signals
+// the controller on pauseCh. In ModeSimulate a parked thread yields to
+// the scheduler loop (sched.go), which runs on the controller's
+// goroutine and returns once no thread is runnable; a release hands the
+// baton back to the first arriver — the thread that held it when the
+// pause began — so the post-resume schedule is exactly the schedule of
+// an uninterrupted run. Parking charges nothing and aligns no clocks.
 // That is what makes a Run-equivalent Start+Resume(Steps)+Finish, and
 // any Step(k) partition thereof, byte-identical.
 //
@@ -50,6 +52,8 @@ type Session struct {
 	done      bool // every thread function has returned
 	completed bool // Finish (or a propagated failure) already ran
 
+	// wg counts the native thread goroutines. panics has room for a
+	// message per thread plus the scheduler's deadlock report.
 	wg     sync.WaitGroup
 	panics chan string
 
@@ -83,7 +87,7 @@ func (rt *Runtime) Start(fn func(t *Thread)) *Session {
 		woken:    make([]int32, 0, rt.n),
 		live:     rt.n,
 		pauseCh:  make(chan struct{}, 1),
-		panics:   make(chan string, rt.n),
+		panics:   make(chan string, rt.n+1),
 	}
 	rt.session = sess
 	for _, t := range rt.threads {
@@ -116,7 +120,7 @@ func (sess *Session) Resume(k int) {
 
 // Finish releases the threads to exit: every pending (and future)
 // NextStep returns false, the thread functions return, and Finish
-// blocks until all thread goroutines are gone. It is idempotent.
+// blocks until all threads are gone. It is idempotent.
 func (sess *Session) Finish() {
 	if sess.completed {
 		return
@@ -152,11 +156,14 @@ func (sess *Session) fail() {
 
 // waitPause blocks the controller until the session is quiescent: every
 // live thread parked at the gate, or every thread exited, or the runtime
-// poisoned (which re-raises).
+// poisoned (which re-raises). A simulate session is quiescent already:
+// its scheduler loop returned at the pause.
 func (sess *Session) waitPause() {
-	select {
-	case <-sess.pauseCh:
-	case <-sess.rt.poisonCh:
+	if sess.rt.coop == nil {
+		select {
+		case <-sess.pauseCh:
+		case <-sess.rt.poisonCh:
+		}
 	}
 	if sess.rt.poisoned.Load() != nil {
 		sess.fail()
@@ -164,14 +171,15 @@ func (sess *Session) waitPause() {
 	sess.done = sess.live == 0
 }
 
-// release ends a completed pause, waking every arrival. The controller
-// calls it only while every live thread is parked, so it swaps the
-// arrival buffers without the lock.
+// release ends a completed pause, waking every arrival; under simulate
+// it runs the scheduler loop until the next pause. The controller calls
+// it only while every live thread is parked, so it swaps the arrival
+// buffers without the lock.
 func (sess *Session) release() {
 	woken := sess.arrivals
 	sess.arrivals, sess.woken = sess.woken[:0], woken
 	if s := sess.rt.coop; s != nil {
-		s.stepResume(woken)
+		s.resume(woken)
 		return
 	}
 	for _, i := range woken {
@@ -180,14 +188,16 @@ func (sess *Session) release() {
 }
 
 // park blocks thread t at the gate until the controller releases the
-// pause; the last live thread to arrive signals the controller.
+// pause; under native the last live thread to arrive signals the
+// controller.
 func (sess *Session) park(t *Thread) {
 	sess.mu.Lock()
 	sess.arrivals = append(sess.arrivals, int32(t.id))
 	last := len(sess.arrivals) == sess.live
 	sess.mu.Unlock()
 	if s := sess.rt.coop; s != nil {
-		s.stepPark(t.id, last)
+		s.suspend(t.id, sStep)
+		return
 	}
 	if last {
 		sess.pauseCh <- struct{}{}
@@ -196,17 +206,14 @@ func (sess *Session) park(t *Thread) {
 }
 
 // exit retires thread t after its function returned normally (a
-// panicking thread poisons the runtime instead). If every remaining
-// live thread is parked, t's exit completes the pause.
+// panicking thread poisons the runtime instead). Under native, if every
+// remaining live thread is parked, t's exit completes the pause.
 func (sess *Session) exit(t *Thread) {
 	sess.mu.Lock()
 	sess.live--
 	last := len(sess.arrivals) == sess.live
 	sess.mu.Unlock()
-	if s := sess.rt.coop; s != nil {
-		s.exit(t.id, last)
-	}
-	if last {
+	if last && sess.rt.coop == nil {
 		sess.pauseCh <- struct{}{}
 	}
 }

@@ -141,6 +141,7 @@ func TestSessionEquivalentToRun(t *testing.T) {
 }
 
 func testSessionPanicPropagates(t *testing.T, mode ExecMode) {
+	before := runtime.NumGoroutine()
 	rt := NewRuntimeMode(machine.Default(4), mode)
 	sess := rt.Start(func(th *Thread) {
 		th.Barrier()
@@ -159,6 +160,7 @@ func testSessionPanicPropagates(t *testing.T, mode ExecMode) {
 		if msg, ok := r.(string); !ok || !strings.Contains(msg, "session boom") {
 			t.Fatalf("propagated panic lost the original message: %v", r)
 		}
+		expectUnwound(t, before)
 	}()
 	sess.Resume(1)
 	t.Fatal("Resume returned despite a panicking thread")
@@ -412,6 +414,7 @@ func TestSessionThreadExitsEarly(t *testing.T) {
 // parks at the gate while a peer waits at a barrier must fail loudly
 // (cooperative backend), not hang.
 func TestSessionDeadlockDetected(t *testing.T) {
+	before := runtime.NumGoroutine()
 	rt := NewRuntime(machine.Default(2))
 	defer func() {
 		r := recover()
@@ -421,6 +424,7 @@ func TestSessionDeadlockDetected(t *testing.T) {
 		if msg := fmt.Sprint(r); !strings.Contains(msg, "deadlock") {
 			t.Fatalf("panic is not the deadlock report: %v", msg)
 		}
+		expectUnwound(t, before)
 	}()
 	sess := rt.Start(func(th *Thread) {
 		for th.NextStep() {
