@@ -6,18 +6,23 @@ import (
 )
 
 // BenchmarkNativeTreePhase reports what the tree plumbing around the
-// force kernel costs a native step at the benchmark's size: the parallel
-// flat build (PhaseTree) and the flat partition (PhasePartition), each
-// the maximum over threads, averaged over b.N whole steps. The ns/op
-// column is the whole step, force included; the two custom columns are
-// the subject. (Host wall-clock comparisons are benchmark/'s job —
-// DESIGN.md §10; this is logged by CI next to the octree kernel
-// benchmarks so the code cannot rot.)
+// force kernel costs a native step: the parallel flat build (PhaseTree)
+// and the flat partition (PhasePartition), each the maximum over
+// threads, averaged over b.N whole steps, and the build per body
+// (tree-ns/body), the column to compare across shapes. The shapes are
+// the ones the benchmark's native workloads step: 64 bodies on one
+// thread (serve-churn), 2048 on one (stream-durable) and 16 384 on one,
+// two and four (native-scale). The ns/op column is the whole step, force
+// included; the custom columns are the subject. (Host wall-clock
+// comparisons are benchmark/'s job — DESIGN.md §10; this is logged by CI
+// next to the octree kernel benchmarks so the code cannot rot.)
 func BenchmarkNativeTreePhase(b *testing.B) {
-	for _, threads := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("T=%d", threads), func(b *testing.B) {
+	for _, c := range []struct{ n, threads int }{
+		{64, 1}, {2048, 1}, {16384, 1}, {16384, 2}, {16384, 4},
+	} {
+		b.Run(fmt.Sprintf("n=%d/T=%d", c.n, c.threads), func(b *testing.B) {
 			const warm = 4
-			opts := DefaultOptions(16384, threads, LevelMergedBuild)
+			opts := DefaultOptions(c.n, c.threads, LevelMergedBuild)
 			opts.ExecMode = ModeNative
 			opts.Steps, opts.Warmup = warm+b.N, warm
 			sim, err := New(opts)
@@ -37,7 +42,9 @@ func BenchmarkNativeTreePhase(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(meta.Phases[PhaseTree]*1e3/float64(b.N), "tree-ms/step")
+			tree := meta.Phases[PhaseTree] / float64(b.N)
+			b.ReportMetric(tree*1e3, "tree-ms/step")
+			b.ReportMetric(tree*1e9/float64(c.n), "tree-ns/body")
 			b.ReportMetric(meta.Phases[PhasePartition]*1e3/float64(b.N), "partition-ms/step")
 		})
 	}

@@ -194,10 +194,7 @@ func (s *flatEngine) buildFlat(t *upc.Thread, st *flatThread, measured bool) {
 	g := s.boundingBox(t, st)
 	w := s.Worker(t.ID())
 	pos := s.ownPos(st)
-	w.Begin(g.Center, g.Half, len(pos))
-	for i, p := range pos {
-		w.Count(i, p)
-	}
+	w.Count(g.Center, g.Half, pos)
 	t.Barrier()
 	w.Offsets()
 	me := int32(t.ID())

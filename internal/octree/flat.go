@@ -3,6 +3,7 @@ package octree
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/nbody"
@@ -104,16 +105,19 @@ type FlatTree struct {
 	// Bodies.ID[i] is the index of slot i in the slice Rebuild was given.
 	Bodies nbody.SoA
 
-	// PM mirrors Bodies.Pos/Bodies.Mass as packed interaction records;
-	// refreshed by PackPM after a build.
+	// PM mirrors Bodies.Pos/Bodies.Mass as packed interaction records,
+	// written as the build gathers each body.
 	PM []PosMass
 
-	// Rebuild scratch, retained across steps.
+	// Build scratch, retained across steps: the sort keys, the
+	// permutation they carry, a stable scatter's targets, geometric
+	// octants, and the staging view RebuildWithRoot builds from.
 	keys    []uint64
 	keyTmp  []uint64
 	perm    []int32
 	permTmp []int32
-	scatter nbody.SoA
+	octs    []uint8
+	stage   nbody.SoA
 
 	// Tree-owned walker for the convenience ForceOn entry point
 	// (which is therefore not safe for concurrent use on one FlatTree —
@@ -133,89 +137,67 @@ type FlatTree struct {
 func (ft *FlatTree) SetArena(a *arena.Arena) {
 	ft.mem = a
 	ft.Bodies.SetArena(a)
-	ft.scatter.SetArena(a)
+	ft.stage.SetArena(a)
 }
 
-// Rebuild reconstructs the tree over bodies, reusing all arenas, and
-// packs the PM interaction records for force walks.
+// Rebuild reconstructs the tree over bodies, reusing all arenas, within
+// the root cube of their bounding box.
 func (ft *FlatTree) Rebuild(bodies []nbody.Body) {
 	lo, hi := nbody.BoundingBox(bodies)
 	center, half := nbody.RootCell(lo, hi)
 	ft.RebuildWithRoot(bodies, center, half)
-	ft.PackPM()
 }
 
 // RebuildWithRoot reconstructs the tree over bodies inside the given root
 // cube (which must contain them), reusing all arenas. An empty body set
 // yields a lone empty root cell.
-//
-// It does NOT refresh the packed PM records — callers that will run
-// force walks must call PackPM() afterwards (Rebuild does); callers
-// that only read the structure skip that pass.
 func (ft *FlatTree) RebuildWithRoot(bodies []nbody.Body, center vec.V3, half float64) {
 	n := len(bodies)
+	ft.stage.Resize(n)
+	for i := range bodies {
+		b := &bodies[i]
+		ft.stage.Set(i, b.Pos, b.Mass, b.Cost, int32(i))
+	}
 	ft.Center, ft.Half = center, half
 	ft.Nodes = ft.Nodes[:0]
 	ft.Meta = ft.Meta[:0]
 	ft.Kids = ft.Kids[:0]
-
-	// Morton-sort a permutation of the input, then gather the SoA views
-	// in sorted order: the build below then streams over (nearly) final
-	// memory, and the finished SoA enumerates leaves in DFS order.
-	ft.ensureScratch(n)
-	for i := range bodies {
-		ft.keys[i] = Morton(bodies[i].Pos, center, half)
-		ft.perm[i] = int32(i)
-	}
-	radixSortByKey(ft.keys, ft.perm, ft.keyTmp, ft.permTmp)
 	ft.Bodies.Resize(n)
-	for j := 0; j < n; j++ {
-		i := ft.perm[j]
-		b := &bodies[i]
-		ft.Bodies.Set(j, b.Pos, b.Mass, b.Cost, i)
-	}
-
-	root := ft.newNode(center, half)
-	ft.buildRange(root, 0, int32(n), 0)
-}
-
-// AppendSubtree is the append-mode entry point of the parallel builder
-// (parbuild.go): it Morton-sorts the bodies in slots [lo, hi) of src
-// within the cube (center, half), gathers them into the SAME slots of
-// ft.Bodies (Bodies.ID records the src slot each came from), and appends
-// the cell covering that cube at tree depth `depth`, with its whole
-// subtree, to Nodes/Meta/Kids — leaving everything already in ft alone.
-// The subtree is what RebuildWithRoot builds under that cube: the same
-// sort, the same buildRange. It returns the new cell's index; the caller
-// sizes ft.Bodies and packs PM.
-func (ft *FlatTree) AppendSubtree(src *nbody.SoA, lo, hi int32, center vec.V3, half float64, depth int) int32 {
-	n := int(hi - lo)
-	ft.ensureScratch(n)
-	for i := 0; i < n; i++ {
-		ft.keys[i] = Morton(src.Pos[int(lo)+i], center, half)
-		ft.perm[i] = lo + int32(i)
-	}
-	radixSortByKey(ft.keys, ft.perm, ft.keyTmp, ft.permTmp)
-	for j, i := range ft.perm {
-		ft.Bodies.Set(int(lo)+j, src.Pos[i], src.Mass[i], src.Cost[i], i)
-	}
-	ci := ft.newNode(center, half)
-	ft.buildRange(ci, lo, hi, depth)
-	return ci
-}
-
-// PackPM derives the packed PM interaction records from the (final) SoA
-// order; the force kernels read PM, so it must run after any rebuild
-// and before the first walk.
-func (ft *FlatTree) PackPM() {
-	n := ft.Bodies.Len()
 	if cap(ft.PM) < n {
 		ft.PM = arena.MakeSlice[PosMass](ft.mem, n, n)
 	}
 	ft.PM = ft.PM[:n]
-	for i := 0; i < n; i++ {
-		ft.PM[i] = PosMass{Pos: ft.Bodies.Pos[i], Mass: ft.Bodies.Mass[i]}
+	ft.AppendSubtree(&ft.stage, 0, int32(n), center, half, 0)
+}
+
+// AppendSubtree is the build itself, and the append-mode entry point of
+// the parallel builder (parbuild.go): it builds the bodies in slots
+// [lo, hi) of src within the cube (center, half), gathers them in tree
+// order into the SAME slots of ft.Bodies and ft.PM (Bodies.ID records the
+// src slot each came from), and appends the cell covering that cube at
+// tree depth `depth`, with its whole subtree, to Nodes/Meta/Kids —
+// leaving everything already in ft alone. It returns the new cell's
+// index; the caller sizes ft.Bodies and ft.PM.
+//
+// The build is two passes over the bodies and one over the cells: each
+// body's key within the cube, with its trust in the low bits (keyCube),
+// a presort on the key bytes below their common prefix (presort), then
+// split, which lays the cells out over the keys in DFS preorder, sorts
+// whatever the presort left out of octant order, gathers each body into
+// its slot once it is a leaf and sums every cell over its kids.
+func (ft *FlatTree) AppendSubtree(src *nbody.SoA, lo, hi int32, center vec.V3, half float64, depth int) int32 {
+	n := int(hi - lo)
+	ft.ensureScratch(n)
+	kc := newKeyCube(center, half)
+	b := binBuild{ft: ft, src: src, base: lo, depth0: depth}
+	b.minTrust = kc.fill(ft.keys, src.Pos[lo:hi])
+	for i := range ft.perm {
+		ft.perm[i] = lo + int32(i)
 	}
+	b.sorted = presort(ft.keys, ft.perm, ft.keyTmp, ft.permTmp)
+	ci := ft.newNode(center, half)
+	b.split(ci, 0, int32(n), depth)
+	return ci
 }
 
 func (ft *FlatTree) ensureScratch(n int) {
@@ -227,209 +209,388 @@ func (ft *FlatTree) ensureScratch(n int) {
 		ft.keyTmp = arena.MakeSlice[uint64](ft.mem, n, c)
 		ft.perm = arena.MakeSlice[int32](ft.mem, n, c)
 		ft.permTmp = arena.MakeSlice[int32](ft.mem, n, c)
+		ft.octs = arena.MakeSlice[uint8](ft.mem, n, c)
 	}
 	ft.keys = ft.keys[:n]
 	ft.keyTmp = ft.keyTmp[:n]
 	ft.perm = ft.perm[:n]
 	ft.permTmp = ft.permTmp[:n]
-	ft.scatter.Resize(n)
+	ft.octs = ft.octs[:n]
 }
 
+// newNode appends a cell of the given cube. Only the cube is written
+// here; split writes the rest.
 func (ft *FlatTree) newNode(center vec.V3, half float64) int32 {
+	i := len(ft.Nodes)
+	if i < cap(ft.Nodes) && i < cap(ft.Meta) {
+		ft.Nodes, ft.Meta = ft.Nodes[:i+1], ft.Meta[:i+1]
+	} else {
+		ft.Nodes = arena.Append(ft.mem, ft.Nodes, FlatNode{})
+		ft.Meta = arena.Append(ft.mem, ft.Meta, FlatMeta{})
+	}
 	l := 2 * half
-	ft.Nodes = arena.Append(ft.mem, ft.Nodes, FlatNode{LSq: l * l})
-	ft.Meta = arena.Append(ft.mem, ft.Meta, FlatMeta{Center: center, Half: half})
-	return int32(len(ft.Nodes) - 1)
+	ft.Nodes[i].LSq = l * l
+	ft.Meta[i].Center, ft.Meta[i].Half = center, half
+	return int32(i)
 }
 
-// buildRange subdivides the body range [lo, hi) under node idx (whose
-// Center/Half are set) and fills its children and aggregates. The range
-// is partitioned by the same Octant test the pointer builder uses —
-// Morton order already groups octants except for float-rounding edge
-// cases near cell boundaries, so the stable scatter fallback almost
-// never runs, but it keeps the structure exactly canonical when the
-// quantized Morton grid and the geometric test disagree.
+// reserveKids appends k <= 8 kid entries for the caller to write and
+// returns the first one's index.
+func (ft *FlatTree) reserveKids(k int) int32 {
+	first := len(ft.Kids)
+	if first+k <= cap(ft.Kids) {
+		ft.Kids = ft.Kids[:first+k]
+	} else {
+		var zero [8]int32
+		ft.Kids = arena.Append(ft.mem, ft.Kids, zero[:k]...)
+	}
+	return int32(first)
+}
+
+// The keys. A build key is a body's 63-bit Morton code within the cube
+// the build starts from — three bits per level, most significant level
+// first, digit r naming the body's octant at depth r below that cube —
+// except that its six lowest bits (levels 19 and 20, which no build
+// reads from keys) hold the body's trust: 1 + the number of levels whose
+// digits are the octants the geometric Octant test gives.
 //
-// Cells recurse in octant order immediately after their kid slot is
-// reserved, which makes the node arena DFS preorder and each cell's kid
-// entries contiguous.
-func (ft *FlatTree) buildRange(idx, lo, hi int32, depth int) {
-	if depth > flatMaxDepth {
-		panic("octree: flat build depth limit exceeded (coincident bodies?)")
-	}
-	center := ft.Meta[idx].Center
-	half := ft.Meta[idx].Half
+// The Octant test is what defines the tree. A key digit can disagree
+// with it only for a body within one Morton quantum (2*half/2^21) of the
+// cell plane it is tested against: the key and the plane are each off by
+// far less than a quantum (keyCube). That body's quantized coordinate on
+// that axis is then one of the two next to the plane, whose bits below
+// the plane's bit are all 0 or all 1 — and so are its bits below every
+// deeper plane's bit. A body whose lowest t bits on some axis are equal
+// is therefore trusted for the first 20-t levels only, and the build
+// tests it geometrically from there on.
+const (
+	keyDepth  = 19 // levels a key can vouch for (digits 0 … 18)
+	trustBits = 63 // low key bits holding the trust
+)
 
-	var count [8]int32
-	inOrder := true
-	prev := -1
-	for i := lo; i < hi; i++ {
-		o := Octant(center, ft.Bodies.Pos[i])
-		count[o]++
-		if o < prev {
-			inOrder = false
-		}
-		prev = o
-	}
-	if !inOrder {
-		ft.scatterRange(lo, hi, center, count)
-	}
-
-	// Reserve this cell's kid slots before recursing so they stay
-	// contiguous while grandchildren append theirs.
-	first := int32(len(ft.Kids))
-	nkids := int32(0)
-	for oct := 0; oct < 8; oct++ {
-		if count[oct] > 0 {
-			nkids++
-		}
-	}
-	for k := int32(0); k < nkids; k++ {
-		ft.Kids = arena.Append(ft.mem, ft.Kids, 0)
-	}
-	ft.Nodes[idx].First = first
-	ft.Nodes[idx].Count = nkids
-
-	ki := first
-	start := lo
-	for oct := 0; oct < 8; oct++ {
-		cnt := count[oct]
-		switch {
-		case cnt == 0:
-			continue
-		case cnt == 1:
-			ft.Kids[ki] = FlatLeaf(start)
-		default:
-			cc, ch := ChildBounds(center, half, oct)
-			if ch <= 0 || math.IsNaN(ch) {
-				panic("octree: cannot split further (coincident bodies?)")
-			}
-			ci := ft.newNode(cc, ch)
-			ft.Kids[ki] = ci
-			ft.buildRange(ci, start, start+cnt, depth+1)
-		}
-		ki++
-		start += cnt
-	}
-
-	// Aggregate in octant order — the identical operation sequence as
-	// computeCofM on the pointer tree, so the values agree bit for bit.
-	var wsum vec.V3
-	var mass, cost float64
-	var nb int32
-	for k := first; k < first+nkids; k++ {
-		c := ft.Kids[k]
-		if c < 0 {
-			bi := FlatLeafBody(c)
-			m := ft.Bodies.Mass[bi]
-			wsum = wsum.AddScaled(ft.Bodies.Pos[bi], m)
-			mass += m
-			cost += ft.Bodies.Cost[bi]
-			nb++
-			continue
-		}
-		ch := &ft.Nodes[c]
-		wsum = wsum.AddScaled(ch.CofM, ch.Mass)
-		mass += ch.Mass
-		cost += ft.Meta[c].Cost
-		nb += ft.Meta[c].N
-	}
-	cofm := center
-	if mass > 0 {
-		cofm = wsum.Scale(1 / mass)
-	}
-	nd := &ft.Nodes[idx]
-	nd.CofM, nd.Mass = cofm, mass
-	mt := &ft.Meta[idx]
-	mt.Cost, mt.N = cost, nb
+// keyCube is a cube's key arithmetic: the low corner and the quanta per
+// unit length. In units of a quantum, with the cube's centre c and half
+// side h, a computed key coordinate is off by at most about
+// (|c|/h + 3)·2^-33 + 2^-31, and a cell centre at depth d, from d
+// rounded ChildBounds steps, by d·(|c|/h + 1)·2^-33: both under 2^-8
+// while |c| <= 2^20·h. maxTrust is 20 there, and 0 farther out or for a
+// cube too small or too large for those bounds (a subnormal quantum, an
+// overflowing side), where no key is trusted and the build tests every
+// body geometrically.
+type keyCube struct {
+	lo       vec.V3
+	scale    float64
+	maxTrust uint64
 }
 
-// scatterRange stably reorders the SoA range [lo, hi) into octant groups
-// (counting scatter through the scratch view, then copy back).
-func (ft *FlatTree) scatterRange(lo, hi int32, center vec.V3, count [8]int32) {
-	var at [8]int32
-	sum := int32(0)
-	for oct := 0; oct < 8; oct++ {
-		at[oct] = sum
-		sum += count[oct]
+func newKeyCube(center vec.V3, half float64) keyCube {
+	kc := keyCube{
+		lo:    vec.V3{X: center.X - half, Y: center.Y - half, Z: center.Z - half},
+		scale: (1 << 21) / (2 * half),
 	}
-	for i := lo; i < hi; i++ {
-		o := Octant(center, ft.Bodies.Pos[i])
-		ft.scatter.CopySlot(int(at[o]), &ft.Bodies, int(i))
-		at[o]++
+	far := math.Ldexp(half, 20)
+	if half >= 0x1p-900 && half <= 0x1p900 &&
+		math.Abs(center.X) <= far && math.Abs(center.Y) <= far && math.Abs(center.Z) <= far {
+		kc.maxTrust = 20
 	}
-	for i := lo; i < hi; i++ {
-		ft.Bodies.CopySlot(int(i), &ft.scatter, int(i-lo))
-	}
+	return kc
 }
 
-// radixSortByKey sorts (keys, perm) pairs by key, stably. In steady
-// state the input is the previous step's Morton order, nearly sorted, so
-// a stable insertion pass with a budget of 4n moves usually finishes the
-// job; when the budget runs out the LSD radix passes (8-bit digits,
-// constant-byte passes skipped) take over on the partly sorted input.
-// Both sorts are stable and the insertion pass only moves a key past
-// greater ones, so the output is the stable sort of the input either
-// way. Scratch slices must match the input length; no allocations.
-func radixSortByKey(keys []uint64, perm []int32, keyTmp []uint64, permTmp []int32) {
+// fill sets keys[i] to pos[i]'s build key and returns the least trust
+// among them. A coordinate outside the cube clamps to its face, and a
+// face is within a quantum of every plane's bit pattern, so such a body
+// is never trusted.
+func (kc *keyCube) fill(keys []uint64, pos []vec.V3) uint64 {
+	least := uint64(trustBits)
+	for i, p := range pos[:len(keys)] {
+		x := kc.quantize(p.X, kc.lo.X)
+		y := kc.quantize(p.Y, kc.lo.Y)
+		z := kc.quantize(p.Z, kc.lo.Z)
+		t := max(equalLowBits(x), equalLowBits(y), equalLowBits(z))
+		k := dilate[x&0xff] | dilate[y&0xff]<<1 | dilate[z&0xff]<<2
+		k |= (dilate[x>>8&0xff] | dilate[y>>8&0xff]<<1 | dilate[z>>8&0xff]<<2) << 24
+		k |= (dilate[x>>16&0xff] | dilate[y>>16&0xff]<<1 | dilate[z>>16&0xff]<<2) << 48
+		trust := min(21-t, kc.maxTrust)
+		keys[i] = k&^trustBits | trust
+		least = min(least, trust)
+	}
+	return least
+}
+
+// dilate[b] is spread(b): a byte's bits three apart, so a key is nine
+// lookups.
+var dilate = func() (d [256]uint64) {
+	for b := range d {
+		d[b] = spread(uint64(b))
+	}
+	return d
+}()
+
+// quantize is v's cell of 2^21 along an axis from lo. Out of range,
+// including a NaN and an overflowing conversion, clamps to a face.
+func (kc *keyCube) quantize(v, lo float64) uint64 {
+	return uint64(min(max(int64((v-lo)*kc.scale), 0), 1<<21-1))
+}
+
+// equalLowBits is the length of the run of equal bits at the bottom of
+// a 21-bit coordinate (1 … 21).
+func equalLowBits(q uint64) uint64 {
+	return uint64(bits.TrailingZeros64((q ^ -(q & 1)) | 1<<21))
+}
+
+// presort sorts (keys, perm) stably by the 24 key bits below the keys'
+// common prefix: three LSD byte passes, counted in one read, a pass
+// skipped where all keys share the byte. That is what this input needs.
+// In steady state a bin arrives in the last tree's slot order: nearly
+// sorted, but with hundreds of descents at n = 2048 as bodies drift
+// across cell planes, some far in Morton order. Eight levels below the
+// prefix put every body into its cell of 8^8; what is left — ties in
+// those bits, in input order — split sorts, cell by cell, only where a
+// cell finds its kids out of order. Below presortMin keys the passes'
+// 256-entry counts cost more than they save, and split sorts it all.
+// It returns how many key levels the output is in order by. Scratch
+// slices must match the input length; no allocations.
+const presortMin = 256
+
+func presort(keys []uint64, perm []int32, keyTmp []uint64, permTmp []int32) int {
 	n := len(keys)
-	if n < 2 || insertionSortByKey(keys, perm, 4*n) {
-		return
+	if n < presortMin {
+		return 0
 	}
-	var count [256]int32
+	var diff uint64
+	for _, k := range keys {
+		diff |= k ^ keys[0]
+	}
+	diff &^= trustBits
+	if diff == 0 {
+		return keyDepth
+	}
+	low := uint(max(bits.Len64(diff)-24, 0))
+	var count [3][256]int32
+	for _, k := range keys {
+		count[0][k>>low&0xff]++
+		count[1][k>>(low+8)&0xff]++
+		count[2][k>>(low+16)&0xff]++
+	}
 	src, dst := keys, keyTmp
 	psrc, pdst := perm, permTmp
-	swapped := false
-	for shift := uint(0); shift < 64; shift += 8 {
-		for i := range count {
-			count[i] = 0
-		}
-		for _, k := range src {
-			count[(k>>shift)&0xff]++
-		}
-		if count[(src[0]>>shift)&0xff] == int32(n) {
+	for pass := range count {
+		c := &count[pass]
+		shift := low + 8*uint(pass)
+		if c[src[0]>>shift&0xff] == int32(n) {
 			continue // all keys share this byte
 		}
 		sum := int32(0)
-		for i := 0; i < 256; i++ {
-			c := count[i]
-			count[i] = sum
-			sum += c
+		for i, v := range c {
+			c[i] = sum
+			sum += v
 		}
 		for i, k := range src {
-			b := (k >> shift) & 0xff
-			j := count[b]
-			count[b]++
+			b := k >> shift & 0xff
+			j := c[b]
+			c[b]++
 			dst[j] = k
 			pdst[j] = psrc[i]
 		}
 		src, dst = dst, src
 		psrc, pdst = pdst, psrc
-		swapped = !swapped
 	}
-	if swapped {
+	if &src[0] != &keys[0] {
 		copy(keys, src)
 		copy(perm, psrc)
 	}
+	return (60-int(low))/3 + 1 // digit r is bits [60-3r, 63-3r)
 }
 
-// insertionSortByKey is radixSortByKey's first pass: a stable insertion
-// sort that gives up once it has made more than budget moves. It reports
-// whether the pairs are sorted; when it gives up they are a stable
-// rearrangement of the input (a sorted prefix, the rest untouched).
-func insertionSortByKey(keys []uint64, perm []int32, budget int) bool {
-	for i := 1; i < len(keys); i++ {
-		k, p := keys[i], perm[i]
-		j := i
-		for ; j > 0 && keys[j-1] > k; j-- {
-			keys[j], perm[j] = keys[j-1], perm[j-1]
+// binBuild is one AppendSubtree's pass over its cells: keys[lo:hi) and
+// perm[lo:hi) in FlatTree's scratch are one cell's bodies, src is the
+// view perm indexes, local slot j is tree slot base+j, and depth0 is the
+// tree depth of the cube the keys are relative to.
+type binBuild struct {
+	ft     *FlatTree
+	src    *nbody.SoA
+	base   int32
+	depth0 int
+
+	// Below sorted levels (presort's) and minTrust-1 (fill's), every
+	// cell's keys are in order and trusted.
+	sorted   int
+	minTrust uint64
+}
+
+// split gives cell idx (whose Center/Half are set) its kids over the
+// local range [lo, hi) at tree depth `depth`, recursing into every kid
+// cell, and leaves the range in the kids' octant order. A cell's kids
+// come from its key digits when every body in it trusts its key that
+// deep, else from the geometric Octant test, which defines the tree (the
+// pointer builder splits by it alone); the range is scattered (stably)
+// only if it is not already in octant order. The octree over a body set
+// is canonical, so the cells and the final order — singletons in DFS
+// order — do not depend on the order the bodies arrived in.
+//
+// Cells recurse in octant order immediately after their kid slots are
+// reserved, which makes the node arena DFS preorder and each cell's kid
+// entries contiguous.
+func (b *binBuild) split(idx, lo, hi int32, depth int) {
+	if depth > flatMaxDepth {
+		panic("octree: flat build depth limit exceeded (coincident bodies?)")
+	}
+	ft := b.ft
+	center, half := ft.Meta[idx].Center, ft.Meta[idx].Half
+
+	// The kids as runs of the range: kid g is octant oct[g], local slots
+	// [at[g], at[g+1]).
+	var oct [8]uint8
+	var at [9]int32
+	n := 0
+	if r := depth - b.depth0; r < b.sorted && uint64(r+1) < b.minTrust && hi-lo > 16 {
+		// Known sorted and trusted: each kid's run ends where a binary
+		// search finds the next digit.
+		shift := uint(60-3*r) & 63
+		for i := lo; i < hi; n++ {
+			o := ft.keys[i] >> shift & 7
+			j, k := i+1, hi
+			for j < k {
+				m := int32(uint32(j+k) >> 1)
+				if ft.keys[m]>>shift&7 > o {
+					k = m
+				} else {
+					j = m + 1
+				}
+			}
+			oct[n], at[n] = uint8(o), i
+			i = j
 		}
-		keys[j], perm[j] = k, p
-		if budget -= i - j; budget < 0 {
-			return false
+	} else if r < keyDepth && lo < hi {
+		// A sorted range needs no histogram: it is read off where the
+		// digit changes.
+		shift, need := uint(60-3*r)&63, uint64(r+1)
+		prev := ft.keys[lo] >> shift & 7
+		oct[0], at[0], n = uint8(prev), lo, 1
+		for i := lo; i < hi; i++ {
+			k := ft.keys[i]
+			if k&trustBits <= need {
+				n = 0
+				break
+			}
+			if o := k >> shift & 7; o != prev {
+				if o < prev {
+					n = 0
+					break
+				}
+				oct[n], at[n], n = uint8(o), i, n+1
+				prev = o
+			}
+		}
+		if n == 0 {
+			n = b.sortRange(lo, hi, true, shift, need, center, &oct, &at)
+		}
+	} else {
+		n = b.sortRange(lo, hi, false, 0, 0, center, &oct, &at)
+	}
+	at[n] = hi
+
+	first := ft.reserveKids(n)
+
+	// Each kid is final once placed: a leaf's body is gathered into its
+	// tree slot, a kid cell's subtree is built, and the cell sums them in
+	// octant order — the identical operation sequence as computeCofM on
+	// the pointer tree, so the values agree bit for bit.
+	var wsum vec.V3
+	var mass, cost float64
+	var nb int32
+	for g := range n {
+		if at[g+1]-at[g] == 1 {
+			j := b.base + at[g]
+			pos, m, c := b.gather(j, ft.perm[at[g]])
+			ft.Kids[first+int32(g)] = FlatLeaf(j)
+			wsum = wsum.AddScaled(pos, m)
+			mass += m
+			cost += c
+			nb++
+			continue
+		}
+		cc, ch := ChildBounds(center, half, int(oct[g]))
+		if ch <= 0 || math.IsNaN(ch) {
+			panic("octree: cannot split further (coincident bodies?)")
+		}
+		ci := ft.newNode(cc, ch)
+		ft.Kids[first+int32(g)] = ci
+		b.split(ci, at[g], at[g+1], depth+1)
+		kn, km := &ft.Nodes[ci], &ft.Meta[ci]
+		wsum = wsum.AddScaled(kn.CofM, kn.Mass)
+		mass += kn.Mass
+		cost += km.Cost
+		nb += km.N
+	}
+	nd, mt := &ft.Nodes[idx], &ft.Meta[idx]
+	nd.CofM = center
+	if mass > 0 {
+		nd.CofM = wsum.Scale(1 / mass)
+	}
+	nd.Mass, nd.First, nd.Count = mass, first, int32(n)
+	mt.Cost, mt.N = cost, nb
+}
+
+// gather puts src slot p into tree slot j, a leaf from here on, and
+// returns what its cell sums.
+func (b *binBuild) gather(j, p int32) (pos vec.V3, m, c float64) {
+	pos, m, c = b.src.Pos[p], b.src.Mass[p], b.src.Cost[p]
+	b.ft.Bodies.Set(int(j), pos, m, c, p)
+	b.ft.PM[j] = PosMass{Pos: pos, Mass: m}
+	return pos, m, c
+}
+
+// sortRange is split's general case: octants from the key digits at
+// `shift` if every body trusts its key that deep, else from the
+// geometric test, then a stable scatter into octant order if the range
+// is not in it already. It returns the kid runs as split lays them out.
+func (b *binBuild) sortRange(lo, hi int32, keyed bool, shift uint, need uint64, center vec.V3, oct *[8]uint8, at *[9]int32) int {
+	ft := b.ft
+	octs := ft.octs[lo:hi]
+	if keyed {
+		for i, k := range ft.keys[lo:hi] {
+			if k&trustBits <= need {
+				keyed = false
+				break
+			}
+			octs[i] = uint8(k >> shift & 7)
 		}
 	}
-	return true
+	if !keyed {
+		for i, p := range ft.perm[lo:hi] {
+			octs[i] = uint8(Octant(center, b.src.Pos[p]))
+		}
+	}
+	var count [8]int32
+	inOrder := true
+	prev := uint8(0)
+	for _, o := range octs {
+		count[o]++
+		inOrder = inOrder && o >= prev
+		prev = o
+	}
+	var next [8]int32
+	n := 0
+	start := lo
+	for o, c := range count {
+		next[o] = start
+		if c > 0 {
+			oct[n], at[n], n = uint8(o), start, n+1
+			start += c
+		}
+	}
+	if !inOrder {
+		// Stable counting scatter through the scratch, then copy back.
+		for i, o := range octs {
+			j := next[o]
+			next[o]++
+			ft.keyTmp[j], ft.permTmp[j] = ft.keys[lo+int32(i)], ft.perm[lo+int32(i)]
+		}
+		copy(ft.keys[lo:hi], ft.keyTmp[lo:hi])
+		copy(ft.perm[lo:hi], ft.permTmp[lo:hi])
+	}
+	return n
 }
 
 // FlatBatchWidth is the number of bodies that share one tree traversal

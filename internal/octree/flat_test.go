@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -62,6 +63,14 @@ func assertFlatMatchesPointer(t *testing.T, ft *FlatTree, pt *Tree, bodies []nbo
 	if err := pt.Verify(); err != nil {
 		t.Fatalf("pointer Verify: %v", err)
 	}
+	assertFlatIsPointer(t, ft, pt, bodies)
+}
+
+// assertFlatIsPointer is assertFlatMatchesPointer without the Verify
+// calls, for body sets on cell planes: Verify re-derives cell bounds
+// with rounding and can reject a body exactly on a plane in either tree.
+func assertFlatIsPointer(t *testing.T, ft *FlatTree, pt *Tree, bodies []nbody.Body) {
+	t.Helper()
 	if len(ft.Nodes) != pt.Cells {
 		t.Fatalf("cell count: flat %d, pointer %d", len(ft.Nodes), pt.Cells)
 	}
@@ -222,39 +231,81 @@ func TestFlatForceOnZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestRadixSortByKey(t *testing.T) {
-	r := rng.New(42)
-	for _, n := range []int{0, 1, 2, 3, 100, 4096} {
-		keys := make([]uint64, n)
-		perm := make([]int32, n)
-		orig := make([]uint64, n)
-		for i := range keys {
-			keys[i] = r.Uint64() >> (r.Uint64() % 40) // mixed magnitudes
-			orig[i] = keys[i]
-			perm[i] = int32(i)
-		}
-		radixSortByKey(keys, perm, make([]uint64, n), make([]int32, n))
-		for i := 1; i < n; i++ {
-			if keys[i-1] > keys[i] {
-				t.Fatalf("n=%d: keys[%d]=%d > keys[%d]=%d", n, i-1, keys[i-1], i, keys[i])
-			}
-		}
-		for i := 0; i < n; i++ {
-			if orig[perm[i]] != keys[i] {
-				t.Fatalf("n=%d: perm[%d] inconsistent", n, i)
+// TestFlatMatchesPointerOnFuzzShapes: the flat build is the pointer
+// build on every shape FuzzParallelFlatBuild draws — the drifted steps
+// the key presort is tuned for, and bodies hugging cell planes, where a
+// key digit is only trusted as far as the body's trust says. The pointer
+// tree splits by the Octant test alone, so it is an oracle the keys do
+// not touch (FuzzParallelFlatBuild compares two builds that both use
+// them).
+func TestFlatMatchesPointerOnFuzzShapes(t *testing.T) {
+	for shape := range 6 {
+		for seed := range uint64(8) {
+			r := rng.New(seed*6 + uint64(shape))
+			for _, n := range []int{3, 100, 700} {
+				bodies := fuzzBodies(r, n, shape)
+				assertFlatIsPointer(t, buildFlat(bodies), Build(bodies), bodies)
 			}
 		}
 	}
 }
 
-// TestRadixSortByKeyMatchesStableSort: radixSortByKey is a stable sort,
-// keys and perm equal to slices.SortStableFunc's, on inputs that the
-// insertion pass finishes within its budget (sorted, one adjacent swap,
-// all keys equal) and on inputs that overrun it and fall through to the
-// radix passes (reversed, random). FuzzParallelFlatBuild cannot catch an
-// unstable sort: both of its sides, the parallel build and BuildFlat,
-// call this same function, so they agree on whatever order it gives ties.
-func TestRadixSortByKeyMatchesStableSort(t *testing.T) {
+// TestKeyDigitsMatchOctant pins the key's contract directly: wherever a
+// key says its body trusts it, its digit at that level is the octant the
+// Octant test gives against the cell centre the ChildBounds chain
+// computes. Bodies sit on, a few ulps off and fractions of a quantum off
+// cell planes, in cubes near and far from the origin (past 2^20
+// half-sides, where the float bound fails and nothing is trusted).
+func TestKeyDigitsMatchOctant(t *testing.T) {
+	r := rng.New(3)
+	trusted := 0
+	for trial := range 300 {
+		bodies := fuzzBodies(r, 64, 5)
+		lo, hi := nbody.BoundingBox(bodies)
+		center, half := nbody.RootCell(lo, hi)
+		if trial%3 == 2 {
+			// Off the origin: the same bodies and cube, shifted by up to
+			// 2^44 half-sides (past 2^20 no key is trusted).
+			off := vec.V3{X: math.Ldexp(half, intn(r, 45)), Y: -math.Ldexp(half, intn(r, 21)), Z: 3}
+			center = center.Add(off)
+			for i := range bodies {
+				bodies[i].Pos = bodies[i].Pos.Add(off)
+			}
+		}
+		kc := newKeyCube(center, half)
+		keys := make([]uint64, len(bodies))
+		pos := make([]vec.V3, len(bodies))
+		for i := range bodies {
+			pos[i] = bodies[i].Pos
+		}
+		kc.fill(keys, pos)
+		for i, k := range keys {
+			c, h := center, half
+			for level := 0; uint64(level+1) < k&trustBits; level++ {
+				o := Octant(c, pos[i])
+				if d := int(k >> uint(60-3*level) & 7); d != o {
+					t.Fatalf("trial %d body %v: level %d digit %d, Octant %d (trust %d, cube %v/%g)", trial, pos[i], level, d, o, k&trustBits, center, half)
+				}
+				trusted++
+				c, h = ChildBounds(c, h, o)
+			}
+		}
+	}
+	if trusted == 0 {
+		t.Fatal("no key digit was trusted")
+	}
+}
+
+// TestPresortMatchesStableSort: from presortMin keys up, presort is a
+// stable sort of (keys, perm) on the 24 key bits below the keys' common
+// prefix — keys and perm equal to slices.SortStableFunc's on that window
+// — on sorted, nearly sorted, reversed, all-equal, random and clustered
+// input (where the common prefix is long and the window sits low); below
+// it the input is left as it is. The build does not need the
+// stability (split makes any order canonical), but the contract pins
+// what the window covers. FuzzParallelFlatBuild cannot catch a wrong
+// window: both of its sides call this same function.
+func TestPresortMatchesStableSort(t *testing.T) {
 	r := rng.New(7)
 	inputs := []struct {
 		name string
@@ -287,26 +338,39 @@ func TestRadixSortByKeyMatchesStableSort(t *testing.T) {
 			return keys
 		}},
 		{"random", func(n int) []uint64 { return randomKeys(r, n) }},
+		{"clustered", func(n int) []uint64 {
+			keys := randomKeys(r, n)
+			for i := range keys {
+				keys[i] = 0x2a5<<50 | keys[i]>>30
+			}
+			return keys
+		}},
 	}
-	within, overrun := 0, 0
-	for _, n := range []int{0, 1, 2, 63, 64, 65, 4096} {
+	for _, n := range []int{0, 1, 2, presortMin - 1, presortMin, presortMin + 1, 4096} {
 		for _, in := range inputs {
 			keys := in.gen(n)
 			perm := make([]int32, n)
 			for i := range perm {
 				perm[i] = int32(i)
 			}
-			want := slices.Clone(perm)
-			slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
-			if n >= 2 {
-				if insertionSortByKey(slices.Clone(keys), slices.Clone(perm), 4*n) {
-					within++
-				} else {
-					overrun++
+			if n < presortMin {
+				orig := slices.Clone(keys)
+				presort(keys, perm, make([]uint64, n), make([]int32, n))
+				if !slices.Equal(keys, orig) || !slices.IsSorted(perm) {
+					t.Fatalf("n=%d %s: presort reordered an input below presortMin", n, in.name)
 				}
+				continue
 			}
+			var diff uint64
+			for _, k := range keys {
+				diff |= k ^ keys[0]
+			}
+			diff &^= trustBits
+			low := max(bits.Len64(diff)-24, 0)
+			want := slices.Clone(perm)
+			slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(keys[a]>>low, keys[b]>>low) })
 			orig := slices.Clone(keys)
-			radixSortByKey(keys, perm, make([]uint64, n), make([]int32, n))
+			presort(keys, perm, make([]uint64, n), make([]int32, n))
 			for i := range want {
 				if perm[i] != want[i] || keys[i] != orig[want[i]] {
 					t.Fatalf("n=%d %s: slot %d holds (key %#x, perm %d), stable sort has (key %#x, perm %d)",
@@ -314,9 +378,6 @@ func TestRadixSortByKeyMatchesStableSort(t *testing.T) {
 				}
 			}
 		}
-	}
-	if within == 0 || overrun == 0 {
-		t.Fatalf("%d inputs sorted within the insertion budget and %d overran it; want both paths", within, overrun)
 	}
 }
 
@@ -840,7 +901,6 @@ func TestForceBatchDeepTree(t *testing.T) {
 	}
 	ft := &FlatTree{}
 	ft.RebuildWithRoot(bodies, center, half)
-	ft.PackPM()
 	if err := ft.Verify(); err != nil {
 		t.Fatal(err)
 	}

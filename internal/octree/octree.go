@@ -33,23 +33,17 @@ func Octant(center, p vec.V3) int {
 // (center, half).
 func ChildBounds(center vec.V3, half float64, oct int) (vec.V3, float64) {
 	q := half / 2
-	c := center
-	if oct&1 != 0 {
-		c.X += q
-	} else {
-		c.X -= q
-	}
-	if oct&2 != 0 {
-		c.Y += q
-	} else {
-		c.Y -= q
-	}
-	if oct&4 != 0 {
-		c.Z += q
-	} else {
-		c.Z -= q
-	}
-	return c, q
+	// c ± q as c + (±1)·q: the product is exact, so the sum is the same
+	// rounding of c ± q, and selecting the sign by table leaves the build
+	// no branch to mispredict.
+	return center.AddScaled(octSign[oct&7], q), q
+}
+
+// octSign[oct] points from a cell's centre toward child oct's: +1 on an
+// axis whose Octant bit is set, -1 on the others.
+var octSign = [8]vec.V3{
+	{X: -1, Y: -1, Z: -1}, {X: 1, Y: -1, Z: -1}, {X: -1, Y: 1, Z: -1}, {X: 1, Y: 1, Z: -1},
+	{X: -1, Y: -1, Z: 1}, {X: 1, Y: -1, Z: 1}, {X: -1, Y: 1, Z: 1}, {X: 1, Y: 1, Z: 1},
 }
 
 // Accept reports whether a cell of side l = 2*half whose center of mass

@@ -12,25 +12,26 @@ import (
 //
 // The top `depth` levels of the root cube are the CROWN; the 8^depth
 // cubes below it are the BINS, numbered in octant (= DFS = Morton) order.
-// Every body is binned by the geometric Octant test — the test buildRange
-// splits with, never a Morton prefix — so a body on a cell face lands in
-// the bin the canonical tree puts it in. Bins are dealt to workers as
+// Every body is binned by the geometric Octant test — the test that
+// defines the tree (split reads a key digit only where it agrees), never
+// a Morton prefix — so a body on a cell face lands in the bin the
+// canonical tree puts it in. Bins are dealt to workers as
 // contiguous runs by cumulative body count, each worker builds its bins'
-// subtrees with the ordinary sort + buildRange into a private segment,
-// and the segments are copied into the one result tree at the positions
+// subtrees with the ordinary AppendSubtree into a private segment, and
+// the segments are copied into the one result tree at the positions
 // DFS preorder gives them, with the few crown cells written in between.
 //
 // Because the octree over a body set is canonical and every aggregate is
-// summed over children in octant order — in the segments by buildRange,
-// in the crown by place, which repeats buildRange's operation sequence —
+// summed over children in octant order — in the segments by split,
+// in the crown by place, which repeats split's operation sequence —
 // the result does not depend on who built what: Tree is array for array,
-// bit for bit, what RebuildWithRoot + PackPM produce over the same bodies
+// bit for bit, what RebuildWithRoot produces over the same bodies
 // and root cube, at any worker count and any assignment of bodies to
 // workers (FuzzParallelFlatBuild).
 //
 // A build is five stages with a barrier (the caller's) after each:
 //
-//	1  every worker   Begin, then Count for each of its bodies
+//	1  every worker   Count, over all of its bodies
 //	2  every worker   Offsets, then Put for each body
 //	3  every worker   Build
 //	4  worker 0       Crown
@@ -138,7 +139,7 @@ func (pb *ParBuild) Init(n, workers, depth int, mem *arena.Arena, wmem []*arena.
 		w.seg.SetArena(w.mem)
 		// A segment's cells are private; its bodies are Tree's own slots
 		// (fixed from here on), so leaves name final positions.
-		w.seg.Bodies = pb.Tree.Bodies
+		w.seg.Bodies, w.seg.PM = pb.Tree.Bodies, pb.Tree.PM
 		w.cent = make([]vec.V3, levelOff[depth])
 		w.counts = make([]int32, bins)
 		w.first = make([]int32, bins+1)
@@ -149,19 +150,23 @@ func (pb *ParBuild) Init(n, workers, depth int, mem *arena.Arena, wmem []*arena.
 // Worker returns worker i's handle.
 func (pb *ParBuild) Worker(i int) *ParWorker { return &pb.workers[i] }
 
-// Begin opens stage 1 for a worker that holds nOwn bodies this build.
-// Every worker passes the same root cube.
-func (w *ParWorker) Begin(center vec.V3, half float64, nOwn int) {
+// Count is stage 1: it bins the worker's bodies, pos[i] its i-th, in
+// the crown of the root cube (center, half), which every worker passes
+// alike.
+func (w *ParWorker) Count(center vec.V3, half float64, pos []vec.V3) {
 	w.center, w.half = center, half
 	clear(w.counts)
-	if cap(w.binOf) < nOwn {
-		w.binOf = arena.MakeSlice[int32](w.mem, nOwn, max(nOwn, 2*cap(w.binOf)))
+	n := len(pos)
+	if cap(w.binOf) < n {
+		w.binOf = arena.MakeSlice[int32](w.mem, n, max(n, 2*cap(w.binOf)))
 	}
-	w.binOf = w.binOf[:nOwn]
+	w.binOf = w.binOf[:n]
 	if w.pb.depth == 0 {
+		clear(w.binOf)
+		w.counts[0] = int32(n)
 		return
 	}
-	// Crown cube centers, by the ChildBounds chain buildRange follows.
+	// Crown cube centers, by the ChildBounds chain split follows.
 	w.cent[0], w.lastHalf = center, half
 	for l := 1; l < w.pb.depth; l++ {
 		var q float64
@@ -170,16 +175,14 @@ func (w *ParWorker) Begin(center vec.V3, half float64, nOwn int) {
 		}
 		w.lastHalf = q
 	}
-}
-
-// Count bins the worker's i-th body.
-func (w *ParWorker) Count(i int, pos vec.V3) {
-	m := int32(0)
-	for l := 0; l < w.pb.depth; l++ {
-		m = m<<3 | int32(Octant(w.cent[levelOff[l]+m], pos))
+	for i, p := range pos {
+		m := int32(0)
+		for l := 0; l < w.pb.depth; l++ {
+			m = m<<3 | int32(Octant(w.cent[levelOff[l]+m], p))
+		}
+		w.binOf[i] = m
+		w.counts[m]++
 	}
-	w.binOf[i] = m
-	w.counts[m]++
 }
 
 // Offsets opens stage 2: from every worker's counts, the first slot of
@@ -243,6 +246,7 @@ func (w *ParWorker) Build() {
 			// A lone body is a leaf of the crown cell above it.
 			seg.Bodies.CopySlot(int(lo), &pb.Src, int(lo))
 			seg.Bodies.ID[lo] = lo
+			seg.PM[lo] = PosMass{Pos: seg.Bodies.Pos[lo], Mass: seg.Bodies.Mass[lo]}
 		} else {
 			c, h := w.center, w.half
 			if pb.depth > 0 {
@@ -251,9 +255,6 @@ func (w *ParWorker) Build() {
 			nl, kl := int32(len(seg.Nodes)), int32(len(seg.Kids))
 			seg.AppendSubtree(&pb.Src, lo, hi, c, h, pb.depth)
 			pb.segs[b] = binSeg{nl, int32(len(seg.Nodes)) - nl, kl, int32(len(seg.Kids)) - kl}
-		}
-		for j := lo; j < hi; j++ {
-			pb.Tree.PM[j] = PosMass{Pos: seg.Bodies.Pos[j], Mass: seg.Bodies.Mass[j]}
 		}
 	}
 }
@@ -313,7 +314,7 @@ func resize[T any](a *arena.Arena, s []T, n int) []T {
 // positions of Tree in DFS preorder and returns its cell's index. For a
 // bin that records where Stitch copies the segment; for a crown cube it
 // reserves the kid block, places the children in octant order and writes
-// the cell, aggregating them in that order with buildRange's exact
+// the cell, aggregating them in that order with split's exact
 // AddScaled / Scale(1/mass) sequence — the values the serial build
 // computes for this cell.
 func (pb *ParBuild) place(l int, m int32, center vec.V3, half float64) int32 {

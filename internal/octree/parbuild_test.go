@@ -2,6 +2,7 @@ package octree
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -25,11 +26,11 @@ func parBuild(bodies []nbody.Body, owner []int, workers, depth int) (*ParBuild, 
 		own[w] = append(own[w], int32(i))
 	}
 	for w := 0; w < workers; w++ {
-		pw := pb.Worker(w)
-		pw.Begin(center, half, len(own[w]))
+		pos := make([]vec.V3, len(own[w]))
 		for i, bi := range own[w] {
-			pw.Count(i, bodies[bi].Pos)
+			pos[i] = bodies[bi].Pos
 		}
+		pb.Worker(w).Count(center, half, pos)
 	}
 	from := make([]int32, len(bodies))
 	for w := 0; w < workers; w++ {
@@ -94,8 +95,12 @@ func assertSameFlat(t *testing.T, got *FlatTree, from []int32, want *FlatTree) {
 
 // fuzzBodies draws n distinct positions of one of the shapes that stress
 // the builder: smooth, clustered around a few points, snapped to cell
-// faces of the root cube's grid, or pairs 2^-40 apart (deep chains, equal
-// Morton keys).
+// faces of the root cube's grid, pairs 2^-40 apart (deep chains, equal
+// Morton keys), a drifted step (the last tree's slot order after every
+// body moved a little: what core's put stage hands a bin, nearly sorted
+// with a few far moves), or hugging cell planes (within a few Morton
+// quanta and ulps of a cell plane, where a key digit and the geometric
+// Octant test may disagree).
 func fuzzBodies(r *rng.RNG, n, shape int) []nbody.Body {
 	bodies := make([]nbody.Body, n)
 	var hubs [4]vec.V3
@@ -104,7 +109,7 @@ func fuzzBodies(r *rng.RNG, n, shape int) []nbody.Body {
 	}
 	for i := range bodies {
 		p := vec.V3{X: r.Range(-8, 8), Y: r.Range(-8, 8), Z: r.Range(-8, 8)}
-		switch shape % 4 {
+		switch shape % 6 {
 		case 1:
 			p = hubs[intn(r, len(hubs))].Add(p.Scale(1.0 / 512))
 		case 2:
@@ -122,6 +127,12 @@ func fuzzBodies(r *rng.RNG, n, shape int) []nbody.Body {
 		}
 		bodies[i] = nbody.Body{Pos: p, Mass: r.Range(0.1, 2), Cost: float64(1 + intn(r, 5)), ID: int32(i)}
 	}
+	switch shape % 6 {
+	case 4:
+		bodies = drifted(r, bodies)
+	case 5:
+		hugPlanes(r, bodies)
+	}
 	// Both builders panic on coincident positions, by contract.
 	seen := map[vec.V3]bool{}
 	for i := range bodies {
@@ -131,6 +142,76 @@ func fuzzBodies(r *rng.RNG, n, shape int) []nbody.Body {
 		seen[bodies[i].Pos] = true
 	}
 	return bodies
+}
+
+// drifted returns bodies in the slot order of the tree over them, each
+// moved by a small random step (most well inside its cell, some across a
+// plane), renumbered in that order.
+func drifted(r *rng.RNG, bodies []nbody.Body) []nbody.Body {
+	ft := buildFlat(bodies)
+	step := ft.Half * math.Pow(float64(len(bodies)), -1.0/3) / 16
+	out := make([]nbody.Body, len(bodies))
+	for j, id := range ft.Bodies.ID {
+		b := bodies[id]
+		b.Pos = b.Pos.Add(vec.V3{X: r.Range(-step, step), Y: r.Range(-step, step), Z: r.Range(-step, step)})
+		b.ID = int32(j)
+		out[j] = b
+	}
+	return out
+}
+
+// hugPlanes fixes the bounding box with the first two bodies (a corner
+// each, so the root cube's centre is not a round number) and moves every
+// other body next to the centre plane of a cell on a random path from
+// the root, 0 to 18 levels down: exactly on it, or a few ulps or a
+// fraction of a root-cube Morton quantum off it, on one axis or two.
+func hugPlanes(r *rng.RNG, bodies []nbody.Body) {
+	if len(bodies) < 3 {
+		return
+	}
+	lo := vec.V3{X: r.Range(-8, -1), Y: r.Range(-8, -1), Z: r.Range(-8, -1)}
+	hi := vec.V3{X: r.Range(1, 8), Y: r.Range(1, 8), Z: r.Range(1, 8)}
+	bodies[0].Pos, bodies[1].Pos = lo, hi
+	center, half := nbody.RootCell(lo, hi)
+	quantum := 2 * half / (1 << 21)
+	near := func(c float64) float64 {
+		switch intn(r, 4) {
+		case 0:
+			return c
+		case 1:
+			return c + float64(intn(r, 5)-2)*math.Abs(math.Nextafter(c, math.Inf(1))-c)
+		default:
+			return c + float64(intn(r, 9)-4)*quantum/2
+		}
+	}
+	for i := 2; i < len(bodies); i++ {
+		for {
+			c, h := center, half
+			for range intn(r, 19) {
+				c, h = ChildBounds(c, h, intn(r, 8))
+			}
+			// Inside the box, so it stays the box: drawn in the part of
+			// the cell the box covers, a cell outside it drawn again.
+			p, ok := [3]float64{}, true
+			cs, ls, hs := [3]float64{c.X, c.Y, c.Z}, [3]float64{lo.X, lo.Y, lo.Z}, [3]float64{hi.X, hi.Y, hi.Z}
+			for a := range p {
+				from, to := max(cs[a]-h, ls[a]), min(cs[a]+h, hs[a])
+				p[a], ok = r.Range(from, to), ok && from < to
+			}
+			// One or two axes, so two bodies never share all three plane
+			// coordinates (a pair a few ulps apart only tests the depth
+			// limit).
+			for axes := intn(r, 6) + 1; axes != 0; axes &= axes - 1 {
+				a := bits.TrailingZeros(uint(axes))
+				p[a] = near(cs[a])
+				ok = ok && ls[a] <= p[a] && p[a] <= hs[a]
+			}
+			if ok {
+				bodies[i].Pos = vec.V3{X: p[0], Y: p[1], Z: p[2]}
+				break
+			}
+		}
+	}
 }
 
 // FuzzParallelFlatBuild: for any body set, worker count, crown depth and
@@ -144,6 +225,8 @@ func FuzzParallelFlatBuild(f *testing.F) {
 	f.Add(uint64(5), uint16(400), uint8(8), uint8(3), uint8(3), uint8(1))  // 2^-40 pairs
 	f.Add(uint64(6), uint16(0), uint8(1), uint8(0), uint8(0), uint8(0))    // one body, no crown, an idle worker
 	f.Add(uint64(2), uint16(0), uint8(29), uint8(2), uint8(9), uint8(58))  // one body under a crown
+	f.Add(uint64(7), uint16(2047), uint8(1), uint8(3), uint8(4), uint8(0)) // a drifted step, one bin per worker's run
+	f.Add(uint64(8), uint16(1500), uint8(3), uint8(2), uint8(5), uint8(1)) // bodies hugging cell planes
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, wRaw, dRaw, shape, ownRaw uint8) {
 		n := int(nRaw)%3000 + 1
 		workers := int(wRaw)%8 + 1
@@ -192,11 +275,11 @@ func TestParallelBuildCorners(t *testing.T) {
 	}
 	bodies[0].Pos, bodies[1].Pos = vec.V3{X: -8, Y: -8, Z: -8}, vec.V3{X: 8, Y: 8, Z: 8}
 	for w := 0; w < 4; w++ {
-		pw := pb.Worker(w)
-		pw.Begin(center, half, len(bodies)/4)
-		for i := 0; i < len(bodies)/4; i++ {
-			pw.Count(i, bodies[4*i+w].Pos)
+		pos := make([]vec.V3, len(bodies)/4)
+		for i := range pos {
+			pos[i] = bodies[4*i+w].Pos
 		}
+		pb.Worker(w).Count(center, half, pos)
 	}
 	for w := 0; w < 4; w++ {
 		pw := pb.Worker(w)

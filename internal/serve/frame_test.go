@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -350,6 +351,47 @@ func TestSnapshotWithoutBodiesGathersNone(t *testing.T) {
 	t.Logf("%d B per request; one body gather is %d B", per, gather)
 }
 
+// TestStreamWithoutBodiesGathersNone: a stream subscriber that did not
+// ask for bodies (no ?bodies=1) does not make each step gather them — the
+// snapshot a step publishes to it carries none.
+func TestStreamWithoutBodiesGathersNone(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 1})
+	opts := placedOpts(256, 1)
+	opts.Steps = 100
+	sess, _, err := s.admit(s.buildCreate(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The test steps the session itself: keep the stream from starting
+	// a stepper.
+	onLoop(t, s, sess, func() { sess.stepping = true })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/sims/"+sess.id+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	waitFor(t, "the stream to subscribe", func() bool { return sess.hub.subscriberCount() == 1 })
+	for range 3 {
+		var snap *core.Snapshot
+		onLoop(t, s, sess, func() {
+			if snap, err = s.stepLocked(sess, 1, false); err != nil {
+				t.Error(err)
+			}
+		})
+		if snap != nil && len(snap.Bodies) != 0 {
+			t.Fatalf("step %d published %d bodies to a stream that did not ask for them", snap.Step, len(snap.Bodies))
+		}
+	}
+}
+
 // TestFrameLifetime: a frame's lines come from the pool and go back when
 // its last holder lets go, and a release beyond the holders panics
 // instead of freeing a buffer someone else may be writing from.
@@ -418,7 +460,7 @@ func BenchmarkStreamFanOut(b *testing.B) {
 			h := newHub()
 			var read, done sync.WaitGroup
 			for i := 0; i < subs; i++ {
-				sub := h.subscribe(1)
+				sub := h.subscribe(1, true)
 				done.Add(1)
 				go func() {
 					defer done.Done()

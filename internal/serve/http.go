@@ -429,7 +429,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *sess
 		if first, err = sess.snapshot(withBodies); err != nil {
 			return err
 		}
-		sub = sess.hub.subscribe(s.cfg.subBuffer) // nil if already finished: stream is just the terminal frame
+		sub = sess.hub.subscribe(s.cfg.subBuffer, withBodies) // nil if already finished: stream is just the terminal frame
 		s.ensureStepperLocked(sess, every)
 		return nil
 	})

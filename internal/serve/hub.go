@@ -23,6 +23,7 @@ type hub struct {
 	subs    map[*subscriber]struct{}
 	closed  bool
 	dropped uint64
+	bodied  int // subscribers that asked for bodies
 
 	// frames counts the line buffers of every frame of this session,
 	// published or not (a stream's first frame).
@@ -32,7 +33,8 @@ type hub struct {
 // subscriber is one stream consumer's view of a hub. Receiving a frame
 // from ch makes the receiver its holder: release it after use.
 type subscriber struct {
-	ch chan *frame
+	ch     chan *frame
+	bodies bool // it writes frames with their bodies
 }
 
 func newHub() *hub {
@@ -40,9 +42,10 @@ func newHub() *hub {
 }
 
 // subscribe attaches a consumer with a private buffer of `buf`
-// snapshots. On a closed hub (the session already finished) it returns
-// nil: the caller serves the terminal state and ends the stream.
-func (h *hub) subscribe(buf int) *subscriber {
+// snapshots, which writes them with their bodies if `bodies`. On a closed
+// hub (the session already finished) it returns nil: the caller serves
+// the terminal state and ends the stream.
+func (h *hub) subscribe(buf int, bodies bool) *subscriber {
 	if buf < 1 {
 		buf = 1
 	}
@@ -51,8 +54,11 @@ func (h *hub) subscribe(buf int) *subscriber {
 	if h.closed {
 		return nil
 	}
-	sub := &subscriber{ch: make(chan *frame, buf)}
+	sub := &subscriber{ch: make(chan *frame, buf), bodies: bodies}
 	h.subs[sub] = struct{}{}
+	if bodies {
+		h.bodied++
+	}
 	return sub
 }
 
@@ -64,6 +70,9 @@ func (h *hub) unsubscribe(sub *subscriber) {
 	if _, ok := h.subs[sub]; ok {
 		delete(h.subs, sub)
 		close(sub.ch)
+		if sub.bodies {
+			h.bodied--
+		}
 	}
 	h.mu.Unlock()
 	// Off the hub's set the channel is closed, by the lines above or by
@@ -115,19 +124,27 @@ func (h *hub) close() {
 		return
 	}
 	h.closed = true
+	h.bodied = 0
 	for sub := range h.subs {
 		delete(h.subs, sub)
 		close(sub.ch)
 	}
 }
 
-// subscriberCount reports the number of attached consumers. Stream
-// subscriptions are taken on the session's shard loop, so a shard task
-// that checks the count and then publishes sees a stable value.
+// subscriberCount reports the number of attached consumers.
 func (h *hub) subscriberCount() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.subs)
+}
+
+// wantsBodies reports whether an attached consumer writes bodies. Stream
+// subscriptions are taken on the session's shard loop, so a shard task
+// that checks it and then publishes sees a stable answer.
+func (h *hub) wantsBodies() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.bodied > 0
 }
 
 // droppedCount returns the total snapshots lost to the drop policy.

@@ -117,7 +117,7 @@ func TestAdmitDrainingRace(t *testing.T) {
 			if _, err := built.sim.Snapshot(); !errors.Is(err, core.ErrReleased) {
 				t.Fatalf("stranded Sim not released: Snapshot err = %v", err)
 			}
-			if built.hub.subscribe(1) != nil {
+			if built.hub.subscribe(1, false) != nil {
 				t.Fatal("stranded session's hub left open")
 			}
 			if st := s.Stats().Sessions; st.Live != 0 || st.Created != 0 || st.Recovered != 0 {

@@ -456,10 +456,10 @@ func (s *Server) finalizeLocked(sess *session) error {
 // the previous published frame.
 // The snapshot's cost tracks demand: the full body gather is the
 // bulk of a Snapshot, so it runs only when this caller asked
-// for bodies or a stream subscriber is listening (subscriptions are
-// taken on this shard loop, so the count cannot change under us);
-// otherwise the bodies-free SnapshotMeta path serves both the step
-// response and the hub publication.
+// for bodies or a stream subscriber that asked for them is listening
+// (subscriptions are taken on this shard loop, so that cannot change
+// under us); otherwise the bodies-free SnapshotMeta path serves both
+// the step response and the hub publication.
 func (s *Server) stepLocked(sess *session, k int, wantBodies bool) (*core.Snapshot, error) {
 	if sess.released {
 		return nil, core.ErrReleased
@@ -471,7 +471,7 @@ func (s *Server) stepLocked(sess *session, k int, wantBodies bool) (*core.Snapsh
 		return nil, err
 	}
 	snapshot := sess.sim.SnapshotMeta
-	if wantBodies || sess.hub.subscriberCount() > 0 {
+	if wantBodies || sess.hub.wantsBodies() {
 		snapshot = sess.sim.Snapshot
 	}
 	snap, err := snapshot()

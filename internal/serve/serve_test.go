@@ -389,7 +389,7 @@ func TestFanOutSubscribers(t *testing.T) {
 			if i == 0 {
 				buf = 1
 			}
-			subs[i] = sess.hub.subscribe(buf)
+			subs[i] = sess.hub.subscribe(buf, false)
 		}
 		s.ensureStepperLocked(sess, 1)
 	})
@@ -676,7 +676,7 @@ func TestStepDoesNotMutateStreamedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sub *subscriber
-	onLoop(t, s, sess, func() { sub = sess.hub.subscribe(s.cfg.subBuffer) })
+	onLoop(t, s, sess, func() { sub = sess.hub.subscribe(s.cfg.subBuffer, true) })
 
 	done := make(chan struct{})
 	go func() {
@@ -728,7 +728,7 @@ func TestSnapshotsDroppedMonotone(t *testing.T) {
 	// A subscriber with a one-deep buffer that never drains: every
 	// publish past the first evicts its oldest frame.
 	onLoop(t, s, sess, func() {
-		sess.hub.subscribe(1)
+		sess.hub.subscribe(1, false)
 		if _, err := s.stepLocked(sess, 1, false); err != nil {
 			t.Errorf("step: %v", err)
 			return

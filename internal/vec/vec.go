@@ -36,14 +36,19 @@ func (v V3) Len() float64 { return math.Sqrt(v.Len2()) }
 // Dist2 returns the squared distance between v and w.
 func (v V3) Dist2(w V3) float64 { return v.Sub(w).Len2() }
 
-// Min returns the component-wise minimum of v and w.
+// Min returns the component-wise minimum of v and w. The builtin min
+// inlines, and its result is math.Min's (-0 is below +0, a NaN wins)
+// except where a NaN meets -Inf: there it is NaN, where math.Min says
+// -Inf. A box over bodies that holds a NaN coordinate is NaN either way
+// unless another body sits at -Inf.
 func (v V3) Min(w V3) V3 {
-	return V3{math.Min(v.X, w.X), math.Min(v.Y, w.Y), math.Min(v.Z, w.Z)}
+	return V3{min(v.X, w.X), min(v.Y, w.Y), min(v.Z, w.Z)}
 }
 
-// Max returns the component-wise maximum of v and w.
+// Max returns the component-wise maximum of v and w: math.Max's result
+// except where a NaN meets +Inf (NaN here, +Inf there), as for Min.
 func (v V3) Max(w V3) V3 {
-	return V3{math.Max(v.X, w.X), math.Max(v.Y, w.Y), math.Max(v.Z, w.Z)}
+	return V3{max(v.X, w.X), max(v.Y, w.Y), max(v.Z, w.Z)}
 }
 
 // MaxComponent returns the largest of the three components.

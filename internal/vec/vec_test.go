@@ -43,6 +43,38 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
+// TestMinMaxMatchMath: Min and Max use the builtin min and max, which
+// give math.Min's and math.Max's result bit for bit on every pair of
+// NaN, ±0, ±Inf, subnormals and normals (-0 is below +0, a NaN wins) but
+// one: a NaN against the infinity that would win, where math returns
+// the infinity and the builtins NaN.
+func TestMinMaxMatchMath(t *testing.T) {
+	nan := math.NaN()
+	inf := math.Inf(1)
+	sub := math.SmallestNonzeroFloat64
+	vals := []float64{nan, math.Copysign(0, -1), 0, inf, -inf, sub, -sub, 2 * sub,
+		math.Float64frombits(0x000f_ffff_ffff_ffff), 1, -1, 0.5, math.MaxFloat64, -math.MaxFloat64}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			wantMin, wantMax := math.Min(a, b), math.Max(a, b)
+			if math.IsNaN(a) || math.IsNaN(b) {
+				// The exception: math lets -Inf (+Inf) beat a NaN.
+				wantMin, wantMax = nan, nan
+			}
+			lo, hi := V3{a, b, a}.Min(V3{b, a, a}), V3{a, b, a}.Max(V3{b, a, a})
+			if !same(lo.X, wantMin) || !same(lo.Y, wantMin) || !same(lo.Z, a) {
+				t.Errorf("Min of %v and %v = %v, want %v", a, b, lo, wantMin)
+			}
+			if !same(hi.X, wantMax) || !same(hi.Y, wantMax) || !same(hi.Z, a) {
+				t.Errorf("Max of %v and %v = %v, want %v", a, b, hi, wantMax)
+			}
+		}
+	}
+}
+
 // Property: vector addition commutes and Sub inverts Add.
 func TestQuickAddProperties(t *testing.T) {
 	f := func(ax, ay, az, bx, by, bz float64) bool {
