@@ -324,8 +324,8 @@ func stepRows(cs *ckptState) ([]PhaseTimes, error) {
 // ownedBodies decodes a container's n owned bodies in capture order
 // (thread order, each thread's n_owned in turn): the bodies region, or
 // an older container's refs resolved, in the same order, into its heap
-// region's shards. Either way the owned counts must sum to n and the IDs
-// be a permutation of 0..n-1.
+// region's shards. Either way the owned counts must sum to n, the IDs
+// be a permutation of 0..n-1 and every field be finite.
 func ownedBodies(c *arena.Checkpoint, cs *ckptState) ([]nbody.Body, error) {
 	n, owned := cs.Options.Bodies, 0
 	for i, tc := range cs.Threads {
@@ -373,6 +373,9 @@ func ownedBodies(c *arena.Checkpoint, cs *ckptState) ([]nbody.Body, error) {
 	for i := range out {
 		if err := ids.claim(out[i].ID); err != nil {
 			return nil, err
+		}
+		if !finiteBody(&out[i]) {
+			return nil, fmt.Errorf("core: checkpoint body %d has a NaN or infinite field", out[i].ID)
 		}
 	}
 	return out, nil

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,6 +19,7 @@ import (
 
 	"upcbh/internal/arena"
 	"upcbh/internal/hostenv"
+	"upcbh/internal/nbody"
 	"upcbh/internal/octree"
 )
 
@@ -332,6 +334,9 @@ func TestRestoreRejects(t *testing.T) {
 	// IDs, but the second body placed overwrites the first.
 	expectErr("ref named twice",
 		resealed(t, ckpt, dupRef), "owned by two threads")
+	// A NaN position would reach the native flat build's depth limit.
+	expectErr("NaN position",
+		resealed(t, ckpt, nanPosition), "NaN or infinite")
 
 	// Options that New would have panicked on (divide by zero, negative
 	// slice length) rather than rejected.
@@ -748,6 +753,15 @@ func TestRestoreHeapRefsNativeContainer(t *testing.T) {
 // naming one slot.
 func dupRef(_ *ckptState, r map[string][]byte) {
 	copy(r[regRefs][refBytes:2*refBytes], r[regRefs][:refBytes])
+}
+
+// nanPosition sets the first body record's Pos.X to NaN.
+func nanPosition(_ *ckptState, r map[string][]byte) {
+	var b [1]nbody.Body
+	rec := bodyRecordBytes(b[:])
+	copy(rec, r[regBodies])
+	b[0].Pos.X = math.NaN()
+	copy(r[regBodies], rec)
 }
 
 // TestRestoreHeapRefsSimContainer: testdata/sim-heaprefs.ckpt is a

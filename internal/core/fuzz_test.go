@@ -152,9 +152,10 @@ func FuzzOptionsKeyCollisionFree(f *testing.F) {
 // is ErrBadCheckpoint or a Sim whose next Step(1) (when the schedule has
 // one left) and Snapshot succeed — never a panic. Seeded with
 // TestRestoreRejects' cases, the older-layout native and simulate
-// fixtures, crafted native bodies regions, fresh native containers at one
-// and three threads, a simulate one, and two refs naming one slot in the
-// fresh simulate container and in the simulate fixture.
+// fixtures, crafted native bodies regions (a NaN position among them),
+// fresh native containers at one and three threads, a simulate one, and
+// two refs naming one slot in the fresh simulate container and in the
+// simulate fixture.
 func FuzzRestore(f *testing.F) {
 	capture := func(opts Options, k int) []byte {
 		sim, err := New(opts)
@@ -216,6 +217,7 @@ func FuzzRestore(f *testing.F) {
 		func(_ *ckptState, r map[string][]byte) { r[regBodies] = r[regBodies][:len(r[regBodies])-bodyBytes] },
 		func(cs *ckptState, _ map[string][]byte) { cs.Threads[2].NOwned++ },
 		func(_ *ckptState, r map[string][]byte) { copy(r[regBodies][bodyBytes:], r[regBodies][:bodyBytes]) },
+		nanPosition,
 		func(cs *ckptState, _ map[string][]byte) { cs.Options.ExecMode = ModeSimulate },
 	} {
 		seeds = append(seeds, resealed(f, native, mut))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -409,6 +410,36 @@ func TestSetBodiesAfterStartPanics(t *testing.T) {
 		}
 	}()
 	sim.SetBodies(make([]nbody.Body, 4))
+}
+
+// TestSetBodiesNonFinitePanics: a NaN or infinite field is refused when
+// the bodies are set, naming the body, and not by a panic in the native
+// flat build of the first step.
+func TestSetBodiesNonFinitePanics(t *testing.T) {
+	for _, bad := range []func(b *nbody.Body){
+		func(b *nbody.Body) { b.Pos.X = math.NaN() },
+		func(b *nbody.Body) { b.Pos.Z = math.Inf(-1) },
+		func(b *nbody.Body) { b.Vel.Y = math.Inf(1) },
+		func(b *nbody.Body) { b.Mass = math.NaN() },
+	} {
+		opts := DefaultOptions(64, 1, LevelMergedBuild)
+		opts.ExecMode = ModeNative
+		sim, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies := nbody.Plummer(64, 3)
+		bad(&bodies[17])
+		func() {
+			defer sim.Release()
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "body 17") {
+					t.Fatalf("SetBodies of a non-finite body: panic %v, want one naming body 17", r)
+				}
+			}()
+			sim.SetBodies(bodies)
+		}()
+	}
 }
 
 // TestSetBodiesResizes: the backend is built when the session starts, so

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"upcbh/internal/arena"
@@ -190,6 +191,11 @@ func (s *Sim) SetBodies(bodies []nbody.Body) {
 	}
 	if len(bodies) < 2 {
 		panic("core: SetBodies needs at least 2 bodies")
+	}
+	for i := range bodies {
+		if !finiteBody(&bodies[i]) {
+			panic(fmt.Sprintf("core: SetBodies body %d has a NaN or infinite field", i))
+		}
 	}
 	s.init = make([]nbody.Body, len(bodies))
 	copy(s.init, bodies)
@@ -454,6 +460,19 @@ func (s *Sim) gatherBodies() ([]nbody.Body, error) {
 type idSet struct {
 	seen     []uint64
 	n, owned int
+}
+
+// finiteBody reports whether every float field of b is finite. A NaN or
+// ±Inf position has no octant: the native flat build would recurse to
+// its depth limit and panic in the first step.
+func finiteBody(b *nbody.Body) bool {
+	for _, f := range [...]float64{b.Pos.X, b.Pos.Y, b.Pos.Z, b.Mass, b.Cost,
+		b.Vel.X, b.Vel.Y, b.Vel.Z, b.Acc.X, b.Acc.Y, b.Acc.Z, b.Phi} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 func newIDSet(n int) idSet { return idSet{seen: make([]uint64, (n+63)/64), n: n} }

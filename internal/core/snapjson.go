@@ -17,10 +17,12 @@ import (
 // through their own marshalers, floats in json's ES6-style format), with
 // no reflection — a frame is 13 floats per body, and walking them through
 // reflect once per reader was the largest cost of a streamed session
-// (DESIGN.md §12.6). strconv.AppendFloat is the formatter encoding/json
-// itself uses, so the digits cannot drift. A NaN or ±Inf anywhere is an
-// error, as it is for json.Marshal; dst then comes back at its original
-// length, so a caller never sends part of a frame.
+// (DESIGN.md §12.6). Floats, the bulk of a frame's encode, go through
+// appendNumber: the shortest digits that round-trip are a function of
+// the float alone, so it writes the bytes encoding/json's
+// strconv.AppendFloat writes, in under half the time. A NaN or ±Inf
+// anywhere is an error, as it is for json.Marshal; dst then comes back
+// at its original length, so a caller never sends part of a frame.
 //
 // Snapshot deliberately does not implement json.Marshaler: encoding/json
 // re-scans and compacts a Marshaler's output byte by byte, which costs
@@ -119,25 +121,14 @@ func (e *snapEncoder) string(key, s string) {
 	e.b = append(e.b, '"')
 }
 
-// number is encoding/json's float64 encoder: the shortest digits that
-// round-trip, 'f' format except below 1e-6 and from 1e21 up, where it is
-// 'e' with a one-digit negative exponent unpadded (e-09 → e-9).
+// number is encoding/json's float64 encoder (appendNumber); NaN and ±Inf
+// are json.Marshal's error.
 func (e *snapEncoder) number(f float64) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		e.fail(fmt.Errorf("unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64)))
 		return
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(e.b); n >= 4 && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
-			e.b[n-2] = e.b[n-1]
-			e.b = e.b[:n-1]
-		}
-	}
+	e.b = appendNumber(e.b, f)
 }
 
 func (e *snapEncoder) float(key string, f float64) {

@@ -60,6 +60,13 @@ func callOK(t *testing.T, method, url string, body []byte, want int, out any) []
 // the moved body's ID and its new Pos.X.
 func movedBody(t *testing.T, ckpt []byte) ([]byte, int32, float64) {
 	t.Helper()
+	return editedPosX(t, ckpt, func(x float64) float64 { return x + 0.5 })
+}
+
+// editedPosX is movedBody with the new Pos.X computed by edit from the
+// old one.
+func editedPosX(t *testing.T, ckpt []byte, edit func(float64) float64) ([]byte, int32, float64) {
+	t.Helper()
 	c, err := arena.ReadCheckpoint(bytes.NewReader(ckpt))
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +75,7 @@ func movedBody(t *testing.T, ckpt []byte) ([]byte, int32, float64) {
 	if !ok || len(rec) < int(unsafe.Sizeof(nbody.Body{})) {
 		t.Fatalf("container has no body records (%d bytes)", len(rec))
 	}
-	x := math.Float64frombits(binary.LittleEndian.Uint64(rec)) + 0.5 // Pos.X leads the record
+	x := edit(math.Float64frombits(binary.LittleEndian.Uint64(rec))) // Pos.X leads the record
 	binary.LittleEndian.PutUint64(rec, math.Float64bits(x))
 	id := int32(binary.LittleEndian.Uint32(rec[unsafe.Offsetof(nbody.Body{}.ID):]))
 	var regions []arena.NamedRegion
@@ -146,6 +153,27 @@ func TestRestoreIsTheUpload(t *testing.T) {
 		t.Fatalf("restore of a novel step: %+v, want step 3", ri)
 	}
 	waitFor(t, "the step-3 upload persisted", func() bool { return bytes.Equal(stored(st, key, 3), novel) })
+}
+
+// TestRestoreRejectsNonFiniteBody: an upload whose body has a NaN
+// position, resealed so that it passes every format check, is the
+// uploader's fault: 400, and no session — not a 500 from the first step.
+func TestRestoreRejectsNonFiniteBody(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	sess, _ := admitOK(t, s, s.buildCreate(testOpts(4)))
+	stepOne(t, s, sess)
+	ckpt := callOK(t, "POST", ts.URL+"/sims/"+sess.id+"/checkpoint", nil, http.StatusOK, nil)
+	nan, _, _ := editedPosX(t, ckpt, func(float64) float64 { return math.NaN() })
+
+	created := s.Stats().Sessions.Created
+	if code, raw := call(t, "POST", ts.URL+"/sims/restore", nan); code != http.StatusBadRequest {
+		t.Fatalf("upload with a NaN position: %d %s, want 400", code, raw)
+	}
+	if got := s.Stats().Sessions.Created; got != created {
+		t.Fatalf("a NaN upload created %d sessions", got-created)
+	}
 }
 
 // TestRestoredRunNeverFeedsCache: a restored run holds whatever bodies its
