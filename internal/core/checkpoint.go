@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 	"unsafe"
 
 	"upcbh/internal/arena"
@@ -116,7 +117,9 @@ type ckptState struct {
 // cannot be checkpointed. The simulation is not perturbed: every read
 // is a copy taken while the runtime is quiescent.
 func (s *Sim) Checkpoint(w io.Writer) error {
-	regions, err := s.checkpointRegions()
+	sc := captureScratches.Get().(*captureScratch)
+	defer captureScratches.Put(sc)
+	regions, err := s.checkpointRegions(sc)
 	if err != nil {
 		return err
 	}
@@ -126,12 +129,27 @@ func (s *Sim) Checkpoint(w io.Writer) error {
 // CheckpointFile writes the bytes Checkpoint streams into a file at
 // path, published atomically and durably (arena.WriteFileCheckpoint).
 func (s *Sim) CheckpointFile(path string) error {
-	regions, err := s.checkpointRegions()
+	sc := captureScratches.Get().(*captureScratch)
+	defer captureScratches.Put(sc)
+	regions, err := s.checkpointRegions(sc)
 	if err != nil {
 		return err
 	}
 	return arena.WriteFileCheckpoint(path, s.o.Key(), s.stepsDone, captureEnv(), regions)
 }
+
+// captureScratch is the memory an engine's capture lays the body records
+// (and, under simulate, their refs) out in. The regions must exist whole
+// before the container's first byte: its header carries the payload's
+// CRC. arena.WriteCheckpoint has consumed them when it returns, so the
+// scratch goes back to captureScratches then, and a session that is not
+// checkpointing holds none of it (DESIGN §12.2).
+type captureScratch struct {
+	bodies []nbody.Body
+	refs   []byte
+}
+
+var captureScratches = sync.Pool{New: func() any { return new(captureScratch) }}
 
 // captureEnv is the host stamp for the container header (nil if it
 // does not encode).
@@ -140,7 +158,9 @@ func captureEnv() json.RawMessage {
 	return env
 }
 
-func (s *Sim) checkpointRegions() ([]arena.NamedRegion, error) {
+// checkpointRegions captures the container's regions; the engine's alias
+// sc, which must outlive their write.
+func (s *Sim) checkpointRegions(sc *captureScratch) ([]arena.NamedRegion, error) {
 	switch s.state {
 	case simNew:
 		s.start()
@@ -174,7 +194,7 @@ func (s *Sim) checkpointRegions() ([]arena.NamedRegion, error) {
 			PhaseComm:    st.phaseComm,
 		}
 	}
-	regions := s.eng.capture(&cs)
+	regions := s.eng.capture(&cs, sc)
 	state, err := json.Marshal(&cs)
 	if err != nil {
 		return nil, fmt.Errorf("core: encode checkpoint state: %w", err)

@@ -290,7 +290,7 @@ func TestRestoreRejects(t *testing.T) {
 	expectErr("payload corruption", flipped, "CRC")
 
 	// A header whose key disagrees with the embedded Options.
-	regions, err := src.checkpointRegions()
+	regions, err := src.checkpointRegions(new(captureScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestRestoreAcrossForceKernels(t *testing.T) {
 	if env.ForceKernel != octree.Kernel() {
 		t.Fatalf("header env force_kernel = %q, want this process's %q", env.ForceKernel, octree.Kernel())
 	}
-	regions, err := src.checkpointRegions()
+	regions, err := src.checkpointRegions(new(captureScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +609,7 @@ func TestRestoreOlderNativeContainer(t *testing.T) {
 
 	_, src := checkpointAt(t, opts, 2)
 	defer src.Release()
-	regions, err := src.checkpointRegions()
+	regions, err := src.checkpointRegions(new(captureScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -882,6 +882,72 @@ func TestNativeContainerIsLiveBodies(t *testing.T) {
 					t.Fatalf("payload outside state %v, want %v", sizes, want)
 				}
 			})
+		}
+	}
+}
+
+// nativeCaptureSim is a paused native session of n bodies a few steps in.
+func nativeCaptureSim(tb testing.TB, n int) *Sim {
+	tb.Helper()
+	opts := DefaultOptions(n, 1, LevelMergedBuild)
+	opts.ExecMode = ModeNative
+	opts.Steps, opts.Warmup = 8, 0
+	sim, err := New(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sim.Step(2); err != nil {
+		tb.Fatal(err)
+	}
+	return sim
+}
+
+// TestCheckpointReusesCaptureScratch: a steady-state native Checkpoint
+// into a reused buffer lays its body records out in recycled scratch, so
+// a call allocates less than the n × 104 B a fresh records slice costs.
+func TestCheckpointReusesCaptureScratch(t *testing.T) {
+	const calls = 16
+	sim := nativeCaptureSim(t, 2048)
+	defer sim.Release()
+	var buf bytes.Buffer
+	capture := func() {
+		buf.Reset()
+		if err := sim.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	capture() // fills the scratch pool and grows buf to a container
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		capture()
+	}
+	runtime.ReadMemStats(&after)
+	records := uint64(sim.Options().Bodies * bodyBytes)
+	per := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("%d B per Checkpoint of a %d-B container; the body records are %d B", per, buf.Len(), records)
+	if per >= records {
+		t.Errorf("a steady-state Checkpoint allocated %d B; the body records alone are %d B", per, records)
+	}
+}
+
+// BenchmarkCheckpointCapture is a native Checkpoint of n = 2048 bodies
+// into a reused buffer: B/op is what a capture leaves to the collector,
+// and the container's bytes (SetBytes) are the format's, unchanged by
+// where the capture lays its records out.
+func BenchmarkCheckpointCapture(b *testing.B) {
+	sim := nativeCaptureSim(b, 2048)
+	defer sim.Release()
+	var buf bytes.Buffer
+	if err := sim.Checkpoint(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	for b.Loop() {
+		buf.Reset()
+		if err := sim.Checkpoint(&buf); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

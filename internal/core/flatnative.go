@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/nbody"
@@ -366,15 +367,16 @@ func (s *flatEngine) gather(out []nbody.Body, ids *idSet) error {
 // capture writes the n bodies in tree-slot order (the "bodies" region),
 // and the replicated tol and eps each thread's walk uses. The pointer
 // tree's fields stay zero, and "locks" is [], not null.
-func (s *flatEngine) capture(cs *ckptState) []arena.NamedRegion {
+func (s *flatEngine) capture(cs *ckptState, sc *captureScratch) []arena.NamedRegion {
 	cs.Locks = []float64{}
-	bodies := make([]nbody.Body, 0, s.o.Bodies)
+	bodies := slices.Grow(sc.bodies[:0], s.o.Bodies)
 	for i, st := range s.ts {
 		for k, r := range st.myBodies {
 			bodies = append(bodies, s.body(st.slotLo+k, r.Idx))
 		}
 		cs.Threads[i].Tol, cs.Threads[i].Eps = s.o.Theta, s.o.Eps
 	}
+	sc.bodies = bodies
 	return []arena.NamedRegion{{Name: regBodies, Data: bodyRecordBytes(bodies)}}
 }
 

@@ -107,9 +107,10 @@ type engine interface {
 	// gather copies every owned body to out[ID], claiming each ID in ids.
 	gather(out []nbody.Body, ids *idSet) error
 	// capture fills the engine's fields of cs and returns the regions
-	// after "state"; restore reads them back into a fresh session, with
-	// the owned bodies already decoded and checked (ownedBodies).
-	capture(cs *ckptState) []arena.NamedRegion
+	// after "state", laid out in sc's memory; restore reads them back into
+	// a fresh session, with the owned bodies already decoded and checked
+	// (ownedBodies).
+	capture(cs *ckptState, sc *captureScratch) []arena.NamedRegion
 	restore(cs *ckptState, c *arena.Checkpoint, bodies []nbody.Body) error
 	release() // after the threads have exited
 }
@@ -443,8 +444,16 @@ func (s *Sim) collect() (*Result, error) {
 // state that breaks the construction (a crafted simulate checkpoint, a
 // redistribution bug). Shared by collect and Snapshot; only safe while
 // the runtime is quiescent (session paused or finished).
-func (s *Sim) gatherBodies() ([]nbody.Body, error) {
-	out := make([]nbody.Body, s.o.Bodies)
+func (s *Sim) gatherBodies() ([]nbody.Body, error) { return s.gatherInto(nil) }
+
+// gatherInto is gatherBodies into out's memory when its capacity holds n
+// bodies, into a new slice otherwise. Every slot is written: the checks
+// pass only when each ID was claimed once.
+func (s *Sim) gatherInto(out []nbody.Body) ([]nbody.Body, error) {
+	if cap(out) < s.o.Bodies {
+		out = make([]nbody.Body, s.o.Bodies)
+	}
+	out = out[:s.o.Bodies]
 	ids := newIDSet(s.o.Bodies)
 	if err := s.eng.gather(out, &ids); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"upcbh/internal/arena"
 	"upcbh/internal/machine"
@@ -326,15 +327,15 @@ func (s *simEngine) newCell(t *upc.Thread, st *simThread, center vec.V3, half fl
 // lock horizon, the shared scalars and each thread's buffers and
 // replicated scalars. No other heap slot travels: the container is this
 // session's bodies, whatever the rest of a shard holds.
-func (s *simEngine) capture(cs *ckptState) []arena.NamedRegion {
+func (s *simEngine) capture(cs *ckptState, sc *captureScratch) []arena.NamedRegion {
 	cs.Locks = s.locks.CaptureAvail()
 	cs.TolS = s.tolS.Peek()
 	cs.EpsS = s.epsS.Peek()
 	cs.GeomS = s.geomS.Peek()
 	cs.RootS = s.rootS.Peek()
 	cs.HeapLens = make([]int32, len(s.ts))
-	bodies := make([]nbody.Body, 0, s.o.Bodies)
-	refs := make([]byte, 0, s.o.Bodies*refBytes)
+	bodies := slices.Grow(sc.bodies[:0], s.o.Bodies)
+	refs := slices.Grow(sc.refs[:0], s.o.Bodies*refBytes)
 	for i, st := range s.ts {
 		cs.HeapLens[i] = int32(s.bodies.Len(i))
 		for _, r := range st.myBodies {
@@ -345,6 +346,7 @@ func (s *simEngine) capture(cs *ckptState) []arena.NamedRegion {
 		tc.Buf, tc.BufCap, tc.Cur, tc.CurLen = st.buf, st.bufCap, st.cur, st.curLen
 		tc.Tol, tc.Eps, tc.Root = st.tol, st.eps, st.root
 	}
+	sc.bodies, sc.refs = bodies, refs
 	return []arena.NamedRegion{{Name: regBodies, Data: bodyRecordBytes(bodies)}, {Name: regRefs, Data: refs}}
 }
 

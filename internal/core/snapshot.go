@@ -70,12 +70,22 @@ func (s *Snapshot) KeepSteps(k int) {
 // and after Finish; it is an error after Release, when the body storage
 // has been recycled. Taking a snapshot never perturbs the simulation:
 // the runtime is quiescent at a pause, and a snapshot only reads it.
-func (s *Sim) Snapshot() (*Snapshot, error) {
+// Its Bodies are a fresh slice the caller owns.
+func (s *Sim) Snapshot() (*Snapshot, error) { return s.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot with the bodies gathered into buf's memory
+// when its capacity holds them all (a new slice otherwise): a caller that
+// publishes bodies every step reuses a few slices instead of making one
+// per snapshot. The snapshot's Bodies then alias buf, whose owner decides
+// when they may be overwritten: a later gather into the same memory
+// rewrites this snapshot's bodies, so no reader may keep them past the
+// point their owner takes buf back.
+func (s *Sim) SnapshotInto(buf []nbody.Body) (*Snapshot, error) {
 	snap, err := s.SnapshotMeta()
 	if err != nil {
 		return nil, err
 	}
-	bodies, err := s.gatherBodies()
+	bodies, err := s.gatherInto(buf)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"syscall"
 	"time"
 
@@ -53,6 +54,27 @@ const persistQueueDepth = 16
 // failure (ENOSPC never retries).
 const persistRetries = 3
 
+// ckptJob is one container on its way to the store. buf, when set, is the
+// ckptBufs buffer Data lies in: done hands it back once the container is
+// written or dropped (store.Put keeps no reference). An upload's container
+// is the request's own bytes and has none.
+type ckptJob struct {
+	store.Entry
+	buf *bytes.Buffer
+}
+
+// ckptBufs recycles the auto-checkpoint captures' buffers, so a capture
+// every few steps reuses a container-sized buffer instead of making one.
+var ckptBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// done hands the job's buffer back.
+func (j ckptJob) done() {
+	if j.buf != nil {
+		j.buf.Reset()
+		ckptBufs.Put(j.buf)
+	}
+}
+
 // maybeAutoCheckpointLocked captures the session's paused state when a
 // checkpoint is due — every CkptEvery steps and/or every CkptInterval
 // of wall clock, whichever fires first. Must run on the session's shard
@@ -76,12 +98,14 @@ func (s *Server) maybeAutoCheckpointLocked(sess *session) {
 	// subsequent step.
 	sess.lastCkptStep = done
 	sess.lastCkptTime = time.Now()
-	var buf bytes.Buffer
-	if err := sess.sim.Checkpoint(&buf); err != nil {
+	j := ckptJob{Entry: store.Entry{Key: sess.key, Step: done}, buf: ckptBufs.Get().(*bytes.Buffer)}
+	if err := sess.sim.Checkpoint(j.buf); err != nil {
+		j.done()
 		s.cfg.Logf("session %s: auto-checkpoint capture at step %d: %v", sess.id, done, err)
 		return
 	}
-	s.enqueueCkptLocked(store.Entry{Key: sess.key, Step: done, Data: buf.Bytes()})
+	j.Data = j.buf.Bytes()
+	s.enqueueCkptLocked(j)
 }
 
 // enqueueCkptLocked hands a captured container to the persister without
@@ -90,11 +114,12 @@ func (s *Server) maybeAutoCheckpointLocked(sess *session) {
 // on a shard loop — Shutdown closes the queue only after every shard
 // loop has exited, so a send from a shard task can never hit a closed
 // channel.
-func (s *Server) enqueueCkptLocked(j store.Entry) {
+func (s *Server) enqueueCkptLocked(j ckptJob) {
 	s.count(&s.ckpt.Captured)
 	select {
 	case s.persistCh <- j:
 	default:
+		j.done()
 		s.count(&s.ckpt.Dropped)
 		s.cfg.Logf("checkpoint persister backlogged: dropped step-%d capture of %s", j.Step, j.Key)
 	}
@@ -105,7 +130,8 @@ func (s *Server) enqueueCkptLocked(j store.Entry) {
 func (s *Server) persister() {
 	defer close(s.persistDone)
 	for j := range s.persistCh {
-		s.persistOne(j)
+		s.persistOne(j.Entry)
+		j.done()
 	}
 }
 

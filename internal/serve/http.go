@@ -13,6 +13,7 @@ import (
 
 	"upcbh/internal/core"
 	"upcbh/internal/machine"
+	"upcbh/internal/nbody"
 )
 
 // createRequest is the POST /sims body. Options (raw core.Options JSON)
@@ -140,14 +141,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	if snap, ok := v.(*core.Snapshot); ok {
 		// As with the encoder below, a snapshot json refuses (a NaN)
 		// leaves the body empty: no part of it is sent.
-		buf := lineBufs.Get().(*[]byte)
+		pool := &lineBufs[kindOf(snap.Bodies != nil)]
+		buf := pool.Get().(*[]byte)
 		b, err := snap.AppendJSON((*buf)[:0])
 		if err == nil {
 			b = append(b, '\n')
 			_, _ = w.Write(b)
 		}
 		*buf = b
-		lineBufs.Put(buf)
+		pool.Put(buf)
 		return
 	}
 	enc := json.NewEncoder(w)
@@ -286,19 +288,15 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, sess *sessio
 		snap, err = s.stepLocked(sess, k, wantBodies)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	if !wantBodies {
-		snap = withoutBodies(snap)
-	}
-	return snap, nil
+	return snap, err
 }
 
 // withoutBodies returns snap stripped of its bodies — on a copy, never in
 // place: a snapshot published to the session's hub is shared with every
 // holder of its frame, one of which may be encoding it right now. (A
-// bodies-less SnapshotMeta snapshot has nothing to strip.)
+// bodies-less SnapshotMeta snapshot has nothing to strip.) stepLocked
+// strips a subscribers-only gather before answering, so a step response
+// never holds bodies its frame may hand back.
 func withoutBodies(snap *core.Snapshot) *core.Snapshot {
 	if snap.Bodies == nil {
 		return snap
@@ -422,11 +420,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *sess
 	// task, so no published snapshot can fall between the current state
 	// and the subscription.
 	var (
-		first *core.Snapshot
-		sub   *subscriber
+		first  *core.Snapshot
+		gather []nbody.Body // first.Bodies, lent by the hub's free list
+		sub    *subscriber
 	)
 	err = s.onShard(sess, func() (err error) {
-		if first, err = sess.snapshot(withBodies); err != nil {
+		if withBodies && sess.sim != nil {
+			first, gather, err = sess.gatherLocked()
+		} else {
+			first, err = sess.snapshot(withBodies)
+		}
+		if err != nil {
 			return err
 		}
 		sub = sess.hub.subscribe(s.cfg.subBuffer, withBodies) // nil if already finished: stream is just the terminal frame
@@ -465,7 +469,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *sess
 	// Past the first byte a failure cannot change the status: the stream
 	// just ends (client gone, hub closed).
 	last := first.Step
-	if !emit(sess.hub.frames.newFrame(first)) || sub == nil {
+	f := sess.hub.frames.newFrame(first)
+	f.gather = gather
+	if !emit(f) || sub == nil {
 		return nil, nil
 	}
 	for {

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"upcbh/internal/core"
+	"upcbh/internal/nbody"
 )
 
 // hub fans one session's snapshot stream out to many subscribers: one
@@ -84,14 +85,25 @@ func (h *hub) unsubscribe(sub *subscriber) {
 
 // publish delivers snap, as one shared frame, to every subscriber,
 // applying the drop-oldest-when-full policy per subscriber. Never blocks
-// on a consumer, and encodes nothing: this is the shard loop.
-func (h *hub) publish(snap *core.Snapshot) {
+// on a consumer, and encodes nothing: this is the shard loop. snap owns
+// its bodies, if any.
+func (h *hub) publish(snap *core.Snapshot) { h.publishGather(snap, nil) }
+
+// publishGather is publish for a snapshot whose bodies lie in gather, a
+// slice h.frames.getGather lent (nil: the snapshot owns its bodies). The
+// frame takes the gather over and gives it back at its last release — at
+// once, when no subscriber is there to hold the frame.
+func (h *hub) publishGather(snap *core.Snapshot, gather []nbody.Body) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed || len(h.subs) == 0 {
+		if gather != nil {
+			h.frames.putGather(gather)
+		}
 		return
 	}
 	f := h.frames.newFrame(snap)
+	f.gather = gather
 	defer f.release() // publish's own hold, while it hands out the others
 	for sub := range h.subs {
 		f.retain() // the queue slot's
@@ -125,6 +137,7 @@ func (h *hub) close() {
 	}
 	h.closed = true
 	h.bodied = 0
+	h.frames.close()
 	for sub := range h.subs {
 		delete(h.subs, sub)
 		close(sub.ch)

@@ -44,6 +44,7 @@ import (
 	"upcbh/internal/bench"
 	"upcbh/internal/core"
 	"upcbh/internal/hostenv"
+	"upcbh/internal/nbody"
 	"upcbh/internal/store"
 )
 
@@ -183,6 +184,20 @@ func (sess *session) snapshot(bodies bool) (*core.Snapshot, error) {
 	}
 }
 
+// gatherLocked is the live simulation's snapshot with its bodies gathered
+// into a slice from the hub's free list (Sim.SnapshotInto), which the
+// frame that carries it takes over (hub.publishGather, frame.gather). Must
+// run on the shard loop.
+func (sess *session) gatherLocked() (*core.Snapshot, []nbody.Body, error) {
+	g := sess.hub.frames.getGather()
+	snap, err := sess.sim.SnapshotInto(g)
+	if err != nil {
+		sess.hub.frames.putGather(g)
+		return nil, nil, err
+	}
+	return snap, snap.Bodies, nil
+}
+
 // Server is the session service. Create with New, expose via Handler,
 // stop with Shutdown.
 type Server struct {
@@ -201,7 +216,7 @@ type Server struct {
 	steppers sync.WaitGroup
 
 	// Checkpoint persistence pipeline (nil when cfg.Store is nil).
-	persistCh   chan store.Entry
+	persistCh   chan ckptJob
 	persistDone chan struct{}
 
 	// Counters (mu-guarded; small and cold). stats.Live is filled in by
@@ -226,7 +241,7 @@ func New(cfg Config) *Server {
 		go sh.run(cfg.Logf)
 	}
 	if cfg.Store != nil {
-		s.persistCh = make(chan store.Entry, persistQueueDepth)
+		s.persistCh = make(chan ckptJob, persistQueueDepth)
 		s.persistDone = make(chan struct{})
 		go s.persister()
 		// Startup recovery: re-admit every recoverable session before the
@@ -416,7 +431,7 @@ func (s *Server) buildRestore(upload []byte) admission {
 		}
 		sess.adopt(sim)
 		if s.cfg.Store != nil {
-			s.enqueueCkptLocked(store.Entry{Key: sess.key, Step: sim.StepsDone(), Data: upload})
+			s.enqueueCkptLocked(ckptJob{Entry: store.Entry{Key: sess.key, Step: sim.StepsDone(), Data: upload}})
 		}
 		s.cfg.Logf("session %s: restored at step %d (%s)", sess.id, sim.StepsDone(), sess.key)
 		return nil
@@ -460,6 +475,13 @@ func (s *Server) finalizeLocked(sess *session) error {
 // (subscriptions are taken on this shard loop, so that cannot change
 // under us); otherwise the bodies-free SnapshotMeta path serves both
 // the step response and the hub publication.
+//
+// A gather for the subscribers alone goes into a slice from the hub's
+// free list, which the published frame owns (frame.go), and the caller
+// gets the snapshot without its bodies: they may be overwritten as soon
+// as the last subscriber lets the frame go. A caller that asked for
+// bodies encodes them after this task returns, past any release, so its
+// gather is its own.
 func (s *Server) stepLocked(sess *session, k int, wantBodies bool) (*core.Snapshot, error) {
 	if sess.released {
 		return nil, core.ErrReleased
@@ -470,16 +492,28 @@ func (s *Server) stepLocked(sess *session, k int, wantBodies bool) (*core.Snapsh
 	if err := sess.sim.Step(k); err != nil {
 		return nil, err
 	}
-	snapshot := sess.sim.SnapshotMeta
-	if wantBodies || sess.hub.wantsBodies() {
-		snapshot = sess.sim.Snapshot
+	var (
+		snap   *core.Snapshot
+		gather []nbody.Body // snap.Bodies, lent by the hub's free list
+		err    error
+	)
+	switch {
+	case wantBodies:
+		snap, err = sess.sim.Snapshot()
+	case sess.hub.wantsBodies():
+		snap, gather, err = sess.gatherLocked()
+	default:
+		snap, err = sess.sim.SnapshotMeta()
 	}
-	snap, err := snapshot()
 	if err != nil {
 		return nil, err
 	}
 	snap.KeepSteps(k)
-	sess.hub.publish(snap)
+	resp := snap
+	if !wantBodies {
+		resp = withoutBodies(snap)
+	}
+	sess.hub.publishGather(snap, gather)
 	if sess.sim.StepsDone() >= sess.opts.Steps {
 		if err := s.finalizeLocked(sess); err != nil {
 			return nil, err
@@ -490,7 +524,7 @@ func (s *Server) stepLocked(sess *session, k int, wantBodies bool) (*core.Snapsh
 		// the store's retention will age their entries out.
 		s.maybeAutoCheckpointLocked(sess)
 	}
-	return snap, nil
+	return resp, nil
 }
 
 // ensureStepperLocked starts the session's stream stepper if none is
