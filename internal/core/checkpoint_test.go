@@ -886,6 +886,85 @@ func TestNativeContainerIsLiveBodies(t *testing.T) {
 	}
 }
 
+// TestNativeContainerRuntimeState pins the "runtime" object of a native
+// container and the barrier counts behind it: a native thread charges no
+// clock, passes 1 + 8 barriers per step (9 with Verify; the tree phase's
+// five are its PhaseComm), and has no scheduler counters, no NIC state
+// and no step-gate baton.
+func TestNativeContainerRuntimeState(t *testing.T) {
+	const threads, k = 3, 3
+	for _, verify := range []bool{false, true} {
+		t.Run(fmt.Sprintf("verify=%v", verify), func(t *testing.T) {
+			opts := DefaultOptions(512, threads, LevelMergedBuild)
+			opts.Steps, opts.Warmup = k, 1
+			opts.ExecMode = ModeNative
+			opts.Verify = verify
+			perStep := uint64(8)
+			if verify {
+				perStep = 9
+			}
+			ckpt, src := checkpointAt(t, opts, k)
+			defer src.Release()
+			c, err := arena.ReadCheckpoint(bytes.NewReader(ckpt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			state, _ := c.Region(regState)
+			var raw struct {
+				Runtime map[string]json.RawMessage `json:"runtime"`
+			}
+			if err := json.Unmarshal(state, &raw); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := raw.Runtime["nic_avail"]; ok {
+				t.Error("native runtime state carries nic_avail")
+			}
+			var rs struct {
+				Threads []struct {
+					Clock float64 `json:"clock"`
+					Stats struct{ Barriers uint64 }
+				} `json:"threads"`
+				Sched     map[string]uint64 `json:"sched"`
+				StepFirst int32             `json:"step_first"`
+			}
+			if err := json.Unmarshal(state, &struct {
+				Runtime any `json:"runtime"`
+			}{&rs}); err != nil {
+				t.Fatal(err)
+			}
+			if len(rs.Threads) != threads {
+				t.Fatalf("runtime state has %d threads, want %d", len(rs.Threads), threads)
+			}
+			for i, th := range rs.Threads {
+				if th.Clock != 0 {
+					t.Errorf("thread %d: clock %g, want 0", i, th.Clock)
+				}
+				if want := 1 + perStep*k; th.Stats.Barriers != want {
+					t.Errorf("thread %d: %d barriers after %d steps, want %d", i, th.Stats.Barriers, k, want)
+				}
+			}
+			if rs.Sched["handoffs"] != 0 || rs.Sched["spin_yields"] != 0 || len(rs.Sched) != 2 {
+				t.Errorf("sched %v, want zero handoffs and spin yields", rs.Sched)
+			}
+			if rs.StepFirst != -1 {
+				t.Errorf("step_first %d, want -1", rs.StepFirst)
+			}
+
+			res, err := src.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := threads * (1 + perStep*k); res.Stats.Barriers != want {
+				t.Errorf("Result.Stats.Barriers %d, want %d", res.Stats.Barriers, want)
+			}
+			measured := uint64(k - opts.Warmup)
+			if got, want := res.PhaseComm[PhaseTree].Barriers, 5*threads*measured; got != want {
+				t.Errorf("PhaseComm[tree].Barriers %d, want %d", got, want)
+			}
+		})
+	}
+}
+
 // nativeCaptureSim is a paused native session of n bodies a few steps in.
 func nativeCaptureSim(tb testing.TB, n int) *Sim {
 	tb.Helper()
