@@ -174,7 +174,6 @@ func (s *Sim) checkpointRegions(sc *captureScratch) ([]arena.NamedRegion, error)
 		Options:    s.o,
 		StepsDone:  s.stepsDone,
 		StepPhases: s.stepTab.rows,
-		Runtime:    s.rt.CaptureState(),
 		Threads:    make([]ckptThread, len(s.ts)),
 	}
 	for i, st := range s.ts {
@@ -274,11 +273,12 @@ func Restore(r io.Reader) (*Sim, error) {
 func badCheckpoint(err error) error { return &marked{ErrBadCheckpoint, err} }
 
 // restoreState overwrites the freshly constructed Sim's state with the
-// captured snapshot: the Sim's own (runtime, step counts, step-phase
-// table, each thread's counters), then the engine's from the decoded
-// owned bodies. The fresh session has run setup and parked before step 0.
+// captured snapshot: the Sim's own (step counts, step-phase table, each
+// thread's counters), then the engine's (its runtime state, and the
+// decoded owned bodies). The fresh session has run setup and waits
+// before step 0.
 func (s *Sim) restoreState(cs *ckptState, c *arena.Checkpoint) error {
-	p := s.rt.Threads()
+	p := len(s.ts)
 	if len(cs.Threads) != p {
 		return fmt.Errorf("core: checkpoint carries %d thread states for a %d-thread machine", len(cs.Threads), p)
 	}
@@ -297,9 +297,6 @@ func (s *Sim) restoreState(cs *ckptState, c *arena.Checkpoint) error {
 	for _, row := range rows {
 		s.stepTab.rows = append(s.stepTab.rows, row)
 		s.stepTab.sum.Add(row)
-	}
-	if err := s.rt.RestoreState(cs.Runtime); err != nil {
-		return err
 	}
 	for i, st := range s.ts {
 		tc := &cs.Threads[i]

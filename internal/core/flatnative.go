@@ -22,9 +22,17 @@ import (
 // interval its partition claimed. The tree is canonical whoever built
 // which part, so native results are a pure function of the bodies — the
 // same at every thread count, and bit-identical to the simulate engine at
-// one thread.
+// one thread. Its threads are a fork-join team: each Step(k) is one
+// region of k steps.
 type flatEngine struct {
 	octree.ParBuild
+
+	sim  *Sim
+	team *team
+	// grant is the step count of the region in flight, and steps that
+	// region's body, built once so a region allocates nothing.
+	grant int
+	steps func(m *member)
 
 	// ids[k] names the body in Src slot k (Tree.Bodies.ID maps a tree
 	// slot to its Src slot): Idx is its ID, Thr the thread that staged,
@@ -77,8 +85,9 @@ type accPhi struct {
 // leave room for the doubling-growth dead space; anonymous mappings
 // commit pages lazily, so over-reserving virtual space costs nothing.
 func newFlatEngine(sim *Sim) *flatEngine {
-	n, p := sim.o.Bodies, sim.rt.Threads()
-	s := &flatEngine{o: sim.o, init: sim.init, ts: make([]*flatThread, p), tmem: make([]*arena.Arena, p)}
+	n, p := sim.o.Bodies, len(sim.ts)
+	s := &flatEngine{sim: sim, team: newTeam(p), o: sim.o, init: sim.init, ts: make([]*flatThread, p), tmem: make([]*arena.Arena, p)}
+	s.steps = s.stepRegion
 	for i, st := range sim.ts {
 		s.ts[i] = &flatThread{tstate: st}
 	}
@@ -98,6 +107,38 @@ func newFlatEngine(sim *Sim) *flatEngine {
 	return s
 }
 
+// start is the setup region: every thread takes its block of slots.
+func (s *flatEngine) start() {
+	s.team.run(func(m *member) {
+		s.setup(m)
+		m.Barrier()
+	})
+}
+
+// resume is one region of k steps on every thread.
+func (s *flatEngine) resume(k int) {
+	s.grant = k
+	s.team.run(s.steps)
+}
+
+func (s *flatEngine) stepRegion(m *member) {
+	st := s.ts[m.id]
+	for range s.grant {
+		stepOnce(s.sim, s, m, st.tstate)
+	}
+}
+
+// finish has nothing to end: between regions the team holds no
+// goroutine.
+func (s *flatEngine) finish() {}
+
+func (s *flatEngine) clock(int) float64 { return s.team.now() }
+
+// counters are the team's barrier counts; native has no scheduler.
+func (s *flatEngine) counters() (upc.Stats, upc.SchedStats) {
+	return s.team.totalStats(), upc.SchedStats{}
+}
+
 // release unmaps the arenas after the threads have exited; any slice
 // into them (the flat tree, builder segments) is dead now.
 func (s *flatEngine) release() {
@@ -108,9 +149,9 @@ func (s *flatEngine) release() {
 }
 
 // setup gives thread t the block of slots [lo, hi) and their bodies.
-func (s *flatEngine) setup(t *upc.Thread) {
+func (s *flatEngine) setup(t *member) {
 	st := s.ts[t.ID()]
-	me, p, n := t.ID(), t.P(), s.o.Bodies
+	me, p, n := t.ID(), len(s.ts), s.o.Bodies
 	lo, hi := me*n/p, (me+1)*n/p
 	st.slotLo = lo
 	st.myBodies = st.myBodies[:0]
@@ -145,7 +186,7 @@ func (s *flatEngine) ownPos(st *flatThread) []vec.V3 {
 // barrier: the partition reads the tree and ids, and the force phase
 // takes positions from the tree and writes its own bodies' columns
 // (DESIGN.md §8.5). Claiming slots is all the redistribution there is.
-func (s *flatEngine) prepare(t *upc.Thread, measured bool) (ph PhaseTimes) {
+func (s *flatEngine) prepare(t *member, measured bool) (ph PhaseTimes) {
 	st := s.ts[t.ID()]
 	t0, s0 := beginPhase(t)
 	s.buildFlat(t, st, measured)
@@ -167,7 +208,7 @@ func (s *flatEngine) prepare(t *upc.Thread, measured bool) (ph PhaseTimes) {
 // barrier after which every thread folds its peers' boxes itself. Min
 // and max are exact, so this is the cube the simulator's all-reduce
 // gives.
-func (s *flatEngine) boundingBox(t *upc.Thread, st *flatThread) rootGeom {
+func (s *flatEngine) boundingBox(t *member, st *flatThread) rootGeom {
 	lo := vec.V3{X: math.Inf(1), Y: math.Inf(1), Z: math.Inf(1)}
 	hi := lo.Scale(-1)
 	for _, pos := range s.ownPos(st) {
@@ -190,7 +231,7 @@ func (s *flatEngine) boundingBox(t *upc.Thread, st *flatThread) rootGeom {
 // with a barrier after each; the caller's phase barrier closes the last.
 // Box, count and put read the thread's own slots of the last tree, which
 // stage 3 overwrites only after the put barrier.
-func (s *flatEngine) buildFlat(t *upc.Thread, st *flatThread, measured bool) {
+func (s *flatEngine) buildFlat(t *member, st *flatThread, measured bool) {
 	t0 := t.Now()
 	g := s.boundingBox(t, st)
 	w := s.Worker(t.ID())
@@ -229,12 +270,12 @@ func (s *flatEngine) buildFlat(t *upc.Thread, st *flatThread, measured bool) {
 // integer-valued, so the sums are exact and this is the partition the
 // pointer walk produces. The claimed slots are one contiguous interval
 // from slotLo; a body another thread staged has migrated.
-func (s *flatEngine) costzonesFlat(t *upc.Thread, st *flatThread, measured bool) {
+func (s *flatEngine) costzonesFlat(t *member, st *flatThread, measured bool) {
 	ft := &s.Tree
 	me := int32(t.ID())
 	total := ft.Meta[0].Cost
-	lo := total * float64(me) / float64(t.P())
-	hi := total * float64(me+1) / float64(t.P())
+	lo := total * float64(me) / float64(len(s.ts))
+	hi := total * float64(me+1) / float64(len(s.ts))
 	st.myBodies = st.myBodies[:0]
 	st.slotLo = 0
 	prefix, migrated := 0.0, 0
@@ -266,7 +307,7 @@ func (s *flatEngine) costzonesFlat(t *upc.Thread, st *flatThread, measured bool)
 // and skips itself by slot. Unlike the pointer walks, a body that
 // migrated this step therefore does not interact with its own build-time
 // copy. Zero allocations in steady state.
-func (s *flatEngine) force(t *upc.Thread, measured bool) {
+func (s *flatEngine) force(t *member, measured bool) {
 	st := s.ts[t.ID()]
 	ft := &s.Tree
 	tol, eps := s.o.Theta, s.o.Eps
@@ -295,7 +336,7 @@ func (s *flatEngine) force(t *upc.Thread, measured bool) {
 // advance is nbody.AdvanceKickDrift, operation for operation, on the
 // thread's own slots of the tree every walk finished with at the force
 // barrier.
-func (s *flatEngine) advance(t *upc.Thread) {
+func (s *flatEngine) advance(t *member) {
 	st := s.ts[t.ID()]
 	dt := s.o.Dt
 	pos := s.ownPos(st)
@@ -365,9 +406,10 @@ func (s *flatEngine) gather(out []nbody.Body, ids *idSet) error {
 }
 
 // capture writes the n bodies in tree-slot order (the "bodies" region),
-// and the replicated tol and eps each thread's walk uses. The pointer
-// tree's fields stay zero, and "locks" is [], not null.
+// the team's state, and the replicated tol and eps each thread's walk
+// uses. The pointer tree's fields stay zero, and "locks" is [], not null.
 func (s *flatEngine) capture(cs *ckptState, sc *captureScratch) []arena.NamedRegion {
+	cs.Runtime = s.team.state()
 	cs.Locks = []float64{}
 	bodies := slices.Grow(sc.bodies[:0], s.o.Bodies)
 	for i, st := range s.ts {
@@ -380,10 +422,14 @@ func (s *flatEngine) capture(cs *ckptState, sc *captureScratch) []arena.NamedReg
 	return []arena.NamedRegion{{Name: regBodies, Data: bodyRecordBytes(bodies)}}
 }
 
-// restore gives thread i the n_owned slots after threads 0..i-1's.
-// Locks and shared scalars, which older native containers carry, are
+// restore takes the team's counters back and gives thread i the n_owned
+// slots after threads 0..i-1's. Clocks (0), NIC and scheduler state, and
+// the locks and shared scalars older native containers carry, are
 // ignored.
 func (s *flatEngine) restore(cs *ckptState, _ *arena.Checkpoint, bodies []nbody.Body) error {
+	if err := s.team.restoreState(cs.Runtime); err != nil {
+		return err
+	}
 	slot := 0
 	for i, st := range s.ts {
 		st.slotLo = slot

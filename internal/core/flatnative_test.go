@@ -10,7 +10,6 @@ import (
 	"unsafe"
 
 	"upcbh/internal/arena"
-	"upcbh/internal/upc"
 )
 
 // runFlatVsPointer runs one configuration under the given backend:
@@ -106,8 +105,8 @@ func testSteadyStateZeroAlloc(t *testing.T, threads int) {
 	opts := DefaultOptions(2048, threads, LevelMergedBuild)
 	opts.Steps, opts.Warmup = steps, warm
 	opts.ExecMode = ModeNative
-	opts.testStepHook = func(th *upc.Thread, step int) {
-		if th.ID() != 0 {
+	opts.testStepHook = func(th, step int) {
+		if th != 0 {
 			return
 		}
 		// Every thread is past the step's last barrier; a peer may be in
@@ -190,28 +189,6 @@ func treeInArena(t *testing.T, fe *flatEngine) {
 	inArena(fe.mem, "cost", unsafe.Pointer(&fe.cost[0]))
 }
 
-// TestNativeChargesNothing pins why the runtime's clock ops have no
-// native arm: the native engine never charges, so after steps on
-// several threads every simulated clock still reads zero.
-func TestNativeChargesNothing(t *testing.T) {
-	opts := DefaultOptions(512, 3, LevelSubspace)
-	opts.ExecMode = ModeNative
-	opts.Steps = 5
-	sim, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Release()
-	if err := sim.Step(5); err != nil {
-		t.Fatal(err)
-	}
-	for i, th := range sim.rt.CaptureState().Threads {
-		if th.Clock != 0 {
-			t.Errorf("thread %d: native clock %g after 5 steps, want 0", i, th.Clock)
-		}
-	}
-}
-
 // TestNativeSimHoldsNoPointerTree: native means the flat path, so a
 // native Sim runs the flat engine and builds none of the simulator's
 // state — no body heap (its bodies live in the tree), no cells heap (a
@@ -258,8 +235,8 @@ func TestNativeFlatSnapshotCoversTree(t *testing.T) {
 	opts.Scenario = "clustered"
 	opts.Verify = true
 	var snapBodies, snapCells []int
-	opts.testStepHook = func(th *upc.Thread, step int) {
-		if th.ID() != 0 {
+	opts.testStepHook = func(th, step int) {
+		if th != 0 {
 			return
 		}
 		ft := &currentSim.eng.(*flatEngine).Tree
@@ -301,9 +278,9 @@ func TestNativeFlatSkipForLeafIdx(t *testing.T) {
 	var mu sync.Mutex
 	checked, migratedTotal := 0, 0
 	counted := make([]int, 4) // per thread: its migration count at its previous hook
-	opts.testStepHook = func(th *upc.Thread, step int) {
+	opts.testStepHook = func(th, step int) {
 		s := currentSim
-		me := th.ID()
+		me := th
 		fe := s.eng.(*flatEngine)
 		st := fe.ts[me]
 		ft := &fe.Tree

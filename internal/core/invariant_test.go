@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"upcbh/internal/nbody"
-	"upcbh/internal/upc"
 	"upcbh/internal/vec"
 )
 
@@ -119,8 +118,8 @@ func TestNativeThreadCountInvariant(t *testing.T) {
 				opts := DefaultOptions(len(c.bodies), threads, LevelMergedBuild)
 				opts.Steps, opts.Warmup = 4, 1
 				opts.Verify = true
-				opts.testStepHook = func(th *upc.Thread, step int) {
-					if step == 0 && len(currentSim.ts[th.ID()].myBodies) == 0 {
+				opts.testStepHook = func(th, step int) {
+					if step == 0 && len(currentSim.ts[th].myBodies) == 0 {
 						idle.Add(1)
 					}
 				}
@@ -150,8 +149,8 @@ func TestNativeRootCubeMatchesAllReduce(t *testing.T) {
 		opts := DefaultOptions(640, threads, LevelMergedBuild)
 		opts.Steps, opts.Warmup = 4, 1
 		opts.ExecMode = mode
-		opts.testStepHook = func(th *upc.Thread, step int) {
-			if th.ID() == 0 {
+		opts.testStepHook = func(th, step int) {
+			if th == 0 {
 				out = append(out, currentSim.ts[0].geom)
 			}
 		}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"upcbh/internal/nbody"
-	"upcbh/internal/upc"
 )
 
 // The steppable session engine's core promise: a run partitioned into
@@ -163,7 +162,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	opts := DefaultOptions(2048, 1, LevelMergedBuild)
 	opts.Steps, opts.Warmup = steps, warm
 	opts.ExecMode = ModeNative
-	opts.testStepHook = func(th *upc.Thread, step int) {
+	opts.testStepHook = func(th, step int) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		mallocs = append(mallocs, ms.Mallocs)

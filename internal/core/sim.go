@@ -73,17 +73,14 @@ const (
 // two styles are interchangeable — and byte-identical under the
 // simulate backend (see upc.Session on scheduling transparency).
 type Sim struct {
-	o  Options
-	rt *upc.Runtime
-
-	sess      *upc.Session
+	o         Options
 	state     simState
 	stepsDone int
 
-	// eng is the backend that owns the bodies and the tree: simEngine
-	// (the simulator's pointer tree, every level) or flatEngine (the
-	// native flat tree). start builds it from the final Options.Bodies;
-	// nil before.
+	// eng is the backend that owns the threads, the bodies and the tree:
+	// simEngine (a upc.Runtime session over the simulator's pointer tree,
+	// every level) or flatEngine (a fork-join team over the native flat
+	// tree). start builds it from the final Options.Bodies; nil before.
 	eng engine
 
 	init []nbody.Body
@@ -93,26 +90,47 @@ type Sim struct {
 	stepTab phaseTable
 }
 
-// engine is one backend's memory and phases, driven by the Sim one call
-// per thread per phase group (DESIGN.md §11): where the bodies and the
-// tree live and how remote access is paid for. The lifecycle, phase
-// bookkeeping, snapshots and container framing are the Sim's.
+// engine is one backend's threads, memory and phases (DESIGN.md §11):
+// what runs the SPMD threads, where the bodies and the tree live and how
+// remote access is paid for. Each engine's threads run stepOnce over its
+// own phases; the lifecycle, phase bookkeeping, snapshots and container
+// framing are the Sim's.
 type engine interface {
-	setup(t *upc.Thread) // thread t's initial bodies, before step 0
-	// prepare runs the step up to the force phase and returns the phase
-	// times by value: a pointer passed to an interface method escapes.
-	prepare(t *upc.Thread, measured bool) PhaseTimes
-	force(t *upc.Thread, measured bool)
-	advance(t *upc.Thread)
+	// start runs every thread's setup up to the first step boundary,
+	// resume k more steps, and finish ends the threads. A thread panic
+	// propagates from each.
+	start()
+	resume(k int)
+	finish()
+	clock(i int) float64                   // thread i's Now at the step boundary
+	counters() (upc.Stats, upc.SchedStats) // summed over the threads
 	// gather copies every owned body to out[ID], claiming each ID in ids.
 	gather(out []nbody.Body, ids *idSet) error
-	// capture fills the engine's fields of cs and returns the regions
-	// after "state", laid out in sc's memory; restore reads them back into
-	// a fresh session, with the owned bodies already decoded and checked
-	// (ownedBodies).
+	// capture fills the engine's fields of cs — the runtime state among
+	// them — and returns the regions after "state", laid out in sc's
+	// memory; restore reads them back into a fresh session, with the owned
+	// bodies already decoded and checked (ownedBodies).
 	capture(cs *ckptState, sc *captureScratch) []arena.NamedRegion
 	restore(cs *ckptState, c *arena.Checkpoint, bodies []nbody.Body) error
 	release() // after the threads have exited
+}
+
+// thread is what the phases need of the thread running them: a
+// *upc.Thread under simEngine, a team *member under flatEngine.
+type thread interface {
+	ID() int
+	Now() float64
+	Stats() upc.Stats
+	Barrier()
+}
+
+// phases is one engine's time-step up to and after the force phase, on
+// its own thread type. prepare returns the phase times by value: a
+// pointer passed to an interface method escapes.
+type phases[T thread] interface {
+	prepare(t T, measured bool) PhaseTimes
+	force(t T, measured bool)
+	advance(t T)
 }
 
 // rootGeom is the root-cell geometry (SPLASH2's rsize plus center); at
@@ -157,9 +175,9 @@ type tstate struct {
 }
 
 // New builds a simulation: it validates the options, generates the
-// initial conditions from the configured scenario (Plummer by default)
-// and sets up the runtime. The backend's memory is built when the
-// session starts, from the final body count (see SetBodies).
+// initial conditions from the configured scenario (Plummer by default).
+// The backend — its threads and memory — is built when the session
+// starts, from the final body count (see SetBodies).
 func New(opts Options) (*Sim, error) {
 	if err := opts.validate(); err != nil {
 		return nil, &marked{ErrInvalidOptions, err}
@@ -168,12 +186,10 @@ func New(opts Options) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := upc.NewRuntimeMode(opts.Machine, opts.ExecMode)
 	s := &Sim{
 		o:    opts,
-		rt:   rt,
 		init: init,
-		ts:   make([]*tstate, rt.Threads()),
+		ts:   make([]*tstate, opts.Machine.Threads),
 	}
 	for i := range s.ts {
 		s.ts[i] = new(tstate)
@@ -212,9 +228,9 @@ func (s *Sim) SetBodies(bodies []nbody.Body) {
 // Options returns the configuration of the simulation.
 func (s *Sim) Options() Options { return s.o }
 
-// start builds the engine and launches the SPMD session: every thread
-// runs setup and parks at its first step boundary. A setup-time thread
-// panic propagates, as it did under the old run-to-completion Run.
+// start builds the engine and launches its threads: every thread runs
+// setup and waits at its first step boundary. A setup-time thread panic
+// propagates, as it did under the old run-to-completion Run.
 func (s *Sim) start() {
 	if s.o.ExecMode == ModeNative {
 		s.eng = newFlatEngine(s)
@@ -224,7 +240,7 @@ func (s *Sim) start() {
 	// Steps is a client's number: start at most 1024 rows, and let
 	// append grow past them.
 	s.stepTab.rows = make([]PhaseTimes, 0, min(s.o.Steps-s.o.Warmup, 1024))
-	s.sess = s.rt.Start(s.threadMain)
+	s.eng.start()
 	s.state = simPaused
 }
 
@@ -270,7 +286,7 @@ func (s *Sim) Step(k int) error {
 	if s.state == simNew {
 		s.start()
 	}
-	s.sess.Resume(k)
+	s.eng.resume(k)
 	s.stepsDone += k
 	return nil
 }
@@ -293,7 +309,7 @@ func (s *Sim) Finish() (*Result, error) {
 	case simReleased:
 		return nil, fmt.Errorf("core: Finish on a released Sim: %w", ErrReleased)
 	}
-	s.sess.Finish()
+	s.eng.finish()
 	s.state = simFinished
 	return s.collect()
 }
@@ -310,7 +326,7 @@ func (s *Sim) Release() {
 	case simReleased:
 		return
 	case simPaused:
-		s.sess.Finish()
+		s.eng.finish()
 	}
 	s.state = simReleased
 	if s.eng != nil {
@@ -324,11 +340,11 @@ func (s *Sim) Release() {
 // nothing; the measurement sequence is identical to the pre-refactor
 // closure (time read before the counter delta, barrier last), which the
 // simulate goldens pin.
-func beginPhase(t *upc.Thread) (float64, upc.Stats) {
+func beginPhase(t thread) (float64, upc.Stats) {
 	return t.Now(), t.Stats()
 }
 
-func (st *tstate) endPhase(t *upc.Thread, ph *PhaseTimes, p Phase, t0 float64, s0 upc.Stats, measured bool) {
+func (st *tstate) endPhase(t thread, ph *PhaseTimes, p Phase, t0 float64, s0 upc.Stats, measured bool) {
 	st.endPhaseFlow(t, ph, p, t0, s0, measured)
 	t.Barrier()
 }
@@ -337,44 +353,29 @@ func (st *tstate) endPhase(t *upc.Thread, ph *PhaseTimes, p Phase, t0 float64, s
 // and operation delta are recorded, but the thread flows straight into
 // the next phase. Used by the native flat path, where nothing after the
 // tree barrier reads another thread's writes until the force barrier.
-func (st *tstate) endPhaseFlow(t *upc.Thread, ph *PhaseTimes, p Phase, t0 float64, s0 upc.Stats, measured bool) {
+func (st *tstate) endPhaseFlow(t thread, ph *PhaseTimes, p Phase, t0 float64, s0 upc.Stats, measured bool) {
 	ph[p] += t.Now() - t0
 	if measured {
 		st.phaseComm[p].Add(t.Stats().Delta(s0))
 	}
 }
 
-// threadMain is the SPMD session body: per-thread setup, then one
-// stepOnce per granted step. The NextStep gate sits between step k's
-// trailing bookkeeping (stats record, test hook) and step k+1's shared
-// tree reset — both thread-local, so parking there perturbs no
-// cross-thread coupling and the stepped schedule is the uninterrupted
-// one (see upc.Session).
-func (s *Sim) threadMain(t *upc.Thread) {
-	st := s.ts[t.ID()]
-	s.eng.setup(t)
-	t.Barrier()
-	for t.NextStep() {
-		s.stepOnce(t, st, st.step)
-		st.step++
-	}
-}
-
-// stepOnce runs one full time-step on one thread: tree build,
-// partition, redistribution, force and advance, with per-phase timing.
-// A measured step's row is stored before the advance barrier and thread 0
-// reduces every thread's into stepTab after it: no thread rewrites its
-// row before the next step's barriers, which thread 0 must reach first.
-// The reduction charges no virtual time.
-func (s *Sim) stepOnce(t *upc.Thread, st *tstate, step int) {
+// stepOnce runs one full time-step on one thread of either engine: tree
+// build, partition, redistribution, force and advance, with per-phase
+// timing. A measured step's row is stored before the advance barrier and
+// thread 0 reduces every thread's into stepTab after it: no thread
+// rewrites its row before the next step's barriers, which thread 0 must
+// reach first. The reduction charges no virtual time.
+func stepOnce[T thread](s *Sim, eng phases[T], t T, st *tstate) {
+	step := st.step
 	measured := step >= s.o.Warmup
-	ph := s.eng.prepare(t, measured)
+	ph := eng.prepare(t, measured)
 
 	t0, s0 := beginPhase(t)
-	s.eng.force(t, measured)
+	eng.force(t, measured)
 	st.endPhase(t, &ph, PhaseForce, t0, s0, measured)
 	t0, s0 = beginPhase(t)
-	s.eng.advance(t)
+	eng.advance(t)
 	st.endPhaseFlow(t, &ph, PhaseAdvance, t0, s0, measured)
 	if measured {
 		st.phases.Add(ph)
@@ -386,15 +387,16 @@ func (s *Sim) stepOnce(t *upc.Thread, st *tstate, step int) {
 		s.stepTab.reduce(s.ts)
 	}
 	if s.o.testStepHook != nil {
-		s.o.testStepHook(t, step)
+		s.o.testStepHook(t.ID(), step)
 	}
+	st.step++
 }
 
 // collect assembles the Result after the SPMD run. nsteps is derived
 // from the steps actually executed, not Options.Steps: a session
 // finished early yields a Result over the measured steps it completed.
 func (s *Sim) collect() (*Result, error) {
-	p := s.rt.Threads()
+	p := len(s.ts)
 	res := &Result{
 		Level:      s.o.Level,
 		Threads:    p,
@@ -424,8 +426,7 @@ func (s *Sim) collect() (*Result, error) {
 	if owned > 0 {
 		res.MigratedFraction = float64(migrated) / float64(owned)
 	}
-	res.Stats = s.rt.TotalStats()
-	res.Sched = s.rt.SchedStats()
+	res.Stats, res.Sched = s.eng.counters()
 
 	// Final body state in ID order.
 	bodies, err := s.gatherBodies()

@@ -13,12 +13,17 @@ import (
 )
 
 // simEngine is the simulate backend (DESIGN.md §9): the paper's UPC
-// program at every level, every shared access charged. It owns the body
-// heap, the shared pointer tree — the cells heap, the hashed lock array,
-// the UPC shared scalars (affinity: thread 0) — and each thread's
-// pointer-path state. Its phases live in build_global.go,
-// build_merged.go, subspace.go, force.go, force_async.go and verify.go.
+// program at every level, every shared access charged. Its threads are a
+// upc.Runtime session. It owns the body heap, the shared pointer tree —
+// the cells heap, the hashed lock array, the UPC shared scalars
+// (affinity: thread 0) — and each thread's pointer-path state. Its
+// phases live in build_global.go, build_merged.go, subspace.go,
+// force.go, force_async.go and verify.go.
 type simEngine struct {
+	sim  *Sim
+	rt   *upc.Runtime
+	sess *upc.Session
+
 	o    Options
 	par  machine.Params
 	init []nbody.Body
@@ -79,12 +84,13 @@ type simThread struct {
 	reqFree     []*request
 }
 
-// newSimEngine builds the heaps, locks and shared scalars for the Sim's
-// final body count.
+// newSimEngine builds the runtime, heaps, locks and shared scalars for
+// the Sim's final body count.
 func newSimEngine(sim *Sim) *simEngine {
-	o, rt := sim.o, sim.rt
+	o := sim.o
+	rt := upc.NewRuntime(o.Machine)
 	p := rt.Threads()
-	s := &simEngine{o: o, par: o.Machine.Par, init: sim.init, ts: make([]*simThread, p)}
+	s := &simEngine{sim: sim, rt: rt, o: o, par: o.Machine.Par, init: sim.init, ts: make([]*simThread, p)}
 	for i, st := range sim.ts {
 		s.ts[i] = &simThread{tstate: st}
 	}
@@ -104,6 +110,32 @@ func newSimEngine(sim *Sim) *simEngine {
 	s.cells.SetRecycle()
 	s.bodies.SetRecycle()
 	return s
+}
+
+// start launches the SPMD session: every thread runs setup and parks at
+// its first step boundary.
+func (s *simEngine) start() { s.sess = s.rt.Start(s.threadMain) }
+
+// threadMain is the session body: setup, then one stepOnce per granted
+// step. The NextStep gate sits between step k's trailing bookkeeping
+// (stats record, test hook) and step k+1's shared tree reset — both
+// thread-local, so parking there perturbs no cross-thread coupling and
+// the stepped schedule is the uninterrupted one (see upc.Session).
+func (s *simEngine) threadMain(t *upc.Thread) {
+	st := s.ts[t.ID()]
+	s.setup(t)
+	t.Barrier()
+	for t.NextStep() {
+		stepOnce(s.sim, s, t, st.tstate)
+	}
+}
+
+func (s *simEngine) resume(k int)        { s.sess.Resume(k) }
+func (s *simEngine) finish()             { s.sess.Finish() }
+func (s *simEngine) clock(i int) float64 { return s.rt.ThreadNow(i) }
+
+func (s *simEngine) counters() (upc.Stats, upc.SchedStats) {
+	return s.rt.TotalStats(), s.rt.SchedStats()
 }
 
 // release returns both heaps' chunks to the process-wide recycling pools.
@@ -323,11 +355,13 @@ func (s *simEngine) newCell(t *upc.Thread, st *simThread, center vec.V3, half fl
 }
 
 // capture writes each thread's owned bodies and their refs (the
-// "bodies" and "refs" regions), the body shards' allocated lengths, the
-// lock horizon, the shared scalars and each thread's buffers and
-// replicated scalars. No other heap slot travels: the container is this
-// session's bodies, whatever the rest of a shard holds.
+// "bodies" and "refs" regions), the runtime state, the body shards'
+// allocated lengths, the lock horizon, the shared scalars and each
+// thread's buffers and replicated scalars. No other heap slot travels:
+// the container is this session's bodies, whatever the rest of a shard
+// holds.
 func (s *simEngine) capture(cs *ckptState, sc *captureScratch) []arena.NamedRegion {
+	cs.Runtime = s.rt.CaptureState()
 	cs.Locks = s.locks.CaptureAvail()
 	cs.TolS = s.tolS.Peek()
 	cs.EpsS = s.epsS.Peek()
@@ -350,12 +384,15 @@ func (s *simEngine) capture(cs *ckptState, sc *captureScratch) []arena.NamedRegi
 	return []arena.NamedRegion{{Name: regBodies, Data: bodyRecordBytes(bodies)}, {Name: regRefs, Data: refs}}
 }
 
-// restore reads capture's state back. The fresh setup's heap layout is
-// the checkpointed run's setup-time layout; shards the run grew past it
-// are extended first, then each owned body is written at its ref. No
-// other slot is read before a step writes it (DESIGN §12.3), so none is
-// filled.
+// restore reads capture's state back, the runtime's first. The fresh
+// setup's heap layout is the checkpointed run's setup-time layout;
+// shards the run grew past it are extended first, then each owned body
+// is written at its ref. No other slot is read before a step writes it
+// (DESIGN §12.3), so none is filled.
 func (s *simEngine) restore(cs *ckptState, c *arena.Checkpoint, bodies []nbody.Body) error {
+	if err := s.rt.RestoreState(cs.Runtime); err != nil {
+		return err
+	}
 	p := len(s.ts)
 	refs, _ := c.Region(regRefs)
 	if len(refs) != len(bodies)*refBytes {

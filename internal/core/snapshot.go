@@ -107,7 +107,7 @@ func (s *Sim) SnapshotMeta() (*Snapshot, error) {
 	case simReleased:
 		return nil, fmt.Errorf("core: Snapshot on a released Sim: %w", ErrReleased)
 	}
-	p := s.rt.Threads()
+	p := len(s.ts)
 	snap := &Snapshot{
 		Step:     s.stepsDone,
 		Steps:    s.o.Steps,
@@ -120,7 +120,7 @@ func (s *Sim) SnapshotMeta() (*Snapshot, error) {
 		Clocks:   make([]float64, p),
 	}
 	for i := 0; i < p; i++ {
-		snap.Clocks[i] = s.rt.ThreadNow(i)
+		snap.Clocks[i] = s.eng.clock(i)
 	}
 	tab := &s.stepTab
 	snap.StepPhases = tab.rows[:len(tab.rows):len(tab.rows)]

@@ -215,7 +215,7 @@ type Options struct {
 	// testStepHook, when set, runs on every thread at the end of each
 	// time-step (after the advance barrier); the allocation-regression
 	// tests use it to sample per-step memory statistics in place.
-	testStepHook func(t *upc.Thread, step int)
+	testStepHook func(thread, step int)
 
 	Machine *machine.Machine `json:"machine"`
 }

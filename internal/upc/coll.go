@@ -5,8 +5,7 @@ import "unsafe"
 // The collectives are rendezvous of the cooperative scheduler
 // (sched.exchange): every thread deposits a value, the last arriver
 // combines them, and all leave with their clocks aligned to the slowest
-// arrival plus the modelled cost. They exist only under ModeSimulate and
-// panic on a native runtime (Runtime.sim).
+// arrival plus the modelled cost.
 
 // Op selects the combining operator of a reduction.
 type Op int
@@ -38,7 +37,7 @@ func (op Op) apply(a, b float64) float64 {
 // AllReduceF64 is a scalar reduce&broadcast over all threads.
 func AllReduceF64(t *Thread, v float64, op Op) float64 {
 	t.red1[0] = v
-	return allReduce(t, "AllReduceF64", t.red1[:], op)[0]
+	return allReduce(t, t.red1[:], op)[0]
 }
 
 // AllReduceVecF64 is the vector reduce&broadcast the paper identifies as
@@ -47,11 +46,11 @@ func AllReduceF64(t *Thread, v float64, op Op) float64 {
 // MPI_Allreduce with MPI_IN_PLACE does: on return every thread's v holds
 // the elementwise result, and v is returned. Nothing is allocated.
 func AllReduceVecF64(t *Thread, v []float64, op Op) []float64 {
-	return allReduce(t, "AllReduceVecF64", v, op)
+	return allReduce(t, v, op)
 }
 
-func allReduce(t *Thread, name string, v []float64, op Op) []float64 {
-	s := t.rt.sim(name)
+func allReduce(t *Thread, v []float64, op Op) []float64 {
+	s := t.rt.coop
 	t.stats.Collectives++
 	cost := t.rt.mach.CollectiveCost(8 * len(v))
 	if t.rt.n == 1 {
@@ -93,7 +92,7 @@ func (s *sched) reduce(op Op) {
 
 // Broadcast distributes root's value to all threads.
 func Broadcast[T any](t *Thread, root int, v T) T {
-	s := t.rt.sim("Broadcast")
+	s := t.rt.coop
 	t.stats.Collectives++
 	cost := t.rt.mach.CollectiveCost(payloadBytes(v))
 	if t.rt.n == 1 {
@@ -116,7 +115,7 @@ func Broadcast[T any](t *Thread, root int, v T) T {
 // AllGather collects one value from every thread; the result is indexed
 // by thread id and shared (read-only) by all threads.
 func AllGather[T any](t *Thread, v T) []T {
-	s := t.rt.sim("AllGather")
+	s := t.rt.coop
 	t.stats.Collectives++
 	cost := t.rt.mach.CollectiveCost(payloadBytes(v) * t.rt.n)
 	if t.rt.n == 1 {
@@ -146,7 +145,7 @@ func AllGather[T any](t *Thread, v T) []T {
 // thread's own volume term (per-message overhead for its sends, transit
 // for its receives).
 func AllToAll[T any](t *Thread, send, recv [][]T) [][]T {
-	s := t.rt.sim("AllToAll")
+	s := t.rt.coop
 	if len(send) != t.rt.n {
 		panic("upc: AllToAll send matrix must have THREADS rows")
 	}

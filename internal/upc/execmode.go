@@ -5,26 +5,22 @@ import (
 	"fmt"
 )
 
-// ExecMode selects the execution backend of a Runtime: how operations are
-// timed, what Thread.Now means, and how much of the runtime exists. The
-// simulate backend is the whole emulated UPC runtime. The native backend
-// is the subset a program with no communication uses: SPMD launch and
-// the session step gate (Run, Start/NextStep/Resume/Finish), Barrier,
-// Now, Stats and poisoning. Shared heaps, scalars, locks, collectives
-// and SpinYield panic on a native runtime (Runtime.sim).
+// ExecMode names an execution backend: how a run is timed and what its
+// thread clocks mean. Only ModeSimulate is a Runtime; the name lives here
+// because internal/core aliases the type, and Options and Results carry
+// it by name.
 type ExecMode int
 
 const (
-	// ModeSimulate is the paper-reproduction backend: every operation
-	// advances the calling thread's simulated LogGP clock, remote messages
-	// occupy the target NIC, and all reported times are simulated seconds
-	// on the modelled machine.
+	// ModeSimulate is the paper-reproduction backend, this package's
+	// Runtime: every operation advances the calling thread's simulated
+	// LogGP clock, remote messages occupy the target NIC, and all
+	// reported times are simulated seconds on the modelled machine.
 	ModeSimulate ExecMode = iota
-	// ModeNative skips simulated-time accounting entirely: threads run as
-	// plain goroutines meeting at real barriers, cost charges do not
-	// affect time, and Thread.Now returns measured wall-clock seconds
-	// since the runtime was built — so phase timings become real
-	// measured times on the host hardware.
+	// ModeNative is internal/core's native engine: its threads are a
+	// fork-join team of goroutines meeting at real barriers, with no
+	// simulated-time accounting, so phase timings are measured
+	// wall-clock seconds on the host hardware.
 	ModeNative
 )
 

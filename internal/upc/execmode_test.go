@@ -9,10 +9,6 @@ import (
 	"upcbh/internal/machine"
 )
 
-func nativeRuntime(p int) *Runtime {
-	return NewRuntimeMode(machine.Default(p), ModeNative)
-}
-
 func TestParseExecMode(t *testing.T) {
 	for _, m := range []ExecMode{ModeSimulate, ModeNative} {
 		got, err := ParseExecMode(m.String())
@@ -25,42 +21,19 @@ func TestParseExecMode(t *testing.T) {
 	}
 }
 
-// TestNativeChargesAreFree: in ModeNative, cost charges must not
-// influence reported time beyond the real wall clock. A million charged
-// "seconds" should leave the clock at sub-second wall time.
-func TestNativeChargesAreFree(t *testing.T) {
-	rt := nativeRuntime(2)
-	rt.Run(func(th *Thread) {
-		for i := 0; i < 1000; i++ {
-			th.Charge(1000)
-			th.ChargeRaw(1000)
-		}
-		th.AdvanceTo(1e12)
-	})
-	if c := maxClock(rt); c > 60 {
-		t.Errorf("native clock %g reflects simulated charges, want wall time", c)
+// TestNewRuntimeModeSimulateOnly: a Runtime only simulates, so asking
+// for any other backend panics with a message that sends the caller to
+// core's native team.
+func TestNewRuntimeModeSimulateOnly(t *testing.T) {
+	if rt := NewRuntimeMode(machine.Default(2), ModeSimulate); rt.Threads() != 2 {
+		t.Fatalf("ModeSimulate runtime has %d threads, want 2", rt.Threads())
 	}
-}
-
-// TestNativeNowMonotonic: the wall clock must be non-decreasing within a
-// thread and positive after real work.
-func TestNativeNowMonotonic(t *testing.T) {
-	rt := nativeRuntime(4)
-	rt.Run(func(th *Thread) {
-		t0 := th.Now()
-		acc := 0.0
-		for i := 0; i < 100000; i++ {
-			acc += float64(i)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "NewRuntimeMode(native)") || !strings.Contains(msg, "internal/core's team") {
+			t.Errorf("NewRuntimeMode(ModeNative) raised %q, want a panic naming core's team", msg)
 		}
-		_ = acc
-		t1 := th.Now()
-		if t1 < t0 {
-			t.Errorf("thread %d: Now went backwards: %g -> %g", th.ID(), t0, t1)
-		}
-		if t1 < 0 {
-			t.Errorf("thread %d: negative wall time %g", th.ID(), t1)
-		}
-	})
+	}()
+	NewRuntimeMode(machine.Default(2), ModeNative)
 }
 
 // TestNewLockArrayAllocs pins what a session's lock array costs to
@@ -90,52 +63,6 @@ func TestNewHeapFootprint(t *testing.T) {
 		t.Errorf("NewHeap on %d threads allocated %d bytes, want <= 64 KiB", rt.Threads(), got)
 	}
 	runtime.KeepAlive(h)
-}
-
-// TestNativeRejectsSimulateOnlyOps: heaps, locks, collectives and
-// spin-waits exist only under the cooperative scheduler. On a native runtime each
-// panics with the documented message — and inside a multi-thread Run that
-// panic poisons the runtime, so the peers parked in the barrier abort and
-// Run re-raises it instead of hanging.
-func TestNativeRejectsSimulateOnlyOps(t *testing.T) {
-	const want = "on a ModeNative runtime: heaps, locks, collectives and spin-waits exist only under ModeSimulate"
-	raised := func(f func()) (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		f()
-		return
-	}
-	rt := nativeRuntime(4)
-	for op, f := range map[string]func(){
-		"NewHeap":      func() { NewHeap[int](rt, 1024) },
-		"NewLock":      func() { rt.NewLock(0) },
-		"NewLockArray": func() { rt.NewLockArray(0) },
-		"NewScalar":    func() { NewScalar(rt, 1.0) },
-	} {
-		if msg := raised(f); !strings.Contains(msg, "upc: "+op+" "+want) {
-			t.Errorf("%s on a native runtime raised %q", op, msg)
-		}
-	}
-	for op, f := range map[string]func(th *Thread){
-		"AllReduceF64":    func(th *Thread) { AllReduceF64(th, 1, OpSum) },
-		"AllReduceVecF64": func(th *Thread) { AllReduceVecF64(th, []float64{1}, OpMax) },
-		"Broadcast":       func(th *Thread) { Broadcast(th, 0, th.ID()) },
-		"AllGather":       func(th *Thread) { AllGather(th, th.ID()) },
-		"AllToAll":        func(th *Thread) { AllToAll(th, make([][]int, th.P()), nil) },
-		"SpinYield":       func(th *Thread) { th.SpinYield() },
-	} {
-		rt := nativeRuntime(4)
-		msg := raised(func() {
-			rt.Run(func(th *Thread) {
-				if th.ID() == 2 {
-					f(th)
-				}
-				th.Barrier()
-			})
-		})
-		if !strings.Contains(msg, "upc: "+op+" "+want) {
-			t.Errorf("%s inside a native Run raised %q", op, msg)
-		}
-	}
 }
 
 // TestSimulateUnaffectedBySeam: a sanity pin that the simulate backend

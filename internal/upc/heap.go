@@ -55,9 +55,8 @@ const maxChunks = 1 << 14
 // shared memory, grown by Alloc. Elements are addressed by Ref and
 // accessed through cost-charged operations. The backing storage is
 // chunked so raw pointers obtained via Local remain valid across later
-// allocations. Heaps exist only under ModeSimulate, where one thread runs
-// at a time: chunk tables are plain slices that the scheduler's baton
-// orders (DESIGN.md §9).
+// allocations. One thread runs at a time, so chunk tables are plain
+// slices that the scheduler's baton orders (DESIGN.md §9).
 type Heap[T any] struct {
 	elemSize  int
 	chunkSize int32
@@ -76,10 +75,8 @@ type heapShard[T any] struct {
 }
 
 // NewHeap creates a heap over rt whose shards grow in chunks of
-// chunkSize elements (rounded up to a power of two, min 1024). It panics
-// on a native runtime (Runtime.sim).
+// chunkSize elements (rounded up to a power of two, min 1024).
 func NewHeap[T any](rt *Runtime, chunkSize int) *Heap[T] {
-	rt.sim("NewHeap")
 	cs := int32(1024)
 	var shift uint = 10
 	for int(cs) < chunkSize {

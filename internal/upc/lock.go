@@ -1,8 +1,7 @@
 package upc
 
 // Lock is a upc_lock_t: a global lock with affinity to a home thread.
-// Locks exist only under ModeSimulate, where at most one thread runs at a
-// time and ownership is the held flag; acquisition costs a round trip to
+// At most one thread runs at a time, so ownership is the held flag; acquisition costs a round trip to
 // the home thread and the critical sections of competing threads
 // serialize through the lock's availability time, which is what makes
 // lock contention visible in the reported phase times.
@@ -22,10 +21,8 @@ type Lock struct {
 const lockMsgBytes = 16
 
 // NewLock allocates a lock homed on thread `home` (upc_global_lock_alloc
-// distributes homes; the Barnes-Hut code uses arrays of locks). It
-// panics on a native runtime (Runtime.sim).
+// distributes homes; the Barnes-Hut code uses arrays of locks).
 func (rt *Runtime) NewLock(home int) *Lock {
-	rt.sim("NewLock")
 	return &Lock{rt: rt, home: home % rt.n}
 }
 
@@ -62,9 +59,8 @@ type LockArray struct {
 }
 
 // NewLockArray creates n locks, in one slab, with homes spread
-// round-robin over threads. It panics on a native runtime (Runtime.sim).
+// round-robin over threads.
 func (rt *Runtime) NewLockArray(n int) *LockArray {
-	rt.sim("NewLockArray")
 	la := &LockArray{locks: make([]Lock, n)}
 	for i := range la.locks {
 		la.locks[i] = Lock{rt: rt, home: i % rt.n}

@@ -85,12 +85,6 @@ func TestMsgCostTableMatchesModel(t *testing.T) {
 			}
 		})
 	}
-
-	for _, tab := range NewRuntimeMode(machine.Default(4), ModeNative).msgCosts {
-		if tab != nil {
-			t.Error("native runtime built a message-cost table")
-		}
-	}
 }
 
 // refModel is the accounting of a scripted access mix written with

@@ -14,10 +14,8 @@ type Scalar[T any] struct {
 	v  T
 }
 
-// NewScalar declares a shared scalar initialized to init. Simulate only
-// (Runtime.sim).
+// NewScalar declares a shared scalar initialized to init.
 func NewScalar[T any](rt *Runtime, init T) *Scalar[T] {
-	rt.sim("NewScalar")
 	return &Scalar[T]{rt: rt, v: init}
 }
 

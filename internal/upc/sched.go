@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// sched is the deterministic virtual-time cooperative scheduler behind
-// ModeSimulate. Real kernel synchronization between emulated threads
+// sched is the runtime's deterministic virtual-time cooperative
+// scheduler. Real kernel synchronization between emulated threads
 // would buy nothing — the clocks are virtual — and would leave clock
 // sequences at the mercy of the Go scheduler. So the threads run as
 // run-to-completion segments: each is an iter.Pull coroutine (code
@@ -44,12 +44,11 @@ type sched struct {
 	state []schedState
 
 	// next and stop drive each thread's coroutine of the current region
-	// (only the loop calls them), yields holds the yield each coroutine
-	// suspends itself with, and panics is the region's panic channel.
+	// (only the loop calls them), and yields holds the yield each
+	// coroutine suspends itself with.
 	next   []func() (bool, bool)
 	stop   []func()
 	yields []func(bool) bool
-	panics chan<- string
 
 	// runq is a binary min-heap of parked runnable threads ordered by
 	// (clock, id): scheduling decisions are O(log n), and a spinning
@@ -139,14 +138,8 @@ func newSched(rt *Runtime) *sched {
 	}
 }
 
-// SchedStats returns the cooperative-scheduler counters (zero in
-// ModeNative, which has no scheduler).
-func (rt *Runtime) SchedStats() SchedStats {
-	if rt.coop == nil {
-		return SchedStats{}
-	}
-	return rt.coop.stats
-}
+// SchedStats returns the cooperative-scheduler counters.
+func (rt *Runtime) SchedStats() SchedStats { return rt.coop.stats }
 
 // runEntry is a runnable thread in the run queue, keyed by its clock.
 type runEntry struct {
@@ -216,31 +209,18 @@ func (s *sched) heapPop() int {
 // runnable coroutine running body under the poison-on-panic wrapper,
 // and runs the loop until the region's first pause. Clocks persist
 // across regions, exactly like the old backend.
-func (s *sched) spawn(body func(t *Thread), panics chan<- string) {
-	s.panics = panics
+func (s *sched) spawn(body func(t *Thread)) {
 	s.runq = s.runq[:0]
 	for i, t := range s.rt.threads {
 		s.heapPush(int32(i))
 		s.next[i], s.stop[i] = iter.Pull(func(yield func(bool) bool) {
 			s.yields[i] = yield
-			s.rt.guard(t, body, panics)
+			s.rt.guard(t, body)
 		})
 	}
 	if first := s.heapPop(); first >= 0 {
 		s.run(first, true)
 	}
-}
-
-// resume releases a completed pause of the session step gate: every
-// arrival except the first re-enters the run queue, and the baton goes
-// back to the first arriver — the thread that was running when the
-// pause began — so the continuation is scheduled exactly as if the gate
-// did not exist. The release is not a counted handoff.
-func (s *sched) resume(arrivals []int32) {
-	for _, i := range arrivals[1:] {
-		s.heapPush(i)
-	}
-	s.run(int(arrivals[0]), false)
 }
 
 // run is the scheduler loop. It resumes thread cur and, each time the
@@ -308,14 +288,15 @@ func (s *sched) suspend(me int, state schedState) {
 		s.heapPush(int32(me))
 	}
 	if !s.yields[me](state != sStep) {
-		panic(poisonAbort{poisonSecondary})
+		panic(poisonAbort{})
 	}
 }
 
 // deadlock is the loop's report of a region in which no thread is
 // runnable while some live thread waits on an event only a parked or
 // returned thread could produce. It poisons the runtime with the whole
-// wait graph and posts that report as the region's primary panic.
+// wait graph: being the region's first failure, that report is its
+// primary panic.
 func (s *sched) deadlock(me int) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "upc: deadlock: every live thread is blocked (thread %d yielded last):", me)
@@ -324,9 +305,7 @@ func (s *sched) deadlock(me int) {
 			fmt.Fprintf(&b, " t%d=%v", i, st)
 		}
 	}
-	msg := b.String()
-	s.rt.poison(msg)
-	s.panics <- msg
+	s.rt.poison(b.String())
 }
 
 // barrier is the cooperative Thread.Barrier: deposit the clock, resolve
@@ -414,10 +393,9 @@ func (s *sched) lockRelease(t *Thread, l *Lock) {
 // can never run while the consumer spins, so each failed poll must offer
 // the baton to the lowest-clock peer. If the spinner still has the
 // lowest clock it keeps running — charged polls advance its clock, so
-// the producer is reached in bounded virtual time. Simulate only
-// (Runtime.sim).
+// the producer is reached in bounded virtual time.
 func (t *Thread) SpinYield() {
-	s := t.rt.sim("SpinYield")
+	s := t.rt.coop
 	// O(1) fast path: if no parked peer has a lower (clock, id), the
 	// spinner keeps the baton — no peer could have run before it, so the
 	// polled condition cannot have changed. Charged polls advance the

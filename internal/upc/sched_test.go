@@ -4,8 +4,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"upcbh/internal/machine"
 )
 
 // The cooperative virtual-time scheduler must reproduce the blocking
@@ -195,21 +193,4 @@ func TestCooperativeSingleRunner(t *testing.T) {
 			th.Barrier()
 		}
 	})
-}
-
-// TestNativeModeUnaffected: ModeNative keeps real parallel goroutines
-// and real synchronization (no scheduler).
-func TestNativeModeUnaffected(t *testing.T) {
-	rt := NewRuntimeMode(machine.Default(4), ModeNative)
-	var count atomic.Int32
-	rt.Run(func(th *Thread) {
-		count.Add(1)
-		th.Barrier()
-	})
-	if count.Load() != 4 {
-		t.Fatalf("ran %d native threads", count.Load())
-	}
-	if st := rt.SchedStats(); st.Handoffs != 0 {
-		t.Fatalf("native mode used the cooperative scheduler: %+v", st)
-	}
 }

@@ -26,19 +26,14 @@ import (
 // runtime, and the call in progress (Start, Resume or Finish) re-raises
 // the primary panic on the controller.
 //
-// The gate is one protocol in both backends: a parking thread appends
-// itself to the arrival list, and a release wakes the arrivals. The
-// backends differ in how a thread waits and who sees the pause. In
-// ModeNative a parked thread blocks on its wake channel
-// (Runtime.gates), and the last live thread to arrive or exit signals
-// the controller on pauseCh. In ModeSimulate a parked thread yields to
-// the scheduler loop (sched.go), which runs on the controller's
-// goroutine and returns once no thread is runnable; a release hands the
-// baton back to the first arriver — the thread that held it when the
-// pause began — so the post-resume schedule is exactly the schedule of
-// an uninterrupted run. Parking charges nothing and aligns no clocks.
-// That is what makes a Run-equivalent Start+Resume(Steps)+Finish, and
-// any Step(k) partition thereof, byte-identical.
+// A parked thread yields to the scheduler loop (sched.go), which runs on
+// the controller's goroutine and returns once no thread is runnable; a
+// release hands the baton back to the first arriver — the thread that
+// held it when the pause began — so the post-resume schedule is exactly
+// the schedule of an uninterrupted run. Parking charges nothing and
+// aligns no clocks. That is what makes a Run-equivalent
+// Start+Resume(Steps)+Finish, and any Step(k) partition thereof,
+// byte-identical.
 //
 // One session may be active per Runtime at a time; Runtime.Run is
 // Start(fn).Finish().
@@ -52,51 +47,39 @@ type Session struct {
 	done      bool // every thread function has returned
 	completed bool // Finish (or a propagated failure) already ran
 
-	// wg counts the native thread goroutines. panics has room for a
-	// message per thread plus the scheduler's deadlock report.
-	wg     sync.WaitGroup
-	panics chan string
-
 	// mu guards the arrival list and the live count. arrivals holds the
-	// threads parked at the gate this pause, in arrival order; woken is
-	// the previous pause's list, retained so a release iterates it while
-	// the woken threads append to the other buffer.
+	// threads parked at the gate this pause, in arrival order.
 	mu       sync.Mutex
 	arrivals []int32
-	woken    []int32
 	live     int
-
-	// pauseCh carries the "every live thread parked or exited" signal to
-	// the controller (buffered: the pause can complete before the
-	// controller starts waiting).
-	pauseCh chan struct{}
 }
 
 // Start launches fn as a resumable SPMD session on every thread and
 // blocks until the first pause: each thread has run the code before its
 // first NextStep call (typically setup) and parked at the gate with no
 // steps granted. If fn never calls NextStep, Start returns when every
-// thread has exited; Resume then panics and only Finish is legal.
+// thread has exited; Resume then panics and only Finish is legal. On a
+// runtime a failed region poisoned, Start runs no thread and panics.
 func (rt *Runtime) Start(fn func(t *Thread)) *Session {
 	if rt.session != nil {
 		panic("upc: Start while another session is active on this runtime")
 	}
+	if rt.poisoned.Load() != nil {
+		panic(poisonSecondary)
+	}
 	sess := &Session{
 		rt:       rt,
 		arrivals: make([]int32, 0, rt.n),
-		woken:    make([]int32, 0, rt.n),
 		live:     rt.n,
-		pauseCh:  make(chan struct{}, 1),
-		panics:   make(chan string, rt.n+1),
 	}
 	rt.session = sess
 	for _, t := range rt.threads {
 		t.steps = 0
 	}
-	rt.launch(func(t *Thread) {
+	rt.coop.spawn(func(t *Thread) {
 		fn(t)
-		sess.exit(t)
-	}, &sess.wg, sess.panics)
+		sess.exit()
+	})
 	sess.waitPause()
 	return sess
 }
@@ -120,7 +103,7 @@ func (sess *Session) Resume(k int) {
 
 // Finish releases the threads to exit: every pending (and future)
 // NextStep returns false, the thread functions return, and Finish
-// blocks until all threads are gone. It is idempotent.
+// returns once all threads are gone. It is idempotent.
 func (sess *Session) Finish() {
 	if sess.completed {
 		return
@@ -129,11 +112,8 @@ func (sess *Session) Finish() {
 	if !sess.done {
 		sess.release()
 	}
-	sess.wg.Wait()
+	sess.waitPause()
 	sess.close()
-	if msg := primaryPanic(sess.panics); msg != "" {
-		panic(msg)
-	}
 }
 
 // close detaches the completed session from the runtime.
@@ -142,80 +122,49 @@ func (sess *Session) close() {
 	sess.rt.session = nil
 }
 
-// fail is the controller-side poison path: wait out the unwinding
-// threads, detach, and re-raise the primary panic.
-func (sess *Session) fail() {
-	sess.wg.Wait()
-	sess.close()
-	msg := primaryPanic(sess.panics)
-	if msg == "" {
-		msg = poisonSecondary
-	}
-	panic(msg)
-}
-
-// waitPause blocks the controller until the session is quiescent: every
-// live thread parked at the gate, or every thread exited, or the runtime
-// poisoned (which re-raises). A simulate session is quiescent already:
-// its scheduler loop returned at the pause.
+// waitPause checks the session at a pause — the scheduler loop has
+// returned: every live thread is parked at the gate, or every thread
+// has exited, or the region failed. A failed region is detached and its
+// first failure re-raised on the controller.
 func (sess *Session) waitPause() {
-	if sess.rt.coop == nil {
-		select {
-		case <-sess.pauseCh:
-		case <-sess.rt.poisonCh:
-		}
-	}
-	if sess.rt.poisoned.Load() != nil {
-		sess.fail()
+	if p := sess.rt.poisoned.Load(); p != nil {
+		sess.close()
+		panic(*p)
 	}
 	sess.done = sess.live == 0
 }
 
-// release ends a completed pause, waking every arrival; under simulate
-// it runs the scheduler loop until the next pause. The controller calls
-// it only while every live thread is parked, so it swaps the arrival
-// buffers without the lock.
+// release ends a completed pause: every arrival except the first
+// re-enters the run queue, and the baton goes back to the first arriver —
+// the thread that was running when the pause began — so the continuation
+// is scheduled exactly as if the gate did not exist. The release is not a
+// counted handoff. The controller calls it only while every live thread
+// is parked, and the run queue holds the arrivals before the loop runs,
+// so the arrival list is reset without the lock.
 func (sess *Session) release() {
-	woken := sess.arrivals
-	sess.arrivals, sess.woken = sess.woken[:0], woken
-	if s := sess.rt.coop; s != nil {
-		s.resume(woken)
-		return
+	s, first := sess.rt.coop, sess.arrivals[0]
+	for _, i := range sess.arrivals[1:] {
+		s.heapPush(i)
 	}
-	for _, i := range woken {
-		sess.rt.gates[i] <- struct{}{}
-	}
+	sess.arrivals = sess.arrivals[:0]
+	s.run(int(first), false)
 }
 
-// park blocks thread t at the gate until the controller releases the
-// pause; under native the last live thread to arrive signals the
-// controller.
+// park yields thread t to the scheduler loop at the gate until the
+// controller releases the pause.
 func (sess *Session) park(t *Thread) {
 	sess.mu.Lock()
 	sess.arrivals = append(sess.arrivals, int32(t.id))
-	last := len(sess.arrivals) == sess.live
 	sess.mu.Unlock()
-	if s := sess.rt.coop; s != nil {
-		s.suspend(t.id, sStep)
-		return
-	}
-	if last {
-		sess.pauseCh <- struct{}{}
-	}
-	<-sess.rt.gates[t.id]
+	sess.rt.coop.suspend(t.id, sStep)
 }
 
-// exit retires thread t after its function returned normally (a
-// panicking thread poisons the runtime instead). Under native, if every
-// remaining live thread is parked, t's exit completes the pause.
-func (sess *Session) exit(t *Thread) {
+// exit retires a thread whose function returned normally (a panicking
+// thread poisons the runtime instead).
+func (sess *Session) exit() {
 	sess.mu.Lock()
 	sess.live--
-	last := len(sess.arrivals) == sess.live
 	sess.mu.Unlock()
-	if last && sess.rt.coop == nil {
-		sess.pauseCh <- struct{}{}
-	}
 }
 
 // firstArrival moves thread i to the front of the arrival list, so the
@@ -252,8 +201,7 @@ func (t *Thread) NextStep() bool {
 	}
 }
 
-// ThreadNow returns thread i's current time (Thread.Now read from
-// outside): the simulated clock in ModeSimulate, wall-clock seconds
-// since the epoch in ModeNative. Only safe while the runtime is
-// quiescent — between Run invocations, or while a session is paused.
-func (rt *Runtime) ThreadNow(i int) float64 { return rt.threads[i].Now() }
+// ThreadNow returns thread i's simulated clock (Thread.Now read from
+// outside). Only safe while the runtime is quiescent — between Run
+// invocations, or while a session is paused.
+func (rt *Runtime) ThreadNow(i int) float64 { return rt.threads[i].clock }

@@ -13,8 +13,7 @@ import (
 
 // sessionBody is a canonical SPMD session body for the tests: per-step
 // it charges thread-dependent time, exchanges data through a barrier-
-// separated collective (under simulate; a native runtime has none), and
-// records its step count.
+// separated collective, and records its step count.
 func sessionBody(steps *[][]int, clocks *[][]float64) func(t *Thread) {
 	return func(t *Thread) {
 		me := t.ID()
@@ -22,9 +21,7 @@ func sessionBody(steps *[][]int, clocks *[][]float64) func(t *Thread) {
 		t.Barrier()
 		for t.NextStep() {
 			t.Charge(1e-6)
-			if t.rt.coop != nil {
-				AllReduceVecF64(t, []float64{float64(me)}, OpMax)
-			}
+			AllReduceVecF64(t, []float64{float64(me)}, OpMax)
 			t.Barrier()
 			(*steps)[me] = append((*steps)[me], len((*steps)[me]))
 			(*clocks)[me] = append((*clocks)[me], t.Now())
@@ -38,9 +35,9 @@ func newSessionState(n int) (*[][]int, *[][]float64) {
 	return &steps, &clocks
 }
 
-func testSessionStepGate(t *testing.T, mode ExecMode) {
+func TestSessionStepGateSimulate(t *testing.T) {
 	const n = 4
-	rt := NewRuntimeMode(machine.Default(n), mode)
+	rt := NewRuntime(machine.Default(n))
 	steps, clocks := newSessionState(n)
 	sess := rt.Start(sessionBody(steps, clocks))
 	for i := 0; i < n; i++ {
@@ -63,15 +60,13 @@ func testSessionStepGate(t *testing.T, mode ExecMode) {
 	if got := sess.granted; got != 5 {
 		t.Fatalf("steps granted = %d, want 5", got)
 	}
-	if mode == ModeSimulate {
-		// Clocks must be monotone across the pause: the gate charges
-		// nothing and never rewinds time.
-		for i := 0; i < n; i++ {
-			cs := (*clocks)[i]
-			for k := 1; k < len(cs); k++ {
-				if cs[k] < cs[k-1] {
-					t.Fatalf("thread %d clock went backwards across steps: %v", i, cs)
-				}
+	// Clocks must be monotone across the pause: the gate charges
+	// nothing and never rewinds time.
+	for i := 0; i < n; i++ {
+		cs := (*clocks)[i]
+		for k := 1; k < len(cs); k++ {
+			if cs[k] < cs[k-1] {
+				t.Fatalf("thread %d clock went backwards across steps: %v", i, cs)
 			}
 		}
 	}
@@ -85,9 +80,6 @@ func testSessionStepGate(t *testing.T, mode ExecMode) {
 		}
 	}
 }
-
-func TestSessionStepGateSimulate(t *testing.T) { testSessionStepGate(t, ModeSimulate) }
-func TestSessionStepGateNative(t *testing.T)   { testSessionStepGate(t, ModeNative) }
 
 // TestSessionEquivalentToRun pins the scheduling transparency of the
 // step gate in the simulate backend: a stepped session must leave every
@@ -140,9 +132,9 @@ func TestSessionEquivalentToRun(t *testing.T) {
 	}
 }
 
-func testSessionPanicPropagates(t *testing.T, mode ExecMode) {
+func TestSessionPanicPropagatesSimulate(t *testing.T) {
 	before := runtime.NumGoroutine()
-	rt := NewRuntimeMode(machine.Default(4), mode)
+	rt := NewRuntime(machine.Default(4))
 	sess := rt.Start(func(th *Thread) {
 		th.Barrier()
 		for th.NextStep() {
@@ -166,67 +158,25 @@ func testSessionPanicPropagates(t *testing.T, mode ExecMode) {
 	t.Fatal("Resume returned despite a panicking thread")
 }
 
-func TestSessionPanicPropagatesSimulate(t *testing.T) { testSessionPanicPropagates(t, ModeSimulate) }
-func TestSessionPanicPropagatesNative(t *testing.T)   { testSessionPanicPropagates(t, ModeNative) }
-
-// TestSessionPanicLateArriverNative: a native thread that reaches a
-// barrier strictly AFTER a peer has poisoned the runtime must abort
-// without holding the barrier mutex — poison takes that mutex to wake the
-// parked waiters, on the panicking thread and again on every aborting
-// one, so a waiter that panicked with it held would hang Resume instead
-// of letting it re-raise. One thread is already parked in the barrier,
-// one panics, one arrives late.
-func TestSessionPanicLateArriverNative(t *testing.T) {
-	rt := NewRuntimeMode(machine.Default(3), ModeNative)
-	sess := rt.Start(func(th *Thread) {
-		for th.NextStep() {
-			switch th.ID() {
-			case 1:
-				panic("late boom")
-			case 2:
-				for rt.poisoned.Load() == nil {
-					runtime.Gosched()
-				}
-			}
-			th.Barrier()
-		}
-	})
-	raised := make(chan any, 1)
-	go func() {
-		defer func() { raised <- recover() }()
-		sess.Resume(1)
-	}()
-	select {
-	case r := <-raised:
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "late boom") {
-			t.Fatalf("Resume raised %v, want the thread's panic", r)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Resume hangs: a thread arriving at the barrier after the poison never aborted")
-	}
-}
-
 // TestSessionBodyWithoutGate: a session whose body never calls NextStep
 // degenerates to a plain SPMD region — Start returns once every thread
 // has exited, and Finish is a no-op.
 func TestSessionBodyWithoutGate(t *testing.T) {
-	for _, mode := range []ExecMode{ModeSimulate, ModeNative} {
-		t.Run(mode.String(), func(t *testing.T) {
-			rt := NewRuntimeMode(machine.Default(3), mode)
-			var ran atomic.Int64
-			sess := rt.Start(func(th *Thread) {
-				th.Barrier()
-				ran.Add(1)
-			})
-			if got := ran.Load(); got != 3 {
-				t.Fatalf("Start returned with %d of 3 threads finished", got)
-			}
-			if !(sess.done || sess.completed) {
-				t.Fatal("session with no gate should be done after Start")
-			}
-			sess.Finish()
+	t.Run("simulate", func(t *testing.T) {
+		rt := NewRuntime(machine.Default(3))
+		var ran atomic.Int64
+		sess := rt.Start(func(th *Thread) {
+			th.Barrier()
+			ran.Add(1)
 		})
-	}
+		if got := ran.Load(); got != 3 {
+			t.Fatalf("Start returned with %d of 3 threads finished", got)
+		}
+		if !(sess.done || sess.completed) {
+			t.Fatal("session with no gate should be done after Start")
+		}
+		sess.Finish()
+	})
 }
 
 // TestSessionGuards pins the misuse panics — Run during an active
@@ -234,43 +184,41 @@ func TestSessionBodyWithoutGate(t *testing.T) {
 // outside any region — and that a Run region, a session that is never
 // resumed, takes no step.
 func TestSessionGuards(t *testing.T) {
-	for _, mode := range []ExecMode{ModeSimulate, ModeNative} {
-		t.Run(mode.String(), func(t *testing.T) {
-			rt := NewRuntimeMode(machine.Default(2), mode)
-			sess := rt.Start(func(th *Thread) {
-				for th.NextStep() {
-					th.Barrier()
-				}
-			})
-			mustPanic := func(name string, f func()) {
-				t.Helper()
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s did not panic", name)
-					}
-				}()
-				f()
-			}
-			mustPanic("Run during session", func() { rt.Run(func(th *Thread) {}) })
-			mustPanic("second Start", func() { rt.Start(func(th *Thread) {}) })
-			mustPanic("Resume(0)", func() { sess.Resume(0) })
-			sess.Resume(2)
-			sess.Finish()
-			sess.Finish() // idempotent
-			mustPanic("Resume after Finish", func() { sess.Resume(1) })
-			mustPanic("NextStep outside any region", func() { rt.threads[0].NextStep() })
-
-			var stepped atomic.Int64
-			rt.Run(func(th *Thread) {
-				for th.NextStep() {
-					stepped.Add(1)
-				}
-			})
-			if got := stepped.Load(); got != 0 {
-				t.Errorf("a Run region took %d steps, want 0", got)
+	t.Run("simulate", func(t *testing.T) {
+		rt := NewRuntime(machine.Default(2))
+		sess := rt.Start(func(th *Thread) {
+			for th.NextStep() {
+				th.Barrier()
 			}
 		})
-	}
+		mustPanic := func(name string, f func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}
+		mustPanic("Run during session", func() { rt.Run(func(th *Thread) {}) })
+		mustPanic("second Start", func() { rt.Start(func(th *Thread) {}) })
+		mustPanic("Resume(0)", func() { sess.Resume(0) })
+		sess.Resume(2)
+		sess.Finish()
+		sess.Finish() // idempotent
+		mustPanic("Resume after Finish", func() { sess.Resume(1) })
+		mustPanic("NextStep outside any region", func() { rt.threads[0].NextStep() })
+
+		var stepped atomic.Int64
+		rt.Run(func(th *Thread) {
+			for th.NextStep() {
+				stepped.Add(1)
+			}
+		})
+		if got := stepped.Load(); got != 0 {
+			t.Errorf("a Run region took %d steps, want 0", got)
+		}
+	})
 }
 
 // TestSessionRunAfterFinish: the runtime is reusable for plain Run
@@ -297,99 +245,70 @@ func TestSessionRunAfterFinish(t *testing.T) {
 // reuse, the first arriver's baton, heap re-insertion).
 func TestSessionManyThreadsStress(t *testing.T) {
 	const n, rounds = 64, 20
-	for _, mode := range []ExecMode{ModeSimulate, ModeNative} {
-		t.Run(mode.String(), func(t *testing.T) {
-			rt := NewRuntimeMode(machine.Default(n), mode)
-			var counts [n]int64
-			sess := rt.Start(func(th *Thread) {
+	t.Run("simulate", func(t *testing.T) {
+		rt := NewRuntime(machine.Default(n))
+		var counts [n]int64
+		sess := rt.Start(func(th *Thread) {
+			th.Barrier()
+			for th.NextStep() {
+				th.Charge(float64(th.ID()+1) * 1e-8)
 				th.Barrier()
-				for th.NextStep() {
-					th.Charge(float64(th.ID()+1) * 1e-8)
-					th.Barrier()
-					counts[th.ID()]++
-				}
-			})
-			want := int64(0)
-			for r := 0; r < rounds; r++ {
-				k := r%3 + 1
-				sess.Resume(k)
-				want += int64(k)
-				if counts[n-1] != want {
-					t.Fatalf("round %d: thread %d at %d steps, want %d", r, n-1, counts[n-1], want)
-				}
-			}
-			sess.Finish()
-			for i, c := range counts {
-				if c != want {
-					t.Fatalf("thread %d ran %d steps, want %d", i, c, want)
-				}
+				counts[th.ID()]++
 			}
 		})
-	}
-}
-
-// TestSessionLostWakeupStress: thousands of one-step pauses on native
-// threads, each step ending at a barrier. A wake-up lost between a
-// thread's arrival and its park hangs Resume (at -cpu 1 most readily);
-// a miscounted pause returns before every thread has stepped.
-func TestSessionLostWakeupStress(t *testing.T) {
-	const n, rounds = 4, 2000
-	rt := NewRuntimeMode(machine.Default(n), ModeNative)
-	var counts [n]int64
-	sess := rt.Start(func(th *Thread) {
-		for th.NextStep() {
-			counts[th.ID()]++
-			th.Barrier()
-		}
-	})
-	for r := 1; r <= rounds; r++ {
-		sess.Resume(1)
-		for i, c := range counts {
-			if c != int64(r) {
-				t.Fatalf("after Resume %d: thread %d at %d steps", r, i, c)
+		want := int64(0)
+		for r := 0; r < rounds; r++ {
+			k := r%3 + 1
+			sess.Resume(k)
+			want += int64(k)
+			if counts[n-1] != want {
+				t.Fatalf("round %d: thread %d at %d steps, want %d", r, n-1, counts[n-1], want)
 			}
 		}
-	}
-	sess.Finish()
+		sess.Finish()
+		for i, c := range counts {
+			if c != want {
+				t.Fatalf("thread %d ran %d steps, want %d", i, c, want)
+			}
+		}
+	})
 }
 
 // TestSessionThreadExitsEarly: a thread that returns from its body while
 // its peers keep stepping stops being live, and the pause completes
-// without it, in both backends. A later barrier that the exited thread
-// never reaches is still reported as a deadlock under simulate.
+// without it. A later barrier that the exited thread never reaches is
+// still reported as a deadlock.
 func TestSessionThreadExitsEarly(t *testing.T) {
-	for _, mode := range []ExecMode{ModeSimulate, ModeNative} {
-		t.Run(mode.String(), func(t *testing.T) {
-			rt := NewRuntimeMode(machine.Default(3), mode)
-			var counts [3]int64
-			sess := rt.Start(func(th *Thread) {
-				for th.NextStep() {
-					counts[th.ID()]++
-					if th.ID() == 2 {
-						return
-					}
+	t.Run("simulate", func(t *testing.T) {
+		rt := NewRuntime(machine.Default(3))
+		var counts [3]int64
+		sess := rt.Start(func(th *Thread) {
+			for th.NextStep() {
+				counts[th.ID()]++
+				if th.ID() == 2 {
+					return
 				}
-			})
-			raised := make(chan any, 1)
-			go func() {
-				defer func() { raised <- recover() }()
-				sess.Resume(2)
-				sess.Resume(2)
-				sess.Finish()
-			}()
-			select {
-			case r := <-raised:
-				if r != nil {
-					t.Fatalf("a session with an exited thread panicked: %v", r)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("Resume hangs on a session with an exited thread")
-			}
-			if counts != [3]int64{4, 4, 1} {
-				t.Fatalf("step counts %v, want [4 4 1]", counts)
 			}
 		})
-	}
+		raised := make(chan any, 1)
+		go func() {
+			defer func() { raised <- recover() }()
+			sess.Resume(2)
+			sess.Resume(2)
+			sess.Finish()
+		}()
+		select {
+		case r := <-raised:
+			if r != nil {
+				t.Fatalf("a session with an exited thread panicked: %v", r)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Resume hangs on a session with an exited thread")
+		}
+		if counts != [3]int64{4, 4, 1} {
+			t.Fatalf("step counts %v, want [4 4 1]", counts)
+		}
+	})
 
 	rt := NewRuntime(machine.Default(2))
 	sess := rt.Start(func(th *Thread) {

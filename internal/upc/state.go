@@ -19,11 +19,12 @@ type ThreadState struct {
 }
 
 // RuntimeState is the runtime's checkpointable state at a paused step
-// gate.
+// gate. internal/core's native team writes the same shape for its
+// threads: clocks 0, no NICAvail, zero Sched and StepFirst -1.
 type RuntimeState struct {
 	Threads []ThreadState `json:"threads"`
-	// NICAvail is the per-thread NIC availability time (simulate mode):
-	// it carries serialization pressure across step boundaries.
+	// NICAvail is the per-thread NIC availability time: it carries
+	// serialization pressure across step boundaries.
 	NICAvail []float64 `json:"nic_avail,omitempty"`
 	// Sched is the cooperative-scheduler counter state; byte-exact
 	// stepped equivalence includes SchedStats.
@@ -40,50 +41,42 @@ type RuntimeState struct {
 func (rt *Runtime) CaptureState() RuntimeState {
 	st := RuntimeState{
 		Threads:   make([]ThreadState, rt.n),
+		NICAvail:  make([]float64, rt.n),
+		Sched:     rt.coop.stats,
 		StepFirst: -1,
 	}
 	for i, t := range rt.threads {
 		st.Threads[i] = ThreadState{Clock: t.clock, Stats: t.stats}
+		st.NICAvail[i] = rt.nic[i].availAt
 	}
-	if rt.coop != nil {
-		st.NICAvail = make([]float64, rt.n)
-		for i := range rt.nic {
-			st.NICAvail[i] = rt.nic[i].availAt
-		}
-		st.Sched = rt.coop.stats
-		if sess := rt.session; sess != nil && len(sess.arrivals) > 0 {
-			st.StepFirst = sess.arrivals[0]
-		}
+	if sess := rt.session; sess != nil && len(sess.arrivals) > 0 {
+		st.StepFirst = sess.arrivals[0]
 	}
 	return st
 }
 
 // RestoreState overwrites the persistent runtime state with a captured
 // snapshot. Only valid while a session is paused; the snapshot must
-// come from a runtime of the same thread count and mode.
+// come from a runtime of the same thread count.
 func (rt *Runtime) RestoreState(st RuntimeState) error {
 	if len(st.Threads) != rt.n {
 		return fmt.Errorf("upc: restore of %d-thread state into %d-thread runtime", len(st.Threads), rt.n)
 	}
+	if len(st.NICAvail) != rt.n {
+		return fmt.Errorf("upc: restore with %d NIC states, want %d", len(st.NICAvail), rt.n)
+	}
 	for i, t := range rt.threads {
 		t.clock = st.Threads[i].Clock
 		t.stats = st.Threads[i].Stats
+		rt.nic[i].availAt = st.NICAvail[i]
 	}
-	if rt.coop != nil {
-		if len(st.NICAvail) != rt.n {
-			return fmt.Errorf("upc: restore with %d NIC states, want %d", len(st.NICAvail), rt.n)
-		}
-		for i := range rt.nic {
-			rt.nic[i].availAt = st.NICAvail[i]
-		}
-		rt.coop.stats = st.Sched
-		if st.StepFirst >= 0 {
-			// The restored pause must resume through the same thread the
-			// original pause parked first, not whichever thread parked
-			// first during the fresh runtime's setup.
-			if sess := rt.session; sess == nil || !sess.firstArrival(st.StepFirst) {
-				return fmt.Errorf("upc: restore step-first thread %d is not parked at the gate", st.StepFirst)
-			}
+	rt.coop.stats = st.Sched
+	if st.StepFirst >= 0 {
+		// The restored pause must resume through the same thread the
+		// original pause parked first, not whichever thread parked
+		// first during the fresh runtime's setup.
+		if sess := rt.session; sess == nil || !sess.firstArrival(st.StepFirst) {
+			return fmt.Errorf("upc: restore step-first thread %d is not parked at the gate", st.StepFirst)
 		}
 	}
 	return nil

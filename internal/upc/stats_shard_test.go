@@ -1,29 +1,12 @@
 package upc
 
-import (
-	"testing"
-
-	"upcbh/internal/machine"
-)
+import "testing"
 
 // The runtime keeps no shared mutexed counters: every Stats counter is a
 // per-thread shard owned by its thread (aggregated only after Run or at
-// phase boundaries via snapshots/deltas). These tests pin that — under
-// -race with real native parallelism, and with exact deterministic
-// totals at paper scale under the cooperative scheduler.
-
-func TestStatsPerThreadShardsNativeRace(t *testing.T) {
-	rt := NewRuntimeMode(machine.Default(8), ModeNative)
-	const rounds = 400
-	rt.Run(func(th *Thread) {
-		for i := 0; i < rounds; i++ {
-			th.Barrier()
-		}
-	})
-	if st := rt.TotalStats(); st.Barriers != 8*rounds {
-		t.Fatalf("barriers = %d, want %d (lost updates => counters are shared)", st.Barriers, 8*rounds)
-	}
-}
+// phase boundaries via snapshots/deltas). This test pins that with exact
+// deterministic totals at paper scale under the cooperative scheduler;
+// core's TestTeamBarrierCountsRace pins the native team's under -race.
 
 func TestStatsPerThreadShardsSimulate112(t *testing.T) {
 	run := func() Stats {
