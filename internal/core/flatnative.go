@@ -204,10 +204,9 @@ func (s *flatEngine) prepare(t *member, measured bool) (ph PhaseTimes) {
 }
 
 // boundingBox computes the new root geometry: a pass over the thread's
-// own slots, then, since the native runtime has no collectives, a
-// barrier after which every thread folds its peers' boxes itself. Min
-// and max are exact, so this is the cube the simulator's all-reduce
-// gives.
+// own slots, then, since the team has no collectives, a barrier after
+// which every thread folds its peers' boxes itself. Min and max are
+// exact, so this is the cube the simulator's all-reduce gives.
 func (s *flatEngine) boundingBox(t *member, st *flatThread) rootGeom {
 	lo := vec.V3{X: math.Inf(1), Y: math.Inf(1), Z: math.Inf(1)}
 	hi := lo.Scale(-1)

@@ -50,7 +50,7 @@ func (e *marked) Unwrap() []error { return []error{e.sentinel, e.err} }
 //	simNew ──start──▶ simPaused ──Finish/Run──▶ simFinished ──Release──▶ simReleased
 //
 // simNew: configured, no threads launched; SetBodies is still legal.
-// simPaused: a session is active and every thread is parked at a step
+// simPaused: a session is active and every thread has stopped at a step
 // boundary; Step, Snapshot, Run, Finish and Release are legal.
 // simFinished: the threads have exited and the Result was collected;
 // Snapshot remains legal (the body state is kept until Release).
@@ -64,12 +64,12 @@ const (
 	simReleased
 )
 
-// Sim is one configured Barnes-Hut simulation over the emulated UPC
-// runtime. Create with New, then either execute to completion with Run,
-// or drive it incrementally: Step(k) advances every thread k time-steps
-// and pauses at the step boundary, Snapshot copies out the state of the
-// paused simulation, Finish collects the Result, Release recycles the
-// heap storage. Run is itself implemented as Step(all)+Finish, so the
+// Sim is one configured Barnes-Hut simulation, over the emulated UPC
+// runtime or natively. Create with New, then either execute to
+// completion with Run, or drive it incrementally: Step(k) advances every
+// thread k time-steps and pauses at the step boundary, Snapshot copies
+// out the state of the paused simulation, Finish collects the Result,
+// Release recycles the heap storage. Run is itself implemented as Step(all)+Finish, so the
 // two styles are interchangeable — and byte-identical under the
 // simulate backend (see upc.Session on scheduling transparency).
 type Sim struct {

@@ -34,8 +34,8 @@ type Snapshot struct {
 	Time float64 `json:"time"`
 
 	// Clocks[i] is thread i's clock at the pause: the charged virtual
-	// time under ModeSimulate, wall-clock seconds since the runtime
-	// epoch under ModeNative.
+	// time under ModeSimulate, wall-clock seconds since the session
+	// started under ModeNative.
 	Clocks []float64 `json:"clocks"`
 
 	// Phases and StepPhases mirror Result: per-step maxima across
@@ -65,11 +65,11 @@ func (s *Snapshot) KeepSteps(k int) {
 
 // Snapshot copies out the simulation state at the current step
 // boundary. On a fresh Sim it starts the session (threads run setup and
-// park before step 0), so a step-0 snapshot observes the initial
+// stop before step 0), so a step-0 snapshot observes the initial
 // conditions as distributed. It is legal while the session is paused
 // and after Finish; it is an error after Release, when the body storage
 // has been recycled. Taking a snapshot never perturbs the simulation:
-// the runtime is quiescent at a pause, and a snapshot only reads it.
+// no thread runs at a pause, and a snapshot only reads.
 // Its Bodies are a fresh slice the caller owns.
 func (s *Sim) Snapshot() (*Snapshot, error) { return s.SnapshotInto(nil) }
 

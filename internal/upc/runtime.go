@@ -3,8 +3,8 @@
 // LogGP-style simulated-time cost model (internal/machine). The SPMD
 // threads are coroutines driven one at a time by a deterministic
 // scheduler loop. It is the simulator only: the native engine runs on
-// internal/core's fork-join team and uses nothing of this package but
-// the Stats and RuntimeState types.
+// internal/core's fork-join team and uses only this package's types
+// (Ref, Stats, RuntimeState).
 //
 // The emulation has two jobs:
 //

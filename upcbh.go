@@ -19,9 +19,10 @@
 // (the default, shown above) charges every UPC operation against the
 // LogGP machine model and reports simulated cluster times, at every
 // level. ModeNative runs the time-step as a real parallel Go program —
-// goroutine per UPC thread, real barriers, no cost accounting, one flat
-// octree built in parallel in place of the shared pointer tree — and
-// reports measured wall-clock phase times instead:
+// each Step(k) one fork-join region of a goroutine per thread, real
+// barriers, no cost accounting and no emulated runtime, one flat octree
+// built in parallel in place of the shared pointer tree — and reports
+// measured wall-clock phase times instead:
 //
 //	opts.ExecMode = upcbh.ModeNative
 //	sim, err := upcbh.New(opts)
