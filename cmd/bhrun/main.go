@@ -302,16 +302,20 @@ func downstreamClosed(err error) bool {
 // boundary.
 func runStream(w io.Writer, sim *upcbh.Sim, steps, every int, withBodies bool, sig <-chan os.Signal) error {
 	defer sim.Release()
-	var line []byte // one buffer for every snapshot's line
+	var (
+		line   []byte       // one buffer for every snapshot's line
+		bodies []upcbh.Body // and one for every snapshot's bodies
+	)
 	snapshot := sim.SnapshotMeta
 	if withBodies {
-		snapshot = sim.Snapshot
+		snapshot = func() (*upcbh.Snapshot, error) { return sim.SnapshotInto(bodies) }
 	}
 	emit := func(k int) error {
 		snap, err := snapshot()
 		if err != nil {
 			return err
 		}
+		bodies = snap.Bodies
 		snap.KeepSteps(k)
 		if line, err = snap.AppendJSON(line[:0]); err != nil {
 			return err

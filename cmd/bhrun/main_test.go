@@ -10,10 +10,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 
 	"upcbh"
 )
@@ -138,6 +140,42 @@ func TestRunStreamBytesAreEncodingJSONs(t *testing.T) {
 		if n := bytes.Count(got.Bytes(), []byte("\n")); n != 5 {
 			t.Fatalf("bodies=%v: %d lines, want 5", withBodies, n)
 		}
+	}
+}
+
+// allocWriter discards what is written and records the bytes the
+// process had allocated at each Write.
+type allocWriter struct{ at []uint64 }
+
+func (w *allocWriter) Write(p []byte) (int, error) {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	w.at = append(w.at, m.TotalAlloc)
+	return len(p), nil
+}
+
+// TestRunStreamReusesBodies: -snap-bodies gathers every line's bodies
+// into one reused slice, so a bodies line after the first few allocates
+// less than one body gather.
+func TestRunStreamReusesBodies(t *testing.T) {
+	opts := upcbh.DefaultOptions(2048, 1, upcbh.LevelMergedBuild)
+	opts.ExecMode = upcbh.ModeNative
+	opts.Steps, opts.Warmup = 6, 0
+	sim, err := upcbh.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &allocWriter{at: make([]uint64, 0, opts.Steps+1)}
+	if err := runStream(w, sim, opts.Steps, 1, true, nil); err != nil {
+		t.Fatal(err)
+	}
+	const warm = 2 // lines whose allocations are the buffers' first growth
+	n := len(w.at) - 1
+	per := (w.at[n] - w.at[warm]) / uint64(n-warm)
+	gather := uint64(opts.Bodies) * uint64(unsafe.Sizeof(upcbh.Body{}))
+	t.Logf("%d B per bodies line; one body gather is %d B", per, gather)
+	if per >= gather {
+		t.Errorf("a bodies line allocated %d B; one body gather is %d B", per, gather)
 	}
 }
 

@@ -33,7 +33,7 @@ func openTestStore(t *testing.T, dir string, fs durable.FS) *store.Store {
 func stepOne(t *testing.T, s *Server, sess *session) {
 	t.Helper()
 	var stepErr error
-	onLoop(t, s, sess, func() { _, stepErr = s.stepLocked(sess, 1, false) })
+	onLoop(t, s, sess, func() { _, stepErr = stepCounters(s, sess, 1) })
 	if stepErr != nil {
 		t.Fatal(stepErr)
 	}
@@ -320,7 +320,7 @@ func TestAutoCheckpointLifecycleRaces(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 12; j++ {
 				err := s.onShard(sess, func() error {
-					_, _ = s.stepLocked(sess, 1, false)
+					_, _ = stepCounters(s, sess, 1)
 					return nil
 				})
 				if err != nil {

@@ -380,19 +380,21 @@ func TestStreamWithoutBodiesGathersNone(t *testing.T) {
 	defer resp.Body.Close()
 	waitFor(t, "the stream to subscribe", func() bool { return sess.hub.subscriberCount() == 1 })
 	for range 3 {
-		var snap *core.Snapshot
 		onLoop(t, s, sess, func() {
-			if snap, err = s.stepLocked(sess, 1, false); err != nil {
+			f, err := s.stepLocked(sess, 1, false)
+			if err != nil {
 				t.Error(err)
+				return
+			}
+			defer f.release()
+			if len(f.snap.Bodies) != 0 {
+				t.Errorf("step %d published %d bodies to a stream that did not ask for them", f.snap.Step, len(f.snap.Bodies))
 			}
 		})
-		if snap != nil && len(snap.Bodies) != 0 {
-			t.Fatalf("step %d published %d bodies to a stream that did not ask for them", snap.Step, len(snap.Bodies))
-		}
 	}
 }
 
-// TestFrameLifetime: a frame's lines come from the pool and go back when
+// TestFrameLifetime: a frame's lines come from the spares and go back when
 // its last holder lets go, and a release beyond the holders panics
 // instead of freeing a buffer someone else may be writing from.
 func TestFrameLifetime(t *testing.T) {
@@ -407,7 +409,7 @@ func TestFrameLifetime(t *testing.T) {
 		t.Fatal(err)
 	}
 	var p framePool
-	f := p.newFrame(snap)
+	f := p.newFrame(snap, nil)
 	f.retain()
 	first, err := f.line(true)
 	if err != nil {
@@ -427,7 +429,7 @@ func TestFrameLifetime(t *testing.T) {
 	if p.lent != 0 {
 		t.Fatalf("after the last release: %d out", p.lent)
 	}
-	next := p.newFrame(snap)
+	next := p.newFrame(snap, nil)
 	next.release()
 
 	defer func() {
@@ -478,7 +480,9 @@ func BenchmarkStreamFanOut(b *testing.B) {
 			b.SetBytes(int64(len(bodiesLine(b, snap))))
 			for b.Loop() {
 				read.Add(subs)
-				h.publish(snap)
+				f := h.frames.newFrame(snap, nil)
+				h.publish(f)
+				f.release()
 				read.Wait()
 			}
 			b.StopTimer()

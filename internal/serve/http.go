@@ -13,7 +13,6 @@ import (
 
 	"upcbh/internal/core"
 	"upcbh/internal/machine"
-	"upcbh/internal/nbody"
 )
 
 // createRequest is the POST /sims body. Options (raw core.Options JSON)
@@ -53,9 +52,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /sims/restore", route(created, s.handleRestore))
 	mux.HandleFunc("GET /sims", route(ok, s.handleList))
 	mux.HandleFunc("GET /sims/{id}", s.sessionRoute(ok, s.handleStatus))
-	mux.HandleFunc("POST /sims/{id}/step", s.sessionRoute(ok, s.handleStep))
+	mux.HandleFunc("POST /sims/{id}/step", s.sessionRoute(0, s.handleStep))
 	mux.HandleFunc("POST /sims/{id}/checkpoint", s.sessionRoute(0, s.handleCheckpoint))
-	mux.HandleFunc("GET /sims/{id}/snapshot", s.sessionRoute(ok, s.handleSnapshot))
+	mux.HandleFunc("GET /sims/{id}/snapshot", s.sessionRoute(0, s.handleSnapshot))
 	mux.HandleFunc("GET /sims/{id}/stream", s.sessionRoute(0, s.handleStream))
 	mux.HandleFunc("GET /sims/{id}/result", s.sessionRoute(ok, s.handleResult))
 	mux.HandleFunc("DELETE /sims/{id}", s.sessionRoute(0, s.handleDelete))
@@ -65,8 +64,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // route adapts a handler that returns its JSON answer, or an error for
-// respond to map. A handler that wrote its own response (a checkpoint
-// container, an NDJSON stream, a bare 204) returns nil, nil.
+// respond to map. A handler that wrote its own response (a snapshot
+// frame, a checkpoint container, an NDJSON stream, a bare 204) returns
+// nil, nil.
 func route(code int, h func(http.ResponseWriter, *http.Request) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		switch body, err := h(w, r); {
@@ -133,28 +133,25 @@ func respond(w http.ResponseWriter, err error) {
 }
 
 // writeJSON answers v as one JSON document and a newline. A snapshot
-// goes through its own appender (core.Snapshot.AppendJSON: encoding/json's
-// bytes without the reflection); everything else is small and reflected.
+// is never one: it leaves as a frame (writeFrame).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if snap, ok := v.(*core.Snapshot); ok {
-		// As with the encoder below, a snapshot json refuses (a NaN)
-		// leaves the body empty: no part of it is sent.
-		pool := &lineBufs[kindOf(snap.Bodies != nil)]
-		buf := pool.Get().(*[]byte)
-		b, err := snap.AppendJSON((*buf)[:0])
-		if err == nil {
-			b = append(b, '\n')
-			_, _ = w.Write(b)
-		}
-		*buf = b
-		pool.Put(buf)
-		return
-	}
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
+}
+
+// writeFrame answers f's line of the given kind, the same bytes a stream
+// sends, and lets go of f. As with writeJSON's encoder, a snapshot json
+// refuses (a NaN) leaves the body empty: no part of it is sent.
+func writeFrame(w http.ResponseWriter, f *frame, withBodies bool) {
+	defer f.release()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if line, err := f.line(withBodies); err == nil {
+		_, _ = w.Write(line)
+	}
 }
 
 // info snapshots a session's status on its shard loop.
@@ -283,27 +280,16 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, sess *sessio
 		return nil, err
 	}
 	wantBodies := r.URL.Query().Get("bodies") != ""
-	var snap *core.Snapshot
+	var f *frame
 	err = s.onShard(sess, func() (err error) {
-		snap, err = s.stepLocked(sess, k, wantBodies)
+		f, err = s.stepLocked(sess, k, wantBodies)
 		return err
 	})
-	return snap, err
-}
-
-// withoutBodies returns snap stripped of its bodies — on a copy, never in
-// place: a snapshot published to the session's hub is shared with every
-// holder of its frame, one of which may be encoding it right now. (A
-// bodies-less SnapshotMeta snapshot has nothing to strip.) stepLocked
-// strips a subscribers-only gather before answering, so a step response
-// never holds bodies its frame may hand back.
-func withoutBodies(snap *core.Snapshot) *core.Snapshot {
-	if snap.Bodies == nil {
-		return snap
+	if err != nil {
+		return nil, err
 	}
-	c := *snap
-	c.Bodies = nil
-	return &c
+	writeFrame(w, f, wantBodies)
+	return nil, nil
 }
 
 // handleCheckpoint serializes a live session's paused state as one
@@ -358,12 +344,16 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) (any, err
 // only under ?bodies=1.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, sess *session) (any, error) {
 	wantBodies := r.URL.Query().Get("bodies") != ""
-	var snap *core.Snapshot
+	var f *frame
 	err := s.onShard(sess, func() (err error) {
-		snap, err = sess.snapshot(wantBodies)
+		f, err = sess.frameLocked(wantBodies)
 		return err
 	})
-	return snap, err
+	if err != nil {
+		return nil, err
+	}
+	writeFrame(w, f, wantBodies)
+	return nil, nil
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, sess *session) (any, error) {
@@ -420,17 +410,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *sess
 	// task, so no published snapshot can fall between the current state
 	// and the subscription.
 	var (
-		first  *core.Snapshot
-		gather []nbody.Body // first.Bodies, lent by the hub's free list
-		sub    *subscriber
+		first *frame
+		sub   *subscriber
 	)
 	err = s.onShard(sess, func() (err error) {
-		if withBodies && sess.sim != nil {
-			first, gather, err = sess.gatherLocked()
-		} else {
-			first, err = sess.snapshot(withBodies)
-		}
-		if err != nil {
+		if first, err = sess.frameLocked(withBodies); err != nil {
 			return err
 		}
 		sub = sess.hub.subscribe(s.cfg.subBuffer, withBodies) // nil if already finished: stream is just the terminal frame
@@ -468,10 +452,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, sess *sess
 	}
 	// Past the first byte a failure cannot change the status: the stream
 	// just ends (client gone, hub closed).
-	last := first.Step
-	f := sess.hub.frames.newFrame(first)
-	f.gather = gather
-	if !emit(f) || sub == nil {
+	last := first.snap.Step
+	if !emit(first) || sub == nil {
 		return nil, nil
 	}
 	for {

@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"sync"
-
-	"upcbh/internal/core"
-	"upcbh/internal/nbody"
-)
+import "sync"
 
 // hub fans one session's snapshot stream out to many subscribers: one
 // stepper publishes, N subscribers each drain a private buffered channel
@@ -26,8 +21,8 @@ type hub struct {
 	dropped uint64
 	bodied  int // subscribers that asked for bodies
 
-	// frames counts the line buffers of every frame of this session,
-	// published or not (a stream's first frame).
+	// frames counts and keeps the buffers of every frame of this
+	// session, published or not (a response's, a stream's first).
 	frames framePool
 }
 
@@ -83,28 +78,13 @@ func (h *hub) unsubscribe(sub *subscriber) {
 	}
 }
 
-// publish delivers snap, as one shared frame, to every subscriber,
-// applying the drop-oldest-when-full policy per subscriber. Never blocks
-// on a consumer, and encodes nothing: this is the shard loop. snap owns
-// its bodies, if any.
-func (h *hub) publish(snap *core.Snapshot) { h.publishGather(snap, nil) }
-
-// publishGather is publish for a snapshot whose bodies lie in gather, a
-// slice h.frames.getGather lent (nil: the snapshot owns its bodies). The
-// frame takes the gather over and gives it back at its last release — at
-// once, when no subscriber is there to hold the frame.
-func (h *hub) publishGather(snap *core.Snapshot, gather []nbody.Body) {
+// publish delivers f to every subscriber, retaining it once per queue
+// slot and applying the drop-oldest-when-full policy per subscriber. Never
+// blocks on a consumer, and encodes nothing: this is the shard loop. The
+// caller's own hold on f is its own to release.
+func (h *hub) publish(f *frame) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed || len(h.subs) == 0 {
-		if gather != nil {
-			h.frames.putGather(gather)
-		}
-		return
-	}
-	f := h.frames.newFrame(snap)
-	f.gather = gather
-	defer f.release() // publish's own hold, while it hands out the others
 	for sub := range h.subs {
 		f.retain() // the queue slot's
 		for {

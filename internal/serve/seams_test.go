@@ -79,7 +79,7 @@ func TestAdmitDrainingRace(t *testing.T) {
 	}
 	var ckpt bytes.Buffer
 	onLoop(t, src, sess, func() {
-		if _, err := src.stepLocked(sess, 1, false); err != nil {
+		if _, err := stepCounters(src, sess, 1); err != nil {
 			t.Errorf("step: %v", err)
 		}
 		if err := sess.sim.Checkpoint(&ckpt); err != nil {

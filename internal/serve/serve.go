@@ -16,11 +16,14 @@
 //   - Every session — created, restored from an upload, or recovered
 //     from the store at boot — enters the registry through one path,
 //     admit, and every error becomes a status in one table (http.go).
-//   - Each session has a fan-out hub: one stepper drives the simulation,
-//     N subscribers each consume a private buffered channel of shared,
-//     holder-counted frames with a drop-oldest policy for slow consumers;
-//     a frame is encoded at most once per kind, by the first subscriber
-//     to need it and never on the shard loop.
+//   - Every snapshot that leaves the service — a step or snapshot
+//     response, a stream line — is a shared, holder-counted frame,
+//     encoded at most once per kind by the first writer to need it and
+//     never on the shard loop; its body gather and line buffers come
+//     from the session's own spares. Each session has a fan-out hub: one
+//     stepper drives the simulation, N subscribers each consume a private
+//     buffered channel of frames with a drop-oldest policy for slow
+//     consumers.
 //   - Completed runs land in a shared bench.Runner cache keyed by
 //     Options.Key(): an identical later create is served from cache
 //     without re-simulating (the create response carries cache_hit).
@@ -44,7 +47,6 @@ import (
 	"upcbh/internal/bench"
 	"upcbh/internal/core"
 	"upcbh/internal/hostenv"
-	"upcbh/internal/nbody"
 	"upcbh/internal/store"
 )
 
@@ -164,38 +166,36 @@ func (sess *session) info() sessionInfo {
 	return si
 }
 
-// snapshot is the session's current state: the live simulation's, its
-// bodies gathered only when the reader asked for them, or — for a session
-// born finished from the cache, which has no simulation to ask and no
-// bodies to give — the terminal snapshot synthesized from its Result.
-// Must run on the shard loop.
-func (sess *session) snapshot(bodies bool) (*core.Snapshot, error) {
+// frameLocked is the session's current state as a frame the caller
+// holds: the live simulation's, its bodies gathered into a spare of the
+// session's (Sim.SnapshotInto) only when a reader asked for them, or —
+// for a session born finished from the cache, which has no simulation to
+// ask and no bodies to give — the terminal snapshot synthesized from its
+// Result. Must run on the shard loop.
+func (sess *session) frameLocked(bodies bool) (*frame, error) {
+	p := &sess.hub.frames
 	switch {
 	case sess.released:
 		return nil, core.ErrReleased
 	case sess.sim != nil && bodies:
-		return sess.sim.Snapshot()
+		g := p.getGather()
+		snap, err := sess.sim.SnapshotInto(g)
+		if err != nil {
+			p.putGather(g)
+			return nil, err
+		}
+		return p.newFrame(snap, snap.Bodies), nil
 	case sess.sim != nil:
-		return sess.sim.SnapshotMeta()
+		snap, err := sess.sim.SnapshotMeta()
+		if err != nil {
+			return nil, err
+		}
+		return p.newFrame(snap, nil), nil
 	case sess.result != nil:
-		return synthSnapshot(sess.opts, sess.result), nil
+		return p.newFrame(synthSnapshot(sess.opts, sess.result), nil), nil
 	default:
 		return nil, core.ErrReleased
 	}
-}
-
-// gatherLocked is the live simulation's snapshot with its bodies gathered
-// into a slice from the hub's free list (Sim.SnapshotInto), which the
-// frame that carries it takes over (hub.publishGather, frame.gather). Must
-// run on the shard loop.
-func (sess *session) gatherLocked() (*core.Snapshot, []nbody.Body, error) {
-	g := sess.hub.frames.getGather()
-	snap, err := sess.sim.SnapshotInto(g)
-	if err != nil {
-		sess.hub.frames.putGather(g)
-		return nil, nil, err
-	}
-	return snap, snap.Bodies, nil
 }
 
 // Server is the session service. Create with New, expose via Handler,
@@ -464,8 +464,9 @@ func (s *Server) finalizeLocked(sess *session) error {
 }
 
 // stepLocked advances a session k steps and publishes the resulting
-// snapshot to its hub; when the schedule completes it finalizes the
-// session (feeding the cache). Must run on the session's shard loop.
+// frame to its hub; when the schedule completes it finalizes the session
+// (feeding the cache). It returns the frame held for the caller, who
+// releases it. Must run on the session's shard loop.
 // The snapshot carries the step-phase rows of these k steps only
 // (Snapshot.KeepSteps): a step response's, and a stream frame's since
 // the previous published frame.
@@ -473,16 +474,9 @@ func (s *Server) finalizeLocked(sess *session) error {
 // bulk of a Snapshot, so it runs only when this caller asked
 // for bodies or a stream subscriber that asked for them is listening
 // (subscriptions are taken on this shard loop, so that cannot change
-// under us); otherwise the bodies-free SnapshotMeta path serves both
-// the step response and the hub publication.
-//
-// A gather for the subscribers alone goes into a slice from the hub's
-// free list, which the published frame owns (frame.go), and the caller
-// gets the snapshot without its bodies: they may be overwritten as soon
-// as the last subscriber lets the frame go. A caller that asked for
-// bodies encodes them after this task returns, past any release, so its
-// gather is its own.
-func (s *Server) stepLocked(sess *session, k int, wantBodies bool) (*core.Snapshot, error) {
+// under us). Either way the response and the subscribers share the one
+// frame, so its bodies are gathered and encoded once.
+func (s *Server) stepLocked(sess *session, k int, wantBodies bool) (*frame, error) {
 	if sess.released {
 		return nil, core.ErrReleased
 	}
@@ -492,30 +486,15 @@ func (s *Server) stepLocked(sess *session, k int, wantBodies bool) (*core.Snapsh
 	if err := sess.sim.Step(k); err != nil {
 		return nil, err
 	}
-	var (
-		snap   *core.Snapshot
-		gather []nbody.Body // snap.Bodies, lent by the hub's free list
-		err    error
-	)
-	switch {
-	case wantBodies:
-		snap, err = sess.sim.Snapshot()
-	case sess.hub.wantsBodies():
-		snap, gather, err = sess.gatherLocked()
-	default:
-		snap, err = sess.sim.SnapshotMeta()
-	}
+	f, err := sess.frameLocked(wantBodies || sess.hub.wantsBodies())
 	if err != nil {
 		return nil, err
 	}
-	snap.KeepSteps(k)
-	resp := snap
-	if !wantBodies {
-		resp = withoutBodies(snap)
-	}
-	sess.hub.publishGather(snap, gather)
+	f.snap.KeepSteps(k)
+	sess.hub.publish(f)
 	if sess.sim.StepsDone() >= sess.opts.Steps {
 		if err := s.finalizeLocked(sess); err != nil {
+			f.release()
 			return nil, err
 		}
 	} else {
@@ -524,7 +503,7 @@ func (s *Server) stepLocked(sess *session, k int, wantBodies bool) (*core.Snapsh
 		// the store's retention will age their entries out.
 		s.maybeAutoCheckpointLocked(sess)
 	}
-	return resp, nil
+	return f, nil
 }
 
 // ensureStepperLocked starts the session's stream stepper if none is
@@ -555,9 +534,11 @@ func (s *Server) stepperLoop(sess *session, every int) {
 				return nil
 			}
 			k := min(every, sess.opts.Steps-sess.sim.StepsDone())
-			if _, err := s.stepLocked(sess, k, false); err != nil {
+			f, err := s.stepLocked(sess, k, false)
+			if err != nil {
 				return err
 			}
+			f.release()
 			more = !sess.finished
 			sess.stepping = more
 			return nil

@@ -30,6 +30,20 @@ func testOpts(steps int) core.Options {
 	return opts
 }
 
+// stepCounters is stepLocked for a test that reads only the step's
+// counters: it copies the snapshot out without the bodies its frame may
+// hand back, and releases the frame. Must run on sess's shard loop.
+func stepCounters(s *Server, sess *session, k int) (*core.Snapshot, error) {
+	f, err := s.stepLocked(sess, k, false)
+	if err != nil {
+		return nil, err
+	}
+	defer f.release()
+	snap := *f.snap
+	snap.Bodies = nil
+	return &snap, nil
+}
+
 // onLoop runs fn on sess's shard loop.
 func onLoop(t *testing.T, s *Server, sess *session, fn func()) {
 	t.Helper()
@@ -241,7 +255,7 @@ func TestSessionLifecycle(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		var snap *core.Snapshot
 		var stepErr error
-		onLoop(t, s, sess, func() { snap, stepErr = s.stepLocked(sess, 1, false) })
+		onLoop(t, s, sess, func() { snap, stepErr = stepCounters(s, sess, 1) })
 		if stepErr != nil {
 			t.Fatal(stepErr)
 		}
@@ -252,7 +266,7 @@ func TestSessionLifecycle(t *testing.T) {
 	// Schedule complete: the session auto-finalized and further steps
 	// are lifecycle conflicts.
 	var stepErr error
-	onLoop(t, s, sess, func() { _, stepErr = s.stepLocked(sess, 1, false) })
+	onLoop(t, s, sess, func() { _, stepErr = stepCounters(s, sess, 1) })
 	if stepErr == nil || httpStatus(stepErr) != http.StatusConflict {
 		t.Fatalf("step after completion: err=%v status=%d, want 409", stepErr, httpStatus(stepErr))
 	}
@@ -273,7 +287,7 @@ func TestCreateCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	onLoop(t, s, first, func() {
-		if _, err := s.stepLocked(first, 3, false); err != nil {
+		if _, err := stepCounters(s, first, 3); err != nil {
 			t.Errorf("run to completion: %v", err)
 		}
 	})
@@ -288,13 +302,14 @@ func TestCreateCacheHit(t *testing.T) {
 	if second.sim != nil {
 		t.Fatal("cache-hit session built a simulation")
 	}
-	var snap *core.Snapshot
-	onLoop(t, s, second, func() { snap, err = second.snapshot(true) })
+	var f *frame
+	onLoop(t, s, second, func() { f, err = second.frameLocked(true) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Step != opts.Steps {
-		t.Fatalf("cache-hit snapshot at step %d, want terminal %d", snap.Step, opts.Steps)
+	defer f.release()
+	if f.snap.Step != opts.Steps {
+		t.Fatalf("cache-hit snapshot at step %d, want terminal %d", f.snap.Step, opts.Steps)
 	}
 	if st := s.Stats(); st.Sessions.CacheHits != 1 {
 		t.Fatalf("stats cache_hits = %d, want 1", st.Sessions.CacheHits)
@@ -309,7 +324,7 @@ func TestCreateCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	onLoop(t, s, p1, func() {
-		if _, err := s.stepLocked(p1, 2, false); err != nil {
+		if _, err := stepCounters(s, p1, 2); err != nil {
 			t.Errorf("partial step: %v", err)
 		}
 		s.releaseLocked(p1) // finishes at step 2 of 4: partial result
@@ -729,11 +744,11 @@ func TestSnapshotsDroppedMonotone(t *testing.T) {
 	// publish past the first evicts its oldest frame.
 	onLoop(t, s, sess, func() {
 		sess.hub.subscribe(1, false)
-		if _, err := s.stepLocked(sess, 1, false); err != nil {
+		if _, err := stepCounters(s, sess, 1); err != nil {
 			t.Errorf("step: %v", err)
 			return
 		}
-		if _, err := s.stepLocked(sess, 1, false); err != nil {
+		if _, err := stepCounters(s, sess, 1); err != nil {
 			t.Errorf("step: %v", err)
 		}
 	})
@@ -773,7 +788,7 @@ func TestStreamFromFinishedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	onLoop(t, s, sess, func() {
-		if _, err := s.stepLocked(sess, 2, false); err != nil {
+		if _, err := stepCounters(s, sess, 2); err != nil {
 			t.Errorf("run: %v", err)
 		}
 	})
