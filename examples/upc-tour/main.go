@@ -52,9 +52,10 @@ func main() {
 		heap.Gather(t, refs, dst)
 		coarse := t.Now() - before
 
-		// Non-blocking: overlap the transfer with local work.
+		// Non-blocking: overlap the transfer with local work. The handle
+		// only times the transfer; the data is read from the heap at sync.
 		before = t.Now()
-		h := heap.GatherAsync(t, refs, dst)
+		h := heap.GatherAsync(t, refs)
 		for i := 0; i < 1000; i++ {
 			t.Charge(100e-9) // useful local computation
 		}

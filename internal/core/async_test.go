@@ -2,8 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"upcbh/internal/machine"
 )
 
 // §5.5: "results are not very sensitive to that choice, and performance
@@ -114,5 +118,57 @@ func TestParseLevel(t *testing.T) {
 	}
 	if _, err := ParseLevel("bogus"); err == nil {
 		t.Error("bogus level accepted")
+	}
+}
+
+// TestForcePhaseLeavesTreeFrozen runs the two levels whose gathers read
+// at sync (async, subspace) at 16 threads under Options.Verify, on the
+// default machine shape and on four threads per node: thread 0 hashes
+// every cell and every body's Pos/Mass at the tree barrier and again
+// after the force barrier, and a difference panics. It also checks that
+// the hash sees what the local tree and the gathers read and nothing the
+// force phase writes.
+func TestForcePhaseLeavesTreeFrozen(t *testing.T) {
+	for _, level := range []Level{LevelAsync, LevelSubspace} {
+		for _, perNode := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%s/pernode=%d", level, perNode), func(t *testing.T) {
+				opts := DefaultOptions(2048, 16, level)
+				opts.Seed = 1
+				opts.Steps, opts.Warmup = 3, 1
+				opts.Verify = true
+				if perNode > 0 {
+					opts.Machine = machine.MustNew(16, perNode, false, machine.Power5())
+				}
+				sim, err := New(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sim.Release()
+				if err := sim.Step(2); err != nil {
+					t.Fatal(err)
+				}
+				s := sim.eng.(*simEngine)
+				h0 := s.frozenHash()
+				c := s.cells.Raw(s.ts[1].myCells[0])
+				b := s.bodies.Raw(s.ts[3].myBodies[0])
+				b.Acc.X, b.Phi, b.Cost = b.Acc.X+1, b.Phi+1, b.Cost+1
+				if s.frozenHash() != h0 {
+					t.Error("the hash reads a body's force results")
+				}
+				for _, mut := range []func(){
+					func() { b.Pos.Y = math.Nextafter(b.Pos.Y, 2) },
+					func() { b.Mass *= 2 },
+					func() { c.Sub[7] ^= 1 },
+					func() { c.CofM.Z = math.Nextafter(c.CofM.Z, 2) },
+				} {
+					mut()
+					h := s.frozenHash()
+					if h == h0 {
+						t.Error("a changed cell or body position/mass left the hash unchanged")
+					}
+					h0 = h
+				}
+			})
+		}
 	}
 }

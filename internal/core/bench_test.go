@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"strconv"
 	"testing"
+	"unsafe"
 )
 
 // BenchmarkNativeTreePhase reports what the tree plumbing around the
@@ -107,6 +111,68 @@ func BenchmarkSimulateStep(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateFootprint reads what a simulate session holds per
+// body at the simulate-levels shape (n = 2048, 16 threads) and at n =
+// 16 384, per level BenchmarkSimulateStep sweeps, after two warm-up steps
+// and b.N more: localtree-B/body is the §5.3 local trees' retained
+// storage, cap(lnodes) nodes summed over threads, over n; hwm-B/body is
+// how far the session raised the process's peak RSS (VmHWM), over n. The
+// peak only rises, so a configuration smaller than one run before it
+// reads ≈ 0: run one sub-benchmark per process for that column. ns/op
+// is one Step(1).
+func BenchmarkSimulateFootprint(b *testing.B) {
+	for _, n := range []int{2048, 16384} {
+		for _, level := range []Level{LevelBaseline, LevelCacheTree, LevelAsync, LevelSubspace} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, level), func(b *testing.B) {
+				hwm0 := vmHWM()
+				opts := DefaultOptions(n, 16, level)
+				opts.Seed = 1
+				opts.Steps, opts.Warmup = 2+b.N, 2
+				sim, err := New(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer sim.Release()
+				if err := sim.Step(2); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				if err := sim.Step(b.N); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				nodes := 0
+				for _, st := range sim.eng.(*simEngine).ts {
+					nodes += cap(st.lnodes)
+				}
+				b.ReportMetric(float64(nodes)*float64(unsafe.Sizeof(lnode{}))/float64(n), "localtree-B/body")
+				if hwm0 > 0 {
+					b.ReportMetric(float64(vmHWM()-hwm0)/float64(n), "hwm-B/body")
+				}
+			})
+		}
+	}
+}
+
+// vmHWM returns the process's peak resident set in bytes, or 0 where
+// /proc/self/status has no VmHWM line.
+func vmHWM() int64 {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	_, rest, ok := bytes.Cut(status, []byte("VmHWM:"))
+	f := bytes.Fields(rest) // "<n> kB ..."
+	if !ok || len(f) == 0 {
+		return 0
+	}
+	kb, err := strconv.ParseInt(string(f[0]), 10, 64)
+	if err != nil {
+		return 0
+	}
+	return kb << 10
+}
+
 // TestSimulateSteadyStateAllocs is BenchmarkSimulateStep's allocation
 // gate: in the same configuration, after a warm-up, one Step(1) of a
 // long-lived simulate session allocates at most the level's bound:
@@ -118,8 +184,8 @@ func BenchmarkSimulateStep(b *testing.B) {
 //     subspace;
 //   - retained scratch still growing toward its high-water mark, since
 //     the bodies (and so the tree) change every step: the async force's
-//     pooled request lists and gather buffers (enqueueChildren, sized),
-//     the working bodies' frontiers, and at subspace the per-subspace
+//     pooled request lists (enqueueChildren), the local tree, the
+//     working bodies' frontiers, and at subspace the per-subspace
 //     body lists (bodiesOf), the leaf rows and slot map, and the
 //     all-to-all send rows.
 func TestSimulateSteadyStateAllocs(t *testing.T) {

@@ -321,7 +321,16 @@ func (s *simEngine) compactBuffer(t *upc.Thread, st *simThread) {
 // advance is the body-advancing phase: a leapfrog (kick-drift) update of
 // every owned body. Below LevelRedistribute the body may live in another
 // thread's shard and the update is a charged remote read-modify-write.
+// Under Options.Verify thread 0 first checks that the force phase left
+// the cells and the bodies' positions and masses as the tree barrier saw
+// them (frozenHash), and a barrier holds every thread until it has.
 func (s *simEngine) advance(t *upc.Thread) {
+	if s.o.Verify {
+		if t.ID() == 0 && s.frozenHash() != s.frozen {
+			panic("core verify: a cell or a body's position or mass changed between the tree barrier and the force barrier")
+		}
+		t.Barrier()
+	}
 	dt := s.o.Dt
 	for _, br := range s.ts[t.ID()].myBodies {
 		t.Charge(s.par.BodyUpdateCost)

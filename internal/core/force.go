@@ -112,107 +112,87 @@ func (s *simEngine) forceNaive(t *upc.Thread, st *simThread, measured bool) {
 
 // lnode is a node of the per-thread cached local tree (§5.3): either a
 // cached copy of a remote cell, an alias of a local cell (§5.3.2), or a
-// cached body leaf. The local tree is rebuilt every time-step (cells are
-// read-only within a force phase, so no coherence protocol is needed).
+// cached body leaf. The local tree is one []lnode per thread, reused
+// every step, whose nodes name each other by index: a localized cell's
+// children are the nk nodes from kids on, in octant order, and the child
+// slots to fetch are read from the global cell (ref) when its children
+// are fetched. Both are sound because cells, and bodies' Pos/Mass, are
+// read-only between the tree barrier and the force barrier, so no
+// coherence protocol is needed. It holds no pointer, so the collector
+// never scans it.
 type lnode struct {
-	isBody  bool
-	bodyRef upc.Ref // leaf identity, for self-skip
-
-	half float64
 	cofm vec.V3
 	mass float64
+	half float64
+	ref  upc.Ref // the body's ref for a leaf (self-skip), the global cell's for a cell
+	kids int32   // index of the first child, once localized
+	nk   uint8   // number of children, once localized
 
-	sub       [8]NodeRef // original global children (for fetching)
-	child     [8]*lnode
+	isBody    bool
 	localized bool
 	requested bool // async framework: children already on a request list
 }
 
-// lnodeArena is a per-thread slab allocator for the local tree: lnodes
-// are rebuilt every time-step, so individually heap-allocating thousands
-// of them per step dominated the harness's GC load. Blocks are fixed
-// size (pointer stability: lnodes link to each other) and reused across
-// steps; reset drops all nodes without freeing.
-type lnodeArena struct {
-	blocks [][]lnode
-	nb     int // current block
-	used   int // used entries in the current block
+// addCell appends a copy of the global cell c at r to the local tree.
+func (st *simThread) addCell(r upc.Ref, c *Cell) {
+	st.lnodes = append(st.lnodes, lnode{cofm: c.CofM, mass: c.Mass, half: c.Half, ref: r})
 }
 
-const lnodeBlockSize = 1024
-
-func (a *lnodeArena) reset() { a.nb, a.used = 0, 0 }
-
-func (a *lnodeArena) alloc() *lnode {
-	if a.nb == len(a.blocks) {
-		a.blocks = append(a.blocks, make([]lnode, lnodeBlockSize))
-	}
-	ln := &a.blocks[a.nb][a.used]
-	if a.used++; a.used == lnodeBlockSize {
-		a.nb, a.used = a.nb+1, 0
-	}
-	return ln
+// addBody appends a leaf for the body b at r to the local tree.
+func (st *simThread) addBody(r upc.Ref, b *nbody.Body) {
+	st.lnodes = append(st.lnodes, lnode{cofm: b.Pos, mass: b.Mass, ref: r, isBody: true})
 }
 
-// newCellLnode copies a fetched cell into a fresh arena lnode.
-func (st *simThread) newCellLnode(c *Cell) *lnode {
-	ln := st.lna.alloc()
-	*ln = lnode{half: c.Half, cofm: c.CofM, mass: c.Mass, sub: c.Sub}
-	return ln
+// linkKids records that the local-tree nodes from kids to the end are
+// node i's children, and marks it localized.
+func (st *simThread) linkKids(i, kids int32) {
+	n := &st.lnodes[i]
+	n.kids, n.nk, n.localized = kids, uint8(int32(len(st.lnodes))-kids), true
 }
 
-// newBodyLnode makes an arena lnode leaf for a fetched body.
-func (st *simThread) newBodyLnode(r upc.Ref, pos vec.V3, mass float64) *lnode {
-	ln := st.lna.alloc()
-	*ln = lnode{isBody: true, bodyRef: r, cofm: pos, mass: mass}
-	return ln
+// fetchLocalRoot starts a fresh local tree (node 0) with a copy of the
+// global root.
+func (s *simEngine) fetchLocalRoot(t *upc.Thread, st *simThread) {
+	r := s.readRoot(t, st).Ref()
+	st.lnodes = st.lnodes[:0]
+	st.addCell(r, s.cells.ReadView(t, r, cellBytes))
 }
 
-// fetchLocalRoot copies the global root into a fresh local tree.
-func (s *simEngine) fetchLocalRoot(t *upc.Thread, st *simThread) *lnode {
-	st.lna.reset()
-	rootNR := s.readRoot(t, st)
-	c := s.cells.ReadView(t, rootNR.Ref(), cellBytes)
-	return st.newCellLnode(c)
-}
-
-// localizeChildren implements Listing 1/Listing 2: fetch every child of n
-// into the local tree (one blocking get per child, as the paper's first
-// caching scheme does) and mark n localized. With AliasLocalCells
+// localizeChildren implements Listing 1/Listing 2: fetch every child of
+// node i into the local tree (one blocking get per child, as the paper's
+// first caching scheme does) and mark it localized. With AliasLocalCells
 // (§5.3.2) children that already live in this thread's shared memory are
 // aliased through "shadow pointers" instead of being copied.
-func (s *simEngine) localizeChildren(t *upc.Thread, st *simThread, n *lnode) {
-	for oct, slot := range n.sub {
+func (s *simEngine) localizeChildren(t *upc.Thread, st *simThread, i int32) {
+	kids := int32(len(st.lnodes))
+	for _, slot := range &s.cells.Raw(st.lnodes[i].ref).Sub {
 		if slot.IsNil() {
 			continue
 		}
 		r := slot.Ref()
 		if slot.IsBody() {
-			b := s.bodies.ReadView(t, r, bytesBodyMass)
-			n.child[oct] = st.newBodyLnode(r, b.Pos, b.Mass)
+			st.addBody(r, s.bodies.ReadView(t, r, bytesBodyMass))
 			continue
 		}
 		if s.o.AliasLocalCells && s.cells.IsLocal(t, r) {
-			cp := s.cells.Raw(r)
 			s.cells.Touch(t, r, bytesSlot) // shadow-pointer setup: a local deref
-			n.child[oct] = st.newCellLnode(cp)
+			st.addCell(r, s.cells.Raw(r))
 			st.cellsAliased++
 			continue
 		}
 		// Whole-cell transfer (remote) or local copy; same charge as Get.
 		c := s.cells.ReadView(t, r, cellBytes)
 		t.Charge(s.par.CellInitCost + float64(cellBytes)*s.par.ByteCopyCost)
-		n.child[oct] = st.newCellLnode(c)
+		st.addCell(r, c)
 		st.cellsCopied++
 	}
-	n.localized = true
+	st.linkKids(i, kids)
 }
 
 // forceCached is the §5.3 force computation (simulate only): walk the
-// private local tree with plain pointers, localizing cells on demand
-// with blocking gets.
+// private local tree, localizing cells on demand with blocking gets.
 func (s *simEngine) forceCached(t *upc.Thread, st *simThread, measured bool) {
-	st.lroot = s.fetchLocalRoot(t, st)
+	s.fetchLocalRoot(t, st)
 	eps := s.readEps(t, st)
 	tol := s.readTol(t, st)
 	epsSq := eps * eps
@@ -224,24 +204,24 @@ func (s *simEngine) forceCached(t *upc.Thread, st *simThread, measured bool) {
 		var phi float64
 		inter := 0
 
-		stack = append(stack[:0], st.lroot)
+		stack = append(stack[:0], 0)
 		for len(stack) > 0 {
-			n := stack[len(stack)-1]
+			i := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			n := &st.lnodes[i]
 			d := n.cofm.Sub(pos) // shared by the opening test and the interaction
 			d2 := d.Len2()
 			if n.isBody {
-				if n.bodyRef == br {
+				if n.ref == br {
 					continue
 				}
 			} else if !octree.AcceptDist2(d2, n.half, tol) {
 				if !n.localized {
-					s.localizeChildren(t, st, n)
+					s.localizeChildren(t, st, i)
+					n = &st.lnodes[i]
 				}
-				for oct := 7; oct >= 0; oct-- {
-					if ch := n.child[oct]; ch != nil {
-						stack = append(stack, ch)
-					}
+				for k := n.kids + int32(n.nk) - 1; k >= n.kids; k-- {
+					stack = append(stack, k)
 				}
 				continue
 			}

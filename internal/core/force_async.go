@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"upcbh/internal/nbody"
 	"upcbh/internal/octree"
 	"upcbh/internal/upc"
@@ -10,8 +8,8 @@ import (
 )
 
 // wbody is one entry of the §5.5 working-body list: a body whose force is
-// being computed concurrently with others, with its frontier of tree
-// nodes still to process.
+// being computed concurrently with others, with its frontier of
+// local-tree nodes still to process.
 type wbody struct {
 	br  upc.Ref
 	pos vec.V3
@@ -19,35 +17,25 @@ type wbody struct {
 	phi float64
 
 	inter   int
-	active  []*lnode // frontier nodes ready to process
-	blocked []*lnode // frontier nodes waiting for their children
-}
-
-// reqItem maps one gathered child back to its place in the local tree.
-type reqItem struct {
-	parent *lnode
-	oct    int
-	isBody bool
-	idx    int // index into the request's cell or body staging buffer
+	active  []int32 // frontier nodes ready to process
+	blocked []int32 // frontier nodes waiting for their children
 }
 
 // request is one aggregated non-blocking gather
-// (bupc_memget_vlist_async): all children of a batch of parents, staged
-// into per-heap buffers. For simplicity all children of a cell travel in
-// the same request, so a request handles between n3 and n3+7 nodes, as in
-// the paper. hc and hb are the two gathers' handles, set when cellRefs
-// and bodyRefs (respectively) are non-empty.
+// (bupc_memget_vlist_async): all children of a batch of parents. For
+// simplicity all children of a cell travel in the same request, so a
+// request handles between n3 and n3+7 nodes, as in the paper. hc and hb
+// are the two gathers' handles, set when cellRefs and bodyRefs
+// (respectively) are non-empty; the gathers only account, and complete
+// reads the children from their heaps.
 type request struct {
-	parents  []*lnode
-	items    []reqItem
+	parents  []int32
 	cellRefs []upc.Ref
-	cellDst  []Cell
 	bodyRefs []upc.Ref
-	bodyDst  []nbody.Body
 	hc, hb   upc.Handle
 }
 
-func (r *request) empty() bool { return len(r.items) == 0 }
+func (r *request) len() int { return len(r.cellRefs) + len(r.bodyRefs) }
 
 // getWbody/putWbody and getRequest/putRequest recycle the async-force
 // working structures across bodies and steps; their slices keep their
@@ -74,22 +62,9 @@ func (st *simThread) getRequest() *request {
 }
 
 func (st *simThread) putRequest(r *request) {
-	*r = request{
-		parents:  r.parents[:0],
-		items:    r.items[:0],
-		cellRefs: r.cellRefs[:0],
-		cellDst:  r.cellDst[:0],
-		bodyRefs: r.bodyRefs[:0],
-		bodyDst:  r.bodyDst[:0],
-	}
+	*r = request{parents: r.parents[:0], cellRefs: r.cellRefs[:0], bodyRefs: r.bodyRefs[:0]}
 	st.reqFree = append(st.reqFree, r)
 }
-
-// sized returns a destination slice of exactly n elements, reusing
-// capacity (and growing it as append does). Stale trailing bytes beyond
-// each staged prefix are never read: cell gathers copy whole elements,
-// body gathers only expose the staged position/mass prefix.
-func sized[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 
 // forceAsync implements Listing 3 (simulate only): maintain n1 working
 // bodies, aggregate needed remote children into requests of at least n3
@@ -97,7 +72,7 @@ func sized[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 // communication with the force computation of bodies whose frontiers can
 // still make progress.
 func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
-	st.lroot = s.fetchLocalRoot(t, st)
+	s.fetchLocalRoot(t, st)
 	eps := s.readEps(t, st)
 	tol := s.readTol(t, st)
 	epsSq := eps * eps
@@ -109,42 +84,39 @@ func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 	pending := st.getRequest()
 	outstanding := st.outstanding[:0] // FIFO of issued requests
 
-	enqueueChildren := func(n *lnode) {
+	enqueueChildren := func(i int32) {
+		n := &st.lnodes[i]
 		n.requested = true
-		pending.parents = append(pending.parents, n)
-		for oct, slot := range n.sub {
-			if slot.IsNil() {
-				continue
-			}
-			if slot.IsBody() {
-				pending.items = append(pending.items, reqItem{parent: n, oct: oct, isBody: true, idx: len(pending.bodyRefs)})
+		pending.parents = append(pending.parents, i)
+		for _, slot := range &s.cells.Raw(n.ref).Sub {
+			switch {
+			case slot.IsBody():
 				pending.bodyRefs = append(pending.bodyRefs, slot.Ref())
-			} else {
-				pending.items = append(pending.items, reqItem{parent: n, oct: oct, idx: len(pending.cellRefs)})
+			case !slot.IsNil():
 				pending.cellRefs = append(pending.cellRefs, slot.Ref())
 			}
 		}
 	}
 
 	issue := func() {
-		if pending.empty() {
+		if pending.len() == 0 {
 			return
 		}
 		r := pending
 		pending = st.getRequest()
 		if len(r.cellRefs) > 0 {
-			r.cellDst = sized(r.cellDst, len(r.cellRefs))
-			r.hc = s.cells.GatherAsync(t, r.cellRefs, r.cellDst)
+			r.hc = s.cells.GatherAsync(t, r.cellRefs)
 		}
 		if len(r.bodyRefs) > 0 {
-			r.bodyDst = sized(r.bodyDst, len(r.bodyRefs))
 			// Only the position/mass prefix travels: the owners are
 			// concurrently writing force results into the same bodies.
-			r.hb = s.bodies.GatherAsyncBytes(t, r.bodyRefs, r.bodyDst, bytesBodyMass)
+			r.hb = s.bodies.GatherAsyncBytes(t, r.bodyRefs, bytesBodyMass)
 		}
 		outstanding = append(outstanding, r)
 	}
 
+	// complete waits for r's gathers and appends each parent's children
+	// to the local tree, in octant order, reading them at sync.
 	complete := func(r *request) {
 		if len(r.cellRefs) > 0 {
 			t.WaitSync(&r.hc)
@@ -152,19 +124,19 @@ func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 		if len(r.bodyRefs) > 0 {
 			t.WaitSync(&r.hb)
 		}
-		for _, it := range r.items {
-			if it.isBody {
-				b := &r.bodyDst[it.idx]
-				it.parent.child[it.oct] = st.newBodyLnode(r.bodyRefs[it.idx], b.Pos, b.Mass)
-				continue
+		for _, i := range r.parents {
+			kids := int32(len(st.lnodes))
+			for _, slot := range &s.cells.Raw(st.lnodes[i].ref).Sub {
+				switch {
+				case slot.IsBody():
+					st.addBody(slot.Ref(), s.bodies.Raw(slot.Ref()))
+				case !slot.IsNil():
+					t.Charge(s.par.CellInitCost + float64(cellBytes)*s.par.ByteCopyCost)
+					st.addCell(slot.Ref(), s.cells.Raw(slot.Ref()))
+					st.cellsCopied++
+				}
 			}
-			c := &r.cellDst[it.idx]
-			t.Charge(s.par.CellInitCost + float64(cellBytes)*s.par.ByteCopyCost)
-			it.parent.child[it.oct] = st.newCellLnode(c)
-			st.cellsCopied++
-		}
-		for _, p := range r.parents {
-			p.localized = true
+			st.linkKids(i, kids)
 		}
 		st.putRequest(r)
 	}
@@ -173,7 +145,7 @@ func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 		for _, wb := range working {
 			keep := wb.blocked[:0]
 			for _, n := range wb.blocked {
-				if n.localized {
+				if st.lnodes[n].localized {
 					wb.active = append(wb.active, n)
 				} else {
 					keep = append(keep, n)
@@ -188,27 +160,26 @@ func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 		// once; the frontier outlives the call, so it stays on wb.
 		acc, phi, inter := wb.acc, wb.phi, wb.inter
 		for len(wb.active) > 0 {
-			n := wb.active[len(wb.active)-1]
+			i := wb.active[len(wb.active)-1]
 			wb.active = wb.active[:len(wb.active)-1]
+			n := &st.lnodes[i]
 			d := n.cofm.Sub(wb.pos) // shared by the opening test and the interaction
 			d2 := d.Len2()
 			if n.isBody {
-				if n.bodyRef == wb.br {
+				if n.ref == wb.br {
 					continue
 				}
 			} else if !octree.AcceptDist2(d2, n.half, tol) {
 				if n.localized {
-					for oct := 7; oct >= 0; oct-- {
-						if ch := n.child[oct]; ch != nil {
-							wb.active = append(wb.active, ch)
-						}
+					for k := n.kids + int32(n.nk) - 1; k >= n.kids; k-- {
+						wb.active = append(wb.active, k)
 					}
 					continue
 				}
 				if !n.requested {
-					enqueueChildren(n)
+					enqueueChildren(i)
 				}
-				wb.blocked = append(wb.blocked, n)
+				wb.blocked = append(wb.blocked, i)
 				continue
 			}
 			sc, mr := nbody.PairKernel(d2, n.mass, epsSq)
@@ -226,11 +197,11 @@ func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 			br := queue[next]
 			next++
 			wb := st.getWbody(br, s.bodyPos(t, st, br))
-			wb.active = append(wb.active, st.lroot)
+			wb.active = append(wb.active, 0)
 			working = append(working, wb)
 		}
 		if len(working) == 0 {
-			if pending.empty() && len(outstanding) == 0 {
+			if pending.len() == 0 && len(outstanding) == 0 {
 				break
 			}
 			issue()
@@ -262,7 +233,7 @@ func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 		working = keep
 
 		// Send out a request if it is long enough and a slot is free.
-		if len(pending.items) >= n3 && len(outstanding) < n2 {
+		if pending.len() >= n3 && len(outstanding) < n2 {
 			issue()
 		}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -50,4 +51,30 @@ func TestCellLayout(t *testing.T) {
 	if off := unsafe.Offsetof(c.Sub); int(off) >= cellBytes {
 		t.Errorf("Sub offset %d outside cell size %d", off, cellBytes)
 	}
+}
+
+// TestLocalTreeNodeLayout keeps the §5.3 local tree's node at 56 bytes
+// and free of pointers: it is the simulator's largest per-body memory,
+// and a pointer would make every node zeroed and scanned by the
+// collector.
+func TestLocalTreeNodeLayout(t *testing.T) {
+	if size := unsafe.Sizeof(lnode{}); size > 56 {
+		t.Errorf("lnode is %d bytes, want <= 56", size)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("lnode%s is a %s: the node must hold no pointer", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[i]", typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("", reflect.TypeFor[lnode]())
 }

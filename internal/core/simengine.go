@@ -36,6 +36,9 @@ type simEngine struct {
 	tolS   *upc.Scalar[float64]
 	epsS   *upc.Scalar[float64]
 	rootS  *upc.Scalar[NodeRef]
+
+	// frozen is frozenHash at the tree barrier (Options.Verify only).
+	frozen uint64
 }
 
 // simThread is one thread's pointer-path state.
@@ -56,9 +59,6 @@ type simThread struct {
 	tol, eps float64
 	root     NodeRef
 
-	// Cached local tree for force computation (§5.3+).
-	lroot *lnode
-
 	// §8 transparent software caches (Options.TransparentCache).
 	cellCache *upc.Cache[Cell]
 	bodyCache *upc.Cache[nbody.Body]
@@ -72,12 +72,11 @@ type simThread struct {
 	nodeStack []NodeRef
 	remote    remoteScratch
 
-	// Local-tree arena and async-force object pools (force.go,
-	// force_async.go), retained across steps: the §5.3+ local tree is
-	// rebuilt every step, and per-lnode/per-request heap allocation
-	// dominated the harness's GC load.
-	lna         lnodeArena
-	lnodeStack  []*lnode
+	// The §5.3+ local tree (node 0 is the root), its walk stack and the
+	// async-force object pools (force.go, force_async.go), retained
+	// across steps: the tree is rebuilt every step into the same slice.
+	lnodes      []lnode
+	lnodeStack  []int32
 	working     []*wbody
 	outstanding []*request
 	wbFree      []*wbody
@@ -258,6 +257,7 @@ func (s *simEngine) prepare(t *upc.Thread, measured bool) (ph PhaseTimes) {
 	if s.o.Verify {
 		if t.ID() == 0 {
 			s.verifyTree(t, st)
+			s.frozen = s.frozenHash()
 		}
 		t.Barrier()
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
+	"unsafe"
 
 	"upcbh/internal/octree"
 	"upcbh/internal/upc"
@@ -77,4 +79,22 @@ func (s *simEngine) verifyTree(t *upc.Thread, st *simThread) {
 	if int(n) != s.o.Bodies {
 		panic(fmt.Sprintf("core verify: tree holds %d bodies, want %d", n, s.o.Bodies))
 	}
+}
+
+// frozenHash hashes every allocated cell and every owned body's Pos and
+// Mass: what the force walks read straight from the heaps, the local
+// tree's child slots and the async gathers' sync-time reads among them
+// (DESIGN §9). Under Options.Verify thread 0 takes it at the tree
+// barrier and again after the force barrier, and a difference panics.
+func (s *simEngine) frozenHash() uint64 {
+	h := fnv.New64a()
+	for thr, st := range s.ts {
+		for i := range s.cells.Len(thr) {
+			h.Write(unsafe.Slice((*byte)(unsafe.Pointer(s.cells.Raw(upc.Ref{Thr: int32(thr), Idx: int32(i)}))), cellBytes))
+		}
+		for _, r := range st.myBodies {
+			h.Write(unsafe.Slice((*byte)(unsafe.Pointer(s.bodies.Raw(r))), bytesBodyMass))
+		}
+	}
+	return h.Sum64()
 }

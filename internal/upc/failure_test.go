@@ -69,7 +69,7 @@ func TestGatherShortDstPanics(t *testing.T) {
 	expectPanic(t, "destination shorter", func() {
 		rt.Run(func(th *Thread) {
 			r := h.Alloc(th, 4)
-			h.GatherAsync(th, []Ref{r, {Thr: 0, Idx: r.Idx + 1}}, make([]int, 1))
+			h.Gather(th, []Ref{r, {Thr: 0, Idx: r.Idx + 1}}, make([]int, 1))
 		})
 	})
 }

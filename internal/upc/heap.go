@@ -341,14 +341,22 @@ func (h *Heap[T]) TouchPut(t *Thread, r Ref, bytes int) { h.chargePut(t, r, byte
 // dst[i]. Elements with the same source thread travel in one aggregated
 // message. dst must be at least as long as refs.
 func (h *Heap[T]) Gather(t *Thread, refs []Ref, dst []T) {
-	hd := h.GatherAsync(t, refs, dst)
+	if len(dst) < len(refs) {
+		panic("upc: Gather destination shorter than reference list")
+	}
+	hd := h.GatherAsync(t, refs)
+	for i, r := range refs {
+		dst[i] = *h.ptr(r.Thr, r.Idx)
+	}
 	t.WaitSync(&hd)
 }
 
 // Handle is an outstanding non-blocking communication, as returned by
-// bupc_memget_vlist_async. Completion is a simulated-time event: the data
-// is staged at issue (legal because the paper only gathers read-only
-// cells) and becomes "available" when the clock passes CompleteAt.
+// bupc_memget_vlist_async. Completion is a simulated-time event: the
+// handle carries no data, which the caller reads from the source (Raw)
+// at sync — legal because the paper only gathers cells and body
+// positions/masses, which nothing writes between the tree barrier and
+// the force barrier.
 type Handle struct {
 	CompleteAt float64
 	Refs       int
@@ -358,18 +366,16 @@ type Handle struct {
 // GatherAsync is bupc_memget_vlist_async: a non-blocking gather from
 // possibly many source threads. The sender is charged the per-message
 // overheads immediately; the handle completes when the slowest source's
-// reply would arrive. The Handle is a value, so a gather allocates
-// nothing.
-func (h *Heap[T]) GatherAsync(t *Thread, refs []Ref, dst []T) Handle {
-	return h.GatherAsyncBytes(t, refs, dst, h.elemSize)
+// reply would arrive. It is accounting only: nothing is copied, and the
+// caller reads the elements at sync. The Handle is a value, so a gather
+// allocates nothing.
+func (h *Heap[T]) GatherAsync(t *Thread, refs []Ref) Handle {
+	return h.GatherAsyncBytes(t, refs, h.elemSize)
 }
 
 // GatherAsyncBytes is GatherAsync fetching only the leading bytesPer
 // bytes of each element (see GetBytes for the prefix semantics).
-func (h *Heap[T]) GatherAsyncBytes(t *Thread, refs []Ref, dst []T, bytesPer int) Handle {
-	if len(dst) < len(refs) {
-		panic("upc: GatherAsync destination shorter than reference list")
-	}
+func (h *Heap[T]) GatherAsyncBytes(t *Thread, refs []Ref, bytesPer int) Handle {
 	if bytesPer <= 0 || bytesPer > h.elemSize {
 		bytesPer = h.elemSize
 	}
@@ -380,12 +386,10 @@ func (h *Heap[T]) GatherAsyncBytes(t *Thread, refs []Ref, dst []T, bytesPer int)
 	// of cells from a handful of sources), so a linear scan over a small
 	// reused scratch slice beats a map anyway.
 	groups := t.gatherGroups[:0]
-	for i, r := range refs {
+	for _, r := range refs {
 		if r.IsNil() {
 			panic("upc: GatherAsync of nil reference")
 		}
-		// Stage the data now; it is exposed at sync time.
-		copyPrefix(&dst[i], h.ptr(r.Thr, r.Idx), bytesPer, h.elemSize)
 		found := false
 		for gi := range groups {
 			if groups[gi].thr == r.Thr {
@@ -421,9 +425,9 @@ func (h *Heap[T]) GatherAsyncBytes(t *Thread, refs []Ref, dst []T, bytesPer int)
 	return Handle{CompleteAt: complete, Refs: len(refs), Sources: nsrc}
 }
 
-// WaitSync is bupc_waitsync: block until the handle completes. The data
-// is staged at issue, so this only aligns the clock to the completion
-// event.
+// WaitSync is bupc_waitsync: block until the handle completes. It only
+// aligns the clock to the completion event; the gathered elements are
+// read at sync, from the source.
 func (t *Thread) WaitSync(h *Handle) {
 	t.AdvanceTo(h.CompleteAt)
 }

@@ -204,8 +204,7 @@ func TestGatherAsyncOverlap(t *testing.T) {
 		if th.ID() != 0 {
 			return
 		}
-		dst := make([]float64, 1)
-		hd := h.GatherAsync(th, []Ref{{1, 0}}, dst)
+		hd := h.GatherAsync(th, []Ref{{1, 0}})
 		if th.Now() >= hd.CompleteAt {
 			t.Error("gather complete immediately after issue")
 		}
@@ -219,8 +218,69 @@ func TestGatherAsyncOverlap(t *testing.T) {
 		if th.Now() != before {
 			t.Error("WaitSync advanced the clock past an already-complete handle")
 		}
-		if dst[0] != 1 {
-			t.Errorf("async data = %v", dst[0])
+		if v := *h.Raw(Ref{1, 0}); v != 1 {
+			t.Errorf("async data read at sync = %v", v)
+		}
+	})
+}
+
+// TestGatherAsyncAccountsWithoutCopy pins the async gathers' accounting
+// to the figures the copying gathers produced for the same refs on a
+// two-node machine (mixed local, on-node and off-node sources, a
+// whole-element and a prefix gather in flight together): the clock after
+// issue and after sync, each handle, and the Msgs, Bytes, request and
+// source-histogram deltas. The heap must read back unchanged.
+func TestGatherAsyncAccountsWithoutCopy(t *testing.T) {
+	rt := NewRuntime(machine.MustNew(8, 4, false, machine.Power5()))
+	h := NewHeap[[8]float64](rt, 1024)
+	rt.Run(func(th *Thread) {
+		r := h.Alloc(th, 4)
+		for i := 0; i < 4; i++ {
+			h.Local(th, Ref{Thr: int32(th.ID()), Idx: r.Idx + int32(i)})[0] = float64(th.ID()*10 + i)
+		}
+		th.Barrier()
+		if th.ID() != 1 {
+			return
+		}
+		th.ChargeRaw(3e-6)
+		refs := []Ref{{5, 0}, {1, 2}, {0, 1}, {5, 3}, {6, 0}, {0, 0}, {2, 1}}
+		var before [8][4][8]float64
+		for thr := range before {
+			for i := range before[thr] {
+				before[thr][i] = *h.Raw(Ref{int32(thr), int32(i)})
+			}
+		}
+		s0 := th.Stats()
+		if c := th.Now(); c != 0.000618 {
+			t.Errorf("clock before issue = %v", c)
+		}
+		hc := h.GatherAsync(th, refs)
+		hb := h.GatherAsyncBytes(th, refs[2:], 16)
+		d := th.Stats().Delta(s0)
+		if c := th.Now(); c != 0.0018300159999999996 {
+			t.Errorf("clock after issue = %v", c)
+		}
+		if want := (Handle{CompleteAt: 0.001824528, Refs: 7, Sources: 4}); hc != want {
+			t.Errorf("whole-element handle = %+v, want %+v", hc, want)
+		}
+		if want := (Handle{CompleteAt: 0.0024301439999999995, Refs: 5, Sources: 4}); hb != want {
+			t.Errorf("prefix handle = %+v, want %+v", hb, want)
+		}
+		if d.Msgs != 8 || d.Bytes != 464 || d.GatherReqs != 2 || d.GatherSrcHist != [9]uint64{4: 2} {
+			t.Errorf("msgs %d bytes %d reqs %d hist %v, want 8, 464, 2, [0 0 0 0 2 0 0 0 0]",
+				d.Msgs, d.Bytes, d.GatherReqs, d.GatherSrcHist)
+		}
+		th.WaitSync(&hb)
+		th.WaitSync(&hc)
+		if c := th.Now(); c != 0.0024301439999999995 {
+			t.Errorf("clock after sync = %v", c)
+		}
+		for thr := range before {
+			for i := range before[thr] {
+				if got := *h.Raw(Ref{int32(thr), int32(i)}); got != before[thr][i] {
+					t.Errorf("gather wrote element %d:%d: %v, was %v", thr, i, got, before[thr][i])
+				}
+			}
 		}
 	})
 }
