@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 	"unsafe"
@@ -115,16 +117,18 @@ func BenchmarkSimulateStep(b *testing.B) {
 // body at the simulate-levels shape (n = 2048, 16 threads) and at n =
 // 16 384, per level BenchmarkSimulateStep sweeps, after two warm-up steps
 // and b.N more: localtree-B/body is the §5.3 local trees' retained
-// storage, cap(lnodes) nodes summed over threads, over n; hwm-B/body is
-// how far the session raised the process's peak RSS (VmHWM), over n. The
-// peak only rises, so a configuration smaller than one run before it
-// reads ≈ 0: run one sub-benchmark per process for that column. ns/op
-// is one Step(1).
+// storage, cap(lnodes) nodes summed over the force plane's walkers, over
+// n; ledger-B/body the threads' recorded force walks, their slices'
+// capacity, over n; heap-B/body how far the session raised the live heap
+// after a collection, over n; hwm-B/body how far it raised the process's
+// peak RSS (VmHWM), over n. The peak only rises, so a configuration
+// smaller than one run before it reads ≈ 0: run one sub-benchmark per
+// process for that column. ns/op is one Step(1).
 func BenchmarkSimulateFootprint(b *testing.B) {
 	for _, n := range []int{2048, 16384} {
 		for _, level := range []Level{LevelBaseline, LevelCacheTree, LevelAsync, LevelSubspace} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, level), func(b *testing.B) {
-				hwm0 := vmHWM()
+				hwm0, heap0 := vmHWM(), liveHeap()
 				opts := DefaultOptions(n, 16, level)
 				opts.Seed = 1
 				opts.Steps, opts.Warmup = 2+b.N, 2
@@ -141,17 +145,43 @@ func BenchmarkSimulateFootprint(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				nodes := 0
-				for _, st := range sim.eng.(*simEngine).ts {
-					nodes += cap(st.lnodes)
+				eng := sim.eng.(*simEngine)
+				nodes, ledgers := 0, 0
+				for _, pt := range eng.plane.parties {
+					nodes += cap(pt.lnodes)
+				}
+				for _, st := range eng.ts {
+					ledgers += sliceBytes(&st.ledger)
 				}
 				b.ReportMetric(float64(nodes)*float64(unsafe.Sizeof(lnode{}))/float64(n), "localtree-B/body")
+				b.ReportMetric(float64(ledgers)/float64(n), "ledger-B/body")
+				b.ReportMetric(float64(liveHeap()-heap0)/float64(n), "heap-B/body")
 				if hwm0 > 0 {
 					b.ReportMetric(float64(vmHWM()-hwm0)/float64(n), "hwm-B/body")
 				}
 			})
 		}
 	}
+}
+
+// sliceBytes is the capacity, in bytes, of the slices among *v's fields.
+func sliceBytes(v any) int {
+	s := reflect.ValueOf(v).Elem()
+	n := 0
+	for i := range s.NumField() {
+		if f := s.Field(i); f.Kind() == reflect.Slice {
+			n += f.Cap() * int(f.Type().Elem().Size())
+		}
+	}
+	return n
+}
+
+// liveHeap returns the bytes of live heap objects after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // vmHWM returns the process's peak resident set in bytes, or 0 where

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"runtime"
+	"sync/atomic"
+
 	"upcbh/internal/nbody"
 	"upcbh/internal/octree"
 	"upcbh/internal/upc"
@@ -9,16 +12,132 @@ import (
 
 // force is the simulator's force phase: the pointer walk of the
 // optimization level. forceNaive, forceCached and forceAsync are the
-// paper's three ways of paying for (or hiding) remote access.
+// paper's three ways of paying for (or hiding) remote access. The cached
+// levels' walks read no clock, so they run on the force plane and the
+// thread applies the accounting they recorded.
 func (s *simEngine) force(t *upc.Thread, measured bool) {
 	st := s.ts[t.ID()]
-	switch {
-	case s.o.Level >= LevelAsync:
-		s.forceAsync(t, st, measured)
-	case s.o.Level >= LevelCacheTree:
-		s.forceCached(t, st, measured)
-	default:
+	if s.o.Level < LevelCacheTree {
 		s.forceNaive(t, st, measured)
+		return
+	}
+	s.plane.await(t.ID(), measured)
+	t.Apply(&st.ledger)
+}
+
+// forcePlane runs the cached levels' force walks of every thread on up to
+// min(GOMAXPROCS, P) host goroutines, the parties, each walk recording
+// into its thread's ledger (DESIGN.md §9, "Host workers and the ledger").
+// Party 0 is whichever thread holds the baton; every party walks with a
+// walker of its own, so a session keeps one local tree per party, not
+// per thread. Its region's gate i is ledger i's "filled" signal. Ledgers
+// are claimed in the order the baton asks for them: the thread that
+// opens the phase (the last barrier's resolver), then the rest by id, as
+// their clocks are equal.
+type forcePlane struct {
+	region
+	walk     func(w *walker, i int) // records thread i's walk
+	parties  []*party
+	work     func(k int) // party k ≥ 1: fill ledgers until none is left
+	measured bool
+	first    int
+	next     atomic.Int32 // ledgers claimed
+	entered  int          // threads that reached the phase, in baton order
+}
+
+func (p *forcePlane) init(n int, walk func(w *walker, i int)) {
+	p.region.init(n)
+	p.walk = walk
+	p.work = func(k int) {
+		for j := p.claim(); j >= 0; j = p.claim() {
+			p.guard(j, p.parties[k].fill)
+		}
+	}
+}
+
+// claim returns the next unclaimed ledger, or -1 once none is left or the
+// plane failed.
+func (p *forcePlane) claim() int {
+	k := int(p.next.Add(1)) - 1
+	switch {
+	case k >= len(p.gates) || p.poisoned.Load() != nil:
+		return -1
+	case k == 0:
+		return p.first
+	case k <= p.first:
+		return k - 1
+	}
+	return k
+}
+
+// await returns once thread i's ledger is filled, in i's baton turn. The
+// phase's first thread starts the workers; until its own ledger is
+// filled a thread fills the next unclaimed ones itself, and parks on its
+// gate once none is left; the last one joins the workers, so none
+// outlives the phase. A failed walk is re-raised on the waiting thread.
+func (p *forcePlane) await(i int, measured bool) {
+	if p.entered == 0 {
+		p.first, p.measured = i, measured
+		p.next.Store(0)
+		parties := min(runtime.GOMAXPROCS(0), len(p.gates))
+		for len(p.parties) < parties {
+			pt := new(party)
+			pt.fill = func(i int) {
+				p.walk(&pt.walker, i)
+				wake(p.gates[i])
+			}
+			p.parties = append(p.parties, pt)
+		}
+		p.start(parties, p.work)
+	}
+	p.entered++
+	for filled := false; !filled; {
+		select {
+		case <-p.gates[i]:
+			filled = true
+		default:
+			if j := p.claim(); j >= 0 {
+				p.guard(j, p.parties[0].fill)
+			} else {
+				<-p.gates[i]
+				filled = true
+			}
+		}
+	}
+	if p.entered == len(p.gates) || p.poisoned.Load() != nil {
+		p.entered = 0
+		p.join()
+	}
+}
+
+// walker is one party's force-walk scratch, reused for every walk it
+// makes: the §5.3+ local tree (node 0 is the root), its walk stack and
+// the async force's working lists and object pools (force_async.go).
+type walker struct {
+	lnodes      []lnode
+	lnodeStack  []int32
+	working     []*wbody
+	outstanding []*request
+	wbFree      []*wbody
+	reqFree     []*request
+}
+
+// party is one host goroutine's share of the force plane: its walker,
+// and its fill of ledger i (the walk, then i's wake).
+type party struct {
+	walker
+	fill func(i int)
+}
+
+// walkLedger is the force plane's walk: thread i's cached walk, with w's
+// scratch, recorded into its ledger.
+func (s *simEngine) walkLedger(w *walker, i int) {
+	st := s.ts[i]
+	st.ledger.Reset()
+	if s.o.Level >= LevelAsync {
+		s.forceAsync(st, w, s.plane.measured)
+	} else {
+		s.forceCached(st, w, s.plane.measured)
 	}
 }
 
@@ -110,10 +229,10 @@ func (s *simEngine) forceNaive(t *upc.Thread, st *simThread, measured bool) {
 	st.nodeStack = stack[:0]
 }
 
-// lnode is a node of the per-thread cached local tree (§5.3): either a
+// lnode is a node of a thread's cached local tree (§5.3): either a
 // cached copy of a remote cell, an alias of a local cell (§5.3.2), or a
-// cached body leaf. The local tree is one []lnode per thread, reused
-// every step, whose nodes name each other by index: a localized cell's
+// cached body leaf. The local tree is one []lnode per walker, reused by
+// every walk, whose nodes name each other by index: a localized cell's
 // children are the nk nodes from kids on, in octant order, and the child
 // slots to fetch are read from the global cell (ref) when its children
 // are fetched. Both are sound because cells, and bodies' Pos/Mass, are
@@ -134,28 +253,46 @@ type lnode struct {
 }
 
 // addCell appends a copy of the global cell c at r to the local tree.
-func (st *simThread) addCell(r upc.Ref, c *Cell) {
-	st.lnodes = append(st.lnodes, lnode{cofm: c.CofM, mass: c.Mass, half: c.Half, ref: r})
+func (w *walker) addCell(r upc.Ref, c *Cell) {
+	w.lnodes = append(w.lnodes, lnode{cofm: c.CofM, mass: c.Mass, half: c.Half, ref: r})
 }
 
 // addBody appends a leaf for the body b at r to the local tree.
-func (st *simThread) addBody(r upc.Ref, b *nbody.Body) {
-	st.lnodes = append(st.lnodes, lnode{cofm: b.Pos, mass: b.Mass, ref: r, isBody: true})
+func (w *walker) addBody(r upc.Ref, b *nbody.Body) {
+	w.lnodes = append(w.lnodes, lnode{cofm: b.Pos, mass: b.Mass, ref: r, isBody: true})
 }
 
 // linkKids records that the local-tree nodes from kids to the end are
 // node i's children, and marks it localized.
-func (st *simThread) linkKids(i, kids int32) {
-	n := &st.lnodes[i]
-	n.kids, n.nk, n.localized = kids, uint8(int32(len(st.lnodes))-kids), true
+func (w *walker) linkKids(i, kids int32) {
+	n := &w.lnodes[i]
+	n.kids, n.nk, n.localized = kids, uint8(int32(len(w.lnodes))-kids), true
 }
 
 // fetchLocalRoot starts a fresh local tree (node 0) with a copy of the
 // global root.
-func (s *simEngine) fetchLocalRoot(t *upc.Thread, st *simThread) {
-	r := s.readRoot(t, st).Ref()
-	st.lnodes = st.lnodes[:0]
-	st.addCell(r, s.cells.ReadView(t, r, cellBytes))
+func (s *simEngine) fetchLocalRoot(st *simThread, w *walker) {
+	r := st.root.Ref()
+	st.ledger.Get(r, cellBytes)
+	w.lnodes = w.lnodes[:0]
+	w.addCell(r, s.cells.Raw(r))
+}
+
+// cachedPos is bodyPos on the force plane.
+func (s *simEngine) cachedPos(st *simThread, r upc.Ref) vec.V3 {
+	if r.Thr != st.id {
+		st.ledger.Get(r, bytesBodyPos)
+	}
+	return s.bodies.Raw(r).Pos
+}
+
+// storeForce is writeForce on the force plane.
+func (s *simEngine) storeForce(st *simThread, br upc.Ref, acc vec.V3, phi float64, inter int) {
+	if br.Thr != st.id {
+		st.ledger.Put(br, bytesBodyAcc)
+	}
+	b := s.bodies.Raw(br)
+	b.Acc, b.Phi, b.Cost = acc, phi, float64(inter)
 }
 
 // localizeChildren implements Listing 1/Listing 2: fetch every child of
@@ -163,52 +300,54 @@ func (s *simEngine) fetchLocalRoot(t *upc.Thread, st *simThread) {
 // first caching scheme does) and mark it localized. With AliasLocalCells
 // (§5.3.2) children that already live in this thread's shared memory are
 // aliased through "shadow pointers" instead of being copied.
-func (s *simEngine) localizeChildren(t *upc.Thread, st *simThread, i int32) {
-	kids := int32(len(st.lnodes))
-	for _, slot := range &s.cells.Raw(st.lnodes[i].ref).Sub {
+func (s *simEngine) localizeChildren(st *simThread, w *walker, i int32) {
+	l := &st.ledger
+	kids := int32(len(w.lnodes))
+	for _, slot := range &s.cells.Raw(w.lnodes[i].ref).Sub {
 		if slot.IsNil() {
 			continue
 		}
 		r := slot.Ref()
 		if slot.IsBody() {
-			st.addBody(r, s.bodies.ReadView(t, r, bytesBodyMass))
+			l.Get(r, bytesBodyMass)
+			w.addBody(r, s.bodies.Raw(r))
 			continue
 		}
-		if s.o.AliasLocalCells && s.cells.IsLocal(t, r) {
-			s.cells.Touch(t, r, bytesSlot) // shadow-pointer setup: a local deref
-			st.addCell(r, s.cells.Raw(r))
+		if s.o.AliasLocalCells && r.Thr == st.id {
+			l.Get(r, bytesSlot) // shadow-pointer setup: a local deref
+			w.addCell(r, s.cells.Raw(r))
 			st.cellsAliased++
 			continue
 		}
 		// Whole-cell transfer (remote) or local copy; same charge as Get.
-		c := s.cells.ReadView(t, r, cellBytes)
-		t.Charge(s.par.CellInitCost + float64(cellBytes)*s.par.ByteCopyCost)
-		st.addCell(r, c)
+		l.Get(r, cellBytes)
+		l.Charge(s.par.CellInitCost+float64(cellBytes)*s.par.ByteCopyCost, 1)
+		w.addCell(r, s.cells.Raw(r))
 		st.cellsCopied++
 	}
-	st.linkKids(i, kids)
+	w.linkKids(i, kids)
 }
 
 // forceCached is the §5.3 force computation (simulate only): walk the
-// private local tree, localizing cells on demand with blocking gets.
-func (s *simEngine) forceCached(t *upc.Thread, st *simThread, measured bool) {
-	s.fetchLocalRoot(t, st)
-	eps := s.readEps(t, st)
-	tol := s.readTol(t, st)
-	epsSq := eps * eps
+// private local tree, localizing cells on demand with blocking gets. It
+// runs on the force plane: its accounting goes to st.ledger, and the
+// scalars are the replicated ones.
+func (s *simEngine) forceCached(st *simThread, w *walker, measured bool) {
+	s.fetchLocalRoot(st, w)
+	tol, epsSq := st.tol, st.eps*st.eps
 
-	stack := st.lnodeStack
+	stack := w.lnodeStack
 	for _, br := range st.myBodies {
-		pos := s.bodyPos(t, st, br)
+		pos := s.cachedPos(st, br)
 		var acc vec.V3
 		var phi float64
-		inter := 0
+		inter, charged := 0, 0 // interactions, and those recorded
 
 		stack = append(stack[:0], 0)
 		for len(stack) > 0 {
 			i := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			n := &st.lnodes[i]
+			n := &w.lnodes[i]
 			d := n.cofm.Sub(pos) // shared by the opening test and the interaction
 			d2 := d.Len2()
 			if n.isBody {
@@ -217,8 +356,10 @@ func (s *simEngine) forceCached(t *upc.Thread, st *simThread, measured bool) {
 				}
 			} else if !octree.AcceptDist2(d2, n.half, tol) {
 				if !n.localized {
-					s.localizeChildren(t, st, i)
-					n = &st.lnodes[i]
+					st.ledger.Charge(s.par.InteractionCost, inter-charged)
+					charged = inter
+					s.localizeChildren(st, w, i)
+					n = &w.lnodes[i]
 				}
 				for k := n.kids + int32(n.nk) - 1; k >= n.kids; k-- {
 					stack = append(stack, k)
@@ -229,13 +370,13 @@ func (s *simEngine) forceCached(t *upc.Thread, st *simThread, measured bool) {
 			acc = acc.AddScaled(d, sc)
 			phi -= mr
 			inter++
-			t.Charge(s.par.InteractionCost)
 		}
 
-		s.writeForce(t, st, br, acc, phi, inter)
+		st.ledger.Charge(s.par.InteractionCost, inter-charged)
+		s.storeForce(st, br, acc, phi, inter)
 		if measured {
 			st.inter += uint64(inter)
 		}
 	}
-	st.lnodeStack = stack[:0]
+	w.lnodeStack = stack[:0]
 }

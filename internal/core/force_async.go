@@ -25,14 +25,14 @@ type wbody struct {
 // (bupc_memget_vlist_async): all children of a batch of parents. For
 // simplicity all children of a cell travel in the same request, so a
 // request handles between n3 and n3+7 nodes, as in the paper. hc and hb
-// are the two gathers' handles, set when cellRefs and bodyRefs
+// are the two gathers' ledger ordinals, set when cellRefs and bodyRefs
 // (respectively) are non-empty; the gathers only account, and complete
 // reads the children from their heaps.
 type request struct {
 	parents  []int32
 	cellRefs []upc.Ref
 	bodyRefs []upc.Ref
-	hc, hb   upc.Handle
+	hc, hb   int32
 }
 
 func (r *request) len() int { return len(r.cellRefs) + len(r.bodyRefs) }
@@ -40,52 +40,51 @@ func (r *request) len() int { return len(r.cellRefs) + len(r.bodyRefs) }
 // getWbody/putWbody and getRequest/putRequest recycle the async-force
 // working structures across bodies and steps; their slices keep their
 // capacity, so the steady-state force phase stops allocating.
-func (st *simThread) getWbody(br upc.Ref, pos vec.V3) *wbody {
-	if n := len(st.wbFree); n > 0 {
-		wb := st.wbFree[n-1]
-		st.wbFree = st.wbFree[:n-1]
+func (w *walker) getWbody(br upc.Ref, pos vec.V3) *wbody {
+	if n := len(w.wbFree); n > 0 {
+		wb := w.wbFree[n-1]
+		w.wbFree = w.wbFree[:n-1]
 		*wb = wbody{br: br, pos: pos, active: wb.active[:0], blocked: wb.blocked[:0]}
 		return wb
 	}
 	return &wbody{br: br, pos: pos}
 }
 
-func (st *simThread) putWbody(wb *wbody) { st.wbFree = append(st.wbFree, wb) }
+func (w *walker) putWbody(wb *wbody) { w.wbFree = append(w.wbFree, wb) }
 
-func (st *simThread) getRequest() *request {
-	if n := len(st.reqFree); n > 0 {
-		r := st.reqFree[n-1]
-		st.reqFree = st.reqFree[:n-1]
+func (w *walker) getRequest() *request {
+	if n := len(w.reqFree); n > 0 {
+		r := w.reqFree[n-1]
+		w.reqFree = w.reqFree[:n-1]
 		return r
 	}
 	return &request{}
 }
 
-func (st *simThread) putRequest(r *request) {
+func (w *walker) putRequest(r *request) {
 	*r = request{parents: r.parents[:0], cellRefs: r.cellRefs[:0], bodyRefs: r.bodyRefs[:0]}
-	st.reqFree = append(st.reqFree, r)
+	w.reqFree = append(w.reqFree, r)
 }
 
 // forceAsync implements Listing 3 (simulate only): maintain n1 working
 // bodies, aggregate needed remote children into requests of at least n3
 // cells, keep at most n2 outstanding non-blocking gathers, and overlap
 // communication with the force computation of bodies whose frontiers can
-// still make progress.
-func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
-	s.fetchLocalRoot(t, st)
-	eps := s.readEps(t, st)
-	tol := s.readTol(t, st)
-	epsSq := eps * eps
+// still make progress. Like forceCached it runs on the force plane.
+func (s *simEngine) forceAsync(st *simThread, w *walker, measured bool) {
+	l := &st.ledger
+	s.fetchLocalRoot(st, w)
+	tol, epsSq := st.tol, st.eps*st.eps
 	n1, n2, n3 := s.o.N1, s.o.N2, s.o.N3
 
 	queue := st.myBodies
 	next := 0
-	working := st.working[:0]
-	pending := st.getRequest()
-	outstanding := st.outstanding[:0] // FIFO of issued requests
+	working := w.working[:0]
+	pending := w.getRequest()
+	outstanding := w.outstanding[:0] // FIFO of issued requests
 
 	enqueueChildren := func(i int32) {
-		n := &st.lnodes[i]
+		n := &w.lnodes[i]
 		n.requested = true
 		pending.parents = append(pending.parents, i)
 		for _, slot := range &s.cells.Raw(n.ref).Sub {
@@ -103,14 +102,14 @@ func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 			return
 		}
 		r := pending
-		pending = st.getRequest()
+		pending = w.getRequest()
 		if len(r.cellRefs) > 0 {
-			r.hc = s.cells.GatherAsync(t, r.cellRefs)
+			r.hc = l.Gather(r.cellRefs, cellBytes)
 		}
 		if len(r.bodyRefs) > 0 {
 			// Only the position/mass prefix travels: the owners are
 			// concurrently writing force results into the same bodies.
-			r.hb = s.bodies.GatherAsyncBytes(t, r.bodyRefs, bytesBodyMass)
+			r.hb = l.Gather(r.bodyRefs, bytesBodyMass)
 		}
 		outstanding = append(outstanding, r)
 	}
@@ -119,33 +118,33 @@ func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 	// to the local tree, in octant order, reading them at sync.
 	complete := func(r *request) {
 		if len(r.cellRefs) > 0 {
-			t.WaitSync(&r.hc)
+			l.Wait(r.hc)
 		}
 		if len(r.bodyRefs) > 0 {
-			t.WaitSync(&r.hb)
+			l.Wait(r.hb)
 		}
 		for _, i := range r.parents {
-			kids := int32(len(st.lnodes))
-			for _, slot := range &s.cells.Raw(st.lnodes[i].ref).Sub {
+			kids := int32(len(w.lnodes))
+			for _, slot := range &s.cells.Raw(w.lnodes[i].ref).Sub {
 				switch {
 				case slot.IsBody():
-					st.addBody(slot.Ref(), s.bodies.Raw(slot.Ref()))
+					w.addBody(slot.Ref(), s.bodies.Raw(slot.Ref()))
 				case !slot.IsNil():
-					t.Charge(s.par.CellInitCost + float64(cellBytes)*s.par.ByteCopyCost)
-					st.addCell(slot.Ref(), s.cells.Raw(slot.Ref()))
+					l.Charge(s.par.CellInitCost+float64(cellBytes)*s.par.ByteCopyCost, 1)
+					w.addCell(slot.Ref(), s.cells.Raw(slot.Ref()))
 					st.cellsCopied++
 				}
 			}
-			st.linkKids(i, kids)
+			w.linkKids(i, kids)
 		}
-		st.putRequest(r)
+		w.putRequest(r)
 	}
 
 	unblock := func() {
 		for _, wb := range working {
 			keep := wb.blocked[:0]
 			for _, n := range wb.blocked {
-				if st.lnodes[n].localized {
+				if w.lnodes[n].localized {
 					wb.active = append(wb.active, n)
 				} else {
 					keep = append(keep, n)
@@ -162,7 +161,7 @@ func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 		for len(wb.active) > 0 {
 			i := wb.active[len(wb.active)-1]
 			wb.active = wb.active[:len(wb.active)-1]
-			n := &st.lnodes[i]
+			n := &w.lnodes[i]
 			d := n.cofm.Sub(wb.pos) // shared by the opening test and the interaction
 			d2 := d.Len2()
 			if n.isBody {
@@ -186,8 +185,8 @@ func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 			acc = acc.AddScaled(d, sc)
 			phi -= mr
 			inter++
-			t.Charge(s.par.InteractionCost)
 		}
+		l.Charge(s.par.InteractionCost, inter-wb.inter)
 		wb.acc, wb.phi, wb.inter = acc, phi, inter
 	}
 
@@ -196,7 +195,7 @@ func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 		for len(working) < n1 && next < len(queue) {
 			br := queue[next]
 			next++
-			wb := st.getWbody(br, s.bodyPos(t, st, br))
+			wb := w.getWbody(br, s.cachedPos(st, br))
 			wb.active = append(wb.active, 0)
 			working = append(working, wb)
 		}
@@ -221,11 +220,11 @@ func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 		keep := working[:0]
 		for _, wb := range working {
 			if len(wb.active) == 0 && len(wb.blocked) == 0 {
-				s.writeForce(t, st, wb.br, wb.acc, wb.phi, wb.inter)
+				s.storeForce(st, wb.br, wb.acc, wb.phi, wb.inter)
 				if measured {
 					st.inter += uint64(wb.inter)
 				}
-				st.putWbody(wb)
+				w.putWbody(wb)
 			} else {
 				keep = append(keep, wb)
 			}
@@ -258,7 +257,7 @@ func (s *simEngine) forceAsync(t *upc.Thread, st *simThread, measured bool) {
 			}
 		}
 	}
-	st.putRequest(pending)
-	st.working = working[:0]
-	st.outstanding = outstanding
+	w.putRequest(pending)
+	w.working = working[:0]
+	w.outstanding = outstanding
 }

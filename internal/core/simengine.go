@@ -39,11 +39,15 @@ type simEngine struct {
 
 	// frozen is frozenHash at the tree barrier (Options.Verify only).
 	frozen uint64
+
+	// plane runs the cached levels' force walks (force.go).
+	plane forcePlane
 }
 
 // simThread is one thread's pointer-path state.
 type simThread struct {
 	*tstate
+	id int32
 
 	// §5.2 double buffer in the thread's local shared space.
 	buf    [2]upc.Ref
@@ -72,15 +76,9 @@ type simThread struct {
 	nodeStack []NodeRef
 	remote    remoteScratch
 
-	// The §5.3+ local tree (node 0 is the root), its walk stack and the
-	// async-force object pools (force.go, force_async.go), retained
-	// across steps: the tree is rebuilt every step into the same slice.
-	lnodes      []lnode
-	lnodeStack  []int32
-	working     []*wbody
-	outstanding []*request
-	wbFree      []*wbody
-	reqFree     []*request
+	// The cached levels' force walk, recorded (force.go), retained across
+	// steps.
+	ledger upc.Ledger
 }
 
 // newSimEngine builds the runtime, heaps, locks and shared scalars for
@@ -91,8 +89,9 @@ func newSimEngine(sim *Sim) *simEngine {
 	p := rt.Threads()
 	s := &simEngine{sim: sim, rt: rt, o: o, par: o.Machine.Par, init: sim.init, ts: make([]*simThread, p)}
 	for i, st := range sim.ts {
-		s.ts[i] = &simThread{tstate: st}
+		s.ts[i] = &simThread{tstate: st, id: int32(i)}
 	}
+	s.plane.init(p, s.walkLedger)
 	bodyChunk := max(16*(o.Bodies/p+1), 4096) // buffers must fit one chunk (LocalSlice)
 	s.bodies = upc.NewHeap[nbody.Body](rt, bodyChunk)
 	s.cells = upc.NewHeap[Cell](rt, 1<<14)

@@ -10,6 +10,78 @@ import (
 	"upcbh/internal/upc"
 )
 
+// region is the fork-join core of the native team and of the
+// simulator's force plane (force.go): start runs body(i) for i = 1..k−1
+// on a goroutine each, the caller being slot 0, from fork closures built
+// once per slot, so a region allocates nothing. A panic under guard
+// poisons the region and wakes every gate, and join returns once every
+// forked goroutine has, re-raising the first panic: between regions no
+// goroutine runs.
+type region struct {
+	gates    []chan struct{} // capacity 1 each; the owner's wake-ups
+	poisoned atomic.Pointer[string]
+	body     func(i int)
+	fork     []func()
+	wg       sync.WaitGroup
+}
+
+func (r *region) init(n int) {
+	r.gates = make([]chan struct{}, n)
+	for i := range r.gates {
+		r.gates[i] = make(chan struct{}, 1)
+	}
+}
+
+// start forks body(i) under guard for every slot i in 1..k−1.
+func (r *region) start(k int, body func(i int)) {
+	r.body = body
+	for i := len(r.fork); i < k; i++ {
+		r.fork = append(r.fork, func() {
+			defer r.wg.Done()
+			r.guard(i, r.body)
+		})
+	}
+	r.wg.Add(k - 1)
+	for _, f := range r.fork[1:k] {
+		go f()
+	}
+}
+
+// join waits for the forked goroutines and re-raises the region's poison.
+func (r *region) join() {
+	r.wg.Wait()
+	if p := r.poisoned.Load(); p != nil {
+		panic(*p)
+	}
+}
+
+// guard runs f(id) and turns its panic into the region's poison; a peer's
+// abort is not a failure of its own.
+func (r *region) guard(id int, f func(int)) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			if _, secondary := rec.(poisonAbort); !secondary {
+				r.poison(fmt.Sprintf("upc: thread %d panicked: %v\n%s", id, rec, debug.Stack()))
+			}
+		}
+	}()
+	f(id)
+}
+
+// poison keeps the first failure and wakes every gate.
+func (r *region) poison(msg string) {
+	r.poisoned.CompareAndSwap(nil, &msg)
+	for _, g := range r.gates {
+		wake(g)
+	}
+}
+
+func (r *region) checkPoison() {
+	if r.poisoned.Load() != nil {
+		panic(poisonAbort{})
+	}
+}
+
 // team is the native engine's threads (DESIGN.md §11.1): T members that
 // run one fork-join region at a time and meet at barriers inside it —
 // SPLASH-2's fork, barrier-separated phases, join. A region starts T−1
@@ -21,21 +93,16 @@ type team struct {
 	members []member
 	epoch   time.Time // Now's zero
 
-	// mu and count are the arrivals at the current barrier; an early
-	// arriver parks on its gate (capacity 1) until the last one wakes it.
+	// region runs the team's regions; a poisoned team runs no more.
+	// Its gates are the barrier's: an early arriver parks on its own
+	// until the last one, counted in mu and count, wakes it.
+	region
 	mu    sync.Mutex
 	count int
-	gates []chan struct{}
 
-	// poisoned is the first panic of a region: it wakes every gate and
-	// aborts every later barrier, and a poisoned team runs no region.
-	poisoned atomic.Pointer[string]
-
-	// body is the region in flight; fork[i] runs member i's share of it on
-	// a goroutine of its own. Built once, so a region allocates nothing.
-	body func(m *member)
-	fork []func()
-	wg   sync.WaitGroup
+	// body is the region in flight; runMember runs member i's share.
+	body      func(m *member)
+	runMember func(i int)
 }
 
 // member is one native thread; its methods run in its share of a region.
@@ -46,16 +113,12 @@ type member struct {
 }
 
 func newTeam(n int) *team {
-	tm := &team{members: make([]member, n), epoch: time.Now(), gates: make([]chan struct{}, n), fork: make([]func(), n)}
+	tm := &team{members: make([]member, n), epoch: time.Now()}
 	for i := range tm.members {
-		m := &tm.members[i]
-		m.tm, m.id = tm, i
-		tm.gates[i] = make(chan struct{}, 1)
-		tm.fork[i] = func() {
-			defer tm.wg.Done()
-			tm.guard(m)
-		}
+		tm.members[i].tm, tm.members[i].id = tm, i
 	}
+	tm.init(n)
+	tm.runMember = func(i int) { tm.body(&tm.members[i]) }
 	return tm
 }
 
@@ -68,28 +131,9 @@ func (tm *team) run(body func(m *member)) {
 		panic(poisonSecondary)
 	}
 	tm.body = body
-	tm.wg.Add(len(tm.members) - 1)
-	for _, f := range tm.fork[1:] {
-		go f()
-	}
-	tm.guard(&tm.members[0])
-	tm.wg.Wait()
-	if p := tm.poisoned.Load(); p != nil {
-		panic(*p)
-	}
-}
-
-// guard runs m's share of the region and turns its panic into the team's
-// poison; a peer's abort is not a failure of its own.
-func (tm *team) guard(m *member) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, secondary := r.(poisonAbort); !secondary {
-				tm.poison(fmt.Sprintf("upc: thread %d panicked: %v\n%s", m.id, r, debug.Stack()))
-			}
-		}
-	}()
-	tm.body(m)
+	tm.start(len(tm.members), tm.runMember)
+	tm.guard(0, tm.runMember)
+	tm.join()
 }
 
 // poisonAbort is the panic of a member aborted because a peer failed.
@@ -97,26 +141,12 @@ type poisonAbort struct{}
 
 const poisonSecondary = "upc: thread aborted because a peer thread panicked"
 
-// poison keeps the first failure and wakes every gate.
-func (tm *team) poison(msg string) {
-	tm.poisoned.CompareAndSwap(nil, &msg)
-	for _, g := range tm.gates {
-		wake(g)
-	}
-}
-
 // wake hands a parked member its gate's one pending wake, unless it
 // already holds one.
 func wake(g chan struct{}) {
 	select {
 	case g <- struct{}{}:
 	default:
-	}
-}
-
-func (tm *team) checkPoison() {
-	if tm.poisoned.Load() != nil {
-		panic(poisonAbort{})
 	}
 }
 

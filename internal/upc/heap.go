@@ -255,13 +255,7 @@ func (h *Heap[T]) chargeGet(t *Thread, r Ref, bytes int) {
 	if r.IsNil() {
 		panic("upc: dereference of nil pointer-to-shared")
 	}
-	if int(r.Thr) == t.id {
-		t.stats.LocalDerefs++
-		t.ChargeRaw(t.rt.mach.Par.GPtrDerefCost)
-		return
-	}
-	t.stats.RemoteGets++
-	t.remoteRoundTrip(int(r.Thr), bytes)
+	t.access(int(r.Thr), bytes, &t.stats.RemoteGets)
 }
 
 // PutBytes models a fine-grained partial store: mut is applied to the
@@ -277,13 +271,7 @@ func (h *Heap[T]) chargePut(t *Thread, r Ref, bytes int) {
 	if r.IsNil() {
 		panic("upc: store through nil pointer-to-shared")
 	}
-	if int(r.Thr) == t.id {
-		t.stats.LocalDerefs++
-		t.ChargeRaw(t.rt.mach.Par.GPtrDerefCost)
-		return
-	}
-	t.stats.RemotePuts++
-	t.remoteRoundTrip(int(r.Thr), bytes)
+	t.access(int(r.Thr), bytes, &t.stats.RemotePuts)
 }
 
 // LocalSlice returns the backing storage of n elements starting at r as
@@ -379,33 +367,41 @@ func (h *Heap[T]) GatherAsyncBytes(t *Thread, refs []Ref, bytesPer int) Handle {
 	if bytesPer <= 0 || bytesPer > h.elemSize {
 		bytesPer = h.elemSize
 	}
-	// Group by source thread, in deterministic first-appearance order
-	// (the sender-side charges accumulate per group, so iteration order
-	// feeds the virtual clock — a map here would leak Go's randomized
-	// iteration into the simulated times). Request lists are short (tens
-	// of cells from a handful of sources), so a linear scan over a small
-	// reused scratch slice beats a map anyway.
-	groups := t.gatherGroups[:0]
+	t.gatherGroups = groupSources(t.gatherGroups[:0], refs)
+	return t.gather(t.gatherGroups, bytesPer)
+}
+
+// groupSources appends one group per source thread of refs to groups,
+// in first-appearance order, counting its elements. The order is
+// deterministic because the sender-side charges accumulate per group,
+// so it feeds the virtual clock (a map would leak Go's randomized
+// iteration into the simulated times); request lists are short, so a
+// linear scan beats a map anyway.
+func groupSources(groups []gatherGroup, refs []Ref) []gatherGroup {
+	from := len(groups)
+next:
 	for _, r := range refs {
 		if r.IsNil() {
 			panic("upc: GatherAsync of nil reference")
 		}
-		found := false
-		for gi := range groups {
+		for gi := from; gi < len(groups); gi++ {
 			if groups[gi].thr == r.Thr {
 				groups[gi].count++
-				found = true
-				break
+				continue next
 			}
 		}
-		if !found {
-			groups = append(groups, gatherGroup{thr: r.Thr, count: 1})
-		}
+		groups = append(groups, gatherGroup{thr: r.Thr, count: 1})
 	}
-	t.gatherGroups = groups
+	return groups
+}
+
+// gather accounts an aggregated non-blocking gather of bytesPer bytes
+// per element, one message per source group, and returns its handle.
+func (t *Thread) gather(groups []gatherGroup, bytesPer int) Handle {
 	complete := t.clock
-	nsrc := 0
+	nsrc, refs := 0, 0
 	for _, g := range groups {
+		refs += int(g.count)
 		bytes := int(g.count) * bytesPer
 		if int(g.thr) != t.id {
 			nsrc++
@@ -417,12 +413,8 @@ func (h *Heap[T]) GatherAsyncBytes(t *Thread, refs []Ref, bytesPer int) Handle {
 		}
 	}
 	t.stats.GatherReqs++
-	hist := nsrc
-	if hist >= len(t.stats.GatherSrcHist) {
-		hist = len(t.stats.GatherSrcHist) - 1
-	}
-	t.stats.GatherSrcHist[hist]++
-	return Handle{CompleteAt: complete, Refs: len(refs), Sources: nsrc}
+	t.stats.GatherSrcHist[min(nsrc, len(t.stats.GatherSrcHist)-1)]++
+	return Handle{CompleteAt: complete, Refs: refs, Sources: nsrc}
 }
 
 // WaitSync is bupc_waitsync: block until the handle completes. It only

@@ -49,6 +49,19 @@ func (t *Thread) msgCost(peer, bytes int) machine.MsgCost {
 	return rt.mach.Message(t.id, peer, bytes)
 }
 
+// access accounts a fine-grained one-sided get or put of bytes between
+// t and thread thr: the pointer-to-shared overhead when thr is t, else a
+// blocking round trip counted in *remote (RemoteGets or RemotePuts).
+func (t *Thread) access(thr, bytes int, remote *uint64) {
+	if thr == t.id {
+		t.stats.LocalDerefs++
+		t.ChargeRaw(t.rt.mach.Par.GPtrDerefCost)
+		return
+	}
+	*remote++
+	t.remoteRoundTrip(thr, bytes)
+}
+
 // remoteRoundTrip accounts a blocking one-sided transfer of `bytes`
 // between t and thread `target` (the data copy happens in the caller).
 // Only heaps and scalars call it, and both are simulate-only.

@@ -216,8 +216,11 @@ func (t *Thread) Now() float64 { return t.clock }
 // Charge accounts a computation cost, inflated by the threaded-runtime
 // CPU factor of the machine model.
 func (t *Thread) Charge(sec float64) {
-	t.clock += sec * t.rt.cpuFactor
+	t.clock = charged(t.clock, sec, t.rt.cpuFactor)
 }
+
+// charged is Charge's arithmetic, which Apply's runs of charges share.
+func charged(clock, sec, factor float64) float64 { return clock + sec*factor }
 
 // ChargeRaw accounts exactly sec of already-modelled cost.
 func (t *Thread) ChargeRaw(sec float64) {
