@@ -147,7 +147,7 @@ func BenchmarkSimulateFootprint(b *testing.B) {
 				b.StopTimer()
 				eng := sim.eng.(*simEngine)
 				nodes, ledgers := 0, 0
-				for _, pt := range eng.plane.parties {
+				for _, pt := range eng.plane.walkers {
 					nodes += cap(pt.lnodes)
 				}
 				for _, st := range eng.ts {

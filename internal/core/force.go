@@ -26,23 +26,21 @@ func (s *simEngine) force(t *upc.Thread, measured bool) {
 }
 
 // forcePlane runs the cached levels' force walks of every thread on up to
-// min(GOMAXPROCS, P) host goroutines, the parties, each walk recording
-// into its thread's ledger (DESIGN.md §9, "Host workers and the ledger").
-// Party 0 is whichever thread holds the baton; every party walks with a
-// walker of its own, so a session keeps one local tree per party, not
-// per thread. Its region's gate i is ledger i's "filled" signal. Ledgers
-// are claimed in the order the baton asks for them: the thread that
-// opens the phase (the last barrier's resolver), then the rest by id, as
-// their clocks are equal.
+// min(GOMAXPROCS, P) host goroutines, each walk recording into its
+// thread's ledger (DESIGN.md §9, "Host workers and the ledger"). Walker
+// 0 is the baton holder's, so a session keeps one local tree per host
+// goroutine, not per thread. Gate i signals that ledger i is filled.
+// Ledgers are claimed in the order the baton asks for them: the thread
+// that opens the phase, then the rest by id.
 type forcePlane struct {
 	region
 	walk     func(w *walker, i int) // records thread i's walk
-	parties  []*party
-	work     func(k int) // party k ≥ 1: fill ledgers until none is left
+	walkers  []*walker
+	work     func(k int) // walker k ≥ 1's goroutine
 	measured bool
 	first    int
 	next     atomic.Int32 // ledgers claimed
-	entered  int          // threads that reached the phase, in baton order
+	entered  int          // threads that reached the phase
 }
 
 func (p *forcePlane) init(n int, walk func(w *walker, i int)) {
@@ -50,7 +48,7 @@ func (p *forcePlane) init(n int, walk func(w *walker, i int)) {
 	p.walk = walk
 	p.work = func(k int) {
 		for j := p.claim(); j >= 0; j = p.claim() {
-			p.guard(j, p.parties[k].fill)
+			p.guard(j, p.walkers[k].fill)
 		}
 	}
 }
@@ -71,48 +69,49 @@ func (p *forcePlane) claim() int {
 }
 
 // await returns once thread i's ledger is filled, in i's baton turn. The
-// phase's first thread starts the workers; until its own ledger is
-// filled a thread fills the next unclaimed ones itself, and parks on its
-// gate once none is left; the last one joins the workers, so none
-// outlives the phase. A failed walk is re-raised on the waiting thread.
+// phase's first thread starts the workers; a thread fills unclaimed
+// ledgers until its own is filled or none is left, then parks on its
+// gate; the last one joins the workers, re-raising a failed walk.
 func (p *forcePlane) await(i int, measured bool) {
 	if p.entered == 0 {
 		p.first, p.measured = i, measured
 		p.next.Store(0)
-		parties := min(runtime.GOMAXPROCS(0), len(p.gates))
-		for len(p.parties) < parties {
-			pt := new(party)
-			pt.fill = func(i int) {
-				p.walk(&pt.walker, i)
+		k := min(runtime.GOMAXPROCS(0), len(p.gates))
+		for len(p.walkers) < k {
+			w := new(walker)
+			w.fill = func(i int) {
+				p.walk(w, i)
 				wake(p.gates[i])
 			}
-			p.parties = append(p.parties, pt)
+			p.walkers = append(p.walkers, w)
 		}
-		p.start(parties, p.work)
+		p.start(k, p.work)
 	}
 	p.entered++
-	for filled := false; !filled; {
-		select {
-		case <-p.gates[i]:
-			filled = true
-		default:
-			if j := p.claim(); j >= 0 {
-				p.guard(j, p.parties[0].fill)
-			} else {
-				<-p.gates[i]
-				filled = true
-			}
+	for len(p.gates[i]) == 0 {
+		j := p.claim()
+		if j < 0 {
+			break
 		}
+		p.guard(j, p.walkers[0].fill)
 	}
+	// Woken by a worker, the baton would resume on the worker's OS
+	// thread, and the session's later steps with it; held to its own,
+	// simulate-levels' baseline steps read 17–19 ms, not 26–30, on two
+	// vCPUs (DESIGN.md §9).
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	<-p.gates[i]
 	if p.entered == len(p.gates) || p.poisoned.Load() != nil {
 		p.entered = 0
 		p.join()
 	}
 }
 
-// walker is one party's force-walk scratch, reused for every walk it
-// makes: the §5.3+ local tree (node 0 is the root), its walk stack and
-// the async force's working lists and object pools (force_async.go).
+// walker is one host goroutine's force-walk scratch, reused by every walk
+// it makes: the §5.3+ local tree (node 0 is the root), its walk stack,
+// the async force's working lists and object pools (force_async.go), and
+// its fill of ledger i (the walk, then gate i's wake).
 type walker struct {
 	lnodes      []lnode
 	lnodeStack  []int32
@@ -120,17 +119,10 @@ type walker struct {
 	outstanding []*request
 	wbFree      []*wbody
 	reqFree     []*request
+	fill        func(i int)
 }
 
-// party is one host goroutine's share of the force plane: its walker,
-// and its fill of ledger i (the walk, then i's wake).
-type party struct {
-	walker
-	fill func(i int)
-}
-
-// walkLedger is the force plane's walk: thread i's cached walk, with w's
-// scratch, recorded into its ledger.
+// walkLedger records thread i's cached walk, made with w, into its ledger.
 func (s *simEngine) walkLedger(w *walker, i int) {
 	st := s.ts[i]
 	st.ledger.Reset()

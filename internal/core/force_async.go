@@ -115,7 +115,8 @@ func (s *simEngine) forceAsync(st *simThread, w *walker, measured bool) {
 	}
 
 	// complete waits for r's gathers and appends each parent's children
-	// to the local tree, in octant order, reading them at sync.
+	// to the local tree, in octant order, reading them at sync; every
+	// copied cell is charged its initialization.
 	complete := func(r *request) {
 		if len(r.cellRefs) > 0 {
 			l.Wait(r.hc)
@@ -123,6 +124,8 @@ func (s *simEngine) forceAsync(st *simThread, w *walker, measured bool) {
 		if len(r.bodyRefs) > 0 {
 			l.Wait(r.hb)
 		}
+		l.Charge(s.par.CellInitCost+float64(cellBytes)*s.par.ByteCopyCost, len(r.cellRefs))
+		st.cellsCopied += uint64(len(r.cellRefs))
 		for _, i := range r.parents {
 			kids := int32(len(w.lnodes))
 			for _, slot := range &s.cells.Raw(w.lnodes[i].ref).Sub {
@@ -130,9 +133,7 @@ func (s *simEngine) forceAsync(st *simThread, w *walker, measured bool) {
 				case slot.IsBody():
 					w.addBody(slot.Ref(), s.bodies.Raw(slot.Ref()))
 				case !slot.IsNil():
-					l.Charge(s.par.CellInitCost+float64(cellBytes)*s.par.ByteCopyCost, 1)
 					w.addCell(slot.Ref(), s.cells.Raw(slot.Ref()))
-					st.cellsCopied++
 				}
 			}
 			w.linkKids(i, kids)

@@ -85,7 +85,7 @@ func TestSimulateStepLeavesNoGoroutine(t *testing.T) {
 // TestForceWorkerPanicPoisons: a panic in a force walk on the plane fails
 // the step as a thread panic does, naming it, and leaves no goroutine
 // behind. The walk is broken through its walkers' pooled working bodies,
-// which every party pops.
+// which every walker pops.
 func TestForceWorkerPanicPoisons(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
 	for _, pn := range planeShapes {
@@ -97,7 +97,7 @@ func TestForceWorkerPanicPoisons(t *testing.T) {
 		if err := sim.Step(1); err != nil {
 			t.Fatal(err)
 		}
-		for _, pt := range sim.eng.(*simEngine).plane.parties {
+		for _, pt := range sim.eng.(*simEngine).plane.walkers {
 			pt.wbFree = append(pt.wbFree, nil)
 		}
 		msg := func() (msg string) {

@@ -9,18 +9,13 @@ import "math"
 // own baton turn through the accounting the direct calls run, so clocks,
 // NIC horizons and Stats end bit-equal to the direct calls'. It is sound
 // for code whose control flow reads no clock (DESIGN.md §9, "Host
-// workers and the ledger").
+// workers and the ledger"). The zero Ledger is empty.
 type Ledger struct {
 	ops    []lop
 	secs   []float64     // the distinct amounts charged, in first-use order
 	groups []gatherGroup // each gather's per-source groups, in gather order
 	nh     int32         // gathers recorded
 	done   []float64     // each gather's completion time by ordinal, during Apply
-
-	// runAt indexes the last operation if it is a run of charges of the
-	// amount whose bits are runSec, else it is -1.
-	runAt  int
-	runSec uint64
 }
 
 // lop is one recorded operation: its kind in the low 3 bits, an
@@ -28,7 +23,7 @@ type Ledger struct {
 type lop uint64
 
 const (
-	lCharge lop = iota // a: index into secs, b: how many charges in a row
+	lCharge lop = iota // a: index into secs, b: how many charges
 	lGet               // a: source thread, b: bytes
 	lPut               // a: target thread, b: bytes
 	lGather            // a: source groups, b: bytes per element
@@ -41,31 +36,24 @@ func (l *Ledger) add(kind lop, a, b int) {
 
 // Reset empties l for a new recording, keeping its memory.
 func (l *Ledger) Reset() {
-	l.ops, l.groups, l.secs, l.nh, l.runAt = l.ops[:0], l.groups[:0], l.secs[:0], 0, -1
+	l.ops, l.groups, l.secs, l.nh = l.ops[:0], l.groups[:0], l.secs[:0], 0
 }
 
-// Charge records n calls of Thread.Charge(sec). Consecutive charges of
-// one amount are one operation; sec itself is kept, not its product with
-// the CPU factor, so Apply evaluates Charge's own arithmetic.
+// Charge records n < 2³² calls of Thread.Charge(sec) as one operation.
+// It keeps sec, not its product with the CPU factor, so Apply evaluates
+// Charge's own arithmetic.
 func (l *Ledger) Charge(sec float64, n int) {
-	for n > 0 {
-		last := len(l.ops) - 1
-		if last != l.runAt || math.Float64bits(sec) != l.runSec || l.ops[last]>>32 == math.MaxUint32 {
-			i := 0
-			for i < len(l.secs) && math.Float64bits(l.secs[i]) != math.Float64bits(sec) {
-				i++
-			}
-			if i == len(l.secs) {
-				l.secs = append(l.secs, sec)
-			}
-			l.add(lCharge, i, 0)
-			last = len(l.ops) - 1
-			l.runAt, l.runSec = last, math.Float64bits(sec)
-		}
-		k := min(n, math.MaxUint32-int(l.ops[last]>>32))
-		l.ops[last] += lop(k) << 32
-		n -= k
+	if n <= 0 {
+		return
 	}
+	i := 0
+	for i < len(l.secs) && math.Float64bits(l.secs[i]) != math.Float64bits(sec) {
+		i++
+	}
+	if i == len(l.secs) {
+		l.secs = append(l.secs, sec)
+	}
+	l.add(lCharge, i, n)
 }
 
 // Get records a fine-grained get of bytes from r (Heap.ReadView,

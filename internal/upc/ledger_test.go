@@ -9,7 +9,9 @@ import (
 // TestLedgerApplyMatchesDirect: gets, puts, charges, more than 64
 // outstanding gathers and their waits, recorded and applied, leave the
 // clock, Stats (GatherSrcHist included) and every NIC's availAt
-// bit-equal to the same calls made directly.
+// bit-equal to the same calls made directly. The ledger records two
+// rounds, the first on the zero Ledger and the second after a Reset,
+// each opening with a charge of the amount the round before closed on.
 func TestLedgerApplyMatchesDirect(t *testing.T) {
 	run := func(record bool) (float64, Stats, []float64) {
 		rt := NewRuntime(machine.MustNew(8, 4, false, machine.Power5()))
@@ -23,38 +25,55 @@ func TestLedgerApplyMatchesDirect(t *testing.T) {
 				return
 			}
 			var l Ledger
-			l.Reset()
-			const gathers = 70
-			var hs [gathers]Handle
-			var ords [gathers]int32
-			for i := range gathers {
-				r := Ref{Thr: int32(i % 8), Idx: int32(i % 8)}
-				refs := []Ref{r, {Thr: int32((i + 3) % 8), Idx: 1}, r}
+			charge := func(sec float64, n int) {
 				if record {
-					l.Get(r, 24)
-					l.Charge(1e-8, i%3)
-					l.Put(r, 40)
-					l.Charge(3e-9, 1)
-					ords[i] = l.Gather(refs, 32)
-				} else {
-					h.ReadView(th, r, 24)
-					for range i % 3 {
-						th.Charge(1e-8)
+					l.Charge(sec, n)
+					return
+				}
+				for range n {
+					th.Charge(sec)
+				}
+			}
+			for round := range 2 {
+				if round > 0 {
+					l.Reset()
+				}
+				charge(3e-9, 2)
+				const gathers = 70
+				var hs [gathers]Handle
+				var ords [gathers]int32
+				for i := range gathers {
+					r := Ref{Thr: int32(i % 8), Idx: int32(i % 8)}
+					refs := []Ref{r, {Thr: int32((i + 3) % 8), Idx: 1}, r}
+					if record {
+						l.Get(r, 24)
+					} else {
+						h.ReadView(th, r, 24)
 					}
-					h.TouchPut(th, r, 40)
-					th.Charge(3e-9)
-					hs[i] = h.GatherAsyncBytes(th, refs, 32)
+					charge(1e-8, i%3)
+					if record {
+						l.Put(r, 40)
+					} else {
+						h.TouchPut(th, r, 40)
+					}
+					charge(3e-9, 1)
+					if record {
+						ords[i] = l.Gather(refs, 32)
+					} else {
+						hs[i] = h.GatherAsyncBytes(th, refs, 32)
+					}
 				}
-			}
-			for i := gathers - 1; i >= 0; i-- {
+				for i := gathers - 1; i >= 0; i-- {
+					if record {
+						l.Wait(ords[i])
+					} else {
+						th.WaitSync(&hs[i])
+					}
+				}
+				charge(3e-9, 1)
 				if record {
-					l.Wait(ords[i])
-				} else {
-					th.WaitSync(&hs[i])
+					th.Apply(&l)
 				}
-			}
-			if record {
-				th.Apply(&l)
 			}
 			clock, stats = th.Now(), th.Stats()
 		})
@@ -74,7 +93,7 @@ func TestLedgerApplyMatchesDirect(t *testing.T) {
 			t.Errorf("NIC %d: applied availAt %v, direct %v", i, n1[i], n0[i])
 		}
 	}
-	if s0.GatherReqs != 70 {
-		t.Errorf("GatherReqs = %d, want 70", s0.GatherReqs)
+	if s0.GatherReqs != 140 {
+		t.Errorf("GatherReqs = %d, want 140", s0.GatherReqs)
 	}
 }
